@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -31,10 +31,6 @@ from .schema import MISSING_LABEL, FeatureDictionary
 MAX_EXACT_FEATURES = 12
 
 Predictor = Callable[[np.ndarray, np.ndarray], float]
-
-
-class _PredictorProtocol(Protocol):
-    def __call__(self, x: np.ndarray, active: np.ndarray) -> float: ...
 
 
 class BucketMeanPredictor:

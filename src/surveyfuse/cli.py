@@ -17,9 +17,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import secrets
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -53,25 +56,28 @@ EXIT_DATA = 5
 # -- atomic, deterministic artifact writers ------------------------------------
 
 
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-    tmp = path.parent / f".tmp-{path.name}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+def _atomic_write(path: Path, write: Callable[[Path], None]) -> None:
+    """Run ``write(tmp)`` on a temp file next to ``path``, then rename it over ``path``.
+
+    The temp name is unique to the call (created exclusively, so concurrent
+    runs never share one) and is removed if ``write`` or the rename fails.
+    """
+    tmp = path.parent / f".tmp-{path.name}-{secrets.token_hex(8)}"
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, lambda tmp: tmp.write_bytes(text.encode("utf-8")))
 
 
 def _write_json(path: Path, obj: dict) -> None:
     _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _save_dataset(ds: EncodedDataset, path: Path) -> None:
-    tmp = path.parent / f".tmp-{path.name}"
-    ds.save(tmp)
-    os.replace(tmp, path)
 
 
 def _csv_line(fields) -> str:
@@ -139,7 +145,12 @@ def _load_totals_csv(path: Path) -> dict[str, float]:
             hid, val = line.split(",", 1)
             if hid in totals:
                 raise DataError(f"{path}: line {lineno}: duplicate household {hid!r}")
-            totals[hid] = float(val)
+            value = float(val)
+            if not 0.0 <= value < math.inf:
+                raise DataError(
+                    f"{path}: line {lineno}: total {val!r} is not a finite non-negative number"
+                )
+            totals[hid] = value
     if not totals:
         raise DataError(f"{path}: no household totals")
     return totals
@@ -166,7 +177,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     ds = assemble(raw, spec, args.year)
     out = Path(args.out)
-    _save_dataset(ds, out)
+    _atomic_write(out, ds.save)
     print(
         f"encoded {ds.n_samples} samples ({ds.n_households()} households, "
         f"{ds.n_missing} missing targets) -> {out}"
@@ -204,7 +215,6 @@ def _cmd_impute(args: argparse.Namespace) -> int:
         impute_all=args.impute_all,
         tie_break=args.tie_break,
         seed=args.seed,
-        method=args.method,
         threads=_resolve_threads(args),
         household_weight=args.household_weight,
     )
@@ -255,7 +265,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     ds = synth.to_encoded_dataset(args.survey_id, args.year)
-    _save_dataset(ds, out)
+    _atomic_write(out, ds.save)
     prov = out.with_suffix(".provenance.csv")
     lines = ["bucket_id,n_S,n_G_total,y_synth"]
     lines += [
@@ -359,8 +369,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         model, args.households, args.survey_id, args.year, seed=args.seed
     )
     out_full, out_missing = Path(args.out_full), Path(args.out_missing)
-    _save_dataset(full, out_full)
-    _save_dataset(observed, out_missing)
+    _atomic_write(out_full, full.save)
+    _atomic_write(out_missing, observed.save)
     print(
         f"generated {full.n_samples} samples over {args.households} households "
         f"({observed.n_missing} targets removed) -> {out_full}, {out_missing}"
@@ -415,7 +425,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--household-weight", action="store_true",
                    help="divide by each household's sample count instead of the global w")
     p.add_argument("--tie-break", choices=["index", "random"], default="index")
-    p.add_argument("--method", choices=["scan", "pruned"], default="scan")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="per-sample CSV")
     p.add_argument("--out-households", help="household totals CSV "
@@ -510,6 +519,10 @@ def main(argv: list[str] | None = None) -> int:
         config = _peek_config(argv)
         parser = build_parser(config)
         args = parser.parse_args(argv)
+        # every flag of the chosen subcommand is an attribute of args; these two are not flags
+        unknown = sorted(set(config) - (set(vars(args)) - {"func", "subcommand"}))
+        if unknown:
+            parser.error(f"{args.subcommand}: unknown config key(s): {', '.join(unknown)}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

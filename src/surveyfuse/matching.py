@@ -8,11 +8,10 @@ receives the bucket mean divided by the sample-count weight
 per-sample values.
 
 The distance kernel packs bit-vectors into 64-bit words and scans
-XOR-popcounts in blocks.  Duplicate source vectors are collapsed before
+XOR-popcounts in blocks whose height keeps the per-thread XOR buffer
+within a fixed byte budget.  Duplicate source vectors are collapsed before
 the scan (their assignments are identical by definition), which reduces
-realistic one-hot workloads by orders of magnitude.  An exact pruning
-index over donor popcounts is provided as an alternative scan order; it
-returns bit-identical assignments.
+realistic one-hot workloads by orders of magnitude.
 
 Everything here is exact: no approximate neighbors, no sampling.
 """
@@ -27,11 +26,11 @@ import numpy as np
 from .dataset import EncodedDataset, concat_datasets, require_same_dictionary
 from .errors import DataError, DimensionError, MatchError
 
-# Block height for the scan: keeps the (block x buckets) XOR buffer ~tens of MB.
-_BLOCK_ROWS = 2048
+# Per-thread byte budget for the scan's (block x targets) XOR buffer; the
+# block height follows from it, so memory does not grow with the target count.
+_SCAN_BUFFER_BYTES = 32 << 20
 
 _TIE_BREAKS = ("index", "random")
-_METHODS = ("scan", "pruned")
 
 
 def hamming(a: np.ndarray, b: np.ndarray) -> float:
@@ -69,10 +68,6 @@ def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return first[order], rank[inverse]
-
-
-def _popcount_rows(packed: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
 
 
 @dataclass
@@ -132,85 +127,43 @@ class MatchAssignment:
         return int(self.target_index.shape[0])
 
 
+def _block_rows(t_packed: np.ndarray) -> int:
+    """Scan block height whose XOR buffer against ``t_packed`` fits the budget."""
+    return max(1, _SCAN_BUFFER_BYTES // (8 * t_packed.shape[1] * t_packed.shape[0]))
+
+
+def _block_counts(block: np.ndarray, t_packed: np.ndarray) -> np.ndarray:
+    """(rows x targets) Hamming counts between packed query rows and packed targets."""
+    if block.shape[1] == 1:
+        return np.bitwise_count(block[:, 0][:, None] ^ t_packed[:, 0][None, :])  # uint8: d <= 64
+    xor = block[:, None, :] ^ t_packed[None, :, :]
+    return np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
+
+
 def _scan_chunk(
     q_packed: np.ndarray,
     t_packed: np.ndarray,
+    rows: int,
     out_idx: np.ndarray,
     out_cnt: np.ndarray,
     start: int,
     stop: int,
 ) -> None:
-    words = q_packed.shape[1]
-    for s in range(start, stop, _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, stop)
-        block = q_packed[s:e]
-        if words == 1:
-            diff = np.bitwise_count(block[:, 0][:, None] ^ t_packed[:, 0][None, :])
-            counts = diff  # uint8 is enough for d <= 64
-        else:
-            xor = block[:, None, :] ^ t_packed[None, :, :]
-            counts = np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
+    for s in range(start, stop, rows):
+        e = min(s + rows, stop)
+        counts = _block_counts(q_packed[s:e], t_packed)
         idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
         out_idx[s:e] = idx
         out_cnt[s:e] = counts[np.arange(e - s), idx]
 
 
-def _tie_sets(q_packed: np.ndarray, t_packed: np.ndarray, best_cnt: np.ndarray) -> list:
+def _tie_sets(q_packed: np.ndarray, t_packed: np.ndarray, rows: int, best_cnt: np.ndarray) -> list:
     """All target rows at the minimal distance, per query row (for random ties)."""
-    words = q_packed.shape[1]
     out: list[np.ndarray] = []
-    for s in range(0, q_packed.shape[0], _BLOCK_ROWS):
-        e = min(s + _BLOCK_ROWS, q_packed.shape[0])
-        if words == 1:
-            counts = np.bitwise_count(q_packed[s:e, 0][:, None] ^ t_packed[:, 0][None, :])
-        else:
-            xor = q_packed[s:e, None, :] ^ t_packed[None, :, :]
-            counts = np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
-        for r in range(e - s):
-            out.append(np.flatnonzero(counts[r] == best_cnt[s + r]))
+    for s in range(0, q_packed.shape[0], rows):
+        counts = _block_counts(q_packed[s : s + rows], t_packed)
+        out += [np.flatnonzero(c == b) for c, b in zip(counts, best_cnt[s : s + rows])]
     return out
-
-
-class PopcountPruningIndex:
-    """Exact scan-order optimization: |popcount(a) - popcount(b)| lower-bounds
-    the Hamming count, so donor groups sorted by popcount can be skipped once
-    the bound exceeds the best distance found so far.
-
-    Assignments are guaranteed identical to the plain scan, including the
-    smallest-index tie rule: groups are visited while the bound is <= the
-    current best count, and candidates compare as (count, original index).
-    """
-
-    def __init__(self, t_packed: np.ndarray) -> None:
-        self.t_packed = t_packed
-        self.popcounts = _popcount_rows(t_packed)
-        order = np.argsort(self.popcounts, kind="stable")
-        self.order = order
-        self.sorted_pop = self.popcounts[order]
-        # group boundaries per distinct popcount value
-        self.levels, starts = np.unique(self.sorted_pop, return_index=True)
-        self.starts = np.append(starts, self.sorted_pop.size)
-
-    def _group_rows(self, level_idx: int) -> np.ndarray:
-        return self.order[self.starts[level_idx] : self.starts[level_idx + 1]]
-
-    def assign_row(self, row: np.ndarray) -> tuple[int, int]:
-        p = int(np.bitwise_count(row).sum())
-        deltas = np.abs(self.levels - p)
-        best_cnt = np.iinfo(np.int64).max
-        best_idx = -1
-        for li in np.argsort(deltas, kind="stable"):
-            if deltas[li] > best_cnt:
-                break  # deltas ascend from here on; no group can improve
-            rows = self._group_rows(li)
-            counts = np.bitwise_count(row[None, :] ^ self.t_packed[rows]).sum(
-                axis=1, dtype=np.int64
-            )
-            g = np.lexsort((rows, counts))[0]
-            cnt, idx = int(counts[g]), int(rows[g])
-            if cnt < best_cnt or (cnt == best_cnt and idx < best_idx):
-                best_cnt, best_idx = cnt, idx
-        return best_idx, best_cnt
 
 
 def nearest_rows(
@@ -219,7 +172,6 @@ def nearest_rows(
     *,
     tie_break: str = "index",
     seed: int | None = None,
-    method: str = "scan",
     threads: int | None = None,
 ) -> MatchAssignment:
     """Exact nearest target row per query row under Hamming distance.
@@ -238,13 +190,8 @@ def nearest_rows(
         )
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if tie_break == "random":
-        if seed is None:
-            raise ValueError("tie_break='random' requires a seed")
-        if method == "pruned":
-            raise ValueError("the pruned method supports tie_break='index' only")
+    if tie_break == "random" and seed is None:
+        raise ValueError("tie_break='random' requires a seed")
 
     d = query_x.shape[1]
     q_packed = pack_rows(query_x)
@@ -258,30 +205,26 @@ def nearest_rows(
     u_idx = np.empty(n_unique, dtype=np.int64)
     u_cnt = np.empty(n_unique, dtype=np.int64)
 
-    if method == "pruned":
-        index = PopcountPruningIndex(t_packed)
-        for i in range(n_unique):
-            u_idx[i], u_cnt[i] = index.assign_row(u_packed[i])
+    rows = _block_rows(t_packed)
+    n_threads = max(1, threads or 1)
+    if n_threads == 1 or n_unique < 2 * rows:
+        _scan_chunk(u_packed, t_packed, rows, u_idx, u_cnt, 0, n_unique)
     else:
-        n_threads = max(1, threads or 1)
-        if n_threads == 1 or n_unique < 2 * _BLOCK_ROWS:
-            _scan_chunk(u_packed, t_packed, u_idx, u_cnt, 0, n_unique)
-        else:
-            bounds = np.linspace(0, n_unique, n_threads + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                futures = [
-                    pool.submit(_scan_chunk, u_packed, t_packed, u_idx, u_cnt, b0, b1)
-                    for b0, b1 in zip(bounds[:-1], bounds[1:])
-                    if b1 > b0
-                ]
-                for f in futures:
-                    f.result()
+        bounds = np.linspace(0, n_unique, n_threads + 1, dtype=int)
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            futures = [
+                pool.submit(_scan_chunk, u_packed, t_packed, rows, u_idx, u_cnt, b0, b1)
+                for b0, b1 in zip(bounds[:-1], bounds[1:])
+                if b1 > b0
+            ]
+            for f in futures:
+                f.result()
 
     target_index = u_idx[inverse]
     counts = u_cnt[inverse]
 
     if tie_break == "random":
-        ties = _tie_sets(u_packed, t_packed, u_cnt)
+        ties = _tie_sets(u_packed, t_packed, rows, u_cnt)
         n_ties = np.array([t.size for t in ties], dtype=np.int64)
         for i in np.flatnonzero(n_ties[inverse] > 1):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
@@ -300,7 +243,6 @@ def nearest_neighbor(
     *,
     tie_break: str = "index",
     seed: int | None = None,
-    method: str = "scan",
     threads: int | None = None,
 ) -> MatchAssignment:
     """Match every source sample to its nearest donor bucket."""
@@ -311,9 +253,7 @@ def nearest_neighbor(
             f"source dimension {source.dictionary.dimension} != "
             f"bucket dimension {buckets.dimension}"
         )
-    return nearest_rows(
-        source.x, buckets.x, tie_break=tie_break, seed=seed, method=method, threads=threads
-    )
+    return nearest_rows(source.x, buckets.x, tie_break=tie_break, seed=seed, threads=threads)
 
 
 def augment_candidate(source: EncodedDataset, candidate: EncodedDataset) -> EncodedDataset:
@@ -359,7 +299,6 @@ def impute(
     impute_all: bool = False,
     tie_break: str = "index",
     seed: int | None = None,
-    method: str = "scan",
     threads: int | None = None,
     household_weight: bool = False,
 ) -> ImputationResult:
@@ -379,9 +318,7 @@ def impute(
     if candidate.n_samples == 0:
         raise MatchError("candidate dataset is empty")
     buckets = build_buckets(candidate)
-    assignment = nearest_neighbor(
-        source, buckets, tie_break=tie_break, seed=seed, method=method, threads=threads
-    )
+    assignment = nearest_neighbor(source, buckets, tie_break=tie_break, seed=seed, threads=threads)
     w = source.n_samples / candidate.n_samples
     matched_mean = buckets.y_mean[assignment.target_index]
     if household_weight:

@@ -24,6 +24,21 @@ def nn_scan_oracle(query_x: np.ndarray, target_x: np.ndarray):
     return idx, dist
 
 
+def nn_random_tie_oracle(query_x: np.ndarray, target_x: np.ndarray, seed: int) -> np.ndarray:
+    """Nearest target row per query row; a tie is drawn uniformly from the
+    query row's tied targets with the PCG64 stream of ``(seed, row)``."""
+    idx = np.empty(query_x.shape[0], dtype=np.int64)
+    for i, row in enumerate(query_x):
+        counts = (row[None, :] != target_x).sum(axis=1)
+        ties = np.flatnonzero(counts == counts.min())
+        if ties.size > 1:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+            idx[i] = int(rng.choice(ties))
+        else:
+            idx[i] = ties[0]
+    return idx
+
+
 def bucket_oracle(x: np.ndarray, y: np.ndarray):
     """Group identical rows (first-occurrence order) and average their targets."""
     groups: dict[bytes, list[int]] = {}

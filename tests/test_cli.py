@@ -11,6 +11,7 @@ from surveyfuse.cli import (
     EXIT_DICTIONARY_MISMATCH,
     EXIT_MISSING_INPUT,
     EXIT_OK,
+    _atomic_write,
     main,
 )
 
@@ -129,15 +130,12 @@ class TestImpute:
         )
         assert rc == EXIT_DATA
 
-    def test_pruned_method_matches_scan(self, generated, tmp_path):
+    def test_method_flag_removed(self, generated, tmp_path):
         full, missing = generated
-        out_scan = tmp_path / "scan.csv"
-        out_pruned = tmp_path / "pruned.csv"
-        assert run("impute", "--source", missing, "--candidate", full,
-                   "--out", out_scan) == EXIT_OK
-        assert run("impute", "--source", missing, "--candidate", full,
-                   "--method", "pruned", "--out", out_pruned) == EXIT_OK
-        assert out_scan.read_bytes() == out_pruned.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            run("impute", "--source", missing, "--candidate", full,
+                "--method", "scan", "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
 
 
 class TestEvaluateAndSpike:
@@ -174,6 +172,23 @@ class TestEvaluateAndSpike:
                  "--cutoffs", "5", "--seed", 0, "--out", out)
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["per_cutoff"][0]["mse_mean"] == 0.0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-2"])
+    def test_evaluate_and_spike_reject_invalid_totals(self, generated, tmp_path, capsys, bad):
+        _, truth = self.make_totals(generated, tmp_path)
+        lines = truth.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0] + "," + bad
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        rc = run("evaluate", "--imputed", broken, "--truth", truth,
+                 "--cutoffs", "5", "--seed", 0, "--out", out)
+        assert rc == EXIT_DATA
+        assert not out.exists()
+        rc = run("spike", "--a", truth, "--b", broken, "--n", 20, "--seed", 0)
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{broken}: line 4" in err and repr(bad) in err
 
     def test_spike(self, generated, tmp_path, capsys):
         imputed, truth = self.make_totals(generated, tmp_path)
@@ -260,8 +275,52 @@ class TestDeterminismAndConfig:
         assert rc == EXIT_OK
         assert EncodedDataset.load(tmp_path / "f2.enc").n_households() == 10
 
+    @pytest.mark.parametrize("key", ["tie_brake", "method"])
+    def test_unknown_config_key_is_usage_error(self, generated, tmp_path, capsys, key):
+        full, missing = generated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, key: "pruned"}))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("impute", "--config", cfg, "--source", missing, "--candidate", full,
+                "--out", out)
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_of_other_subcommand_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"households": 30, "seed": 4, "tie_break": "index"}))
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--config", cfg,
+                "--out-full", tmp_path / "f.enc", "--out-missing", tmp_path / "m.enc")
+        assert exc.value.code == 2
+        assert "tie_break" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         rc = run("gen", "--config", tmp_path / "nope.json", "--households", 5,
                  "--seed", 1, "--out-full", tmp_path / "f.enc",
                  "--out-missing", tmp_path / "m.enc")
         assert rc == EXIT_MISSING_INPUT
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        out = tmp_path / "out.csv"
+
+        def write(tmp):
+            tmp.write_text("partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            _atomic_write(out, write)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_bytes_and_mode_match_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(b"abc")
+        out = tmp_path / "out.bin"
+        _atomic_write(out, lambda tmp: tmp.write_bytes(b"abc"))
+        assert out.read_bytes() == b"abc"
+        assert out.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "plain.bin"]

@@ -17,9 +17,10 @@ from surveyfuse import (
     nearest_neighbor,
     nearest_rows,
 )
-from surveyfuse.matching import PopcountPruningIndex, household_sums, pack_rows
+from surveyfuse import matching
+from surveyfuse.matching import household_sums, pack_rows
 from conftest import make_dataset, random_one_hot
-from oracles import bucket_oracle, household_sum_oracle, nn_scan_oracle
+from oracles import bucket_oracle, household_sum_oracle, nn_random_tie_oracle, nn_scan_oracle
 
 bitvec = lambda d: arrays(np.uint8, (d,), elements=st.integers(0, 1))
 
@@ -152,27 +153,36 @@ class TestNearestRows:
         assert np.array_equal(a.target_index, oidx)
         np.testing.assert_allclose(a.distance, odist)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_pruned_identical_to_scan(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        src = rng.integers(0, 2, size=(60, 26), dtype=np.uint8)
-        tgt = rng.integers(0, 2, size=(30, 26), dtype=np.uint8)
-        scan = nearest_rows(src, tgt, method="scan")
-        pruned = nearest_rows(src, tgt, method="pruned")
-        assert np.array_equal(scan.target_index, pruned.target_index)
-        assert np.array_equal(scan.distance, pruned.distance)
+    @pytest.mark.parametrize("d", [8, 100])
+    def test_results_do_not_depend_on_block_height(self, d, monkeypatch):
+        rng = np.random.default_rng(20 + d)
+        src = rng.integers(0, 2, size=(300, d), dtype=np.uint8)
+        tgt = rng.integers(0, 2, size=(40, d), dtype=np.uint8)
+        kw = [dict(tie_break="index"), dict(tie_break="random", seed=3)]
+        default = [nearest_rows(src, tgt, **k) for k in kw]
+        monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)  # one row per block
+        assert matching._block_rows(pack_rows(tgt)) == 1
+        for threads in (1, 2):
+            for k, base in zip(kw, default):
+                a = nearest_rows(src, tgt, threads=threads, **k)
+                assert np.array_equal(a.target_index, base.target_index)
+                assert np.array_equal(a.distance, base.distance)
 
-    def test_pruning_index_assign_row(self):
-        rng = np.random.default_rng(7)
-        tgt = rng.integers(0, 2, size=(25, 26), dtype=np.uint8)
-        index = PopcountPruningIndex(pack_rows(tgt))
-        src = rng.integers(0, 2, size=(10, 26), dtype=np.uint8)
-        packed = pack_rows(src)
-        oidx, odist = nn_scan_oracle(src, tgt)
-        for i in range(10):
-            idx, cnt = index.assign_row(packed[i])
-            assert idx == oidx[i]
-            assert cnt / 26 == odist[i]
+    def test_block_height_bounds_scan_buffer(self):
+        for n_targets, d in [(1, 26), (3_672, 26), (40_000, 26), (10**7, 26), (500, 130)]:
+            t_packed = np.broadcast_to(np.uint64(0), (n_targets, (d + 63) // 64))
+            rows = matching._block_rows(t_packed)
+            assert rows >= 1
+            assert rows == 1 or rows * t_packed.nbytes <= matching._SCAN_BUFFER_BYTES
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tie_break_matches_oracle(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        src = rng.integers(0, 2, size=(80, 8), dtype=np.uint8)
+        tgt = rng.integers(0, 2, size=(12, 8), dtype=np.uint8)
+        tgt = np.vstack([tgt, tgt[[0, 3, 3, 7]]])  # duplicate target rows tie exactly
+        a = nearest_rows(src, tgt, tie_break="random", seed=seed)
+        assert np.array_equal(a.target_index, nn_random_tie_oracle(src, tgt, seed))
 
     def test_threads_do_not_change_results(self):
         rng = np.random.default_rng(11)
