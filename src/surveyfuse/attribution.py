@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import EncodedDataset
+from .dataset import EncodedDataset, rng_stream
 from .errors import FusionError
 from .matching import build_buckets, nearest_rows
 from .schema import MISSING_LABEL, FeatureDictionary
@@ -151,9 +151,8 @@ def attribute_dataset(
     """
     if ds.n_samples == 0:
         raise FusionError("cannot attribute an empty dataset")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     k = min(sample_limit, ds.n_samples)
-    chosen = np.sort(rng.choice(ds.n_samples, size=k, replace=False))
+    chosen = np.sort(rng_stream(seed).choice(ds.n_samples, size=k, replace=False))
 
     dictionary = ds.dictionary
     slices = dictionary.group_slices()

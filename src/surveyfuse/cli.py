@@ -1,15 +1,18 @@
 """Command-line pipeline: ingest, describe, impute, synthesize, evaluate,
 spike, attribute, gen.
 
-Every run writes its primary artifacts atomically (temp file + rename)
-and drops a machine-readable manifest next to the first output recording
-the resolved parameters, input hashes, seed, and wall-clock duration.
-Artifacts themselves are byte-deterministic for a fixed seed; the
-manifest is not (it records the duration).
+Every file a run writes goes through one ``_Outputs`` writer: each output
+is staged in a temp file next to it, a machine-readable manifest (resolved
+parameters, input hashes, seed, wall-clock duration) is staged last next
+to the first output, and only when every one is staged are they all
+renamed into place.  A run that fails at any point leaves no outputs.
+Artifacts are byte-deterministic for a fixed seed; the manifest is not
+(it records the duration).
 
 Stochastic subcommands refuse to run without an explicit ``--seed``.
-Exit codes: 0 success, 2 usage error, 3 missing input file,
-4 feature-dictionary mismatch, 5 schema/mapping/data error, 1 unexpected.
+Exit codes: 0 success, 2 usage error, 3 missing input file or output
+directory, 4 feature-dictionary mismatch, 5 schema/mapping/data error,
+1 unexpected.
 """
 
 from __future__ import annotations
@@ -53,42 +56,9 @@ EXIT_DICTIONARY_MISMATCH = 4
 EXIT_DATA = 5
 
 
-# -- atomic, deterministic artifact writers ------------------------------------
+# -- the run's outputs: staged, then committed together -------------------------
 
-
-def _atomic_write(path: Path, write: Callable[[Path], None]) -> None:
-    """Run ``write(tmp)`` on a temp file next to ``path``, then rename it over ``path``.
-
-    The temp name is unique to the call (created exclusively, so concurrent
-    runs never share one) and is removed if ``write`` or the rename fails.
-    """
-    tmp = path.parent / f".tmp-{path.name}-{secrets.token_hex(8)}"
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, lambda tmp: tmp.write_bytes(text.encode("utf-8")))
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _csv_line(fields) -> str:
-    return ",".join(str(f) for f in fields)
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-# -- manifests ------------------------------------------------------------------
+CSV_CHUNK_ROWS = 65_536  # rows formatted per write; bounds the formatting memory
 
 
 def _sha256(path: Path) -> str:
@@ -99,33 +69,88 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list[Path], outputs: list[Path], t0: float) -> None:
-    params = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",)
-    }
-    manifest = {
-        "tool": "surveyfuse",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "parameters": params,
-        "input_hashes": {str(p): _sha256(p) for p in inputs},
-        "seed": getattr(args, "seed", None),
-        "duration_seconds": time.perf_counter() - t0,
-        "outputs": [str(p) for p in outputs],
-    }
-    _write_json(Path(str(outputs[0]) + ".manifest.json"), manifest)
+class _Outputs:
+    """Every file one run writes, committed together or not at all.
 
+    ``write``, ``csv`` and ``json`` each stage a file as
+    ``.tmp-<name>-<16 hex>``, created exclusively next to its output.  On
+    normal exit from the ``with`` block the manifest (named after the first
+    output) is staged last and every staged file is renamed onto its output;
+    on an exception nothing is renamed and every staged file is removed.
+    """
 
-def _require_inputs(*paths: str | Path) -> list[Path]:
-    out = []
-    for p in paths:
-        p = Path(p)
-        if not p.exists():
-            raise FileNotFoundError(f"input file not found: {p}")
-        out.append(p)
-    return out
+    def __init__(self, args: argparse.Namespace) -> None:
+        self._args = args
+        self._inputs: list[Path] = []
+        self._t0 = time.perf_counter()
+        self._staged: list[tuple[Path, Path]] = []  # (temp file, output)
+
+    def require(self, *paths: str | Path) -> None:
+        """Record input files for the manifest; a missing one is an error."""
+        for p in map(Path, paths):
+            if not p.exists():
+                raise FileNotFoundError(f"input file not found: {p}")
+            self._inputs.append(p)
+
+    def _stage(self, path: str | Path) -> Path:
+        path = Path(path)
+        if path.is_dir():  # the rename onto it would fail after other outputs landed
+            raise IsADirectoryError(f"output path is a directory: {path}")
+        tmp = path.parent / f".tmp-{path.name}-{secrets.token_hex(8)}"
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except FileNotFoundError:
+            raise FileNotFoundError(f"output directory not found for {path}") from None
+        self._staged.append((tmp, path))
+        return tmp
+
+    def write(self, path: str | Path, write: Callable[[Path], None]) -> None:
+        """Stage ``write(tmp)``, e.g. ``EncodedDataset.save``."""
+        write(self._stage(path))
+
+    def json(self, path: str | Path, obj: dict) -> None:
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        self._stage(path).write_bytes(text.encode("utf-8"))
+
+    def csv(self, path: str | Path, header: list[str], columns: list) -> None:
+        """Stage a CSV of equal-length columns: floats as ``repr``, the rest as ``str``."""
+        columns = [np.asarray(c) for c in columns]
+        fmts = [repr if c.dtype.kind == "f" else str for c in columns]
+        with open(self._stage(path), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                chunk = [map(f, c[i : i + CSV_CHUNK_ROWS].tolist()) for f, c in zip(fmts, columns)]
+                fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+
+    def _manifest(self) -> dict:
+        args = self._args
+        return {
+            "tool": "surveyfuse",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "parameters": {
+                k: (str(v) if isinstance(v, Path) else v)
+                for k, v in sorted(vars(args).items())
+                if k != "func"
+            },
+            "input_hashes": {str(p): _sha256(p) for p in self._inputs},
+            "seed": getattr(args, "seed", None),
+            "duration_seconds": time.perf_counter() - self._t0,
+            "outputs": [str(path) for _, path in self._staged],
+        }
+
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None and self._staged:
+                self.json(str(self._staged[0][1]) + ".manifest.json", self._manifest())
+                for tmp, path in self._staged:
+                    os.replace(tmp, path)
+        finally:
+            for tmp, _ in self._staged:
+                tmp.unlink(missing_ok=True)
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
@@ -142,10 +167,15 @@ def _load_totals_csv(path: Path) -> dict[str, float]:
             line = line.strip()
             if not line:
                 continue
-            hid, val = line.split(",", 1)
+            hid, comma, val = line.partition(",")
+            if not comma:
+                raise DataError(f"{path}: line {lineno}: expected household_id,y_total")
             if hid in totals:
                 raise DataError(f"{path}: line {lineno}: duplicate household {hid!r}")
-            value = float(val)
+            try:
+                value = float(val)
+            except ValueError:
+                value = math.nan
             if not 0.0 <= value < math.inf:
                 raise DataError(
                     f"{path}: line {lineno}: total {val!r} is not a finite non-negative number"
@@ -156,19 +186,12 @@ def _load_totals_csv(path: Path) -> dict[str, float]:
     return totals
 
 
-def _write_totals_csv(path: Path, ids, totals) -> None:
-    lines = ["household_id,y_total"]
-    lines += [_csv_line([h, _fmt(t)]) for h, t in zip(ids, totals)]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def _cmd_ingest(args: argparse.Namespace, out: _Outputs) -> int:
     spec_path = Path(args.spec) if args.spec else default_spec_path()
-    inputs = _require_inputs(args.households, args.persons, args.days, spec_path)
+    out.require(args.households, args.persons, args.days, spec_path)
     spec = HarmonizationSpec.from_file(spec_path)
     raw = load_tables(args.households, args.persons, args.days, args.survey_id, spec)
     print(
@@ -176,33 +199,25 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         f"{raw.counts['days']} travel-day rows"
     )
     ds = assemble(raw, spec, args.year)
-    out = Path(args.out)
-    _atomic_write(out, ds.save)
+    out.write(args.out, ds.save)
     print(
         f"encoded {ds.n_samples} samples ({ds.n_households()} households, "
-        f"{ds.n_missing} missing targets) -> {out}"
+        f"{ds.n_missing} missing targets) -> {args.out}"
     )
-    _write_manifest(args, inputs, [out], t0)
     return EXIT_OK
 
 
-def _cmd_describe(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs = _require_inputs(args.data)
-    ds = EncodedDataset.load(args.data)
-    report = describe(ds)
-    text = json.dumps(report, indent=2)
-    print(text)
+def _cmd_describe(args: argparse.Namespace, out: _Outputs) -> int:
+    out.require(args.data)
+    report = describe(EncodedDataset.load(args.data))
+    print(json.dumps(report, indent=2))
     if args.out:
-        out = Path(args.out)
-        _write_json(out, report)
-        _write_manifest(args, inputs, [out], t0)
+        out.json(args.out, report)
     return EXIT_OK
 
 
-def _cmd_impute(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs = _require_inputs(args.source, args.candidate)
+def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
+    out.require(args.source, args.candidate)
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
     source = EncodedDataset.load(args.source)
@@ -218,37 +233,24 @@ def _cmd_impute(args: argparse.Namespace) -> int:
         threads=_resolve_threads(args),
         household_weight=args.household_weight,
     )
-    out = Path(args.out)
-    hh_out = Path(args.out_households) if args.out_households else out.with_suffix(
-        ".households.csv"
-    )
-    lines = ["household_id,sample_index,matched_bucket,distance,y_imputed"]
+    hh_out = args.out_households or Path(args.out).with_suffix(".households.csv")
     a = result.assignment
-    lines += [
-        _csv_line(
-            [
-                source.household_ids[i],
-                i,
-                a.target_index[i],
-                _fmt(a.distance[i]),
-                _fmt(result.sample_y[i]),
-            ]
-        )
-        for i in range(source.n_samples)
-    ]
-    _atomic_write_text(out, "\n".join(lines) + "\n")
-    _write_totals_csv(hh_out, result.household_ids, result.household_y)
+    out.csv(
+        args.out,
+        ["household_id", "sample_index", "matched_bucket", "distance", "y_imputed"],
+        [source.household_ids, np.arange(source.n_samples), a.target_index, a.distance,
+         result.sample_y],
+    )
+    out.csv(hh_out, ["household_id", "y_total"], [result.household_ids, result.household_y])
     print(
         f"imputed {int(result.imputed_mask.sum())} of {source.n_samples} samples "
-        f"from {candidate.n_samples} donors (w = {result.weight:.4g}) -> {out}, {hh_out}"
+        f"from {candidate.n_samples} donors (w = {result.weight:.4g}) -> {args.out}, {hh_out}"
     )
-    _write_manifest(args, inputs, [out, hh_out], t0)
     return EXIT_OK
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs = _require_inputs(args.source2, args.source1, args.candidate)
+def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
+    out.require(args.source2, args.source1, args.candidate)
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
     source2 = EncodedDataset.load(args.source2)
@@ -263,119 +265,84 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         seed=args.seed,
         threads=_resolve_threads(args),
     )
-    out = Path(args.out)
-    ds = synth.to_encoded_dataset(args.survey_id, args.year)
-    _atomic_write(out, ds.save)
-    prov = out.with_suffix(".provenance.csv")
-    lines = ["bucket_id,n_S,n_G_total,y_synth"]
-    lines += [
-        _csv_line([int(b), int(ns), int(ng), _fmt(yv)])
-        for b, ns, ng, yv in zip(
-            synth.bucket_index, synth.n_matched_samples, synth.n_matched_donors, synth.y
-        )
-    ]
-    _atomic_write_text(prov, "\n".join(lines) + "\n")
+    out.write(args.out, synth.to_encoded_dataset(args.survey_id, args.year).save)
+    prov = Path(args.out).with_suffix(".provenance.csv")
+    out.csv(
+        prov,
+        ["bucket_id", "n_S", "n_G_total", "y_synth"],
+        [synth.bucket_index, synth.n_matched_samples, synth.n_matched_donors, synth.y],
+    )
     print(
         f"synthesized {synth.n_entries} buckets covering "
         f"{len(synth.covered_households)} donor households "
-        f"(w1 = {synth.w1:.4g}, w2 = {synth.w2:.4g}) -> {out}, {prov}"
+        f"(w1 = {synth.w1:.4g}, w2 = {synth.w2:.4g}) -> {args.out}, {prov}"
     )
-    _write_manifest(args, inputs, [out, prov], t0)
     return EXIT_OK
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs = _require_inputs(args.imputed, args.truth)
+def _cmd_evaluate(args: argparse.Namespace, out: _Outputs) -> int:
+    out.require(args.imputed, args.truth)
     imputed = _load_totals_csv(Path(args.imputed))
     truth = _load_totals_csv(Path(args.truth))
     cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
     n = args.n if args.n else len(truth)
     report = subsample_compare(imputed, truth, n=n, cutoffs=cutoffs, seed=args.seed)
-    out = Path(args.out)
-    _write_json(out, report.to_json_dict())
-    outputs = [out]
+    out.json(args.out, report.to_json_dict())
     if args.sorted_csv:
-        sc = Path(args.sorted_csv)
-        truth_sorted = np.sort(np.array(list(truth.values())))
-        ids = np.array(sorted(imputed.keys()))
-        totals = np.array([imputed[str(i)] for i in ids])
-        draws = []
-        for it in range(min(3, cutoffs[-1])):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([args.seed, it]))
-            )
-            draws.append(np.sort(totals[rng.choice(ids.size, size=n, replace=False)]))
-        header = ["rank", "truth_sorted"] + [f"draw_{i}" for i in range(len(draws))]
-        lines = [_csv_line(header)]
-        for r in range(n):
-            lines.append(
-                _csv_line([r, _fmt(truth_sorted[r])] + [_fmt(d[r]) for d in draws])
-            )
-        _atomic_write_text(sc, "\n".join(lines) + "\n")
-        outputs.append(sc)
+        draws = report.sorted_draws
+        out.csv(
+            args.sorted_csv,
+            ["rank", "truth_sorted"] + [f"draw_{i}" for i in range(len(draws))],
+            [np.arange(n), report.truth_sorted, *draws],
+        )
     last = report.per_cutoff[-1]
     print(
         f"cutoff {last.cutoff}: sorted-MSE {last.mse_mean:.4g}, "
-        f"mean {last.mean_of_means:.4g}, stddev {last.mean_of_stddevs:.4g} -> {out}"
+        f"mean {last.mean_of_means:.4g}, stddev {last.mean_of_stddevs:.4g} -> {args.out}"
     )
-    _write_manifest(args, inputs, outputs, t0)
     return EXIT_OK
 
 
-def _cmd_spike(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs = _require_inputs(args.a, args.b)
+def _cmd_spike(args: argparse.Namespace, out: _Outputs) -> int:
+    out.require(args.a, args.b)
     a = _load_totals_csv(Path(args.a))
     b = _load_totals_csv(Path(args.b))
     report = spike(a, b, n=args.n, seed=args.seed)
     print(f"spike sorted-MSE = {report.mse:.6g} (n = {report.n})")
     if args.out:
-        out = Path(args.out)
-        _write_json(out, report.to_json_dict())
-        _write_manifest(args, inputs, [out], t0)
+        out.json(args.out, report.to_json_dict())
     return EXIT_OK
 
 
-def _cmd_attribute(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs = _require_inputs(args.data, args.candidate)
+def _cmd_attribute(args: argparse.Namespace, out: _Outputs) -> int:
+    out.require(args.data, args.candidate)
     ds = EncodedDataset.load(args.data)
     candidate = EncodedDataset.load(args.candidate)
-    if args.predictor != "bucket-mean":
-        raise DataError(f"unknown predictor {args.predictor!r}")
     require_same_dictionary(ds, candidate)
     predictor = BucketMeanPredictor(candidate.labeled())
     report = attribute_dataset(ds, predictor, sample_limit=args.limit, seed=args.seed)
-    out = Path(args.out)
-    _write_json(out, report.to_json_dict())
-    top = report.entries[:5]
+    out.json(args.out, report.to_json_dict())
     print(f"attributed {report.n_evaluated} samples; strongest contributions:")
-    for e in top:
+    for e in report.entries[:5]:
         print(f"  {e.feature}={e.category}: {e.mean_value:+.4g} ({e.direction})")
-    _write_manifest(args, inputs, [out], t0)
     return EXIT_OK
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    inputs = []
+def _cmd_gen(args: argparse.Namespace, out: _Outputs) -> int:
     if args.model:
-        inputs = _require_inputs(args.model)
+        out.require(args.model)
         model = PopulationModel.from_file(args.model)
     else:
         model = demo_model()
     full, observed = generate(
         model, args.households, args.survey_id, args.year, seed=args.seed
     )
-    out_full, out_missing = Path(args.out_full), Path(args.out_missing)
-    _atomic_write(out_full, full.save)
-    _atomic_write(out_missing, observed.save)
+    out.write(args.out_full, full.save)
+    out.write(args.out_missing, observed.save)
     print(
         f"generated {full.n_samples} samples over {args.households} households "
-        f"({observed.n_missing} targets removed) -> {out_full}, {out_missing}"
+        f"({observed.n_missing} targets removed) -> {args.out_full}, {args.out_missing}"
     )
-    _write_manifest(args, inputs, [out_full, out_missing], t0)
     return EXIT_OK
 
 
@@ -468,7 +435,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("attribute", help="exact Shapley feature attribution")
     p.add_argument("--data", required=True)
-    p.add_argument("--predictor", default="bucket-mean", choices=["bucket-mean"])
     p.add_argument("--candidate", required=True, help="donor dataset for the predictor")
     p.add_argument("--limit", type=int, default=500)
     p.add_argument("--seed", type=int, required=True)
@@ -488,12 +454,19 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     _add_common(p)
 
     if config:
+        # config values become defaults, which argparse never checks against choices
         for sp in sub.choices.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config.items() if k in known})
             for action in sp._actions:
-                if action.dest in config and action.required:
-                    action.required = False
+                if action.dest not in config:
+                    continue
+                value = config[action.dest]
+                if action.choices is not None and value not in action.choices:
+                    parser.error(
+                        f"config key {action.dest!r}: invalid choice {value!r} "
+                        f"(choose from {', '.join(map(repr, action.choices))})"
+                    )
+                action.default = value
+                action.required = False
     return parser
 
 
@@ -523,7 +496,8 @@ def main(argv: list[str] | None = None) -> int:
         unknown = sorted(set(config) - (set(vars(args)) - {"func", "subcommand"}))
         if unknown:
             parser.error(f"{args.subcommand}: unknown config key(s): {', '.join(unknown)}")
-        return args.func(args)
+        with _Outputs(args) as out:
+            return args.func(args, out)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import EncodedDataset
+from .dataset import EncodedDataset, rng_stream
 from .errors import DataError, SchemaError
 from .schema import FeatureDictionary
 
@@ -163,9 +163,7 @@ def generate(
     model.validate()
     if n_households <= 0:
         raise DataError(f"n_households must be positive, got {n_households}")
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([model.seed if seed is None else seed]))
-    )
+    rng = rng_stream(model.seed if seed is None else seed)
     dictionary = model.dictionary
 
     sizes = rng.choice(

@@ -31,6 +31,15 @@ ENC_VERSION = 1
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
 
+def rng_stream(*key: int) -> np.random.Generator:
+    """The PCG64 generator of one named stream, e.g. ``(seed, row)``.
+
+    Every random draw in the package comes from such a stream, so results
+    never depend on call order or thread count.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
 @dataclass
 class EncodedDataset:
     """Ordered person-day samples sharing one feature dictionary."""

@@ -7,9 +7,11 @@ sorted-MSE (plus mean and standard deviation of the drawn totals) over
 growing iteration cutoffs yields curves whose prefix property makes the
 cutoffs directly comparable.
 
-All randomness flows through PCG64 generators seeded from
-``(seed, iteration index)``, so serial and parallel runs agree and every
-report is reproducible bit for bit from its recorded seed.
+All randomness flows through ``rng_stream(seed, iteration index)``, so
+serial and parallel runs agree and every report is reproducible bit for
+bit from its recorded seed.  The report also keeps the sorted reference
+vector and the first three sorted draws, which ``evaluate --sorted-csv``
+writes out for plotting.
 """
 
 from __future__ import annotations
@@ -19,15 +21,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import EncodedDataset
+from .dataset import EncodedDataset, rng_stream
 from .errors import DataError, DimensionError
 from .matching import ImputationResult, household_sums
 
 DEFAULT_CUTOFFS = (100, 200, 300, 400, 500)
-
-
-def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, iteration])))
+KEPT_DRAWS = 3  # sorted draws kept on the report for plotting
 
 
 def sorted_mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -72,6 +71,8 @@ class EvaluationReport:
     n: int
     n_imputed_households: int
     iteration_mse: np.ndarray  # per-iteration values, len = max cutoff
+    truth_sorted: np.ndarray  # (n,) the reference totals, ascending
+    sorted_draws: np.ndarray  # (min(KEPT_DRAWS, max cutoff), n) first draws, ascending
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,10 +114,13 @@ def subsample_compare(
     mse = np.empty(iters)
     means = np.empty(iters)
     stds = np.empty(iters)
+    kept = np.empty((min(KEPT_DRAWS, iters), n))
     for it in range(iters):
-        rng = _iteration_rng(seed, it)
-        draw = totals[rng.choice(ids.size, size=n, replace=False)]
-        diff = np.sort(draw) - truth_vals
+        draw = totals[rng_stream(seed, it).choice(ids.size, size=n, replace=False)]
+        drawn_sorted = np.sort(draw)
+        if it < kept.shape[0]:
+            kept[it] = drawn_sorted
+        diff = drawn_sorted - truth_vals
         mse[it] = np.mean(diff * diff)
         means[it] = draw.mean()
         stds[it] = draw.std()
@@ -141,6 +145,8 @@ def subsample_compare(
         n=n,
         n_imputed_households=int(ids.size),
         iteration_mse=mse,
+        truth_sorted=truth_vals,
+        sorted_draws=kept,
     )
 
 
@@ -183,8 +189,7 @@ def spike(
             raise DataError(f"cannot draw {n} households from {vals.size}")
         if vals.size == n:
             return vals
-        rng = _iteration_rng(seed, stream)
-        return vals[rng.choice(vals.size, size=n, replace=False)]
+        return vals[rng_stream(seed, stream).choice(vals.size, size=n, replace=False)]
 
     va, vb = _draw(a, 0), _draw(b, 1)
     return SpikeReport(

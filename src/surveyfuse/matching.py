@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodedDataset, concat_datasets, require_same_dictionary
+from .dataset import EncodedDataset, concat_datasets, require_same_dictionary, rng_stream
 from .errors import DataError, DimensionError, MatchError
 
 # Per-thread byte budget for the scan's (block x targets) XOR buffer; the
@@ -227,8 +227,7 @@ def nearest_rows(
         ties = _tie_sets(u_packed, t_packed, rows, u_cnt)
         n_ties = np.array([t.size for t in ties], dtype=np.int64)
         for i in np.flatnonzero(n_ties[inverse] > 1):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-            target_index[i] = int(rng.choice(ties[inverse[i]]))
+            target_index[i] = int(rng_stream(seed, i).choice(ties[inverse[i]]))
 
     return MatchAssignment(
         target_index=target_index,

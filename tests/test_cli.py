@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surveyfuse import EncodedDataset
+from surveyfuse import EncodedDataset, FeatureDictionary, impute, subsample_compare
+from surveyfuse import cli
 from surveyfuse.cli import (
     EXIT_DATA,
     EXIT_DICTIONARY_MISMATCH,
     EXIT_MISSING_INPUT,
     EXIT_OK,
-    _atomic_write,
+    _load_totals_csv,
+    _Outputs,
     main,
 )
 
@@ -173,7 +176,7 @@ class TestEvaluateAndSpike:
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["per_cutoff"][0]["mse_mean"] == 0.0
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-2"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-2", "xyz"])
     def test_evaluate_and_spike_reject_invalid_totals(self, generated, tmp_path, capsys, bad):
         _, truth = self.make_totals(generated, tmp_path)
         lines = truth.read_text().splitlines()
@@ -189,6 +192,44 @@ class TestEvaluateAndSpike:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{broken}: line 4" in err and repr(bad) in err
+
+    def test_evaluate_and_spike_reject_line_without_comma(self, generated, tmp_path, capsys):
+        _, truth = self.make_totals(generated, tmp_path)
+        lines = truth.read_text().splitlines()
+        lines[3] = "h_no_comma"
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        says = f"{broken}: line 4: expected household_id,y_total"
+        rc = run("evaluate", "--imputed", broken, "--truth", truth,
+                 "--cutoffs", "5", "--seed", 0, "--out", tmp_path / "report.json")
+        assert rc == EXIT_DATA
+        assert says in capsys.readouterr().err
+        rc = run("spike", "--a", broken, "--b", truth, "--n", 20, "--seed", 0)
+        assert rc == EXIT_DATA
+        assert says in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoffs", ["10,20", "2"])
+    def test_sorted_csv_holds_the_reports_draws(self, generated, tmp_path, cutoffs):
+        imputed, truth = self.make_totals(generated, tmp_path)
+        sorted_csv = tmp_path / "sorted.csv"
+        assert run("evaluate", "--imputed", imputed, "--truth", truth, "--cutoffs", cutoffs,
+                   "--seed", 3, "--out", tmp_path / "r.json",
+                   "--sorted-csv", sorted_csv) == EXIT_OK
+        report = subsample_compare(
+            _load_totals_csv(imputed), _load_totals_csv(truth), n=200,
+            cutoffs=tuple(int(c) for c in cutoffs.split(",")), seed=3,
+        )
+        with open(sorted_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        k = min(3, report.cutoffs[-1])
+        assert list(rows[0]) == ["rank", "truth_sorted"] + [f"draw_{i}" for i in range(k)]
+        assert [int(r["rank"]) for r in rows] == list(range(200))
+        truth_sorted = np.array([float(r["truth_sorted"]) for r in rows])
+        draws = np.array([[float(r[f"draw_{i}"]) for r in rows] for i in range(k)])
+        np.testing.assert_array_equal(truth_sorted, report.truth_sorted)
+        np.testing.assert_array_equal(draws, report.sorted_draws)
+        diff = draws[0] - truth_sorted
+        assert np.mean(diff * diff) == report.iteration_mse[0]
 
     def test_spike(self, generated, tmp_path, capsys):
         imputed, truth = self.make_totals(generated, tmp_path)
@@ -242,6 +283,23 @@ class TestAttribute:
         assert features <= {"Income", "Age", "Gender", "Education", "LifeCycle", "Employment"}
 
 
+    def test_predictor_flag_removed(self, generated, tmp_path, capsys):
+        full, missing = generated
+        out = tmp_path / "attr.json"
+        with pytest.raises(SystemExit) as exc:
+            run("attribute", "--data", missing, "--candidate", full, "--predictor",
+                "bucket-mean", "--seed", 5, "--out", out)
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"predictor": "bucket-mean"}))
+        with pytest.raises(SystemExit) as exc:
+            run("attribute", "--config", cfg, "--data", missing, "--candidate", full,
+                "--seed", 5, "--out", out)
+        assert exc.value.code == 2
+        assert "unknown config key(s): predictor" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDeterminismAndConfig:
     def test_rerun_byte_identical(self, tmp_path):
         outs = []
@@ -288,6 +346,18 @@ class TestDeterminismAndConfig:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_value_outside_choices_is_usage_error(self, generated, tmp_path, capsys):
+        full, missing = generated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tie_break": "bogus"}))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("impute", "--config", cfg, "--source", missing, "--candidate", full,
+                "--out", out)
+        assert exc.value.code == 2
+        assert "'tie_break': invalid choice 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_key_of_other_subcommand_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"households": 30, "seed": 4, "tie_break": "index"}))
@@ -304,6 +374,10 @@ class TestDeterminismAndConfig:
         assert rc == EXIT_MISSING_INPUT
 
 
+def outputs() -> _Outputs:
+    return _Outputs(argparse.Namespace(subcommand="test"))
+
+
 class TestAtomicWrite:
     def test_failed_write_leaves_nothing(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -313,14 +387,121 @@ class TestAtomicWrite:
             raise RuntimeError("disk full")
 
         with pytest.raises(RuntimeError):
-            _atomic_write(out, write)
+            with outputs() as staged:
+                staged.json(tmp_path / "first.json", {"a": 1})
+                staged.write(out, write)
         assert list(tmp_path.iterdir()) == []
 
     def test_output_bytes_and_mode_match_a_plain_write(self, tmp_path):
         plain = tmp_path / "plain.bin"
         plain.write_bytes(b"abc")
         out = tmp_path / "out.bin"
-        _atomic_write(out, lambda tmp: tmp.write_bytes(b"abc"))
+        with outputs() as staged:
+            staged.write(out, lambda tmp: tmp.write_bytes(b"abc"))
+            assert not out.exists()
         assert out.read_bytes() == b"abc"
         assert out.stat().st_mode == plain.stat().st_mode
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "plain.bin"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.bin", "out.bin.manifest.json", "plain.bin"
+        ]
+        manifest = json.loads((tmp_path / "out.bin.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out)]
+
+    def test_json_bytes(self, tmp_path):
+        obj = {"b": [1, 2.5], "a": {"z": None, "y": "x"}}
+        with outputs() as staged:
+            staged.json(tmp_path / "r.json", obj)
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "r.json").read_bytes() == expected.encode("utf-8")
+
+    def test_output_path_that_is_a_directory_leaves_nothing(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(IsADirectoryError, match="taken"):
+            with outputs() as staged:
+                staged.json(tmp_path / "first.json", {})
+                staged.json(tmp_path / "taken", {})
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+class TestAllOrNothing:
+    """A run that fails after staging some outputs commits none of them."""
+
+    def assert_failed_cleanly(self, rc, capsys, tmp_path, before, named):
+        assert rc == EXIT_MISSING_INPUT
+        assert sorted(tmp_path.iterdir()) == before
+        assert str(named) in capsys.readouterr().err
+
+    def test_impute_households_in_missing_directory(self, generated, tmp_path, capsys):
+        full, missing = generated
+        before = sorted(tmp_path.iterdir())
+        hh = tmp_path / "nodir" / "h.csv"
+        rc = run("impute", "--source", missing, "--candidate", full,
+                 "--out", tmp_path / "i.csv", "--out-households", hh)
+        self.assert_failed_cleanly(rc, capsys, tmp_path, before, hh)
+
+    def test_synthesize_provenance_not_staged(self, generated, tmp_path, capsys, monkeypatch):
+        full, missing = generated
+        gone = tmp_path / "gone"
+        stage_csv = _Outputs.csv
+
+        def csv_into_missing_dir(self, path, *args):
+            stage_csv(self, gone / Path(path).name, *args)
+
+        monkeypatch.setattr(_Outputs, "csv", csv_into_missing_dir)
+        before = sorted(tmp_path.iterdir())
+        rc = run("synthesize", "--source2", missing, "--source1", full,
+                 "--candidate", full, "--out", tmp_path / "synth.enc")
+        self.assert_failed_cleanly(rc, capsys, tmp_path, before, gone / "synth.provenance.csv")
+
+    def test_gen_missing_output_directory(self, tmp_path, capsys):
+        m = tmp_path / "nodir" / "m.enc"
+        rc = run("gen", "--households", 20, "--seed", 1,
+                 "--out-full", tmp_path / "f.enc", "--out-missing", m)
+        self.assert_failed_cleanly(rc, capsys, tmp_path, [], m)
+
+
+class TestCsvWriter:
+    def test_float_fields_are_repr(self, tmp_path):
+        dictionary = FeatureDictionary(features=("F",), categories=(("a", "b"),))
+        x = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 0]], dtype=np.uint8)
+        source = EncodedDataset(
+            dictionary=dictionary, survey_id="s", year=2017,
+            household_ids=np.array(["h0", "h1", "h2", "h3", "h4"]), x=x,
+            y=np.array([0.1 + 0.2, 1e-17, 1e16, np.nan, np.nan]),
+        )
+        candidate = EncodedDataset(
+            dictionary=dictionary, survey_id="c", year=2017,
+            household_ids=np.array(["d0", "d1", "d2"]), x=x[:3], y=np.array([1.0, 2.0, 1 / 3]),
+        )
+        source.save(tmp_path / "s.enc")
+        candidate.save(tmp_path / "c.enc")
+        out = tmp_path / "i.csv"
+        assert run("impute", "--source", tmp_path / "s.enc", "--candidate",
+                   tmp_path / "c.enc", "--no-augment", "--out", out) == EXIT_OK
+        result = impute(source, candidate)
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["y_imputed"] for r in rows] == [repr(v) for v in result.sample_y.tolist()]
+        assert [r["distance"] for r in rows] == [
+            repr(v) for v in result.assignment.distance.tolist()
+        ]
+        assert {"0.30000000000000004", "1e-17", "1e+16"} <= {r["y_imputed"] for r in rows}
+        totals = (tmp_path / "i.households.csv").read_text().splitlines()[1:]
+        assert totals == [
+            f"{h},{t!r}" for h, t in zip(result.household_ids, result.household_y.tolist())
+        ]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_chunk_size_does_not_change_bytes(self, generated, tmp_path, monkeypatch, chunk_rows):
+        full, missing = generated
+
+        def impute_to(name):
+            d = tmp_path / name
+            d.mkdir()
+            assert run("impute", "--source", missing, "--candidate", full,
+                       "--out", d / "i.csv") == EXIT_OK
+            return [(d / f).read_bytes() for f in ("i.csv", "i.households.csv")]
+
+        reference = impute_to("default")
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        assert impute_to(f"chunk{chunk_rows}") == reference
