@@ -26,10 +26,9 @@ predictor = BucketMeanPredictor(donor)
 
 # One sample end to end: its prediction decomposes exactly into
 # per-feature contributions on top of the global mean.
-x = data.x[0]
-values = shapley(x, predictor, data.dictionary)
-full = predictor(x, np.ones(6, dtype=bool))
-empty = predictor(x, np.zeros(6, dtype=bool))
+x = data.x[:1]  # a one-sample batch
+values = shapley(x, predictor, data.dictionary)[0]
+full, empty = predictor(x, np.array([[True] * 6, [False] * 6]))[0]
 print("single sample decomposition:")
 for name, v in zip(data.dictionary.features, values):
     print(f"  {name:12s} {v:+.4f}")

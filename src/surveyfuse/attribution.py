@@ -2,16 +2,18 @@
 
 Players are whole features, not individual one-hot columns: a feature's
 bit group is switched on or off as a unit.  A predictor is any callable
-``predictor(x, active)`` taking the full bit-vector plus a boolean
-feature-presence mask and returning a predicted target.  Values are
-computed exactly by enumerating all coalitions with the classical
+``predictor(x, active)`` taking an (n, d) batch of bit-vectors and a
+(c, m) boolean matrix of feature-presence masks, one coalition per row,
+and returning the (n, c) table of predicted targets.  Values are computed
+exactly from that table over all 2^m coalitions with the classical
 factorial weights, which is cheap for the harmonized six-feature set and
 capped at twelve features.
 
 The default predictor looks up the mean target of the nearest donor
 bucket after zeroing inactive features' columns; a zeroed group is the
 encoding's representation of "missing", so no background dataset is
-needed.  An empty presence mask predicts the donor pool's global mean.
+needed.  All n * c masked rows are matched in one kernel call.  An empty
+presence mask predicts the donor pool's global mean.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .schema import MISSING_LABEL, FeatureDictionary
 
 MAX_EXACT_FEATURES = 12
 
-Predictor = Callable[[np.ndarray, np.ndarray], float]
+Predictor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class BucketMeanPredictor:
@@ -44,16 +46,16 @@ class BucketMeanPredictor:
         self.global_mean = float(candidate.y.mean())
         self._slices = self.dictionary.group_slices()
 
-    def __call__(self, x: np.ndarray, active: np.ndarray) -> float:
+    def __call__(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
         active = np.asarray(active, dtype=bool)
-        if not active.any():
-            return self.global_mean
-        masked = np.zeros_like(x)
-        for j in np.flatnonzero(active):
-            sl = self._slices[j]
-            masked[sl] = x[sl]
-        match = nearest_rows(masked[None, :], self.buckets.x)
-        return float(self.buckets.y_mean[match.target_index[0]])
+        n, c = x.shape[0], active.shape[0]
+        # (c, d): a column is kept where its feature is in the coalition
+        keep = np.repeat(active, [sl.stop - sl.start for sl in self._slices], axis=1)
+        masked = (x[:, None, :] * keep).reshape(n * c, x.shape[1])
+        match = nearest_rows(masked, self.buckets.x)
+        values = self.buckets.y_mean[match.target_index].reshape(n, c)
+        values[:, ~active.any(axis=1)] = self.global_mean
+        return values
 
 
 def shapley(
@@ -61,11 +63,12 @@ def shapley(
     predictor: Predictor,
     dictionary: FeatureDictionary,
 ) -> np.ndarray:
-    """Exact per-feature Shapley values for one sample.
+    """Exact per-feature Shapley values, (n, m), for an (n, d) batch of samples.
 
-    Enumerates all 2^m coalitions; the value of feature i is the
-    factorially weighted average of its marginal contribution
-    ``v(S + i) - v(S)`` over coalitions S not containing i.
+    One predictor call fills the (n, 2^m) coalition-value table, keyed by
+    bitmask over features; the value of feature i is the factorially
+    weighted average of its marginal contribution ``v(S + i) - v(S)`` over
+    coalitions S not containing i.
     """
     m = dictionary.n_features
     if m > MAX_EXACT_FEATURES:
@@ -74,23 +77,19 @@ def shapley(
             f"got {m}; no sampling mode is provided"
         )
     x = np.asarray(x, dtype=np.uint8)
-
-    # coalition -> predicted value, keyed by bitmask over features
-    values = np.empty(1 << m)
-    for bits in range(1 << m):
-        active = np.array([(bits >> j) & 1 for j in range(m)], dtype=bool)
-        values[bits] = predictor(x, active)
+    coalitions = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
+    values = predictor(x, coalitions)
 
     fact = [math.factorial(i) for i in range(m + 1)]
     weight = [fact[s] * fact[m - s - 1] / fact[m] for s in range(m)]
 
-    phi = np.zeros(m)
+    phi = np.zeros((x.shape[0], m))
     players = range(m)
     for i in players:
         for size in range(m):
             for coalition in combinations([p for p in players if p != i], size):
                 bits = sum(1 << j for j in coalition)
-                phi[i] += weight[size] * (values[bits | (1 << i)] - values[bits])
+                phi[:, i] += weight[size] * (values[:, bits | (1 << i)] - values[:, bits])
     return phi
 
 
@@ -158,16 +157,15 @@ def attribute_dataset(
     slices = dictionary.group_slices()
     m = dictionary.n_features
 
+    xs = ds.x[chosen]
+    phis = shapley(xs, predictor, dictionary)
+    ends = predictor(xs, np.array([[True] * m, [False] * m]))  # v(full), v(empty)
+    gaps = np.abs(phis.sum(axis=1) - (ends[:, 0] - ends[:, 1]))
+    eff_err = float(gaps.max(initial=0.0))
+
     sums: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}
-    eff_err = 0.0
-    full = np.ones(m, dtype=bool)
-    empty = np.zeros(m, dtype=bool)
-    for idx in chosen:
-        x = ds.x[idx]
-        phi = shapley(x, predictor, dictionary)
-        gap = predictor(x, full) - predictor(x, empty)
-        eff_err = max(eff_err, abs(float(phi.sum()) - gap))
+    for x, phi in zip(xs, phis):
         for j, (name, cats, sl) in enumerate(
             zip(dictionary.features, dictionary.categories, slices)
         ):

@@ -284,9 +284,8 @@ def _cmd_evaluate(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.imputed, args.truth)
     imputed = _load_totals_csv(Path(args.imputed))
     truth = _load_totals_csv(Path(args.truth))
-    cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
     n = args.n if args.n else len(truth)
-    report = subsample_compare(imputed, truth, n=n, cutoffs=cutoffs, seed=args.seed)
+    report = subsample_compare(imputed, truth, n=n, cutoffs=args.cutoffs, seed=args.seed)
     out.json(args.out, report.to_json_dict())
     if args.sorted_csv:
         draws = report.sorted_draws
@@ -347,6 +346,15 @@ def _cmd_gen(args: argparse.Namespace, out: _Outputs) -> int:
 
 
 # -- parser ----------------------------------------------------------------------
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -417,7 +425,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--imputed", required=True, help="household totals CSV")
     p.add_argument("--truth", required=True, help="reference totals CSV")
     p.add_argument("--n", type=int, help="subset size (default: size of truth)")
-    p.add_argument("--cutoffs", default=",".join(str(c) for c in DEFAULT_CUTOFFS))
+    p.add_argument("--cutoffs", type=_int_list,
+                   default=",".join(str(c) for c in DEFAULT_CUTOFFS))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sorted-csv", help="plot-ready sorted vectors CSV")
@@ -454,12 +463,21 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     _add_common(p)
 
     if config:
-        # config values become defaults, which argparse never checks against choices
+        # config values become defaults, which argparse converts only when they
+        # are strings and never checks against choices: do both here
         for sp in sub.choices.values():
             for action in sp._actions:
                 if action.dest not in config:
                     continue
                 value = config[action.dest]
+                if action.type is not None and value is not None:
+                    try:
+                        value = action.type(value if isinstance(value, str) else str(value))
+                    except (ValueError, argparse.ArgumentTypeError) as exc:
+                        parser.error(
+                            f"config key {action.dest!r} ({action.option_strings[0]}): "
+                            f"invalid value {json.dumps(value)}: {exc}"
+                        )
                 if action.choices is not None and value not in action.choices:
                     parser.error(
                         f"config key {action.dest!r}: invalid choice {value!r} "

@@ -53,7 +53,8 @@ class EncodedDataset:
 
     def __post_init__(self) -> None:
         self.household_ids = np.asarray(self.household_ids, dtype=np.str_)
-        self.x = np.ascontiguousarray(self.x, dtype=np.uint8)
+        x = np.asarray(self.x)
+        self.x = np.ascontiguousarray(x, dtype=np.uint8)
         self.y = np.asarray(self.y, dtype=np.float64)
         n = self.household_ids.shape[0]
         if self.x.shape != (n, self.dictionary.dimension):
@@ -62,7 +63,22 @@ class EncodedDataset:
             )
         if self.y.shape != (n,):
             raise DimensionError(f"y has shape {self.y.shape}, expected ({n},)")
+        if self.x.max(initial=0) > 1 or (x.dtype != np.uint8 and not np.array_equal(self.x, x)):
+            raise DataError("x values must be 0 or 1")
+        for name, sl in zip(self.dictionary.features, self.dictionary.group_slices()):
+            # a one-hot group has popcount 0 (missing) or 1; summing column by
+            # column is several times faster than a row-wise sum over the slice
+            if sl.stop - sl.start < 2:
+                continue
+            pop = self.x[:, sl.start].astype(np.uint16)
+            for col in range(sl.start + 1, sl.stop):
+                pop += self.x[:, col]
+            if pop.max(initial=0) > 1:
+                row = int(np.argmax(pop > 1))
+                raise DataError(f"x row {row}: feature {name!r} has more than one bit set")
         present = self.y[~np.isnan(self.y)]
+        if not np.isfinite(present).all():
+            raise DataError("target values must be finite (NaN marks a missing target)")
         if present.size and present.min() < 0:
             raise DataError("target values must be >= 0")
 
@@ -82,13 +98,6 @@ class EncodedDataset:
 
     def n_households(self) -> int:
         return int(np.unique(self.household_ids).size)
-
-    def check_one_hot(self) -> None:
-        """Every feature group must have popcount 0 (missing) or 1."""
-        for sl in self.dictionary.group_slices():
-            pop = self.x[:, sl].sum(axis=1)
-            if pop.max(initial=0) > 1:
-                raise DataError("a one-hot group has more than one bit set")
 
     def subset(self, indices: np.ndarray) -> "EncodedDataset":
         indices = np.asarray(indices)

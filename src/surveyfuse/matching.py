@@ -28,7 +28,7 @@ from .errors import DataError, DimensionError, MatchError
 
 # Per-thread byte budget for the scan's (block x targets) XOR buffer; the
 # block height follows from it, so memory does not grow with the target count.
-_SCAN_BUFFER_BYTES = 32 << 20
+_SCAN_BUFFER_BYTES = 4 << 20
 
 _TIE_BREAKS = ("index", "random")
 

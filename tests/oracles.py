@@ -59,16 +59,16 @@ def bucket_oracle(x: np.ndarray, y: np.ndarray):
 
 
 def shapley_permutation_oracle(x, predictor, dictionary) -> np.ndarray:
-    """Average marginal contribution over all player orderings."""
+    """Average marginal contribution over all player orderings, for one sample."""
     m = dictionary.n_features
     phi = np.zeros(m)
     orderings = list(permutations(range(m)))
     for order in orderings:
         active = np.zeros(m, dtype=bool)
-        prev = predictor(x, active)
+        prev = predictor(x[None], active[None])[0, 0]
         for player in order:
             active[player] = True
-            cur = predictor(x, active)
+            cur = predictor(x[None], active[None])[0, 0]
             phi[player] += cur - prev
             prev = cur
     return phi / len(orderings)

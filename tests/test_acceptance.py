@@ -211,18 +211,22 @@ def test_criterion_7_shapley_axioms(pair_dictionary):
         )
 
         def game(table):
-            return lambda x, active: table[sum(1 << j for j in np.flatnonzero(active))]
+            def predictor(x, active):
+                row = [table[sum(1 << j for j in np.flatnonzero(a))] for a in active]
+                return np.tile(row, (len(x), 1))
+
+            return predictor
 
         f = {bits: float(rng.uniform(-2, 2)) for bits in range(16)}
         g = {bits: float(rng.uniform(-2, 2)) for bits in range(16)}
         # force D to be a null player of f: value ignores bit 3
         f = {bits: f[bits & 0b0111] for bits in range(16)}
         x = np.zeros(8, np.uint8)
-        phi_f = shapley(x, game(f), four)
-        phi_g = shapley(x, game(g), four)
+        phi_f = shapley(x[None], game(f), four)[0]
+        phi_g = shapley(x[None], game(g), four)[0]
         assert abs(phi_f[3]) <= 1e-12  # null player
         fg = {bits: f[bits] + g[bits] for bits in range(16)}
-        assert np.abs(shapley(x, game(fg), four) - (phi_f + phi_g)).max() <= 1e-9
+        assert np.abs(shapley(x[None], game(fg), four)[0] - (phi_f + phi_g)).max() <= 1e-9
         # both agree with full permutation enumeration
         assert np.abs(
             phi_f - shapley_permutation_oracle(x, game(f), four)

@@ -9,7 +9,7 @@ from surveyfuse import (
     shapley,
 )
 from conftest import make_dataset, random_one_hot
-from oracles import shapley_permutation_oracle
+from oracles import bucket_oracle, nn_scan_oracle, shapley_permutation_oracle
 
 two = FeatureDictionary(features=("A", "B"), categories=(("c", "d"), ("i", "j")))
 three = FeatureDictionary(
@@ -21,40 +21,40 @@ four = FeatureDictionary(
 )
 
 
+def per_coalition(value):
+    """(n, c) predictor table from ``value(active row)``, the same for every sample."""
+    return lambda x, active: np.tile([value(a) for a in active], (len(x), 1))
+
+
 def table_game(values_by_mask):
     """Predictor defined by a coalition -> value table (players as bitmask)."""
-
-    def predictor(x, active):
-        bits = sum(1 << j for j in np.flatnonzero(active))
-        return values_by_mask[bits]
-
-    return predictor
+    return per_coalition(lambda a: values_by_mask[sum(1 << j for j in np.flatnonzero(a))])
 
 
 class TestShapleyAxioms:
     def test_null_game_is_all_zero(self):
-        predictor = lambda x, active: 7.5  # ignores every feature
-        phi = shapley(np.zeros(4, np.uint8), predictor, two)
-        assert phi.tolist() == [0.0, 0.0]
+        predictor = per_coalition(lambda a: 7.5)  # ignores every feature
+        phi = shapley(np.zeros((1, 4), np.uint8), predictor, two)
+        assert phi.tolist() == [[0.0, 0.0]]
 
     def test_two_feature_hand_enumeration(self):
         # v({}) = 0, v({A}) = 3, v({B}) = 1, v({A,B}) = 4
         # phi_A = ((3 - 0) + (4 - 1)) / 2 = 3; phi_B = ((1 - 0) + (4 - 3)) / 2 = 1
         predictor = table_game({0b00: 0.0, 0b01: 3.0, 0b10: 1.0, 0b11: 4.0})
-        phi = shapley(np.zeros(4, np.uint8), predictor, two)
-        np.testing.assert_allclose(phi, [3.0, 1.0])
+        phi = shapley(np.zeros((1, 4), np.uint8), predictor, two)
+        np.testing.assert_allclose(phi, [[3.0, 1.0]])
 
     def test_efficiency(self):
         rng = np.random.default_rng(0)
         values = {bits: float(rng.uniform(-2, 2)) for bits in range(8)}
         predictor = table_game(values)
-        phi = shapley(np.zeros(6, np.uint8), predictor, three)
+        phi = shapley(np.zeros((1, 6), np.uint8), predictor, three)[0]
         assert phi.sum() == pytest.approx(values[0b111] - values[0b000], abs=1e-9)
 
     def test_symmetry(self):
         # v depends only on |coalition|: all players interchangeable
-        predictor = lambda x, active: float(active.sum()) ** 2
-        phi = shapley(np.zeros(6, np.uint8), predictor, three)
+        predictor = per_coalition(lambda a: float(a.sum()) ** 2)
+        phi = shapley(np.zeros((1, 6), np.uint8), predictor, three)[0]
         assert phi[0] == pytest.approx(phi[1]) == pytest.approx(phi[2])
 
     def test_linearity_of_games(self):
@@ -62,7 +62,7 @@ class TestShapleyAxioms:
         f = {bits: float(rng.uniform(-1, 1)) for bits in range(8)}
         g = {bits: float(rng.uniform(-1, 1)) for bits in range(8)}
         fg = {bits: f[bits] + g[bits] for bits in range(8)}
-        x = np.zeros(6, np.uint8)
+        x = np.zeros((1, 6), np.uint8)
         np.testing.assert_allclose(
             shapley(x, table_game(fg), three),
             shapley(x, table_game(f), three) + shapley(x, table_game(g), three),
@@ -75,12 +75,11 @@ class TestShapleyAxioms:
         g_a = {True: 2.5, False: 0.5}
         g_b = {True: -1.0, False: 0.25}
 
-        def predictor(x, active):
-            return g_a[bool(active[0])] + g_b[bool(active[1])]
+        predictor = per_coalition(lambda a: g_a[bool(a[0])] + g_b[bool(a[1])])
 
-        phi = shapley(np.zeros(4, np.uint8), predictor, two)
+        phi = shapley(np.zeros((1, 4), np.uint8), predictor, two)
         np.testing.assert_allclose(
-            phi, [g_a[True] - g_a[False], g_b[True] - g_b[False]]
+            phi, [[g_a[True] - g_a[False], g_b[True] - g_b[False]]]
         )
 
     @pytest.mark.parametrize("seed", range(6))
@@ -92,7 +91,7 @@ class TestShapleyAxioms:
         predictor = table_game(values)
         x = np.zeros(dictionary.dimension, np.uint8)
         np.testing.assert_allclose(
-            shapley(x, predictor, dictionary),
+            shapley(x[None], predictor, dictionary)[0],
             shapley_permutation_oracle(x, predictor, dictionary),
             atol=1e-9,
         )
@@ -104,7 +103,7 @@ class TestShapleyAxioms:
         predictor = table_game(
             {bits: base[bits & 0b011] for bits in range(8)}
         )
-        phi = shapley(np.zeros(6, np.uint8), predictor, three)
+        phi = shapley(np.zeros((1, 6), np.uint8), predictor, three)[0]
         assert phi[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_feature_cap(self):
@@ -113,7 +112,7 @@ class TestShapleyAxioms:
             categories=(("a", "b"),) * 13,
         )
         with pytest.raises(FusionError, match="12"):
-            shapley(np.zeros(26, np.uint8), lambda x, a: 0.0, big)
+            shapley(np.zeros((1, 26), np.uint8), per_coalition(lambda a: 0.0), big)
 
 
 class TestBucketMeanPredictor:
@@ -128,28 +127,60 @@ class TestBucketMeanPredictor:
 
     def test_full_mask_nearest_bucket(self, pair_dictionary):
         p = self.build(pair_dictionary)
-        x = np.array([1, 0, 1, 0], np.uint8)
-        assert p(x, np.array([True, True])) == 4.0
+        x = np.array([[1, 0, 1, 0]], np.uint8)
+        assert p(x, np.array([[True, True]])).tolist() == [[4.0]]
 
     def test_empty_mask_global_mean(self, pair_dictionary):
         p = self.build(pair_dictionary)
-        x = np.array([1, 0, 1, 0], np.uint8)
-        assert p(x, np.array([False, False])) == pytest.approx(2.0)
+        x = np.array([[1, 0, 1, 0]], np.uint8)
+        assert p(x, np.array([[False, False]]))[0, 0] == pytest.approx(2.0)
 
     def test_masked_feature_group_zeroed(self, pair_dictionary):
         p = self.build(pair_dictionary)
-        x = np.array([0, 1, 1, 0], np.uint8)  # A=d, B=i
+        x = np.array([[0, 1, 1, 0]], np.uint8)  # A=d, B=i
         # masking A zeroes its group: [0,0,1,0]; nearest donors are the two
         # B=i rows at distance 1/4 each; tie resolves to the first (y = 4)
-        assert p(x, np.array([False, True])) == 4.0
+        assert p(x, np.array([[False, True]])).tolist() == [[4.0]]
 
     def test_prediction_deterministic(self, pair_dictionary):
         p = self.build(pair_dictionary)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            x = rng.integers(0, 2, 4).astype(np.uint8)
-            active = rng.integers(0, 2, 2).astype(bool)
-            assert p(x, active) == p(x, active)
+            x = rng.integers(0, 2, (3, 4)).astype(np.uint8)
+            active = rng.integers(0, 2, (4, 2)).astype(bool)
+            assert np.array_equal(p(x, active), p(x, active))
+
+    def test_table_matches_unpacked_oracles(self):
+        # every (sample, coalition) cell equals the bucket mean of the nearest
+        # oracle bucket to the sample with inactive groups zeroed, and the
+        # global mean for the empty coalition; few donors force distance ties
+        rng = np.random.default_rng(11)
+        m = four.n_features
+        candidate = make_dataset(
+            four, random_one_hot(rng, four, 9, missing_rate=0.3), rng.uniform(0, 3, 9)
+        )
+        x = random_one_hot(rng, four, 12, missing_rate=0.3).astype(np.uint8)
+        active = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
+        table = BucketMeanPredictor(candidate)(x, active)
+
+        bucket_x, _, bucket_mean = bucket_oracle(candidate.x, candidate.y)
+        slices = four.group_slices()
+        ties = 0
+        expected = np.empty((x.shape[0], active.shape[0]))
+        for i, row in enumerate(x):
+            for b, a in enumerate(active):
+                if not a.any():
+                    expected[i, b] = candidate.y.mean()
+                    continue
+                masked = np.zeros_like(row)
+                for j in np.flatnonzero(a):
+                    masked[slices[j]] = row[slices[j]]
+                (idx,), _ = nn_scan_oracle(masked[None], bucket_x)
+                expected[i, b] = bucket_mean[idx]
+                counts = (masked[None] != bucket_x).sum(axis=1)
+                ties += int((counts == counts.min()).sum() > 1)
+        assert ties > 0
+        assert np.array_equal(table, expected)
 
 
 class TestAttributeDataset:
@@ -159,7 +190,9 @@ class TestAttributeDataset:
             pair_dictionary, random_one_hot(rng, pair_dictionary, 20),
             rng.uniform(0, 2, 20),
         )
-        report = attribute_dataset(ds, lambda x, a: 1.0, sample_limit=10, seed=0)
+        report = attribute_dataset(
+            ds, per_coalition(lambda a: 1.0), sample_limit=10, seed=0
+        )
         assert all(e.mean_value == 0.0 for e in report.entries)
         assert report.efficiency_max_error == 0.0
 
@@ -186,7 +219,9 @@ class TestAttributeDataset:
             pair_dictionary, random_one_hot(rng, pair_dictionary, 12),
             rng.uniform(0, 2, 12),
         )
-        report = attribute_dataset(ds, lambda x, a: float(a.sum()), sample_limit=50, seed=2)
+        report = attribute_dataset(
+            ds, per_coalition(lambda a: float(a.sum())), sample_limit=50, seed=2
+        )
         assert report.n_evaluated == 12
         assert sum(e.n_samples for e in report.entries) == 12 * 2  # two features
 
@@ -205,9 +240,16 @@ class TestAttributeDataset:
         )
         assert report.efficiency_max_error < 1e-9
 
+    def test_zero_limit_evaluates_nothing(self, pair_dictionary):
+        ds = make_dataset(pair_dictionary, [[1, 0, 0, 1], [0, 1, 1, 0]], [1.0, 2.0])
+        report = attribute_dataset(ds, BucketMeanPredictor(ds), sample_limit=0, seed=0)
+        assert (report.n_evaluated, report.entries, report.efficiency_max_error) == (0, [], 0.0)
+
     def test_missing_groups_aggregate_separately(self, pair_dictionary):
         ds = make_dataset(pair_dictionary, [[0, 0, 1, 0]], [1.0])
-        report = attribute_dataset(ds, lambda x, a: 0.0, sample_limit=1, seed=0)
+        report = attribute_dataset(
+            ds, per_coalition(lambda a: 0.0), sample_limit=1, seed=0
+        )
         cats = {(e.feature, e.category) for e in report.entries}
         assert ("A", "Missing") in cats
         assert ("B", "i") in cats
@@ -218,7 +260,7 @@ class TestAttributeDataset:
             pair_dictionary, random_one_hot(rng, pair_dictionary, 40),
             rng.uniform(0, 2, 40),
         )
-        p = lambda x, a: float(x[:2].sum()) if a[0] else 0.0
+        p = lambda x, a: x[:, :2].sum(axis=1)[:, None] * a[:, 0].astype(float)
         r1 = attribute_dataset(ds, p, sample_limit=10, seed=9)
         r2 = attribute_dataset(ds, p, sample_limit=10, seed=9)
         assert r1.to_json_dict() == r2.to_json_dict()

@@ -85,6 +85,17 @@ class TestDescribe:
     def test_missing_input(self, tmp_path):
         assert run("describe", "--data", tmp_path / "nope.enc") == EXIT_MISSING_INPUT
 
+    def test_invalid_enc_contents_are_data_error(self, generated, tmp_path, capsys):
+        full, _ = generated
+        ds = EncodedDataset.load(full)
+        ds.x[5, :] = 1  # every group two-hot
+        bad = tmp_path / "bad.enc"
+        ds.save(bad)
+        out = tmp_path / "report.json"
+        assert run("describe", "--data", bad, "--out", out) == EXIT_DATA
+        assert "x row 5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestImpute:
     def test_outputs_and_weight(self, generated, tmp_path):
@@ -207,6 +218,33 @@ class TestEvaluateAndSpike:
         rc = run("spike", "--a", broken, "--b", truth, "--n", 20, "--seed", 0)
         assert rc == EXIT_DATA
         assert says in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    @pytest.mark.parametrize("cutoffs", ["10,x", "10,", ""])
+    def test_bad_cutoffs_are_usage_error(
+        self, generated, tmp_path, capsys, cutoffs, via_config
+    ):
+        imputed, truth = self.make_totals(generated, tmp_path)
+        out = tmp_path / "report.json"
+        args = ["evaluate", "--imputed", imputed, "--truth", truth, "--seed", 0, "--out", out]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"cutoffs": cutoffs}))
+            args += ["--config", cfg]
+        else:
+            args += ["--cutoffs", cutoffs]
+        with pytest.raises(SystemExit) as exc:
+            run(*args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--cutoffs" in err and f"expected comma-separated integers, got {cutoffs!r}" in err
+        assert not out.exists()
+
+    def test_nonpositive_cutoff_is_data_error(self, generated, tmp_path, capsys):
+        imputed, truth = self.make_totals(generated, tmp_path)
+        rc = run("evaluate", "--imputed", imputed, "--truth", truth, "--cutoffs", "10,0",
+                 "--seed", 0, "--out", tmp_path / "report.json")
+        assert rc == EXIT_DATA
 
     @pytest.mark.parametrize("cutoffs", ["10,20", "2"])
     def test_sorted_csv_holds_the_reports_draws(self, generated, tmp_path, cutoffs):
@@ -357,6 +395,19 @@ class TestDeterminismAndConfig:
         assert exc.value.code == 2
         assert "'tie_break': invalid choice 'bogus'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [1.5, True, "x"])
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--config", cfg, "--households", 5,
+                "--out-full", tmp_path / "f.enc", "--out-missing", tmp_path / "m.enc")
+        assert exc.value.code == 2
+        assert f"config key 'seed' (--seed): invalid value {json.dumps(seed)}" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_config_key_of_other_subcommand_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

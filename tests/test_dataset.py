@@ -27,10 +27,34 @@ class TestConstruction:
         assert ds.n_missing == 1
         assert ds.labeled().n_samples == 1
 
-    def test_check_one_hot_catches_double_bits(self, single_dictionary):
-        ds = make_dataset(single_dictionary, [[1, 1]], [1.0])
+    def test_two_bits_in_a_group_rejected(self, pair_dictionary):
+        with pytest.raises(DataError, match="x row 1: feature 'B' has more than one bit"):
+            make_dataset(pair_dictionary, [[1, 0, 0, 1], [0, 1, 1, 1]], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "x", [[[2, 0]], [[0, 255]], np.array([[256, 0]]), np.array([[0.5, 0.0]])],
+        ids=["2", "255", "256-wraps-to-0", "0.5-truncates-to-0"],
+    )
+    def test_x_values_outside_0_1_rejected(self, single_dictionary, x):
+        with pytest.raises(DataError, match="x values must be 0 or 1"):
+            EncodedDataset(single_dictionary, "t", 2017, ["h"], x, [1.0])
+
+    def test_bool_x_accepted(self, single_dictionary):
+        ds = EncodedDataset(single_dictionary, "t", 2017, ["h"], np.array([[True, False]]), [1.0])
+        assert ds.x.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_target_rejected(self, single_dictionary, bad):
+        with pytest.raises(DataError, match="finite"):
+            make_dataset(single_dictionary, [[1, 0], [0, 1]], [1.0, bad])
+
+    def test_subset_and_concat_revalidate(self, single_dictionary):
+        ds = make_dataset(single_dictionary, [[1, 0], [0, 1]], [1.0, 2.0])
+        ds.x[1, 0] = 1  # corrupted after construction
         with pytest.raises(DataError):
-            ds.check_one_hot()
+            ds.subset([1])
+        with pytest.raises(DataError):
+            concat_datasets([ds], survey_id="c", year=2017)
 
 
 class TestHouseholdTotals:
@@ -83,6 +107,22 @@ class TestPersistence:
         p = tmp_path / "bad.enc"
         p.write_bytes(b"not a dataset")
         with pytest.raises(FusionError):
+            EncodedDataset.load(p)
+
+    @pytest.mark.parametrize(
+        "corrupt", ["two-hot", "x=3", "y=inf"],
+    )
+    def test_load_rejects_invalid_contents(self, tmp_path, pair_dictionary, corrupt):
+        ds = make_dataset(pair_dictionary, [[1, 0, 0, 1], [0, 1, 0, 0]], [2.0, 1.0])
+        if corrupt == "two-hot":
+            ds.x[1, 0] = 1
+        elif corrupt == "x=3":
+            ds.x[0, 2] = 3
+        else:
+            ds.y[1] = np.inf
+        p = tmp_path / "ds.enc"
+        ds.save(p)  # save writes what it holds; load is the boundary
+        with pytest.raises(DataError):
             EncodedDataset.load(p)
 
     def test_tampered_dictionary_hash_detected(self, tmp_path, pair_dictionary):

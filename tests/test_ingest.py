@@ -286,8 +286,7 @@ class TestShippedCrosswalk:
         ds = assemble(load_tables(h, p, d, "psrc2017", spec), spec, 2017)
         assert ds.n_samples == 1
         assert ds.y[0] == 3.0
-        assert ds.x[0].sum() == 6  # every feature resolved
-        ds.check_one_hot()
+        assert ds.x[0].sum() == 6  # every feature resolved, one bit each (checked on construction)
 
     def test_nhts_shaped_ingestion(self, tmp_path):
         import csv
@@ -312,4 +311,3 @@ class TestShippedCrosswalk:
         assert income.tolist() == [0, 1, 0]  # 75-100k
         employment = ds.x[0][ds.dictionary.group_slice("Employment")]
         assert employment.sum() == 0  # -1 = missing
-        ds.check_one_hot()

@@ -242,19 +242,20 @@ class TestNearestNeighborBuckets:
             assert a.distance[i] == best
 
 
-def hand_instance(single_dictionary):
+def hand_instance(pair_dictionary):
     """5 donors in 3 buckets; 10 query samples; w = 2."""
-    a, b, z, t = [1, 0], [0, 1], [0, 0], [1, 1]
+    a, b, g, t = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]
     candidate = make_dataset(
-        single_dictionary,
-        [a, a, b, z, b],
+        pair_dictionary,
+        [a, a, b, g, b],
         [2, 4, 3, 5, 1],
         household_ids=[f"c{i}" for i in range(5)],
     )
-    # buckets (first occurrence): B0=a (mean 3), B1=b (mean 2), B2=z (mean 5)
+    # buckets (first occurrence): B0=a (mean 3), B1=b (mean 2), B2=g (mean 5);
+    # t is at distance 1/4 from all three
     source = make_dataset(
-        single_dictionary,
-        [a, a, a, b, b, b, z, z, t, t],
+        pair_dictionary,
+        [a, a, a, b, b, b, g, g, t, t],
         [7] + [np.nan] * 9,
         household_ids=["h0", "h0", "h1", "h1", "h2", "h2", "h3", "h3", "h4", "h4"],
     )
@@ -262,26 +263,26 @@ def hand_instance(single_dictionary):
 
 
 class TestImpute:
-    def test_hand_computed_values_impute_all(self, single_dictionary):
-        source, candidate = hand_instance(single_dictionary)
+    def test_hand_computed_values_impute_all(self, pair_dictionary):
+        source, candidate = hand_instance(pair_dictionary)
         res = impute(source, candidate, impute_all=True)
         assert res.weight == 2.0
-        # bucket means / w, tie on [1,1] resolved to B0
+        # bucket means / w, three-way tie on t resolved to B0
         expected = [1.5, 1.5, 1.5, 1.0, 1.0, 1.0, 2.5, 2.5, 1.5, 1.5]
         np.testing.assert_allclose(res.sample_y, expected)
         assert res.household_totals() == pytest.approx(
             {"h0": 3.0, "h1": 2.5, "h2": 2.0, "h3": 5.0, "h4": 3.0}
         )
 
-    def test_default_keeps_observed(self, single_dictionary):
-        source, candidate = hand_instance(single_dictionary)
+    def test_default_keeps_observed(self, pair_dictionary):
+        source, candidate = hand_instance(pair_dictionary)
         res = impute(source, candidate)
         assert res.sample_y[0] == 7.0  # observed value kept, not divided by w
         assert res.imputed_mask.tolist() == [False] + [True] * 9
         assert res.household_totals()["h0"] == pytest.approx(7.0 + 1.5)
 
-    def test_household_sums_match_oracle(self, single_dictionary):
-        source, candidate = hand_instance(single_dictionary)
+    def test_household_sums_match_oracle(self, pair_dictionary):
+        source, candidate = hand_instance(pair_dictionary)
         res = impute(source, candidate, impute_all=True)
         oracle = household_sum_oracle(source.household_ids, res.sample_y)
         assert res.household_totals() == pytest.approx(oracle)
@@ -298,8 +299,8 @@ class TestImpute:
         assert res.weight == 1.0
         assert res.household_totals() == pytest.approx(ds.household_totals(), abs=1e-9)
 
-    def test_weight_is_sample_ratio(self, single_dictionary):
-        source, candidate = hand_instance(single_dictionary)
+    def test_weight_is_sample_ratio(self, pair_dictionary):
+        source, candidate = hand_instance(pair_dictionary)
         assert impute(source, candidate).weight == source.n_samples / candidate.n_samples
 
     def test_imputed_values_nonnegative(self, single_dictionary):
@@ -336,16 +337,16 @@ class TestImpute:
         assert res.assignment.target_index[0] == 1  # exact all-zero bucket
         assert res.assignment.distance[0] == 0.0
 
-    def test_household_weight_variant(self, single_dictionary):
-        source, candidate = hand_instance(single_dictionary)
+    def test_household_weight_variant(self, pair_dictionary):
+        source, candidate = hand_instance(pair_dictionary)
         res = impute(source, candidate, impute_all=True, household_weight=True)
         # every household has 2 samples: each sample gets bucket mean / 2,
         # so the household total is the mean of its matched bucket means
         assert res.household_totals()["h0"] == pytest.approx(3.0)
         assert res.household_totals()["h3"] == pytest.approx(5.0)
 
-    def test_augment_candidate_builds_union(self, single_dictionary):
-        source, candidate = hand_instance(single_dictionary)
+    def test_augment_candidate_builds_union(self, pair_dictionary):
+        source, candidate = hand_instance(pair_dictionary)
         union = augment_candidate(source, candidate)
         assert union.n_samples == candidate.n_samples + 1  # one labeled source sample
         assert union.n_missing == 0

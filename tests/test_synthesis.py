@@ -32,7 +32,7 @@ class TestNestedMatch:
 
     def test_equidistant_matches_smaller_index(self, single_dictionary):
         source1 = make_dataset(single_dictionary, [[1, 0], [0, 1]], [0.0, 0.0])
-        source2 = make_dataset(single_dictionary, [[1, 1]], [1.0])
+        source2 = make_dataset(single_dictionary, [[0, 0]], [1.0])
         candidate = make_dataset(single_dictionary, [[1, 0]], [1.0])
         graph = nested_match(source2, source1, candidate)
         assert graph.mu2.target_index[0] == 0  # tie between both source1 rows
