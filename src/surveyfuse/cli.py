@@ -464,13 +464,19 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     if config:
         # config values become defaults, which argparse converts only when they
-        # are strings and never checks against choices: do both here
+        # are strings and never checks against choices: do both here.  A null
+        # leaves the flag unset, so a required one must come from the command line.
         for sp in sub.choices.values():
             for action in sp._actions:
-                if action.dest not in config:
+                value = config.get(action.dest)
+                if value is None:
                     continue
-                value = config[action.dest]
-                if action.type is not None and value is not None:
+                if action.nargs == 0 and not isinstance(value, bool):  # store_true
+                    parser.error(
+                        f"config key {action.dest!r} ({action.option_strings[0]}): "
+                        f"expected true or false, got {json.dumps(value)}"
+                    )
+                if action.type is not None:
                     try:
                         value = action.type(value if isinstance(value, str) else str(value))
                     except (ValueError, argparse.ArgumentTypeError) as exc:

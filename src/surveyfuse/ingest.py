@@ -4,69 +4,102 @@ Surveys arrive as three CSV files linked by primary keys (household id;
 household id + person id; household id + person id + day id).  One
 encoded sample is emitted per travel-day row, replicating household- and
 person-level covariates onto it; the delivery target comes from the day
-row's delivery column(s) rescaled to deliveries/day.
+row's delivery column(s) rescaled to deliveries/day.  Ingestion is
+column-wise: each travel day is resolved once to its household and person
+rows, and each distinct raw value of a column is encoded or parsed once.
 
-Ingestion fails fast: missing key columns, dangling references, and
-unmapped categories raise with the offending file, row, and value rather
+Ingestion fails fast: missing key or mapped columns, dangling references,
+unmapped categories and malformed delivery counts raise with the offending
+file, row (the header is row 1; blank lines are skipped), and value rather
 than silently dropping data.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dataset import EncodedDataset
 from .errors import DataError, IngestionError, MappingError
-from .schema import (
-    MISSING_LABEL,
-    HarmonizationSpec,
-    build_dictionary,
-    encode_value,
-    harmonize_target,
-)
+from .schema import MISSING_LABEL, HarmonizationSpec, TargetColumn, build_dictionary, encode_value
 
 
-@dataclass
+@dataclass(frozen=True)
+class Table:
+    """One survey CSV read into columns; entry r of a column is file row r + 2."""
+
+    path: Path
+    columns: dict[str, tuple[str, ...]]
+    n_rows: int
+
+    def column(self, name: str, what: str) -> tuple[str, ...]:
+        if name not in self.columns:
+            raise MappingError(f"{self.path}: column {name!r} for {what} is absent")
+        return self.columns[name]
+
+
+@dataclass(frozen=True)
 class RawTableSet:
-    """Parsed survey tables, keyed and referentially checked."""
+    """Parsed survey tables with every travel day joined to its household and person rows."""
 
     survey_id: str
-    households: dict[str, dict[str, str]]  # household_id -> row
-    persons: dict[tuple[str, str], dict[str, str]]  # (household_id, person_id) -> row
-    days: list[dict[str, str]]  # travel-day rows in file order
-    household_order: list[str]  # ids in file order
+    households: Table
+    persons: Table
+    days: Table
+    household_row: np.ndarray  # travel-day row -> household-table row
+    person_row: np.ndarray  # travel-day row -> person-table row
 
     @property
     def counts(self) -> dict[str, int]:
-        return {
-            "households": len(self.households),
-            "persons": len(self.persons),
-            "days": len(self.days),
-        }
+        return {name: getattr(self, name).n_rows for name in ("households", "persons", "days")}
 
 
-def _read_csv(path: str | Path, required: list[str], label: str) -> list[dict[str, str]]:
+def _read_csv(path: str | Path, required: list[str], label: str) -> Table:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{label} table not found: {path}")
-    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise IngestionError(f"{path}: empty file, expected a header row")
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in required if c not in header]
         if missing:
             raise IngestionError(f"{path}: missing key column(s) {missing}")
-        width = len(reader.fieldnames)
-        for lineno, row in enumerate(reader, start=2):
-            if None in row or any(v is None for v in row.values()):
-                raise IngestionError(f"{path}: row {lineno} has {width} columns expected")
-            rows.append(row)
-    return rows
+        rows = list(filter(None, reader))  # a blank line is no record
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        bad = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise IngestionError(f"{path}: row {bad + 2} has {len(rows[bad])} columns, {width} expected")
+    columns = zip(*rows) if rows else [()] * width
+    return Table(path=path, columns=dict(zip(header, columns)), n_rows=len(rows))
+
+
+def _index(keys: Sequence, path: Path, what: str) -> dict:
+    """Key -> row; a repeated key raises at its second row."""
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) != len(keys):
+        seen = set()
+        for row, key in enumerate(keys, start=2):
+            if key in seen:
+                raise IngestionError(f"{path}: row {row}: duplicate {what} {key!r}")
+            seen.add(key)
+    return index
+
+
+def _lookup(index: dict, keys: Sequence, path: Path, what: str) -> np.ndarray:
+    """Row of every key; the first key absent from ``index`` raises."""
+    rows = list(map(index.get, keys))
+    if None in rows:
+        bad = rows.index(None)
+        raise IngestionError(f"{path}: row {bad + 2}: {what} {keys[bad]!r}")
+    return np.array(rows, dtype=np.intp)
 
 
 def load_tables(
@@ -78,131 +111,87 @@ def load_tables(
 ) -> RawTableSet:
     """Read the three survey CSVs and check referential integrity."""
     keys = spec.table_keys(survey_id)
-    hh_rows = _read_csv(household_path, [keys.household_id], "household")
-    p_rows = _read_csv(person_path, [keys.household_id, keys.person_id], "person")
-    d_rows = _read_csv(day_path, [keys.household_id, keys.person_id, keys.day_id], "travel-day")
+    hh = _read_csv(household_path, [keys.household_id], "household")
+    persons = _read_csv(person_path, [keys.household_id, keys.person_id], "person")
+    days = _read_csv(day_path, [keys.household_id, keys.person_id, keys.day_id], "travel-day")
 
-    households: dict[str, dict[str, str]] = {}
-    order: list[str] = []
-    for lineno, row in enumerate(hh_rows, start=2):
-        hid = row[keys.household_id]
-        if hid in households:
-            raise IngestionError(
-                f"{household_path}: row {lineno}: duplicate household id {hid!r}"
-            )
-        households[hid] = row
-        order.append(hid)
-
-    persons: dict[tuple[str, str], dict[str, str]] = {}
-    for lineno, row in enumerate(p_rows, start=2):
-        hid, pid = row[keys.household_id], row[keys.person_id]
-        if hid not in households:
-            raise IngestionError(
-                f"{person_path}: row {lineno}: person references unknown household {hid!r}"
-            )
-        if (hid, pid) in persons:
-            raise IngestionError(
-                f"{person_path}: row {lineno}: duplicate person ({hid!r}, {pid!r})"
-            )
-        persons[(hid, pid)] = row
-
-    for lineno, row in enumerate(d_rows, start=2):
-        hid, pid = row[keys.household_id], row[keys.person_id]
-        if (hid, pid) not in persons:
-            raise IngestionError(
-                f"{day_path}: row {lineno}: travel day references unknown person "
-                f"({hid!r}, {pid!r})"
-            )
-
-    return RawTableSet(
-        survey_id=survey_id,
-        households=households,
-        persons=persons,
-        days=d_rows,
-        household_order=order,
-    )
+    hh_index = _index(hh.columns[keys.household_id], hh.path, "household id")
+    p_hid = persons.columns[keys.household_id]
+    p_household = _lookup(hh_index, p_hid, persons.path, "person references unknown household")
+    p_index = _index(list(zip(p_hid, persons.columns[keys.person_id])), persons.path, "person")
+    d_keys = list(zip(days.columns[keys.household_id], days.columns[keys.person_id]))
+    person_row = _lookup(p_index, d_keys, days.path, "travel day references unknown person")
+    return RawTableSet(survey_id, hh, persons, days, p_household[person_row], person_row)
 
 
-def _day_target(row: dict[str, str], spec: HarmonizationSpec, survey_id: str) -> float | None:
-    """Sum the survey's delivery columns and rescale to deliveries/day.
+def _per_value(table: Table, values: Sequence[str], rows: np.ndarray,
+               convert: Callable, shape: tuple, dtype) -> np.ndarray:
+    """``convert(values[r])`` for every r in ``rows``, called once per distinct value.
 
-    A blank column counts as zero when any sibling column is answered;
-    the target is missing only when every column is blank.
+    A failed conversion raises with the file and the first row holding the value.
     """
-    tgt = spec.target.survey_target(survey_id)
-    total = 0.0
-    any_present = False
-    for col in tgt.columns:
-        if col not in row:
-            raise MappingError(
-                f"survey {survey_id!r}: target column {col!r} absent from travel-day table"
-            )
-        raw = row[col].strip()
-        if raw in tgt.missing_values:
-            continue
+    distinct = list(dict.fromkeys(values))
+    code = {v: k for k, v in enumerate(distinct)}
+    codes = np.fromiter(map(code.__getitem__, values), np.intp, len(values))[rows]
+    used = np.zeros(len(distinct), dtype=bool)
+    used[codes] = True
+    out = np.zeros((len(distinct), *shape), dtype=dtype)
+    for k in np.flatnonzero(used):
         try:
-            value = float(raw)
-        except ValueError:
-            raise DataError(
-                f"survey {survey_id!r} column {col!r}: non-numeric delivery count {raw!r}"
-            ) from None
-        if value < 0:
-            raise DataError(
-                f"survey {survey_id!r} column {col!r}: negative delivery count {value}"
-            )
-        total += value
-        any_present = True
-    return harmonize_target(total if any_present else None, tgt.divisor)
+            out[k] = convert(distinct[k])
+        except (MappingError, DataError) as exc:
+            row = int(rows[codes == k].min()) + 2
+            raise type(exc)(f"{table.path}: row {row}: {exc}") from None
+    return out[codes]
 
 
-def assemble(
-    raw: RawTableSet,
-    spec: HarmonizationSpec,
-    year: int,
-) -> EncodedDataset:
+def _delivery_count(raw: str, target: TargetColumn, column: str, survey_id: str) -> float:
+    """One raw delivery count; NaN when blank."""
+    raw = raw.strip()
+    if raw in target.missing_values:
+        return math.nan
+    try:
+        value = float(raw)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < math.inf:
+        problem = "non-numeric" if value is None else "negative" if value < 0 else "non-finite"
+        raise DataError(f"survey {survey_id!r} column {column!r}: {problem} delivery count {raw!r}")
+    return value
+
+
+def assemble(raw: RawTableSet, spec: HarmonizationSpec, year: int) -> EncodedDataset:
     """Encode one sample per travel-day row; deterministic in input order."""
-    spec.validate()
     dictionary = build_dictionary(spec)
     survey_id = raw.survey_id
-    keys = spec.table_keys(survey_id)
-
-    # Resolve each feature's source table up front; fail before touching rows.
-    feature_cols = []
+    # Resolve every mapped column up front; fail before encoding any row.
+    joined = {"household": (raw.households, raw.household_row),
+              "person": (raw.persons, raw.person_row)}
+    features = []
     for f in spec.features:
         col = f.survey_column(survey_id)
-        feature_cols.append((f, col))
+        table, rows = joined[col.table]
+        values = table.column(col.column, f"feature {f.name!r} of survey {survey_id!r}")
+        features.append((f, table, rows, values))
+    tgt = spec.target.survey_target(survey_id)
+    targets = [(c, raw.days.column(c, f"the target of survey {survey_id!r}")) for c in tgt.columns]
 
-    n = len(raw.days)
+    n = raw.days.n_rows
     x = np.zeros((n, dictionary.dimension), dtype=np.uint8)
-    y = np.full(n, np.nan, dtype=np.float64)
-    household_ids = []
-
-    group_slices = dictionary.group_slices()
-    for i, day_row in enumerate(raw.days):
-        hid, pid = day_row[keys.household_id], day_row[keys.person_id]
-        hh_row = raw.households[hid]
-        p_row = raw.persons[(hid, pid)]
-        for (f, col), sl in zip(feature_cols, group_slices):
-            source_row = hh_row if col.table == "household" else p_row
-            if col.column not in source_row:
-                raise MappingError(
-                    f"survey {survey_id!r}: column {col.column!r} for feature "
-                    f"{f.name!r} absent from the {col.table} table"
-                )
-            x[i, sl] = encode_value(f, source_row[col.column], survey_id)
-        target = _day_target(day_row, spec, survey_id)
-        if target is not None:
-            y[i] = target
-        household_ids.append(hid)
-
-    return EncodedDataset(
-        dictionary=dictionary,
-        survey_id=survey_id,
-        year=year,
-        household_ids=np.array(household_ids, dtype=np.str_),
-        x=x,
-        y=y,
-    )
+    for (f, table, rows, values), sl in zip(features, dictionary.group_slices()):
+        encode = partial(encode_value, f, survey_id=survey_id)
+        x[:, sl] = _per_value(table, values, rows, encode, (len(f.categories),), np.uint8)
+    total = np.zeros(n)
+    answered = np.zeros(n, dtype=bool)
+    for name, values in targets:
+        parse = partial(_delivery_count, target=tgt, column=name, survey_id=survey_id)
+        count = _per_value(raw.days, values, np.arange(n), parse, (), np.float64)
+        given = ~np.isnan(count)
+        total[given] += count[given]  # a blank column counts as zero beside an answered one
+        answered |= given
+    y = np.where(answered, total / tgt.divisor, np.nan)
+    household_ids = raw.days.columns[spec.table_keys(survey_id).household_id]
+    return EncodedDataset(dictionary, survey_id, year, np.array(household_ids, dtype=np.str_), x, y)
 
 
 def describe(ds: EncodedDataset) -> dict:

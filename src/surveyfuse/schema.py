@@ -372,24 +372,6 @@ def encode_value(feature: FeatureSpec, raw: str | None, survey_id: str) -> np.nd
     return bits
 
 
-def encode_category(feature: FeatureSpec, category: str | None) -> np.ndarray:
-    """One-hot encode an already-harmonized category label (None = missing)."""
-    bits = np.zeros(len(feature.categories), dtype=np.uint8)
-    if category is not None:
-        bits[feature.categories.index(category)] = 1
-    return bits
-
-
-def decode_group(feature: FeatureSpec, bits: np.ndarray) -> str | None:
-    """Inverse of :func:`encode_category`; all-zero groups decode to None."""
-    hot = np.flatnonzero(bits)
-    if hot.size == 0:
-        return None
-    if hot.size > 1:
-        raise DataError(f"feature {feature.name!r}: bit group has {hot.size} bits set")
-    return feature.categories[int(hot[0])]
-
-
 def harmonize_target(raw_value: float | None, divisor: float) -> float | None:
     """Rescale a raw delivery count to deliveries/day; missing propagates."""
     if divisor <= 0:

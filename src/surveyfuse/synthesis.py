@@ -55,10 +55,6 @@ class TriPartiteGraph:
         """(w1, w2) from sample counts, source2 counted after its missing-y drop."""
         return self.n_source1 / self.n_candidate, self.n_source2 / self.n_source1
 
-    def nested_assignment(self) -> np.ndarray:
-        """Composed matching: labeled source2 sample -> bucket."""
-        return self.mu1.target_index[self.mu2.target_index]
-
 
 def nested_match(
     source2: EncodedDataset,

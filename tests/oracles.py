@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's packed-word kernels: distances come
 from elementwise comparison on unpacked arrays, grouping from plain dicts,
-and Shapley values from permutation enumeration rather than weighted
-coalition sums.
+Shapley values from permutation enumeration rather than weighted
+coalition sums, and ingestion from a per-cell loop over dict rows rather
+than column-wise encoding.
 """
 
+import csv
 from itertools import permutations
 
 import numpy as np
+
+from surveyfuse.schema import build_dictionary, encode_value
 
 
 def nn_scan_oracle(query_x: np.ndarray, target_x: np.ndarray):
@@ -84,3 +88,41 @@ def household_sum_oracle(household_ids, sample_y) -> dict[str, float]:
 def sorted_mse_oracle(a, b) -> float:
     sa, sb = sorted(a), sorted(b)
     return sum((u - v) ** 2 for u, v in zip(sa, sb)) / len(sa)
+
+
+def ingest_oracle(household_path, person_path, day_path, survey_id, spec):
+    """(x, y, household_ids) of one sample per travel-day row, cell by cell.
+
+    Rows are dicts joined through dicts of rows; every (day, feature) cell
+    is encoded on its own, and the delivery columns of each day are summed
+    in order, a blank one counting as zero when a sibling is answered.
+    """
+
+    def rows(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    keys = spec.table_keys(survey_id)
+    households = {r[keys.household_id]: r for r in rows(household_path)}
+    persons = {(r[keys.household_id], r[keys.person_id]): r for r in rows(person_path)}
+    days = rows(day_path)
+    tgt = spec.target.survey_target(survey_id)
+    x = np.zeros((len(days), build_dictionary(spec).dimension), dtype=np.uint8)
+    y = np.full(len(days), np.nan)
+    for i, day in enumerate(days):
+        hid, pid = day[keys.household_id], day[keys.person_id]
+        cells = []
+        for f in spec.features:
+            col = f.survey_column(survey_id)
+            source = households[hid] if col.table == "household" else persons[(hid, pid)]
+            cells.append(encode_value(f, source[col.column], survey_id))
+        x[i] = np.concatenate(cells)
+        total, answered = 0.0, False
+        for c in tgt.columns:
+            raw = day[c].strip()
+            if raw not in tgt.missing_values:
+                total += float(raw)
+                answered = True
+        if answered:
+            y[i] = total / tgt.divisor
+    return x, y, np.array([d[keys.household_id] for d in days], dtype=np.str_)

@@ -409,6 +409,43 @@ class TestDeterminismAndConfig:
         )
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_config_null_leaves_a_required_flag_unset(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None}))
+        out = ["--out-full", tmp_path / "f.enc", "--out-missing", tmp_path / "m.enc"]
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--config", cfg, "--households", 5, *out)
+        assert exc.value.code == 2
+        assert "required: --seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+        assert run("gen", "--config", cfg, "--households", 5, "--seed", 3, *out) == EXIT_OK
+        assert json.loads((tmp_path / "f.enc.manifest.json").read_text())["seed"] == 3
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, "true"])
+    def test_config_switch_takes_only_booleans(self, generated, tmp_path, capsys, value):
+        full, missing = generated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"impute_all": value}))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("impute", "--config", cfg, "--source", missing, "--candidate", full,
+                "--out", out)
+        assert exc.value.code == 2
+        assert (f"config key 'impute_all' (--impute-all): expected true or false, "
+                f"got {json.dumps(value)}") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_switch_booleans_apply(self, generated, tmp_path, capsys):
+        full, missing = generated
+        source = EncodedDataset.load(missing)
+        for value, n_imputed in ((False, source.n_missing), (True, source.n_samples)):
+            cfg = tmp_path / f"{value}.json"
+            cfg.write_text(json.dumps({"impute_all": value}))
+            rc = run("impute", "--config", cfg, "--source", missing, "--candidate", full,
+                     "--out", tmp_path / f"{value}.csv")
+            assert rc == EXIT_OK
+            assert f"imputed {n_imputed} of {source.n_samples} samples" in capsys.readouterr().out
+
     def test_config_key_of_other_subcommand_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"households": 30, "seed": 4, "tie_break": "index"}))

@@ -1,5 +1,10 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
+from oracles import ingest_oracle
 
 from surveyfuse import (
     DataError,
@@ -10,6 +15,8 @@ from surveyfuse import (
     load_default_spec,
     load_tables,
 )
+from surveyfuse import ingest
+from surveyfuse.cli import EXIT_DATA, main
 from surveyfuse.schema import (
     FeatureSpec,
     HarmonizationSpec,
@@ -213,6 +220,81 @@ class TestAssemble:
         with pytest.raises(MappingError, match="income"):
             assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
 
+    def test_absent_columns_fail_before_any_row(self, tmp_path):
+        for households, days, column in [
+            (["hh,notincome", "1,L"], ["hh,pp,dd,pkgs,food"], "income"),
+            (["hh,income", "1,L"], ["hh,pp,dd,pkgs"], "food"),
+        ]:
+            h, p, d = write_tables(tmp_path, households, ["hh,pp,age", "1,1,30"], days)
+            raw = load_tables(h, p, d, "mini", mini_spec())
+            assert raw.counts["days"] == 0
+            with pytest.raises(MappingError, match=rf"{column!r} .* is absent"):
+                assemble(raw, mini_spec(), 2017)
+
+    def test_bad_value_named_at_its_first_row(self, tmp_path):
+        h, p, d = write_tables(
+            tmp_path,
+            households=["hh,income", "1,L", "2,WEIRD", "3,WEIRD"],
+            persons=["hh,pp,age", "1,1,30", "2,1,30", "3,1,30"],
+            days=["hh,pp,dd,pkgs,food", "3,1,1,1,0", "2,1,1,1,0", "1,1,1,x,0"],
+        )
+        raw = load_tables(h, p, d, "mini", mini_spec())
+        with pytest.raises(MappingError) as err:
+            assemble(raw, mini_spec(), 2017)
+        message = str(err.value)
+        assert message.startswith(f"{h}: row 3: ")
+        assert "column 'income'" in message and "'WEIRD'" in message
+        assert "feature 'Income'" in message
+        h.write_text("hh,income\n1,L\n2,H\n3,H\n")
+        with pytest.raises(DataError, match=rf"^{d}: row 4: .*'pkgs': non-numeric .*'x'"):
+            assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
+
+    def test_rows_without_travel_days_are_not_encoded(self, tmp_path):
+        h, p, d = write_tables(
+            tmp_path,
+            households=["hh,income", "1,L", "2,WEIRD"],
+            persons=["hh,pp,age", "1,1,30", "1,2,old", "2,1,30"],
+            days=["hh,pp,dd,pkgs,food", "1,1,1,1,0"],
+        )
+        ds = assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
+        assert ds.x.tolist() == [[1, 0, 1, 0]]
+
+    def test_encodes_each_distinct_value_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(feature, raw, survey_id):
+            calls.append((feature.name, raw))
+            return encode(feature, raw, survey_id)
+
+        encode = ingest.encode_value
+        monkeypatch.setattr(ingest, "encode_value", counting)
+        h, p, d = standard_tables(tmp_path)
+        assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
+        assert sorted(calls) == sorted(
+            [("Income", "L"), ("Income", "H"), ("Income", "refused"),
+             ("Age", "30"), ("Age", "55"), ("Age", "41"), ("Age", "")]
+        )
+
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf"])
+    def test_non_finite_delivery_count_is_data_error(self, tmp_path, capsys, count):
+        h, p, d = write_tables(
+            tmp_path,
+            households=["hh,income", "1,L"],
+            persons=["hh,pp,age", "1,1,30"],
+            days=["hh,pp,dd,pkgs,food", "1,1,1,1,0", f"1,1,2,1,{count}"],
+        )
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(mini_spec().to_json_dict()))
+        out = tmp_path / "out.enc"
+        rc = main(["ingest", "--households", str(h), "--persons", str(p), "--days", str(d),
+                   "--spec", str(spec), "--survey-id", "mini", "--year", "2017",
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{d}: row 3: " in err
+        assert f"column 'food': " in err and f"delivery count {count!r}" in err
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         h, p, d = standard_tables(tmp_path)
         spec = mini_spec()
@@ -311,3 +393,70 @@ class TestShippedCrosswalk:
         assert income.tolist() == [0, 1, 0]  # 75-100k
         employment = ds.x[0][ds.dictionary.group_slice("Employment")]
         assert employment.sum() == 0  # -1 = missing
+
+
+def random_survey(tmp_path, seed):
+    """A random spec over household- and person-level features, and tables for it."""
+    rng = np.random.default_rng(seed)
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    features, raw_values = [], []
+    for j in range(int(rng.integers(1, 5))):
+        categories = tuple(f"c{k}" for k in range(int(rng.integers(2, 5))))
+        missing = pick([("",), ("", "NA"), ("-9",)])
+        table = pick(["household", "person"])
+        if rng.random() < 0.5:
+            edges = tuple(sorted(rng.choice(100, len(categories) - 1, replace=False).tolist()))
+            raws = [str(e) for e in edges] + ["0", "99", "12.5", " 7 "]
+            column = SurveyColumn(f"f{j}", table, bins=edges, missing_values=missing)
+        else:
+            values = {f"r{k}{t}": c for k, c in enumerate(categories) for t in ("", ", x")}
+            values.update({"refused": None, "-7": None})
+            raws = list(values) + [" r0 "]
+            column = SurveyColumn(f"f{j}", table, values=values, missing_values=missing)
+        features.append(FeatureSpec(f"F{j}", categories, {"rand": column}))
+        raw_values.append(raws + list(missing))
+    tmiss = pick([("",), ("", "-1")])
+    target = TargetColumn(tuple(f"t{k}" for k in range(int(rng.integers(1, 4)))),
+                          divisor=pick([1.0, 7.0, 30.0]), missing_values=tmiss)
+    spec = HarmonizationSpec(tuple(features), TargetSpec("Delivery", {"rand": target}),
+                             keys={"rand": TableKeys("H", "P", "D")})
+
+    def draw(j):
+        return pick(raw_values[j])
+
+    hh_rows = [["H"] + [f"f{j}" for j, f in enumerate(features)
+                        if f.surveys["rand"].table == "household"]]
+    p_rows = [["P", "H", "extra"] + [f"f{j}" for j, f in enumerate(features)
+                                     if f.surveys["rand"].table == "person"]]
+    d_rows = [["H", "P", "D", *target.columns]]
+    for h in rng.permutation(int(rng.integers(1, 8))):
+        hh_rows.append([f"h{h}"] + [draw(int(c[1:])) for c in hh_rows[0][1:]])
+        for p in range(int(rng.integers(0, 4))):
+            p_rows.append([str(p), f"h{h}", "-"] + [draw(int(c[1:])) for c in p_rows[0][3:]])
+            for day in range(int(rng.integers(0, 4))):
+                counts = [pick(["0", "3", "2.5", *tmiss]) for _ in target.columns]
+                d_rows.append([f"h{h}", str(p), str(day), *counts])
+    paths = []
+    for name, rows in (("h", hh_rows), ("p", p_rows), ("d", d_rows)):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for row in rows:
+            writer.writerow(row)
+            if rng.random() < 0.2:
+                buf.write("\n")  # a blank line
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(buf.getvalue())
+    return spec, paths
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_per_cell_oracle(tmp_path, seed):
+    spec, paths = random_survey(tmp_path, seed)
+    ds = assemble(load_tables(*paths, "rand", spec), spec, 2017)
+    x, y, household_ids = ingest_oracle(*paths, "rand", spec)
+    np.testing.assert_array_equal(ds.x, x)
+    np.testing.assert_array_equal(ds.y, y)
+    np.testing.assert_array_equal(ds.household_ids, household_ids)
