@@ -9,9 +9,13 @@ per-sample values.
 
 The distance kernel packs bit-vectors into 64-bit words and scans
 XOR-popcounts in blocks whose height keeps the per-thread XOR buffer
-within a fixed byte budget.  Duplicate source vectors are collapsed before
-the scan (their assignments are identical by definition), which reduces
-realistic one-hot workloads by orders of magnitude.
+within a fixed byte budget.  Duplicate query and target vectors are both
+collapsed to their first occurrences before the scan, which reduces
+realistic one-hot workloads by orders of magnitude and stays exact:
+identical query rows have identical distances to every target, and
+identical target rows are at the same distance from every query, so a
+winner maps back to its smallest-index copy and a random tie draws from
+the same expanded tie set as a scan over all rows would.
 
 Everything here is exact: no approximate neighbors, no sampling.
 """
@@ -55,15 +59,18 @@ def pack_rows(x: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _row_view(packed: np.ndarray) -> np.ndarray:
-    """View packed rows as opaque fixed-size records for np.unique."""
-    packed = np.ascontiguousarray(packed)
-    return packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
-
-
 def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-occurrence-ordered unique row indices and the inverse map."""
-    _, first, inverse = np.unique(_row_view(packed), return_index=True, return_inverse=True)
+    """First-occurrence-ordered unique row indices and the inverse map.
+
+    A single-word row (d <= 64) is keyed on its uint64 value; wider rows on
+    an opaque fixed-size record view.  Both keys give the same output.
+    """
+    packed = np.ascontiguousarray(packed)
+    if packed.shape[1] == 1:
+        key = packed[:, 0]
+    else:
+        key = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -121,6 +128,8 @@ class MatchAssignment:
     target_index: np.ndarray  # (n,) int64, matched target row per query row
     distance: np.ndarray  # (n,) float64, normalized Hamming distance in [0, 1]
     dimension: int
+    n_unique_query: int  # distinct query vectors the scan ran over
+    n_unique_target: int  # distinct target vectors the scan ran against
 
     @property
     def n(self) -> int:
@@ -179,6 +188,10 @@ def nearest_rows(
     Ties resolve to the smallest target index, or uniformly at random per
     query row with ``tie_break="random"`` (stream derived from
     ``(seed, query row index)``, so results do not depend on threading).
+
+    Only the first occurrences of distinct query and target vectors are
+    scanned (exact under both tie rules, see the module docstring); the
+    returned assignment records how many of each there were.
     """
     query_x = np.ascontiguousarray(query_x, dtype=np.uint8)
     target_x = np.ascontiguousarray(target_x, dtype=np.uint8)
@@ -197,34 +210,46 @@ def nearest_rows(
     q_packed = pack_rows(query_x)
     t_packed = pack_rows(target_x)
 
-    # Identical query vectors share an assignment: scan unique rows only.
+    # Identical query vectors share an assignment, identical target vectors a
+    # distance: scan first-occurrence unique rows only.
     first, inverse = _unique_rows(q_packed)
     u_packed = np.ascontiguousarray(q_packed[first])
     n_unique = u_packed.shape[0]
+    t_first, t_inverse = _unique_rows(t_packed)
+    ut_packed = np.ascontiguousarray(t_packed[t_first])
 
     u_idx = np.empty(n_unique, dtype=np.int64)
     u_cnt = np.empty(n_unique, dtype=np.int64)
 
-    rows = _block_rows(t_packed)
+    rows = _block_rows(ut_packed)
     n_threads = max(1, threads or 1)
     if n_threads == 1 or n_unique < 2 * rows:
-        _scan_chunk(u_packed, t_packed, rows, u_idx, u_cnt, 0, n_unique)
+        _scan_chunk(u_packed, ut_packed, rows, u_idx, u_cnt, 0, n_unique)
     else:
         bounds = np.linspace(0, n_unique, n_threads + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             futures = [
-                pool.submit(_scan_chunk, u_packed, t_packed, rows, u_idx, u_cnt, b0, b1)
+                pool.submit(_scan_chunk, u_packed, ut_packed, rows, u_idx, u_cnt, b0, b1)
                 for b0, b1 in zip(bounds[:-1], bounds[1:])
                 if b1 > b0
             ]
             for f in futures:
                 f.result()
 
-    target_index = u_idx[inverse]
+    # t_first ascends, so the first unique minimum is the smallest tied row.
+    target_index = t_first[u_idx][inverse]
     counts = u_cnt[inverse]
 
     if tie_break == "random":
-        ties = _tie_sets(u_packed, t_packed, rows, u_cnt)
+        # each tied unique target stands for all its rows, in ascending order
+        members = np.split(
+            np.argsort(t_inverse, kind="stable"),
+            np.cumsum(np.bincount(t_inverse))[:-1],
+        )
+        ties = [
+            np.sort(np.concatenate([members[j] for j in tied]))
+            for tied in _tie_sets(u_packed, ut_packed, rows, u_cnt)
+        ]
         n_ties = np.array([t.size for t in ties], dtype=np.int64)
         for i in np.flatnonzero(n_ties[inverse] > 1):
             target_index[i] = int(rng_stream(seed, i).choice(ties[inverse[i]]))
@@ -233,6 +258,8 @@ def nearest_rows(
         target_index=target_index,
         distance=counts.astype(np.float64) / d,
         dimension=d,
+        n_unique_query=n_unique,
+        n_unique_target=t_first.size,
     )
 
 

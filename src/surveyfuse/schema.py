@@ -68,7 +68,7 @@ class TargetColumn:
 
     columns: tuple[str, ...]
     divisor: float
-    table: str = "day"
+    table: str = "day"  # the only table delivery columns are read from
     missing_values: tuple[str, ...] = ("",)
 
 
@@ -153,6 +153,11 @@ class HarmonizationSpec:
                 )
             if not tgt.columns:
                 raise SchemaError(f"target for survey {survey_id!r} lists no columns")
+            if tgt.table != "day":
+                raise SchemaError(
+                    f"target for survey {survey_id!r}: table must be 'day' (delivery "
+                    f"columns are read from the travel-day table), got {tgt.table!r}"
+                )
 
     def table_keys(self, survey_id: str) -> TableKeys:
         return self.keys.get(survey_id, TableKeys())

@@ -219,6 +219,59 @@ class TestNearestRows:
         assert a.target_index.tolist() == [0, 0, 0, 1]
 
 
+class TestDuplicateTargets:
+    """Targets repeating a few vectors: the scan runs over unique targets only."""
+
+    @staticmethod
+    def instance(d, seed):
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 2, size=(10, d), dtype=np.uint8)
+        if d > 64:  # pairs equal in the first packed word, different past it
+            distinct[5:] = distinct[:5]
+            distinct[5:, -1] ^= 1
+        tgt = distinct[rng.permutation(np.arange(120) % 10)]  # 12 copies each, shuffled
+        src = rng.integers(0, 2, size=(150, d), dtype=np.uint8)
+        src[:60] = distinct[rng.integers(0, 10, 60)]  # exact matches tie among copies
+        return src, tgt
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("d", [26, 100])
+    def test_matches_unpacked_oracles(self, d, threads, one_row_blocks, monkeypatch):
+        src, tgt = self.instance(d, 7 * d + threads)
+        if one_row_blocks:
+            monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
+            assert matching._block_rows(pack_rows(tgt[:10])) == 1
+        a = nearest_rows(src, tgt, threads=threads)
+        oidx, odist = nn_scan_oracle(src, tgt)
+        assert np.array_equal(a.target_index, oidx)
+        assert np.array_equal(a.distance, odist)
+        assert a.n_unique_target == 10
+        r = nearest_rows(src, tgt, tie_break="random", seed=d, threads=threads)
+        assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, d))
+        assert np.array_equal(r.distance, odist)
+        assert not np.array_equal(r.target_index, a.target_index)
+
+    @pytest.mark.parametrize("d", [26, 64, 65, 100])
+    def test_unique_rows_first_occurrence(self, d):
+        src, tgt = self.instance(d, d)
+        x = np.vstack([tgt, src])
+        first, inverse = matching._unique_rows(pack_rows(x))
+        seen: dict[bytes, int] = {}
+        for row in x:
+            seen.setdefault(row.tobytes(), len(seen))
+        groups = [seen[row.tobytes()] for row in x]
+        assert inverse.tolist() == groups
+        assert first.tolist() == [groups.index(g) for g in range(len(seen))]
+
+    def test_reports_unique_counts(self):
+        src = np.array([[0, 1, 1, 0]] * 3 + [[1, 1, 1, 1]], np.uint8)
+        tgt = np.array([[1, 1, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1], [0, 1, 1, 0]], np.uint8)
+        a = nearest_rows(src, tgt)
+        assert a.target_index.tolist() == [1, 1, 1, 0]
+        assert (a.n_unique_query, a.n_unique_target) == (2, 2)
+
+
 class TestNearestNeighborBuckets:
     def test_assignment_invariants(self, pair_dictionary):
         rng = np.random.default_rng(2)

@@ -197,6 +197,15 @@ class TestSpecFile:
         with pytest.raises(SchemaError, match="divisor"):
             HarmonizationSpec(features=spec.features, target=bad_target).validate()
 
+    def test_target_table_other_than_day_rejected_at_load(self, tmp_path):
+        obj = load_default_spec().to_json_dict()
+        survey_id = next(iter(obj["target"]["surveys"]))
+        obj["target"]["surveys"][survey_id]["table"] = "household"
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match=f"{survey_id}.*'household'"):
+            HarmonizationSpec.from_file(p)
+
     def test_mapping_to_unknown_category_rejected(self):
         spec = two_feature_spec()
         bad = FeatureSpec(

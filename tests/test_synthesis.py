@@ -10,7 +10,7 @@ from surveyfuse import (
     synthesize,
 )
 from conftest import make_dataset, random_one_hot
-from oracles import nn_scan_oracle
+from oracles import nn_random_tie_oracle, nn_scan_oracle
 
 
 def reachable_oracle(graph) -> set[int]:
@@ -58,6 +58,29 @@ class TestNestedMatch:
         mu2_idx, _ = nn_scan_oracle(source2.x, source1.x)
         assert np.array_equal(graph.mu1.target_index, mu1_idx)
         assert np.array_equal(graph.mu2.target_index, mu2_idx)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_ties_over_duplicate_source1_rows(self, seed, pair_dictionary):
+        # d = 4 allows 9 vectors, so 80 source1 rows repeat heavily and most
+        # source2 rows tie between copies of one source1 vector
+        rng = np.random.default_rng(40 + seed)
+        candidate = make_dataset(
+            pair_dictionary, random_one_hot(rng, pair_dictionary, 10),
+            rng.uniform(0, 3, 10),
+        )
+        source1 = make_dataset(
+            pair_dictionary, random_one_hot(rng, pair_dictionary, 80),
+            rng.uniform(0, 3, 80),
+        )
+        y2 = rng.uniform(0, 3, 50)
+        y2[rng.random(50) < 0.2] = np.nan
+        source2 = make_dataset(pair_dictionary, random_one_hot(rng, pair_dictionary, 50), y2)
+        graph = nested_match(source2, source1, candidate, tie_break="random", seed=seed)
+        labeled_x = source2.x[~np.isnan(y2)]
+        expected = nn_random_tie_oracle(labeled_x, source1.x, seed)
+        assert graph.mu2.n_unique_target < source1.n_samples
+        assert np.array_equal(graph.mu2.target_index, expected)
+        assert not np.array_equal(expected, nn_scan_oracle(labeled_x, source1.x)[0])
 
     def test_unlabeled_source2_dropped(self, single_dictionary):
         source2 = make_dataset(
