@@ -11,6 +11,7 @@ producing a synthetic future-year version of the ground-truth survey.
 import numpy as np
 
 from surveyfuse import demo_model, generate, generate_future, nested_match, spike, synthesize
+from surveyfuse.dataset import household_sums
 
 base = demo_model(missingness=0.0, seed=3)
 surge = demo_model(missingness=0.3, seed=4, spike_factor=3.0)  # 3x demand in 2021
@@ -46,16 +47,18 @@ synthetic_ds = generate_future(source2, source1, candidate).to_encoded_dataset(
 # Spike check, in matching units: 2017 bucket means vs the 2021 values
 # synthesized for the same buckets.  The surge planted into the
 # future-year survey should separate the two years clearly.
-base_bucket_y = {
-    f"b{int(b):06d}": float(graph.buckets.y_mean[b]) for b in synthetic.bucket_index
-}
-synth_bucket_y = synthetic_ds.household_totals()
-n = len(base_bucket_y)
+# Totals are (ids, values) pairs; each synthetic "household" is one bucket.
+base_bucket_y = (
+    np.array([f"b{int(b):06d}" for b in synthetic.bucket_index]),
+    graph.buckets.y_mean[synthetic.bucket_index],
+)
+synth_bucket_y = household_sums(synthetic_ds.household_ids, synthetic_ds.y)
+n = base_bucket_y[0].size
 same_year = spike(base_bucket_y, base_bucket_y, n=n, seed=0)
 cross_year = spike(base_bucket_y, synth_bucket_y, n=n, seed=0)
 
 print(f"spike 2017 vs 2017 (control): sorted-MSE = {same_year.mse:.3f}")
 print(f"spike 2017 vs synthetic 2021: sorted-MSE = {cross_year.mse:.3f}")
 print(f"mean per-bucket target rose from "
-      f"{np.mean(list(base_bucket_y.values())):.2f} (2017) to "
+      f"{base_bucket_y[1].mean():.2f} (2017) to "
       f"{synthetic_ds.y.mean():.2f} (synthetic 2021)")

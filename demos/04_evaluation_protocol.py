@@ -17,6 +17,7 @@ from surveyfuse import (
     sorted_mse,
     subsample_compare,
 )
+from surveyfuse.dataset import household_sums
 from surveyfuse.matching import augment_candidate
 
 # sorted-MSE is blind to ordering but sharp on distribution shifts
@@ -35,13 +36,15 @@ reference, _ = generate(truth_model, 1100, "reference", 2017, seed=12)
 
 pool = augment_candidate(observed, reference)
 matched = impute(observed, pool)
-truth_totals = reference.household_totals()
+# household totals travel as (ids, values) pairs
+truth_totals = household_sums(reference.household_ids, reference.y)
+n = truth_totals[0].size
 
 report = subsample_compare(
-    matched.household_totals(), truth_totals, n=len(truth_totals), seed=0
+    (matched.household_ids, matched.household_y), truth_totals, n=n, seed=0
 )
 print(f"imputed with w = {matched.weight:.3f}; comparing random household "
-      f"subsets of size {len(truth_totals)}:")
+      f"subsets of size {n}:")
 print(f"  {'cutoff':>6s} {'mse':>8s} {'stderr':>8s} {'mean':>7s} {'stddev':>7s}")
 for c in report.per_cutoff:
     print(

@@ -42,7 +42,7 @@ from .errors import (
     MappingError,
     SchemaError,
 )
-from .evaluation import DEFAULT_CUTOFFS, spike, subsample_compare
+from .evaluation import DEFAULT_CUTOFFS, Totals, sort_totals, spike, subsample_compare
 from .ingest import assemble, describe, load_tables
 from .matching import augment_candidate, impute
 from .schema import HarmonizationSpec, default_spec_path
@@ -67,6 +67,24 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _csv_fields(column: np.ndarray) -> list[str]:
+    """The CSV text of each value: floats as ``repr``, the rest as ``str``.
+
+    Output columns repeat few values, so each distinct value is formatted
+    once and indexed back.  Floats are keyed on their bits, which keeps
+    ``-0.0`` and ``0.0`` apart.
+    """
+    if column.dtype.kind == "U":
+        return column.tolist()
+    floats = column.dtype.kind == "f"
+    distinct, inverse = np.unique(
+        column.view(f"i{column.itemsize}") if floats else column, return_inverse=True
+    )
+    values = (distinct.view(column.dtype) if floats else distinct).tolist()
+    text = np.array(list(map(repr if floats else str, values)), dtype=object)
+    return text[inverse].tolist()
 
 
 class _Outputs:
@@ -115,11 +133,10 @@ class _Outputs:
     def csv(self, path: str | Path, header: list[str], columns: list) -> None:
         """Stage a CSV of equal-length columns: floats as ``repr``, the rest as ``str``."""
         columns = [np.asarray(c) for c in columns]
-        fmts = [repr if c.dtype.kind == "f" else str for c in columns]
         with open(self._stage(path), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-                chunk = [map(f, c[i : i + CSV_CHUNK_ROWS].tolist()) for f, c in zip(fmts, columns)]
+                chunk = [_csv_fields(c[i : i + CSV_CHUNK_ROWS]) for c in columns]
                 fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
     def _manifest(self) -> dict:
@@ -157,33 +174,49 @@ def _resolve_threads(args: argparse.Namespace) -> int:
     return args.threads if args.threads else (os.cpu_count() or 1)
 
 
-def _load_totals_csv(path: Path) -> dict[str, float]:
-    totals: dict[str, float] = {}
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _load_totals_csv(path: Path) -> Totals:
+    """A ``household_id,y_total`` CSV as an ``(ids, values)`` pair sorted by id.
+
+    Lines are stripped and blank ones skipped.  Each total is parsed with
+    ``float`` and must be finite and non-negative, and no id may repeat;
+    otherwise the ``DataError`` names the first offending line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["household_id", "y_total"]:
             raise DataError(f"{path}: expected columns household_id,y_total")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            hid, comma, val = line.partition(",")
-            if not comma:
-                raise DataError(f"{path}: line {lineno}: expected household_id,y_total")
-            if hid in totals:
-                raise DataError(f"{path}: line {lineno}: duplicate household {hid!r}")
-            try:
-                value = float(val)
-            except ValueError:
-                value = math.nan
-            if not 0.0 <= value < math.inf:
-                raise DataError(
-                    f"{path}: line {lineno}: total {val!r} is not a finite non-negative number"
-                )
-            totals[hid] = value
-    if not totals:
+        lines = [line.strip() for line in fh.read().split("\n")]
+    rows = [line.partition(",") for line in lines if line]
+    if not rows:
         raise DataError(f"{path}: no household totals")
-    return totals
+    ids = np.array([r[0] for r in rows], dtype=np.str_)
+    texts = [r[2] for r in rows]
+    try:
+        values = np.array(list(map(float, texts)))
+    except ValueError:  # also a line without a comma, whose text is ""
+        values = np.array(list(map(_float_or_nan, texts)))
+    bad = ~((values >= 0.0) & (values < math.inf))
+    ids, values, repeated = sort_totals(ids, values)
+    bad[repeated] = True
+    if bad.any():
+        row = int(np.argmax(bad))
+        lineno = [n for n, line in enumerate(lines, start=2) if line][row]
+        hid, comma, text = rows[row]
+        if not comma:
+            raise DataError(f"{path}: line {lineno}: expected household_id,y_total")
+        if row in repeated:
+            raise DataError(f"{path}: line {lineno}: duplicate household {hid!r}")
+        raise DataError(
+            f"{path}: line {lineno}: total {text!r} is not a finite non-negative number"
+        )
+    return ids, values
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -284,7 +317,7 @@ def _cmd_evaluate(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.imputed, args.truth)
     imputed = _load_totals_csv(Path(args.imputed))
     truth = _load_totals_csv(Path(args.truth))
-    n = args.n if args.n else len(truth)
+    n = args.n if args.n else truth[0].size
     report = subsample_compare(imputed, truth, n=n, cutoffs=args.cutoffs, seed=args.seed)
     out.json(args.out, report.to_json_dict())
     if args.sorted_csv:

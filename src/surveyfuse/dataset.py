@@ -40,6 +40,29 @@ def rng_stream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
+def household_index(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct household ids in first-appearance order, and each sample's
+    position among them."""
+    ids, first, inverse = np.unique(household_ids, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return ids[order], position[inverse]
+
+
+def household_sums(
+    household_ids: np.ndarray,
+    sample_y: np.ndarray,
+    index: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum per-sample values per household, first-appearance order.
+
+    ``index`` is ``household_index(household_ids)`` if the caller has it.
+    """
+    ids, position = household_index(household_ids) if index is None else index
+    return ids, np.bincount(position, weights=sample_y, minlength=ids.size)
+
+
 @dataclass
 class EncodedDataset:
     """Ordered person-day samples sharing one feature dictionary."""
@@ -124,12 +147,8 @@ class EncodedDataset:
                 f"{self.n_missing} samples have missing targets; "
                 "impute before computing household totals"
             )
-        ids, first, inverse = np.unique(
-            self.household_ids, return_index=True, return_inverse=True
-        )
-        totals = np.bincount(inverse, weights=self.y, minlength=ids.size)
-        order = np.argsort(first, kind="stable")
-        return {str(ids[i]): float(totals[i]) for i in order}
+        ids, totals = household_sums(self.household_ids, self.y)
+        return dict(zip(ids.tolist(), totals.tolist()))
 
     # -- persistence -----------------------------------------------------------
 

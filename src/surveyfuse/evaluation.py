@@ -12,21 +12,52 @@ serial and parallel runs agree and every report is reproducible bit for
 bit from its recorded seed.  The report also keeps the sorted reference
 vector and the first three sorted draws, which ``evaluate --sorted-csv``
 writes out for plotting.
+
+Household totals travel as a :data:`Totals` pair ``(ids, values)``: a
+``str_`` id array and the aligned ``float64`` totals.  Draws index the
+totals in ascending id order, whatever order the pair comes in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .dataset import EncodedDataset, rng_stream
+from .dataset import EncodedDataset, household_sums, rng_stream
 from .errors import DataError, DimensionError
-from .matching import ImputationResult, household_sums
+from .matching import ImputationResult
 
 DEFAULT_CUTOFFS = (100, 200, 300, 400, 500)
 KEPT_DRAWS = 3  # sorted draws kept on the report for plotting
+
+Totals = tuple[np.ndarray, np.ndarray]  # (household ids, totals), one entry per household
+
+
+def sort_totals(
+    ids: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Totals in ascending id order, and the positions in the given order of
+    every id that repeats an earlier one."""
+    if ids.size < 2 or (ids[1:] > ids[:-1]).all():
+        return ids, values, np.empty(0, dtype=np.intp)
+    order = np.argsort(ids, kind="stable")
+    ids, values = ids[order], values[order]
+    return ids, values, order[1:][ids[1:] == ids[:-1]]
+
+
+def _values_by_id(totals: Totals) -> np.ndarray:
+    """The values of a totals pair in ascending id order; an id must not repeat."""
+    ids = np.asarray(totals[0], dtype=np.str_)
+    values = np.asarray(totals[1], dtype=np.float64)
+    if ids.ndim != 1 or ids.shape != values.shape:
+        raise DimensionError(
+            f"expected equal-length ids and totals, got {ids.shape} and {values.shape}"
+        )
+    _, values, repeated = sort_totals(ids, values)
+    if repeated.size:
+        raise DataError(f"duplicate household {str(ids[repeated.min()])!r}")
+    return values
 
 
 def sorted_mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -85,30 +116,31 @@ class EvaluationReport:
 
 
 def subsample_compare(
-    imputed: Mapping[str, float],
-    truth: Mapping[str, float],
+    imputed: Totals,
+    truth: Totals,
     n: int,
     cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS,
     seed: int = 0,
 ) -> EvaluationReport:
     """Compare imputed household totals against a reference set of size ``n``.
 
-    Each iteration draws ``n`` households without replacement from the
-    imputed totals and records the sorted-MSE against the reference plus
-    the mean and standard deviation of the drawn totals.  Cutoff ``k``
-    averages the first ``k`` iterations, so curves at different cutoffs
-    share their draws.
+    Both are :data:`Totals` pairs, such as the CLI's totals loader returns
+    or ``(result.household_ids, result.household_y)``.  Each iteration
+    draws ``n`` households without replacement from the imputed totals
+    and records the sorted-MSE against the reference plus the mean and
+    standard deviation of the drawn totals.  Cutoff ``k`` averages the
+    first ``k`` iterations, so curves at different cutoffs share their
+    draws.
     """
     if not cutoffs or any(c <= 0 for c in cutoffs):
         raise DataError(f"cutoffs must be positive, got {cutoffs}")
     cutoffs = tuple(sorted(cutoffs))
-    ids = np.array(sorted(imputed.keys()), dtype=np.str_)
-    totals = np.array([imputed[str(i)] for i in ids], dtype=np.float64)
-    truth_vals = np.sort(np.array(list(truth.values()), dtype=np.float64))
+    totals = _values_by_id(imputed)
+    truth_vals = np.sort(_values_by_id(truth))
     if truth_vals.size != n:
         raise DataError(f"reference set has {truth_vals.size} households, expected n={n}")
-    if n > ids.size:
-        raise DataError(f"cannot draw {n} households from {ids.size}")
+    if n > totals.size:
+        raise DataError(f"cannot draw {n} households from {totals.size}")
 
     iters = cutoffs[-1]
     mse = np.empty(iters)
@@ -116,7 +148,7 @@ def subsample_compare(
     stds = np.empty(iters)
     kept = np.empty((min(KEPT_DRAWS, iters), n))
     for it in range(iters):
-        draw = totals[rng_stream(seed, it).choice(ids.size, size=n, replace=False)]
+        draw = totals[rng_stream(seed, it).choice(totals.size, size=n, replace=False)]
         drawn_sorted = np.sort(draw)
         if it < kept.shape[0]:
             kept[it] = drawn_sorted
@@ -143,7 +175,7 @@ def subsample_compare(
         per_cutoff=per_cutoff,
         seed=seed,
         n=n,
-        n_imputed_households=int(ids.size),
+        n_imputed_households=int(totals.size),
         iteration_mse=mse,
         truth_sorted=truth_vals,
         sorted_draws=kept,
@@ -170,30 +202,24 @@ class SpikeReport:
         }
 
 
-def spike(
-    a: Mapping[str, float],
-    b: Mapping[str, float],
-    n: int,
-    seed: int = 0,
-) -> SpikeReport:
-    """Sorted-MSE between size-``n`` random subsets of two totals maps.
+def spike(a: Totals, b: Totals, n: int, seed: int = 0) -> SpikeReport:
+    """Sorted-MSE between size-``n`` random subsets of two surveys' totals.
 
     A side whose population already has exactly ``n`` households is used
     in full; the two draw streams derive from ``(seed, 0)`` and ``(seed, 1)``.
     """
 
-    def _draw(totals: Mapping[str, float], stream: int) -> np.ndarray:
-        ids = sorted(totals.keys())
-        vals = np.array([totals[i] for i in ids], dtype=np.float64)
+    def _draw(vals: np.ndarray, stream: int) -> np.ndarray:
         if vals.size < n:
             raise DataError(f"cannot draw {n} households from {vals.size}")
         if vals.size == n:
             return vals
         return vals[rng_stream(seed, stream).choice(vals.size, size=n, replace=False)]
 
-    va, vb = _draw(a, 0), _draw(b, 1)
+    va, vb = _values_by_id(a), _values_by_id(b)
     return SpikeReport(
-        mse=sorted_mse(va, vb), n=n, seed=seed, size_a=len(a), size_b=len(b)
+        mse=sorted_mse(_draw(va, 0), _draw(vb, 1)), n=n, seed=seed,
+        size_a=int(va.size), size_b=int(vb.size),
     )
 
 

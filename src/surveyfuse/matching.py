@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodedDataset, concat_datasets, require_same_dictionary, rng_stream
+from .dataset import (
+    EncodedDataset,
+    concat_datasets,
+    household_index,
+    household_sums,
+    require_same_dictionary,
+    rng_stream,
+)
 from .errors import DataError, DimensionError, MatchError
 
 # Per-thread byte budget for the scan's (block x targets) XOR buffer; the
@@ -310,14 +317,6 @@ class ImputationResult:
         return {str(h): float(t) for h, t in zip(self.household_ids, self.household_y)}
 
 
-def household_sums(household_ids: np.ndarray, sample_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum per-sample values per household, first-appearance order."""
-    ids, first, inverse = np.unique(household_ids, return_index=True, return_inverse=True)
-    totals = np.bincount(inverse, weights=sample_y, minlength=ids.size)
-    order = np.argsort(first, kind="stable")
-    return ids[order], totals[order]
-
-
 def impute(
     source: EncodedDataset,
     candidate: EncodedDataset,
@@ -347,11 +346,12 @@ def impute(
     assignment = nearest_neighbor(source, buckets, tie_break=tie_break, seed=seed, threads=threads)
     w = source.n_samples / candidate.n_samples
     matched_mean = buckets.y_mean[assignment.target_index]
-    if household_weight:
-        _, _, inverse = np.unique(source.household_ids, return_index=True, return_inverse=True)
-        per_household_samples = np.bincount(inverse)[inverse]
-        filled = matched_mean / per_household_samples
+    if household_weight:  # each sample's household size, from the index the sums reuse
+        index = household_index(source.household_ids)
+        _, position = index
+        filled = matched_mean / np.bincount(position)[position]
     else:
+        index = None
         filled = matched_mean / w
     if impute_all:
         sample_y = filled
@@ -359,7 +359,7 @@ def impute(
     else:
         imputed_mask = source.missing_mask
         sample_y = np.where(imputed_mask, filled, source.y)
-    ids, totals = household_sums(source.household_ids, sample_y)
+    ids, totals = household_sums(source.household_ids, sample_y, index)
     return ImputationResult(
         sample_y=sample_y,
         imputed_mask=imputed_mask,

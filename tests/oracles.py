@@ -3,15 +3,18 @@
 These deliberately avoid the library's packed-word kernels: distances come
 from elementwise comparison on unpacked arrays, grouping from plain dicts,
 Shapley values from permutation enumeration rather than weighted
-coalition sums, and ingestion from a per-cell loop over dict rows rather
-than column-wise encoding.
+coalition sums, ingestion from a per-cell loop over dict rows rather
+than column-wise encoding, and household totals files from a per-line
+loop into a dict rather than whole-body array parsing.
 """
 
 import csv
+import math
 from itertools import permutations
 
 import numpy as np
 
+from surveyfuse.errors import DataError
 from surveyfuse.schema import build_dictionary, encode_value
 
 
@@ -82,6 +85,36 @@ def household_sum_oracle(household_ids, sample_y) -> dict[str, float]:
     totals: dict[str, float] = {}
     for h, v in zip(household_ids, sample_y):
         totals[str(h)] = totals.get(str(h), 0.0) + float(v)
+    return totals
+
+
+def totals_oracle(path) -> dict[str, float]:
+    """A ``household_id,y_total`` file read line by line into a dict, in file order."""
+    totals: dict[str, float] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if header[:2] != ["household_id", "y_total"]:
+            raise DataError(f"{path}: expected columns household_id,y_total")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            hid, comma, val = line.partition(",")
+            if not comma:
+                raise DataError(f"{path}: line {lineno}: expected household_id,y_total")
+            if hid in totals:
+                raise DataError(f"{path}: line {lineno}: duplicate household {hid!r}")
+            try:
+                value = float(val)
+            except ValueError:
+                value = math.nan
+            if not 0.0 <= value < math.inf:
+                raise DataError(
+                    f"{path}: line {lineno}: total {val!r} is not a finite non-negative number"
+                )
+            totals[hid] = value
+    if not totals:
+        raise DataError(f"{path}: no household totals")
     return totals
 
 

@@ -33,6 +33,7 @@ from surveyfuse import (
 )
 from surveyfuse import BucketMeanPredictor, attribute_dataset
 from surveyfuse.datagen import PopulationModel
+from surveyfuse.dataset import household_sums
 from surveyfuse.matching import augment_candidate
 from surveyfuse.schema import FeatureDictionary
 from conftest import make_dataset, random_one_hot
@@ -365,8 +366,8 @@ def test_criterion_10_evaluation_protocol():
         full_src, observed_src = generate(model, 600, "src", 2017, seed=10)
         donor, _ = generate(donor_model, 400, "donor", 2017, seed=110)
 
-        truth = donor.household_totals()
-        n = len(truth)
+        truth = household_sums(donor.household_ids, donor.y)
+        n = truth[0].size
 
         # identical inputs -> exactly zero at every cutoff
         self_report = subsample_compare(truth, truth, n=n, seed=3)
@@ -374,7 +375,7 @@ def test_criterion_10_evaluation_protocol():
 
         # real comparison: the standard error of the mean MSE shrinks with depth
         pool = augment_candidate(observed_src, donor)
-        imputed = impute(observed_src, pool).household_totals()
-        report = subsample_compare(imputed, truth, n=n, seed=3)
+        res = impute(observed_src, pool)
+        report = subsample_compare((res.household_ids, res.household_y), truth, n=n, seed=3)
         by_cutoff = {c.cutoff: c for c in report.per_cutoff}
         assert by_cutoff[500].mse_stderr <= by_cutoff[100].mse_stderr

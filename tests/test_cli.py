@@ -1,12 +1,13 @@
 import argparse
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from surveyfuse import EncodedDataset, FeatureDictionary, impute, subsample_compare
+from surveyfuse import DataError, EncodedDataset, FeatureDictionary, impute, subsample_compare
 from surveyfuse import cli
 from surveyfuse.cli import (
     EXIT_DATA,
@@ -17,6 +18,7 @@ from surveyfuse.cli import (
     _Outputs,
     main,
 )
+from oracles import totals_oracle
 
 
 def run(*args) -> int:
@@ -593,3 +595,101 @@ class TestCsvWriter:
         reference = impute_to("default")
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         assert impute_to(f"chunk{chunk_rows}") == reference
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, cli.CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("n", [0, 1, 17, 40])
+    def test_bytes_match_per_value_reference(self, tmp_path, monkeypatch, chunk_rows, n):
+        rng = np.random.default_rng(n)
+        columns = [
+            np.array([f"h {i}é" for i in rng.integers(-2, 5, n)]),
+            np.resize(EDGE_FLOATS, n),
+            rng.permutation(np.resize(EDGE_FLOATS, n)),
+            np.resize(EDGE_FLOATS, n).astype(np.float32),
+            np.resize(EDGE_INTS, n),
+            rng.integers(-3, 3, n).astype(np.int32),
+            np.arange(n),  # all distinct
+            np.full(n, -0.0),  # all equal
+            np.full(n, 7),
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        with outputs() as staged:
+            staged.csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_reference(header, columns)
+
+
+EDGE_FLOATS = np.array([
+    -0.0, 0.0, 0.1 + 0.2, 5e-324, -5e-324, 1e16, 1e-17, math.nan, -math.nan,
+    math.inf, -math.inf, 0.0, -0.0, 1 / 3, 2.5, 2.5,
+])
+EDGE_INTS = np.array([-(2**63), -7, 0, 7, 2**62, 2**63 - 1, -7], dtype=np.int64)
+
+
+def csv_reference(header, columns) -> bytes:
+    """The CSV formatted value by value: ``repr`` of each float, ``str`` of the rest."""
+    fmts = [repr if c.dtype.kind == "f" else str for c in columns]
+    rows = zip(*(c.tolist() for c in columns))
+    lines = [",".join(header)] + [",".join(f(v) for f, v in zip(fmts, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestTotalsLoader:
+    """``_load_totals_csv`` against the per-line ``totals_oracle`` on random files."""
+
+    IDS = ["h1", "h2", "h10", "a", "h 3", "z\x0cq", "é", "h1 ", "0", "h\u2028x", "B"]
+    GOOD = ["1.5", " 2.5 ", "1_0", "3", "-0", "0", "1e2", "+4", "0.1", "5e-324", "1E3", "7\t"]
+    BAD = ["nan", "inf", "-1", "x", "", "1,2", "-inf", "1e400", "1_"]
+    ERRORS = (
+        "expected columns", "no household totals", "expected household_id,y_total",
+        "duplicate household", "is not a finite non-negative number",
+    )
+
+    def random_file(self, rng, path) -> None:
+        ids = [self.IDS[i] for i in rng.permutation(len(self.IDS))[: rng.integers(0, 8)]]
+        ids += [f"h{k}" for k in rng.integers(0, 10**6, rng.integers(0, 6))]
+        ids = list(dict.fromkeys(ids))
+        if rng.random() < 0.5:
+            ids.sort()
+        pad = lambda: str(rng.choice(["", " ", "\t", "  "]))
+        lines = [f"{pad()}{h}{pad()},{pad()}{rng.choice(self.GOOD)}{pad()}" for h in ids]
+        for kind in ("duplicate", "no comma", "bad value", "blank"):
+            if rng.random() < 0.25 and (lines or kind != "duplicate"):
+                at = int(rng.integers(0, len(lines) + 1))
+                line = {
+                    "duplicate": lambda: f"{ids[rng.integers(len(ids))]},{rng.choice(self.GOOD)}",
+                    "no comma": lambda: f"{pad()}h{rng.integers(100)}{pad()}",
+                    "bad value": lambda: f"h{rng.integers(100)},{rng.choice(self.BAD)}",
+                    "blank": pad,
+                }[kind]()
+                lines.insert(at, line)
+        header = str(rng.choice(["household_id,y_total"] * 6 + [
+            " household_id,y_total ", "household_id,y_total,extra", "household_id;y_total", "",
+        ]))
+        ends = [str(rng.choice(["\n", "\r\n", "\r"])) for _ in range(len(lines) + 1)]
+        if rng.random() < 0.5:
+            ends = [ends[0]] * len(ends)
+        text = "".join(line + end for line, end in zip([header] + lines, ends))
+        path.write_bytes(text.encode("utf-8") if header or lines else b"")
+
+    def test_matches_oracle_on_random_files(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for i in range(400):
+            path = tmp_path / f"t{i}.csv"
+            self.random_file(rng, path)
+            try:
+                expected = totals_oracle(path)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    _load_totals_csv(path)
+                assert str(got.value) == str(exc), path.read_bytes()
+                outcomes.add(next(k for k in self.ERRORS if k in str(exc)))
+                continue
+            ids, values = _load_totals_csv(path)
+            keys = sorted(expected)
+            assert ids.dtype.kind == "U" and values.dtype == np.float64
+            assert ids.tolist() == keys
+            want = np.array([expected[k] for k in keys])
+            np.testing.assert_array_equal(values.view(np.int64), want.view(np.int64))
+            outcomes.add("ok")
+        assert outcomes == {"ok", *self.ERRORS}  # every kind of file was drawn

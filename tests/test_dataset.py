@@ -9,6 +9,7 @@ from surveyfuse import (
     FusionError,
     concat_datasets,
 )
+from surveyfuse.dataset import household_index
 from conftest import make_dataset
 from oracles import household_sum_oracle
 
@@ -76,6 +77,12 @@ class TestHouseholdTotals:
         ds = make_dataset(single_dictionary, [[1, 0]], [np.nan])
         with pytest.raises(DataError, match="missing"):
             ds.household_totals()
+
+    def test_household_index(self):
+        household_ids = np.array(["z", "a", "z", "m", "a", "q"])
+        ids, position = household_index(household_ids)
+        assert ids.tolist() == ["z", "a", "m", "q"]
+        assert position.tolist() == [0, 1, 0, 2, 1, 3]
 
 
 class TestPersistence:

@@ -58,9 +58,11 @@ class TestSortedMse:
 
 
 def totals(n, value=None, rng=None):
+    """An (ids, values) pair over households h0 .. h<n-1>, not in id order past h9."""
+    ids = np.array([f"h{i}" for i in range(n)])
     if value is not None:
-        return {f"h{i}": float(value) for i in range(n)}
-    return {f"h{i}": float(v) for i, v in enumerate(rng.uniform(0, 5, n))}
+        return ids, np.full(n, float(value))
+    return ids, rng.uniform(0, 5, n)
 
 
 class TestSubsampleCompare:
@@ -111,6 +113,30 @@ class TestSubsampleCompare:
         assert report.per_cutoff[0].mean_of_stddevs == pytest.approx(0.0)
 
 
+    def test_pair_order_does_not_change_report(self):
+        rng = np.random.default_rng(13)
+        imputed, truth = totals(60, rng=rng), totals(20, rng=rng)
+        by_id = [(ids[np.argsort(ids)], v[np.argsort(ids)]) for ids, v in (imputed, truth)]
+        perm = [(ids[p], v[p]) for (ids, v), p in zip(by_id, map(rng.permutation, (60, 20)))]
+        a = subsample_compare(*by_id, n=20, cutoffs=(5,), seed=4)
+        b = subsample_compare(*perm, n=20, cutoffs=(5,), seed=4)
+        np.testing.assert_array_equal(a.iteration_mse, b.iteration_mse)
+        np.testing.assert_array_equal(a.sorted_draws, b.sorted_draws)
+
+    def test_repeated_household_rejected(self):
+        ids, values = totals(10, value=1.0)
+        ids[7] = "h2"
+        with pytest.raises(DataError, match="duplicate household 'h2'"):
+            subsample_compare((ids, values), totals(5, value=1.0), n=5, seed=0)
+        with pytest.raises(DataError, match="duplicate household 'h2'"):
+            spike(totals(5, value=1.0), (ids, values), n=5, seed=0)
+
+    def test_ids_and_values_must_align(self):
+        ids, values = totals(10, value=1.0)
+        with pytest.raises(DimensionError):
+            subsample_compare((ids, values[:9]), totals(5, value=1.0), n=5, seed=0)
+
+
 class TestSpike:
     def test_identical_full_sets(self):
         t = totals(15, rng=np.random.default_rng(2))
@@ -129,6 +155,14 @@ class TestSpike:
     def test_n_too_large(self):
         with pytest.raises(DataError):
             spike(totals(4, value=1), totals(9, value=1), n=5, seed=0)
+
+    def test_sizes_and_pair_order(self):
+        rng = np.random.default_rng(6)
+        (ia, va), (ib, vb) = totals(40, rng=rng), totals(35, rng=rng)
+        report = spike((ia, va), (ib, vb), n=20, seed=5)
+        assert (report.size_a, report.size_b) == (40, 35)
+        p = rng.permutation(40)
+        assert spike((ia[p], va[p]), (ib, vb), n=20, seed=5).mse == report.mse
 
 
 class TestBaselineMeanImpute:

@@ -18,7 +18,8 @@ from surveyfuse import (
     nearest_rows,
 )
 from surveyfuse import matching
-from surveyfuse.matching import household_sums, pack_rows
+from surveyfuse.dataset import household_sums
+from surveyfuse.matching import pack_rows
 from conftest import make_dataset, random_one_hot
 from oracles import bucket_oracle, household_sum_oracle, nn_random_tie_oracle, nn_scan_oracle
 

@@ -24,6 +24,7 @@ from surveyfuse import (
     load_default_spec,
     subsample_compare,
 )
+from surveyfuse.dataset import household_sums
 from surveyfuse.ingest import assemble, load_tables
 from surveyfuse.matching import augment_candidate
 
@@ -52,10 +53,11 @@ def test_imputation_quality_bands():
     pool = augment_candidate(source, ground_truth.labeled())
     result = impute(source, pool)
 
-    truth_totals = ground_truth.labeled().household_totals()
-    n = len(truth_totals)
+    labeled = ground_truth.labeled()
+    truth_totals = household_sums(labeled.household_ids, labeled.y)
+    n = truth_totals[0].size
     report = subsample_compare(
-        result.household_totals(), truth_totals, n=n, seed=0
+        (result.household_ids, result.household_y), truth_totals, n=n, seed=0
     )
     final = report.per_cutoff[-1]
     assert final.mse_mean == pytest.approx(0.65, abs=0.2)
