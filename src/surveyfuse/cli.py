@@ -188,7 +188,7 @@ def _load_totals_csv(path: Path) -> Totals:
     ``float`` and must be finite and non-negative, and no id may repeat;
     otherwise the ``DataError`` names the first offending line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["household_id", "y_total"]:
             raise DataError(f"{path}: expected columns household_id,y_total")
@@ -234,7 +234,7 @@ def _cmd_ingest(args: argparse.Namespace, out: _Outputs) -> int:
     ds = assemble(raw, spec, args.year)
     out.write(args.out, ds.save)
     print(
-        f"encoded {ds.n_samples} samples ({ds.n_households()} households, "
+        f"encoded {ds.n_samples} samples ({raw.day_households} households, "
         f"{ds.n_missing} missing targets) -> {args.out}"
     )
     return EXIT_OK

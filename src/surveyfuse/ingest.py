@@ -4,14 +4,22 @@ Surveys arrive as three CSV files linked by primary keys (household id;
 household id + person id; household id + person id + day id).  One
 encoded sample is emitted per travel-day row, replicating household- and
 person-level covariates onto it; the delivery target comes from the day
-row's delivery column(s) rescaled to deliveries/day.  Ingestion is
-column-wise: each travel day is resolved once to its household and person
-rows, and each distinct raw value of a column is encoded or parsed once.
+row's delivery column(s) rescaled to deliveries/day.
 
-Ingestion fails fast: missing key or mapped columns, dangling references,
-unmapped categories and malformed delivery counts raise with the offending
-file, row (the header is row 1; blank lines are skipped), and value rather
-than silently dropping data.
+Ingestion is column-wise and coded.  A file is parsed ``CHUNK_ROWS``
+non-blank rows at a time, and each column is kept as its distinct raw
+strings, in order of first appearance, plus one integer code per row, so
+memory follows the number of distinct values rather than the number of
+cells.  The tables are joined on codes: household ids through one dict
+over distinct values, persons on (household row, person-id code) packed
+into one integer and matched by sorted search.  Each distinct raw value of
+a mapped column is then encoded or parsed once.
+
+Files are UTF-8; a leading byte-order mark is ignored.  Ingestion fails
+fast: a header that repeats a column, missing key or mapped columns,
+dangling references, unmapped categories and malformed delivery counts
+raise with the offending file, row (the header is row 1; blank lines are
+skipped), and value rather than silently dropping data.
 """
 
 from __future__ import annotations
@@ -20,8 +28,9 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,16 +38,33 @@ from .dataset import EncodedDataset
 from .errors import DataError, IngestionError, MappingError
 from .schema import MISSING_LABEL, HarmonizationSpec, TargetColumn, build_dictionary, encode_value
 
+CHUNK_ROWS = 1024  # non-blank CSV rows held as Python strings at one time
+
+
+class Column(NamedTuple):
+    """One CSV column: its distinct raw strings in order of first appearance, a code per row."""
+
+    values: list[str]
+    codes: np.ndarray  # row -> index into ``values``
+
+    def raw(self, row: int) -> str:
+        return self.values[self.codes[row]]
+
+    def through(self, mapping: dict) -> np.ndarray:
+        """``mapping[value]`` of every row, -1 where absent; one lookup per distinct value."""
+        per_value = np.fromiter(map(mapping.get, self.values, repeat(-1)), np.intc, len(self.values))
+        return per_value[self.codes]
+
 
 @dataclass(frozen=True)
 class Table:
-    """One survey CSV read into columns; entry r of a column is file row r + 2."""
+    """One survey CSV read into coded columns; code r of a column is row r + 2 of the file."""
 
     path: Path
-    columns: dict[str, tuple[str, ...]]
+    columns: dict[str, Column]
     n_rows: int
 
-    def column(self, name: str, what: str) -> tuple[str, ...]:
+    def column(self, name: str, what: str) -> Column:
         if name not in self.columns:
             raise MappingError(f"{self.path}: column {name!r} for {what} is absent")
         return self.columns[name]
@@ -59,47 +85,55 @@ class RawTableSet:
     def counts(self) -> dict[str, int]:
         return {name: getattr(self, name).n_rows for name in ("households", "persons", "days")}
 
+    @property
+    def day_households(self) -> int:
+        """Households with at least one travel day, so with at least one sample."""
+        return int(np.count_nonzero(np.bincount(self.household_row, minlength=1)))
+
+
+class _Coder(dict):
+    """Raw string -> code; a string not seen before gets the next code."""
+
+    def __missing__(self, value: str) -> int:
+        self[value] = code = len(self)
+        return code
+
 
 def _read_csv(path: str | Path, required: list[str], label: str) -> Table:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{label} table not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise IngestionError(f"{path}: empty file, expected a header row")
+        repeated = [c for i, c in enumerate(header) if c in header[:i]]
+        if repeated:
+            raise IngestionError(f"{path}: column {repeated[0]!r} appears twice in the header")
         missing = [c for c in required if c not in header]
         if missing:
             raise IngestionError(f"{path}: missing key column(s) {missing}")
-        rows = list(filter(None, reader))  # a blank line is no record
-    width = len(header)
-    if set(map(len, rows)) - {width}:
-        bad = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise IngestionError(f"{path}: row {bad + 2} has {len(rows[bad])} columns, {width} expected")
-    columns = zip(*rows) if rows else [()] * width
-    return Table(path=path, columns=dict(zip(header, columns)), n_rows=len(rows))
-
-
-def _index(keys: Sequence, path: Path, what: str) -> dict:
-    """Key -> row; a repeated key raises at its second row."""
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) != len(keys):
-        seen = set()
-        for row, key in enumerate(keys, start=2):
-            if key in seen:
-                raise IngestionError(f"{path}: row {row}: duplicate {what} {key!r}")
-            seen.add(key)
-    return index
-
-
-def _lookup(index: dict, keys: Sequence, path: Path, what: str) -> np.ndarray:
-    """Row of every key; the first key absent from ``index`` raises."""
-    rows = list(map(index.get, keys))
-    if None in rows:
-        bad = rows.index(None)
-        raise IngestionError(f"{path}: row {bad + 2}: {what} {keys[bad]!r}")
-    return np.array(rows, dtype=np.intp)
+        width = len(header)
+        coders = [_Coder() for _ in header]
+        parts = [[np.zeros(0, dtype=np.intc)] for _ in header]  # per column: codes per chunk
+        n_rows = 0
+        records = filter(None, reader)  # a blank line is no record
+        while chunk := list(islice(records, CHUNK_ROWS)):
+            if set(map(len, chunk)) - {width}:
+                bad = next(i for i, row in enumerate(chunk) if len(row) != width)
+                raise IngestionError(
+                    f"{path}: row {n_rows + bad + 2} has {len(chunk[bad])} columns, {width} expected"
+                )
+            for coder, part, cells in zip(coders, parts, zip(*chunk)):
+                part.append(np.fromiter(map(coder.__getitem__, cells), np.intc, len(chunk)))
+            n_rows += len(chunk)
+    columns = {}
+    for name, coder, part in zip(header, coders, parts):
+        columns[name] = Column(list(coder), np.concatenate(part))
+        coder.clear()  # free each column's lookup and chunks as soon as it is built
+        part.clear()
+    return Table(path=path, columns=columns, n_rows=n_rows)
 
 
 def load_tables(
@@ -109,36 +143,77 @@ def load_tables(
     survey_id: str,
     spec: HarmonizationSpec,
 ) -> RawTableSet:
-    """Read the three survey CSVs and check referential integrity."""
+    """Read the three survey CSVs and check referential integrity.
+
+    The first offending row is reported, checked in this order: a repeated
+    household id, a person of an unknown household, a repeated person, a
+    travel day of an unknown person.
+    """
     keys = spec.table_keys(survey_id)
     hh = _read_csv(household_path, [keys.household_id], "household")
     persons = _read_csv(person_path, [keys.household_id, keys.person_id], "person")
     days = _read_csv(day_path, [keys.household_id, keys.person_id, keys.day_id], "travel-day")
 
-    hh_index = _index(hh.columns[keys.household_id], hh.path, "household id")
-    p_hid = persons.columns[keys.household_id]
-    p_household = _lookup(hh_index, p_hid, persons.path, "person references unknown household")
-    p_index = _index(list(zip(p_hid, persons.columns[keys.person_id])), persons.path, "person")
-    d_keys = list(zip(days.columns[keys.household_id], days.columns[keys.person_id]))
-    person_row = _lookup(p_index, d_keys, days.path, "travel day references unknown person")
+    hh_id = hh.columns[keys.household_id]
+    if len(hh_id.values) < hh.n_rows:  # codes count 0, 1, 2, ... up to the first repeat
+        row = int(np.argmax(hh_id.codes != np.arange(hh.n_rows)))
+        raise _row_error(hh, row, "duplicate household id", hh_id.raw(row))
+    hh_row = dict(zip(hh_id.values, range(hh.n_rows)))
+    p_hid, p_pid = persons.columns[keys.household_id], persons.columns[keys.person_id]
+    p_household = p_hid.through(hh_row)
+    if (p_household < 0).any():
+        row = int(np.argmax(p_household < 0))
+        raise _row_error(persons, row, "person references unknown household", p_hid.raw(row))
+    n_pid = len(p_pid.values)
+    p_keys = _person_keys(p_household, p_pid.codes, n_pid)
+    order = np.argsort(p_keys, kind="stable")
+    sorted_keys = p_keys[order]
+    repeated = sorted_keys[1:] == sorted_keys[:-1]
+    if repeated.any():
+        row = int(order[1:][repeated].min())  # a repeat is any but the first row of its key
+        raise _row_error(persons, row, "duplicate person", (p_hid.raw(row), p_pid.raw(row)))
+
+    d_hid, d_pid = days.columns[keys.household_id], days.columns[keys.person_id]
+    pid_code = dict(zip(p_pid.values, range(len(p_pid.values))))
+    d_keys = _person_keys(d_hid.through(hh_row), d_pid.through(pid_code), n_pid)
+    # A sentinel above every person's key keeps each search result a valid index.
+    sorted_keys = np.append(sorted_keys, np.iinfo(np.int64).max)
+    at = np.searchsorted(sorted_keys, d_keys)
+    found = sorted_keys[at] == d_keys
+    if not found.all():
+        row = int(np.argmin(found))
+        key = (d_hid.raw(row), d_pid.raw(row))
+        raise _row_error(days, row, "travel day references unknown person", key)
+    person_row = order[at]
     return RawTableSet(survey_id, hh, persons, days, p_household[person_row], person_row)
 
 
-def _per_value(table: Table, values: Sequence[str], rows: np.ndarray,
+def _row_error(table: Table, row: int, what: str, key) -> IngestionError:
+    return IngestionError(f"{table.path}: row {row + 2}: {what} {key!r}")
+
+
+def _person_keys(household: np.ndarray, person: np.ndarray, n_person: int) -> np.ndarray:
+    """(household row, person-id code) packed into one int64; -1 where either is -1."""
+    keys = household.astype(np.int64)
+    keys *= n_person
+    keys += person
+    keys[(household < 0) | (person < 0)] = -1
+    return keys
+
+
+def _per_value(table: Table, column: Column, rows: np.ndarray,
                convert: Callable, shape: tuple, dtype) -> np.ndarray:
-    """``convert(values[r])`` for every r in ``rows``, called once per distinct value.
+    """``convert`` of the value in each of ``rows``, called once per distinct value used.
 
     A failed conversion raises with the file and the first row holding the value.
     """
-    distinct = list(dict.fromkeys(values))
-    code = {v: k for k, v in enumerate(distinct)}
-    codes = np.fromiter(map(code.__getitem__, values), np.intp, len(values))[rows]
-    used = np.zeros(len(distinct), dtype=bool)
+    codes = column.codes[rows]
+    used = np.zeros(len(column.values), dtype=bool)
     used[codes] = True
-    out = np.zeros((len(distinct), *shape), dtype=dtype)
+    out = np.zeros((len(column.values), *shape), dtype=dtype)
     for k in np.flatnonzero(used):
         try:
-            out[k] = convert(distinct[k])
+            out[k] = convert(column.values[k])
         except (MappingError, DataError) as exc:
             row = int(rows[codes == k].min()) + 2
             raise type(exc)(f"{table.path}: row {row}: {exc}") from None
@@ -171,27 +246,28 @@ def assemble(raw: RawTableSet, spec: HarmonizationSpec, year: int) -> EncodedDat
     for f in spec.features:
         col = f.survey_column(survey_id)
         table, rows = joined[col.table]
-        values = table.column(col.column, f"feature {f.name!r} of survey {survey_id!r}")
-        features.append((f, table, rows, values))
+        column = table.column(col.column, f"feature {f.name!r} of survey {survey_id!r}")
+        features.append((f, table, rows, column))
     tgt = spec.target.survey_target(survey_id)
     targets = [(c, raw.days.column(c, f"the target of survey {survey_id!r}")) for c in tgt.columns]
 
     n = raw.days.n_rows
     x = np.zeros((n, dictionary.dimension), dtype=np.uint8)
-    for (f, table, rows, values), sl in zip(features, dictionary.group_slices()):
+    for (f, table, rows, column), sl in zip(features, dictionary.group_slices()):
         encode = partial(encode_value, f, survey_id=survey_id)
-        x[:, sl] = _per_value(table, values, rows, encode, (len(f.categories),), np.uint8)
+        x[:, sl] = _per_value(table, column, rows, encode, (len(f.categories),), np.uint8)
     total = np.zeros(n)
     answered = np.zeros(n, dtype=bool)
-    for name, values in targets:
+    for name, column in targets:
         parse = partial(_delivery_count, target=tgt, column=name, survey_id=survey_id)
-        count = _per_value(raw.days, values, np.arange(n), parse, (), np.float64)
+        count = _per_value(raw.days, column, np.arange(n), parse, (), np.float64)
         given = ~np.isnan(count)
         total[given] += count[given]  # a blank column counts as zero beside an answered one
         answered |= given
     y = np.where(answered, total / tgt.divisor, np.nan)
-    household_ids = raw.days.columns[spec.table_keys(survey_id).household_id]
-    return EncodedDataset(dictionary, survey_id, year, np.array(household_ids, dtype=np.str_), x, y)
+    hid = raw.days.columns[spec.table_keys(survey_id).household_id]
+    household_ids = np.array(hid.values, dtype=np.str_)[hid.codes]
+    return EncodedDataset(dictionary, survey_id, year, household_ids, x, y)
 
 
 def describe(ds: EncodedDataset) -> dict:

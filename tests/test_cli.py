@@ -693,3 +693,9 @@ class TestTotalsLoader:
             np.testing.assert_array_equal(values.view(np.int64), want.view(np.int64))
             outcomes.add("ok")
         assert outcomes == {"ok", *self.ERRORS}  # every kind of file was drawn
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfhousehold_id,y_total\nh2,1.5\nh1,2\n")
+        ids, values = _load_totals_csv(path)
+        assert ids.tolist() == ["h1", "h2"] and values.tolist() == [2.0, 1.5]

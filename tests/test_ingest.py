@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ def write_tables(tmp_path, households, persons, days):
     p.write_text("\n".join(persons) + "\n")
     d.write_text("\n".join(days) + "\n")
     return h, p, d
+
+
+def run_ingest(tmp_path, h, p, d):
+    """The CLI's ``ingest`` on the mini spec; returns the exit code and the output path."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(mini_spec().to_json_dict()))
+    out = tmp_path / "out.enc"
+    rc = main(["ingest", "--households", str(h), "--persons", str(p), "--days", str(d),
+               "--spec", str(spec), "--survey-id", "mini", "--year", "2017", "--out", str(out)])
+    return rc, out
 
 
 def standard_tables(tmp_path):
@@ -283,12 +294,7 @@ class TestAssemble:
             persons=["hh,pp,age", "1,1,30"],
             days=["hh,pp,dd,pkgs,food", "1,1,1,1,0", f"1,1,2,1,{count}"],
         )
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(mini_spec().to_json_dict()))
-        out = tmp_path / "out.enc"
-        rc = main(["ingest", "--households", str(h), "--persons", str(p), "--days", str(d),
-                   "--spec", str(spec), "--survey-id", "mini", "--year", "2017",
-                   "--out", str(out)])
+        rc, out = run_ingest(tmp_path, h, p, d)
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{d}: row 3: " in err
@@ -452,11 +458,166 @@ def random_survey(tmp_path, seed):
     return spec, paths
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_matches_per_cell_oracle(tmp_path, seed):
+def check_against_oracle(tmp_path, seed):
     spec, paths = random_survey(tmp_path, seed)
     ds = assemble(load_tables(*paths, "rand", spec), spec, 2017)
     x, y, household_ids = ingest_oracle(*paths, "rand", spec)
     np.testing.assert_array_equal(ds.x, x)
     np.testing.assert_array_equal(ds.y, y)
     np.testing.assert_array_equal(ds.household_ids, household_ids)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_per_cell_oracle(tmp_path, seed):
+    check_against_oracle(tmp_path, seed)
+
+
+class TestHeaderAndEncoding:
+    @pytest.mark.parametrize("table", ["households", "persons", "days"])
+    def test_repeated_header_column_rejected(self, tmp_path, capsys, table):
+        h, p, d = standard_tables(tmp_path)
+        path = {"households": h, "persons": p, "days": d}[table]
+        lines = path.read_text().splitlines()
+        column = lines[0].split(",")[-1]
+        path.write_text("\n".join(
+            [f"{lines[0]},{column}"] + [f"{line},{line.split(',')[-1]}" for line in lines[1:]]
+        ) + "\n")
+        rc, out = run_ingest(tmp_path, h, p, d)
+        assert rc == EXIT_DATA
+        assert f"{path}: column {column!r} appears twice in the header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        h, p, d = standard_tables(tmp_path)
+        plain = assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
+        for path in (h, p, d):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        ds = assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
+        np.testing.assert_array_equal(ds.x, plain.x)
+        np.testing.assert_array_equal(ds.y, plain.y)
+        np.testing.assert_array_equal(ds.household_ids, plain.household_ids)
+        rc, _ = run_ingest(tmp_path, h, p, d)
+        assert rc == 0
+        assert "encoded 5 samples (3 households, 1 missing targets)" in capsys.readouterr().out
+
+
+@pytest.fixture(params=[1, 2, 3])
+def chunk_rows(request, monkeypatch):
+    """Survey CSVs parsed a few rows at a time, so every test table spans chunks."""
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_per_cell_oracle_in_small_chunks(tmp_path, chunk_rows, seed):
+    check_against_oracle(tmp_path, seed)
+
+
+def chunked_tables(n=9):
+    """Valid mini-spec tables: household h<i> with one person and one travel day each."""
+    return {
+        "households": ["hh,income"] + [f"h{i},{'LH'[i % 2]}" for i in range(n)],
+        "persons": ["hh,pp,age"] + [f"h{i},1,{20 + i}" for i in range(n)],
+        "days": ["hh,pp,dd,pkgs,food"] + [f"h{i},1,1,{i},0" for i in range(n)],
+    }
+
+
+def _insert(line):
+    def edit(lines, k):
+        lines.insert(k + 1, line)
+    return edit
+
+
+def _replace(make):
+    def edit(lines, k):
+        lines[k + 1] = make(k)
+    return edit
+
+
+# fault -> (table, edit putting the fault at data row k, error, message after the row)
+FAULTS = {
+    "ragged row": ("days", _insert("h0,1,2,1,0,9"), IngestionError,
+                   " has 6 columns, 5 expected"),
+    "duplicate household": ("households", _insert("h0,H"), IngestionError,
+                            ": duplicate household id 'h0'"),
+    "dangling household": ("persons", _insert("zz,1,30"), IngestionError,
+                           ": person references unknown household 'zz'"),
+    "duplicate person": ("persons", _insert("h0,1,50"), IngestionError,
+                         ": duplicate person ('h0', '1')"),
+    "dangling person": ("days", _insert("h0,9,1,1,0"), IngestionError,
+                        ": travel day references unknown person ('h0', '9')"),
+    "unmapped value": ("households", _replace(lambda k: f"h{k},WEIRD"), MappingError,
+                       ": survey 'mini' column 'income': "
+                       "unmapped value 'WEIRD' for feature 'Income'"),
+    "bad delivery count": ("days", _replace(lambda k: f"h{k},1,1,x,0"), DataError,
+                           ": survey 'mini' column 'pkgs': non-numeric delivery count 'x'"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_row_survives_chunk_boundaries(tmp_path, chunk_rows, fault):
+    """Each fault at every row from 1 to 7, so before, on and after each chunk boundary;
+    a second copy near the end must not be the one reported."""
+    table, edit, error, message = FAULTS[fault]
+    for k in range(1, 8):
+        tables = chunked_tables()
+        edit(tables[table], len(tables[table]) - 2)  # the later copy
+        edit(tables[table], k)
+        h, p, d = write_tables(tmp_path, **tables)
+        path = {"households": h, "persons": p, "days": d}[table]
+        with pytest.raises(error) as err:
+            assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
+        assert str(err.value) == f"{path}: row {k + 2}{message}", (chunk_rows, k)
+
+
+def test_blank_runs_longer_than_a_chunk(tmp_path, chunk_rows):
+    tables = chunked_tables()
+    h, p, d = write_tables(tmp_path, **tables)
+    plain = assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
+    blanks = [""] * (chunk_rows + 2)
+    for name in ("households", "persons", "days"):
+        lines = tables[name]
+        tables[name] = lines[:1] + blanks + lines[1:3] + blanks + lines[3:] + blanks
+    h, p, d = write_tables(tmp_path, **tables)
+    raw = load_tables(h, p, d, "mini", mini_spec())
+    assert raw.counts == {"households": 9, "persons": 9, "days": 9}
+    ds = assemble(raw, mini_spec(), 2017)
+    np.testing.assert_array_equal(ds.x, plain.x)
+    np.testing.assert_array_equal(ds.y, plain.y)
+    np.testing.assert_array_equal(ds.household_ids, plain.household_ids)
+    lines = d.read_text().split("\n")
+    lines[lines.index("h4,1,1,4,0")] = "h4,1,1,x,0"  # the fifth day: row 6, blank lines aside
+    d.write_text("\n".join(lines))
+    with pytest.raises(DataError, match=rf"^{d}: row 6: .*'x'"):
+        assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
+
+
+def test_load_tables_memory_follows_distinct_values(tmp_path):
+    """Holding a table as distinct values and codes, not as rows of strings.
+
+    The tracemalloc peak of ``load_tables`` on about 30k travel days stays
+    below half the peak of reading the day file alone into row lists.
+    """
+    households, persons, days = ["hh,income"], ["hh,pp,age"], ["hh,pp,dd,pkgs,food"]
+    for i in range(2000):
+        hid = f"17{i:06d}"
+        households.append(f"{hid},{'LH'[i % 2]}")
+        for j in range(1, 3):
+            pid = f"{hid}{j:02d}"
+            persons.append(f"{hid},{pid},{20 + (i * 7 + j) % 60}")
+            for day in range(1, 8 + (i + j) % 2):
+                days.append(f"{hid},{pid},{day},{(i + day) % 4},{'' if day % 3 else 1}")
+    h, p, d = write_tables(tmp_path, households, persons, days)
+    tracemalloc.start()
+    try:
+        with open(d, newline="") as fh:
+            rows = list(csv.reader(fh))
+        _, rows_peak = tracemalloc.get_traced_memory()
+        del rows
+        tracemalloc.reset_peak()
+        raw = load_tables(h, p, d, "mini", mini_spec())
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raw.counts["days"] == len(days) - 1 > 29_000
+    assert load_peak < rows_peak / 2, (load_peak, rows_peak)
