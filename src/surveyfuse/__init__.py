@@ -44,7 +44,6 @@ from .matching import (
     build_buckets,
     hamming,
     impute,
-    nearest_neighbor,
     nearest_rows,
 )
 from .schema import (
@@ -105,7 +104,6 @@ __all__ = [
     "impute",
     "load_default_spec",
     "load_tables",
-    "nearest_neighbor",
     "nearest_rows",
     "nested_match",
     "require_same_dictionary",

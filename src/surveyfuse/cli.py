@@ -34,14 +34,7 @@ from . import __version__
 from .attribution import BucketMeanPredictor, attribute_dataset
 from .dataset import EncodedDataset, require_same_dictionary
 from .datagen import PopulationModel, demo_model, generate
-from .errors import (
-    DataError,
-    DictionaryMismatchError,
-    FusionError,
-    IngestionError,
-    MappingError,
-    SchemaError,
-)
+from .errors import DataError, DictionaryMismatchError, FusionError
 from .evaluation import DEFAULT_CUTOFFS, Totals, sort_totals, spike, subsample_compare
 from .ingest import assemble, describe, load_tables
 from .matching import augment_candidate, impute
@@ -561,10 +554,7 @@ def main(argv: list[str] | None = None) -> int:
     except DictionaryMismatchError as exc:
         print(f"error: dictionary mismatch: {exc}", file=sys.stderr)
         return EXIT_DICTIONARY_MISMATCH
-    except (SchemaError, MappingError, IngestionError, DataError, FusionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (FusionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

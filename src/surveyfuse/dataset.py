@@ -40,14 +40,21 @@ def rng_stream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
+def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-occurrence index of each distinct key, in order of appearance,
+    and each element's rank among them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
 def household_index(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct household ids in first-appearance order, and each sample's
     position among them."""
-    ids, first, inverse = np.unique(household_ids, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    return ids[order], position[inverse]
+    first, inverse = first_occurrence(household_ids)
+    return np.asarray(household_ids)[first], inverse
 
 
 def household_sums(

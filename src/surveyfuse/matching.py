@@ -9,7 +9,10 @@ per-sample values.
 
 The distance kernel packs bit-vectors into 64-bit words and scans
 XOR-popcounts in blocks whose height keeps the per-thread XOR buffer
-within a fixed byte budget.  Duplicate query and target vectors are both
+within a fixed byte budget.  One pass over the blocks serves both tie
+rules: each block yields its first minimum and, for random ties, the set
+of all minima.  Blocks run inline for one thread and are spread over a
+thread pool otherwise.  Duplicate query and target vectors are both
 collapsed to their first occurrences before the scan, which reduces
 realistic one-hot workloads by orders of magnitude and stays exact:
 identical query rows have identical distances to every target, and
@@ -30,6 +33,7 @@ import numpy as np
 from .dataset import (
     EncodedDataset,
     concat_datasets,
+    first_occurrence,
     household_index,
     household_sums,
     require_same_dictionary,
@@ -77,11 +81,7 @@ def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key = packed[:, 0]
     else:
         key = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
+    return first_occurrence(key)
 
 
 @dataclass
@@ -156,32 +156,6 @@ def _block_counts(block: np.ndarray, t_packed: np.ndarray) -> np.ndarray:
     return np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
 
 
-def _scan_chunk(
-    q_packed: np.ndarray,
-    t_packed: np.ndarray,
-    rows: int,
-    out_idx: np.ndarray,
-    out_cnt: np.ndarray,
-    start: int,
-    stop: int,
-) -> None:
-    for s in range(start, stop, rows):
-        e = min(s + rows, stop)
-        counts = _block_counts(q_packed[s:e], t_packed)
-        idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
-        out_idx[s:e] = idx
-        out_cnt[s:e] = counts[np.arange(e - s), idx]
-
-
-def _tie_sets(q_packed: np.ndarray, t_packed: np.ndarray, rows: int, best_cnt: np.ndarray) -> list:
-    """All target rows at the minimal distance, per query row (for random ties)."""
-    out: list[np.ndarray] = []
-    for s in range(0, q_packed.shape[0], rows):
-        counts = _block_counts(q_packed[s : s + rows], t_packed)
-        out += [np.flatnonzero(c == b) for c, b in zip(counts, best_cnt[s : s + rows])]
-    return out
-
-
 def nearest_rows(
     query_x: np.ndarray,
     target_x: np.ndarray,
@@ -199,6 +173,10 @@ def nearest_rows(
     Only the first occurrences of distinct query and target vectors are
     scanned (exact under both tie rules, see the module docstring); the
     returned assignment records how many of each there were.
+
+    The scan is one pass over blocks of unique query rows that serves both
+    tie rules; ``threads`` of 1 or ``None`` runs the blocks inline, more
+    spreads them over a thread pool of that size.
     """
     query_x = np.ascontiguousarray(query_x, dtype=np.uint8)
     target_x = np.ascontiguousarray(target_x, dtype=np.uint8)
@@ -227,21 +205,27 @@ def nearest_rows(
 
     u_idx = np.empty(n_unique, dtype=np.int64)
     u_cnt = np.empty(n_unique, dtype=np.int64)
-
+    u_ties: list[np.ndarray | None] = [None] * n_unique if tie_break == "random" else []
     rows = _block_rows(ut_packed)
+
+    def scan_block(s: int) -> None:
+        # writes only its own slice of u_idx, u_cnt and u_ties
+        e = min(s + rows, n_unique)
+        counts = _block_counts(u_packed[s:e], ut_packed)
+        idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
+        best = counts[np.arange(e - s), idx]
+        u_idx[s:e] = idx
+        u_cnt[s:e] = best
+        if tie_break == "random":
+            u_ties[s:e] = [np.flatnonzero(c == b) for c, b in zip(counts, best)]
+
     n_threads = max(1, threads or 1)
-    if n_threads == 1 or n_unique < 2 * rows:
-        _scan_chunk(u_packed, ut_packed, rows, u_idx, u_cnt, 0, n_unique)
+    blocks = range(0, n_unique, rows)
+    if n_threads == 1:  # inline: a one-worker pool only adds a thread to peak memory
+        list(map(scan_block, blocks))
     else:
-        bounds = np.linspace(0, n_unique, n_threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [
-                pool.submit(_scan_chunk, u_packed, ut_packed, rows, u_idx, u_cnt, b0, b1)
-                for b0, b1 in zip(bounds[:-1], bounds[1:])
-                if b1 > b0
-            ]
-            for f in futures:
-                f.result()
+        with ThreadPoolExecutor(n_threads) as pool:
+            list(pool.map(scan_block, blocks))  # re-raises a block's exception
 
     # t_first ascends, so the first unique minimum is the smallest tied row.
     target_index = t_first[u_idx][inverse]
@@ -253,10 +237,7 @@ def nearest_rows(
             np.argsort(t_inverse, kind="stable"),
             np.cumsum(np.bincount(t_inverse))[:-1],
         )
-        ties = [
-            np.sort(np.concatenate([members[j] for j in tied]))
-            for tied in _tie_sets(u_packed, ut_packed, rows, u_cnt)
-        ]
+        ties = [np.sort(np.concatenate([members[j] for j in tied])) for tied in u_ties]
         n_ties = np.array([t.size for t in ties], dtype=np.int64)
         for i in np.flatnonzero(n_ties[inverse] > 1):
             target_index[i] = int(rng_stream(seed, i).choice(ties[inverse[i]]))
@@ -268,25 +249,6 @@ def nearest_rows(
         n_unique_query=n_unique,
         n_unique_target=t_first.size,
     )
-
-
-def nearest_neighbor(
-    source: EncodedDataset,
-    buckets: BucketSet,
-    *,
-    tie_break: str = "index",
-    seed: int | None = None,
-    threads: int | None = None,
-) -> MatchAssignment:
-    """Match every source sample to its nearest donor bucket."""
-    if len(buckets) == 0:
-        raise MatchError("bucket set is empty")
-    if source.dictionary.dimension != buckets.dimension:
-        raise DimensionError(
-            f"source dimension {source.dictionary.dimension} != "
-            f"bucket dimension {buckets.dimension}"
-        )
-    return nearest_rows(source.x, buckets.x, tie_break=tie_break, seed=seed, threads=threads)
 
 
 def augment_candidate(source: EncodedDataset, candidate: EncodedDataset) -> EncodedDataset:
@@ -343,7 +305,7 @@ def impute(
     if candidate.n_samples == 0:
         raise MatchError("candidate dataset is empty")
     buckets = build_buckets(candidate)
-    assignment = nearest_neighbor(source, buckets, tie_break=tie_break, seed=seed, threads=threads)
+    assignment = nearest_rows(source.x, buckets.x, tie_break=tie_break, seed=seed, threads=threads)
     w = source.n_samples / candidate.n_samples
     matched_mean = buckets.y_mean[assignment.target_index]
     if household_weight:  # each sample's household size, from the index the sums reuse

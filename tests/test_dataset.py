@@ -83,6 +83,7 @@ class TestHouseholdTotals:
         ids, position = household_index(household_ids)
         assert ids.tolist() == ["z", "a", "m", "q"]
         assert position.tolist() == [0, 1, 0, 2, 1, 3]
+        assert household_index(household_ids.tolist())[0].tolist() == ids.tolist()
 
 
 class TestPersistence:

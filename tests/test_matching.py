@@ -14,7 +14,6 @@ from surveyfuse import (
     build_buckets,
     hamming,
     impute,
-    nearest_neighbor,
     nearest_rows,
 )
 from surveyfuse import matching
@@ -253,6 +252,40 @@ class TestDuplicateTargets:
         assert np.array_equal(r.distance, odist)
         assert not np.array_equal(r.target_index, a.target_index)
 
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("tie_break", ["index", "random"])
+    def test_one_scan_per_block(self, tie_break, threads, one_row_blocks, monkeypatch):
+        src, tgt = self.instance(26, 5)
+        if one_row_blocks:
+            monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
+        rows = matching._block_rows(pack_rows(np.unique(tgt, axis=0)))
+        block_counts = matching._block_counts
+        heights = []
+
+        def counted(block, t_packed):
+            heights.append(block.shape[0])
+            return block_counts(block, t_packed)
+
+        monkeypatch.setattr(matching, "_block_counts", counted)
+        a = nearest_rows(src, tgt, tie_break=tie_break, seed=1, threads=threads)
+        assert len(heights) == -(-a.n_unique_query // rows)
+        assert sum(heights) == a.n_unique_query
+
+    @pytest.mark.parametrize("threads", [None, 1])
+    def test_one_thread_starts_no_pool(self, threads, monkeypatch):
+        def no_pool(*_, **__):
+            raise AssertionError("a one-thread scan must run inline")
+
+        monkeypatch.setattr(matching, "ThreadPoolExecutor", no_pool)
+        src, tgt = self.instance(100, 3)
+        a = nearest_rows(src, tgt, threads=threads)
+        oidx, odist = nn_scan_oracle(src, tgt)
+        assert np.array_equal(a.target_index, oidx)
+        assert np.array_equal(a.distance, odist)
+        r = nearest_rows(src, tgt, tie_break="random", seed=4, threads=threads)
+        assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, 4))
+
     @pytest.mark.parametrize("d", [26, 64, 65, 100])
     def test_unique_rows_first_occurrence(self, d):
         src, tgt = self.instance(d, d)
@@ -287,7 +320,7 @@ class TestNearestNeighborBuckets:
             np.full(100, np.nan),
         )
         buckets = build_buckets(cand)
-        a = nearest_neighbor(src, buckets)
+        a = nearest_rows(src.x, buckets.x)
         assert a.n == 100  # total assignment
         for i in range(100):
             got = hamming(src.x[i], buckets.x[a.target_index[i]])
