@@ -3,11 +3,11 @@ spike, attribute, gen.
 
 Every file a run writes goes through one ``_Outputs`` writer: each output
 is staged in a temp file next to it, a machine-readable manifest (resolved
-parameters, input hashes, seed, wall-clock duration) is staged last next
-to the first output, and only when every one is staged are they all
-renamed into place.  A run that fails at any point leaves no outputs.
+parameters, input hashes, seed, wall-clock duration, peak RSS) is staged
+last next to the first output, and only when every one is staged are they
+all renamed into place.  A run that fails at any point leaves no outputs.
 Artifacts are byte-deterministic for a fixed seed; the manifest is not
-(it records the duration).
+(it records the duration and the peak RSS).
 
 Stochastic subcommands refuse to run without an explicit ``--seed``.
 Exit codes: 0 success, 2 usage error, 3 missing input file or output
@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import secrets
 import sys
 import time
@@ -51,7 +52,7 @@ EXIT_DATA = 5
 
 # -- the run's outputs: staged, then committed together -------------------------
 
-CSV_CHUNK_ROWS = 65_536  # rows formatted per write; bounds the formatting memory
+CSV_CHUNK_ROWS = 16_384  # rows formatted per write; bounds the formatting memory
 
 
 def _sha256(path: Path) -> str:
@@ -78,6 +79,12 @@ def _csv_fields(column: np.ndarray) -> list[str]:
     values = (distinct.view(column.dtype) if floats else distinct).tolist()
     text = np.array(list(map(repr if floats else str, values)), dtype=object)
     return text[inverse].tolist()
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB (2**20 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 class _Outputs:
@@ -146,6 +153,7 @@ class _Outputs:
             "input_hashes": {str(p): _sha256(p) for p in self._inputs},
             "seed": getattr(args, "seed", None),
             "duration_seconds": time.perf_counter() - self._t0,
+            "peak_rss_mb": _peak_rss_mb(),
             "outputs": [str(path) for _, path in self._staged],
         }
 

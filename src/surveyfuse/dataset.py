@@ -9,6 +9,13 @@ The ``.enc`` artifact is a zip container holding a JSON header plus raw
 loading or combining datasets encoded with different dictionaries fails
 loudly instead of silently matching incompatible coordinates.  Writes are
 byte-deterministic: fixed zip timestamps, fixed member order.
+
+Members are streamed in both directions: ``save`` deflates each array
+from its own buffer in slices, after its ``.npy`` header, and ``load``
+reads each member through numpy in small blocks, so neither holds a
+whole member as one ``bytes`` object.  ``load`` checks each member where
+it enters: present, of its expected dimensions and dtype before any
+conversion, and as long as ``meta.json``'s ``n_samples``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,12 +50,21 @@ def rng_stream(*key: int) -> np.random.Generator:
 
 def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First-occurrence index of each distinct key, in order of appearance,
-    and each element's rank among them."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    and each element's rank among them.
+
+    Runs of equal adjacent keys are collapsed first, which is exact in any
+    order and cheap when keys arrive grouped, as a household's samples do.
+    """
+    keys = np.asarray(keys)
+    run_start = np.ones(keys.shape[0], dtype=bool)
+    run_start[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(run_start)
+    _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
+    lengths = np.diff(starts, append=keys.shape[0])
+    return starts[first[order]], np.repeat(rank[inverse], lengths)
 
 
 def household_index(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,25 +186,23 @@ class EncodedDataset:
             "dictionary": self.dictionary.to_json_dict(),
             "dictionary_hash": self.dictionary.hash(),
         }
-        members = [
-            ("meta.json", json.dumps(meta, sort_keys=True, indent=1).encode("utf-8")),
-            ("household_ids.npy", _npy_bytes(self.household_ids)),
-            ("x.npy", _npy_bytes(self.x)),
-            ("y.npy", _npy_bytes(self.y)),
-        ]
         with zipfile.ZipFile(path, "w") as zf:
-            for name, blob in members:
-                info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
-                info.create_system = 3
-                info.external_attr = 0o644 << 16
-                info.compress_type = zipfile.ZIP_DEFLATED
-                zf.writestr(info, blob)
+            _write_member(zf, "meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())
+            _write_member(zf, "household_ids.npy", self.household_ids)
+            _write_member(zf, "x.npy", self.x)
+            _write_member(zf, "y.npy", self.y)
 
     @classmethod
     def load(cls, path: str | Path) -> "EncodedDataset":
         try:
             with zipfile.ZipFile(path, "r") as zf:
-                meta = json.loads(zf.read("meta.json"))
+                with _open_member(zf, path, "meta.json") as fh:
+                    try:
+                        meta = json.load(fh)
+                    except ValueError as exc:
+                        raise DataError(f"{path}: member 'meta.json' is not JSON: {exc}") from None
+                if not isinstance(meta, dict):
+                    raise DataError(f"{path}: member 'meta.json' is not a JSON object")
                 if meta.get("format") != ENC_FORMAT:
                     raise FusionError(f"{path}: not a {ENC_FORMAT} artifact")
                 if meta.get("version") != ENC_VERSION:
@@ -199,27 +214,77 @@ class EncodedDataset:
                     raise DictionaryMismatchError(
                         f"{path}: embedded dictionary hash does not match its layout"
                     )
-                ds = cls(
-                    dictionary=dictionary,
-                    survey_id=meta["survey_id"],
-                    year=int(meta["year"]),
-                    household_ids=_read_npy(zf, "household_ids.npy"),
-                    x=_read_npy(zf, "x.npy"),
-                    y=_read_npy(zf, "y.npy"),
-                )
+                arrays = {name: _read_npy(zf, path, name) for name in _ARRAY_MEMBERS}
         except zipfile.BadZipFile:
             raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact") from None
-        return ds
+        n = meta.get("n_samples")
+        for name, arr in arrays.items():
+            if type(n) is not int or arr.shape[0] != n:
+                raise DataError(
+                    f"{path}: meta.json n_samples is {n!r}, but member {name!r} has "
+                    f"{arr.shape[0]} rows"
+                )
+        return cls(
+            dictionary=dictionary,
+            survey_id=meta["survey_id"],
+            year=int(meta["year"]),
+            household_ids=arrays["household_ids.npy"],
+            x=arrays["x.npy"],
+            y=arrays["y.npy"],
+        )
 
 
-def _npy_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.ascontiguousarray(arr), version=(1, 0))
-    return buf.getvalue()
+_WRITE_BYTES = 1 << 20  # array bytes handed to the compressor per write
+
+# array member -> (dimensions, dtype kind, item size or None for any, as named in errors)
+_ARRAY_MEMBERS = {
+    "household_ids.npy": (1, "U", None, "unicode"),
+    "x.npy": (2, "u", 1, "uint8"),
+    "y.npy": (1, "f", 8, "float64"),
+}
 
 
-def _read_npy(zf: zipfile.ZipFile, name: str) -> np.ndarray:
-    return np.lib.format.read_array(io.BytesIO(zf.read(name)), allow_pickle=False)
+def _write_member(zf: zipfile.ZipFile, name: str, data: bytes | np.ndarray) -> None:
+    """Deflate one member; an array is streamed as ``.npy`` 1.0, header then buffer."""
+    info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
+    info.create_system = 3
+    info.external_attr = 0o644 << 16
+    info.compress_type = zipfile.ZIP_DEFLATED
+    body: bytes | np.ndarray = b""
+    if isinstance(data, np.ndarray):
+        arr = np.ascontiguousarray(data)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
+        data, body = header.getvalue(), arr.reshape(-1).view(np.uint8)
+    # the exact size up front makes the same zip64 choice as ``ZipFile.writestr``
+    info.file_size = len(data) + len(body)
+    with zf.open(info, "w") as fh:
+        fh.write(data)
+        for start in range(0, len(body), _WRITE_BYTES):
+            fh.write(body[start : start + _WRITE_BYTES])
+
+
+def _open_member(zf: zipfile.ZipFile, path: str | Path, name: str):
+    try:
+        return zf.open(name)
+    except KeyError:
+        raise FusionError(f"{path}: member {name!r} is missing") from None
+
+
+def _read_npy(zf: zipfile.ZipFile, path: str | Path, name: str) -> np.ndarray:
+    """One array member, read in blocks and checked before any conversion."""
+    ndim, kind, itemsize, expected = _ARRAY_MEMBERS[name]
+    with _open_member(zf, path, name) as fh:
+        try:
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValueError, EOFError, zlib.error) as exc:
+            raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
+    if arr.ndim != ndim or arr.dtype.kind != kind or itemsize not in (None, arr.dtype.itemsize):
+        raise DataError(
+            f"{path}: member {name!r} must be a {ndim}-D {expected} array, "
+            f"got a {arr.ndim}-D {arr.dtype} array"
+        )
+    return arr
 
 
 def require_same_dictionary(*datasets: EncodedDataset) -> None:

@@ -185,7 +185,16 @@ def load_tables(
         key = (d_hid.raw(row), d_pid.raw(row))
         raise _row_error(days, row, "travel day references unknown person", key)
     person_row = order[at]
+    # every key value is now known to be found: hold each distinct id string once
+    _share_strings(p_hid, hh_id.values, hh_row)
+    _share_strings(d_hid, hh_id.values, hh_row)
+    _share_strings(d_pid, p_pid.values, pid_code)
     return RawTableSet(survey_id, hh, persons, days, p_household[person_row], person_row)
+
+
+def _share_strings(column: Column, canonical: list[str], index: dict[str, int]) -> None:
+    """Replace each of ``column``'s distinct strings with its equal in ``canonical``."""
+    column.values[:] = [canonical[index[value]] for value in column.values]
 
 
 def _row_error(table: Table, row: int, what: str, key) -> IngestionError:

@@ -60,13 +60,12 @@ def hamming(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def pack_rows(x: np.ndarray) -> np.ndarray:
-    """Pack a (n, d) 0/1 matrix into (n, ceil(d/64)) uint64 words."""
+    """Pack a (n, d) 0/1 matrix into (n, ceil(d/64)) uint64 words, zero past bit d."""
     x = np.ascontiguousarray(x, dtype=np.uint8)
     n, d = x.shape
     words = (d + 63) // 64
-    padded = np.zeros((n, words * 64), dtype=np.uint8)
-    padded[:, :d] = x
-    packed = np.packbits(padded, axis=1, bitorder="little")
+    packed = np.zeros((n, words * 8), dtype=np.uint8)
+    packed[:, : (d + 7) // 8] = np.packbits(x, axis=1, bitorder="little")
     return packed.view(np.uint64)
 
 

@@ -76,20 +76,20 @@ def nested_match(
     keep = np.flatnonzero(~source2.missing_mask)
     if keep.size == 0:
         raise MatchError("source2 has no labeled samples to project from")
-    source2_labeled = source2.subset(keep)
 
     buckets = build_buckets(candidate)
     mu1 = nearest_rows(
         source1.x, buckets.x, tie_break=tie_break, seed=seed, threads=threads
     )
+    # query row i is the i-th labeled row, which numbers its random-tie stream
     mu2 = nearest_rows(
-        source2_labeled.x, source1.x, tie_break=tie_break, seed=seed, threads=threads
+        source2.x[keep], source1.x, tie_break=tie_break, seed=seed, threads=threads
     )
     return TriPartiteGraph(
         buckets=buckets,
         mu1=mu1,
         mu2=mu2,
-        y_source2=source2_labeled.y.copy(),
+        y_source2=source2.y[keep],
         source2_index=keep,
         n_candidate=candidate.n_samples,
         n_source1=source1.n_samples,

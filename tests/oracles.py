@@ -5,11 +5,16 @@ from elementwise comparison on unpacked arrays, grouping from plain dicts,
 Shapley values from permutation enumeration rather than weighted
 coalition sums, ingestion from a per-cell loop over dict rows rather
 than column-wise encoding, and household totals files from a per-line
-loop into a dict rather than whole-body array parsing.
+loop into a dict rather than whole-body array parsing.  The earlier
+whole-array forms of the packer, the dedup and the ``.enc`` writer are
+kept here as the references their streamed replacements must equal.
 """
 
 import csv
+import io
+import json
 import math
+import zipfile
 from itertools import permutations
 
 import numpy as np
@@ -159,3 +164,55 @@ def ingest_oracle(household_path, person_path, day_path, survey_id, spec):
         if answered:
             y[i] = total / tgt.divisor
     return x, y, np.array([d[keys.household_id] for d in days], dtype=np.str_)
+
+
+def pack_rows_padded_oracle(x: np.ndarray) -> np.ndarray:
+    """Bits packed into uint64 words through a zero-padded (n, 64 * words) copy."""
+    n, d = x.shape
+    words = (d + 63) // 64
+    padded = np.zeros((n, words * 64), dtype=np.uint8)
+    padded[:, :d] = x
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def first_occurrence_unique_oracle(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct key in order of appearance, and each
+    element's rank, from one ``np.unique`` over all keys."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
+def save_writestr_oracle(ds, path) -> None:
+    """``EncodedDataset.save`` with every member built whole in memory and
+    written by ``ZipFile.writestr``."""
+    meta = {
+        "format": "surveyfuse-encoded",
+        "version": 1,
+        "survey_id": ds.survey_id,
+        "year": ds.year,
+        "n_samples": ds.n_samples,
+        "dictionary": ds.dictionary.to_json_dict(),
+        "dictionary_hash": ds.dictionary.hash(),
+    }
+
+    def npy(arr):
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, np.ascontiguousarray(arr), version=(1, 0))
+        return buf.getvalue()
+
+    members = [
+        ("meta.json", json.dumps(meta, sort_keys=True, indent=1).encode("utf-8")),
+        ("household_ids.npy", npy(ds.household_ids)),
+        ("x.npy", npy(ds.x)),
+        ("y.npy", npy(ds.y)),
+    ]
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, blob in members:
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.create_system = 3
+            info.external_attr = 0o644 << 16
+            info.compress_type = zipfile.ZIP_DEFLATED
+            zf.writestr(info, blob)

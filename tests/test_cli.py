@@ -55,6 +55,12 @@ class TestGen:
         assert ds.n_missing == 0
         assert EncodedDataset.load(missing).n_missing > 0
 
+    def test_manifest_records_peak_rss(self, generated, tmp_path):
+        """The run's peak RSS in MiB: positive, and no more than the process's peak since."""
+        peak = json.loads((tmp_path / "full.enc.manifest.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float)
+        assert 1.0 < peak <= cli._peak_rss_mb()
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("gen", "--households", 10, "--out-full", tmp_path / "a.enc",
@@ -596,7 +602,7 @@ class TestCsvWriter:
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         assert impute_to(f"chunk{chunk_rows}") == reference
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3, cli.CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 65_536])  # 65_536 > n: one chunk
     @pytest.mark.parametrize("n", [0, 1, 17, 40])
     def test_bytes_match_per_value_reference(self, tmp_path, monkeypatch, chunk_rows, n):
         rng = np.random.default_rng(n)

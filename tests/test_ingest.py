@@ -122,6 +122,23 @@ class TestLoadTables:
         with pytest.raises(IngestionError, match="row 2.*unknown person"):
             load_tables(h, p, d, "mini", mini_spec())
 
+    def test_key_strings_are_held_once(self, tmp_path):
+        """After the join, persons and days point at the household and person
+        tables' own id strings rather than holding equal copies."""
+        h, p, d = write_tables(  # ids of several characters, which Python does not cache
+            tmp_path,
+            households=["hh,income", "hh01,L", "hh02,H"],
+            persons=["hh,pp,age", "hh01,pp01,30", "hh01,pp02,55", "hh02,pp01,41"],
+            days=["hh,pp,dd,pkgs,food", "hh01,pp02,1,1,", "hh02,pp01,1,0,1", "hh01,pp01,1,,"],
+        )
+        raw = load_tables(h, p, d, "mini", mini_spec())
+        held = lambda table, key: {id(v) for v in table.columns[key].values}
+        assert held(raw.persons, "hh") == held(raw.households, "hh")
+        assert held(raw.days, "hh") == held(raw.households, "hh")
+        assert held(raw.days, "pp") == held(raw.persons, "pp")
+        ds = assemble(raw, mini_spec(), 2017)
+        assert ds.household_ids.tolist() == ["hh01", "hh02", "hh01"]
+
     def test_empty_day_table_is_valid(self, tmp_path):
         h, p, d = write_tables(
             tmp_path,

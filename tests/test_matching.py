@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,13 @@ from surveyfuse import matching
 from surveyfuse.dataset import household_sums
 from surveyfuse.matching import pack_rows
 from conftest import make_dataset, random_one_hot
-from oracles import bucket_oracle, household_sum_oracle, nn_random_tie_oracle, nn_scan_oracle
+from oracles import (
+    bucket_oracle,
+    household_sum_oracle,
+    nn_random_tie_oracle,
+    nn_scan_oracle,
+    pack_rows_padded_oracle,
+)
 
 bitvec = lambda d: arrays(np.uint8, (d,), elements=st.integers(0, 1))
 
@@ -65,6 +73,29 @@ class TestHamming:
         pa, pb = pack_rows(a[None, :]), pack_rows(b[None, :])
         packed_count = int(np.bitwise_count(pa ^ pb).sum())
         assert hamming(a, b) == packed_count / d
+
+
+class TestPackRows:
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 26, 63, 64, 65, 130])
+    def test_matches_padded_oracle(self, d, n):
+        x = np.random.default_rng(d * 100 + n).integers(0, 2, (n, d), dtype=np.uint8)
+        packed = pack_rows(x)
+        assert packed.dtype == np.uint64 and packed.shape == (n, (d + 63) // 64)
+        assert np.array_equal(packed, pack_rows_padded_oracle(x))
+
+    def test_memory_follows_the_words(self):
+        """No (n, 64 * words) byte copy: 200k rows of d = 26 peak under 4 x n x 8 bytes."""
+        n = 200_000
+        x = np.random.default_rng(3).integers(0, 2, (n, 26), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            packed = pack_rows(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert packed.shape == (n, 1)
+        assert peak < 4 * n * 8, peak
 
 
 class TestBuildBuckets:
