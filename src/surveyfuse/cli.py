@@ -10,6 +10,9 @@ Artifacts are byte-deterministic for a fixed seed; the manifest is not
 (it records the duration and the peak RSS).
 
 Stochastic subcommands refuse to run without an explicit ``--seed``.
+The CLI sets ``OPENBLAS_NUM_THREADS=1`` before it imports numpy unless the
+caller has set it: surveyfuse calls no BLAS routine, so a BLAS thread pool
+would only spin; ``--threads`` sizes surveyfuse's own scan pool.
 Exit codes: 0 success, 2 usage error, 3 missing input file or output
 directory, 4 feature-dictionary mismatch, 5 schema/mapping/data error,
 1 unexpected.
@@ -28,6 +31,9 @@ import sys
 import time
 from collections.abc import Callable
 from pathlib import Path
+
+# surveyfuse calls no BLAS routine, and idle OpenBLAS worker threads spin after they start
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

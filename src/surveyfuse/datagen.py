@@ -116,9 +116,13 @@ class PopulationModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PopulationModel":
+        if not isinstance(obj, dict):
+            raise SchemaError(f"model must be a JSON object, got {type(obj).__name__}")
         if obj.get("version") != 1:
             raise SchemaError(f"unsupported model version {obj.get('version')!r}")
-        feats = obj["features"]
+        feats = obj.get("features")
+        if not isinstance(feats, list) or not all(isinstance(f, dict) for f in feats):
+            raise SchemaError("model 'features' must be a list of objects")
         dictionary = FeatureDictionary(
             features=tuple(f["name"] for f in feats),
             categories=tuple(tuple(f["categories"]) for f in feats),
@@ -145,7 +149,11 @@ class PopulationModel:
     @classmethod
     def from_file(cls, path: str | Path) -> "PopulationModel":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return cls.from_json_dict(obj)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def generate(

@@ -15,13 +15,15 @@ from its own buffer in slices, after its ``.npy`` header, and ``load``
 reads each member through numpy in small blocks, so neither holds a
 whole member as one ``bytes`` object.  ``load`` checks each member where
 it enters: present, of its expected dimensions and dtype before any
-conversion, and as long as ``meta.json``'s ``n_samples``.
+conversion, and as long as ``meta.json``'s ``n_samples``.  Each key that
+``meta.json`` must hold is checked for presence and JSON type.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import reprlib
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -209,6 +211,14 @@ class EncodedDataset:
                     raise FusionError(
                         f"{path}: unsupported artifact version {meta.get('version')!r}"
                     )
+                for key, (valid, expected) in _META_FIELDS.items():
+                    if key not in meta:
+                        raise DataError(f"{path}: member 'meta.json' has no {key!r}")
+                    if not valid(meta[key]):
+                        raise DataError(
+                            f"{path}: member 'meta.json' key {key!r} must be {expected}, "
+                            f"got {reprlib.repr(meta[key])}"
+                        )
                 dictionary = FeatureDictionary.from_json_dict(meta["dictionary"])
                 if dictionary.hash() != meta["dictionary_hash"]:
                     raise DictionaryMismatchError(
@@ -227,12 +237,35 @@ class EncodedDataset:
         return cls(
             dictionary=dictionary,
             survey_id=meta["survey_id"],
-            year=int(meta["year"]),
+            year=meta["year"],
             household_ids=arrays["household_ids.npy"],
             x=arrays["x.npy"],
             y=arrays["y.npy"],
         )
 
+
+def _is_dictionary_json(value: object) -> bool:
+    features = value.get("features") if isinstance(value, dict) else None
+    return isinstance(features, list) and all(
+        isinstance(f, dict)
+        and isinstance(f.get("name"), str)
+        and isinstance(f.get("categories"), list)
+        and all(isinstance(c, str) for c in f["categories"])
+        for f in features
+    )
+
+
+# meta.json key -> (check on its value, what the check requires, as named in errors)
+_META_FIELDS = {
+    "survey_id": (lambda v: isinstance(v, str), "a string"),
+    "year": (lambda v: type(v) is int, "an integer"),
+    "dictionary": (
+        _is_dictionary_json,
+        "an object whose 'features' is a list of objects with a string 'name' "
+        "and a list of strings 'categories'",
+    ),
+    "dictionary_hash": (lambda v: isinstance(v, str), "a string"),
+}
 
 _WRITE_BYTES = 1 << 20  # array bytes handed to the compressor per write
 

@@ -208,6 +208,10 @@ class HarmonizationSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "HarmonizationSpec":
+        if not isinstance(obj, dict):
+            raise SchemaError(
+                f"harmonization spec must be a JSON object, got {type(obj).__name__}"
+            )
         if "version" not in obj:
             raise SchemaError("harmonization spec is missing the required 'version' field")
         if obj["version"] != SPEC_FORMAT_VERSION:
@@ -215,8 +219,11 @@ class HarmonizationSpec:
                 f"unsupported spec version {obj['version']!r} "
                 f"(this build reads version {SPEC_FORMAT_VERSION})"
             )
+        objs = obj.get("features", [])
+        if not isinstance(objs, list) or not all(isinstance(fo, dict) for fo in objs):
+            raise SchemaError("harmonization spec 'features' must be a list of objects")
         features = []
-        for fo in obj.get("features", []):
+        for fo in objs:
             surveys = {}
             for sid, co in fo.get("surveys", {}).items():
                 surveys[sid] = SurveyColumn(
@@ -261,7 +268,11 @@ class HarmonizationSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "HarmonizationSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return cls.from_json_dict(obj)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,24 @@ class TestGen:
         assert rc == EXIT_OK
         assert EncodedDataset.load(tmp_path / "m.enc").n_missing > 0
 
+    @pytest.mark.parametrize(
+        "model_json",
+        [[1, 2], "model", {"version": 1}, {"version": 1, "features": 3},
+         {"version": 1, "features": [3]}],
+    )
+    def test_malformed_model_file_is_schema_error(self, tmp_path, capsys, model_json):
+        """A model that is not an object, or whose features are not a list of objects,
+        is exit 5 naming the file, not a traceback."""
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_json))
+        rc = run(
+            "gen", "--model", model_path, "--households", 20, "--seed", 1,
+            "--out-full", tmp_path / "f.enc", "--out-missing", tmp_path / "m.enc",
+        )
+        assert rc == EXIT_DATA
+        assert f"error: {model_path}: model " in capsys.readouterr().err
+        assert not (tmp_path / "f.enc").exists() and not (tmp_path / "m.enc").exists()
+
 
 class TestDescribe:
     def test_prints_and_writes_report(self, generated, tmp_path, capsys):

@@ -285,6 +285,13 @@ def meta_with(path, **changes) -> bytes:
     return json.dumps(meta).encode()
 
 
+def meta_without(path, key: str) -> bytes:
+    with zipfile.ZipFile(path) as zf:
+        meta = json.loads(zf.read("meta.json"))
+    del meta[key]
+    return json.dumps(meta).encode()
+
+
 class TestLoadChecks:
     """A malformed member is a data error naming the file and the member (exit 5)."""
 
@@ -298,7 +305,9 @@ class TestLoadChecks:
     def check(self, path, member: str, error=DataError, match: str = ""):
         with pytest.raises(error, match=f"^{path}: .*{member}.*{match}"):
             EncodedDataset.load(path)
-        assert main(["describe", "--data", str(path)]) == EXIT_DATA
+        out = path.with_name("describe.json")
+        assert main(["describe", "--data", str(path), "--out", str(out)]) == EXIT_DATA
+        assert not out.exists()
 
     @pytest.mark.parametrize("member", ["meta.json", "household_ids.npy", "x.npy", "y.npy"])
     def test_missing_member(self, saved, member):
@@ -341,6 +350,35 @@ class TestLoadChecks:
     def test_n_samples_disagrees(self, saved, n):
         rewrite_member(saved, "meta.json", meta_with(saved, n_samples=n))
         self.check(saved, "n_samples", match="rows")
+
+    @pytest.mark.parametrize("key", ["survey_id", "year", "dictionary", "dictionary_hash"])
+    def test_meta_key_missing(self, saved, key):
+        rewrite_member(saved, "meta.json", meta_without(saved, key))
+        self.check(saved, "'meta.json'", match=f"has no '{key}'")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("survey_id", 7),
+            ("survey_id", None),
+            ("year", "abc"),
+            ("year", "2017"),
+            ("year", 2017.0),
+            ("year", True),
+            ("dictionary_hash", ["abc"]),
+            ("dictionary", {"features": 3}),
+            ("dictionary", []),
+            ("dictionary", {}),
+            ("dictionary", {"features": [3]}),
+            ("dictionary", {"features": [{"name": 1, "categories": ["c", "d"]}]}),
+            ("dictionary", {"features": [{"name": "A", "categories": "cd"}]}),
+            ("dictionary", {"features": [{"name": "A", "categories": [1, 2]}]}),
+            ("dictionary", {"features": [{"categories": ["c", "d"]}]}),
+        ],
+    )
+    def test_meta_key_wrong_type(self, saved, key, value):
+        rewrite_member(saved, "meta.json", meta_with(saved, **{key: value}))
+        self.check(saved, "'meta.json'", match=f"'{key}' must be")
 
     @pytest.mark.parametrize("blob", [b"{not json", b"[]"])
     def test_meta_not_a_json_object(self, saved, blob):

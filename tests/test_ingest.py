@@ -70,10 +70,11 @@ def write_tables(tmp_path, households, persons, days):
     return h, p, d
 
 
-def run_ingest(tmp_path, h, p, d):
-    """The CLI's ``ingest`` on the mini spec; returns the exit code and the output path."""
+def run_ingest(tmp_path, h, p, d, spec_json=None):
+    """The CLI's ``ingest`` on the mini spec, or on ``spec_json`` if given; returns the
+    exit code and the output path."""
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(mini_spec().to_json_dict()))
+    spec.write_text(json.dumps(mini_spec().to_json_dict() if spec_json is None else spec_json))
     out = tmp_path / "out.enc"
     rc = main(["ingest", "--households", str(h), "--persons", str(p), "--days", str(d),
                "--spec", str(spec), "--survey-id", "mini", "--year", "2017", "--out", str(out)])
@@ -487,6 +488,21 @@ def check_against_oracle(tmp_path, seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_matches_per_cell_oracle(tmp_path, seed):
     check_against_oracle(tmp_path, seed)
+
+
+class TestSpecFile:
+    @pytest.mark.parametrize(
+        "spec_json",
+        [[1, 2], "spec", {"version": 1, "features": 3}, {"version": 1, "features": [3]}],
+    )
+    def test_malformed_spec_is_schema_error(self, tmp_path, capsys, spec_json):
+        """A spec that is not an object, or whose features are not a list of objects,
+        is exit 5 naming the file, not a traceback."""
+        h, p, d = standard_tables(tmp_path)
+        rc, out = run_ingest(tmp_path, h, p, d, spec_json)
+        assert rc == EXIT_DATA
+        assert f"error: {tmp_path / 'spec.json'}: harmonization spec " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHeaderAndEncoding:

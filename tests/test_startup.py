@@ -1,0 +1,124 @@
+"""Process start-up: the package imports lazily, and the CLI starts numpy
+with a one-thread OpenBLAS unless the caller chose a thread count.
+
+Each check runs in a fresh interpreter, since this process has numpy loaded
+already, with ``OPENBLAS_NUM_THREADS`` taken from the environment unless
+the test sets it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(code: str, openblas_threads: str | None = None) -> dict:
+    """Run ``code`` in a new interpreter and return the JSON it prints last."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# what a process reports once numpy is loaded
+REPORT = """
+import json, os, sys
+tasks = "/proc/self/task"
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+"""
+
+# ``python -m surveyfuse.cli --version``: import the package, then run cli as __main__
+RUN_AS_MODULE = """
+import runpy, sys
+sys.argv = ["surveyfuse", "--version"]
+try:
+    runpy.run_module("surveyfuse.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+# the ``surveyfuse`` console script
+CONSOLE_SCRIPT = "from surveyfuse.cli import main\n"
+
+
+class TestLazyPackage:
+    def test_import_loads_no_submodule_or_numpy(self):
+        report = run_fresh(
+            "import json, sys\nimport surveyfuse\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m == 'numpy' or m.startswith('surveyfuse.'))))"
+        )
+        assert report == []
+
+    def test_public_names_are_their_submodules_objects(self):
+        report = run_fresh(
+            """
+import json, sys
+import surveyfuse
+loaded_before = [m for m in sys.modules if m.startswith("surveyfuse.")]
+namespace = {}
+exec("from surveyfuse import *", namespace)
+wrong = []
+for name in surveyfuse.__all__:
+    obj = namespace[name]
+    if name == "__version__":
+        continue
+    module = sys.modules[obj.__module__]
+    if not module.__name__.startswith("surveyfuse.") or getattr(module, name) is not obj:
+        wrong.append(name)
+    if getattr(surveyfuse, name) is not obj:
+        wrong.append(name)
+print(json.dumps({"loaded_before": loaded_before, "wrong": wrong}))
+"""
+        )
+        assert report == {"loaded_before": [], "wrong": []}
+
+    def test_dir_covers_all_and_unknown_names_raise(self):
+        report = run_fresh(
+            """
+import json, sys
+import surveyfuse
+missing = sorted(set(surveyfuse.__all__) - set(dir(surveyfuse)))
+try:
+    surveyfuse.no_such_name
+    unknown = "no error"
+except AttributeError as exc:
+    unknown = str(exc)
+loaded = [m for m in sys.modules if m.startswith("surveyfuse.")]
+print(json.dumps({"missing": missing, "unknown": unknown, "loaded": loaded}))
+"""
+        )
+        assert report == {
+            "missing": [],
+            "unknown": "module 'surveyfuse' has no attribute 'no_such_name'",
+            "loaded": [],
+        }
+
+
+class TestOpenblasThreads:
+    @pytest.mark.parametrize("entry", [RUN_AS_MODULE, CONSOLE_SCRIPT], ids=["module", "script"])
+    def test_cli_starts_one_blas_thread(self, entry):
+        report = run_fresh(entry + REPORT)
+        assert report["numpy"] and report["openblas_threads"] == "1"
+        if report["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert report["threads"] == 1
+
+    @pytest.mark.parametrize("entry", [RUN_AS_MODULE, CONSOLE_SCRIPT], ids=["module", "script"])
+    def test_callers_thread_count_is_kept(self, entry):
+        report = run_fresh(entry + REPORT, openblas_threads="3")
+        assert report["numpy"] and report["openblas_threads"] == "3"
