@@ -45,6 +45,7 @@ class BucketMeanPredictor:
         self.buckets = build_buckets(candidate)
         self.global_mean = float(candidate.y.mean())
         self._slices = self.dictionary.group_slices()
+        self.matches: list[dict] = []  # MatchAssignment.diagnostics() per call
 
     def __call__(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
         active = np.asarray(active, dtype=bool)
@@ -53,6 +54,7 @@ class BucketMeanPredictor:
         keep = np.repeat(active, [sl.stop - sl.start for sl in self._slices], axis=1)
         masked = (x[:, None, :] * keep).reshape(n * c, x.shape[1])
         match = nearest_rows(masked, self.buckets.x)
+        self.matches.append(match.diagnostics())
         values = self.buckets.y_mean[match.target_index].reshape(n, c)
         values[:, ~active.any(axis=1)] = self.global_mean
         return values

@@ -1,11 +1,14 @@
 """Command-line pipeline: ingest, describe, impute, synthesize, evaluate,
 spike, attribute, gen.
 
-Every file a run writes goes through one ``_Outputs`` writer: each output
-is staged in a temp file next to it, a machine-readable manifest (resolved
-parameters, input hashes, seed, wall-clock duration, peak RSS) is staged
-last next to the first output, and only when every one is staged are they
-all renamed into place.  A run that fails at any point leaves no outputs.
+Every file a run writes goes through one ``_Outputs`` writer: each
+subcommand first checks that every output path it will write (and the
+manifest's) can be staged, before it loads any input; each output is
+staged in a temp file next to it, a machine-readable manifest (resolved
+parameters, input hashes, seed, wall-clock duration, peak RSS, and per
+match its workload shape and distance histogram) is staged last next to
+the first output, and only when every one is staged are they all renamed
+into place.  A run that fails at any point leaves no outputs.
 Artifacts are byte-deterministic for a fixed seed; the manifest is not
 (it records the duration and the peak RSS).
 
@@ -93,6 +96,17 @@ def _peak_rss_mb() -> float:
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
+def _manifest_path(first_output: Path) -> Path:
+    return Path(str(first_output) + ".manifest.json")
+
+
+def _check_output(path: Path) -> None:
+    if path.is_dir():  # the rename onto it would fail after other outputs landed
+        raise IsADirectoryError(f"output path is a directory: {path}")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"output directory not found for {path}")
+
+
 class _Outputs:
     """Every file one run writes, committed together or not at all.
 
@@ -108,6 +122,7 @@ class _Outputs:
         self._inputs: list[Path] = []
         self._t0 = time.perf_counter()
         self._staged: list[tuple[Path, Path]] = []  # (temp file, output)
+        self.matches: list[dict] = []  # MatchAssignment.diagnostics() of the run's matchings
 
     def require(self, *paths: str | Path) -> None:
         """Record input files for the manifest; a missing one is an error."""
@@ -116,15 +131,18 @@ class _Outputs:
                 raise FileNotFoundError(f"input file not found: {p}")
             self._inputs.append(p)
 
+    def plan(self, *paths: str | Path | None) -> None:
+        """Check, before any work, every output the run will write, in staging
+        order (``None`` for an unset optional one), and the manifest's path."""
+        paths = [Path(p) for p in paths if p is not None]
+        for path in paths + [_manifest_path(p) for p in paths[:1]]:
+            _check_output(path)
+
     def _stage(self, path: str | Path) -> Path:
         path = Path(path)
-        if path.is_dir():  # the rename onto it would fail after other outputs landed
-            raise IsADirectoryError(f"output path is a directory: {path}")
+        _check_output(path)
         tmp = path.parent / f".tmp-{path.name}-{secrets.token_hex(8)}"
-        try:
-            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-        except FileNotFoundError:
-            raise FileNotFoundError(f"output directory not found for {path}") from None
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         self._staged.append((tmp, path))
         return tmp
 
@@ -160,6 +178,7 @@ class _Outputs:
             "seed": getattr(args, "seed", None),
             "duration_seconds": time.perf_counter() - self._t0,
             "peak_rss_mb": _peak_rss_mb(),
+            "matches": self.matches,
             "outputs": [str(path) for _, path in self._staged],
         }
 
@@ -169,7 +188,7 @@ class _Outputs:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None and self._staged:
-                self.json(str(self._staged[0][1]) + ".manifest.json", self._manifest())
+                self.json(_manifest_path(self._staged[0][1]), self._manifest())
                 for tmp, path in self._staged:
                     os.replace(tmp, path)
         finally:
@@ -232,6 +251,7 @@ def _load_totals_csv(path: Path) -> Totals:
 def _cmd_ingest(args: argparse.Namespace, out: _Outputs) -> int:
     spec_path = Path(args.spec) if args.spec else default_spec_path()
     out.require(args.households, args.persons, args.days, spec_path)
+    out.plan(args.out)
     spec = HarmonizationSpec.from_file(spec_path)
     raw = load_tables(args.households, args.persons, args.days, args.survey_id, spec)
     print(
@@ -249,6 +269,7 @@ def _cmd_ingest(args: argparse.Namespace, out: _Outputs) -> int:
 
 def _cmd_describe(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.data)
+    out.plan(args.out)
     report = describe(EncodedDataset.load(args.data))
     print(json.dumps(report, indent=2))
     if args.out:
@@ -258,6 +279,8 @@ def _cmd_describe(args: argparse.Namespace, out: _Outputs) -> int:
 
 def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.source, args.candidate)
+    hh_out = args.out_households or Path(args.out).with_suffix(".households.csv")
+    out.plan(args.out, hh_out)
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
     source = EncodedDataset.load(args.source)
@@ -273,8 +296,8 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
         threads=_resolve_threads(args),
         household_weight=args.household_weight,
     )
-    hh_out = args.out_households or Path(args.out).with_suffix(".households.csv")
     a = result.assignment
+    out.matches.append(a.diagnostics())
     out.csv(
         args.out,
         ["household_id", "sample_index", "matched_bucket", "distance", "y_imputed"],
@@ -291,6 +314,8 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
 
 def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.source2, args.source1, args.candidate)
+    prov = Path(args.out).with_suffix(".provenance.csv")
+    out.plan(args.out, prov)
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
     source2 = EncodedDataset.load(args.source2)
@@ -305,8 +330,8 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
         seed=args.seed,
         threads=_resolve_threads(args),
     )
+    out.matches.extend(synth.matches)
     out.write(args.out, synth.to_encoded_dataset(args.survey_id, args.year).save)
-    prov = Path(args.out).with_suffix(".provenance.csv")
     out.csv(
         prov,
         ["bucket_id", "n_S", "n_G_total", "y_synth"],
@@ -322,6 +347,7 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.imputed, args.truth)
+    out.plan(args.out, args.sorted_csv)
     imputed = _load_totals_csv(Path(args.imputed))
     truth = _load_totals_csv(Path(args.truth))
     n = args.n if args.n else truth[0].size
@@ -344,6 +370,7 @@ def _cmd_evaluate(args: argparse.Namespace, out: _Outputs) -> int:
 
 def _cmd_spike(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.a, args.b)
+    out.plan(args.out)
     a = _load_totals_csv(Path(args.a))
     b = _load_totals_csv(Path(args.b))
     report = spike(a, b, n=args.n, seed=args.seed)
@@ -355,11 +382,13 @@ def _cmd_spike(args: argparse.Namespace, out: _Outputs) -> int:
 
 def _cmd_attribute(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.data, args.candidate)
+    out.plan(args.out)
     ds = EncodedDataset.load(args.data)
     candidate = EncodedDataset.load(args.candidate)
     require_same_dictionary(ds, candidate)
     predictor = BucketMeanPredictor(candidate.labeled())
     report = attribute_dataset(ds, predictor, sample_limit=args.limit, seed=args.seed)
+    out.matches.extend(predictor.matches)
     out.json(args.out, report.to_json_dict())
     print(f"attributed {report.n_evaluated} samples; strongest contributions:")
     for e in report.entries[:5]:
@@ -368,6 +397,7 @@ def _cmd_attribute(args: argparse.Namespace, out: _Outputs) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace, out: _Outputs) -> int:
+    out.plan(args.out_full, args.out_missing)
     if args.model:
         out.require(args.model)
         model = PopulationModel.from_file(args.model)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import EncodedDataset, rng_stream
 from .errors import DataError, SchemaError
-from .schema import FeatureDictionary
+from .schema import FeatureDictionary, json_field
 
 _NOISE_MODES = ("poisson", "none")
 
@@ -120,28 +120,35 @@ class PopulationModel:
             raise SchemaError(f"model must be a JSON object, got {type(obj).__name__}")
         if obj.get("version") != 1:
             raise SchemaError(f"unsupported model version {obj.get('version')!r}")
-        feats = obj.get("features")
-        if not isinstance(feats, list) or not all(isinstance(f, dict) for f in feats):
-            raise SchemaError("model 'features' must be a list of objects")
-        dictionary = FeatureDictionary(
-            features=tuple(f["name"] for f in feats),
-            categories=tuple(tuple(f["categories"]) for f in feats),
+        names, categories, marginals = [], [], []
+        for i, f in enumerate(json_field(obj, "features", "a list of objects", "model")):
+            at = f"model feature {i}"
+            names.append(json_field(f, "name", "a string", at))
+            categories.append(tuple(json_field(f, "categories", "a list of strings", at)))
+            marginals.append(tuple(json_field(f, "marginals", "a list of numbers", at)))
+        propensity = json_field(obj, "propensity", "an object", "model")
+        effects = json_field(
+            propensity, "effects", "an object of objects of numbers", "model propensity", {}
         )
-        sizes = obj.get("household_sizes", {})
+        sizes = json_field(obj, "household_sizes", "an object", "model", {})
         model = cls(
-            dictionary=dictionary,
-            marginals=tuple(tuple(f["marginals"]) for f in feats),
-            propensity_base=float(obj["propensity"]["base"]),
-            propensity={
-                f: dict(e) for f, e in obj["propensity"].get("effects", {}).items()
-            },
-            household_sizes=tuple(sizes.get("sizes", (1, 2, 3, 4, 5))),
-            household_size_probs=tuple(sizes.get("probs", (0.2,) * 5)),
-            missingness=float(obj.get("missingness", 0.0)),
-            covariate_missingness=float(obj.get("covariate_missingness", 0.0)),
-            target_noise=obj.get("target_noise", "poisson"),
-            spike_factor=float(obj.get("spike_factor", 1.0)),
-            seed=int(obj.get("seed", 0)),
+            dictionary=FeatureDictionary(features=tuple(names), categories=tuple(categories)),
+            marginals=tuple(marginals),
+            propensity_base=float(json_field(propensity, "base", "a number", "model propensity")),
+            propensity={f: dict(e) for f, e in effects.items()},
+            household_sizes=tuple(json_field(
+                sizes, "sizes", "a list of integers", "model household_sizes", [1, 2, 3, 4, 5]
+            )),
+            household_size_probs=tuple(json_field(
+                sizes, "probs", "a list of numbers", "model household_sizes", [0.2] * 5
+            )),
+            missingness=float(json_field(obj, "missingness", "a number", "model", 0.0)),
+            covariate_missingness=float(
+                json_field(obj, "covariate_missingness", "a number", "model", 0.0)
+            ),
+            target_noise=json_field(obj, "target_noise", "a string", "model", "poisson"),
+            spike_factor=float(json_field(obj, "spike_factor", "a number", "model", 1.0)),
+            seed=json_field(obj, "seed", "an integer", "model", 0),
         )
         model.validate()
         return model

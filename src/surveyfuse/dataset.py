@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import json
-import reprlib
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DictionaryMismatchError, DimensionError, FusionError
-from .schema import FeatureDictionary
+from .schema import DICTIONARY_KIND, FeatureDictionary, json_field
 
 ENC_FORMAT = "surveyfuse-encoded"
 ENC_VERSION = 1
@@ -211,14 +210,8 @@ class EncodedDataset:
                     raise FusionError(
                         f"{path}: unsupported artifact version {meta.get('version')!r}"
                     )
-                for key, (valid, expected) in _META_FIELDS.items():
-                    if key not in meta:
-                        raise DataError(f"{path}: member 'meta.json' has no {key!r}")
-                    if not valid(meta[key]):
-                        raise DataError(
-                            f"{path}: member 'meta.json' key {key!r} must be {expected}, "
-                            f"got {reprlib.repr(meta[key])}"
-                        )
+                for key, kind in _META_FIELDS.items():
+                    json_field(meta, key, kind, f"{path}: member 'meta.json'", error=DataError)
                 dictionary = FeatureDictionary.from_json_dict(meta["dictionary"])
                 if dictionary.hash() != meta["dictionary_hash"]:
                     raise DictionaryMismatchError(
@@ -244,27 +237,12 @@ class EncodedDataset:
         )
 
 
-def _is_dictionary_json(value: object) -> bool:
-    features = value.get("features") if isinstance(value, dict) else None
-    return isinstance(features, list) and all(
-        isinstance(f, dict)
-        and isinstance(f.get("name"), str)
-        and isinstance(f.get("categories"), list)
-        and all(isinstance(c, str) for c in f["categories"])
-        for f in features
-    )
-
-
-# meta.json key -> (check on its value, what the check requires, as named in errors)
+# meta.json key -> what its value must be (a key of schema.JSON_KINDS)
 _META_FIELDS = {
-    "survey_id": (lambda v: isinstance(v, str), "a string"),
-    "year": (lambda v: type(v) is int, "an integer"),
-    "dictionary": (
-        _is_dictionary_json,
-        "an object whose 'features' is a list of objects with a string 'name' "
-        "and a list of strings 'categories'",
-    ),
-    "dictionary_hash": (lambda v: isinstance(v, str), "a string"),
+    "survey_id": "a string",
+    "year": "an integer",
+    "dictionary": DICTIONARY_KIND,
+    "dictionary_hash": "a string",
 }
 
 _WRITE_BYTES = 1 << 20  # array bytes handed to the compressor per write

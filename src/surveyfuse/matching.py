@@ -9,16 +9,20 @@ per-sample values.
 
 The distance kernel packs bit-vectors into 64-bit words and scans
 XOR-popcounts in blocks whose height keeps the per-thread XOR buffer
-within a fixed byte budget.  One pass over the blocks serves both tie
-rules: each block yields its first minimum and, for random ties, the set
-of all minima.  Blocks run inline for one thread and are spread over a
-thread pool otherwise.  Duplicate query and target vectors are both
-collapsed to their first occurrences before the scan, which reduces
-realistic one-hot workloads by orders of magnitude and stays exact:
-identical query rows have identical distances to every target, and
-identical target rows are at the same distance from every query, so a
-winner maps back to its smallest-index copy and a random tie draws from
-the same expanded tie set as a scan over all rows would.
+within a fixed byte budget, sized to stay in a core's L2 cache.  One pass
+over the blocks serves both tie rules: each block yields its first
+minimum and, for random ties, the set of all minima.  Blocks run inline
+for one thread and are spread over a thread pool otherwise.  Duplicate
+query and target vectors are both collapsed to their first occurrences
+before the scan, which reduces realistic one-hot workloads by orders of
+magnitude and stays exact: identical query rows have identical distances
+to every target, and identical target rows are at the same distance from
+every query, so a winner maps back to its smallest-index copy and a
+random tie draws from the same expanded tie set as a scan over all rows
+would.  A unique query vector that equals a unique target vector is then
+answered by a join, not scanned: it is at distance 0 from that target and
+from no other, so the target's smallest row is its index-tie answer and
+the target's rows are its random-tie set.
 
 Everything here is exact: no approximate neighbors, no sampling.
 """
@@ -41,9 +45,10 @@ from .dataset import (
 )
 from .errors import DataError, DimensionError, MatchError
 
-# Per-thread byte budget for the scan's (block x targets) XOR buffer; the
-# block height follows from it, so memory does not grow with the target count.
-_SCAN_BUFFER_BYTES = 4 << 20
+# Per-thread byte budget for the scan's (block x targets) XOR buffer, small
+# enough to stay in a 2 MiB per-core L2 cache; the block height follows from
+# it, so memory does not grow with the target count.
+_SCAN_BUFFER_BYTES = 1 << 20
 
 _TIE_BREAKS = ("index", "random")
 
@@ -134,12 +139,24 @@ class MatchAssignment:
     target_index: np.ndarray  # (n,) int64, matched target row per query row
     distance: np.ndarray  # (n,) float64, normalized Hamming distance in [0, 1]
     dimension: int
-    n_unique_query: int  # distinct query vectors the scan ran over
+    n_unique_query: int  # distinct query vectors
     n_unique_target: int  # distinct target vectors the scan ran against
+    n_exact_query: int  # distinct query vectors answered by an identical target, unscanned
+    distance_histogram: np.ndarray  # (dimension + 1,) int64, query rows at distance k / d
 
     @property
     def n(self) -> int:
         return int(self.target_index.shape[0])
+
+    def diagnostics(self) -> dict:
+        """Workload shape and distance histogram, as a run manifest records them."""
+        return {
+            "query_rows": self.n,
+            "unique_query_rows": self.n_unique_query,
+            "unique_target_rows": self.n_unique_target,
+            "n_exact_query": self.n_exact_query,
+            "distance_histogram": self.distance_histogram.tolist(),
+        }
 
 
 def _block_rows(t_packed: np.ndarray) -> int:
@@ -169,12 +186,14 @@ def nearest_rows(
     query row with ``tie_break="random"`` (stream derived from
     ``(seed, query row index)``, so results do not depend on threading).
 
-    Only the first occurrences of distinct query and target vectors are
-    scanned (exact under both tie rules, see the module docstring); the
-    returned assignment records how many of each there were.
+    Only the first occurrences of distinct query and target vectors take
+    part, and a query vector identical to a target vector is answered by a
+    join instead of the scan (both exact under both tie rules, see the
+    module docstring); the returned assignment records how many of each
+    there were.
 
-    The scan is one pass over blocks of unique query rows that serves both
-    tie rules; ``threads`` of 1 or ``None`` runs the blocks inline, more
+    The scan is one pass over blocks of the other unique query rows that
+    serves both tie rules; ``threads`` of 1 or ``None`` runs the blocks inline, more
     spreads them over a thread pool of that size.
     """
     query_x = np.ascontiguousarray(query_x, dtype=np.uint8)
@@ -195,31 +214,36 @@ def nearest_rows(
     t_packed = pack_rows(target_x)
 
     # Identical query vectors share an assignment, identical target vectors a
-    # distance: scan first-occurrence unique rows only.
+    # distance: only first-occurrence unique rows take part.
     first, inverse = _unique_rows(q_packed)
-    u_packed = np.ascontiguousarray(q_packed[first])
-    n_unique = u_packed.shape[0]
     t_first, t_inverse = _unique_rows(t_packed)
     ut_packed = np.ascontiguousarray(t_packed[t_first])
-
-    u_idx = np.empty(n_unique, dtype=np.int64)
-    u_cnt = np.empty(n_unique, dtype=np.int64)
-    u_ties: list[np.ndarray | None] = [None] * n_unique if tie_break == "random" else []
+    n_ut = t_first.size
+    # Joined behind the pairwise distinct unique targets, a unique query ranks
+    # below n_ut exactly when it equals the unique target of that rank.
+    _, rank = _unique_rows(np.concatenate([ut_packed, q_packed[first]]))
+    u_idx = rank[n_ut:]
+    u_cnt = np.zeros(first.size, dtype=np.int64)
+    scan = np.flatnonzero(u_idx >= n_ut)  # unique queries without an identical target
+    s_packed = q_packed[first[scan]]
+    # an exact query's tie set is its one target; the scan overwrites the rest
+    u_ties = [(j,) for j in u_idx.tolist()] if tie_break == "random" else []
     rows = _block_rows(ut_packed)
 
     def scan_block(s: int) -> None:
-        # writes only its own slice of u_idx, u_cnt and u_ties
-        e = min(s + rows, n_unique)
-        counts = _block_counts(u_packed[s:e], ut_packed)
+        # writes only its own queries' entries of u_idx, u_cnt and u_ties
+        e = min(s + rows, scan.size)
+        counts = _block_counts(s_packed[s:e], ut_packed)
         idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
         best = counts[np.arange(e - s), idx]
-        u_idx[s:e] = idx
-        u_cnt[s:e] = best
+        u_idx[scan[s:e]] = idx
+        u_cnt[scan[s:e]] = best
         if tie_break == "random":
-            u_ties[s:e] = [np.flatnonzero(c == b) for c, b in zip(counts, best)]
+            for k, c, b in zip(scan[s:e].tolist(), counts, best):
+                u_ties[k] = np.flatnonzero(c == b)
 
     n_threads = max(1, threads or 1)
-    blocks = range(0, n_unique, rows)
+    blocks = range(0, scan.size, rows)
     if n_threads == 1:  # inline: a one-worker pool only adds a thread to peak memory
         list(map(scan_block, blocks))
     else:
@@ -245,8 +269,10 @@ def nearest_rows(
         target_index=target_index,
         distance=counts.astype(np.float64) / d,
         dimension=d,
-        n_unique_query=n_unique,
-        n_unique_target=t_first.size,
+        n_unique_query=first.size,
+        n_unique_target=n_ut,
+        n_exact_query=first.size - scan.size,
+        distance_histogram=np.bincount(counts, minlength=d + 1),
     )
 
 
@@ -306,14 +332,14 @@ def impute(
     buckets = build_buckets(candidate)
     assignment = nearest_rows(source.x, buckets.x, tie_break=tie_break, seed=seed, threads=threads)
     w = source.n_samples / candidate.n_samples
-    matched_mean = buckets.y_mean[assignment.target_index]
+    filled = buckets.y_mean[assignment.target_index]  # matched means, divided in place
     if household_weight:  # each sample's household size, from the index the sums reuse
         index = household_index(source.household_ids)
         _, position = index
-        filled = matched_mean / np.bincount(position)[position]
+        filled /= np.bincount(position)[position]
     else:
         index = None
-        filled = matched_mean / w
+        filled /= w
     if impute_all:
         sample_y = filled
         imputed_mask = np.ones(source.n_samples, dtype=bool)

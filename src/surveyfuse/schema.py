@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,66 @@ SPEC_FORMAT_VERSION = 1
 
 # Category label used in reports for an all-zero (missing) bit group.
 MISSING_LABEL = "Missing"
+
+
+def _is_number(value: object) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_dictionary_json(value: object) -> bool:
+    features = value.get("features") if isinstance(value, dict) else None
+    return isinstance(features, list) and all(
+        isinstance(f, dict)
+        and isinstance(f.get("name"), str)
+        and JSON_KINDS["a list of strings"](f.get("categories"))
+        for f in features
+    )
+
+
+DICTIONARY_KIND = (
+    "an object whose 'features' is a list of objects with a string 'name' "
+    "and a list of strings 'categories'"
+)
+
+# what a JSON value must be, as named in errors -> the check on the value
+JSON_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: type(v) is int,
+    "a number": _is_number,
+    "an object": lambda v: isinstance(v, dict),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v),
+    "a list of integers": lambda v: isinstance(v, list) and all(type(e) is int for e in v),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+    "an object of objects": lambda v: (
+        isinstance(v, dict) and all(isinstance(e, dict) for e in v.values())
+    ),
+    "an object of strings or nulls": lambda v: (
+        isinstance(v, dict) and all(e is None or isinstance(e, str) for e in v.values())
+    ),
+    "an object of objects of numbers": lambda v: (
+        isinstance(v, dict)
+        and all(isinstance(e, dict) and all(map(_is_number, e.values())) for e in v.values())
+    ),
+    DICTIONARY_KIND: _is_dictionary_json,
+}
+
+_REQUIRED = object()
+
+
+def json_field(obj: dict, key: str, kind: str, where: str, default=_REQUIRED, error=SchemaError):
+    """``obj[key]``, which must be ``kind`` (a key of ``JSON_KINDS``), or
+    ``default`` when the key is absent and a default is given.  Otherwise
+    raises ``error`` naming ``where`` (the file and the enclosing object) and
+    the key."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise error(f"{where} has no {key!r}")
+        return default
+    value = obj[key]
+    if not JSON_KINDS[kind](value):
+        raise error(f"{where} key {key!r} must be {kind}, got {reprlib.repr(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -219,48 +280,56 @@ class HarmonizationSpec:
                 f"unsupported spec version {obj['version']!r} "
                 f"(this build reads version {SPEC_FORMAT_VERSION})"
             )
-        objs = obj.get("features", [])
-        if not isinstance(objs, list) or not all(isinstance(fo, dict) for fo in objs):
-            raise SchemaError("harmonization spec 'features' must be a list of objects")
+        top = "harmonization spec"
         features = []
-        for fo in objs:
+        for i, fo in enumerate(json_field(obj, "features", "a list of objects", top)):
+            at = f"{top} feature {i}"
             surveys = {}
-            for sid, co in fo.get("surveys", {}).items():
+            for sid, co in json_field(fo, "surveys", "an object of objects", at, {}).items():
+                col = f"{at} survey {sid!r}"
+                bins = json_field(co, "bins", "a list of numbers", col, None)
                 surveys[sid] = SurveyColumn(
-                    column=co["column"],
-                    table=co.get("table", "person"),
-                    values=dict(co.get("values", {})),
-                    bins=tuple(co["bins"]) if "bins" in co else None,
-                    missing_values=tuple(co.get("missing_values", [""])),
+                    column=json_field(co, "column", "a string", col),
+                    table=json_field(co, "table", "a string", col, "person"),
+                    values=dict(
+                        json_field(co, "values", "an object of strings or nulls", col, {})
+                    ),
+                    bins=None if bins is None else tuple(bins),
+                    missing_values=tuple(
+                        json_field(co, "missing_values", "a list of strings", col, [""])
+                    ),
                 )
             features.append(
                 FeatureSpec(
-                    name=fo["name"],
-                    categories=tuple(fo["categories"]),
+                    name=json_field(fo, "name", "a string", at),
+                    categories=tuple(json_field(fo, "categories", "a list of strings", at)),
                     surveys=surveys,
                 )
             )
-        tgt = obj.get("target", {})
-        target = TargetSpec(
-            name=tgt.get("name", "Delivery"),
-            surveys={
-                sid: TargetColumn(
-                    columns=tuple(t["columns"]),
-                    divisor=float(t["divisor"]),
-                    table=t.get("table", "day"),
-                    missing_values=tuple(t.get("missing_values", [""])),
-                )
-                for sid, t in tgt.get("surveys", {}).items()
-            },
-        )
-        keys = {
-            sid: TableKeys(
-                household_id=k.get("household_id", "household_id"),
-                person_id=k.get("person_id", "person_id"),
-                day_id=k.get("day_id", "day_id"),
+        tgt = json_field(obj, "target", "an object", top, {})
+        targets = {}
+        target_at = f"{top} target"
+        for sid, t in json_field(tgt, "surveys", "an object of objects", target_at, {}).items():
+            col = f"{target_at} survey {sid!r}"
+            targets[sid] = TargetColumn(
+                columns=tuple(json_field(t, "columns", "a list of strings", col)),
+                divisor=float(json_field(t, "divisor", "a number", col)),
+                table=json_field(t, "table", "a string", col, "day"),
+                missing_values=tuple(
+                    json_field(t, "missing_values", "a list of strings", col, [""])
+                ),
             )
-            for sid, k in obj.get("keys", {}).items()
-        }
+        target = TargetSpec(
+            name=json_field(tgt, "name", "a string", target_at, "Delivery"), surveys=targets
+        )
+        keys = {}
+        for sid, k in json_field(obj, "keys", "an object of objects", top, {}).items():
+            col = f"{top} keys {sid!r}"
+            keys[sid] = TableKeys(
+                household_id=json_field(k, "household_id", "a string", col, "household_id"),
+                person_id=json_field(k, "person_id", "a string", col, "person_id"),
+                day_id=json_field(k, "day_id", "a string", col, "day_id"),
+            )
         spec = cls(features=tuple(features), target=target, keys=keys, version=obj["version"])
         spec.validate()
         return spec

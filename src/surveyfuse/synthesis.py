@@ -112,6 +112,7 @@ class SyntheticDataset:
     w1: float
     w2: float
     literal_v2_norm: bool
+    matches: tuple[dict, ...]  # diagnostics() of the mu1 and mu2 matchings
 
     @property
     def n_entries(self) -> int:
@@ -176,6 +177,7 @@ def synthesize(
         w1=float(w1),
         w2=float(w2),
         literal_v2_norm=literal_v2_norm,
+        matches=(graph.mu1.diagnostics(), graph.mu2.diagnostics()),
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from surveyfuse import DataError, EncodedDataset, FeatureDictionary, impute, subsample_compare
-from surveyfuse import cli
+from surveyfuse import cli, matching, synthesis
 from surveyfuse.cli import (
     EXIT_DATA,
     EXIT_DICTIONARY_MISMATCH,
@@ -97,6 +97,41 @@ class TestGen:
         assert f"error: {model_path}: model " in capsys.readouterr().err
         assert not (tmp_path / "f.enc").exists() and not (tmp_path / "m.enc").exists()
 
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda o: o["features"][0].update(categories=3),
+             "model feature 0 key 'categories' must be a list of strings"),
+            (lambda o: o["features"][2].update(marginals="0.5"),
+             "model feature 2 key 'marginals' must be a list of numbers"),
+            (lambda o: o.update(propensity=3), "model key 'propensity' must be an object"),
+            (lambda o: o.pop("propensity"), "model has no 'propensity'"),
+            (lambda o: o["propensity"].update(base="0.3"),
+             "model propensity key 'base' must be a number"),
+            (lambda o: o["propensity"].update(effects={"Income": 3}),
+             "model propensity key 'effects' must be an object of objects of numbers"),
+            (lambda o: o["household_sizes"].update(sizes=[1.5]),
+             "model household_sizes key 'sizes' must be a list of integers"),
+            (lambda o: o.update(seed=True), "model key 'seed' must be an integer"),
+        ],
+    )
+    def test_malformed_nested_model_field_is_schema_error(self, tmp_path, capsys, mutate, named):
+        """A nested model field that is absent or of the wrong JSON type is exit 5,
+        naming the file and the key, not a traceback."""
+        from surveyfuse import demo_model
+
+        model_json = demo_model().to_json_dict()
+        mutate(model_json)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_json))
+        rc = run(
+            "gen", "--model", model_path, "--households", 20, "--seed", 1,
+            "--out-full", tmp_path / "f.enc", "--out-missing", tmp_path / "m.enc",
+        )
+        assert rc == EXIT_DATA
+        assert f"error: {model_path}: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "f.enc").exists() and not (tmp_path / "m.enc").exists()
+
 
 class TestDescribe:
     def test_prints_and_writes_report(self, generated, tmp_path, capsys):
@@ -141,6 +176,20 @@ class TestImpute:
         totals = read_totals(hh_csv)
         assert len(totals) == 200
         assert all(v >= 0 for v in totals.values())
+
+    def test_manifest_records_the_match(self, generated, tmp_path):
+        full, missing = generated
+        out = tmp_path / "imputed.csv"
+        assert run("impute", "--source", missing, "--candidate", full, "--out", out) == EXIT_OK
+        with open(out) as fh:
+            distances = [float(r["distance"]) for r in csv.DictReader(fh)]
+        (match,) = json.loads((tmp_path / "imputed.csv.manifest.json").read_text())["matches"]
+        histogram = match["distance_histogram"]
+        assert len(histogram) == EncodedDataset.load(missing).x.shape[1] + 1
+        assert sum(histogram) == match["query_rows"] == len(distances)
+        assert histogram[0] == distances.count(0.0)
+        assert 0 < match["n_exact_query"] <= match["unique_query_rows"] <= match["query_rows"]
+        assert 0 < match["unique_target_rows"]
 
     def test_dictionary_mismatch_leaves_no_output(self, generated, tmp_path):
         full, missing = generated
@@ -329,6 +378,11 @@ class TestSynthesize:
             rows = list(csv.DictReader(fh))
         assert len(rows) == ds.n_samples
         assert set(rows[0]) == {"bucket_id", "n_S", "n_G_total", "y_synth"}
+        mu1, mu2 = json.loads((tmp_path / "synth.enc.manifest.json").read_text())["matches"]
+        assert mu1["query_rows"] == EncodedDataset.load(paths["source1"]).n_samples
+        assert mu2["query_rows"] == EncodedDataset.load(paths["source2"]).n_samples
+        for match in (mu1, mu2):
+            assert sum(match["distance_histogram"]) == match["query_rows"]
 
 
 class TestAttribute:
@@ -345,6 +399,9 @@ class TestAttribute:
         assert report["efficiency_max_error"] < 1e-9
         features = {e["feature"] for e in report["entries"]}
         assert features <= {"Income", "Age", "Gender", "Education", "LifeCycle", "Employment"}
+        # one match for the coalition table, one for v(full) and v(empty)
+        matches = json.loads((tmp_path / "attr.json.manifest.json").read_text())["matches"]
+        assert [m["query_rows"] for m in matches] == [8 * 2**6, 8 * 2]
 
 
     def test_predictor_flag_removed(self, generated, tmp_path, capsys):
@@ -536,6 +593,13 @@ class TestAtomicWrite:
                 staged.json(tmp_path / "taken", {})
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    def test_plan_checks_the_manifest_path(self, tmp_path):
+        (tmp_path / "first.json.manifest.json").mkdir()
+        with pytest.raises(IsADirectoryError, match="manifest"):
+            with outputs() as staged:
+                staged.plan(tmp_path / "first.json", None, tmp_path / "second.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["first.json.manifest.json"]
+
 
 class TestAllOrNothing:
     """A run that fails after staging some outputs commits none of them."""
@@ -566,6 +630,33 @@ class TestAllOrNothing:
         rc = run("synthesize", "--source2", missing, "--source1", full,
                  "--candidate", full, "--out", tmp_path / "synth.enc")
         self.assert_failed_cleanly(rc, capsys, tmp_path, before, gone / "synth.provenance.csv")
+
+    @pytest.mark.parametrize("case", ["impute", "impute-households", "synthesize", "attribute"])
+    def test_missing_output_directory_fails_before_loading(
+        self, generated, tmp_path, capsys, monkeypatch, case
+    ):
+        full, missing = generated
+
+        def not_reached(*_, **__):
+            raise AssertionError("work started before the output paths were checked")
+
+        monkeypatch.setattr(matching, "nearest_rows", not_reached)
+        monkeypatch.setattr(synthesis, "nearest_rows", not_reached)
+        monkeypatch.setattr(EncodedDataset, "load", not_reached)
+        nodir = tmp_path / "nodir"
+        argv, named = {
+            "impute": (["impute", "--source", missing, "--candidate", full,
+                        "--out", nodir / "i.csv"], nodir / "i.csv"),
+            "impute-households": (["impute", "--source", missing, "--candidate", full,
+                                   "--out", tmp_path / "i.csv", "--out-households",
+                                   nodir / "h.csv"], nodir / "h.csv"),
+            "synthesize": (["synthesize", "--source2", missing, "--source1", full,
+                            "--candidate", full, "--out", nodir / "s.enc"], nodir / "s.enc"),
+            "attribute": (["attribute", "--data", missing, "--candidate", full, "--seed", 1,
+                           "--out", nodir / "a.json"], nodir / "a.json"),
+        }[case]
+        before = sorted(tmp_path.iterdir())
+        self.assert_failed_cleanly(run(*argv), capsys, tmp_path, before, named)
 
     def test_gen_missing_output_directory(self, tmp_path, capsys):
         m = tmp_path / "nodir" / "m.enc"

@@ -505,6 +505,35 @@ class TestSpecFile:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda o: o.pop("features"), "harmonization spec has no 'features'"),
+            (lambda o: o["features"][0].update(surveys=[]),
+             "harmonization spec feature 0 key 'surveys' must be an object of objects"),
+            (lambda o: o["features"][0].update(categories=3),
+             "harmonization spec feature 0 key 'categories' must be a list of strings"),
+            (lambda o: o["features"][0].pop("name"), "harmonization spec feature 0 has no 'name'"),
+            (lambda o: o["features"][1]["surveys"]["mini"].update(bins="18,65"),
+             "harmonization spec feature 1 survey 'mini' key 'bins' must be a list of numbers"),
+            (lambda o: o["target"]["surveys"]["mini"].update(divisor="1"),
+             "harmonization spec target survey 'mini' key 'divisor' must be a number"),
+            (lambda o: o.update(keys={"mini": {"household_id": 3}}),
+             "harmonization spec keys 'mini' key 'household_id' must be a string"),
+        ],
+    )
+    def test_malformed_nested_field_is_schema_error(self, tmp_path, capsys, mutate, named):
+        """A nested spec field that is absent or of the wrong JSON type is exit 5,
+        naming the file and the key, not a traceback."""
+        spec_json = mini_spec().to_json_dict()
+        mutate(spec_json)
+        h, p, d = standard_tables(tmp_path)
+        rc, out = run_ingest(tmp_path, h, p, d, spec_json)
+        assert rc == EXIT_DATA
+        assert f"error: {tmp_path / 'spec.json'}: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestHeaderAndEncoding:
     @pytest.mark.parametrize("table", ["households", "persons", "days"])
     def test_repeated_header_column_rejected(self, tmp_path, capsys, table):

@@ -300,8 +300,10 @@ class TestDuplicateTargets:
 
         monkeypatch.setattr(matching, "_block_counts", counted)
         a = nearest_rows(src, tgt, tie_break=tie_break, seed=1, threads=threads)
-        assert len(heights) == -(-a.n_unique_query // rows)
-        assert sum(heights) == a.n_unique_query
+        scanned = a.n_unique_query - a.n_exact_query  # the join answers the rest
+        assert 0 < a.n_exact_query < a.n_unique_query
+        assert len(heights) == -(-scanned // rows)
+        assert sum(heights) == scanned
 
     @pytest.mark.parametrize("threads", [None, 1])
     def test_one_thread_starts_no_pool(self, threads, monkeypatch):
@@ -334,7 +336,84 @@ class TestDuplicateTargets:
         tgt = np.array([[1, 1, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1], [0, 1, 1, 0]], np.uint8)
         a = nearest_rows(src, tgt)
         assert a.target_index.tolist() == [1, 1, 1, 0]
-        assert (a.n_unique_query, a.n_unique_target) == (2, 2)
+        assert (a.n_unique_query, a.n_unique_target, a.n_exact_query) == (2, 2, 2)
+        assert a.distance_histogram.tolist() == [4, 0, 0, 0, 0]
+        assert a.diagnostics() == {
+            "query_rows": 4, "unique_query_rows": 2, "unique_target_rows": 2,
+            "n_exact_query": 2, "distance_histogram": [4, 0, 0, 0, 0],
+        }
+
+
+def join_instance(d, mode, seed):
+    """Targets with repeated copies, and queries of which all, none or about
+    half are identical to a target vector."""
+    rng = np.random.default_rng(seed)
+    pool = np.unique(rng.integers(0, 2, size=(16, d), dtype=np.uint8), axis=0)
+    pool = pool[rng.permutation(len(pool))]
+    if d == 1:
+        pool = np.array([[0], [1]], np.uint8)
+    n_t = max(1, len(pool) // 2)
+    t_vecs, others = pool[:n_t], pool[n_t:]
+    if d > 64:  # equal to a target in the first packed word, different past it
+        others = t_vecs.copy()
+        others[:, -1] ^= 1
+    assert not (others[:, None, :] == t_vecs[None, :, :]).all(axis=2).any()
+    tgt = np.vstack([t_vecs, t_vecs[rng.integers(0, n_t, 30)]])
+    tgt = tgt[rng.permutation(len(tgt))]
+    same = tgt[rng.integers(0, len(tgt), 60)]
+    new = others[rng.integers(0, len(others), 60)]
+    src = {"all": same, "none": new, "mixed": np.where(rng.random((60, 1)) < 0.5, same, new)}[mode]
+    n_exact = len({row.tobytes() for row in src} & {row.tobytes() for row in tgt})
+    return src, tgt, n_exact
+
+
+class TestExactJoin:
+    """Unique queries identical to a unique target are answered without a scan,
+    with the same answers as the unpacked oracles under both tie rules."""
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("d", [1, 26, 64, 65, 130])
+    @pytest.mark.parametrize("mode", ["all", "none", "mixed"])
+    def test_matches_unpacked_oracles(self, mode, d, threads, one_row_blocks, monkeypatch):
+        src, tgt, n_exact = join_instance(d, mode, 31 * d + threads)
+        if one_row_blocks:
+            monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
+        a = nearest_rows(src, tgt, threads=threads)
+        oidx, odist = nn_scan_oracle(src, tgt)
+        assert np.array_equal(a.target_index, oidx)
+        assert np.array_equal(a.distance, odist)
+        assert a.n_exact_query == n_exact
+        if mode == "all":
+            assert n_exact == a.n_unique_query
+        elif mode == "none":
+            assert n_exact == 0
+        else:
+            assert 0 < n_exact < a.n_unique_query
+        assert a.distance_histogram.sum() == len(src)
+        assert a.distance_histogram[0] == np.count_nonzero(odist == 0.0)
+        r = nearest_rows(src, tgt, tie_break="random", seed=d, threads=threads)
+        assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, d))
+        assert np.array_equal(r.distance, odist)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 70),
+        n_distinct=st.integers(1, 6),
+        copies=st.lists(st.integers(1, 5), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_ties_among_zero_distance_copies(self, d, n_distinct, copies, seed):
+        rng = np.random.default_rng(seed)
+        vecs = np.unique(rng.integers(0, 2, size=(n_distinct, d), dtype=np.uint8), axis=0)
+        tgt = np.repeat(vecs, copies[: len(vecs)], axis=0)
+        tgt = tgt[rng.permutation(len(tgt))]
+        src = np.vstack([tgt[rng.integers(0, len(tgt), 20)],
+                         rng.integers(0, 2, size=(5, d), dtype=np.uint8)])
+        r = nearest_rows(src, tgt, tie_break="random", seed=seed)
+        assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, seed))
+        assert (tgt[r.target_index[:20]] == src[:20]).all()
+        assert r.n_exact_query >= 1
 
 
 class TestNearestNeighborBuckets:
