@@ -48,7 +48,7 @@ from .errors import DataError, DictionaryMismatchError, FusionError
 from .evaluation import DEFAULT_CUTOFFS, Totals, sort_totals, spike, subsample_compare
 from .ingest import assemble, describe, load_tables
 from .matching import augment_candidate, impute
-from .schema import HarmonizationSpec, default_spec_path
+from .schema import HarmonizationSpec, default_spec_path, read_json
 from .synthesis import generate_future
 
 EXIT_OK = 0
@@ -573,8 +573,7 @@ def _peek_config(argv: list[str]) -> dict:
     path = Path(argv[i + 1])
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(path, DataError)
     if not isinstance(cfg, dict):
         raise DataError(f"{path}: config must be a JSON object")
     return {k.replace("-", "_"): v for k, v in cfg.items()}

@@ -11,7 +11,6 @@ factor to emulate a demand surge year.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .dataset import EncodedDataset, rng_stream
 from .errors import DataError, SchemaError
-from .schema import FeatureDictionary, json_field
+from .schema import FeatureDictionary, json_field, read_json
 
 _NOISE_MODES = ("poisson", "none")
 
@@ -155,8 +154,7 @@ class PopulationModel:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PopulationModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_json(path)
         try:
             return cls.from_json_dict(obj)
         except SchemaError as exc:

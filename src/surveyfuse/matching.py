@@ -12,17 +12,16 @@ XOR-popcounts in blocks whose height keeps the per-thread XOR buffer
 within a fixed byte budget, sized to stay in a core's L2 cache.  One pass
 over the blocks serves both tie rules: each block yields its first
 minimum and, for random ties, the set of all minima.  Blocks run inline
-for one thread and are spread over a thread pool otherwise.  Duplicate
-query and target vectors are both collapsed to their first occurrences
-before the scan, which reduces realistic one-hot workloads by orders of
-magnitude and stays exact: identical query rows have identical distances
-to every target, and identical target rows are at the same distance from
-every query, so a winner maps back to its smallest-index copy and a
-random tie draws from the same expanded tie set as a scan over all rows
-would.  A unique query vector that equals a unique target vector is then
-answered by a join, not scanned: it is at distance 0 from that target and
-from no other, so the target's smallest row is its index-tie answer and
-the target's rows are its random-tie set.
+for one thread and are spread over a thread pool otherwise.
+
+Before the scan, one dedup over the targets followed by the queries
+collapses identical vectors to their first occurrences, which reduces
+realistic one-hot workloads by orders of magnitude and stays exact:
+identical rows are at the same distance from every other row, so a winner
+maps back to its smallest-index copy and a random tie draws from the same
+expanded tie set as a scan over all rows would.  A query vector that
+shares a target vector's rank is at distance 0 from it and from no other
+target, so it is answered without a scan.
 
 Everything here is exact: no approximate neighbors, no sampling.
 """
@@ -50,6 +49,9 @@ from .errors import DataError, DimensionError, MatchError
 # it, so memory does not grow with the target count.
 _SCAN_BUFFER_BYTES = 1 << 20
 
+# Rows per chunk of pack_rows' zero-padded byte copy (512 KiB at d <= 64).
+_PACK_ROWS = 8192
+
 _TIE_BREAKS = ("index", "random")
 
 
@@ -65,13 +67,23 @@ def hamming(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def pack_rows(x: np.ndarray) -> np.ndarray:
-    """Pack a (n, d) 0/1 matrix into (n, ceil(d/64)) uint64 words, zero past bit d."""
+    """Pack a (n, d) 0/1 matrix into (n, ceil(d/64)) uint64 words, zero past bit d.
+
+    Rows go through a reused zero-padded (chunk, 64 * words) byte copy,
+    ``_PACK_ROWS`` at a time, which one flat ``packbits`` turns into whole
+    words; memory beyond the output stays fixed.
+    """
     x = np.ascontiguousarray(x, dtype=np.uint8)
     n, d = x.shape
     words = (d + 63) // 64
-    packed = np.zeros((n, words * 8), dtype=np.uint8)
-    packed[:, : (d + 7) // 8] = np.packbits(x, axis=1, bitorder="little")
-    return packed.view(np.uint64)
+    packed = np.empty((n, words), dtype=np.uint64)
+    pad = np.zeros((min(n, _PACK_ROWS), 64 * words), dtype=np.uint8)
+    for s in range(0, n, _PACK_ROWS):
+        e = min(s + _PACK_ROWS, n)
+        pad[: e - s, :d] = x[s:e]
+        bits = np.packbits(pad[: e - s], bitorder="little")  # flat: 8 * words bytes a row
+        packed[s:e] = bits.view(np.uint64).reshape(e - s, words)
+    return packed
 
 
 def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +151,7 @@ class MatchAssignment:
     target_index: np.ndarray  # (n,) int64, matched target row per query row
     distance: np.ndarray  # (n,) float64, normalized Hamming distance in [0, 1]
     dimension: int
+    n_target: int  # target rows
     n_unique_query: int  # distinct query vectors
     n_unique_target: int  # distinct target vectors the scan ran against
     n_exact_query: int  # distinct query vectors answered by an identical target, unscanned
@@ -152,6 +165,7 @@ class MatchAssignment:
         """Workload shape and distance histogram, as a run manifest records them."""
         return {
             "query_rows": self.n,
+            "target_rows": self.n_target,
             "unique_query_rows": self.n_unique_query,
             "unique_target_rows": self.n_unique_target,
             "n_exact_query": self.n_exact_query,
@@ -187,10 +201,10 @@ def nearest_rows(
     ``(seed, query row index)``, so results do not depend on threading).
 
     Only the first occurrences of distinct query and target vectors take
-    part, and a query vector identical to a target vector is answered by a
-    join instead of the scan (both exact under both tie rules, see the
-    module docstring); the returned assignment records how many of each
-    there were.
+    part, and a query vector identical to a target vector is answered
+    without the scan (both exact under both tie rules, see the module
+    docstring); the returned assignment records how many of each there
+    were.
 
     The scan is one pass over blocks of the other unique query rows that
     serves both tie rules; ``threads`` of 1 or ``None`` runs the blocks inline, more
@@ -210,68 +224,67 @@ def nearest_rows(
         raise ValueError("tie_break='random' requires a seed")
 
     d = query_x.shape[1]
-    q_packed = pack_rows(query_x)
-    t_packed = pack_rows(target_x)
-
-    # Identical query vectors share an assignment, identical target vectors a
-    # distance: only first-occurrence unique rows take part.
-    first, inverse = _unique_rows(q_packed)
-    t_first, t_inverse = _unique_rows(t_packed)
-    ut_packed = np.ascontiguousarray(t_packed[t_first])
-    n_ut = t_first.size
-    # Joined behind the pairwise distinct unique targets, a unique query ranks
-    # below n_ut exactly when it equals the unique target of that rank.
-    _, rank = _unique_rows(np.concatenate([ut_packed, q_packed[first]]))
-    u_idx = rank[n_ut:]
+    n_t = target_x.shape[0]
+    # One dedup over the targets followed by the queries: identical rows share
+    # a rank, in order of first occurrence, so the ranks below n_ut are the
+    # unique targets and a query of such a rank equals that target.
+    packed = np.concatenate([pack_rows(target_x), pack_rows(query_x)])
+    first, rank = _unique_rows(packed)
+    t_rank, q_rank = rank[:n_t], rank[n_t:]
+    n_ut = int(np.searchsorted(first, n_t))
+    n_scan = first.size - n_ut  # unique queries without an identical target
+    ut_packed = packed[first[:n_ut]]
+    s_packed = packed[first[n_ut:]]
+    del packed
+    # an exact query's answer is its own rank at count 0; the scan fills the rest
+    u_idx = np.arange(first.size)
     u_cnt = np.zeros(first.size, dtype=np.int64)
-    scan = np.flatnonzero(u_idx >= n_ut)  # unique queries without an identical target
-    s_packed = q_packed[first[scan]]
-    # an exact query's tie set is its one target; the scan overwrites the rest
-    u_ties = [(j,) for j in u_idx.tolist()] if tie_break == "random" else []
+    s_ties = [None] * n_scan if tie_break == "random" else []
     rows = _block_rows(ut_packed)
 
     def scan_block(s: int) -> None:
-        # writes only its own queries' entries of u_idx, u_cnt and u_ties
-        e = min(s + rows, scan.size)
+        # writes only its own queries' entries of u_idx, u_cnt and s_ties
+        e = min(s + rows, n_scan)
         counts = _block_counts(s_packed[s:e], ut_packed)
         idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
         best = counts[np.arange(e - s), idx]
-        u_idx[scan[s:e]] = idx
-        u_cnt[scan[s:e]] = best
+        u_idx[n_ut + s : n_ut + e] = idx
+        u_cnt[n_ut + s : n_ut + e] = best
         if tie_break == "random":
-            for k, c, b in zip(scan[s:e].tolist(), counts, best):
-                u_ties[k] = np.flatnonzero(c == b)
+            s_ties[s:e] = [np.flatnonzero(c == b) for c, b in zip(counts, best)]
 
     n_threads = max(1, threads or 1)
-    blocks = range(0, scan.size, rows)
+    blocks = range(0, n_scan, rows)
     if n_threads == 1:  # inline: a one-worker pool only adds a thread to peak memory
         list(map(scan_block, blocks))
     else:
         with ThreadPoolExecutor(n_threads) as pool:
             list(pool.map(scan_block, blocks))  # re-raises a block's exception
 
-    # t_first ascends, so the first unique minimum is the smallest tied row.
-    target_index = t_first[u_idx][inverse]
-    counts = u_cnt[inverse]
+    # first ascends, so the first unique minimum is the smallest tied row.
+    target_index = first[u_idx][q_rank]
+    counts = u_cnt[q_rank]
 
     if tie_break == "random":
         # each tied unique target stands for all its rows, in ascending order
         members = np.split(
-            np.argsort(t_inverse, kind="stable"),
-            np.cumsum(np.bincount(t_inverse))[:-1],
+            np.argsort(t_rank, kind="stable"),
+            np.cumsum(np.bincount(t_rank))[:-1],
         )
-        ties = [np.sort(np.concatenate([members[j] for j in tied])) for tied in u_ties]
+        ties = members + [np.sort(np.concatenate([members[j] for j in t])) for t in s_ties]
         n_ties = np.array([t.size for t in ties], dtype=np.int64)
-        for i in np.flatnonzero(n_ties[inverse] > 1):
-            target_index[i] = int(rng_stream(seed, i).choice(ties[inverse[i]]))
+        for i in np.flatnonzero(n_ties[q_rank] > 1):
+            target_index[i] = int(rng_stream(seed, i).choice(ties[q_rank[i]]))
 
+    n_exact = int(np.count_nonzero(np.bincount(q_rank, minlength=n_ut)[:n_ut]))
     return MatchAssignment(
         target_index=target_index,
         distance=counts.astype(np.float64) / d,
         dimension=d,
-        n_unique_query=first.size,
+        n_target=n_t,
+        n_unique_query=n_exact + n_scan,
         n_unique_target=n_ut,
-        n_exact_query=first.size - scan.size,
+        n_exact_query=n_exact,
         distance_histogram=np.bincount(counts, minlength=d + 1),
     )
 

@@ -74,6 +74,16 @@ JSON_KINDS = {
 _REQUIRED = object()
 
 
+def read_json(path: str | Path, error=SchemaError):
+    """The JSON value in the UTF-8 file at ``path``; a file that is not
+    UTF-8 or not JSON raises ``error`` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise error(f"{path}: not a UTF-8 JSON file: {exc}") from None
+
+
 def json_field(obj: dict, key: str, kind: str, where: str, default=_REQUIRED, error=SchemaError):
     """``obj[key]``, which must be ``kind`` (a key of ``JSON_KINDS``), or
     ``default`` when the key is absent and a default is given.  Otherwise
@@ -336,8 +346,7 @@ class HarmonizationSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HarmonizationSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_json(path)
         try:
             return cls.from_json_dict(obj)
         except SchemaError as exc:

@@ -81,10 +81,10 @@ def nested_match(
     mu1 = nearest_rows(
         source1.x, buckets.x, tie_break=tie_break, seed=seed, threads=threads
     )
-    # query row i is the i-th labeled row, which numbers its random-tie stream
-    mu2 = nearest_rows(
-        source2.x[keep], source1.x, tie_break=tie_break, seed=seed, threads=threads
-    )
+    # query row i is the i-th labeled row, which numbers its random-tie stream;
+    # with every row labeled that is row i itself, so no copy is needed
+    labeled_x = source2.x if keep.size == source2.n_samples else source2.x[keep]
+    mu2 = nearest_rows(labeled_x, source1.x, tie_break=tie_break, seed=seed, threads=threads)
     return TriPartiteGraph(
         buckets=buckets,
         mu1=mu1,

@@ -190,6 +190,7 @@ class TestImpute:
         assert histogram[0] == distances.count(0.0)
         assert 0 < match["n_exact_query"] <= match["unique_query_rows"] <= match["query_rows"]
         assert 0 < match["unique_target_rows"]
+        assert match["target_rows"] == match["unique_target_rows"]  # buckets are distinct
 
     def test_dictionary_mismatch_leaves_no_output(self, generated, tmp_path):
         full, missing = generated
@@ -381,8 +382,10 @@ class TestSynthesize:
         mu1, mu2 = json.loads((tmp_path / "synth.enc.manifest.json").read_text())["matches"]
         assert mu1["query_rows"] == EncodedDataset.load(paths["source1"]).n_samples
         assert mu2["query_rows"] == EncodedDataset.load(paths["source2"]).n_samples
+        assert mu2["target_rows"] == mu1["query_rows"]
         for match in (mu1, mu2):
             assert sum(match["distance_histogram"]) == match["query_rows"]
+            assert 0 < match["unique_target_rows"] <= match["target_rows"]
 
 
 class TestAttribute:
@@ -402,6 +405,7 @@ class TestAttribute:
         # one match for the coalition table, one for v(full) and v(empty)
         matches = json.loads((tmp_path / "attr.json.manifest.json").read_text())["matches"]
         assert [m["query_rows"] for m in matches] == [8 * 2**6, 8 * 2]
+        assert len({m["target_rows"] for m in matches}) == 1  # both against the buckets
 
 
     def test_predictor_flag_removed(self, generated, tmp_path, capsys):
@@ -543,6 +547,39 @@ class TestDeterminismAndConfig:
                  "--seed", 1, "--out-full", tmp_path / "f.enc",
                  "--out-missing", tmp_path / "m.enc")
         assert rc == EXIT_MISSING_INPUT
+
+
+class TestJsonFileFaults:
+    """A model, spec or config file that is not JSON, or not UTF-8, is exit 5
+    naming the file, and no output is written."""
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"{not json", "Expecting property name"), (b"\xff\xfe{}", "'utf-8' codec")],
+        ids=["not-json", "not-utf8"],
+    )
+    @pytest.mark.parametrize("flag", ["--model", "--spec", "--config"])
+    def test_exit_5_names_the_file(self, tmp_path, capsys, flag, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if flag == "--spec":
+            tables = [tmp_path / f"{t}.csv" for t in ("h", "p", "d")]
+            for t in tables:
+                t.write_text("")
+            outs = [tmp_path / "out.enc"]
+            args = ["ingest", "--households", tables[0], "--persons", tables[1],
+                    "--days", tables[2], "--survey-id", "s", "--year", 2020, "--out", outs[0]]
+        else:
+            outs = [tmp_path / "f.enc", tmp_path / "m.enc"]
+            args = ["gen", "--households", 5, "--seed", 1,
+                    "--out-full", outs[0], "--out-missing", outs[1]]
+        assert run(*args, flag, bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not a UTF-8 JSON file: " in err and reason in err
+        assert not any(o.exists() for o in outs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["bad.json"] + (["d.csv", "h.csv", "p.csv"] if flag == "--spec" else [])
+        )
 
 
 def outputs() -> _Outputs:

@@ -5,7 +5,7 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surveyfuse import (
@@ -220,6 +220,73 @@ class TestFirstOccurrence:
     @pytest.mark.parametrize("values", [[], [5], [5, 5, 5], [1, 2, 1, 2], [3, 3, 1, 1, 3]])
     def test_edge_cases(self, values, kind):
         self.check(as_keys(values, kind))
+
+
+class TestPackedFirstOccurrence:
+    """Integer keys whose span and row index fit in 64 bits take one packed
+    (key, row) sort; the rest take ``np.unique``.  Both against the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dtype=st.sampled_from(["int64", "uint64", "int32", "uint8"]),
+        span_bits=st.integers(0, 64),
+        data=st.data(),
+    )
+    def test_integer_keys_match_unique_oracle(self, dtype, span_bits, data):
+        info = np.iinfo(dtype)
+        span = min(2**span_bits - 1, int(info.max) - int(info.min))
+        low = data.draw(st.integers(int(info.min), int(info.max) - span))
+        pool = data.draw(st.lists(st.integers(low, low + span), min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+        TestFirstOccurrence.check(np.array([pool[i] for i in picks], dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([], "int64"),
+            ([-7], "int64"),
+            ([-3, -3, -3, -3], "int64"),
+            ([-5, 2**40, -5, -2**62, 0, 2**40], "int64"),
+            ([2**63, 2**64 - 1, 2**63, 5, 2**64 - 1], "uint64"),
+            ([2**64 - 1] * 3, "uint64"),
+        ],
+    )
+    def test_edge_cases(self, values, dtype):
+        TestFirstOccurrence.check(np.array(values, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint64"])
+    @pytest.mark.parametrize("n, span_bits", [(2, 63), (2, 64), (5, 61), (5, 62)])
+    def test_64_bit_boundary(self, n, span_bits, dtype, monkeypatch):
+        """Span bits plus row-index bits of 64 take the packed sort, of 65 ``np.unique``."""
+        high = int(np.iinfo(dtype).max)
+        low = high - (2**span_bits - 1)
+        keys = np.array([high, low, high, low + 1, high][:n], dtype=dtype)
+        want_first, want_rank = first_occurrence_unique_oracle(keys)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        first, rank = first_occurrence(keys)
+        monkeypatch.undo()
+        assert bool(calls) == (span_bits + (n - 1).bit_length() > 64)
+        assert first.tolist() == want_first.tolist() and rank.tolist() == want_rank.tolist()
+        assert first.dtype == want_first.dtype and rank.dtype == want_rank.dtype
+
+    def test_packed_covariate_rows_take_the_packed_sort(self, monkeypatch):
+        """d = 26 rows packed into one word need no ``np.unique``."""
+        from surveyfuse.matching import pack_rows
+
+        rng = np.random.default_rng(26)
+        distinct = rng.integers(0, 2, size=(300, 26), dtype=np.uint8)
+        keys = pack_rows(distinct[rng.integers(0, 300, 50_000)])[:, 0]
+        want_first, want_rank = first_occurrence_unique_oracle(keys)
+
+        def no_unique(*_, **__):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        first, rank = first_occurrence(keys)
+        monkeypatch.undo()
+        assert np.array_equal(first, want_first) and np.array_equal(rank, want_rank)
 
 
 class TestStreamedArtifact:

@@ -84,6 +84,15 @@ class TestPackRows:
         assert packed.dtype == np.uint64 and packed.shape == (n, (d + 63) // 64)
         assert np.array_equal(packed, pack_rows_padded_oracle(x))
 
+    @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 0)])
+    @pytest.mark.parametrize("d", [1, 26, 63, 64, 65, 130])
+    def test_chunk_boundaries(self, d, chunks, extra):
+        n = chunks * matching._PACK_ROWS + extra
+        x = np.random.default_rng(d * 7 + n).integers(0, 2, (n, d), dtype=np.uint8)
+        packed = pack_rows(x)
+        assert packed.dtype == np.uint64 and packed.shape == (n, (d + 63) // 64)
+        assert np.array_equal(packed, pack_rows_padded_oracle(x))
+
     def test_memory_follows_the_words(self):
         """No (n, 64 * words) byte copy: 200k rows of d = 26 peak under 4 x n x 8 bytes."""
         n = 200_000
@@ -339,9 +348,27 @@ class TestDuplicateTargets:
         assert (a.n_unique_query, a.n_unique_target, a.n_exact_query) == (2, 2, 2)
         assert a.distance_histogram.tolist() == [4, 0, 0, 0, 0]
         assert a.diagnostics() == {
-            "query_rows": 4, "unique_query_rows": 2, "unique_target_rows": 2,
-            "n_exact_query": 2, "distance_histogram": [4, 0, 0, 0, 0],
+            "query_rows": 4, "target_rows": 4, "unique_query_rows": 2,
+            "unique_target_rows": 2, "n_exact_query": 2, "distance_histogram": [4, 0, 0, 0, 0],
         }
+
+
+    def test_d26_match_sorts_packed_keys(self, monkeypatch):
+        """At d = 26 the one dedup per matching is the packed sort, not ``np.unique``."""
+        src, tgt = self.instance(26, 11)
+        oidx, odist = nn_scan_oracle(src, tgt)
+        rand = nn_random_tie_oracle(src, tgt, 3)
+
+        def no_unique(*_, **__):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        a = nearest_rows(src, tgt)
+        r = nearest_rows(src, tgt, tie_break="random", seed=3)
+        monkeypatch.undo()
+        assert np.array_equal(a.target_index, oidx) and np.array_equal(a.distance, odist)
+        assert np.array_equal(r.target_index, rand)
+        assert (a.n_target, a.n_unique_target) == (120, 10)
 
 
 def join_instance(d, mode, seed):
