@@ -173,7 +173,7 @@ class EncodedDataset:
         return int(self.missing_mask.sum())
 
     def n_households(self) -> int:
-        return int(np.unique(self.household_ids).size)
+        return int(household_index(self.household_ids)[0].size)
 
     def subset(self, indices: np.ndarray) -> "EncodedDataset":
         indices = np.asarray(indices)

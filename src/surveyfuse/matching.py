@@ -7,21 +7,32 @@ receives the bucket mean divided by the sample-count weight
 ``w = |source| / |candidate|``; per-household totals are the sums of the
 per-sample values.
 
-The distance kernel packs bit-vectors into 64-bit words and scans
-XOR-popcounts in blocks whose height keeps the per-thread XOR buffer
-within a fixed byte budget, sized to stay in a core's L2 cache.  One pass
-over the blocks serves both tie rules: each block yields its first
-minimum and, for random ties, the set of all minima.  Blocks run inline
-for one thread and are spread over a thread pool otherwise.
+A matching runs in four steps, each exact under both tie rules:
 
-Before the scan, one dedup over the targets followed by the queries
-collapses identical vectors to their first occurrences, which reduces
-realistic one-hot workloads by orders of magnitude and stays exact:
-identical rows are at the same distance from every other row, so a winner
-maps back to its smallest-index copy and a random tie draws from the same
-expanded tie set as a scan over all rows would.  A query vector that
-shares a target vector's rank is at distance 0 from it and from no other
-target, so it is answered without a scan.
+1. One dedup over the targets followed by the queries collapses identical
+   vectors to their first occurrences, which reduces realistic one-hot
+   workloads by orders of magnitude: identical rows are at the same
+   distance from every other row, so a winner maps back to its
+   smallest-index copy and a random tie draws from the same expanded tie
+   set as a scan over all rows would.
+2. A query vector that shares a target vector's rank is at distance 0 from
+   it and from no other unique target, so it is answered without a scan.
+3. For single-word rows (d <= 64), each other unique query looks up its d
+   one-bit flips among the sorted unique target keys.  It has no target at
+   distance 0, so the flips found are exactly its nearest unique targets,
+   at distance 1: the smallest rank answers the index rule and all of them,
+   in ascending order, are the random rule's tie set.  The join stops at
+   radius 1: radius 2 would take d (d - 1) / 2 lookups per query, 325 at
+   d = 26, which costs more than scanning a few thousand targets.
+4. The remaining unique queries are scanned against the unique targets.
+
+Rows are packed into 64-bit words.  The scan computes XOR-popcounts in
+blocks whose height keeps the per-thread XOR buffer within a fixed byte
+budget, sized to stay in a core's L2 cache; the join's blocks keep their
+(d x rows) flip matrix within the same budget.  One pass over the scan
+blocks serves both tie rules: each block yields its first minimum and,
+for random ties, the set of all minima.  Scan blocks run inline for one
+thread and are spread over a thread pool otherwise.
 
 Everything here is exact: no approximate neighbors, no sampling.
 """
@@ -155,6 +166,7 @@ class MatchAssignment:
     n_unique_query: int  # distinct query vectors
     n_unique_target: int  # distinct target vectors the scan ran against
     n_exact_query: int  # distinct query vectors answered by an identical target, unscanned
+    n_near_query: int  # distinct query vectors answered by the distance-1 join, unscanned
     distance_histogram: np.ndarray  # (dimension + 1,) int64, query rows at distance k / d
 
     @property
@@ -169,6 +181,7 @@ class MatchAssignment:
             "unique_query_rows": self.n_unique_query,
             "unique_target_rows": self.n_unique_target,
             "n_exact_query": self.n_exact_query,
+            "n_near_query": self.n_near_query,
             "distance_histogram": self.distance_histogram.tolist(),
         }
 
@@ -186,6 +199,42 @@ def _block_counts(block: np.ndarray, t_packed: np.ndarray) -> np.ndarray:
     return np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
 
 
+def _near_join(
+    q_keys: np.ndarray, t_keys: np.ndarray, d: int, ties: bool
+) -> tuple[np.ndarray, list]:
+    """Positions of the distinct target keys one bit from each query key.
+
+    Each query's d one-bit flips are looked up among the sorted target
+    keys, in blocks whose (d x rows) flip matrix fits ``_SCAN_BUFFER_BYTES``.
+    Returns each query's smallest target position at distance 1
+    (``t_keys.size`` where there is none) and, with ``ties``, per query all
+    such positions in ascending order (``None`` where there is none).
+    """
+    n_t = t_keys.size
+    order = np.argsort(t_keys)
+    keys = t_keys[order]
+    flips = np.uint64(1) << np.arange(d, dtype=np.uint64)
+    rows = max(1, _SCAN_BUFFER_BYTES // (8 * d))
+    nearest = np.empty(q_keys.size, dtype=np.intp)
+    tie_sets = [None] * q_keys.size if ties else []
+    for s in range(0, q_keys.size, rows):
+        queries = s + np.argsort(q_keys[s : s + rows])
+        # a row per flip over ascending queries: searchsorted's lookups stay local
+        cand = flips[:, None] ^ q_keys[queries]
+        pos = np.searchsorted(keys, cand)
+        np.minimum(pos, n_t - 1, out=pos)
+        miss = keys[pos] != cand
+        hit = order[pos]
+        hit[miss] = n_t
+        if ties:
+            hit.sort(axis=0)
+            for i, h, k in zip(queries, hit.T, np.count_nonzero(hit < n_t, axis=0)):
+                if k:
+                    tie_sets[i] = h[:k].copy()
+        nearest[queries] = hit[0] if ties else hit.min(axis=0)
+    return nearest, tie_sets
+
+
 def nearest_rows(
     query_x: np.ndarray,
     target_x: np.ndarray,
@@ -200,15 +249,16 @@ def nearest_rows(
     query row with ``tie_break="random"`` (stream derived from
     ``(seed, query row index)``, so results do not depend on threading).
 
-    Only the first occurrences of distinct query and target vectors take
-    part, and a query vector identical to a target vector is answered
-    without the scan (both exact under both tie rules, see the module
-    docstring); the returned assignment records how many of each there
-    were.
+    The steps follow the module docstring, each exact under both tie
+    rules: only the first occurrences of distinct query and target vectors
+    take part; a query vector identical to a target vector is answered by
+    the distance-0 join; at d <= 64, a query vector one bit from a target
+    vector is answered by the distance-1 join; the rest are scanned.  The
+    returned assignment records how many unique queries each join answered.
 
-    The scan is one pass over blocks of the other unique query rows that
-    serves both tie rules; ``threads`` of 1 or ``None`` runs the blocks inline, more
-    spreads them over a thread pool of that size.
+    The scan is one pass over blocks of the remaining unique query rows
+    that serves both tie rules; ``threads`` of 1 or ``None`` runs the blocks
+    inline, more spreads them over a thread pool of that size.
     """
     query_x = np.ascontiguousarray(query_x, dtype=np.uint8)
     target_x = np.ascontiguousarray(target_x, dtype=np.uint8)
@@ -232,29 +282,39 @@ def nearest_rows(
     first, rank = _unique_rows(packed)
     t_rank, q_rank = rank[:n_t], rank[n_t:]
     n_ut = int(np.searchsorted(first, n_t))
-    n_scan = first.size - n_ut  # unique queries without an identical target
+    n_other = first.size - n_ut  # unique queries without an identical target
     ut_packed = packed[first[:n_ut]]
-    s_packed = packed[first[n_ut:]]
+    o_packed = packed[first[n_ut:]]
     del packed
-    # an exact query's answer is its own rank at count 0; the scan fills the rest
+    random = tie_break == "random"
+    # an exact query's answer is its own rank at count 0; the join and the scan
+    # fill the other queries' entries, and their tie sets for random ties
     u_idx = np.arange(first.size)
     u_cnt = np.zeros(first.size, dtype=np.int64)
-    s_ties = [None] * n_scan if tie_break == "random" else []
+    o_ties = [None] * n_other if random else []
+    scan = np.arange(n_other)  # the other queries left to scan
+    if ut_packed.shape[1] == 1:  # d <= 64: a flip away from a target is distance 1
+        near, o_ties = _near_join(o_packed[:, 0], ut_packed[:, 0], d, random)
+        u_idx[n_ut:] = near  # the scan overwrites the queries without a hit
+        u_cnt[n_ut:] = near < n_ut
+        scan = np.flatnonzero(near == n_ut)
+        o_packed = o_packed[scan]
     rows = _block_rows(ut_packed)
 
     def scan_block(s: int) -> None:
-        # writes only its own queries' entries of u_idx, u_cnt and s_ties
-        e = min(s + rows, n_scan)
-        counts = _block_counts(s_packed[s:e], ut_packed)
+        # writes only its own queries' entries of u_idx, u_cnt and o_ties
+        e = min(s + rows, scan.size)
+        counts = _block_counts(o_packed[s:e], ut_packed)
         idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
         best = counts[np.arange(e - s), idx]
-        u_idx[n_ut + s : n_ut + e] = idx
-        u_cnt[n_ut + s : n_ut + e] = best
-        if tie_break == "random":
-            s_ties[s:e] = [np.flatnonzero(c == b) for c, b in zip(counts, best)]
+        u_idx[n_ut + scan[s:e]] = idx
+        u_cnt[n_ut + scan[s:e]] = best
+        if random:
+            for p, c, b in zip(scan[s:e], counts, best):
+                o_ties[p] = np.flatnonzero(c == b)
 
     n_threads = max(1, threads or 1)
-    blocks = range(0, n_scan, rows)
+    blocks = range(0, scan.size, rows)
     if n_threads == 1:  # inline: a one-worker pool only adds a thread to peak memory
         list(map(scan_block, blocks))
     else:
@@ -265,13 +325,13 @@ def nearest_rows(
     target_index = first[u_idx][q_rank]
     counts = u_cnt[q_rank]
 
-    if tie_break == "random":
+    if random:
         # each tied unique target stands for all its rows, in ascending order
         members = np.split(
             np.argsort(t_rank, kind="stable"),
             np.cumsum(np.bincount(t_rank))[:-1],
         )
-        ties = members + [np.sort(np.concatenate([members[j] for j in t])) for t in s_ties]
+        ties = members + [np.sort(np.concatenate([members[j] for j in t])) for t in o_ties]
         n_ties = np.array([t.size for t in ties], dtype=np.int64)
         for i in np.flatnonzero(n_ties[q_rank] > 1):
             target_index[i] = int(rng_stream(seed, i).choice(ties[q_rank[i]]))
@@ -282,9 +342,10 @@ def nearest_rows(
         distance=counts.astype(np.float64) / d,
         dimension=d,
         n_target=n_t,
-        n_unique_query=n_exact + n_scan,
+        n_unique_query=n_exact + n_other,
         n_unique_target=n_ut,
         n_exact_query=n_exact,
+        n_near_query=n_other - scan.size,
         distance_histogram=np.bincount(counts, minlength=d + 1),
     )
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodedDataset, require_same_dictionary
+from .dataset import EncodedDataset, household_index, require_same_dictionary
 from .errors import DataError, MatchError
 from .matching import BucketSet, MatchAssignment, build_buckets, nearest_rows
 from .schema import FeatureDictionary
@@ -164,7 +164,8 @@ def synthesize(
 
     bucket_index = np.flatnonzero(reachable)
     member_mask = reachable[graph.buckets.inverse]
-    covered = tuple(sorted(np.unique(graph.candidate_household_ids[member_mask]).tolist()))
+    covered_ids, _ = household_index(graph.candidate_household_ids[member_mask])
+    covered = tuple(sorted(covered_ids.tolist()))
 
     return SyntheticDataset(
         dictionary=graph.dictionary,

@@ -189,6 +189,9 @@ class TestImpute:
         assert sum(histogram) == match["query_rows"] == len(distances)
         assert histogram[0] == distances.count(0.0)
         assert 0 < match["n_exact_query"] <= match["unique_query_rows"] <= match["query_rows"]
+        # each unique query the distance-1 join answered stands for rows at distance 1/d
+        assert 0 <= match["n_near_query"] <= histogram[1]
+        assert match["n_exact_query"] + match["n_near_query"] <= match["unique_query_rows"]
         assert 0 < match["unique_target_rows"]
         assert match["target_rows"] == match["unique_target_rows"]  # buckets are distinct
 

@@ -309,7 +309,7 @@ class TestDuplicateTargets:
 
         monkeypatch.setattr(matching, "_block_counts", counted)
         a = nearest_rows(src, tgt, tie_break=tie_break, seed=1, threads=threads)
-        scanned = a.n_unique_query - a.n_exact_query  # the join answers the rest
+        scanned = a.n_unique_query - a.n_exact_query - a.n_near_query  # the joins answer the rest
         assert 0 < a.n_exact_query < a.n_unique_query
         assert len(heights) == -(-scanned // rows)
         assert sum(heights) == scanned
@@ -349,7 +349,8 @@ class TestDuplicateTargets:
         assert a.distance_histogram.tolist() == [4, 0, 0, 0, 0]
         assert a.diagnostics() == {
             "query_rows": 4, "target_rows": 4, "unique_query_rows": 2,
-            "unique_target_rows": 2, "n_exact_query": 2, "distance_histogram": [4, 0, 0, 0, 0],
+            "unique_target_rows": 2, "n_exact_query": 2, "n_near_query": 0,
+            "distance_histogram": [4, 0, 0, 0, 0],
         }
 
 
@@ -441,6 +442,142 @@ class TestExactJoin:
         assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, seed))
         assert (tgt[r.target_index[:20]] == src[:20]).all()
         assert r.n_exact_query >= 1
+
+
+def unpacked_distances(q, t):
+    """(queries x targets) Hamming counts by elementwise comparison."""
+    return (q[:, None, :] != t[None, :, :]).sum(axis=2)
+
+
+def near_instance(d, mode, seed):
+    """Targets with repeated copies; queries identical to a target, plus
+    queries of which all, none or about half are one bit from a target.
+    Several near queries are one bit from two distinct targets."""
+    rng = np.random.default_rng(seed)
+    if d == 1:
+        t_vecs, near, far = np.array([[0]], np.uint8), np.array([[1]], np.uint8), None
+    else:
+        base = rng.integers(0, 2, size=(6, d), dtype=np.uint8)
+        bits = np.array([rng.choice(d, 2, replace=False) for _ in range(6)])
+        partner = base.copy()
+        partner[np.arange(6), bits[:, 0]] ^= 1
+        partner[np.arange(6), bits[:, 1]] ^= 1
+        t_vecs = np.unique(np.vstack([base, partner]), axis=0)
+        near = base.copy()  # one bit from base and from partner
+        near[np.arange(6), bits[:, 0]] ^= 1
+        more = t_vecs[rng.integers(0, len(t_vecs), 20)]
+        flip = np.concatenate([[0, d - 1], rng.integers(0, d, 18)])  # first and last bit too
+        more[np.arange(20), flip] ^= 1
+        near = np.vstack([near, more])
+        far = rng.integers(0, 2, size=(40, d), dtype=np.uint8)
+        near = near[unpacked_distances(near, t_vecs).min(axis=1) == 1]
+        far = far[unpacked_distances(far, t_vecs).min(axis=1) >= 2]
+    tgt = np.vstack([t_vecs, t_vecs[rng.integers(0, len(t_vecs), 30)]])
+    tgt = tgt[rng.permutation(len(tgt))]
+    exact = tgt[rng.integers(0, len(tgt), 20)]
+
+    def pick(rows, k):  # exact copies where small d leaves no such vector
+        rows = exact if rows is None or not len(rows) else rows
+        return rows[rng.integers(0, len(rows), k)]
+
+    src = {
+        "all": np.vstack([exact, pick(near, 40)]),
+        "none": np.vstack([exact, pick(far, 40)]),
+        "mixed": np.vstack([exact, pick(near, 20), pick(far, 20)]),
+    }[mode]
+    return src[rng.permutation(len(src))], tgt
+
+
+def check_near_join(src, tgt, seed, threads=1):
+    """Both tie rules against the unpacked oracles, and the join's query count."""
+    a = nearest_rows(src, tgt, threads=threads)
+    oidx, odist = nn_scan_oracle(src, tgt)
+    assert np.array_equal(a.target_index, oidx)
+    assert np.array_equal(a.distance, odist)
+    r = nearest_rows(src, tgt, tie_break="random", seed=seed, threads=threads)
+    assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, seed))
+    assert np.array_equal(r.distance, odist)
+    d = src.shape[1]
+    near = len({row.tobytes() for row in src[odist * d == 1]}) if d <= 64 else 0
+    assert a.n_near_query == r.n_near_query == near
+    assert a.n_exact_query + a.n_near_query <= a.n_unique_query
+    assert a.distance_histogram.sum() == len(src)
+    return a, odist
+
+
+class TestNearJoin:
+    """At d <= 64, unique queries one bit from a unique target are answered by
+    a join before the scan, with the same answers as the unpacked oracles
+    under both tie rules; wider rows are all scanned."""
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("d", [1, 26, 63, 64, 65, 130])
+    @pytest.mark.parametrize("mode", ["all", "none", "mixed"])
+    def test_matches_unpacked_oracles(self, mode, d, threads, one_row_blocks, monkeypatch):
+        src, tgt = near_instance(d, mode, 17 * d + threads)
+        if one_row_blocks:
+            monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
+        a, odist = check_near_join(src, tgt, d, threads)
+        non_exact = a.n_unique_query - a.n_exact_query
+        if d > 64:
+            assert a.n_near_query == 0
+        elif mode == "none":
+            assert a.n_near_query == 0
+        elif mode == "all" or d == 1:  # at d = 1 every other vector is one bit away
+            assert 0 < a.n_near_query == non_exact
+        else:
+            assert 0 < a.n_near_query < non_exact
+        if mode != "none" and d > 1:  # some query is one bit from two distinct targets
+            at_one = unpacked_distances(src, np.unique(tgt, axis=0)) == 1
+            assert at_one.sum(axis=1).max() >= 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 8, 26, 63, 64, 65]),
+        mode=st.sampled_from(["all", "none", "mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, d, mode, seed):
+        src, tgt = near_instance(d, mode, seed)
+        check_near_join(src, tgt, seed % 1000)
+
+    @pytest.mark.parametrize("tie_break", ["index", "random"])
+    def test_no_scan_when_every_query_is_near(self, tie_break, monkeypatch):
+        src, tgt = near_instance(26, "all", 5)
+
+        def no_scan(*_, **__):
+            raise AssertionError("_block_counts called")
+
+        expected = nearest_rows(src, tgt, tie_break=tie_break, seed=2)
+        oidx, _ = nn_scan_oracle(src, tgt)
+        monkeypatch.setattr(matching, "_block_counts", no_scan)
+        a = nearest_rows(src, tgt, tie_break=tie_break, seed=2)
+        assert a.n_near_query == a.n_unique_query - a.n_exact_query > 0
+        assert np.array_equal(a.target_index, expected.target_index)
+        if tie_break == "index":
+            assert np.array_equal(a.target_index, oidx)
+
+    def test_memory_does_not_grow_with_the_queries(self):
+        """Blocked flips: beyond its output, the join's peak stays within a few
+        scan buffers, the same at 50k and 200k scanned queries of d = 26."""
+        rng = np.random.default_rng(8)
+        t_keys = np.unique(rng.integers(0, 1 << 26, 2_000, dtype=np.uint64))
+        extra = []
+        for n in (50_000, 200_000):
+            q_keys = t_keys[rng.integers(0, t_keys.size, n)] ^ (
+                np.uint64(1) << rng.integers(0, 26, n, dtype=np.uint64)
+            )
+            tracemalloc.start()
+            try:
+                nearest, _ = matching._near_join(q_keys, t_keys, 26, False)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (nearest < t_keys.size).all()
+            extra.append(peak - nearest.nbytes)
+        assert max(extra) < 8 * matching._SCAN_BUFFER_BYTES, extra
+        assert extra[1] < extra[0] + matching._SCAN_BUFFER_BYTES // 4, extra
 
 
 class TestNearestNeighborBuckets:

@@ -1,5 +1,6 @@
-"""Process start-up: the package imports lazily, and the CLI starts numpy
-with a one-thread OpenBLAS unless the caller chose a thread count.
+"""Process start-up: the package imports lazily, the CLI starts numpy
+with a one-thread OpenBLAS unless the caller chose a thread count, and
+``synthesize`` and ``describe`` never import ``numpy.ma``.
 
 Each check runs in a fresh interpreter, since this process has numpy loaded
 already, with ``OPENBLAS_NUM_THREADS`` taken from the environment unless
@@ -122,3 +123,48 @@ class TestOpenblasThreads:
     def test_callers_thread_count_is_kept(self, entry):
         report = run_fresh(entry + REPORT, openblas_threads="3")
         assert report["numpy"] and report["openblas_threads"] == "3"
+
+
+# run the CLI argument lists in the JSON %r, then report their stdout and
+# whether numpy.ma was imported
+RUN_COMMANDS = """
+import contextlib, io, json, sys
+from surveyfuse.cli import main
+report = {"stdout": [], "codes": []}
+for argv in json.loads(%r):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        report["codes"].append(main(argv))
+    report["stdout"].append(buf.getvalue())
+report["numpy.ma"] = "numpy.ma" in sys.modules
+print(json.dumps(report))
+"""
+
+
+class TestNoMaskedArrays:
+    def test_synthesize_and_describe_skip_numpy_ma(self, tmp_path):
+        """The household dedups use the package's one dedup path, whose
+        ``np.unique`` call does not import ``numpy.ma``; outputs as before."""
+        from surveyfuse.cli import main
+        from surveyfuse.dataset import EncodedDataset
+        from surveyfuse.synthesis import nested_match
+
+        full, miss = tmp_path / "f.enc", tmp_path / "m.enc"
+        assert main(["gen", "--households", "50", "--seed", "1",
+                     "--out-full", str(full), "--out-missing", str(miss)]) == 0
+        argv = [
+            ["synthesize", "--source2", str(full), "--source1", str(miss),
+             "--candidate", str(full), "--out", str(tmp_path / "s.enc")],
+            ["describe", "--data", str(miss), "--out", str(tmp_path / "d.json")],
+        ]
+        report = run_fresh(RUN_COMMANDS % json.dumps(argv))
+        assert report["codes"] == [0, 0] and report["numpy.ma"] is False
+
+        # the outputs the two dedups feed, against plain-set oracles
+        f, m = EncodedDataset.load(full), EncodedDataset.load(miss)
+        described = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
+        assert described["n_households"] == len(set(m.household_ids.tolist()))
+        graph = nested_match(f, m, f)
+        reached = {int(graph.mu1.target_index[i]) for i in graph.mu2.target_index}
+        covered = {h for h, b in zip(f.household_ids, graph.buckets.inverse) if b in reached}
+        assert f"covering {len(covered)} donor households" in report["stdout"][0]
