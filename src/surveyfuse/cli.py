@@ -15,7 +15,7 @@ Artifacts are byte-deterministic for a fixed seed; the manifest is not
 Stochastic subcommands refuse to run without an explicit ``--seed``.
 The CLI sets ``OPENBLAS_NUM_THREADS=1`` before it imports numpy unless the
 caller has set it: surveyfuse calls no BLAS routine, so a BLAS thread pool
-would only spin; ``--threads`` sizes surveyfuse's own scan pool.
+would only spin; ``--threads`` sizes the scan pool of ``impute`` and ``synthesize``.
 Exit codes: 0 success, 2 usage error, 3 missing input file or output
 directory, 4 feature-dictionary mismatch, 5 schema/mapping/data error,
 1 unexpected.
@@ -427,11 +427,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _thread_count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a thread count (0 = all cores), got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file supplying any flag; flags override it")
-    p.add_argument(
-        "--threads", type=int, default=0, help="worker threads (0 = all cores)"
-    )
+    p.add_argument("--threads", type=_thread_count, default=0, help="scan threads of "
+                   "impute and synthesize (0 = all cores); other subcommands ignore it")
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:

@@ -26,13 +26,13 @@ A matching runs in four steps, each exact under both tie rules:
    d = 26, which costs more than scanning a few thousand targets.
 4. The remaining unique queries are scanned against the unique targets.
 
-Rows are packed into 64-bit words.  The scan computes XOR-popcounts in
-blocks whose height keeps the per-thread XOR buffer within a fixed byte
-budget, sized to stay in a core's L2 cache; the join's blocks keep their
-(d x rows) flip matrix within the same budget.  One pass over the scan
-blocks serves both tie rules: each block yields its first minimum and,
-for random ties, the set of all minima.  Scan blocks run inline for one
-thread and are spread over a thread pool otherwise.
+Rows are packed into 64-bit words.  The scan kernel XOR-popcounts a block
+of queries against the targets one word at a time and sums the counts;
+the block height keeps (rows x targets x words) 8-byte words within a
+per-thread budget sized for a core's L2 cache, as do the join's (d x rows)
+flip matrices.  One pass over the scan blocks serves both tie rules: each
+block yields its first minimum and, for random ties, the set of all
+minima.  Scan blocks run inline for one thread, else on a thread pool.
 
 Everything here is exact: no approximate neighbors, no sampling.
 """
@@ -192,11 +192,11 @@ def _block_rows(t_packed: np.ndarray) -> int:
 
 
 def _block_counts(block: np.ndarray, t_packed: np.ndarray) -> np.ndarray:
-    """(rows x targets) Hamming counts between packed query rows and packed targets."""
-    if block.shape[1] == 1:
-        return np.bitwise_count(block[:, 0][:, None] ^ t_packed[:, 0][None, :])  # uint8: d <= 64
-    xor = block[:, None, :] ^ t_packed[None, :, :]
-    return np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
+    """(rows x targets) Hamming counts summed word by word: uint8 at one word, int32 above."""
+    counts = np.bitwise_count(block[:, 0, None] ^ t_packed[:, 0])
+    for w in range(1, block.shape[1]):
+        counts = np.add(counts, np.bitwise_count(block[:, w, None] ^ t_packed[:, w]), dtype=np.int32)
+    return counts
 
 
 def _near_join(
@@ -256,9 +256,9 @@ def nearest_rows(
     vector is answered by the distance-1 join; the rest are scanned.  The
     returned assignment records how many unique queries each join answered.
 
-    The scan is one pass over blocks of the remaining unique query rows
-    that serves both tie rules; ``threads`` of 1 or ``None`` runs the blocks
-    inline, more spreads them over a thread pool of that size.
+    One scan pass over blocks of the remaining unique queries serves both
+    tie rules; ``threads`` of 0, 1 or ``None`` runs it inline, more on a pool
+    of that size (the CLI, unlike this function, maps 0 to all cores).
     """
     query_x = np.ascontiguousarray(query_x, dtype=np.uint8)
     target_x = np.ascontiguousarray(target_x, dtype=np.uint8)

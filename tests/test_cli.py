@@ -449,6 +449,26 @@ class TestDeterminismAndConfig:
         run("impute", "--source", missing, "--candidate", full, "--threads", 8, "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "where, named",
+        [
+            ("flag", "argument --threads"),
+            ("config", "config key 'threads' (--threads): invalid value -5"),
+        ],
+    )
+    def test_negative_threads_is_usage_error(self, generated, tmp_path, capsys, where, named):
+        full, missing = generated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": -5}))
+        threads = ["--threads", -5] if where == "flag" else ["--config", cfg]
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("impute", *threads, "--source", missing, "--candidate", full, "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{named}: expected a thread count (0 = all cores), got '-5'" in err
+        assert not out.exists()
+
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"households": 30, "seed": 4}))

@@ -458,6 +458,16 @@ class TestLoadChecks:
         rewrite_member(saved, "y.npy", blob[:-3])
         self.check(saved, "'y.npy'", match="not a readable array")
 
+    def test_unknown_member_is_ignored(self, saved, tmp_path):
+        original = EncodedDataset.load(saved)
+        rewrite_member(saved, "notes.txt", b"not an array")
+        back = EncodedDataset.load(saved)
+        a, b = tmp_path / "original.enc", tmp_path / "back.enc"
+        original.save(a)
+        back.save(b)
+        assert a.read_bytes() == b.read_bytes()  # saves are byte-deterministic
+        assert main(["describe", "--data", str(saved)]) == 0
+
     def test_big_endian_y_is_read_as_float64(self, saved):
         rewrite_member(saved, "y.npy", npy(np.array([2.0, np.nan], dtype=">f8")))
         y = EncodedDataset.load(saved).y

@@ -107,6 +107,34 @@ class TestPackRows:
         assert peak < 4 * n * 8, peak
 
 
+class TestBlockCounts:
+    """The one XOR-popcount kernel against unpacked ``!=`` sums, at every row width."""
+
+    @pytest.mark.parametrize("d", [1, 26, 63, 64, 65, 128, 255, 256, 300])
+    def test_matches_unpacked_counts(self, d):
+        rng = np.random.default_rng(d)
+        q = rng.integers(0, 2, (9, d), dtype=np.uint8)
+        t = rng.integers(0, 2, (11, d), dtype=np.uint8)
+        q[0], q[1], t[0] = 1, 0, 0  # all ones and all zeros against all zeros
+        counts = matching._block_counts(pack_rows(q), pack_rows(t))
+        assert counts.dtype == (np.uint8 if d <= 64 else np.int32)
+        assert np.array_equal(counts, (q[:, None, :] != t[None, :, :]).sum(axis=2))
+        assert counts[0, 0] == d and counts[1, 0] == 0  # a uint8 sum wraps d at 256
+
+    def test_memory_is_one_word_deep(self):
+        """No (rows x targets x words) XOR: a d = 300 block peaks below half its bytes."""
+        t = pack_rows(np.random.default_rng(5).integers(0, 2, (1_000, 300), dtype=np.uint8))
+        block = t[: matching._block_rows(t)].copy()
+        tracemalloc.start()
+        try:
+            counts = matching._block_counts(block, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (block.shape[0], t.shape[0]) and t.shape[1] == 5
+        assert peak < block.shape[0] * t.shape[0] * t.shape[1] * 8 // 2, peak
+
+
 class TestBuildBuckets:
     def test_grouping_and_means(self, single_dictionary):
         ds = make_dataset(single_dictionary, [[0, 1], [0, 1], [1, 0]], [0, 2, 1])
