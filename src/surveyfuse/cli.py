@@ -15,7 +15,7 @@ Artifacts are byte-deterministic for a fixed seed; the manifest is not
 Stochastic subcommands refuse to run without an explicit ``--seed``.
 The CLI sets ``OPENBLAS_NUM_THREADS=1`` before it imports numpy unless the
 caller has set it: surveyfuse calls no BLAS routine, so a BLAS thread pool
-would only spin; ``--threads`` sizes the scan pool of ``impute`` and ``synthesize``.
+would only spin; ``--threads`` is accepted for compatibility and changes nothing.
 Exit codes: 0 success, 2 usage error, 3 missing input file or output
 directory, 4 feature-dictionary mismatch, 5 schema/mapping/data error,
 1 unexpected.
@@ -196,10 +196,6 @@ class _Outputs:
                 tmp.unlink(missing_ok=True)
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    return args.threads if args.threads else (os.cpu_count() or 1)
-
-
 def _float_or_nan(text: str) -> float:
     try:
         return float(text)
@@ -293,7 +289,6 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
         impute_all=args.impute_all,
         tie_break=args.tie_break,
         seed=args.seed,
-        threads=_resolve_threads(args),
         household_weight=args.household_weight,
     )
     a = result.assignment
@@ -328,7 +323,6 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
         literal_v2_norm=args.literal_v2_norm,
         tie_break=args.tie_break,
         seed=args.seed,
-        threads=_resolve_threads(args),
     )
     out.matches.extend(synth.matches)
     out.write(args.out, synth.to_encoded_dataset(args.survey_id, args.year).save)
@@ -427,16 +421,21 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _thread_count(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a thread count (0 = all cores), got {text!r}")
-    return int(text)
+def _count(minimum: int) -> Callable[[str], int]:
+    """An argparse type for a decimal integer of at least ``minimum`` (0 or 1)."""
+    what = "a positive integer" if minimum else "a non-negative integer"
+
+    def count(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return int(text)
+    return count
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file supplying any flag; flags override it")
-    p.add_argument("--threads", type=_thread_count, default=0, help="scan threads of "
-                   "impute and synthesize (0 = all cores); other subcommands ignore it")
+    p.add_argument("--threads", type=_count(0), default=0,
+                   help="accepted for compatibility; changes nothing")
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -499,7 +498,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="randomized sorted-MSE comparison of totals")
     p.add_argument("--imputed", required=True, help="household totals CSV")
     p.add_argument("--truth", required=True, help="reference totals CSV")
-    p.add_argument("--n", type=int, help="subset size (default: size of truth)")
+    p.add_argument("--n", type=_count(1), help="subset size (default: size of truth)")
     p.add_argument("--cutoffs", type=_int_list,
                    default=",".join(str(c) for c in DEFAULT_CUTOFFS))
     p.add_argument("--seed", type=int, required=True)
@@ -511,7 +510,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("spike", help="cross-year sorted-MSE between two totals files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spike)
@@ -520,7 +519,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("attribute", help="exact Shapley feature attribution")
     p.add_argument("--data", required=True)
     p.add_argument("--candidate", required=True, help="donor dataset for the predictor")
-    p.add_argument("--limit", type=int, default=500)
+    p.add_argument("--limit", type=_count(0), default=500)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_attribute)
@@ -570,13 +569,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _peek_config(argv: list[str]) -> dict:
-    if "--config" not in argv:
+    """The keys of the ``--config`` file named in ``argv``, found as argparse finds it."""
+    peek = argparse.ArgumentParser(add_help=False)
+    peek.add_argument("--config", nargs="?")  # no value: the full parser reports it
+    text = peek.parse_known_args(argv)[0].config
+    if text is None:
         return {}
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return {}
-    path = Path(argv[i + 1])
-    if not path.exists():
+    path = Path(text)
+    if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     cfg = read_json(path, DataError)
     if not isinstance(cfg, dict):

@@ -29,17 +29,16 @@ A matching runs in four steps, each exact under both tie rules:
 Rows are packed into 64-bit words.  The scan kernel XOR-popcounts a block
 of queries against the targets one word at a time and sums the counts;
 the block height keeps (rows x targets x words) 8-byte words within a
-per-thread budget sized for a core's L2 cache, as do the join's (d x rows)
-flip matrices.  One pass over the scan blocks serves both tie rules: each
-block yields its first minimum and, for random ties, the set of all
-minima.  Scan blocks run inline for one thread, else on a thread pool.
+budget sized for a core's L2 cache, as do the join's (d x rows) flip
+matrices.  One pass over the scan blocks, inline in the calling thread,
+serves both tie rules: each block yields its first minimum and, for
+random ties, the set of all minima.
 
 Everything here is exact: no approximate neighbors, no sampling.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ from .dataset import (
 )
 from .errors import DataError, DimensionError, MatchError
 
-# Per-thread byte budget for the scan's (block x targets) XOR buffer, small
+# Byte budget for the scan's (block x targets) XOR buffer, small
 # enough to stay in a 2 MiB per-core L2 cache; the block height follows from
 # it, so memory does not grow with the target count.
 _SCAN_BUFFER_BYTES = 1 << 20
@@ -241,13 +240,12 @@ def nearest_rows(
     *,
     tie_break: str = "index",
     seed: int | None = None,
-    threads: int | None = None,
 ) -> MatchAssignment:
     """Exact nearest target row per query row under Hamming distance.
 
     Ties resolve to the smallest target index, or uniformly at random per
     query row with ``tie_break="random"`` (stream derived from
-    ``(seed, query row index)``, so results do not depend on threading).
+    ``(seed, query row index)``).
 
     The steps follow the module docstring, each exact under both tie
     rules: only the first occurrences of distinct query and target vectors
@@ -257,8 +255,7 @@ def nearest_rows(
     returned assignment records how many unique queries each join answered.
 
     One scan pass over blocks of the remaining unique queries serves both
-    tie rules; ``threads`` of 0, 1 or ``None`` runs it inline, more on a pool
-    of that size (the CLI, unlike this function, maps 0 to all cores).
+    tie rules.
     """
     query_x = np.ascontiguousarray(query_x, dtype=np.uint8)
     target_x = np.ascontiguousarray(target_x, dtype=np.uint8)
@@ -300,9 +297,7 @@ def nearest_rows(
         scan = np.flatnonzero(near == n_ut)
         o_packed = o_packed[scan]
     rows = _block_rows(ut_packed)
-
-    def scan_block(s: int) -> None:
-        # writes only its own queries' entries of u_idx, u_cnt and o_ties
+    for s in range(0, scan.size, rows):
         e = min(s + rows, scan.size)
         counts = _block_counts(o_packed[s:e], ut_packed)
         idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
@@ -312,14 +307,6 @@ def nearest_rows(
         if random:
             for p, c, b in zip(scan[s:e], counts, best):
                 o_ties[p] = np.flatnonzero(c == b)
-
-    n_threads = max(1, threads or 1)
-    blocks = range(0, scan.size, rows)
-    if n_threads == 1:  # inline: a one-worker pool only adds a thread to peak memory
-        list(map(scan_block, blocks))
-    else:
-        with ThreadPoolExecutor(n_threads) as pool:
-            list(pool.map(scan_block, blocks))  # re-raises a block's exception
 
     # first ascends, so the first unique minimum is the smallest tied row.
     target_index = first[u_idx][q_rank]
@@ -385,7 +372,6 @@ def impute(
     impute_all: bool = False,
     tie_break: str = "index",
     seed: int | None = None,
-    threads: int | None = None,
     household_weight: bool = False,
 ) -> ImputationResult:
     """Fill source targets from the nearest donor bucket's mean.
@@ -404,7 +390,7 @@ def impute(
     if candidate.n_samples == 0:
         raise MatchError("candidate dataset is empty")
     buckets = build_buckets(candidate)
-    assignment = nearest_rows(source.x, buckets.x, tie_break=tie_break, seed=seed, threads=threads)
+    assignment = nearest_rows(source.x, buckets.x, tie_break=tie_break, seed=seed)
     w = source.n_samples / candidate.n_samples
     filled = buckets.y_mean[assignment.target_index]  # matched means, divided in place
     if household_weight:  # each sample's household size, from the index the sums reuse

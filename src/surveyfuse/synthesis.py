@@ -63,7 +63,6 @@ def nested_match(
     *,
     tie_break: str = "index",
     seed: int | None = None,
-    threads: int | None = None,
 ) -> TriPartiteGraph:
     """Build the tri-partite graph source2 -> source1 -> buckets(candidate).
 
@@ -78,13 +77,11 @@ def nested_match(
         raise MatchError("source2 has no labeled samples to project from")
 
     buckets = build_buckets(candidate)
-    mu1 = nearest_rows(
-        source1.x, buckets.x, tie_break=tie_break, seed=seed, threads=threads
-    )
+    mu1 = nearest_rows(source1.x, buckets.x, tie_break=tie_break, seed=seed)
     # query row i is the i-th labeled row, which numbers its random-tie stream;
     # with every row labeled that is row i itself, so no copy is needed
     labeled_x = source2.x if keep.size == source2.n_samples else source2.x[keep]
-    mu2 = nearest_rows(labeled_x, source1.x, tie_break=tie_break, seed=seed, threads=threads)
+    mu2 = nearest_rows(labeled_x, source1.x, tie_break=tie_break, seed=seed)
     return TriPartiteGraph(
         buckets=buckets,
         mu1=mu1,
@@ -190,11 +187,8 @@ def generate_future(
     literal_v2_norm: bool = False,
     tie_break: str = "index",
     seed: int | None = None,
-    threads: int | None = None,
 ) -> SyntheticDataset:
     """End-to-end synthesis: nested matching, default weights, averaging."""
-    graph = nested_match(
-        source2, source1, candidate, tie_break=tie_break, seed=seed, threads=threads
-    )
+    graph = nested_match(source2, source1, candidate, tie_break=tie_break, seed=seed)
     w1, w2 = graph.default_weights()
     return synthesize(graph, w1, w2, literal_v2_norm=literal_v2_norm)

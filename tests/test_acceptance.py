@@ -351,7 +351,7 @@ def test_criterion_9_scale_imputation():
         assert source.dictionary.dimension == 26
 
         t0 = time.perf_counter()
-        result = impute(source, candidate, threads=4)
+        result = impute(source, candidate)
         elapsed = time.perf_counter() - t0
         assert result.sample_y.shape == (364_000,)
         assert (result.sample_y >= 0).all()

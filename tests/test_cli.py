@@ -466,8 +466,55 @@ class TestDeterminismAndConfig:
             run("impute", *threads, "--source", missing, "--candidate", full, "--out", out)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"{named}: expected a thread count (0 = all cores), got '-5'" in err
+        assert f"{named}: expected a non-negative integer, got '-5'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("evaluate", "n", 0), ("spike", "n", 0), ("spike", "n", -2), ("attribute", "limit", -1)],
+    )
+    def test_bad_count_is_usage_error(self, generated, tmp_path, capsys, where, command, key, value):
+        """``--n`` takes a positive integer and ``--limit`` a non-negative one."""
+        expected = "a positive integer" if key == "n" else "a non-negative integer"
+        full, missing = generated
+        totals = tmp_path / "totals.csv"
+        totals.write_text("household_id,y_total\nh1,1.0\nh2,2.0\nh3,4.0\n")
+        out = tmp_path / "out.json"
+        args = {
+            "evaluate": ["--imputed", totals, "--truth", totals, "--cutoffs", 2],
+            "spike": ["--a", totals, "--b", totals],
+            "attribute": ["--data", missing, "--candidate", full],
+        }[command] + ["--seed", 1, "--out", out]
+        if where == "flag":
+            args += [f"--{key}", value]
+            named = f"argument --{key}"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            args += ["--config", cfg]
+            named = f"config key {key!r} (--{key}): invalid value {value}"
+        with pytest.raises(SystemExit) as exc:
+            run(command, *args)
+        assert exc.value.code == 2
+        assert f"{named}: expected {expected}, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["equals", "abbreviated", "repeated"])
+    def test_config_found_as_argparse_finds_it(self, tmp_path, form):
+        """``--config=FILE``, an abbreviation of the flag, and the last of two
+        ``--config`` flags apply their file, which the manifest records."""
+        cfg, other = tmp_path / "cfg.json", tmp_path / "other.json"
+        cfg.write_text(json.dumps({"year": 2030}))
+        other.write_text(json.dumps({"year": 2020}))
+        flag = {"equals": [f"--config={cfg}"], "abbreviated": ["--conf", cfg],
+                "repeated": ["--config", other, "--config", cfg]}[form]
+        full = tmp_path / "f.enc"
+        assert run("gen", "--households", 5, "--seed", 1, *flag,
+                   "--out-full", full, "--out-missing", tmp_path / "m.enc") == EXIT_OK
+        assert EncodedDataset.load(full).year == 2030
+        manifest = json.loads((tmp_path / "f.enc.manifest.json").read_text())
+        assert manifest["parameters"]["config"] == str(cfg)
 
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

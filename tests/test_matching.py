@@ -230,11 +230,10 @@ class TestNearestRows:
         default = [nearest_rows(src, tgt, **k) for k in kw]
         monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)  # one row per block
         assert matching._block_rows(pack_rows(tgt)) == 1
-        for threads in (1, 2):
-            for k, base in zip(kw, default):
-                a = nearest_rows(src, tgt, threads=threads, **k)
-                assert np.array_equal(a.target_index, base.target_index)
-                assert np.array_equal(a.distance, base.distance)
+        for k, base in zip(kw, default):
+            a = nearest_rows(src, tgt, **k)
+            assert np.array_equal(a.target_index, base.target_index)
+            assert np.array_equal(a.distance, base.distance)
 
     def test_block_height_bounds_scan_buffer(self):
         for n_targets, d in [(1, 26), (3_672, 26), (40_000, 26), (10**7, 26), (500, 130)]:
@@ -251,15 +250,6 @@ class TestNearestRows:
         tgt = np.vstack([tgt, tgt[[0, 3, 3, 7]]])  # duplicate target rows tie exactly
         a = nearest_rows(src, tgt, tie_break="random", seed=seed)
         assert np.array_equal(a.target_index, nn_random_tie_oracle(src, tgt, seed))
-
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(11)
-        src = rng.integers(0, 2, size=(5000, 26), dtype=np.uint8)
-        tgt = rng.integers(0, 2, size=(64, 26), dtype=np.uint8)
-        a1 = nearest_rows(src, tgt, threads=1)
-        a8 = nearest_rows(src, tgt, threads=8)
-        assert np.array_equal(a1.target_index, a8.target_index)
-        assert np.array_equal(a1.distance, a8.distance)
 
     def test_random_tie_break_reproducible_and_valid(self):
         rng = np.random.default_rng(5)
@@ -303,28 +293,28 @@ class TestDuplicateTargets:
         return src, tgt
 
     @pytest.mark.parametrize("one_row_blocks", [False, True])
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", [1, 2])
     @pytest.mark.parametrize("d", [26, 100])
-    def test_matches_unpacked_oracles(self, d, threads, one_row_blocks, monkeypatch):
-        src, tgt = self.instance(d, 7 * d + threads)
+    def test_matches_unpacked_oracles(self, d, variant, one_row_blocks, monkeypatch):
+        src, tgt = self.instance(d, 7 * d + variant)
         if one_row_blocks:
             monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
             assert matching._block_rows(pack_rows(tgt[:10])) == 1
-        a = nearest_rows(src, tgt, threads=threads)
+        a = nearest_rows(src, tgt)
         oidx, odist = nn_scan_oracle(src, tgt)
         assert np.array_equal(a.target_index, oidx)
         assert np.array_equal(a.distance, odist)
         assert a.n_unique_target == 10
-        r = nearest_rows(src, tgt, tie_break="random", seed=d, threads=threads)
+        r = nearest_rows(src, tgt, tie_break="random", seed=d)
         assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, d))
         assert np.array_equal(r.distance, odist)
         assert not np.array_equal(r.target_index, a.target_index)
 
     @pytest.mark.parametrize("one_row_blocks", [False, True])
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", [1, 2])
     @pytest.mark.parametrize("tie_break", ["index", "random"])
-    def test_one_scan_per_block(self, tie_break, threads, one_row_blocks, monkeypatch):
-        src, tgt = self.instance(26, 5)
+    def test_one_scan_per_block(self, tie_break, variant, one_row_blocks, monkeypatch):
+        src, tgt = self.instance(26, 4 + variant)
         if one_row_blocks:
             monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
         rows = matching._block_rows(pack_rows(np.unique(tgt, axis=0)))
@@ -336,25 +326,11 @@ class TestDuplicateTargets:
             return block_counts(block, t_packed)
 
         monkeypatch.setattr(matching, "_block_counts", counted)
-        a = nearest_rows(src, tgt, tie_break=tie_break, seed=1, threads=threads)
+        a = nearest_rows(src, tgt, tie_break=tie_break, seed=1)
         scanned = a.n_unique_query - a.n_exact_query - a.n_near_query  # the joins answer the rest
         assert 0 < a.n_exact_query < a.n_unique_query
         assert len(heights) == -(-scanned // rows)
         assert sum(heights) == scanned
-
-    @pytest.mark.parametrize("threads", [None, 1])
-    def test_one_thread_starts_no_pool(self, threads, monkeypatch):
-        def no_pool(*_, **__):
-            raise AssertionError("a one-thread scan must run inline")
-
-        monkeypatch.setattr(matching, "ThreadPoolExecutor", no_pool)
-        src, tgt = self.instance(100, 3)
-        a = nearest_rows(src, tgt, threads=threads)
-        oidx, odist = nn_scan_oracle(src, tgt)
-        assert np.array_equal(a.target_index, oidx)
-        assert np.array_equal(a.distance, odist)
-        r = nearest_rows(src, tgt, tie_break="random", seed=4, threads=threads)
-        assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, 4))
 
     @pytest.mark.parametrize("d", [26, 64, 65, 100])
     def test_unique_rows_first_occurrence(self, d):
@@ -428,14 +404,14 @@ class TestExactJoin:
     with the same answers as the unpacked oracles under both tie rules."""
 
     @pytest.mark.parametrize("one_row_blocks", [False, True])
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", [1, 2])
     @pytest.mark.parametrize("d", [1, 26, 64, 65, 130])
     @pytest.mark.parametrize("mode", ["all", "none", "mixed"])
-    def test_matches_unpacked_oracles(self, mode, d, threads, one_row_blocks, monkeypatch):
-        src, tgt, n_exact = join_instance(d, mode, 31 * d + threads)
+    def test_matches_unpacked_oracles(self, mode, d, variant, one_row_blocks, monkeypatch):
+        src, tgt, n_exact = join_instance(d, mode, 31 * d + variant)
         if one_row_blocks:
             monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
-        a = nearest_rows(src, tgt, threads=threads)
+        a = nearest_rows(src, tgt)
         oidx, odist = nn_scan_oracle(src, tgt)
         assert np.array_equal(a.target_index, oidx)
         assert np.array_equal(a.distance, odist)
@@ -448,7 +424,7 @@ class TestExactJoin:
             assert 0 < n_exact < a.n_unique_query
         assert a.distance_histogram.sum() == len(src)
         assert a.distance_histogram[0] == np.count_nonzero(odist == 0.0)
-        r = nearest_rows(src, tgt, tie_break="random", seed=d, threads=threads)
+        r = nearest_rows(src, tgt, tie_break="random", seed=d)
         assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, d))
         assert np.array_equal(r.distance, odist)
 
@@ -516,13 +492,13 @@ def near_instance(d, mode, seed):
     return src[rng.permutation(len(src))], tgt
 
 
-def check_near_join(src, tgt, seed, threads=1):
+def check_near_join(src, tgt, seed):
     """Both tie rules against the unpacked oracles, and the join's query count."""
-    a = nearest_rows(src, tgt, threads=threads)
+    a = nearest_rows(src, tgt)
     oidx, odist = nn_scan_oracle(src, tgt)
     assert np.array_equal(a.target_index, oidx)
     assert np.array_equal(a.distance, odist)
-    r = nearest_rows(src, tgt, tie_break="random", seed=seed, threads=threads)
+    r = nearest_rows(src, tgt, tie_break="random", seed=seed)
     assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, seed))
     assert np.array_equal(r.distance, odist)
     d = src.shape[1]
@@ -539,14 +515,14 @@ class TestNearJoin:
     under both tie rules; wider rows are all scanned."""
 
     @pytest.mark.parametrize("one_row_blocks", [False, True])
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", [1, 2])
     @pytest.mark.parametrize("d", [1, 26, 63, 64, 65, 130])
     @pytest.mark.parametrize("mode", ["all", "none", "mixed"])
-    def test_matches_unpacked_oracles(self, mode, d, threads, one_row_blocks, monkeypatch):
-        src, tgt = near_instance(d, mode, 17 * d + threads)
+    def test_matches_unpacked_oracles(self, mode, d, variant, one_row_blocks, monkeypatch):
+        src, tgt = near_instance(d, mode, 17 * d + variant)
         if one_row_blocks:
             monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
-        a, odist = check_near_join(src, tgt, d, threads)
+        a, odist = check_near_join(src, tgt, d)
         non_exact = a.n_unique_query - a.n_exact_query
         if d > 64:
             assert a.n_near_query == 0
@@ -744,23 +720,6 @@ class TestImpute:
         src = make_dataset(single_dictionary, [[1, 0]], [np.nan])
         cand = make_dataset(single_dictionary, [[0, 1]], [1.0])
         assert augment_candidate(src, cand) is cand
-
-    def test_determinism_across_threads(self, pair_dictionary):
-        rng = np.random.default_rng(9)
-        cand = make_dataset(
-            pair_dictionary,
-            random_one_hot(rng, pair_dictionary, 50),
-            rng.uniform(0, 3, 50),
-        )
-        src = make_dataset(
-            pair_dictionary,
-            random_one_hot(rng, pair_dictionary, 6000),
-            np.full(6000, np.nan),
-        )
-        r1 = impute(src, cand, threads=1)
-        r8 = impute(src, cand, threads=8)
-        assert np.array_equal(r1.sample_y, r8.sample_y)
-        assert np.array_equal(r1.assignment.target_index, r8.assignment.target_index)
 
 
 class TestHouseholdSums:

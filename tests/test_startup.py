@@ -1,6 +1,7 @@
 """Process start-up: the package imports lazily, the CLI starts numpy
-with a one-thread OpenBLAS unless the caller chose a thread count, and
-``synthesize`` and ``describe`` never import ``numpy.ma``.
+with a one-thread OpenBLAS unless the caller chose a thread count,
+``synthesize`` and ``describe`` never import ``numpy.ma``, and matching
+starts no thread.
 
 Each check runs in a fresh interpreter, since this process has numpy loaded
 already, with ``OPENBLAS_NUM_THREADS`` taken from the environment unless
@@ -125,10 +126,10 @@ class TestOpenblasThreads:
         assert report["numpy"] and report["openblas_threads"] == "3"
 
 
-# run the CLI argument lists in the JSON %r, then report their stdout and
-# whether numpy.ma was imported
+# run the CLI argument lists in the JSON %r, then report their stdout,
+# whether numpy.ma and concurrent.futures were imported, and the thread count
 RUN_COMMANDS = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from surveyfuse.cli import main
 report = {"stdout": [], "codes": []}
 for argv in json.loads(%r):
@@ -137,6 +138,9 @@ for argv in json.loads(%r):
         report["codes"].append(main(argv))
     report["stdout"].append(buf.getvalue())
 report["numpy.ma"] = "numpy.ma" in sys.modules
+report["concurrent.futures"] = "concurrent.futures" in sys.modules
+tasks = "/proc/self/task"
+report["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 print(json.dumps(report))
 """
 
@@ -168,3 +172,22 @@ class TestNoMaskedArrays:
         reached = {int(graph.mu1.target_index[i]) for i in graph.mu2.target_index}
         covered = {h for h, b in zip(f.household_ids, graph.buckets.inverse) if b in reached}
         assert f"covering {len(covered)} donor households" in report["stdout"][0]
+
+
+class TestNoScanThreads:
+    def test_synthesize_with_threads_flag_starts_no_pool(self, tmp_path):
+        """``--threads`` is accepted and changes nothing: the scan runs in the
+        calling thread, and no thread pool module is even imported."""
+        from surveyfuse.cli import main
+
+        full, miss = tmp_path / "f.enc", tmp_path / "m.enc"
+        assert main(["gen", "--households", "50", "--seed", "1",
+                     "--out-full", str(full), "--out-missing", str(miss)]) == 0
+        argv = [["synthesize", "--source2", str(full), "--source1", str(miss),
+                 "--candidate", str(full), "--threads", "2", "--out", str(tmp_path / "s.enc")]]
+        report = run_fresh(RUN_COMMANDS % json.dumps(argv))
+        assert report["codes"] == [0]
+        assert report["concurrent.futures"] is False
+        if report["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert report["threads"] == 1
