@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import secrets
 import sys
@@ -61,7 +62,9 @@ EXIT_DATA = 5
 
 # -- the run's outputs: staged, then committed together -------------------------
 
-CSV_CHUNK_ROWS = 16_384  # rows formatted per write; bounds the formatting memory
+# Rows formatted per write.  A chunk's strings are the formatting memory: about
+# 3 MB for imputed.csv's five columns at 8,192 rows, twice that at 16,384.
+CSV_CHUNK_ROWS = 8_192
 
 
 def _sha256(path: Path) -> str:
@@ -203,18 +206,63 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
+# a line with two commas; with as many commas as lines, also a line with none
+_TWO_COMMAS = re.compile(r",[^,\n]*,")
+
+
+def _totals_body(path: Path) -> str:
+    """The text after a totals CSV's checked header, line ends as ``\\n``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        header = fh.readline().strip().split(",")
+        if header[:2] != ["household_id", "y_total"]:
+            raise DataError(f"{path}: expected columns household_id,y_total")
+        return fh.read()
+
+
 def _load_totals_csv(path: Path) -> Totals:
     """A ``household_id,y_total`` CSV as an ``(ids, values)`` pair sorted by id.
 
     Lines are stripped and blank ones skipped.  Each total is parsed with
     ``float`` and must be finite and non-negative, and no id may repeat;
     otherwise the ``DataError`` names the first offending line.
+
+    A file whose every line holds exactly one comma is split in bulk,
+    straight into its ids and totals, with no string or tuple per line.  Any
+    other file, and one whose bulk split finds a bad total or a repeated id,
+    is read line by line, which names the line.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["household_id", "y_total"]:
-            raise DataError(f"{path}: expected columns household_id,y_total")
-        lines = [line.strip() for line in fh.read().split("\n")]
+    text = _totals_body(path)
+    n = text.count("\n")
+    if n and text.endswith("\n") and text.count(",") == n and not _TWO_COMMAS.search(text):
+        text = text.replace("\n", ",")
+        fields = text.split(",")  # id, total, ..., id, total, ""
+        del text
+        totals = _split_totals(fields)
+        del fields
+        if totals is not None:
+            return totals
+        text = _totals_body(path)
+    return _read_totals_lines(path, text)
+
+
+def _split_totals(fields: list[str]) -> Totals | None:
+    """The ids and totals of bulk-split lines, sorted by id, or ``None`` if a
+    total is bad or an id repeats."""
+    try:
+        values = np.fromiter(map(float, fields[1::2]), np.float64, len(fields) // 2)
+    except ValueError:
+        return None
+    if not ((values >= 0.0) & (values < math.inf)).all():
+        return None
+    # a line's leading whitespace is stripped; float ignores a total's own
+    ids = np.strings.lstrip(np.array(fields[0:-1:2], dtype=np.str_))
+    ids, values, repeated = sort_totals(ids, values)
+    return None if repeated.size else (ids, values)
+
+
+def _read_totals_lines(path: Path, text: str) -> Totals:
+    """``_load_totals_csv`` line by line, naming the first offending line."""
+    lines = [line.strip() for line in text.split("\n")]
     rows = [line.partition(",") for line in lines if line]
     if not rows:
         raise DataError(f"{path}: no household totals")
@@ -293,15 +341,16 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
     )
     a = result.assignment
     out.matches.append(a.diagnostics())
+    household_ids, n = source.household_ids, source.n_samples
+    del source  # its covariates and targets are not written: free them first
     out.csv(
         args.out,
         ["household_id", "sample_index", "matched_bucket", "distance", "y_imputed"],
-        [source.household_ids, np.arange(source.n_samples), a.target_index, a.distance,
-         result.sample_y],
+        [household_ids, np.arange(n), a.target_index, a.distance, result.sample_y],
     )
     out.csv(hh_out, ["household_id", "y_total"], [result.household_ids, result.household_y])
     print(
-        f"imputed {int(result.imputed_mask.sum())} of {source.n_samples} samples "
+        f"imputed {int(result.imputed_mask.sum())} of {n} samples "
         f"from {candidate.n_samples} donors (w = {result.weight:.4g}) -> {args.out}, {hh_out}"
     )
     return EXIT_OK
@@ -474,7 +523,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--household-weight", action="store_true",
                    help="divide by each household's sample count instead of the global w")
     p.add_argument("--tie-break", choices=["index", "random"], default="index")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_count(0))
     p.add_argument("--out", required=True, help="per-sample CSV")
     p.add_argument("--out-households", help="household totals CSV "
                    "(default: <out>.households.csv)")
@@ -488,7 +537,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--literal-v2-norm", action="store_true",
                    help="normalize by |source1| instead of per-bucket match counts")
     p.add_argument("--tie-break", choices=["index", "random"], default="index")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_count(0))
     p.add_argument("--survey-id", default="synthetic")
     p.add_argument("--year", type=int, default=0)
     p.add_argument("--out", required=True, help="encoded synthetic dataset")
@@ -501,7 +550,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count(1), help="subset size (default: size of truth)")
     p.add_argument("--cutoffs", type=_int_list,
                    default=",".join(str(c) for c in DEFAULT_CUTOFFS))
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sorted-csv", help="plot-ready sorted vectors CSV")
     p.set_defaults(func=_cmd_evaluate)
@@ -511,7 +560,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--n", type=_count(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spike)
     _add_common(p)
@@ -520,7 +569,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--candidate", required=True, help="donor dataset for the predictor")
     p.add_argument("--limit", type=_count(0), default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_attribute)
     _add_common(p)
@@ -528,7 +577,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic survey with planted truth")
     p.add_argument("--model", help="population model JSON (default: built-in demo model)")
     p.add_argument("--households", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--survey-id", default="synthetic")
     p.add_argument("--year", type=int, default=2017)
     p.add_argument("--out-full", required=True, help="fully labeled oracle dataset")

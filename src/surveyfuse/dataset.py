@@ -39,6 +39,9 @@ ENC_VERSION = 1
 # Fixed zip metadata so identical datasets serialize to identical bytes.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
+# Rows per block of ``_packed_first_occurrence``'s row-index OR.
+_ROW_BLOCK = 1 << 16
+
 
 def rng_stream(*key: int) -> np.random.Generator:
     """The PCG64 generator of one named stream, e.g. ``(seed, row)``.
@@ -54,13 +57,15 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and each element's rank among them.
 
     Integer keys whose span and row index fit together in 64 bits, such as
-    packed covariate rows of d <= 44 at a million rows, are packed as
-    ``(key - min) << bits | row`` and sorted once: the packed values are
-    distinct, and each key's group starts with its first occurrence.  Other
-    keys (strings such as household ids, void rows, integer keys too wide
-    to pack) go through ``np.unique`` after runs of equal adjacent keys are
-    collapsed, which is exact in any order and cheap when keys arrive
-    grouped, as a household's samples do.
+    packed covariate rows of d <= 44 at a million rows, take one packed
+    ``(key, row)`` sort (``_packed_first_occurrence``).  Other keys (strings
+    such as household ids, void rows, integer keys too wide to pack) are
+    cut into runs of equal adjacent keys.  Integer, string and bytes keys
+    already in non-decreasing order, as a household's samples arrive, are
+    answered from the runs alone: the first occurrences are the run starts
+    and an element's rank is its run's, with no sort.  Otherwise
+    ``np.unique`` groups the runs' keys, which is exact in any order; void
+    keys have no order and always take it.
     """
     keys = np.asarray(keys)
     n = keys.shape[0]
@@ -68,25 +73,13 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = (n - 1).bit_length()  # of a row index
         lowest = keys.argmin()
         if (int(keys.max()) - int(keys[lowest])).bit_length() + bits <= 64:
-            packed = keys.astype(np.uint64)  # two's complement: differences stay exact
-            packed -= packed[lowest]
-            packed <<= np.uint64(bits)
-            packed |= np.arange(n, dtype=np.uint64)
-            packed.sort()
-            row = (packed & np.uint64((1 << bits) - 1)).view(np.int64)
-            packed >>= np.uint64(bits)
-            start = np.ones(n, dtype=bool)
-            np.not_equal(packed[1:], packed[:-1], out=start[1:])
-            starts = np.flatnonzero(start)  # of each key's group, in key order
-            firsts = row[starts]
-            order = np.argsort(firsts)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            inverse = np.empty(n, dtype=np.intp)
-            inverse[row] = np.repeat(rank, np.diff(starts, append=n))
-            return firsts[order], inverse
+            return _packed_first_occurrence(keys, lowest, bits)
     run_start = np.ones(n, dtype=bool)
     run_start[1:] = keys[1:] != keys[:-1]
+    if keys.dtype.kind in "iuSU" and not (keys[1:] < keys[:-1]).any():
+        rank = np.cumsum(run_start, dtype=np.intp)
+        rank -= 1
+        return np.flatnonzero(run_start), rank
     starts = np.flatnonzero(run_start)
     _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
@@ -94,6 +87,42 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank[order] = np.arange(order.size)
     lengths = np.diff(starts, append=n)
     return starts[first[order]], np.repeat(rank[inverse], lengths)
+
+
+def _packed_first_occurrence(
+    keys: np.ndarray, lowest: int, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``first_occurrence`` by one sort of ``(key - keys[lowest]) << bits | row``.
+
+    The packed values are distinct, and each key's group starts with its
+    first occurrence.  Besides the two outputs, only the sorted buffer and
+    the row index (uint32 when it fits) are as long as ``keys``: the row
+    index is ORed in ``_ROW_BLOCK`` rows at a time, and each element's rank
+    is written into the sorted buffer, dead by then, before the scatter.
+    """
+    n = keys.shape[0]
+    packed = keys.astype(np.uint64)  # two's complement: differences stay exact
+    packed -= packed[lowest]
+    packed <<= np.uint64(bits)
+    for s in range(0, n, _ROW_BLOCK):
+        packed[s : s + _ROW_BLOCK] |= np.arange(s, min(s + _ROW_BLOCK, n), dtype=np.uint64)
+    packed.sort()
+    row = np.empty(n, dtype=np.uint32 if bits <= 32 else np.intp)
+    np.bitwise_and(packed, np.uint64((1 << bits) - 1), out=row, casting="unsafe")
+    packed >>= np.uint64(bits)
+    start = np.ones(n, dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=start[1:])
+    firsts = row[np.flatnonzero(start)].astype(np.intp)  # of each key's group, in key order
+    order = np.argsort(firsts)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = packed.view(np.intp)  # each sorted element's group, then its rank
+    np.cumsum(start, out=group)
+    group -= 1
+    np.take(rank, group, out=group, mode="clip")
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[row] = group
+    return firsts[order], inverse
 
 
 def household_index(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -76,23 +76,28 @@ def hamming(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.count_nonzero(a != b)) / a.size
 
 
-def pack_rows(x: np.ndarray) -> np.ndarray:
-    """Pack a (n, d) 0/1 matrix into (n, ceil(d/64)) uint64 words, zero past bit d.
+def pack_rows(*xs: np.ndarray) -> np.ndarray:
+    """Pack (n, d) 0/1 matrices, their rows one after another, into
+    (rows, ceil(d/64)) uint64 words, zero past bit d.
 
     Rows go through a reused zero-padded (chunk, 64 * words) byte copy,
     ``_PACK_ROWS`` at a time, which one flat ``packbits`` turns into whole
     words; memory beyond the output stays fixed.
     """
-    x = np.ascontiguousarray(x, dtype=np.uint8)
-    n, d = x.shape
+    xs = [np.ascontiguousarray(x, dtype=np.uint8) for x in xs]
+    d = xs[0].shape[1]
     words = (d + 63) // 64
+    n = sum(x.shape[0] for x in xs)
     packed = np.empty((n, words), dtype=np.uint64)
     pad = np.zeros((min(n, _PACK_ROWS), 64 * words), dtype=np.uint8)
-    for s in range(0, n, _PACK_ROWS):
-        e = min(s + _PACK_ROWS, n)
-        pad[: e - s, :d] = x[s:e]
-        bits = np.packbits(pad[: e - s], bitorder="little")  # flat: 8 * words bytes a row
-        packed[s:e] = bits.view(np.uint64).reshape(e - s, words)
+    at = 0  # rows packed so far
+    for x in xs:
+        for s in range(0, x.shape[0], _PACK_ROWS):
+            e = min(s + _PACK_ROWS, x.shape[0])
+            pad[: e - s, :d] = x[s:e]
+            bits = np.packbits(pad[: e - s], bitorder="little")  # flat: 8 * words bytes a row
+            packed[at + s : at + e] = bits.view(np.uint64).reshape(e - s, words)
+        at += x.shape[0]
     return packed
 
 
@@ -275,7 +280,7 @@ def nearest_rows(
     # One dedup over the targets followed by the queries: identical rows share
     # a rank, in order of first occurrence, so the ranks below n_ut are the
     # unique targets and a query of such a rank equals that target.
-    packed = np.concatenate([pack_rows(target_x), pack_rows(query_x)])
+    packed = pack_rows(target_x, query_x)
     first, rank = _unique_rows(packed)
     t_rank, q_rank = rank[:n_t], rank[n_t:]
     n_ut = int(np.searchsorted(first, n_t))
@@ -310,7 +315,6 @@ def nearest_rows(
 
     # first ascends, so the first unique minimum is the smallest tied row.
     target_index = first[u_idx][q_rank]
-    counts = u_cnt[q_rank]
 
     if random:
         # each tied unique target stands for all its rows, in ascending order
@@ -323,17 +327,18 @@ def nearest_rows(
         for i in np.flatnonzero(n_ties[q_rank] > 1):
             target_index[i] = int(rng_stream(seed, i).choice(ties[q_rank[i]]))
 
-    n_exact = int(np.count_nonzero(np.bincount(q_rank, minlength=n_ut)[:n_ut]))
+    q_rows = np.bincount(q_rank, minlength=first.size)  # query rows per unique vector
+    n_exact = int(np.count_nonzero(q_rows[:n_ut]))
     return MatchAssignment(
         target_index=target_index,
-        distance=counts.astype(np.float64) / d,
+        distance=(u_cnt / d)[q_rank],
         dimension=d,
         n_target=n_t,
         n_unique_query=n_exact + n_other,
         n_unique_target=n_ut,
         n_exact_query=n_exact,
         n_near_query=n_other - scan.size,
-        distance_histogram=np.bincount(counts, minlength=d + 1),
+        distance_histogram=np.bincount(u_cnt, q_rows, minlength=d + 1).astype(np.int64),
     )
 
 
@@ -405,7 +410,8 @@ def impute(
         imputed_mask = np.ones(source.n_samples, dtype=bool)
     else:
         imputed_mask = source.missing_mask
-        sample_y = np.where(imputed_mask, filled, source.y)
+        sample_y = filled  # observed targets copied over the matched means
+        np.copyto(sample_y, source.y, where=~imputed_mask)
     ids, totals = household_sums(source.household_ids, sample_y, index)
     return ImputationResult(
         sample_y=sample_y,

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +567,39 @@ class TestDeterminismAndConfig:
         )
         assert list(tmp_path.iterdir()) == [cfg]
 
+    # every subcommand with a --seed, and its other required flags
+    SEEDED = {
+        "impute": ["--source", "s.enc", "--candidate", "c.enc", "--out", "i.csv",
+                   "--tie-break", "random"],
+        "synthesize": ["--source2", "s2.enc", "--source1", "s1.enc", "--candidate", "c.enc",
+                       "--out", "s.enc", "--tie-break", "random"],
+        "evaluate": ["--imputed", "i.csv", "--truth", "t.csv", "--out", "e.json"],
+        "spike": ["--a", "a.csv", "--b", "b.csv", "--n", "5"],
+        "attribute": ["--data", "d.enc", "--candidate", "c.enc", "--out", "a.json"],
+        "gen": ["--households", "5", "--out-full", "f.enc", "--out-missing", "m.enc"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(command, *self.SEEDED[command], "--seed", -3)
+        assert exc.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got '-3'" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_config_seed_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"seed": -3}))
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", "cfg.json", *self.SEEDED[command])
+        assert exc.value.code == 2
+        assert "config key 'seed' (--seed): invalid value -3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
     def test_config_null_leaves_a_required_flag_unset(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": None}))
@@ -921,3 +955,86 @@ class TestTotalsLoader:
         path.write_bytes(b"\xef\xbb\xbfhousehold_id,y_total\nh2,1.5\nh1,2\n")
         ids, values = _load_totals_csv(path)
         assert ids.tolist() == ["h1", "h2"] and values.tolist() == [2.0, 1.5]
+
+    def regular_lines(self, rng, n: int) -> list[str]:
+        """``n`` lines of distinct ids with one comma each, padded at random
+        around the total and before the id."""
+        ids = self.IDS + [f"h{k:07d}" for k in rng.permutation(10 * n)[: n - len(self.IDS)]]
+        if rng.random() < 0.5:
+            ids.sort()
+        pads = np.array(["", "", "", " ", "\t"])[rng.integers(0, 5, (n, 3))].tolist()
+        totals = np.array(self.GOOD)[rng.integers(0, len(self.GOOD), n)].tolist()
+        # no pad after an id: "h1" would become "h1 ", which is another id
+        return [f"{a}{h},{b}{t}{c}" for h, t, (a, b, c) in zip(ids, totals, pads)]
+
+    @staticmethod
+    def write(path, lines: list[str], end: str) -> None:
+        path.write_bytes(("household_id,y_total" + end + end.join(lines) + end).encode("utf-8"))
+
+    def check_against_oracle(self, path) -> None:
+        expected = totals_oracle(path)
+        ids, values = _load_totals_csv(path)
+        assert ids.tolist() == sorted(expected)
+        want = np.array([expected[k] for k in sorted(expected)])
+        np.testing.assert_array_equal(values.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_large_regular_files_take_the_bulk_split(self, tmp_path, monkeypatch, end):
+        """A file with one comma on every line needs no line-by-line read."""
+        rng = np.random.default_rng(len(end))
+
+        def no_line_pass(*_):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(cli, "_read_totals_lines", no_line_pass)
+        for i, n in enumerate([len(self.IDS), 20_000, 50_000]):
+            path = tmp_path / f"t{i}.csv"
+            self.write(path, self.regular_lines(rng, n), end)
+            self.check_against_oracle(path)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["duplicate", "bad value", "no comma", "two commas", "blank", "empty value",
+         "no comma, then two commas"],
+    )
+    def test_one_bad_line_near_the_end_is_named(self, tmp_path, kind):
+        rng = np.random.default_rng(7)
+        lines = self.regular_lines(rng, 30_000)
+        at = len(lines) - int(rng.integers(1, 20))
+        lines[at:at] = {
+            "duplicate": [lines[3].strip()],
+            "bad value": ["h9999999,-1"],
+            "no comma": ["h9999999"],
+            "two commas": ["h9999999,1,2"],
+            "blank": [""],
+            "empty value": ["h9999999,"],
+            # as many commas as lines, and every field a number once split
+            "no comma, then two commas": ["9999999", "9999998,1,2"],
+        }[kind]
+        path = tmp_path / "t.csv"
+        self.write(path, lines, "\n")
+        if kind == "blank":  # skipped: the file is still good
+            self.check_against_oracle(path)
+            return
+        with pytest.raises(DataError) as want:
+            totals_oracle(path)
+        assert f"line {at + 2}:" in str(want.value)
+        with pytest.raises(DataError) as got:
+            _load_totals_csv(path)
+        assert str(got.value) == str(want.value)
+
+    def test_regular_file_memory_per_line(self, tmp_path):
+        """100k regular lines peak under 260 bytes a line: a tuple and its two
+        strings per line, beside the list of stripped lines, took it to 360."""
+        path = tmp_path / "t.csv"
+        rng = np.random.default_rng(100)
+        self.write(path, [f"h{i:07d},{v!r}" for i, v in enumerate(rng.random(100_000).tolist())],
+                   "\n")
+        tracemalloc.start()
+        try:
+            ids, values = _load_totals_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids.size == values.size == 100_000
+        assert peak < 260 * 100_000, peak / 100_000

@@ -182,10 +182,15 @@ def households_dataset(n: int, seed: int = 0) -> EncodedDataset:
 
 
 def as_keys(values: list[int], kind: str) -> np.ndarray:
-    """The same grouping of keys as str, uint64 or two-word void records."""
+    """The same grouping of keys as str, bytes, uint64 or two-word void records.
+
+    Str and bytes keys are zero-padded, so they ascend wherever the values do.
+    """
     v = np.asarray(values, dtype=np.uint64)
     if kind == "str":
-        return np.array([f"k{int(i)}" for i in v], dtype=np.str_)
+        return np.array([f"k{int(i):03d}" for i in v], dtype=np.str_)
+    if kind == "bytes":
+        return np.array([b"k%03d" % int(i) for i in v], dtype=np.bytes_)
     if kind == "uint64":
         return v * np.uint64(2**40 + 1)
     words = np.stack([v % np.uint64(3), v], axis=1)
@@ -216,10 +221,67 @@ class TestFirstOccurrence:
         values = [key for key, length in runs for _ in range(length)]
         self.check(as_keys(values, kind))
 
-    @pytest.mark.parametrize("kind", ["str", "uint64", "void"])
-    @pytest.mark.parametrize("values", [[], [5], [5, 5, 5], [1, 2, 1, 2], [3, 3, 1, 1, 3]])
+    @given(
+        st.lists(st.integers(1, 4), max_size=30),
+        st.sampled_from(["str", "bytes", "uint64", "void"]),
+        st.booleans(),
+    )
+    def test_ascending_runs_match_unique_oracle(self, lengths, kind, late_descent):
+        """Keys in non-decreasing order, as household ids arrive, answered from
+        their runs; one key that repeats an earlier run at the very end breaks
+        the order, and the general path must merge it into that run's group."""
+        values = [key for key, length in enumerate(lengths) for _ in range(length)]
+        if late_descent and len(lengths) > 1:
+            values.append(len(lengths) // 2 - 1)
+        self.check(as_keys(values, kind))
+
+    @pytest.mark.parametrize("kind", ["str", "bytes", "uint64", "void"])
+    @pytest.mark.parametrize(
+        "values", [[], [5], [5, 5, 5], [1, 2, 1, 2], [3, 3, 1, 1, 3], [1, 1, 2, 2, 3, 3, 1]]
+    )
     def test_edge_cases(self, values, kind):
         self.check(as_keys(values, kind))
+
+    @pytest.mark.parametrize("kind", ["str", "bytes", "void"])
+    @pytest.mark.parametrize("values", [[1, 1, 2, 3, 3, 3], [1, 1, 2, 3, 3, 2]])
+    def test_only_unordered_keys_reach_unique(self, values, kind, monkeypatch):
+        """Ascending str and bytes keys need no ``np.unique``; a descending pair
+        sends them to it, and void keys, which have no order, always go."""
+        keys = as_keys(values, kind)
+        want_first, want_rank = first_occurrence_unique_oracle(keys)
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        first, rank = first_occurrence(keys)
+        monkeypatch.undo()
+        assert bool(calls) == (kind == "void" or values != sorted(values))
+        assert first.tolist() == want_first.tolist() and rank.tolist() == want_rank.tolist()
+
+    def test_ascending_keys_memory_stays_below_the_run_keys(self, monkeypatch):
+        """200k ascending household ids in 70k runs: no ``np.unique``, and the
+        peak beyond the two outputs stays below one copy of the run keys."""
+        rng = np.random.default_rng(70)
+        n, runs = 200_000, 70_000
+        group = np.zeros(n, dtype=np.intp)
+        group[rng.choice(np.arange(1, n), runs - 1, replace=False)] = 1
+        names = np.array([f"h{i:07d}" for i in range(runs)], dtype=np.str_)
+        keys = names[np.cumsum(group)]
+        want_first, want_rank = first_occurrence_unique_oracle(keys)
+
+        def no_unique(*_, **__):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        tracemalloc.start()
+        try:
+            first, rank = first_occurrence(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert np.array_equal(first, want_first) and np.array_equal(rank, want_rank)
+        run_keys = runs * keys.itemsize
+        assert peak - first.nbytes - rank.nbytes < run_keys, (peak, run_keys)
 
 
 class TestPackedFirstOccurrence:
@@ -287,6 +349,25 @@ class TestPackedFirstOccurrence:
         first, rank = first_occurrence(keys)
         monkeypatch.undo()
         assert np.array_equal(first, want_first) and np.array_equal(rank, want_rank)
+
+
+    def test_packed_sort_memory_per_key(self):
+        """300k packed d = 26 rows with 20k distinct values: one sorted buffer,
+        a uint32 row index and the outputs, under 28 bytes a key at the peak
+        (an n-long ``arange`` for the OR and ``repeat`` before the scatter
+        took it to 36)."""
+        rng = np.random.default_rng(26)
+        distinct = rng.integers(0, 2**26, 20_000).astype(np.uint64)
+        keys = distinct[rng.integers(0, distinct.size, 300_000)]
+        want_first, want_rank = first_occurrence_unique_oracle(keys)
+        tracemalloc.start()
+        try:
+            first, rank = first_occurrence(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, want_first) and np.array_equal(rank, want_rank)
+        assert peak < 28 * keys.size, peak / keys.size
 
 
 class TestStreamedArtifact:
