@@ -5,8 +5,9 @@ Every file a run writes goes through one ``_Outputs`` writer: each
 subcommand first checks that every output path it will write (and the
 manifest's) can be staged, before it loads any input; each output is
 staged in a temp file next to it, a machine-readable manifest (resolved
-parameters, input hashes, seed, wall-clock duration, peak RSS, and per
-match its workload shape and distance histogram) is staged last next to
+parameters, input hashes, each input dataset's sample and household
+counts, seed, wall-clock duration, peak RSS, and per match its workload
+shape and distance histogram) is staged last next to
 the first output, and only when every one is staged are they all renamed
 into place.  A run that fails at any point leaves no outputs.
 Artifacts are byte-deterministic for a fixed seed; the manifest is not
@@ -126,6 +127,8 @@ class _Outputs:
         self._t0 = time.perf_counter()
         self._staged: list[tuple[Path, Path]] = []  # (temp file, output)
         self.matches: list[dict] = []  # MatchAssignment.diagnostics() of the run's matchings
+        self.datasets: dict[str, dict] = {}  # per loaded .enc input, its shape
+        self.counts: dict[str, int] = {}  # subcommand-specific manifest counts
 
     def require(self, *paths: str | Path) -> None:
         """Record input files for the manifest; a missing one is an error."""
@@ -133,6 +136,12 @@ class _Outputs:
             if not p.exists():
                 raise FileNotFoundError(f"input file not found: {p}")
             self._inputs.append(p)
+
+    def load(self, path: str | Path) -> EncodedDataset:
+        """Load an ``.enc`` input and record its sample and household counts."""
+        ds = EncodedDataset.load(path)
+        self.datasets[str(path)] = {"n_samples": ds.n_samples, "n_households": ds.n_households()}
+        return ds
 
     def plan(self, *paths: str | Path | None) -> None:
         """Check, before any work, every output the run will write, in staging
@@ -158,12 +167,17 @@ class _Outputs:
         self._stage(path).write_bytes(text.encode("utf-8"))
 
     def csv(self, path: str | Path, header: list[str], columns: list) -> None:
-        """Stage a CSV of equal-length columns: floats as ``repr``, the rest as ``str``."""
-        columns = [np.asarray(c) for c in columns]
+        """Stage a CSV of equal-length columns: floats as ``repr``, the rest as
+        ``str``.  A ``(values, code)`` column is written as ``values[code]``,
+        gathered one chunk at a time."""
+        columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in columns]
+        values, code = columns[0]
+        n = len(values if code is None else code)
         with open(self._stage(path), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-                chunk = [_csv_fields(c[i : i + CSV_CHUNK_ROWS]) for c in columns]
+            for i in range(0, n, CSV_CHUNK_ROWS):
+                rows = slice(i, i + CSV_CHUNK_ROWS)
+                chunk = [_csv_fields(v[rows] if c is None else v[c[rows]]) for v, c in columns]
                 fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
     def _manifest(self) -> dict:
@@ -181,7 +195,9 @@ class _Outputs:
             "seed": getattr(args, "seed", None),
             "duration_seconds": time.perf_counter() - self._t0,
             "peak_rss_mb": _peak_rss_mb(),
+            "datasets": self.datasets,
             "matches": self.matches,
+            **self.counts,
             "outputs": [str(path) for _, path in self._staged],
         }
 
@@ -314,7 +330,7 @@ def _cmd_ingest(args: argparse.Namespace, out: _Outputs) -> int:
 def _cmd_describe(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.data)
     out.plan(args.out)
-    report = describe(EncodedDataset.load(args.data))
+    report = describe(out.load(args.data))
     print(json.dumps(report, indent=2))
     if args.out:
         out.json(args.out, report)
@@ -327,8 +343,8 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
     out.plan(args.out, hh_out)
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
-    source = EncodedDataset.load(args.source)
-    candidate = EncodedDataset.load(args.candidate)
+    source = out.load(args.source)
+    candidate = out.load(args.candidate)
     if not args.no_augment:
         candidate = augment_candidate(source, candidate)
     result = impute(
@@ -341,7 +357,7 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
     )
     a = result.assignment
     out.matches.append(a.diagnostics())
-    household_ids, n = source.household_ids, source.n_samples
+    household_ids, n = (source.households, source.household_code), source.n_samples
     del source  # its covariates and targets are not written: free them first
     out.csv(
         args.out,
@@ -362,9 +378,9 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
     out.plan(args.out, prov)
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
-    source2 = EncodedDataset.load(args.source2)
-    source1 = EncodedDataset.load(args.source1)
-    candidate = EncodedDataset.load(args.candidate)
+    source2 = out.load(args.source2)
+    source1 = out.load(args.source1)
+    candidate = out.load(args.candidate)
     synth = generate_future(
         source2,
         source1,
@@ -374,6 +390,9 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
         seed=args.seed,
     )
     out.matches.extend(synth.matches)
+    out.counts.update(
+        reachable_buckets=synth.n_entries, covered_households=len(synth.covered_households)
+    )
     out.write(args.out, synth.to_encoded_dataset(args.survey_id, args.year).save)
     out.csv(
         prov,
@@ -426,8 +445,8 @@ def _cmd_spike(args: argparse.Namespace, out: _Outputs) -> int:
 def _cmd_attribute(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.data, args.candidate)
     out.plan(args.out)
-    ds = EncodedDataset.load(args.data)
-    candidate = EncodedDataset.load(args.candidate)
+    ds = out.load(args.data)
+    candidate = out.load(args.candidate)
     require_same_dictionary(ds, candidate)
     predictor = BucketMeanPredictor(candidate.labeled())
     report = attribute_dataset(ds, predictor, sample_limit=args.limit, seed=args.seed)

@@ -183,9 +183,8 @@ def generate(
         np.array(model.household_sizes), size=n_households, p=model.household_size_probs
     )
     n = int(sizes.sum())
-    household_ids = np.repeat(
-        np.array([f"h{i:06d}" for i in range(n_households)], dtype=np.str_), sizes
-    )
+    households = np.array([f"h{i:06d}" for i in range(n_households)], dtype=np.str_)
+    household_code = np.repeat(np.arange(n_households, dtype=np.int32), sizes)
 
     # one category index per (sample, feature); -1 marks a missing covariate
     category_idx = np.empty((n, dictionary.n_features), dtype=np.int64)
@@ -211,7 +210,8 @@ def generate(
         dictionary=dictionary,
         survey_id=survey_id,
         year=year,
-        household_ids=household_ids,
+        households=households,
+        household_code=household_code,
         x=x,
         y=y,
     )
@@ -223,7 +223,8 @@ def generate(
         dictionary=dictionary,
         survey_id=survey_id,
         year=year,
-        household_ids=household_ids.copy(),
+        households=households,
+        household_code=household_code.copy(),
         x=x.copy(),
         y=y_missing,
     )

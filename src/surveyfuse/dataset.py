@@ -13,19 +13,25 @@ byte-deterministic: fixed zip timestamps, fixed member order.
 Members are streamed in both directions: ``save`` deflates each array
 from its own buffer in slices, after its ``.npy`` header, and ``load``
 reads each member through numpy in small blocks, so neither holds a
-whole member as one ``bytes`` object.  ``load`` checks each member where
-it enters: present, of its expected dimensions and dtype before any
-conversion, and as long as ``meta.json``'s ``n_samples``.  Each key that
-``meta.json`` must hold is checked for presence and JSON type.
+whole member as one ``bytes`` object.  Household ids are coded in
+memory (distinct ids plus an int32 code per sample, see
+:class:`EncodedDataset`): ``load`` codes ``household_ids.npy`` before it
+reads ``x.npy``, and ``save`` gathers each block of the per-sample ids
+from the codes, so the file holds the same ``.npy`` member as ever.
+``load`` checks each member where it enters: present, of its expected
+dimensions and dtype before any conversion, and as long as
+``meta.json``'s ``n_samples``.  Each key that ``meta.json`` must hold is
+checked for presence and JSON type, and a damaged container is a
+``FusionError``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -135,33 +141,94 @@ def household_index(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def household_sums(
     household_ids: np.ndarray,
     sample_y: np.ndarray,
-    index: tuple[np.ndarray, np.ndarray] | None = None,
+    code: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum per-sample values per household, first-appearance order.
 
-    ``index`` is ``household_index(household_ids)`` if the caller has it.
+    With ``code``, ``household_ids`` are already the distinct ids and
+    ``code`` each sample's position among them, as an ``EncodedDataset``'s
+    ``households`` and ``household_code``.
     """
-    ids, position = household_index(household_ids) if index is None else index
-    return ids, np.bincount(position, weights=sample_y, minlength=ids.size)
+    if code is None:
+        household_ids, code = household_index(household_ids)
+    return household_ids, np.bincount(code, weights=sample_y, minlength=household_ids.size)
 
 
-@dataclass
+def _code_ids(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``household_index`` of a 1-D id array, positions as int32."""
+    if household_ids.ndim != 1:
+        raise DimensionError(f"household ids must be 1-D, got shape {household_ids.shape}")
+    households, position = household_index(household_ids)
+    return households, position.astype(np.int32)
+
+
+def _checked_codes(households: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coded household ids as stored, or a ``DataError`` if the codes are out
+    of range, skip a household, or are not in first-appearance order."""
+    households = np.asarray(households, dtype=np.str_)
+    code = np.asarray(code)
+    if households.ndim != 1 or code.ndim != 1:
+        raise DimensionError(
+            f"households and household_code must be 1-D, got shapes "
+            f"{households.shape} and {code.shape}"
+        )
+    if code.dtype.kind not in "iu":
+        raise DataError(f"household_code must be integers, got {code.dtype}")
+    if code.size:
+        # in first-appearance order iff every code is at most one above all before it
+        top = np.maximum.accumulate(code)
+        ordered = code[0] == 0 and not (top[1:] - top[:-1] > 1).any() and code.min() >= 0
+        if not ordered or top[-1] != households.size - 1:
+            raise DataError(
+                "household_code must number all households 0, 1, ... in order of first appearance"
+            )
+    elif households.size:
+        raise DataError(f"{households.size} households, but no samples")
+    return households, code.astype(np.int32, copy=False)
+
+
 class EncodedDataset:
-    """Ordered person-day samples sharing one feature dictionary."""
+    """Ordered person-day samples sharing one feature dictionary.
 
-    dictionary: FeatureDictionary
-    survey_id: str
-    year: int
-    household_ids: np.ndarray  # (n,) unicode
-    x: np.ndarray  # (n, d) uint8, one-hot groups per feature
-    y: np.ndarray  # (n,) float64, NaN = missing target
+    Household ids are held coded: ``households`` are the distinct ids in
+    order of first appearance and ``household_code`` is each sample's
+    position among them (int32), 4 bytes a sample instead of one string.
+    Pass either ``household_ids``, one per sample, which are coded here, or
+    ``households`` and ``household_code`` already coded; the codes are
+    checked to be in first-appearance order and to use every household,
+    and ``households`` must be distinct.
+    """
 
-    def __post_init__(self) -> None:
-        self.household_ids = np.asarray(self.household_ids, dtype=np.str_)
-        x = np.asarray(self.x)
-        self.x = np.ascontiguousarray(x, dtype=np.uint8)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        n = self.household_ids.shape[0]
+    def __init__(
+        self,
+        dictionary: FeatureDictionary,
+        survey_id: str,
+        year: int,
+        household_ids: np.ndarray | None = None,
+        x: np.ndarray | None = None,
+        y: np.ndarray | None = None,
+        *,
+        households: np.ndarray | None = None,
+        household_code: np.ndarray | None = None,
+    ) -> None:
+        if x is None or y is None:
+            raise TypeError("EncodedDataset needs x and y")
+        given = (household_ids is not None, households is not None, household_code is not None)
+        if given not in ((True, False, False), (False, True, True)):
+            raise TypeError("pass household_ids, or households and household_code")
+        self.dictionary = dictionary
+        self.survey_id = survey_id
+        self.year = year
+        if household_ids is not None:
+            households, household_code = _code_ids(np.asarray(household_ids, dtype=np.str_))
+        else:
+            households, household_code = _checked_codes(households, household_code)
+        self.households: np.ndarray = households  # (k,) unicode, distinct
+        self.household_code: np.ndarray = household_code  # (n,) int32 into households
+        x = np.asarray(x)
+        self.x = np.ascontiguousarray(x, dtype=np.uint8)  # (n, d) one-hot groups per feature
+        self.y = np.asarray(y, dtype=np.float64)  # (n,) NaN = missing target
+        n = self.household_code.shape[0]
         if self.x.shape != (n, self.dictionary.dimension):
             raise DimensionError(
                 f"x has shape {self.x.shape}, expected ({n}, {self.dictionary.dimension})"
@@ -191,7 +258,13 @@ class EncodedDataset:
 
     @property
     def n_samples(self) -> int:
-        return int(self.household_ids.shape[0])
+        return int(self.household_code.shape[0])
+
+    @property
+    def household_ids(self) -> np.ndarray:
+        """Each sample's household id: a new ``households[household_code]``
+        array, as large as the strings; not meant for hot paths."""
+        return self.households[self.household_code]
 
     @property
     def missing_mask(self) -> np.ndarray:
@@ -202,15 +275,18 @@ class EncodedDataset:
         return int(self.missing_mask.sum())
 
     def n_households(self) -> int:
-        return int(household_index(self.household_ids)[0].size)
+        return int(self.households.size)
 
     def subset(self, indices: np.ndarray) -> "EncodedDataset":
         indices = np.asarray(indices)
+        code = self.household_code[indices]
+        first, rank = first_occurrence(code)
         return EncodedDataset(
             dictionary=self.dictionary,
             survey_id=self.survey_id,
             year=self.year,
-            household_ids=self.household_ids[indices],
+            households=self.households[code[first]],
+            household_code=rank.astype(np.int32),
             x=self.x[indices],
             y=self.y[indices],
         )
@@ -229,7 +305,7 @@ class EncodedDataset:
                 f"{self.n_missing} samples have missing targets; "
                 "impute before computing household totals"
             )
-        ids, totals = household_sums(self.household_ids, self.y)
+        ids, totals = household_sums(self.households, self.y, self.household_code)
         return dict(zip(ids.tolist(), totals.tolist()))
 
     # -- persistence -----------------------------------------------------------
@@ -246,7 +322,7 @@ class EncodedDataset:
         }
         with zipfile.ZipFile(path, "w") as zf:
             _write_member(zf, "meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())
-            _write_member(zf, "household_ids.npy", self.household_ids)
+            _write_member(zf, "household_ids.npy", self.households, self.household_code)
             _write_member(zf, "x.npy", self.x)
             _write_member(zf, "y.npy", self.y)
 
@@ -274,9 +350,15 @@ class EncodedDataset:
                     raise DictionaryMismatchError(
                         f"{path}: embedded dictionary hash does not match its layout"
                     )
-                arrays = {name: _read_npy(zf, path, name) for name in _ARRAY_MEMBERS}
-        except zipfile.BadZipFile:
-            raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact") from None
+                # the ids are coded as soon as they are read, before x and y
+                households, code = _code_ids(_read_npy(zf, path, "household_ids.npy"))
+                arrays = {"household_ids.npy": code}
+                for name in ("x.npy", "y.npy"):
+                    arrays[name] = _read_npy(zf, path, name)
+        except FileNotFoundError:  # a missing path stays what it is
+            raise
+        except _ZIP_ERRORS as exc:
+            raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact: {exc}") from None
         n = meta.get("n_samples")
         for name, arr in arrays.items():
             if type(n) is not int or arr.shape[0] != n:
@@ -288,7 +370,8 @@ class EncodedDataset:
             dictionary=dictionary,
             survey_id=meta["survey_id"],
             year=meta["year"],
-            household_ids=arrays["household_ids.npy"],
+            households=households,
+            household_code=code,
             x=arrays["x.npy"],
             y=arrays["y.npy"],
         )
@@ -302,6 +385,11 @@ _META_FIELDS = {
     "dictionary_hash": "a string",
 }
 
+# what zipfile raises on a damaged container or member: a bad CRC, a bad
+# deflate stream, a cut stream, an unknown compression method or version,
+# an encryption flag, an impossible offset (or a path that is no file)
+_ZIP_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError, OSError)
+
 _WRITE_BYTES = 1 << 20  # array bytes handed to the compressor per write
 
 # array member -> (dimensions, dtype kind, item size or None for any, as named in errors)
@@ -312,24 +400,38 @@ _ARRAY_MEMBERS = {
 }
 
 
-def _write_member(zf: zipfile.ZipFile, name: str, data: bytes | np.ndarray) -> None:
-    """Deflate one member; an array is streamed as ``.npy`` 1.0, header then buffer."""
+def _write_member(
+    zf: zipfile.ZipFile, name: str, data: bytes | np.ndarray, rows: np.ndarray | None = None
+) -> None:
+    """Deflate one member; an array is streamed as ``.npy`` 1.0, header then
+    rows in blocks of about ``_WRITE_BYTES``.  With ``rows``, the array
+    written is ``data[rows]``, gathered one block at a time."""
     info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
     info.create_system = 3
     info.external_attr = 0o644 << 16
     info.compress_type = zipfile.ZIP_DEFLATED
-    body: bytes | np.ndarray = b""
     if isinstance(data, np.ndarray):
         arr = np.ascontiguousarray(data)
-        header = io.BytesIO()
-        np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
-        data, body = header.getvalue(), arr.reshape(-1).view(np.uint8)
+        n = arr.shape[0] if rows is None else rows.shape[0]
+        fields = np.lib.format.header_data_from_array_1_0(arr)
+        fields["shape"] = (n, *arr.shape[1:])
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buf, fields)
+        row_bytes = arr.dtype.itemsize * math.prod(arr.shape[1:])
+        block = max(1, _WRITE_BYTES // max(1, row_bytes))
+        header, body_bytes = buf.getvalue(), n * row_bytes
+        blocks = (
+            arr[s : s + block] if rows is None else arr[rows[s : s + block]]
+            for s in range(0, n, block)
+        )
+    else:
+        header, body_bytes, blocks = data, 0, ()
     # the exact size up front makes the same zip64 choice as ``ZipFile.writestr``
-    info.file_size = len(data) + len(body)
+    info.file_size = len(header) + body_bytes
     with zf.open(info, "w") as fh:
-        fh.write(data)
-        for start in range(0, len(body), _WRITE_BYTES):
-            fh.write(body[start : start + _WRITE_BYTES])
+        fh.write(header)
+        for part in blocks:
+            fh.write(np.ascontiguousarray(part).reshape(-1).view(np.uint8))
 
 
 def _open_member(zf: zipfile.ZipFile, path: str | Path, name: str):
@@ -372,11 +474,20 @@ def concat_datasets(
     if not datasets:
         raise FusionError("cannot concatenate zero datasets")
     require_same_dictionary(*datasets)
+    # each dataset's households are distinct and in first-appearance order,
+    # so their concatenation's first occurrences are the stacked samples'
+    stacked = np.concatenate([d.households for d in datasets])
+    first, rank = first_occurrence(stacked)
+    rank = rank.astype(np.int32)
+    offsets = np.cumsum([0] + [d.households.size for d in datasets])
     return EncodedDataset(
         dictionary=datasets[0].dictionary,
         survey_id=survey_id,
         year=year,
-        household_ids=np.concatenate([d.household_ids for d in datasets]),
+        households=stacked[first],
+        household_code=np.concatenate(
+            [rank[d.household_code + off] for d, off in zip(datasets, offsets.tolist())]
+        ),
         x=np.concatenate([d.x for d in datasets], axis=0),
         y=np.concatenate([d.y for d in datasets]),
     )

@@ -234,7 +234,7 @@ def baseline_mean_impute(source: EncodedDataset) -> ImputationResult:
         raise DataError("mean imputation needs at least one observed target")
     fill = float(source.y[present].mean())
     sample_y = np.where(present, source.y, fill)
-    ids, totals = household_sums(source.household_ids, sample_y)
+    ids, totals = household_sums(source.households, sample_y, source.household_code)
     return ImputationResult(
         sample_y=sample_y,
         imputed_mask=~present,

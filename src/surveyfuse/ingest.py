@@ -275,8 +275,11 @@ def assemble(raw: RawTableSet, spec: HarmonizationSpec, year: int) -> EncodedDat
         answered |= given
     y = np.where(answered, total / tgt.divisor, np.nan)
     hid = raw.days.columns[spec.table_keys(survey_id).household_id]
-    household_ids = np.array(hid.values, dtype=np.str_)[hid.codes]
-    return EncodedDataset(dictionary, survey_id, year, household_ids, x, y)
+    # a column's codes number its distinct values in order of first appearance
+    return EncodedDataset(
+        dictionary, survey_id, year, x=x, y=y,
+        households=np.array(hid.values, dtype=np.str_), household_code=hid.codes,
+    )
 
 
 def describe(ds: EncodedDataset) -> dict:

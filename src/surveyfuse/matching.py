@@ -47,7 +47,6 @@ from .dataset import (
     EncodedDataset,
     concat_datasets,
     first_occurrence,
-    household_index,
     household_sums,
     require_same_dictionary,
     rng_stream,
@@ -398,12 +397,10 @@ def impute(
     assignment = nearest_rows(source.x, buckets.x, tie_break=tie_break, seed=seed)
     w = source.n_samples / candidate.n_samples
     filled = buckets.y_mean[assignment.target_index]  # matched means, divided in place
-    if household_weight:  # each sample's household size, from the index the sums reuse
-        index = household_index(source.household_ids)
-        _, position = index
-        filled /= np.bincount(position)[position]
+    code = source.household_code
+    if household_weight:  # each sample's household size
+        filled /= np.bincount(code, minlength=source.households.size)[code]
     else:
-        index = None
         filled /= w
     if impute_all:
         sample_y = filled
@@ -412,7 +409,7 @@ def impute(
         imputed_mask = source.missing_mask
         sample_y = filled  # observed targets copied over the matched means
         np.copyto(sample_y, source.y, where=~imputed_mask)
-    ids, totals = household_sums(source.household_ids, sample_y, index)
+    ids, totals = household_sums(source.households, sample_y, code)
     return ImputationResult(
         sample_y=sample_y,
         imputed_mask=imputed_mask,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodedDataset, household_index, require_same_dictionary
+from .dataset import EncodedDataset, require_same_dictionary
 from .errors import DataError, MatchError
 from .matching import BucketSet, MatchAssignment, build_buckets, nearest_rows
 from .schema import FeatureDictionary
@@ -45,7 +45,8 @@ class TriPartiteGraph:
     n_candidate: int
     n_source1: int
     dictionary: FeatureDictionary
-    candidate_household_ids: np.ndarray
+    candidate_households: np.ndarray  # distinct candidate household ids
+    candidate_household_code: np.ndarray  # each candidate sample's position among them
 
     @property
     def n_source2(self) -> int:
@@ -91,7 +92,8 @@ def nested_match(
         n_candidate=candidate.n_samples,
         n_source1=source1.n_samples,
         dictionary=candidate.dictionary,
-        candidate_household_ids=candidate.household_ids,
+        candidate_households=candidate.households,
+        candidate_household_code=candidate.household_code,
     )
 
 
@@ -123,7 +125,8 @@ class SyntheticDataset:
             dictionary=self.dictionary,
             survey_id=survey_id,
             year=year,
-            household_ids=ids,
+            households=ids,
+            household_code=np.arange(ids.size, dtype=np.int32),
             x=self.x.copy(),
             y=self.y.copy(),
         )
@@ -161,8 +164,9 @@ def synthesize(
 
     bucket_index = np.flatnonzero(reachable)
     member_mask = reachable[graph.buckets.inverse]
-    covered_ids, _ = household_index(graph.candidate_household_ids[member_mask])
-    covered = tuple(sorted(covered_ids.tolist()))
+    covered_mask = np.zeros(graph.candidate_households.size, dtype=bool)
+    covered_mask[graph.candidate_household_code[member_mask]] = True
+    covered = tuple(sorted(graph.candidate_households[covered_mask].tolist()))
 
     return SyntheticDataset(
         dictionary=graph.dictionary,

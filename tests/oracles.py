@@ -185,9 +185,11 @@ def first_occurrence_unique_oracle(keys: np.ndarray) -> tuple[np.ndarray, np.nda
     return first[order], rank[inverse]
 
 
-def save_writestr_oracle(ds, path) -> None:
+def save_writestr_oracle(ds, path, household_ids=None) -> None:
     """``EncodedDataset.save`` with every member built whole in memory and
-    written by ``ZipFile.writestr``."""
+    written by ``ZipFile.writestr``.  ``household_ids``, one string per
+    sample as a per-sample array would hold them, replaces
+    ``ds.household_ids``, so the expected file need not come from the codes."""
     meta = {
         "format": "surveyfuse-encoded",
         "version": 1,
@@ -205,7 +207,7 @@ def save_writestr_oracle(ds, path) -> None:
 
     members = [
         ("meta.json", json.dumps(meta, sort_keys=True, indent=1).encode("utf-8")),
-        ("household_ids.npy", npy(ds.household_ids)),
+        ("household_ids.npy", npy(ds.household_ids if household_ids is None else household_ids)),
         ("x.npy", npy(ds.x)),
         ("y.npy", npy(ds.y)),
     ]

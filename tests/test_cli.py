@@ -147,6 +147,20 @@ class TestDescribe:
     def test_missing_input(self, tmp_path):
         assert run("describe", "--data", tmp_path / "nope.enc") == EXIT_MISSING_INPUT
 
+    def test_manifest_records_the_dataset_shape(self, generated, tmp_path):
+        full, _ = generated
+        out = tmp_path / "report.json"
+        assert run("describe", "--data", full, "--out", out) == EXIT_OK
+        manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+        ds = EncodedDataset.load(full)
+        assert manifest["datasets"] == {
+            str(full): {"n_samples": ds.n_samples, "n_households": 200}
+        }
+
+    def test_directory_as_data_is_a_data_error(self, tmp_path, capsys):
+        assert run("describe", "--data", tmp_path) == EXIT_DATA
+        assert "not a readable" in capsys.readouterr().err
+
     def test_invalid_enc_contents_are_data_error(self, generated, tmp_path, capsys):
         full, _ = generated
         ds = EncodedDataset.load(full)
@@ -184,7 +198,13 @@ class TestImpute:
         assert run("impute", "--source", missing, "--candidate", full, "--out", out) == EXIT_OK
         with open(out) as fh:
             distances = [float(r["distance"]) for r in csv.DictReader(fh)]
-        (match,) = json.loads((tmp_path / "imputed.csv.manifest.json").read_text())["matches"]
+        manifest = json.loads((tmp_path / "imputed.csv.manifest.json").read_text())
+        (match,) = manifest["matches"]
+        assert manifest["datasets"] == {
+            str(path): {"n_samples": ds.n_samples, "n_households": ds.households.size}
+            for path, ds in ((missing, EncodedDataset.load(missing)),
+                             (full, EncodedDataset.load(full)))
+        }
         histogram = match["distance_histogram"]
         assert len(histogram) == EncodedDataset.load(missing).x.shape[1] + 1
         assert sum(histogram) == match["query_rows"] == len(distances)
@@ -361,7 +381,7 @@ class TestEvaluateAndSpike:
 
 
 class TestSynthesize:
-    def test_end_to_end(self, tmp_path):
+    def test_end_to_end(self, tmp_path, capsys):
         paths = {}
         for name, seed, hh in [("candidate", 1, 80), ("source1", 2, 150), ("source2", 3, 60)]:
             full = tmp_path / f"{name}.enc"
@@ -375,6 +395,7 @@ class TestSynthesize:
             "--year", 2021, "--out", out,
         )
         assert rc == EXIT_OK
+        printed = capsys.readouterr().out
         ds = EncodedDataset.load(out)
         assert ds.survey_id == "synth2021"
         assert ds.n_samples > 0
@@ -383,7 +404,20 @@ class TestSynthesize:
             rows = list(csv.DictReader(fh))
         assert len(rows) == ds.n_samples
         assert set(rows[0]) == {"bucket_id", "n_S", "n_G_total", "y_synth"}
-        mu1, mu2 = json.loads((tmp_path / "synth.enc.manifest.json").read_text())["matches"]
+        manifest = json.loads((tmp_path / "synth.enc.manifest.json").read_text())
+        mu1, mu2 = manifest["matches"]
+        assert set(manifest["datasets"]) == {
+            str(paths[k]) for k in ("source2", "source1", "candidate")
+        }
+        for path, shape in manifest["datasets"].items():
+            loaded = EncodedDataset.load(path)
+            assert shape == {"n_samples": loaded.n_samples, "n_households": loaded.n_households()}
+        synth = synthesis.generate_future(
+            *(EncodedDataset.load(paths[k]) for k in ("source2", "source1", "candidate"))
+        )
+        assert manifest["reachable_buckets"] == synth.n_entries == ds.n_samples
+        assert manifest["covered_households"] == len(synth.covered_households) > 0
+        assert f"covering {manifest['covered_households']} donor households" in printed
         assert mu1["query_rows"] == EncodedDataset.load(paths["source1"]).n_samples
         assert mu2["query_rows"] == EncodedDataset.load(paths["source2"]).n_samples
         assert mu2["target_rows"] == mu1["query_rows"]
@@ -407,8 +441,11 @@ class TestAttribute:
         features = {e["feature"] for e in report["entries"]}
         assert features <= {"Income", "Age", "Gender", "Education", "LifeCycle", "Employment"}
         # one match for the coalition table, one for v(full) and v(empty)
-        matches = json.loads((tmp_path / "attr.json.manifest.json").read_text())["matches"]
+        manifest = json.loads((tmp_path / "attr.json.manifest.json").read_text())
+        matches = manifest["matches"]
         assert [m["query_rows"] for m in matches] == [8 * 2**6, 8 * 2]
+        assert [d["n_households"] for d in manifest["datasets"].values()] == [200, 200]
+        assert set(manifest["datasets"]) == {str(missing), str(full)}
         assert len({m["target_rows"] for m in matches}) == 1  # both against the buckets
 
 
@@ -872,6 +909,17 @@ class TestCsvWriter:
         with outputs() as staged:
             staged.csv(tmp_path / "t.csv", header, columns)
         assert (tmp_path / "t.csv").read_bytes() == csv_reference(header, columns)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 65_536])
+    def test_coded_column_is_written_as_its_values(self, tmp_path, monkeypatch, chunk_rows):
+        rng = np.random.default_rng(1)
+        values = np.array(["h0", "hé1", "h22", "h"])
+        code = rng.integers(0, values.size, 40).astype(np.int32)
+        other = rng.random(40)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        with outputs() as staged:
+            staged.csv(tmp_path / "t.csv", ["id", "v"], [(values, code), other])
+        assert (tmp_path / "t.csv").read_bytes() == csv_reference(["id", "v"], [values[code], other])
 
 
 EDGE_FLOATS = np.array([

@@ -393,8 +393,13 @@ class TestStreamedArtifact:
             assert (tmp_path / f"{size}.enc").read_bytes() == (tmp_path / "whole.enc").read_bytes()
 
     def test_load_memory_follows_the_arrays(self, tmp_path):
-        """Members are read in blocks, not as whole ``bytes`` objects: loading
-        200k rows peaks under 1.5x the loaded arrays."""
+        """Members are read in blocks, not as whole ``bytes`` objects, and the
+        ids are coded before x and y are read: loading 200k rows peaks under
+        1.5x the arrays the dataset keeps (codes, distinct ids, x and y).
+
+        Those are 10.0 MB here; the per-sample ``<U9`` ids alone are 7.2 MB,
+        so a load that kept them would peak above the bound (15.0 MB, below
+        the 21.0 MB that 1.5x the per-sample ids, x and y once allowed)."""
         path = tmp_path / "big.enc"
         households_dataset(200_000, seed=1).save(path)
         tracemalloc.start()
@@ -403,8 +408,169 @@ class TestStreamedArtifact:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrays = ds.household_ids.nbytes + ds.x.nbytes + ds.y.nbytes
-        assert peak < 1.5 * arrays, (peak, arrays)
+        kept = ds.household_code.nbytes + ds.households.nbytes + ds.x.nbytes + ds.y.nbytes
+        ids = ds.n_samples * ds.households.itemsize
+        assert kept + ids > 1.5 * kept  # holding the ids as well would fail the bound
+        assert peak < 1.5 * kept, (peak, kept)
+
+
+def random_ids(kind: str, n: int, rng) -> np.ndarray:
+    """Per-sample household ids of one shape, about three samples a household."""
+    k = np.arange(n) // 3
+    if kind == "ascending":
+        return np.array([f"h{i:05d}" for i in k], dtype=np.str_)
+    if kind == "shuffled":
+        return rng.permutation(np.array([f"h{i:05d}" for i in k], dtype=np.str_))
+    if kind == "non-ascii":
+        return np.array([f"hé{i % 11}✓ü" for i in rng.permutation(k)], dtype=np.str_)
+    if kind == "unequal-length":
+        return np.array(["h" * int(1 + i % 9) + str(i % 4) for i in rng.permutation(k)])
+    if kind == "wide-dtype":  # declared wider than any id
+        return np.array([f"h{i % 5}" for i in k], dtype="<U12")
+    assert kind == "single-household"
+    return np.full(n, "only", dtype=np.str_)
+
+
+ID_KINDS = ["ascending", "shuffled", "non-ascii", "unequal-length", "wide-dtype", "single-household"]
+
+
+def ids_dataset(ids: np.ndarray, seed: int = 0) -> EncodedDataset:
+    rng = np.random.default_rng(seed)
+    dictionary = dictionary_26()
+    y = rng.integers(0, 4, ids.size).astype(np.float64)
+    y[rng.random(ids.size) < 0.4] = np.nan
+    return make_dataset(dictionary, random_one_hot(rng, dictionary, ids.size), y, household_ids=ids)
+
+
+class TestCodedHouseholds:
+    """Ids are held as distinct ids plus int32 codes; the ``.enc`` file holds
+    the per-sample ids exactly as a per-sample array would be written."""
+
+    def check_bytes(self, tmp_path, ds, ids):
+        save_writestr_oracle(ds, tmp_path / "expected.enc", household_ids=ids)
+        ds.save(tmp_path / "saved.enc")
+        expected = (tmp_path / "expected.enc").read_bytes()
+        assert (tmp_path / "saved.enc").read_bytes() == expected
+        EncodedDataset.load(tmp_path / "saved.enc").save(tmp_path / "again.enc")
+        assert (tmp_path / "again.enc").read_bytes() == expected
+
+    def check_codes(self, ds, ids):
+        first, rank = first_occurrence_unique_oracle(ids)
+        assert ds.households.dtype == ids.dtype
+        assert ds.households.tolist() == ids[first].tolist()
+        assert ds.household_code.dtype == np.int32
+        assert ds.household_code.tolist() == rank.tolist()
+        assert ds.n_households() == first.size
+        assert np.array_equal(ds.household_ids, ids)
+
+    @pytest.mark.parametrize("kind", ID_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 50, 3001])
+    def test_save_writes_the_per_sample_ids(self, tmp_path, kind, n):
+        ids = random_ids(kind, n, np.random.default_rng(n))
+        ds = ids_dataset(ids, seed=n)
+        self.check_codes(ds, ids)
+        self.check_bytes(tmp_path, ds, ids)
+
+    def test_empty_dataset(self, tmp_path):
+        ids = np.array([], dtype=np.str_)
+        ds = ids_dataset(ids)
+        assert ds.households.dtype == np.dtype("<U1") and ds.n_households() == 0
+        self.check_bytes(tmp_path, ds, ids)
+
+    @pytest.mark.parametrize("kind", ID_KINDS)
+    def test_subset_labeled_and_concat_keep_the_id_itemsize(self, tmp_path, kind):
+        rng = np.random.default_rng(3)
+        ids = random_ids(kind, 300, rng)
+        ds = ids_dataset(ids, seed=1)
+        picks = {
+            "subset": rng.integers(0, ids.size, 120),  # repeats and any order
+            "labeled": np.flatnonzero(~ds.missing_mask),
+            "none": np.zeros(0, dtype=np.intp),
+            "short ids only": np.flatnonzero(np.char.str_len(ids) == np.char.str_len(ids).min()),
+        }
+        for name, idx in picks.items():
+            part = ds.labeled() if name == "labeled" else ds.subset(idx)
+            self.check_codes(part, ids[idx])
+            self.check_bytes(tmp_path, part, ids[idx])
+        other = random_ids("unequal-length", 90, rng)
+        parts = [ds, ids_dataset(other, seed=2), ds.subset(np.arange(40, 10, -1))]
+        stacked = np.concatenate([ids, other, ids[40:10:-1]])
+        both = concat_datasets(parts, survey_id=ds.survey_id, year=ds.year)
+        self.check_codes(both, stacked)
+        self.check_bytes(tmp_path, both, stacked)
+
+    def test_coded_input_is_kept(self, single_dictionary):
+        households = np.array(["z", "a", "m"])
+        ds = EncodedDataset(
+            single_dictionary, "t", 2017, x=[[1, 0]] * 4, y=[1.0, 2.0, 3.0, 4.0],
+            households=households, household_code=np.array([0, 1, 0, 2], dtype=np.int64),
+        )
+        assert ds.household_code.dtype == np.int32
+        assert ds.household_ids.tolist() == ["z", "a", "z", "m"]
+        assert ds.household_totals() == {"z": 4.0, "a": 2.0, "m": 4.0}
+
+    @pytest.mark.parametrize(
+        "households, code",
+        [
+            (["a", "b"], [1, 0]),  # not in order of first appearance
+            (["a", "b", "c"], [0, 2, 1]),
+            (["a", "b"], [0, 0]),  # a household without samples
+            (["a"], [0, 1]),  # out of range
+            (["a", "b"], [0, -1]),
+            (["a"], []),
+        ],
+    )
+    def test_bad_codes_rejected(self, single_dictionary, households, code):
+        with pytest.raises(DataError, match="household"):
+            EncodedDataset(
+                single_dictionary, "t", 2017, x=[[1, 0]] * len(code), y=[1.0] * len(code),
+                households=households, household_code=np.array(code, dtype=np.int64),
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"households": ["a"], "household_code": [[0]]}, DimensionError),
+            ({"households": [["a"]], "household_code": [0]}, DimensionError),
+            ({"household_ids": [["a"]]}, DimensionError),
+            ({"households": ["a"], "household_code": [0.0]}, DataError),
+            ({"household_ids": ["a"], "households": ["a"], "household_code": [0]}, TypeError),
+            ({"households": ["a"]}, TypeError),
+            ({}, TypeError),
+        ],
+    )
+    def test_bad_id_arguments_rejected(self, single_dictionary, kwargs, error):
+        with pytest.raises(error):
+            EncodedDataset(single_dictionary, "t", 2017, x=[[1, 0]], y=[1.0], **kwargs)
+
+    def test_no_hot_path_codes_the_ids_again(self, tmp_path, monkeypatch):
+        """Once loaded, impute, synthesis, attribution and describe read the
+        codes: none of them derives the households from the id strings."""
+        from surveyfuse import (
+            BucketMeanPredictor, attribute_dataset, augment_candidate, baseline_mean_impute,
+            describe, generate_future, impute,
+        )
+        import surveyfuse
+
+        for name, seed, n in [("source", 1, 900), ("candidate", 2, 300)]:
+            ids = random_ids("shuffled", n, np.random.default_rng(seed))
+            ids_dataset(ids, seed=seed).save(tmp_path / f"{name}.enc")
+        source = EncodedDataset.load(tmp_path / "source.enc")
+        candidate = EncodedDataset.load(tmp_path / "candidate.enc").labeled()
+
+        def refuse(*_):
+            raise AssertionError("household ids coded again from their strings")
+
+        for module in vars(surveyfuse).values():
+            if hasattr(module, "household_index"):
+                monkeypatch.setattr(module, "household_index", refuse)
+        result = impute(source, augment_candidate(source, candidate), household_weight=True)
+        assert result.household_ids is source.households
+        baseline_mean_impute(source)
+        synth = generate_future(source, source, candidate)
+        assert 0 < len(synth.covered_households) <= candidate.n_households()
+        attribute_dataset(source, BucketMeanPredictor(candidate.labeled()), sample_limit=5, seed=1)
+        assert describe(source)["n_households"] == source.households.size
 
 
 def rewrite_member(path, name: str, blob: bytes | None) -> None:
