@@ -83,54 +83,4 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_SUBMODULE))
 
 
-__all__ = [
-    "AttributionReport",
-    "BucketMeanPredictor",
-    "BucketSet",
-    "DataError",
-    "DictionaryMismatchError",
-    "DimensionError",
-    "EncodedDataset",
-    "EvaluationReport",
-    "FeatureDictionary",
-    "FeatureSpec",
-    "FusionError",
-    "HarmonizationSpec",
-    "ImputationResult",
-    "IngestionError",
-    "MappingError",
-    "MatchAssignment",
-    "MatchError",
-    "PopulationModel",
-    "RawTableSet",
-    "SchemaError",
-    "SpikeReport",
-    "SyntheticDataset",
-    "TriPartiteGraph",
-    "assemble",
-    "attribute_dataset",
-    "augment_candidate",
-    "baseline_mean_impute",
-    "build_buckets",
-    "build_dictionary",
-    "concat_datasets",
-    "demo_model",
-    "describe",
-    "encode_value",
-    "generate",
-    "generate_future",
-    "hamming",
-    "harmonize_target",
-    "impute",
-    "load_default_spec",
-    "load_tables",
-    "nearest_rows",
-    "nested_match",
-    "require_same_dictionary",
-    "shapley",
-    "sorted_mse",
-    "spike",
-    "subsample_compare",
-    "synthesize",
-    "__version__",
-]
+__all__ = sorted(_SUBMODULE) + ["__version__"]

@@ -29,12 +29,12 @@ import hashlib
 import json
 import math
 import os
-import re
 import resource
 import secrets
 import sys
 import time
 from collections.abc import Callable
+from itertools import islice, repeat
 from pathlib import Path
 
 # surveyfuse calls no BLAS routine, and idle OpenBLAS worker threads spin after they start
@@ -222,10 +222,6 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-# a line with two commas; with as many commas as lines, also a line with none
-_TWO_COMMAS = re.compile(r",[^,\n]*,")
-
-
 def _totals_body(path: Path) -> str:
     """The text after a totals CSV's checked header, line ends as ``\\n``."""
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -242,59 +238,39 @@ def _load_totals_csv(path: Path) -> Totals:
     ``float`` and must be finite and non-negative, and no id may repeat;
     otherwise the ``DataError`` names the first offending line.
 
-    A file whose every line holds exactly one comma is split in bulk,
-    straight into its ids and totals, with no string or tuple per line.  Any
-    other file, and one whose bulk split finds a bad total or a repeated id,
-    is read line by line, which names the line.
+    One pass: a line without exactly one comma is bad either way, so it
+    becomes ``<id>,nan``; then every line is joined and split at once into
+    ids and totals, with no tuple per line.  Only a bad file is read again,
+    to find the number and text of its first bad line.
     """
-    text = _totals_body(path)
-    n = text.count("\n")
-    if n and text.endswith("\n") and text.count(",") == n and not _TWO_COMMAS.search(text):
-        text = text.replace("\n", ",")
-        fields = text.split(",")  # id, total, ..., id, total, ""
-        del text
-        totals = _split_totals(fields)
-        del fields
-        if totals is not None:
-            return totals
-        text = _totals_body(path)
-    return _read_totals_lines(path, text)
-
-
-def _split_totals(fields: list[str]) -> Totals | None:
-    """The ids and totals of bulk-split lines, sorted by id, or ``None`` if a
-    total is bad or an id repeats."""
-    try:
-        values = np.fromiter(map(float, fields[1::2]), np.float64, len(fields) // 2)
-    except ValueError:
-        return None
-    if not ((values >= 0.0) & (values < math.inf)).all():
-        return None
-    # a line's leading whitespace is stripped; float ignores a total's own
-    ids = np.strings.lstrip(np.array(fields[0:-1:2], dtype=np.str_))
-    ids, values, repeated = sort_totals(ids, values)
-    return None if repeated.size else (ids, values)
-
-
-def _read_totals_lines(path: Path, text: str) -> Totals:
-    """``_load_totals_csv`` line by line, naming the first offending line."""
-    lines = [line.strip() for line in text.split("\n")]
-    rows = [line.partition(",") for line in lines if line]
-    if not rows:
+    lines = list(filter(None, map(str.strip, _totals_body(path).split("\n"))))
+    if not lines:
         raise DataError(f"{path}: no household totals")
-    ids = np.array([r[0] for r in rows], dtype=np.str_)
-    texts = [r[2] for r in rows]
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+    for i in np.flatnonzero(commas != 1).tolist():
+        lines[i] = lines[i].partition(",")[0] + ",nan"
+    del commas
+    text = ",".join(lines)
+    del lines
+    fields = text.split(",")  # id, total, id, total, ...
+    del text
+    n = len(fields) // 2
     try:
-        values = np.array(list(map(float, texts)))
-    except ValueError:  # also a line without a comma, whose text is ""
-        values = np.array(list(map(_float_or_nan, texts)))
+        values = np.fromiter(map(float, islice(fields, 1, None, 2)), np.float64, n)
+    except ValueError:
+        values = np.fromiter(map(_float_or_nan, islice(fields, 1, None, 2)), np.float64, n)
+    ids = np.array(fields[0::2], dtype=np.str_)
+    del fields
     bad = ~((values >= 0.0) & (values < math.inf))
     ids, values, repeated = sort_totals(ids, values)
     bad[repeated] = True
     if bad.any():
-        row = int(np.argmax(bad))
-        lineno = [n for n, line in enumerate(lines, start=2) if line][row]
-        hid, comma, text = rows[row]
+        row = int(bad.argmax())
+        lineno, line = [
+            (n, line) for n, line in enumerate(_totals_body(path).split("\n"), start=2)
+            if line.strip()
+        ][row]
+        hid, comma, text = line.strip().partition(",")
         if not comma:
             raise DataError(f"{path}: line {lineno}: expected household_id,y_total")
         if row in repeated:
@@ -506,6 +482,30 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="accepted for compatibility; changes nothing")
 
 
+def _config_default(action: argparse.Action, value):
+    """A ``--config`` value as the default of ``action``, checked as argparse
+    checks a command-line value: converted by its type, a string where it has
+    none, a boolean for a switch, and one of its choices."""
+    key = f"config key {action.dest!r} ({action.option_strings[0]})"
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ValueError(f"{key}: expected true or false, got {json.dumps(value)}")
+        return value
+    try:
+        if action.type is not None:
+            value = action.type(value if isinstance(value, str) else str(value))
+        elif not isinstance(value, str):
+            raise ValueError("expected a string")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"{key}: invalid value {json.dumps(value)}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"config key {action.dest!r}: invalid choice {value!r} "
+            f"(choose from {', '.join(map(repr, action.choices))})"
+        )
+    return value
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surveyfuse",
@@ -604,34 +604,19 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
     _add_common(p)
 
+    # subcommand -> its first bad config value, reported only once it is chosen:
+    # another subcommand may share the key with another type
+    parser.config_errors = {}
     if config:
-        # config values become defaults, which argparse converts only when they
-        # are strings and never checks against choices: do both here.  A null
-        # leaves the flag unset, so a required one must come from the command line.
-        for sp in sub.choices.values():
+        for name, sp in sub.choices.items():
             for action in sp._actions:
                 value = config.get(action.dest)
-                if value is None:
+                if value is None:  # a null leaves the flag unset, and required if it was
                     continue
-                if action.nargs == 0 and not isinstance(value, bool):  # store_true
-                    parser.error(
-                        f"config key {action.dest!r} ({action.option_strings[0]}): "
-                        f"expected true or false, got {json.dumps(value)}"
-                    )
-                if action.type is not None:
-                    try:
-                        value = action.type(value if isinstance(value, str) else str(value))
-                    except (ValueError, argparse.ArgumentTypeError) as exc:
-                        parser.error(
-                            f"config key {action.dest!r} ({action.option_strings[0]}): "
-                            f"invalid value {json.dumps(value)}: {exc}"
-                        )
-                if action.choices is not None and value not in action.choices:
-                    parser.error(
-                        f"config key {action.dest!r}: invalid choice {value!r} "
-                        f"(choose from {', '.join(map(repr, action.choices))})"
-                    )
-                action.default = value
+                try:
+                    action.default = _config_default(action, value)
+                except ValueError as exc:
+                    parser.config_errors.setdefault(name, str(exc))
                 action.required = False
     return parser
 
@@ -658,6 +643,8 @@ def main(argv: list[str] | None = None) -> int:
         config = _peek_config(argv)
         parser = build_parser(config)
         args = parser.parse_args(argv)
+        if args.subcommand in parser.config_errors:
+            parser.error(parser.config_errors[args.subcommand])
         # every flag of the chosen subcommand is an attribute of args; these two are not flags
         unknown = sorted(set(config) - (set(vars(args)) - {"func", "subcommand"}))
         if unknown:

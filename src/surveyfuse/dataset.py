@@ -36,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DictionaryMismatchError, DimensionError, FusionError
-from .schema import DICTIONARY_KIND, FeatureDictionary, json_field
+from .errors import DataError, DictionaryMismatchError, DimensionError, FusionError, SchemaError
+from .schema import FeatureDictionary, json_field
 
 ENC_FORMAT = "surveyfuse-encoded"
 ENC_VERSION = 1
@@ -343,9 +343,15 @@ class EncodedDataset:
                     raise FusionError(
                         f"{path}: unsupported artifact version {meta.get('version')!r}"
                     )
+                where = f"{path}: member 'meta.json'"
                 for key, kind in _META_FIELDS.items():
-                    json_field(meta, key, kind, f"{path}: member 'meta.json'", error=DataError)
-                dictionary = FeatureDictionary.from_json_dict(meta["dictionary"])
+                    json_field(meta, key, kind, where, error=DataError)
+                try:
+                    dictionary = FeatureDictionary.from_json_dict(meta["dictionary"])
+                except SchemaError as exc:
+                    raise DataError(
+                        f"{where} key 'dictionary' must be a feature dictionary: {exc}"
+                    ) from None
                 if dictionary.hash() != meta["dictionary_hash"]:
                     raise DictionaryMismatchError(
                         f"{path}: embedded dictionary hash does not match its layout"
@@ -381,7 +387,7 @@ class EncodedDataset:
 _META_FIELDS = {
     "survey_id": "a string",
     "year": "an integer",
-    "dictionary": DICTIONARY_KIND,
+    "dictionary": "an object",
     "dictionary_hash": "a string",
 }
 

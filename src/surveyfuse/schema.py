@@ -33,21 +33,6 @@ def _is_number(value: object) -> bool:
     return type(value) in (int, float)
 
 
-def _is_dictionary_json(value: object) -> bool:
-    features = value.get("features") if isinstance(value, dict) else None
-    return isinstance(features, list) and all(
-        isinstance(f, dict)
-        and isinstance(f.get("name"), str)
-        and JSON_KINDS["a list of strings"](f.get("categories"))
-        for f in features
-    )
-
-
-DICTIONARY_KIND = (
-    "an object whose 'features' is a list of objects with a string 'name' "
-    "and a list of strings 'categories'"
-)
-
 # what a JSON value must be, as named in errors -> the check on the value
 JSON_KINDS = {
     "a string": lambda v: isinstance(v, str),
@@ -68,7 +53,6 @@ JSON_KINDS = {
         isinstance(v, dict)
         and all(isinstance(e, dict) and all(map(_is_number, e.values())) for e in v.values())
     ),
-    DICTIONARY_KIND: _is_dictionary_json,
 }
 
 _REQUIRED = object()
@@ -409,10 +393,15 @@ class FeatureDictionary:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FeatureDictionary":
-        return cls(
-            features=tuple(f["name"] for f in obj["features"]),
-            categories=tuple(tuple(f["categories"]) for f in obj["features"]),
-        )
+        """The layout that ``to_json_dict`` writes; any other shape is a ``SchemaError``."""
+        if not isinstance(obj, dict):
+            raise SchemaError(f"dictionary must be a JSON object, got {reprlib.repr(obj)}")
+        names, categories = [], []
+        for i, f in enumerate(json_field(obj, "features", "a list of objects", "dictionary")):
+            at = f"dictionary feature {i}"
+            names.append(json_field(f, "name", "a string", at))
+            categories.append(tuple(json_field(f, "categories", "a list of strings", at)))
+        return cls(features=tuple(names), categories=tuple(categories))
 
     def hash(self) -> str:
         """SHA-256 of the canonical JSON layout; equal hash = coordinate compatible."""

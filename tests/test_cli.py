@@ -649,6 +649,29 @@ class TestDeterminismAndConfig:
         assert run("gen", "--config", cfg, "--households", 5, "--seed", 3, *out) == EXIT_OK
         assert json.loads((tmp_path / "f.enc.manifest.json").read_text())["seed"] == 3
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("out_households", 5), ("out_households", ["x.csv"]), ("out_households", {}),
+         ("source", ["m.enc"])],
+    )
+    def test_config_path_takes_only_strings(self, generated, tmp_path, capsys, key, value):
+        """A flag without a type takes a JSON string; anything else is a usage
+        error naming the key, not a traceback or a value recorded as given."""
+        full, missing = generated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = ["--config", cfg, "--candidate", full, "--out", tmp_path / "x.csv"]
+        if key != "source":
+            args += ["--source", missing]
+        before = set(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            run("impute", *args)
+        assert exc.value.code == 2
+        flag = "--" + key.replace("_", "-")
+        assert (f"config key {key!r} ({flag}): invalid value {json.dumps(value)}: "
+                f"expected a string") in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("value", ["no", 0, 1, "true"])
     def test_config_switch_takes_only_booleans(self, generated, tmp_path, capsys, value):
         full, missing = generated
@@ -1027,18 +1050,30 @@ class TestTotalsLoader:
         np.testing.assert_array_equal(values.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-    def test_large_regular_files_take_the_bulk_split(self, tmp_path, monkeypatch, end):
-        """A file with one comma on every line needs no line-by-line read."""
+    def test_large_regular_files_match_the_oracle(self, tmp_path, end):
         rng = np.random.default_rng(len(end))
-
-        def no_line_pass(*_):
-            raise AssertionError("read line by line")
-
-        monkeypatch.setattr(cli, "_read_totals_lines", no_line_pass)
         for i, n in enumerate([len(self.IDS), 20_000, 50_000]):
             path = tmp_path / f"t{i}.csv"
             self.write(path, self.regular_lines(rng, n), end)
             self.check_against_oracle(path)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [["h2,1.5", "h1,2"], ["", "  h2 ,\t1.5 ", "", "h1,2  ", "   "]],
+        ids=["plain", "blank and padded lines"],
+    )
+    def test_a_good_file_is_read_once(self, tmp_path, monkeypatch, lines):
+        calls, totals_body = [], cli._totals_body
+
+        def body(path):
+            calls.append(path)
+            return totals_body(path)
+
+        monkeypatch.setattr(cli, "_totals_body", body)
+        path = tmp_path / "t.csv"
+        self.write(path, lines, "\n")
+        self.check_against_oracle(path)
+        assert calls == [path]
 
     @pytest.mark.parametrize(
         "kind",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from surveyfuse import (
     DataError,
+    FeatureDictionary,
     FeatureSpec,
     HarmonizationSpec,
     MappingError,
@@ -239,3 +240,24 @@ class TestDictionaryHash:
         pops = [int(x[sl].sum()) for sl in dd.group_slices()]
         assert pops[0] == (0 if cat_a is None else 1)
         assert pops[1] == (0 if cat_b is None else 1)
+
+
+class TestDictionaryJson:
+    def test_round_trip(self):
+        dd = build_dictionary(load_default_spec())
+        assert FeatureDictionary.from_json_dict(dd.to_json_dict()) == dd
+
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            ({"features": [{"name": 1}]}, "dictionary feature 0 key 'name' must be a string"),
+            ({"features": "x"}, "dictionary key 'features' must be a list of objects"),
+            ({"features": [{"name": "a", "categories": [1]}]},
+             "dictionary feature 0 key 'categories' must be a list of strings"),
+            ({"features": [{"name": "a"}]}, "dictionary feature 0 has no 'categories'"),
+            ([], "dictionary must be a JSON object"),
+        ],
+    )
+    def test_wrong_shape_is_a_schema_error(self, obj, named):
+        with pytest.raises(SchemaError, match=f"^{named}, got|^{named}$"):
+            FeatureDictionary.from_json_dict(obj)
