@@ -19,7 +19,7 @@ presence mask predicts the donor pool's global mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -121,20 +121,8 @@ class AttributionReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "seed": self.seed,
-            "predictor": self.predictor,
-            "n_evaluated": self.n_evaluated,
-            "efficiency_max_error": self.efficiency_max_error,
-            "entries": [
-                {
-                    "feature": e.feature,
-                    "category": e.category,
-                    "mean_value": e.mean_value,
-                    "n_samples": e.n_samples,
-                    "direction": e.direction,
-                }
-                for e in self.entries
-            ],
+            **asdict(self),
+            "entries": [{**asdict(e), "direction": e.direction} for e in self.entries],
         }
 
 
@@ -148,7 +136,8 @@ def attribute_dataset(
 
     Each evaluated sample's value for feature f lands in the group of the
     sample's own category of f (its missing group when the bit group is
-    all zero); groups report the mean signed value.
+    all zero); groups report the mean signed value, summed in sample order
+    by one ``np.bincount`` per feature.
     """
     if ds.n_samples == 0:
         raise FusionError("cannot attribute an empty dataset")
@@ -156,7 +145,6 @@ def attribute_dataset(
     chosen = np.sort(rng_stream(seed).choice(ds.n_samples, size=k, replace=False))
 
     dictionary = ds.dictionary
-    slices = dictionary.group_slices()
     m = dictionary.n_features
 
     xs = ds.x[chosen]
@@ -165,26 +153,22 @@ def attribute_dataset(
     gaps = np.abs(phis.sum(axis=1) - (ends[:, 0] - ends[:, 1]))
     eff_err = float(gaps.max(initial=0.0))
 
-    sums: dict[tuple[str, str], float] = {}
-    counts: dict[tuple[str, str], int] = {}
-    for x, phi in zip(xs, phis):
-        for j, (name, cats, sl) in enumerate(
-            zip(dictionary.features, dictionary.categories, slices)
-        ):
-            hot = np.flatnonzero(x[sl])
-            category = cats[int(hot[0])] if hot.size else MISSING_LABEL
-            key = (name, category)
-            sums[key] = sums.get(key, 0.0) + float(phi[j])
-            counts[key] = counts.get(key, 0) + 1
-
-    entries = [
-        AttributionEntry(
-            feature=f, category=c, mean_value=sums[(f, c)] / counts[(f, c)],
-            n_samples=counts[(f, c)],
-        )
-        for (f, c) in sorted(sums.keys())
-    ]
-    entries.sort(key=lambda e: -abs(e.mean_value))
+    entries = []
+    groups = zip(dictionary.features, dictionary.categories, dictionary.group_slices(), phis.T)
+    for name, cats, sl, phi in groups:
+        group = xs[:, sl]
+        labels = [*cats, MISSING_LABEL]
+        # each sample's category: its hot bit, or the missing label for an all-zero group
+        code = np.column_stack([group, ~group.any(axis=1)]).argmax(axis=1)
+        code[code == len(cats)] = labels.index(MISSING_LABEL)  # a real category so named shares it
+        counts = np.bincount(code, minlength=len(labels)).tolist()
+        sums = np.bincount(code, weights=phi, minlength=len(labels)).tolist()
+        entries += [
+            AttributionEntry(feature=name, category=label, mean_value=s / n, n_samples=n)
+            for label, s, n in zip(labels, sums, counts)
+            if n
+        ]
+    entries.sort(key=lambda e: (-abs(e.mean_value), e.feature, e.category))
     predictor_name = getattr(predictor, "name", type(predictor).__name__)
     return AttributionReport(
         entries=entries,

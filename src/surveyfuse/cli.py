@@ -9,7 +9,9 @@ parameters, input hashes, each input dataset's sample and household
 counts, seed, wall-clock duration, peak RSS, and per match its workload
 shape and distance histogram) is staged last next to
 the first output, and only when every one is staged are they all renamed
-into place.  A run that fails at any point leaves no outputs.
+into place.  A run that fails at any point leaves no outputs.  The run's
+summary goes to stdout only after that, so a closed stdout (``| head -1``)
+cannot cost the outputs; it ends the summary quietly.
 Artifacts are byte-deterministic for a fixed seed; the manifest is not
 (it records the duration and the peak RSS).
 
@@ -129,6 +131,7 @@ class _Outputs:
         self.matches: list[dict] = []  # MatchAssignment.diagnostics() of the run's matchings
         self.datasets: dict[str, dict] = {}  # per loaded .enc input, its shape
         self.counts: dict[str, int] = {}  # subcommand-specific manifest counts
+        self.summary: list[str] = []  # stdout lines, printed once the outputs are in place
 
     def require(self, *paths: str | Path) -> None:
         """Record input files for the manifest; a missing one is an error."""
@@ -236,14 +239,22 @@ def _load_totals_csv(path: Path) -> Totals:
 
     Lines are stripped and blank ones skipped.  Each total is parsed with
     ``float`` and must be finite and non-negative, and no id may repeat;
-    otherwise the ``DataError`` names the first offending line.
+    otherwise the ``DataError`` names the first offending line.  A file
+    holding a NUL character is refused first, at the first line with one:
+    numpy strings drop trailing NULs, so ``a\x00`` would read as ``a``.
 
     One pass: a line without exactly one comma is bad either way, so it
     becomes ``<id>,nan``; then every line is joined and split at once into
     ids and totals, with no tuple per line.  Only a bad file is read again,
     to find the number and text of its first bad line.
     """
-    lines = list(filter(None, map(str.strip, _totals_body(path).split("\n"))))
+    body = _totals_body(path)
+    if "\x00" in body:
+        lineno = body.count("\n", 0, body.index("\x00")) + 2
+        raise DataError(f"{path}: line {lineno}: contains a NUL character")
+    lines = body.split("\n")
+    del body
+    lines = list(filter(None, map(str.strip, lines)))
     if not lines:
         raise DataError(f"{path}: no household totals")
     commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
@@ -290,13 +301,13 @@ def _cmd_ingest(args: argparse.Namespace, out: _Outputs) -> int:
     out.plan(args.out)
     spec = HarmonizationSpec.from_file(spec_path)
     raw = load_tables(args.households, args.persons, args.days, args.survey_id, spec)
-    print(
+    out.summary.append(
         f"loaded {raw.counts['households']} households, {raw.counts['persons']} persons, "
         f"{raw.counts['days']} travel-day rows"
     )
     ds = assemble(raw, spec, args.year)
     out.write(args.out, ds.save)
-    print(
+    out.summary.append(
         f"encoded {ds.n_samples} samples ({raw.day_households} households, "
         f"{ds.n_missing} missing targets) -> {args.out}"
     )
@@ -307,7 +318,7 @@ def _cmd_describe(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.data)
     out.plan(args.out)
     report = describe(out.load(args.data))
-    print(json.dumps(report, indent=2))
+    out.summary.append(json.dumps(report, indent=2))
     if args.out:
         out.json(args.out, report)
     return EXIT_OK
@@ -341,7 +352,7 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
         [household_ids, np.arange(n), a.target_index, a.distance, result.sample_y],
     )
     out.csv(hh_out, ["household_id", "y_total"], [result.household_ids, result.household_y])
-    print(
+    out.summary.append(
         f"imputed {int(result.imputed_mask.sum())} of {n} samples "
         f"from {candidate.n_samples} donors (w = {result.weight:.4g}) -> {args.out}, {hh_out}"
     )
@@ -375,7 +386,7 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
         ["bucket_id", "n_S", "n_G_total", "y_synth"],
         [synth.bucket_index, synth.n_matched_samples, synth.n_matched_donors, synth.y],
     )
-    print(
+    out.summary.append(
         f"synthesized {synth.n_entries} buckets covering "
         f"{len(synth.covered_households)} donor households "
         f"(w1 = {synth.w1:.4g}, w2 = {synth.w2:.4g}) -> {args.out}, {prov}"
@@ -399,7 +410,7 @@ def _cmd_evaluate(args: argparse.Namespace, out: _Outputs) -> int:
             [np.arange(n), report.truth_sorted, *draws],
         )
     last = report.per_cutoff[-1]
-    print(
+    out.summary.append(
         f"cutoff {last.cutoff}: sorted-MSE {last.mse_mean:.4g}, "
         f"mean {last.mean_of_means:.4g}, stddev {last.mean_of_stddevs:.4g} -> {args.out}"
     )
@@ -412,7 +423,7 @@ def _cmd_spike(args: argparse.Namespace, out: _Outputs) -> int:
     a = _load_totals_csv(Path(args.a))
     b = _load_totals_csv(Path(args.b))
     report = spike(a, b, n=args.n, seed=args.seed)
-    print(f"spike sorted-MSE = {report.mse:.6g} (n = {report.n})")
+    out.summary.append(f"spike sorted-MSE = {report.mse:.6g} (n = {report.n})")
     if args.out:
         out.json(args.out, report.to_json_dict())
     return EXIT_OK
@@ -428,9 +439,9 @@ def _cmd_attribute(args: argparse.Namespace, out: _Outputs) -> int:
     report = attribute_dataset(ds, predictor, sample_limit=args.limit, seed=args.seed)
     out.matches.extend(predictor.matches)
     out.json(args.out, report.to_json_dict())
-    print(f"attributed {report.n_evaluated} samples; strongest contributions:")
+    out.summary.append(f"attributed {report.n_evaluated} samples; strongest contributions:")
     for e in report.entries[:5]:
-        print(f"  {e.feature}={e.category}: {e.mean_value:+.4g} ({e.direction})")
+        out.summary.append(f"  {e.feature}={e.category}: {e.mean_value:+.4g} ({e.direction})")
     return EXIT_OK
 
 
@@ -446,7 +457,7 @@ def _cmd_gen(args: argparse.Namespace, out: _Outputs) -> int:
     )
     out.write(args.out_full, full.save)
     out.write(args.out_missing, observed.save)
-    print(
+    out.summary.append(
         f"generated {full.n_samples} samples over {args.households} households "
         f"({observed.n_missing} targets removed) -> {args.out_full}, {args.out_missing}"
     )
@@ -637,6 +648,20 @@ def _peek_config(argv: list[str]) -> dict:
     return {k.replace("-", "_"): v for k, v in cfg.items()}
 
 
+def _print_summary(lines: list[str]) -> None:
+    """Print a finished run's summary; a closed stdout (``| head -1``) ends it
+    quietly, since the outputs are already in place."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at /dev/null first
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -650,7 +675,9 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"{args.subcommand}: unknown config key(s): {', '.join(unknown)}")
         with _Outputs(args) as out:
-            return args.func(args, out)
+            code = args.func(args, out)
+        _print_summary(out.summary)
+        return code
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -163,8 +163,9 @@ def _code_ids(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_codes(households: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coded household ids as stored, or a ``DataError`` if the codes are out
-    of range, skip a household, or are not in first-appearance order."""
+    """Coded household ids as stored, or a ``DataError`` if an id repeats or
+    the codes are out of range, skip a household, or are not in
+    first-appearance order."""
     households = np.asarray(households, dtype=np.str_)
     code = np.asarray(code)
     if households.ndim != 1 or code.ndim != 1:
@@ -174,6 +175,11 @@ def _checked_codes(households: np.ndarray, code: np.ndarray) -> tuple[np.ndarray
         )
     if code.dtype.kind not in "iu":
         raise DataError(f"household_code must be integers, got {code.dtype}")
+    # ascending ids are distinct; any others are counted in a set
+    if households.size > 1 and not (households[1:] > households[:-1]).all():
+        if len(set(households.tolist())) < households.size:
+            ids, counts = np.unique(households, return_counts=True)
+            raise DataError(f"households must be distinct, but {str(ids[counts > 1][0])!r} repeats")
     if code.size:
         # in first-appearance order iff every code is at most one above all before it
         top = np.maximum.accumulate(code)
@@ -196,7 +202,7 @@ class EncodedDataset:
     Pass either ``household_ids``, one per sample, which are coded here, or
     ``households`` and ``household_code`` already coded; the codes are
     checked to be in first-appearance order and to use every household,
-    and ``households`` must be distinct.
+    and ``households`` to be distinct.
     """
 
     def __init__(

@@ -20,7 +20,7 @@ totals in ascending id order, whatever order the pair comes in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,14 +84,7 @@ class CutoffStats:
     mean_of_stddevs: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "mse_mean": self.mse_mean,
-            "mse_std": self.mse_std,
-            "mse_stderr": self.mse_stderr,
-            "mean_of_means": self.mean_of_means,
-            "mean_of_stddevs": self.mean_of_stddevs,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -193,13 +186,7 @@ class SpikeReport:
     size_b: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "mse": self.mse,
-            "n": self.n,
-            "seed": self.seed,
-            "size_a": self.size_a,
-            "size_b": self.size_b,
-        }
+        return asdict(self)
 
 
 def spike(a: Totals, b: Totals, n: int, seed: int = 0) -> SpikeReport:

@@ -151,7 +151,7 @@ def build_buckets(candidate: EncodedDataset) -> BucketSet:
     counts = np.bincount(inverse, minlength=first.size)
     sums = np.bincount(inverse, weights=candidate.y, minlength=first.size)
     return BucketSet(
-        x=candidate.x[first].copy(),
+        x=candidate.x[first],
         member_count=counts.astype(np.int64),
         y_mean=sums / counts,
         inverse=inverse.astype(np.int64),

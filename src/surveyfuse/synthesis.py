@@ -42,11 +42,8 @@ class TriPartiteGraph:
     mu2: MatchAssignment  # labeled source2 sample -> source1 sample
     y_source2: np.ndarray  # targets of the labeled source2 samples
     source2_index: np.ndarray  # their row indices in the original source2
-    n_candidate: int
     n_source1: int
-    dictionary: FeatureDictionary
-    candidate_households: np.ndarray  # distinct candidate household ids
-    candidate_household_code: np.ndarray  # each candidate sample's position among them
+    candidate: EncodedDataset  # the donors the buckets group
 
     @property
     def n_source2(self) -> int:
@@ -54,7 +51,7 @@ class TriPartiteGraph:
 
     def default_weights(self) -> tuple[float, float]:
         """(w1, w2) from sample counts, source2 counted after its missing-y drop."""
-        return self.n_source1 / self.n_candidate, self.n_source2 / self.n_source1
+        return self.n_source1 / self.candidate.n_samples, self.n_source2 / self.n_source1
 
 
 def nested_match(
@@ -89,11 +86,8 @@ def nested_match(
         mu2=mu2,
         y_source2=source2.y[keep],
         source2_index=keep,
-        n_candidate=candidate.n_samples,
         n_source1=source1.n_samples,
-        dictionary=candidate.dictionary,
-        candidate_households=candidate.households,
-        candidate_household_code=candidate.household_code,
+        candidate=candidate,
     )
 
 
@@ -163,15 +157,15 @@ def synthesize(
     y = bucket_sum[reachable] / denom
 
     bucket_index = np.flatnonzero(reachable)
-    member_mask = reachable[graph.buckets.inverse]
-    covered_mask = np.zeros(graph.candidate_households.size, dtype=bool)
-    covered_mask[graph.candidate_household_code[member_mask]] = True
-    covered = tuple(sorted(graph.candidate_households[covered_mask].tolist()))
+    candidate = graph.candidate
+    covered_mask = np.zeros(candidate.n_households(), dtype=bool)
+    covered_mask[candidate.household_code[reachable[graph.buckets.inverse]]] = True
+    covered = tuple(sorted(candidate.households[covered_mask].tolist()))
 
     return SyntheticDataset(
-        dictionary=graph.dictionary,
+        dictionary=candidate.dictionary,
         bucket_index=bucket_index.astype(np.int64),
-        x=graph.buckets.x[bucket_index].copy(),
+        x=graph.buckets.x[bucket_index],
         y=y,
         n_matched_samples=s_counts[reachable].astype(np.int64),
         n_matched_donors=donor_counts[reachable],

@@ -3,7 +3,8 @@
 These deliberately avoid the library's packed-word kernels: distances come
 from elementwise comparison on unpacked arrays, grouping from plain dicts,
 Shapley values from permutation enumeration rather than weighted
-coalition sums, ingestion from a per-cell loop over dict rows rather
+coalition sums, attribution groups from a per-cell dict loop rather than
+one ``bincount`` per feature, ingestion from a per-cell loop over dict rows rather
 than column-wise encoding, and household totals files from a per-line
 loop into a dict rather than whole-body array parsing.  The earlier
 whole-array forms of the packer, the dedup and the ``.enc`` writer are
@@ -20,7 +21,7 @@ from itertools import permutations
 import numpy as np
 
 from surveyfuse.errors import DataError
-from surveyfuse.schema import build_dictionary, encode_value
+from surveyfuse.schema import MISSING_LABEL, build_dictionary, encode_value
 
 
 def nn_scan_oracle(query_x: np.ndarray, target_x: np.ndarray):
@@ -86,6 +87,26 @@ def shapley_permutation_oracle(x, predictor, dictionary) -> np.ndarray:
     return phi / len(orderings)
 
 
+def attribution_entries_oracle(xs, phis, dictionary) -> list[tuple[str, str, float, int]]:
+    """``(feature, category, mean value, samples)`` per group, by a per-cell
+    dict loop: each sample's value of a feature lands in the group of its own
+    category (the missing label for an all-zero bit group), summed in sample
+    order; groups sorted by name, then by descending |mean|."""
+    sums: dict[tuple[str, str], float] = {}
+    counts: dict[tuple[str, str], int] = {}
+    for x, phi in zip(xs, phis):
+        for j, (name, cats, sl) in enumerate(
+            zip(dictionary.features, dictionary.categories, dictionary.group_slices())
+        ):
+            hot = np.flatnonzero(x[sl])
+            key = (name, cats[int(hot[0])] if hot.size else MISSING_LABEL)
+            sums[key] = sums.get(key, 0.0) + float(phi[j])
+            counts[key] = counts.get(key, 0) + 1
+    entries = [(f, c, sums[(f, c)] / counts[(f, c)], counts[(f, c)]) for f, c in sorted(sums)]
+    entries.sort(key=lambda e: -abs(e[2]))
+    return entries
+
+
 def household_sum_oracle(household_ids, sample_y) -> dict[str, float]:
     totals: dict[str, float] = {}
     for h, v in zip(household_ids, sample_y):
@@ -94,30 +115,35 @@ def household_sum_oracle(household_ids, sample_y) -> dict[str, float]:
 
 
 def totals_oracle(path) -> dict[str, float]:
-    """A ``household_id,y_total`` file read line by line into a dict, in file order."""
+    """A ``household_id,y_total`` file read line by line into a dict, in file
+    order; a line holding a NUL character is refused before any other check."""
     totals: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["household_id", "y_total"]:
             raise DataError(f"{path}: expected columns household_id,y_total")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            hid, comma, val = line.partition(",")
-            if not comma:
-                raise DataError(f"{path}: line {lineno}: expected household_id,y_total")
-            if hid in totals:
-                raise DataError(f"{path}: line {lineno}: duplicate household {hid!r}")
-            try:
-                value = float(val)
-            except ValueError:
-                value = math.nan
-            if not 0.0 <= value < math.inf:
-                raise DataError(
-                    f"{path}: line {lineno}: total {val!r} is not a finite non-negative number"
-                )
-            totals[hid] = value
+        lines = list(fh)
+    for lineno, line in enumerate(lines, start=2):
+        if "\x00" in line:
+            raise DataError(f"{path}: line {lineno}: contains a NUL character")
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        hid, comma, val = line.partition(",")
+        if not comma:
+            raise DataError(f"{path}: line {lineno}: expected household_id,y_total")
+        if hid in totals:
+            raise DataError(f"{path}: line {lineno}: duplicate household {hid!r}")
+        try:
+            value = float(val)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value < math.inf:
+            raise DataError(
+                f"{path}: line {lineno}: total {val!r} is not a finite non-negative number"
+            )
+        totals[hid] = value
     if not totals:
         raise DataError(f"{path}: no household totals")
     return totals

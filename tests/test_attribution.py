@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from surveyfuse import attribution
 from surveyfuse import (
     BucketMeanPredictor,
     FeatureDictionary,
@@ -9,7 +10,12 @@ from surveyfuse import (
     shapley,
 )
 from conftest import make_dataset, random_one_hot
-from oracles import bucket_oracle, nn_scan_oracle, shapley_permutation_oracle
+from oracles import (
+    attribution_entries_oracle,
+    bucket_oracle,
+    nn_scan_oracle,
+    shapley_permutation_oracle,
+)
 
 two = FeatureDictionary(features=("A", "B"), categories=(("c", "d"), ("i", "j")))
 three = FeatureDictionary(
@@ -264,3 +270,59 @@ class TestAttributeDataset:
         r1 = attribute_dataset(ds, p, sample_limit=10, seed=9)
         r2 = attribute_dataset(ds, p, sample_limit=10, seed=9)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+
+class TestAttributionAggregation:
+    """``attribute_dataset``'s per-feature ``bincount`` against the per-cell dict loop."""
+
+    # a real category named like the missing label shares its group, as in the
+    # loop, and a feature without categories is always missing
+    dictionary = FeatureDictionary(
+        features=("A", "B", "C", "D", "E"),
+        categories=(("a1", "a2", "a3"), ("b1", "Missing"), ("c1", "c2", "c3", "c4"), (), ("e1",)),
+    )
+
+    def one_hot(self, rng, n):
+        x = np.zeros((n, self.dictionary.dimension), dtype=np.uint8)
+        for sl in self.dictionary.group_slices():
+            width = sl.stop - sl.start
+            hot = rng.integers(-1, width, n) if width else np.full(n, -1)
+            rows = np.flatnonzero(hot >= 0)
+            x[rows, sl.start + hot[rows]] = 1
+        return x
+
+    @pytest.mark.parametrize("values", ["small integers", "exact shapley"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_entries_match_the_oracle(self, monkeypatch, values, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        ds = make_dataset(self.dictionary, self.one_hot(rng, n), rng.uniform(0, 3, n))
+        weights = rng.normal(size=self.dictionary.dimension)
+        slices = self.dictionary.group_slices()
+
+        def predictor(x, active):
+            keep = np.repeat(active, [sl.stop - sl.start for sl in slices], axis=1)
+            return np.sin((x[:, None, :] * keep) @ weights)
+
+        seen = []
+
+        def recorded_shapley(x, predictor, dictionary):
+            if values == "exact shapley":
+                phis = shapley(x, predictor, dictionary)
+            else:  # few values over few samples: groups tie on |mean|, some with opposite signs
+                phis = rng.integers(-2, 3, (x.shape[0], dictionary.n_features)) / 2.0
+            seen.append((x.copy(), phis))
+            return phis
+
+        monkeypatch.setattr(attribution, "shapley", recorded_shapley)
+        report = attribute_dataset(ds, predictor, sample_limit=12, seed=seed)
+        (xs, phis), = seen
+        want = attribution_entries_oracle(xs, phis, self.dictionary)
+        got = [(e.feature, e.category, e.mean_value, e.n_samples) for e in report.entries]
+        assert [(f, c, m.hex(), k) for f, c, m, k in got] == [
+            (f, c, float(m).hex(), k) for f, c, m, k in want
+        ]
+        assert all(type(m) is float and type(k) is int for _, _, m, k in got)
+        assert ("D", "Missing", 12) in {(f, c, k) for f, c, _, k in got}
+        if values == "small integers":
+            assert any(abs(a[2]) == abs(b[2]) for a, b in zip(want, want[1:]))

@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from surveyfuse.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     _load_totals_csv,
+    _manifest_path,
     _Outputs,
     main,
 )
@@ -318,6 +322,22 @@ class TestEvaluateAndSpike:
         rc = run("spike", "--a", broken, "--b", truth, "--n", 20, "--seed", 0)
         assert rc == EXIT_DATA
         assert says in capsys.readouterr().err
+
+    def test_evaluate_and_spike_reject_a_nul_character(self, tmp_path, capsys):
+        """numpy strings drop trailing NULs, so ``a\x00`` must not read as ``a``:
+        the line holding the NUL is named, as the per-line oracle names it."""
+        nul = tmp_path / "nul.csv"
+        nul.write_bytes(b"household_id,y_total\na\x00,1\na,2\n")
+        with pytest.raises(DataError, match=f"^{nul}: line 2: contains a NUL character$"):
+            totals_oracle(nul)
+        out = tmp_path / "report.json"
+        rc = run("evaluate", "--imputed", nul, "--truth", nul, "--n", 1,
+                 "--cutoffs", "5", "--seed", 0, "--out", out)
+        assert rc == EXIT_DATA
+        assert not out.exists()
+        assert f"{nul}: line 2: contains a NUL character" in capsys.readouterr().err
+        assert run("spike", "--a", nul, "--b", nul, "--n", 1, "--seed", 0) == EXIT_DATA
+        assert f"{nul}: line 2: contains a NUL character" in capsys.readouterr().err
 
     @pytest.mark.parametrize("via_config", [False, True])
     @pytest.mark.parametrize("cutoffs", ["10,x", "10,", ""])
@@ -808,7 +828,9 @@ class TestAllOrNothing:
     def assert_failed_cleanly(self, rc, capsys, tmp_path, before, named):
         assert rc == EXIT_MISSING_INPUT
         assert sorted(tmp_path.iterdir()) == before
-        assert str(named) in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert str(named) in captured.err
+        assert captured.out == ""  # no summary for outputs that were not written
 
     def test_impute_households_in_missing_directory(self, generated, tmp_path, capsys):
         full, missing = generated
@@ -864,6 +886,39 @@ class TestAllOrNothing:
         rc = run("gen", "--households", 20, "--seed", 1,
                  "--out-full", tmp_path / "f.enc", "--out-missing", m)
         self.assert_failed_cleanly(rc, capsys, tmp_path, [], m)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``| head -1`` does, costs no output:
+    the summary is printed after the outputs are in place, and a broken pipe
+    then ends it quietly."""
+
+    @pytest.mark.parametrize("subcommand", ["describe", "attribute"])
+    def test_outputs_are_kept_without_a_traceback(self, generated, tmp_path, subcommand):
+        full, missing = generated
+        out = tmp_path / "r.json"
+        argv = {
+            "describe": ["describe", "--data", missing, "--out", out],
+            "attribute": ["attribute", "--data", missing, "--candidate", full,
+                          "--limit", 20, "--seed", 1, "--out", out],
+        }[subcommand]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        read, write = os.pipe()
+        os.close(read)  # no reader from the start: the first write meets a broken pipe
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "surveyfuse.cli", *map(str, argv)],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr, proc.stderr
+        assert proc.returncode == EXIT_OK
+        assert json.loads(out.read_text())
+        assert _manifest_path(out).exists()
 
 
 class TestCsvWriter:
@@ -966,9 +1021,11 @@ class TestTotalsLoader:
     IDS = ["h1", "h2", "h10", "a", "h 3", "z\x0cq", "é", "h1 ", "0", "h\u2028x", "B"]
     GOOD = ["1.5", " 2.5 ", "1_0", "3", "-0", "0", "1e2", "+4", "0.1", "5e-324", "1E3", "7\t"]
     BAD = ["nan", "inf", "-1", "x", "", "1,2", "-inf", "1e400", "1_"]
+    NUL_ENDS = ["\x00,1", ",1\x00", "\x00"]  # a NUL in the id, after the total, or comma-less
     ERRORS = (
         "expected columns", "no household totals", "expected household_id,y_total",
         "duplicate household", "is not a finite non-negative number",
+        "contains a NUL character",
     )
 
     def random_file(self, rng, path) -> None:
@@ -979,7 +1036,7 @@ class TestTotalsLoader:
             ids.sort()
         pad = lambda: str(rng.choice(["", " ", "\t", "  "]))
         lines = [f"{pad()}{h}{pad()},{pad()}{rng.choice(self.GOOD)}{pad()}" for h in ids]
-        for kind in ("duplicate", "no comma", "bad value", "blank"):
+        for kind in ("duplicate", "no comma", "bad value", "blank", "nul"):
             if rng.random() < 0.25 and (lines or kind != "duplicate"):
                 at = int(rng.integers(0, len(lines) + 1))
                 line = {
@@ -987,6 +1044,7 @@ class TestTotalsLoader:
                     "no comma": lambda: f"{pad()}h{rng.integers(100)}{pad()}",
                     "bad value": lambda: f"h{rng.integers(100)},{rng.choice(self.BAD)}",
                     "blank": pad,
+                    "nul": lambda: f"h{rng.integers(100)}{rng.choice(self.NUL_ENDS)}",
                 }[kind]()
                 lines.insert(at, line)
         header = str(rng.choice(["household_id,y_total"] * 6 + [

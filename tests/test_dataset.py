@@ -518,6 +518,8 @@ class TestCodedHouseholds:
             (["a"], [0, 1]),  # out of range
             (["a", "b"], [0, -1]),
             (["a"], []),
+            (["h", "h"], [0, 1]),  # a repeated household: its samples' totals would merge
+            (["b", "a", "c", "a"], [0, 1, 2, 3]),
         ],
     )
     def test_bad_codes_rejected(self, single_dictionary, households, code):
@@ -525,6 +527,13 @@ class TestCodedHouseholds:
             EncodedDataset(
                 single_dictionary, "t", 2017, x=[[1, 0]] * len(code), y=[1.0] * len(code),
                 households=households, household_code=np.array(code, dtype=np.int64),
+            )
+
+    def test_a_repeated_household_is_named(self, single_dictionary):
+        with pytest.raises(DataError, match="^households must be distinct, but 'h' repeats$"):
+            EncodedDataset(
+                single_dictionary, "t", 2017, x=[[1, 0]] * 5, y=[1.0] * 5,
+                households=["z", "h", "a", "h", "z"], household_code=np.arange(5),
             )
 
     @pytest.mark.parametrize(

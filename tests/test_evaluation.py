@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from surveyfuse import (
+    BucketMeanPredictor,
     DataError,
     DimensionError,
+    attribute_dataset,
     baseline_mean_impute,
     demo_model,
     generate,
@@ -163,6 +167,33 @@ class TestSpike:
         assert (report.size_a, report.size_b) == (40, 35)
         p = rng.permutation(40)
         assert spike((ia[p], va[p]), (ib, vb), n=20, seed=5).mse == report.mse
+
+
+def test_report_json_key_sets_are_pinned(pair_dictionary):
+    """Reports are written from their dataclass fields, so a new field is a new
+    JSON key: this pins each key set, so that such a change is a visible one."""
+    rng = np.random.default_rng(12)
+    evaluation = subsample_compare(totals(30, rng=rng), totals(10, rng=rng), n=10,
+                                   cutoffs=(2, 4), seed=1).to_json_dict()
+    assert set(evaluation) == {"seed", "n", "n_imputed_households", "cutoffs", "per_cutoff"}
+    assert [set(c) for c in evaluation["per_cutoff"]] == [{
+        "cutoff", "mse_mean", "mse_std", "mse_stderr", "mean_of_means", "mean_of_stddevs",
+    }] * 2
+    report = spike(totals(12, rng=rng), totals(15, rng=rng), n=10, seed=2).to_json_dict()
+    assert set(report) == {"mse", "n", "seed", "size_a", "size_b"}
+    ds = make_dataset(pair_dictionary, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], [1.0, 2.0, 0.5])
+    attributed = attribute_dataset(
+        ds, BucketMeanPredictor(ds), sample_limit=3, seed=0
+    ).to_json_dict()
+    assert set(attributed) == {
+        "seed", "predictor", "n_evaluated", "efficiency_max_error", "entries",
+    }
+    assert attributed["entries"] and all(
+        set(e) == {"feature", "category", "mean_value", "n_samples", "direction"}
+        for e in attributed["entries"]
+    )
+    for obj in (evaluation, report, attributed):
+        assert json.loads(json.dumps(obj)) == obj
 
 
 class TestBaselineMeanImpute:
