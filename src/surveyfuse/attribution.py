@@ -12,8 +12,9 @@ capped at twelve features.
 The default predictor looks up the mean target of the nearest donor
 bucket after zeroing inactive features' columns; a zeroed group is the
 encoding's representation of "missing", so no background dataset is
-needed.  All n * c masked rows are matched in one kernel call.  An empty
-presence mask predicts the donor pool's global mean.
+needed.  It packs the batch once and masks the packed rows with each
+coalition's words; all n * c masked rows are matched in one kernel call.
+An empty presence mask predicts the donor pool's global mean.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import EncodedDataset, rng_stream
+from .dataset import EncodedDataset, bit_mask, pack_rows, rng_stream, unpack_rows
 from .errors import FusionError
 from .matching import build_buckets, nearest_rows
 from .schema import MISSING_LABEL, FeatureDictionary
@@ -44,16 +45,18 @@ class BucketMeanPredictor:
         self.dictionary = candidate.dictionary
         self.buckets = build_buckets(candidate)
         self.global_mean = float(candidate.y.mean())
-        self._slices = self.dictionary.group_slices()
+        d = self.dictionary.dimension
+        slices = self.dictionary.group_slices()
+        self._masks = np.array([bit_mask(sl.start, sl.stop, d) for sl in slices])  # (m, words)
         self.matches: list[dict] = []  # MatchAssignment.diagnostics() per call
 
     def __call__(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
         active = np.asarray(active, dtype=bool)
         n, c = x.shape[0], active.shape[0]
-        # (c, d): a column is kept where its feature is in the coalition
-        keep = np.repeat(active, [sl.stop - sl.start for sl in self._slices], axis=1)
-        masked = (x[:, None, :] * keep).reshape(n * c, x.shape[1])
-        match = nearest_rows(masked, self.buckets.x)
+        # (c, words): a bit is kept where its feature is in the coalition
+        keep = np.bitwise_or.reduce(np.where(active[:, :, None], self._masks, np.uint64(0)), axis=1)
+        masked = (pack_rows(x)[:, None, :] & keep).reshape(n * c, keep.shape[1])
+        match = nearest_rows(masked, self.buckets.words, dimension=self.buckets.dimension)
         self.matches.append(match.diagnostics())
         values = self.buckets.y_mean[match.target_index].reshape(n, c)
         values[:, ~active.any(axis=1)] = self.global_mean
@@ -147,7 +150,7 @@ def attribute_dataset(
     dictionary = ds.dictionary
     m = dictionary.n_features
 
-    xs = ds.x[chosen]
+    xs = unpack_rows(ds.words[chosen], dictionary.dimension)
     phis = shapley(xs, predictor, dictionary)
     ends = predictor(xs, np.array([[True] * m, [False] * m]))  # v(full), v(empty)
     gaps = np.abs(phis.sum(axis=1) - (ends[:, 0] - ends[:, 1]))
@@ -160,7 +163,6 @@ def attribute_dataset(
         labels = [*cats, MISSING_LABEL]
         # each sample's category: its hot bit, or the missing label for an all-zero group
         code = np.column_stack([group, ~group.any(axis=1)]).argmax(axis=1)
-        code[code == len(cats)] = labels.index(MISSING_LABEL)  # a real category so named shares it
         counts = np.bincount(code, minlength=len(labels)).tolist()
         sums = np.bincount(code, weights=phi, minlength=len(labels)).tolist()
         entries += [

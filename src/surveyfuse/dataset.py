@@ -2,7 +2,9 @@
 
 An :class:`EncodedDataset` is the unit every pipeline stage exchanges:
 one row per person-day sample, a fixed-width bit matrix of one-hot
-covariates, and an optional deliveries/day target (NaN = missing).
+covariates, and an optional deliveries/day target (NaN = missing).  In
+memory the bit matrix is held packed, ``ceil(d / 64)`` uint64 words a row
+(``pack_rows``); on disk it is the n x d uint8 ``x.npy`` it always was.
 
 The ``.enc`` artifact is a zip container holding a JSON header plus raw
 ``.npy`` arrays.  The header embeds the feature-dictionary hash so that
@@ -18,6 +20,9 @@ memory (distinct ids plus an int32 code per sample, see
 :class:`EncodedDataset`): ``load`` codes ``household_ids.npy`` before it
 reads ``x.npy``, and ``save`` gathers each block of the per-sample ids
 from the codes, so the file holds the same ``.npy`` member as ever.
+Likewise ``load`` packs ``x.npy`` block by block as it reads it, and
+``save`` unpacks the words block by block, so the whole uint8 matrix
+never exists in either direction.
 ``load`` checks each member where it enters: present, of its expected
 dimensions and dtype before any conversion, and as long as
 ``meta.json``'s ``n_samples``.  Each key that ``meta.json`` must hold is
@@ -30,6 +35,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import tokenize
 import zipfile
 import zlib
 from pathlib import Path
@@ -47,6 +53,13 @@ _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
 # Rows per block of ``_packed_first_occurrence``'s row-index OR.
 _ROW_BLOCK = 1 << 16
+
+# Run keys per block of ``first_occurrence``'s order test.
+_RUN_BLOCK = 1 << 13
+
+# Rows per block of the bit packing and unpacking: pack_rows' zero-padded
+# byte copy (512 KiB at d <= 64) and ``load``'s reads of ``x.npy``.
+_PACK_ROWS = 8192
 
 
 def rng_stream(*key: int) -> np.random.Generator:
@@ -82,17 +95,28 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return _packed_first_occurrence(keys, lowest, bits)
     run_start = np.ones(n, dtype=bool)
     run_start[1:] = keys[1:] != keys[:-1]
-    if keys.dtype.kind in "iuSU" and not (keys[1:] < keys[:-1]).any():
+    starts = np.flatnonzero(run_start)
+    if keys.dtype.kind in "iuSU" and _ascending(keys, starts):
         rank = np.cumsum(run_start, dtype=np.intp)
         rank -= 1
-        return np.flatnonzero(run_start), rank
-    starts = np.flatnonzero(run_start)
+        return starts, rank
     _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     lengths = np.diff(starts, append=n)
     return starts[first[order]], np.repeat(rank[inverse], lengths)
+
+
+def _ascending(keys: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether the runs' keys, at ``starts``, ascend: then so do all the
+    keys.  Compared ``_RUN_BLOCK`` runs at a time, so no copy of every run
+    key is made."""
+    for s in range(0, starts.size - 1, _RUN_BLOCK):
+        run_keys = keys[starts[s : s + _RUN_BLOCK + 1]]
+        if (run_keys[1:] < run_keys[:-1]).any():
+            return False
+    return True
 
 
 def _packed_first_occurrence(
@@ -154,6 +178,52 @@ def household_sums(
     return household_ids, np.bincount(code, weights=sample_y, minlength=household_ids.size)
 
 
+def pack_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack an (n, d) 0/1 matrix into (n, ceil(d/64)) uint64 words: bit j of
+    a row is bit j % 64 of its word j // 64, and the bits past d are zero.
+
+    Rows go through a reused zero-padded (chunk, 64 * words) byte copy,
+    ``_PACK_ROWS`` at a time, which one flat ``packbits`` turns into whole
+    words; memory beyond the output stays fixed.  The words are written
+    into ``out`` if it is given.
+    """
+    x = np.ascontiguousarray(x, dtype=np.uint8)
+    n, d = x.shape
+    words = (d + 63) // 64
+    if out is None:
+        out = np.empty((n, words), dtype=np.uint64)
+    pad = np.zeros((min(n, _PACK_ROWS), 64 * words), dtype=np.uint8)
+    for s in range(0, n, _PACK_ROWS):
+        e = min(s + _PACK_ROWS, n)
+        pad[: e - s, :d] = x[s:e]
+        bits = np.packbits(pad[: e - s], bitorder="little")  # flat: 8 * words bytes a row
+        out[s:e] = bits.view("<u8").reshape(e - s, words)
+    return out
+
+
+def unpack_rows(words: np.ndarray, d: int) -> np.ndarray:
+    """The (n, d) uint8 0/1 matrix of packed rows: ``pack_rows`` undone."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=d, bitorder="little")
+
+
+def bit_mask(start: int, stop: int, d: int) -> np.ndarray:
+    """Bits ``start:stop`` of a packed row of d bits, as its ceil(d/64) words."""
+    bits = ((1 << (stop - start)) - 1) << start
+    return np.array(
+        [(bits >> (64 * w)) & (2**64 - 1) for w in range((d + 63) // 64)], dtype=np.uint64
+    )
+
+
+def bit_popcount(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per packed row, how many of the bits set in ``mask`` (one row's words)
+    it has set, as int32: the popcount of each word under its mask, summed."""
+    total = np.zeros(words.shape[0], dtype=np.int32)
+    for w in np.flatnonzero(mask):
+        total += np.bitwise_count(words[:, w] & mask[w])
+    return total
+
+
 def _code_ids(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``household_index`` of a 1-D id array, positions as int32."""
     if household_ids.ndim != 1:
@@ -162,10 +232,13 @@ def _code_ids(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return households, position.astype(np.int32)
 
 
-def _checked_codes(households: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _checked_codes(
+    households: np.ndarray, code: np.ndarray, distinct: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Coded household ids as stored, or a ``DataError`` if an id repeats or
     the codes are out of range, skip a household, or are not in
-    first-appearance order."""
+    first-appearance order.  ``distinct`` households, distinct by
+    construction, are not counted again."""
     households = np.asarray(households, dtype=np.str_)
     code = np.asarray(code)
     if households.ndim != 1 or code.ndim != 1:
@@ -176,7 +249,7 @@ def _checked_codes(households: np.ndarray, code: np.ndarray) -> tuple[np.ndarray
     if code.dtype.kind not in "iu":
         raise DataError(f"household_code must be integers, got {code.dtype}")
     # ascending ids are distinct; any others are counted in a set
-    if households.size > 1 and not (households[1:] > households[:-1]).all():
+    if not distinct and households.size > 1 and not (households[1:] > households[:-1]).all():
         if len(set(households.tolist())) < households.size:
             ids, counts = np.unique(households, return_counts=True)
             raise DataError(f"households must be distinct, but {str(ids[counts > 1][0])!r} repeats")
@@ -203,6 +276,11 @@ class EncodedDataset:
     ``households`` and ``household_code`` already coded; the codes are
     checked to be in first-appearance order and to use every household,
     and ``households`` to be distinct.
+
+    The one-hot covariates are held packed: ``words`` is the (n, ceil(d/64))
+    uint64 array of ``pack_rows``, 8 bytes a sample at d <= 64 instead of d.
+    Pass either ``x``, the (n, d) 0/1 matrix, which is packed here, or
+    ``words`` already packed; ``x`` unpacks them again.
     """
 
     def __init__(
@@ -216,44 +294,71 @@ class EncodedDataset:
         *,
         households: np.ndarray | None = None,
         household_code: np.ndarray | None = None,
+        words: np.ndarray | None = None,
     ) -> None:
-        if x is None or y is None:
-            raise TypeError("EncodedDataset needs x and y")
+        if y is None or (x is None) == (words is None):
+            raise TypeError("EncodedDataset needs y and one of x and words")
         given = (household_ids is not None, households is not None, household_code is not None)
         if given not in ((True, False, False), (False, True, True)):
             raise TypeError("pass household_ids, or households and household_code")
-        self.dictionary = dictionary
-        self.survey_id = survey_id
-        self.year = year
         if household_ids is not None:
             households, household_code = _code_ids(np.asarray(household_ids, dtype=np.str_))
         else:
             households, household_code = _checked_codes(households, household_code)
+        if x is not None:
+            x = np.asarray(x)
+            n, d = household_code.shape[0], dictionary.dimension
+            if x.shape != (n, d):
+                raise DimensionError(f"x has shape {x.shape}, expected ({n}, {d})")
+            bits = np.ascontiguousarray(x, dtype=np.uint8)
+            if bits.max(initial=0) > 1 or (x.dtype != np.uint8 and not np.array_equal(bits, x)):
+                raise DataError("x values must be 0 or 1")
+            words = pack_rows(bits)
+        self._set(dictionary, survey_id, year, households, household_code, words, y)
+
+    @classmethod
+    def _of_distinct(
+        cls, dictionary: FeatureDictionary, survey_id: str, year: int,
+        households: np.ndarray, household_code: np.ndarray, words: np.ndarray, y: np.ndarray,
+    ) -> "EncodedDataset":
+        """The constructor for households distinct by construction (``load``,
+        ``subset``, ``concat_datasets``): their codes are checked, but the
+        ids are not counted again."""
+        ds = cls.__new__(cls)
+        households, household_code = _checked_codes(households, household_code, distinct=True)
+        ds._set(dictionary, survey_id, year, households, household_code, words, y)
+        return ds
+
+    def _set(self, dictionary, survey_id, year, households, household_code, words, y) -> None:
+        """Hold checked coded ids and check the words and targets against them."""
+        self.dictionary = dictionary
+        self.survey_id = survey_id
+        self.year = year
         self.households: np.ndarray = households  # (k,) unicode, distinct
         self.household_code: np.ndarray = household_code  # (n,) int32 into households
-        x = np.asarray(x)
-        self.x = np.ascontiguousarray(x, dtype=np.uint8)  # (n, d) one-hot groups per feature
+        self.words = np.ascontiguousarray(words)  # (n, ceil(d/64)) uint64, see pack_rows
         self.y = np.asarray(y, dtype=np.float64)  # (n,) NaN = missing target
-        n = self.household_code.shape[0]
-        if self.x.shape != (n, self.dictionary.dimension):
+        n, d = household_code.shape[0], dictionary.dimension
+        if self.words.dtype != np.uint64 or self.words.shape != (n, (d + 63) // 64):
             raise DimensionError(
-                f"x has shape {self.x.shape}, expected ({n}, {self.dictionary.dimension})"
+                f"words are a {self.words.shape} {self.words.dtype} array, expected "
+                f"({n}, {(d + 63) // 64}) uint64"
             )
         if self.y.shape != (n,):
             raise DimensionError(f"y has shape {self.y.shape}, expected ({n},)")
-        if self.x.max(initial=0) > 1 or (x.dtype != np.uint8 and not np.array_equal(self.x, x)):
-            raise DataError("x values must be 0 or 1")
-        for name, sl in zip(self.dictionary.features, self.dictionary.group_slices()):
-            # a one-hot group has popcount 0 (missing) or 1; summing column by
-            # column is several times faster than a row-wise sum over the slice
+        if d % 64 and (self.words[:, -1] >> np.uint64(d % 64)).any():
+            raise DataError(f"words must be zero past bit {d}")
+        for name, sl in zip(dictionary.features, dictionary.group_slices()):
+            # a one-hot group has popcount 0 (missing) or 1; counted a block
+            # of rows at a time, so the counts stay small
             if sl.stop - sl.start < 2:
                 continue
-            pop = self.x[:, sl.start].astype(np.uint16)
-            for col in range(sl.start + 1, sl.stop):
-                pop += self.x[:, col]
-            if pop.max(initial=0) > 1:
-                row = int(np.argmax(pop > 1))
-                raise DataError(f"x row {row}: feature {name!r} has more than one bit set")
+            mask = bit_mask(sl.start, sl.stop, d)
+            for s in range(0, n, _PACK_ROWS):
+                pop = bit_popcount(self.words[s : s + _PACK_ROWS], mask)
+                if pop.max(initial=0) > 1:
+                    row = s + int(np.argmax(pop > 1))
+                    raise DataError(f"x row {row}: feature {name!r} has more than one bit set")
         present = self.y[~np.isnan(self.y)]
         if not np.isfinite(present).all():
             raise DataError("target values must be finite (NaN marks a missing target)")
@@ -273,6 +378,12 @@ class EncodedDataset:
         return self.households[self.household_code]
 
     @property
+    def x(self) -> np.ndarray:
+        """The (n, d) uint8 one-hot matrix: a new ``unpack_rows`` of
+        ``words``, d bytes a sample; not meant for hot paths."""
+        return unpack_rows(self.words, self.dictionary.dimension)
+
+    @property
     def missing_mask(self) -> np.ndarray:
         return np.isnan(self.y)
 
@@ -287,14 +398,14 @@ class EncodedDataset:
         indices = np.asarray(indices)
         code = self.household_code[indices]
         first, rank = first_occurrence(code)
-        return EncodedDataset(
-            dictionary=self.dictionary,
-            survey_id=self.survey_id,
-            year=self.year,
-            households=self.households[code[first]],
-            household_code=rank.astype(np.int32),
-            x=self.x[indices],
-            y=self.y[indices],
+        return EncodedDataset._of_distinct(
+            self.dictionary,
+            self.survey_id,
+            self.year,
+            self.households[code[first]],
+            rank.astype(np.int32),
+            self.words[indices],
+            self.y[indices],
         )
 
     def labeled(self) -> "EncodedDataset":
@@ -326,11 +437,17 @@ class EncodedDataset:
             "dictionary": self.dictionary.to_json_dict(),
             "dictionary_hash": self.dictionary.hash(),
         }
+        n, d = self.n_samples, self.dictionary.dimension
+        ids, code, words, y = self.households, self.household_code, self.words, self.y
         with zipfile.ZipFile(path, "w") as zf:
             _write_member(zf, "meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())
-            _write_member(zf, "household_ids.npy", self.households, self.household_code)
-            _write_member(zf, "x.npy", self.x)
-            _write_member(zf, "y.npy", self.y)
+            # each block of the per-sample ids and of x is made from the codes
+            # and the words as it is written
+            _write_array(zf, "household_ids.npy", ids.dtype, (n,), lambda s, e: ids[code[s:e]])
+            _write_array(
+                zf, "x.npy", np.dtype(np.uint8), (n, d), lambda s, e: unpack_rows(words[s:e], d)
+            )
+            _write_array(zf, "y.npy", y.dtype, (n,), lambda s, e: y[s:e])
 
     @classmethod
     def load(cls, path: str | Path) -> "EncodedDataset":
@@ -362,30 +479,20 @@ class EncodedDataset:
                     raise DictionaryMismatchError(
                         f"{path}: embedded dictionary hash does not match its layout"
                     )
-                # the ids are coded as soon as they are read, before x and y
+                # the ids are coded as soon as they are read, and x is packed
+                # as it is read
+                n = meta.get("n_samples")
                 households, code = _code_ids(_read_npy(zf, path, "household_ids.npy"))
-                arrays = {"household_ids.npy": code}
-                for name in ("x.npy", "y.npy"):
-                    arrays[name] = _read_npy(zf, path, name)
+                _check_rows(path, n, "household_ids.npy", code.shape[0])
+                words = _read_words(zf, path, n, dictionary.dimension)
+                y = _read_npy(zf, path, "y.npy")
+                _check_rows(path, n, "y.npy", y.shape[0])
         except FileNotFoundError:  # a missing path stays what it is
             raise
         except _ZIP_ERRORS as exc:
             raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact: {exc}") from None
-        n = meta.get("n_samples")
-        for name, arr in arrays.items():
-            if type(n) is not int or arr.shape[0] != n:
-                raise DataError(
-                    f"{path}: meta.json n_samples is {n!r}, but member {name!r} has "
-                    f"{arr.shape[0]} rows"
-                )
-        return cls(
-            dictionary=dictionary,
-            survey_id=meta["survey_id"],
-            year=meta["year"],
-            households=households,
-            household_code=code,
-            x=arrays["x.npy"],
-            y=arrays["y.npy"],
+        return cls._of_distinct(
+            dictionary, meta["survey_id"], meta["year"], households, code, words, y
         )
 
 
@@ -402,6 +509,11 @@ _META_FIELDS = {
 # an encryption flag, an impossible offset (or a path that is no file)
 _ZIP_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError, OSError)
 
+# what numpy's .npy reader raises on a damaged member: a cut body or header,
+# bad magic, a header that does not parse (or, tokenized again as numpy
+# does for old headers, does not tokenize)
+_NPY_ERRORS = (ValueError, EOFError, zlib.error, tokenize.TokenError)
+
 _WRITE_BYTES = 1 << 20  # array bytes handed to the compressor per write
 
 # array member -> (dimensions, dtype kind, item size or None for any, as named in errors)
@@ -411,39 +523,40 @@ _ARRAY_MEMBERS = {
     "y.npy": (1, "f", 8, "float64"),
 }
 
+# .npy format version -> its header reader
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
-def _write_member(
-    zf: zipfile.ZipFile, name: str, data: bytes | np.ndarray, rows: np.ndarray | None = None
-) -> None:
-    """Deflate one member; an array is streamed as ``.npy`` 1.0, header then
-    rows in blocks of about ``_WRITE_BYTES``.  With ``rows``, the array
-    written is ``data[rows]``, gathered one block at a time."""
+
+def _write_member(zf: zipfile.ZipFile, name: str, head: bytes, size: int = 0, blocks=()) -> None:
+    """Deflate one member: ``head``, then ``size`` more bytes of arrays in ``blocks``."""
     info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
     info.create_system = 3
     info.external_attr = 0o644 << 16
     info.compress_type = zipfile.ZIP_DEFLATED
-    if isinstance(data, np.ndarray):
-        arr = np.ascontiguousarray(data)
-        n = arr.shape[0] if rows is None else rows.shape[0]
-        fields = np.lib.format.header_data_from_array_1_0(arr)
-        fields["shape"] = (n, *arr.shape[1:])
-        buf = io.BytesIO()
-        np.lib.format.write_array_header_1_0(buf, fields)
-        row_bytes = arr.dtype.itemsize * math.prod(arr.shape[1:])
-        block = max(1, _WRITE_BYTES // max(1, row_bytes))
-        header, body_bytes = buf.getvalue(), n * row_bytes
-        blocks = (
-            arr[s : s + block] if rows is None else arr[rows[s : s + block]]
-            for s in range(0, n, block)
-        )
-    else:
-        header, body_bytes, blocks = data, 0, ()
     # the exact size up front makes the same zip64 choice as ``ZipFile.writestr``
-    info.file_size = len(header) + body_bytes
+    info.file_size = len(head) + size
     with zf.open(info, "w") as fh:
-        fh.write(header)
+        fh.write(head)
         for part in blocks:
             fh.write(np.ascontiguousarray(part).reshape(-1).view(np.uint8))
+
+
+def _write_array(
+    zf: zipfile.ZipFile, name: str, dtype: np.dtype, shape: tuple[int, ...], rows
+) -> None:
+    """Stream one ``.npy`` 1.0 member of ``dtype`` and ``shape``: its header,
+    then ``rows(s, e)``, rows ``s:e`` of the array, in blocks of about
+    ``_WRITE_BYTES``."""
+    buf = io.BytesIO()
+    fields = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(buf, fields)
+    n, row_bytes = shape[0], dtype.itemsize * math.prod(shape[1:])
+    block = max(1, _WRITE_BYTES // max(1, row_bytes))
+    blocks = (rows(s, min(s + block, n)) for s in range(0, n, block))
+    _write_member(zf, name, buf.getvalue(), n * row_bytes, blocks)
 
 
 def _open_member(zf: zipfile.ZipFile, path: str | Path, name: str):
@@ -453,20 +566,65 @@ def _open_member(zf: zipfile.ZipFile, path: str | Path, name: str):
         raise FusionError(f"{path}: member {name!r} is missing") from None
 
 
+def _check_array(path: str | Path, name: str, ndim: int, dtype: np.dtype) -> None:
+    """A ``DataError`` unless an array member has its expected dimensions and dtype."""
+    want_ndim, kind, itemsize, expected = _ARRAY_MEMBERS[name]
+    if ndim != want_ndim or dtype.kind != kind or itemsize not in (None, dtype.itemsize):
+        raise DataError(
+            f"{path}: member {name!r} must be a {want_ndim}-D {expected} array, "
+            f"got a {ndim}-D {dtype} array"
+        )
+
+
+def _check_rows(path: str | Path, n, name: str, rows: int) -> None:
+    """A ``DataError`` unless a member has ``meta.json``'s ``n_samples`` rows."""
+    if type(n) is not int or rows != n:
+        raise DataError(
+            f"{path}: meta.json n_samples is {n!r}, but member {name!r} has {rows} rows"
+        )
+
+
 def _read_npy(zf: zipfile.ZipFile, path: str | Path, name: str) -> np.ndarray:
     """One array member, read in blocks and checked before any conversion."""
-    ndim, kind, itemsize, expected = _ARRAY_MEMBERS[name]
     with _open_member(zf, path, name) as fh:
         try:
             arr = np.lib.format.read_array(fh, allow_pickle=False)
-        except (ValueError, EOFError, zlib.error) as exc:
+        except _NPY_ERRORS as exc:
             raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
-    if arr.ndim != ndim or arr.dtype.kind != kind or itemsize not in (None, arr.dtype.itemsize):
-        raise DataError(
-            f"{path}: member {name!r} must be a {ndim}-D {expected} array, "
-            f"got a {arr.ndim}-D {arr.dtype} array"
-        )
+    _check_array(path, name, arr.ndim, arr.dtype)
     return arr
+
+
+def _read_words(zf: zipfile.ZipFile, path: str | Path, n: int, d: int) -> np.ndarray:
+    """``x.npy`` packed into words as it is read, ``_PACK_ROWS`` rows at a
+    time: its header is checked before the first block, and each block's
+    values before they are packed."""
+    name = "x.npy"
+    with _open_member(zf, path, name) as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+            _check_array(path, name, len(shape), dtype)
+            _check_rows(path, n, name, shape[0])
+            if shape[1] != d:
+                raise DimensionError(f"x has shape {shape}, expected ({n}, {d})")
+            if fortran_order:
+                raise DataError(f"{path}: member {name!r} must be stored in C order")
+            words = np.empty((n, (d + 63) // 64), dtype=np.uint64)
+            for s in range(0, n, _PACK_ROWS):
+                e = min(s + _PACK_ROWS, n)
+                block = fh.read((e - s) * d)
+                if len(block) != (e - s) * d:
+                    raise ValueError(f"EOF: expected {n * d} bytes of array data")
+                bits = np.frombuffer(block, dtype=np.uint8).reshape(e - s, d)
+                if bits.max(initial=0) > 1:
+                    raise DataError(f"{path}: member {name!r}: x values must be 0 or 1")
+                pack_rows(bits, out=words[s:e])
+        except _NPY_ERRORS as exc:
+            raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
+    return words
 
 
 def require_same_dictionary(*datasets: EncodedDataset) -> None:
@@ -492,14 +650,14 @@ def concat_datasets(
     first, rank = first_occurrence(stacked)
     rank = rank.astype(np.int32)
     offsets = np.cumsum([0] + [d.households.size for d in datasets])
-    return EncodedDataset(
-        dictionary=datasets[0].dictionary,
-        survey_id=survey_id,
-        year=year,
-        households=stacked[first],
-        household_code=np.concatenate(
+    return EncodedDataset._of_distinct(
+        datasets[0].dictionary,
+        survey_id,
+        year,
+        stacked[first],
+        np.concatenate(
             [rank[d.household_code + off] for d, off in zip(datasets, offsets.tolist())]
         ),
-        x=np.concatenate([d.x for d in datasets], axis=0),
-        y=np.concatenate([d.y for d in datasets]),
+        np.concatenate([d.words for d in datasets]),
+        np.concatenate([d.y for d in datasets]),
     )

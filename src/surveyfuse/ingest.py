@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import EncodedDataset
+from .dataset import EncodedDataset, bit_mask, bit_popcount, pack_rows
 from .errors import DataError, IngestionError, MappingError
 from .schema import MISSING_LABEL, HarmonizationSpec, TargetColumn, build_dictionary, encode_value
 
@@ -265,6 +265,8 @@ def assemble(raw: RawTableSet, spec: HarmonizationSpec, year: int) -> EncodedDat
     for (f, table, rows, column), sl in zip(features, dictionary.group_slices()):
         encode = partial(encode_value, f, survey_id=survey_id)
         x[:, sl] = _per_value(table, column, rows, encode, (len(f.categories),), np.uint8)
+    words = pack_rows(x)  # all the dataset keeps of x, packed before the targets are read
+    del x
     total = np.zeros(n)
     answered = np.zeros(n, dtype=bool)
     for name, column in targets:
@@ -277,7 +279,7 @@ def assemble(raw: RawTableSet, spec: HarmonizationSpec, year: int) -> EncodedDat
     hid = raw.days.columns[spec.table_keys(survey_id).household_id]
     # a column's codes number its distinct values in order of first appearance
     return EncodedDataset(
-        dictionary, survey_id, year, x=x, y=y,
+        dictionary, survey_id, year, words=words, y=y,
         households=np.array(hid.values, dtype=np.str_), household_code=hid.codes,
     )
 
@@ -293,12 +295,17 @@ def describe(ds: EncodedDataset) -> dict:
         "missing_target_fraction": (ds.n_missing / ds.n_samples) if ds.n_samples else 0.0,
     }
     features = {}
+    d = ds.dictionary.dimension
     for name, cats, sl in zip(
         ds.dictionary.features, ds.dictionary.categories, ds.dictionary.group_slices()
     ):
-        group = ds.x[:, sl]
-        counts = {cat: int(group[:, j].sum()) for j, cat in enumerate(cats)}
-        counts[MISSING_LABEL] = int((group.sum(axis=1) == 0).sum())
+        # counted on the packed rows: a bit per category, none for missing
+        counts = {
+            cat: int(np.count_nonzero(bit_popcount(ds.words, bit_mask(c, c + 1, d))))
+            for c, cat in enumerate(cats, sl.start)
+        }
+        missing = bit_popcount(ds.words, bit_mask(sl.start, sl.stop, d)) == 0
+        counts[MISSING_LABEL] = int(np.count_nonzero(missing))
         features[name] = counts
     report["features"] = features
     return report

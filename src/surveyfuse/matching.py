@@ -26,7 +26,8 @@ A matching runs in four steps, each exact under both tie rules:
    d = 26, which costs more than scanning a few thousand targets.
 4. The remaining unique queries are scanned against the unique targets.
 
-Rows are packed into 64-bit words.  The scan kernel XOR-popcounts a block
+Rows arrive packed into 64-bit words, as an ``EncodedDataset`` holds them
+(``dataset.pack_rows``).  The scan kernel XOR-popcounts a block
 of queries against the targets one word at a time and sums the counts;
 the block height keeps (rows x targets x words) 8-byte words within a
 budget sized for a core's L2 cache, as do the join's (d x rows) flip
@@ -58,9 +59,6 @@ from .errors import DataError, DimensionError, MatchError
 # it, so memory does not grow with the target count.
 _SCAN_BUFFER_BYTES = 1 << 20
 
-# Rows per chunk of pack_rows' zero-padded byte copy (512 KiB at d <= 64).
-_PACK_ROWS = 8192
-
 _TIE_BREAKS = ("index", "random")
 
 
@@ -73,31 +71,6 @@ def hamming(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         raise DimensionError("vectors must have at least one coordinate")
     return float(np.count_nonzero(a != b)) / a.size
-
-
-def pack_rows(*xs: np.ndarray) -> np.ndarray:
-    """Pack (n, d) 0/1 matrices, their rows one after another, into
-    (rows, ceil(d/64)) uint64 words, zero past bit d.
-
-    Rows go through a reused zero-padded (chunk, 64 * words) byte copy,
-    ``_PACK_ROWS`` at a time, which one flat ``packbits`` turns into whole
-    words; memory beyond the output stays fixed.
-    """
-    xs = [np.ascontiguousarray(x, dtype=np.uint8) for x in xs]
-    d = xs[0].shape[1]
-    words = (d + 63) // 64
-    n = sum(x.shape[0] for x in xs)
-    packed = np.empty((n, words), dtype=np.uint64)
-    pad = np.zeros((min(n, _PACK_ROWS), 64 * words), dtype=np.uint8)
-    at = 0  # rows packed so far
-    for x in xs:
-        for s in range(0, x.shape[0], _PACK_ROWS):
-            e = min(s + _PACK_ROWS, x.shape[0])
-            pad[: e - s, :d] = x[s:e]
-            bits = np.packbits(pad[: e - s], bitorder="little")  # flat: 8 * words bytes a row
-            packed[at + s : at + e] = bits.view(np.uint64).reshape(e - s, words)
-        at += x.shape[0]
-    return packed
 
 
 def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,17 +95,14 @@ class BucketSet:
     lookups (e.g. which households a bucket covers) stay cheap.
     """
 
-    x: np.ndarray  # (k, d) uint8, the shared covariate vector per bucket
+    words: np.ndarray  # (k, ceil(d/64)) uint64, the shared packed covariate row per bucket
+    dimension: int  # d, the bits of a row
     member_count: np.ndarray  # (k,) int64
     y_mean: np.ndarray  # (k,) float64
     inverse: np.ndarray  # (n_candidate,) int64, sample -> bucket
 
     def __len__(self) -> int:
-        return int(self.x.shape[0])
-
-    @property
-    def dimension(self) -> int:
-        return int(self.x.shape[1])
+        return int(self.words.shape[0])
 
 
 def build_buckets(candidate: EncodedDataset) -> BucketSet:
@@ -146,12 +116,12 @@ def build_buckets(candidate: EncodedDataset) -> BucketSet:
             f"candidate has {candidate.n_missing} samples with missing targets; "
             "donors must be fully labeled"
         )
-    packed = pack_rows(candidate.x)
-    first, inverse = _unique_rows(packed)
+    first, inverse = _unique_rows(candidate.words)
     counts = np.bincount(inverse, minlength=first.size)
     sums = np.bincount(inverse, weights=candidate.y, minlength=first.size)
     return BucketSet(
-        x=candidate.x[first],
+        words=candidate.words[first],
+        dimension=candidate.dictionary.dimension,
         member_count=counts.astype(np.int64),
         y_mean=sums / counts,
         inverse=inverse.astype(np.int64),
@@ -239,17 +209,19 @@ def _near_join(
 
 
 def nearest_rows(
-    query_x: np.ndarray,
-    target_x: np.ndarray,
+    query_words: np.ndarray,
+    target_words: np.ndarray,
     *,
+    dimension: int,
     tie_break: str = "index",
     seed: int | None = None,
 ) -> MatchAssignment:
     """Exact nearest target row per query row under Hamming distance.
 
-    Ties resolve to the smallest target index, or uniformly at random per
-    query row with ``tie_break="random"`` (stream derived from
-    ``(seed, query row index)``).
+    Rows are packed, ``ceil(dimension / 64)`` uint64 words each, as
+    ``dataset.pack_rows`` writes them.  Ties resolve to the smallest target
+    index, or uniformly at random per query row with ``tie_break="random"``
+    (stream derived from ``(seed, query row index)``).
 
     The steps follow the module docstring, each exact under both tie
     rules: only the first occurrences of distinct query and target vectors
@@ -261,25 +233,26 @@ def nearest_rows(
     One scan pass over blocks of the remaining unique queries serves both
     tie rules.
     """
-    query_x = np.ascontiguousarray(query_x, dtype=np.uint8)
-    target_x = np.ascontiguousarray(target_x, dtype=np.uint8)
-    if target_x.shape[0] == 0:
+    d = dimension
+    width = (d + 63) // 64
+    for name, words in (("query", query_words), ("target", target_words)):
+        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != width:
+            raise DimensionError(
+                f"{name} rows are a {words.shape} {words.dtype} array, expected "
+                f"{width} uint64 words a row for dimension {d}"
+            )
+    if target_words.shape[0] == 0:
         raise MatchError("cannot match against an empty target set")
-    if query_x.shape[1] != target_x.shape[1]:
-        raise DimensionError(
-            f"query dimension {query_x.shape[1]} != target dimension {target_x.shape[1]}"
-        )
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
     if tie_break == "random" and seed is None:
         raise ValueError("tie_break='random' requires a seed")
 
-    d = query_x.shape[1]
-    n_t = target_x.shape[0]
+    n_t = target_words.shape[0]
     # One dedup over the targets followed by the queries: identical rows share
     # a rank, in order of first occurrence, so the ranks below n_ut are the
     # unique targets and a query of such a rank equals that target.
-    packed = pack_rows(target_x, query_x)
+    packed = np.concatenate([target_words, query_words])
     first, rank = _unique_rows(packed)
     t_rank, q_rank = rank[:n_t], rank[n_t:]
     n_ut = int(np.searchsorted(first, n_t))
@@ -394,7 +367,9 @@ def impute(
     if candidate.n_samples == 0:
         raise MatchError("candidate dataset is empty")
     buckets = build_buckets(candidate)
-    assignment = nearest_rows(source.x, buckets.x, tie_break=tie_break, seed=seed)
+    assignment = nearest_rows(
+        source.words, buckets.words, dimension=buckets.dimension, tie_break=tie_break, seed=seed
+    )
     w = source.n_samples / candidate.n_samples
     filled = buckets.y_mean[assignment.target_index]  # matched means, divided in place
     code = source.household_code

@@ -170,6 +170,7 @@ class HarmonizationSpec:
                 )
             if len(set(f.categories)) != len(f.categories):
                 raise SchemaError(f"duplicate categories in feature {f.name!r}")
+            FeatureDictionary((f.name,), (tuple(f.categories),))  # its reserved-label rule
             for survey_id, col in f.surveys.items():
                 if col.table not in ("household", "person"):
                     raise SchemaError(
@@ -348,6 +349,14 @@ class FeatureDictionary:
 
     features: tuple[str, ...]
     categories: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self) -> None:
+        # an all-zero group reads as the missing label, so no category may carry it
+        for name, cats in zip(self.features, self.categories):
+            if MISSING_LABEL in cats:
+                raise SchemaError(
+                    f"feature {name!r}: category {MISSING_LABEL!r} is reserved for a missing value"
+                )
 
     @property
     def dimension(self) -> int:

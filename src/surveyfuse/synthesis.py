@@ -75,11 +75,12 @@ def nested_match(
         raise MatchError("source2 has no labeled samples to project from")
 
     buckets = build_buckets(candidate)
-    mu1 = nearest_rows(source1.x, buckets.x, tie_break=tie_break, seed=seed)
+    d = buckets.dimension
+    mu1 = nearest_rows(source1.words, buckets.words, dimension=d, tie_break=tie_break, seed=seed)
     # query row i is the i-th labeled row, which numbers its random-tie stream;
     # with every row labeled that is row i itself, so no copy is needed
-    labeled_x = source2.x if keep.size == source2.n_samples else source2.x[keep]
-    mu2 = nearest_rows(labeled_x, source1.x, tie_break=tie_break, seed=seed)
+    labeled = source2.words if keep.size == source2.n_samples else source2.words[keep]
+    mu2 = nearest_rows(labeled, source1.words, dimension=d, tie_break=tie_break, seed=seed)
     return TriPartiteGraph(
         buckets=buckets,
         mu1=mu1,
@@ -97,7 +98,7 @@ class SyntheticDataset:
 
     dictionary: FeatureDictionary
     bucket_index: np.ndarray  # (r,) indices into the graph's bucket set
-    x: np.ndarray  # (r, d) covariate vector per entry
+    words: np.ndarray  # (r, ceil(d/64)) uint64, packed covariate row per entry
     y: np.ndarray  # (r,) synthesized target, >= 0
     n_matched_samples: np.ndarray  # (r,) source1 samples matched to the bucket
     n_matched_donors: np.ndarray  # (r,) source2 samples reaching the bucket
@@ -121,7 +122,7 @@ class SyntheticDataset:
             year=year,
             households=ids,
             household_code=np.arange(ids.size, dtype=np.int32),
-            x=self.x.copy(),
+            words=self.words.copy(),
             y=self.y.copy(),
         )
 
@@ -165,7 +166,7 @@ def synthesize(
     return SyntheticDataset(
         dictionary=candidate.dictionary,
         bucket_index=bucket_index.astype(np.int64),
-        x=graph.buckets.x[bucket_index],
+        words=graph.buckets.words[bucket_index],
         y=y,
         n_matched_samples=s_counts[reachable].astype(np.int64),
         n_matched_donors=donor_counts[reachable],

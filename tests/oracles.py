@@ -201,6 +201,17 @@ def pack_rows_padded_oracle(x: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
+def one_hot_error_oracle(x: np.ndarray, dictionary) -> str | None:
+    """The first one-hot violation of an (n, d) 0/1 matrix, as the uint8
+    check named it: features in order, then the first row of each whose
+    bit group has more than one bit set."""
+    for name, sl in zip(dictionary.features, dictionary.group_slices()):
+        pop = x[:, sl].sum(axis=1)
+        if (pop > 1).any():
+            return f"x row {int(np.argmax(pop > 1))}: feature {name!r} has more than one bit set"
+    return None
+
+
 def first_occurrence_unique_oracle(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct key in order of appearance, and each
     element's rank, from one ``np.unique`` over all keys."""

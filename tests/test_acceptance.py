@@ -33,7 +33,7 @@ from surveyfuse import (
 )
 from surveyfuse import BucketMeanPredictor, attribute_dataset
 from surveyfuse.datagen import PopulationModel
-from surveyfuse.dataset import household_sums
+from surveyfuse.dataset import household_sums, pack_rows
 from surveyfuse.matching import augment_candidate
 from surveyfuse.schema import FeatureDictionary
 from conftest import make_dataset, random_one_hot
@@ -95,7 +95,7 @@ def test_criterion_2_nearest_neighbor_oracle_equivalence():
             n_cand = int(rng.integers(1, 101))
             src = rng.integers(0, 2, size=(n_src, d), dtype=np.uint8)
             tgt = np.unique(rng.integers(0, 2, size=(n_cand, d), dtype=np.uint8), axis=0)
-            scan = nearest_rows(src, tgt)
+            scan = nearest_rows(pack_rows(src), pack_rows(tgt), dimension=d)
             oidx, odist = nn_scan_oracle(src, tgt)
             assert np.array_equal(scan.distance, odist), "scan distance != oracle minimum"
             assert np.array_equal(scan.target_index, oidx), "scan tie-break != oracle"

@@ -275,11 +275,10 @@ class TestAttributeDataset:
 class TestAttributionAggregation:
     """``attribute_dataset``'s per-feature ``bincount`` against the per-cell dict loop."""
 
-    # a real category named like the missing label shares its group, as in the
-    # loop, and a feature without categories is always missing
+    # a feature without categories is always missing
     dictionary = FeatureDictionary(
         features=("A", "B", "C", "D", "E"),
-        categories=(("a1", "a2", "a3"), ("b1", "Missing"), ("c1", "c2", "c3", "c4"), (), ("e1",)),
+        categories=(("a1", "a2", "a3"), ("b1", "b2"), ("c1", "c2", "c3", "c4"), (), ("e1",)),
     )
 
     def one_hot(self, rng, n):

@@ -13,6 +13,7 @@ import pytest
 
 from surveyfuse import DataError, EncodedDataset, FeatureDictionary, impute, subsample_compare
 from surveyfuse import cli, matching, synthesis
+from surveyfuse.dataset import bit_mask
 from surveyfuse.cli import (
     EXIT_DATA,
     EXIT_DICTIONARY_MISMATCH,
@@ -168,7 +169,7 @@ class TestDescribe:
     def test_invalid_enc_contents_are_data_error(self, generated, tmp_path, capsys):
         full, _ = generated
         ds = EncodedDataset.load(full)
-        ds.x[5, :] = 1  # every group two-hot
+        ds.words[5] = bit_mask(0, ds.dictionary.dimension, ds.dictionary.dimension)  # all hot
         bad = tmp_path / "bad.enc"
         ds.save(bad)
         out = tmp_path / "report.json"

@@ -1,11 +1,14 @@
 import io
 import json
+import re
+import tempfile
 import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surveyfuse import (
@@ -19,9 +22,17 @@ from surveyfuse import (
 )
 from surveyfuse import dataset
 from surveyfuse.cli import EXIT_DATA, main
-from surveyfuse.dataset import first_occurrence, household_index
+from surveyfuse.dataset import (
+    bit_mask, first_occurrence, household_index, pack_rows, unpack_rows,
+)
 from conftest import make_dataset, random_one_hot
-from oracles import first_occurrence_unique_oracle, household_sum_oracle, save_writestr_oracle
+from oracles import (
+    first_occurrence_unique_oracle,
+    household_sum_oracle,
+    one_hot_error_oracle,
+    pack_rows_padded_oracle,
+    save_writestr_oracle,
+)
 
 
 class TestConstruction:
@@ -61,7 +72,7 @@ class TestConstruction:
 
     def test_subset_and_concat_revalidate(self, single_dictionary):
         ds = make_dataset(single_dictionary, [[1, 0], [0, 1]], [1.0, 2.0])
-        ds.x[1, 0] = 1  # corrupted after construction
+        ds.words[1, 0] |= np.uint64(1)  # corrupted after construction: row 1 two-hot
         with pytest.raises(DataError):
             ds.subset([1])
         with pytest.raises(DataError):
@@ -133,13 +144,15 @@ class TestPersistence:
     def test_load_rejects_invalid_contents(self, tmp_path, pair_dictionary, corrupt):
         ds = make_dataset(pair_dictionary, [[1, 0, 0, 1], [0, 1, 0, 0]], [2.0, 1.0])
         if corrupt == "two-hot":
-            ds.x[1, 0] = 1
-        elif corrupt == "x=3":
-            ds.x[0, 2] = 3
-        else:
+            ds.words[1, 0] |= np.uint64(1)  # row 1 becomes [1, 1, 0, 0]
+        elif corrupt == "y=inf":
             ds.y[1] = np.inf
         p = tmp_path / "ds.enc"
         ds.save(p)  # save writes what it holds; load is the boundary
+        if corrupt == "x=3":  # no packed row holds a 3, so the member is rewritten
+            x = ds.x
+            x[0, 2] = 3
+            rewrite_member(p, "x.npy", npy(x))
         with pytest.raises(DataError):
             EncodedDataset.load(p)
 
@@ -234,6 +247,24 @@ class TestFirstOccurrence:
         if late_descent and len(lengths) > 1:
             values.append(len(lengths) // 2 - 1)
         self.check(as_keys(values, kind))
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=12),
+        st.integers(2, 12),
+        st.sampled_from(["str", "bytes"]),
+        st.integers(1, 3),
+    )
+    def test_order_is_tested_across_run_blocks(self, lengths, descent, kind, block):
+        """The order test compares run keys ``_RUN_BLOCK`` runs at a time: a
+        run that repeats the key of the run two before it, below its
+        predecessor's, is found at any run, on a block boundary or not."""
+        run_keys = list(range(len(lengths)))
+        if descent < len(run_keys):
+            run_keys[descent] = run_keys[descent - 2]
+        values = [key for key, length in zip(run_keys, lengths) for _ in range(length)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "_RUN_BLOCK", block)
+            self.check(as_keys(values, kind))
 
     @pytest.mark.parametrize("kind", ["str", "bytes", "uint64", "void"])
     @pytest.mark.parametrize(
@@ -335,7 +366,7 @@ class TestPackedFirstOccurrence:
 
     def test_packed_covariate_rows_take_the_packed_sort(self, monkeypatch):
         """d = 26 rows packed into one word need no ``np.unique``."""
-        from surveyfuse.matching import pack_rows
+        from surveyfuse.dataset import pack_rows
 
         rng = np.random.default_rng(26)
         distinct = rng.integers(0, 2, size=(300, 26), dtype=np.uint8)
@@ -394,12 +425,14 @@ class TestStreamedArtifact:
 
     def test_load_memory_follows_the_arrays(self, tmp_path):
         """Members are read in blocks, not as whole ``bytes`` objects, and the
-        ids are coded before x and y are read: loading 200k rows peaks under
-        1.5x the arrays the dataset keeps (codes, distinct ids, x and y).
+        ids are coded before x and y are read: loading 200k rows peaks below
+        the arrays the dataset keeps (codes, distinct ids, packed x and y)
+        plus one copy of the per-sample ids, which are read whole and coded.
 
-        Those are 10.0 MB here; the per-sample ``<U9`` ids alone are 7.2 MB,
-        so a load that kept them would peak above the bound (15.0 MB, below
-        the 21.0 MB that 1.5x the per-sample ids, x and y once allowed)."""
+        The kept arrays are 6.4 MB here, with x as 1.6 MB of words instead of
+        5.2 MB of bytes, and the per-sample ``<U9`` ids 7.2 MB: a bound of
+        13.6 MB, below the 15.0 MB that 1.5x the arrays with a uint8 x once
+        allowed.  A load that kept the per-sample ids would end above it."""
         path = tmp_path / "big.enc"
         households_dataset(200_000, seed=1).save(path)
         tracemalloc.start()
@@ -408,10 +441,176 @@ class TestStreamedArtifact:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = ds.household_code.nbytes + ds.households.nbytes + ds.x.nbytes + ds.y.nbytes
+        kept = ds.household_code.nbytes + ds.households.nbytes + ds.words.nbytes + ds.y.nbytes
         ids = ds.n_samples * ds.households.itemsize
-        assert kept + ids > 1.5 * kept  # holding the ids as well would fail the bound
-        assert peak < 1.5 * kept, (peak, kept)
+        assert peak < kept + ids, (peak, kept, ids)
+
+    def test_x_is_packed_as_it_is_read(self, tmp_path):
+        """``x.npy`` is packed block by block as it is read: beyond the words
+        it returns, reading 200k rows of d = 26 peaks below a third of the
+        5.2 MB uint8 matrix, which is never whole."""
+        path = tmp_path / "big.enc"
+        ds = households_dataset(200_000, seed=1)
+        ds.save(path)
+        with zipfile.ZipFile(path) as zf:
+            tracemalloc.start()
+            try:
+                words = dataset._read_words(zf, path, ds.n_samples, ds.dictionary.dimension)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(words, ds.words)
+        assert peak - words.nbytes < ds.n_samples * ds.dictionary.dimension // 3, peak
+
+
+@st.composite
+def packed_cases(draw):
+    """A dictionary of d bits whose feature groups never end at bit 64, so
+    that above 64 bits one group straddles the word boundary, and up to 40
+    rows, one-hot or with stray bits."""
+    d = draw(st.sampled_from([1, 26, 63, 64, 65, 100, 300]))
+    cuts = st.sets(st.integers(1, d - 1).filter(lambda c: c != 64), max_size=12)
+    cuts = draw(cuts) if d > 1 else ()
+    edges = [0, *sorted(cuts), d]
+    dictionary = FeatureDictionary(
+        features=tuple(f"F{i}" for i in range(len(edges) - 1)),
+        categories=tuple(tuple(f"c{j}" for j in range(b - a)) for a, b in zip(edges, edges[1:])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    x = random_one_hot(rng, dictionary, n, missing_rate=0.3)
+    if n and draw(st.booleans()):  # a few stray bits, which may make a group two-hot
+        stray = rng.integers(0, n, 3)
+        x[stray, rng.integers(0, d, 3)] = 1
+    return dictionary, x
+
+
+class TestPackedRows:
+    """Covariates are held as packed words; each word path against its uint8 form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=packed_cases())
+    def test_pack_unpack_round_trip(self, case):
+        dictionary, x = case
+        d = dictionary.dimension
+        words = pack_rows(x)
+        assert words.dtype == np.uint64 and words.shape == (x.shape[0], (d + 63) // 64)
+        assert np.array_equal(words, pack_rows_padded_oracle(x))
+        assert np.array_equal(unpack_rows(words, d), x)
+        assert unpack_rows(words, d).dtype == np.uint8
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=packed_cases())
+    def test_one_hot_check_on_words_names_what_the_uint8_check_named(self, case):
+        dictionary, x = case
+        n = x.shape[0]
+        want = one_hot_error_oracle(x, dictionary)
+        ids = [f"h{i}" for i in range(n)]
+        for given_as in ({"x": x}, {"words": pack_rows(x)}):
+            if want is None:
+                ds = EncodedDataset(dictionary, "t", 2017, ids, y=np.ones(n), **given_as)
+                assert np.array_equal(ds.x, x)
+            else:
+                with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+                    EncodedDataset(dictionary, "t", 2017, ids, y=np.ones(n), **given_as)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=packed_cases())
+    def test_enc_save_load_save_is_byte_identical(self, case):
+        dictionary, x = case
+        assume(one_hot_error_oracle(x, dictionary) is None)
+        n = x.shape[0]
+        ids = [f"h{i // 2}" for i in range(n)]
+        ds = make_dataset(dictionary, x, np.arange(n) % 4.0, household_ids=ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again, whole = (Path(tmp) / f"{k}.enc" for k in ("first", "again", "whole"))
+            ds.save(first)
+            back = EncodedDataset.load(first)
+            back.save(again)
+            save_writestr_oracle(ds, whole)  # x.npy as the whole n x d uint8 array
+            assert first.read_bytes() == again.read_bytes() == whole.read_bytes()
+        assert np.array_equal(back.words, ds.words) and np.array_equal(back.x, x)
+
+    @pytest.mark.parametrize(
+        "words, error, match",
+        [
+            (np.zeros((2, 1), dtype=np.int64), DimensionError, "uint64"),
+            (np.zeros((2, 2), dtype=np.uint64), DimensionError, r"\(2, 1\) uint64"),
+            (np.zeros((1, 1), dtype=np.uint64), DimensionError, r"\(2, 1\) uint64"),
+            (np.array([[1], [1 << 4]], dtype=np.uint64), DataError, "zero past bit 4"),
+            (np.array([[1], [1 << 63]], dtype=np.uint64), DataError, "zero past bit 4"),
+            (np.array([[1], [0b11]], dtype=np.uint64), DataError, "x row 1: feature 'A'"),
+        ],
+    )
+    def test_words_are_checked(self, pair_dictionary, words, error, match):
+        with pytest.raises(error, match=match):
+            EncodedDataset(pair_dictionary, "t", 2017, ["a", "b"], y=[1.0, 2.0], words=words)
+
+    @pytest.mark.parametrize("given_as", [{}, {"x": [[1, 0]], "words": [[1]]}])
+    def test_x_or_words_exactly_once(self, single_dictionary, given_as):
+        with pytest.raises(TypeError, match="one of x and words"):
+            EncodedDataset(single_dictionary, "t", 2017, ["a"], y=[1.0], **given_as)
+
+    def test_bit_mask_straddles_words(self):
+        assert bit_mask(60, 70, 100).tolist() == [0b1111 << 60, 0b111111]
+        assert bit_mask(0, 64, 64).tolist() == [2**64 - 1]
+        assert bit_mask(3, 3, 10).tolist() == [0]
+
+    def test_no_hot_path_unpacks_x(self, tmp_path, monkeypatch):
+        """Once loaded, impute, synthesis, describe and attribution work on the
+        words: none of them unpacks x, except that attribution unpacks the
+        rows it evaluates, once."""
+        from surveyfuse import (
+            BucketMeanPredictor, attribute_dataset, augment_candidate, describe,
+            generate_future, impute,
+        )
+        import surveyfuse
+
+        for name, seed, n in [("source", 1, 900), ("candidate", 2, 300)]:
+            ids = random_ids("shuffled", n, np.random.default_rng(seed))
+            ids_dataset(ids, seed=seed).save(tmp_path / f"{name}.enc")
+        source = EncodedDataset.load(tmp_path / "source.enc")
+        candidate = EncodedDataset.load(tmp_path / "candidate.enc").labeled()
+        unpacked = []
+
+        def refuse(words, d):
+            raise AssertionError(f"{words.shape[0]} rows of x unpacked on a hot path")
+
+        def chosen_only(words, d):
+            assert words.shape[0] == 7, words.shape
+            unpacked.append(words.shape[0])
+            return unpack_rows(words, d)
+
+        modules = [m for m in vars(surveyfuse).values() if hasattr(m, "unpack_rows")]
+        assert dataset in modules
+        for module in modules:
+            monkeypatch.setattr(module, "unpack_rows", refuse)
+        impute(source, augment_candidate(source, candidate))
+        generate_future(source, source, candidate)
+        generate_future(source.labeled(), source, candidate, tie_break="random", seed=3)
+        describe(source)
+        predictor = BucketMeanPredictor(candidate)
+        for module in modules:
+            monkeypatch.setattr(module, "unpack_rows", chosen_only)
+        attribute_dataset(source, predictor, sample_limit=7, seed=1)
+        assert unpacked == [7]
+
+    def test_distinct_ids_are_not_counted_again(self, tmp_path, monkeypatch):
+        """``load``, ``subset`` and ``concat_datasets`` hand over ids distinct
+        by construction, which are not counted in a set again; households
+        given by a caller are."""
+        ids = random_ids("shuffled", 600, np.random.default_rng(4))
+        ids_dataset(ids, seed=4).save(tmp_path / "shuffled.enc")
+        counted = []
+        monkeypatch.setattr(dataset, "set", lambda it: counted.append(1) or set(it), raising=False)
+        ds = EncodedDataset.load(tmp_path / "shuffled.enc")
+        concat_datasets([ds.subset(np.arange(599, -1, -2)), ds.labeled()], "both", 2017)
+        assert counted == []
+        EncodedDataset(
+            ds.dictionary, "t", 2017, households=ds.households,
+            household_code=ds.household_code, words=ds.words, y=ds.y,
+        )
+        assert counted == [1]
 
 
 def random_ids(kind: str, n: int, rng) -> np.ndarray:
@@ -703,6 +902,12 @@ class TestLoadChecks:
         rewrite_member(saved, "meta.json", meta_with(saved, **{key: value}))
         self.check(saved, "'meta.json'", match=f"'{key}' must be")
 
+    def test_a_category_named_missing_is_refused(self, saved):
+        categories = [["c", "Missing"], ["i", "j"]]
+        dictionary = {"features": [{"name": f, "categories": c} for f, c in zip("AB", categories)]}
+        rewrite_member(saved, "meta.json", meta_with(saved, dictionary=dictionary))
+        self.check(saved, "'meta.json'", match="'dictionary' must be a feature dictionary: .*'Missing'")
+
     @pytest.mark.parametrize("blob", [b"{not json", b"[]"])
     def test_meta_not_a_json_object(self, saved, blob):
         rewrite_member(saved, "meta.json", blob)
@@ -713,6 +918,28 @@ class TestLoadChecks:
             blob = zf.read("y.npy")
         rewrite_member(saved, "y.npy", blob[:-3])
         self.check(saved, "'y.npy'", match="not a readable array")
+
+    def test_truncated_x_member(self, saved):
+        """``x.npy`` is read in blocks: a member that ends early is refused."""
+        with zipfile.ZipFile(saved) as zf:
+            blob = zf.read("x.npy")
+        rewrite_member(saved, "x.npy", blob[:-3])
+        self.check(saved, "'x.npy'", match="not a readable array")
+
+    @pytest.mark.parametrize("member", ["household_ids.npy", "x.npy", "y.npy"])
+    def test_header_that_does_not_parse(self, saved, member):
+        """A damaged ``.npy`` header that numpy's reader fails to tokenize,
+        as a flipped deflate bit can leave it, is a data error, not a traceback."""
+        with zipfile.ZipFile(saved) as zf:
+            blob = zf.read(member)
+        rewrite_member(saved, member, blob.replace(b"{", b"y", 1))
+        self.check(saved, repr(member), match="not a readable array")
+
+    def test_fortran_ordered_x_member(self, saved):
+        """Rows are packed as they are read, so ``x.npy`` must be in row order."""
+        x = np.asfortranarray(np.array([[1, 0, 0, 1], [0, 1, 0, 0]], dtype=np.uint8))
+        rewrite_member(saved, "x.npy", npy(x))
+        self.check(saved, "'x.npy'", match="C order")
 
     def test_unknown_member_is_ignored(self, saved, tmp_path):
         original = EncodedDataset.load(saved)

@@ -505,6 +505,20 @@ class TestSpecFile:
         assert not out.exists()
 
 
+    def test_a_category_named_missing_is_refused(self, tmp_path, capsys):
+        """An all-zero group reads as the missing label, so a category of that
+        name would share its count: exit 5 naming the spec file, no output."""
+        h, p, d = standard_tables(tmp_path)
+        spec_json = mini_spec().to_json_dict()
+        income = spec_json["features"][0]
+        income["categories"] = ["low", "Missing"]
+        income["surveys"]["mini"]["values"]["H"] = "Missing"
+        rc, out = run_ingest(tmp_path, h, p, d, spec_json)
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'spec.json'}: feature 'Income': category 'Missing'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mutate, named",
         [

@@ -20,7 +20,8 @@ from surveyfuse import (
 )
 from surveyfuse import matching
 from surveyfuse.dataset import household_sums
-from surveyfuse.matching import pack_rows
+from surveyfuse import dataset
+from surveyfuse.dataset import pack_rows, unpack_rows
 from conftest import make_dataset, random_one_hot
 from oracles import (
     bucket_oracle,
@@ -31,6 +32,12 @@ from oracles import (
 )
 
 bitvec = lambda d: arrays(np.uint8, (d,), elements=st.integers(0, 1))
+
+
+def nearest(src, tgt, **kwargs):
+    """``nearest_rows`` of two (n, d) 0/1 matrices, packed here."""
+    src, tgt = np.asarray(src, np.uint8), np.asarray(tgt, np.uint8)
+    return nearest_rows(pack_rows(src), pack_rows(tgt), dimension=src.shape[1], **kwargs)
 
 
 class TestHamming:
@@ -87,7 +94,7 @@ class TestPackRows:
     @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 0)])
     @pytest.mark.parametrize("d", [1, 26, 63, 64, 65, 130])
     def test_chunk_boundaries(self, d, chunks, extra):
-        n = chunks * matching._PACK_ROWS + extra
+        n = chunks * dataset._PACK_ROWS + extra
         x = np.random.default_rng(d * 7 + n).integers(0, 2, (n, d), dtype=np.uint8)
         packed = pack_rows(x)
         assert packed.dtype == np.uint64 and packed.shape == (n, (d + 63) // 64)
@@ -140,7 +147,7 @@ class TestBuildBuckets:
         ds = make_dataset(single_dictionary, [[0, 1], [0, 1], [1, 0]], [0, 2, 1])
         b = build_buckets(ds)
         assert len(b) == 2
-        assert b.x.tolist() == [[0, 1], [1, 0]]  # first-occurrence order
+        assert unpack_rows(b.words, b.dimension).tolist() == [[0, 1], [1, 0]]  # first occurrence
         assert b.member_count.tolist() == [2, 1]
         assert b.y_mean.tolist() == [1.0, 1.0]
 
@@ -169,16 +176,17 @@ class TestBuildBuckets:
         b = build_buckets(ds)
         ox, ocounts, omeans = bucket_oracle(x, y)
         assert b.member_count.sum() == n
-        assert np.array_equal(b.x, ox)
+        bucket_x = unpack_rows(b.words, b.dimension)
+        assert np.array_equal(bucket_x, ox)
         assert b.member_count.tolist() == ocounts.tolist()
         np.testing.assert_allclose(b.y_mean, omeans, atol=1e-12)
         # inverse maps every sample back to a bucket with its own vector
-        assert np.array_equal(b.x[b.inverse], x)
+        assert np.array_equal(bucket_x[b.inverse], x)
 
 
 class TestNearestRows:
     def test_exact_match(self):
-        idx, = nearest_rows(
+        idx, = nearest(
             np.array([[0, 1, 1, 0]], np.uint8),
             np.array([[0, 1, 1, 0], [1, 0, 0, 1]], np.uint8),
         ).target_index
@@ -186,7 +194,7 @@ class TestNearestRows:
 
     def test_tie_breaks_to_smaller_index(self):
         # 0111 is at distance 1/4 from both 0110 and 0101
-        a = nearest_rows(
+        a = nearest(
             np.array([[0, 1, 1, 1]], np.uint8),
             np.array([[0, 1, 1, 0], [0, 1, 0, 1]], np.uint8),
         )
@@ -195,18 +203,28 @@ class TestNearestRows:
 
     def test_empty_targets(self):
         with pytest.raises(MatchError):
-            nearest_rows(np.zeros((1, 4), np.uint8), np.zeros((0, 4), np.uint8))
+            nearest(np.zeros((1, 4), np.uint8), np.zeros((0, 4), np.uint8))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            nearest_rows(np.zeros((1, 4), np.uint8), np.zeros((1, 5), np.uint8))
+            nearest(np.zeros((1, 65), np.uint8), np.zeros((1, 4), np.uint8))
+        with pytest.raises(DimensionError):
+            nearest_rows(pack_rows(np.zeros((1, 4))), pack_rows(np.zeros((1, 65))), dimension=4)
+
+    def test_rows_must_be_words(self):
+        """No uint8 fork: 0/1 rows are refused, not packed here."""
+        rows = np.zeros((1, 4), np.uint8)
+        with pytest.raises(DimensionError, match="uint64 words"):
+            nearest_rows(rows, pack_rows(rows), dimension=4)
+        with pytest.raises(DimensionError, match="uint64 words"):
+            nearest_rows(pack_rows(rows), rows, dimension=4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_equivalence_random(self, seed):
         rng = np.random.default_rng(seed)
         src = rng.integers(0, 2, size=(50, 26), dtype=np.uint8)
         tgt = rng.integers(0, 2, size=(20, 26), dtype=np.uint8)
-        a = nearest_rows(src, tgt)
+        a = nearest(src, tgt)
         oidx, odist = nn_scan_oracle(src, tgt)
         assert np.array_equal(a.target_index, oidx)
         np.testing.assert_allclose(a.distance, odist)
@@ -216,7 +234,7 @@ class TestNearestRows:
         rng = np.random.default_rng(d)
         src = rng.integers(0, 2, size=(40, d), dtype=np.uint8)
         tgt = rng.integers(0, 2, size=(15, d), dtype=np.uint8)
-        a = nearest_rows(src, tgt)
+        a = nearest(src, tgt)
         oidx, odist = nn_scan_oracle(src, tgt)
         assert np.array_equal(a.target_index, oidx)
         np.testing.assert_allclose(a.distance, odist)
@@ -227,11 +245,11 @@ class TestNearestRows:
         src = rng.integers(0, 2, size=(300, d), dtype=np.uint8)
         tgt = rng.integers(0, 2, size=(40, d), dtype=np.uint8)
         kw = [dict(tie_break="index"), dict(tie_break="random", seed=3)]
-        default = [nearest_rows(src, tgt, **k) for k in kw]
+        default = [nearest(src, tgt, **k) for k in kw]
         monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)  # one row per block
         assert matching._block_rows(pack_rows(tgt)) == 1
         for k, base in zip(kw, default):
-            a = nearest_rows(src, tgt, **k)
+            a = nearest(src, tgt, **k)
             assert np.array_equal(a.target_index, base.target_index)
             assert np.array_equal(a.distance, base.distance)
 
@@ -248,32 +266,32 @@ class TestNearestRows:
         src = rng.integers(0, 2, size=(80, 8), dtype=np.uint8)
         tgt = rng.integers(0, 2, size=(12, 8), dtype=np.uint8)
         tgt = np.vstack([tgt, tgt[[0, 3, 3, 7]]])  # duplicate target rows tie exactly
-        a = nearest_rows(src, tgt, tie_break="random", seed=seed)
+        a = nearest(src, tgt, tie_break="random", seed=seed)
         assert np.array_equal(a.target_index, nn_random_tie_oracle(src, tgt, seed))
 
     def test_random_tie_break_reproducible_and_valid(self):
         rng = np.random.default_rng(5)
         src = rng.integers(0, 2, size=(40, 8), dtype=np.uint8)
         tgt = rng.integers(0, 2, size=(10, 8), dtype=np.uint8)
-        a = nearest_rows(src, tgt, tie_break="random", seed=42)
-        b = nearest_rows(src, tgt, tie_break="random", seed=42)
+        a = nearest(src, tgt, tie_break="random", seed=42)
+        b = nearest(src, tgt, tie_break="random", seed=42)
         assert np.array_equal(a.target_index, b.target_index)
         # still optimal: same distances as the index rule
-        base = nearest_rows(src, tgt)
+        base = nearest(src, tgt)
         np.testing.assert_allclose(a.distance, base.distance)
         # d=8 with 10 targets has plenty of ties; some seed disagreement expected
-        c = nearest_rows(src, tgt, tie_break="random", seed=43)
+        c = nearest(src, tgt, tie_break="random", seed=43)
         assert not np.array_equal(a.target_index, c.target_index)
 
     def test_random_tie_break_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
-            nearest_rows(np.zeros((1, 4), np.uint8), np.ones((1, 4), np.uint8),
-                         tie_break="random")
+            nearest(np.zeros((1, 4), np.uint8), np.ones((1, 4), np.uint8),
+                    tie_break="random")
 
     def test_duplicate_queries_share_assignment(self):
         src = np.array([[0, 1, 1, 0]] * 3 + [[1, 1, 1, 1]], np.uint8)
         tgt = np.array([[0, 1, 1, 0], [1, 1, 1, 1]], np.uint8)
-        a = nearest_rows(src, tgt)
+        a = nearest(src, tgt)
         assert a.target_index.tolist() == [0, 0, 0, 1]
 
 
@@ -300,12 +318,12 @@ class TestDuplicateTargets:
         if one_row_blocks:
             monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
             assert matching._block_rows(pack_rows(tgt[:10])) == 1
-        a = nearest_rows(src, tgt)
+        a = nearest(src, tgt)
         oidx, odist = nn_scan_oracle(src, tgt)
         assert np.array_equal(a.target_index, oidx)
         assert np.array_equal(a.distance, odist)
         assert a.n_unique_target == 10
-        r = nearest_rows(src, tgt, tie_break="random", seed=d)
+        r = nearest(src, tgt, tie_break="random", seed=d)
         assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, d))
         assert np.array_equal(r.distance, odist)
         assert not np.array_equal(r.target_index, a.target_index)
@@ -326,7 +344,7 @@ class TestDuplicateTargets:
             return block_counts(block, t_packed)
 
         monkeypatch.setattr(matching, "_block_counts", counted)
-        a = nearest_rows(src, tgt, tie_break=tie_break, seed=1)
+        a = nearest(src, tgt, tie_break=tie_break, seed=1)
         scanned = a.n_unique_query - a.n_exact_query - a.n_near_query  # the joins answer the rest
         assert 0 < a.n_exact_query < a.n_unique_query
         assert len(heights) == -(-scanned // rows)
@@ -347,7 +365,7 @@ class TestDuplicateTargets:
     def test_reports_unique_counts(self):
         src = np.array([[0, 1, 1, 0]] * 3 + [[1, 1, 1, 1]], np.uint8)
         tgt = np.array([[1, 1, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1], [0, 1, 1, 0]], np.uint8)
-        a = nearest_rows(src, tgt)
+        a = nearest(src, tgt)
         assert a.target_index.tolist() == [1, 1, 1, 0]
         assert (a.n_unique_query, a.n_unique_target, a.n_exact_query) == (2, 2, 2)
         assert a.distance_histogram.tolist() == [4, 0, 0, 0, 0]
@@ -368,8 +386,8 @@ class TestDuplicateTargets:
             raise AssertionError("np.unique called")
 
         monkeypatch.setattr(np, "unique", no_unique)
-        a = nearest_rows(src, tgt)
-        r = nearest_rows(src, tgt, tie_break="random", seed=3)
+        a = nearest(src, tgt)
+        r = nearest(src, tgt, tie_break="random", seed=3)
         monkeypatch.undo()
         assert np.array_equal(a.target_index, oidx) and np.array_equal(a.distance, odist)
         assert np.array_equal(r.target_index, rand)
@@ -411,7 +429,7 @@ class TestExactJoin:
         src, tgt, n_exact = join_instance(d, mode, 31 * d + variant)
         if one_row_blocks:
             monkeypatch.setattr(matching, "_SCAN_BUFFER_BYTES", 1)
-        a = nearest_rows(src, tgt)
+        a = nearest(src, tgt)
         oidx, odist = nn_scan_oracle(src, tgt)
         assert np.array_equal(a.target_index, oidx)
         assert np.array_equal(a.distance, odist)
@@ -424,7 +442,7 @@ class TestExactJoin:
             assert 0 < n_exact < a.n_unique_query
         assert a.distance_histogram.sum() == len(src)
         assert a.distance_histogram[0] == np.count_nonzero(odist == 0.0)
-        r = nearest_rows(src, tgt, tie_break="random", seed=d)
+        r = nearest(src, tgt, tie_break="random", seed=d)
         assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, d))
         assert np.array_equal(r.distance, odist)
 
@@ -442,7 +460,7 @@ class TestExactJoin:
         tgt = tgt[rng.permutation(len(tgt))]
         src = np.vstack([tgt[rng.integers(0, len(tgt), 20)],
                          rng.integers(0, 2, size=(5, d), dtype=np.uint8)])
-        r = nearest_rows(src, tgt, tie_break="random", seed=seed)
+        r = nearest(src, tgt, tie_break="random", seed=seed)
         assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, seed))
         assert (tgt[r.target_index[:20]] == src[:20]).all()
         assert r.n_exact_query >= 1
@@ -494,11 +512,11 @@ def near_instance(d, mode, seed):
 
 def check_near_join(src, tgt, seed):
     """Both tie rules against the unpacked oracles, and the join's query count."""
-    a = nearest_rows(src, tgt)
+    a = nearest(src, tgt)
     oidx, odist = nn_scan_oracle(src, tgt)
     assert np.array_equal(a.target_index, oidx)
     assert np.array_equal(a.distance, odist)
-    r = nearest_rows(src, tgt, tie_break="random", seed=seed)
+    r = nearest(src, tgt, tie_break="random", seed=seed)
     assert np.array_equal(r.target_index, nn_random_tie_oracle(src, tgt, seed))
     assert np.array_equal(r.distance, odist)
     d = src.shape[1]
@@ -553,10 +571,10 @@ class TestNearJoin:
         def no_scan(*_, **__):
             raise AssertionError("_block_counts called")
 
-        expected = nearest_rows(src, tgt, tie_break=tie_break, seed=2)
+        expected = nearest(src, tgt, tie_break=tie_break, seed=2)
         oidx, _ = nn_scan_oracle(src, tgt)
         monkeypatch.setattr(matching, "_block_counts", no_scan)
-        a = nearest_rows(src, tgt, tie_break=tie_break, seed=2)
+        a = nearest(src, tgt, tie_break=tie_break, seed=2)
         assert a.n_near_query == a.n_unique_query - a.n_exact_query > 0
         assert np.array_equal(a.target_index, expected.target_index)
         if tie_break == "index":
@@ -598,12 +616,13 @@ class TestNearestNeighborBuckets:
             np.full(100, np.nan),
         )
         buckets = build_buckets(cand)
-        a = nearest_rows(src.x, buckets.x)
+        a = nearest_rows(src.words, buckets.words, dimension=buckets.dimension)
+        bucket_x = unpack_rows(buckets.words, buckets.dimension)
         assert a.n == 100  # total assignment
         for i in range(100):
-            got = hamming(src.x[i], buckets.x[a.target_index[i]])
+            got = hamming(src.x[i], bucket_x[a.target_index[i]])
             assert got == a.distance[i]
-            best = min(hamming(src.x[i], bx) for bx in buckets.x)
+            best = min(hamming(src.x[i], bx) for bx in bucket_x)
             assert a.distance[i] == best
 
 

@@ -77,6 +77,14 @@ class TestBuildDictionary:
         with pytest.raises(SchemaError, match="duplicate categories"):
             build_dictionary(HarmonizationSpec(features=(bad_feature,), target=spec.target))
 
+    def test_category_named_like_the_missing_label_rejected(self):
+        with pytest.raises(SchemaError, match="^feature 'F': category 'Missing' is reserved"):
+            FeatureDictionary(features=("F",), categories=(("a", "Missing"),))
+        spec = two_feature_spec()
+        bad_feature = FeatureSpec(name="Z", categories=("q", "Missing"), surveys={})
+        with pytest.raises(SchemaError, match="^feature 'Z': category 'Missing' is reserved"):
+            HarmonizationSpec(features=(bad_feature,), target=spec.target).validate()
+
     def test_single_category_rejected(self):
         spec = two_feature_spec()
         bad_feature = FeatureSpec(name="Z", categories=("only",), surveys={})

@@ -9,6 +9,7 @@ from surveyfuse import (
     nested_match,
     synthesize,
 )
+from surveyfuse.dataset import unpack_rows
 from conftest import make_dataset, random_one_hot
 from oracles import nn_random_tie_oracle, nn_scan_oracle
 
@@ -54,7 +55,7 @@ class TestNestedMatch:
         )
         graph = nested_match(source2, source1, candidate)
         buckets = build_buckets(candidate)
-        mu1_idx, _ = nn_scan_oracle(source1.x, buckets.x)
+        mu1_idx, _ = nn_scan_oracle(source1.x, unpack_rows(buckets.words, buckets.dimension))
         mu2_idx, _ = nn_scan_oracle(source2.x, source1.x)
         assert np.array_equal(graph.mu1.target_index, mu1_idx)
         assert np.array_equal(graph.mu2.target_index, mu2_idx)
@@ -141,7 +142,7 @@ class TestSynthesize:
         assert out.n_entries == len(buckets)
         np.testing.assert_allclose(np.sort(out.y), np.sort(buckets.y_mean), atol=1e-9)
         # entry vectors carry their bucket's covariates
-        assert np.array_equal(out.x, buckets.x[out.bucket_index])
+        assert np.array_equal(out.words, buckets.words[out.bucket_index])
 
     def test_duplicate_vectors_divide_by_matched_count(self, single_dictionary):
         # identical triple with a duplicated vector: every donor matches the
@@ -261,7 +262,7 @@ class TestSynthesize:
         out = generate_future(mk(12), mk(10), mk(14))
         ds = out.to_encoded_dataset("synthetic-2021", 2021)
         assert ds.n_samples == out.n_entries
-        assert np.array_equal(ds.x, out.x)
+        assert np.array_equal(ds.words, out.words)
         np.testing.assert_allclose(ds.y, out.y)
         path = tmp_path / "synth.enc"
         ds.save(path)
