@@ -3,8 +3,9 @@ spike, attribute, gen.
 
 Every file a run writes goes through one ``_Outputs`` writer: each
 subcommand first checks that every output path it will write (and the
-manifest's) can be staged, before it loads any input; each output is
-staged in a temp file next to it, a machine-readable manifest (resolved
+manifest's) can be staged and that no two of them resolve to one file,
+before it loads any input; each output is staged in a temp file next to
+it, a machine-readable manifest (resolved
 parameters, input hashes, each input dataset's sample and household
 counts, seed, wall-clock duration, peak RSS, and per match its workload
 shape and distance histogram) is staged last next to
@@ -19,9 +20,10 @@ Stochastic subcommands refuse to run without an explicit ``--seed``.
 The CLI sets ``OPENBLAS_NUM_THREADS=1`` before it imports numpy unless the
 caller has set it: surveyfuse calls no BLAS routine, so a BLAS thread pool
 would only spin; ``--threads`` is accepted for compatibility and changes nothing.
-Exit codes: 0 success, 2 usage error, 3 missing input file or output
-directory, 4 feature-dictionary mismatch, 5 schema/mapping/data error,
-1 unexpected.
+Exit codes: 0 success, 2 usage error (also two outputs of one run that
+name one file, or a directory where a file belongs), 3 missing input file
+or output directory, 4 feature-dictionary mismatch, 5 schema/mapping/data
+error, 1 unexpected.
 """
 
 from __future__ import annotations
@@ -106,11 +108,19 @@ def _manifest_path(first_output: Path) -> Path:
     return Path(str(first_output) + ".manifest.json")
 
 
-def _check_output(path: Path) -> None:
+class UsageError(Exception):
+    """Arguments that parse but cannot run together (exit 2)."""
+
+
+def _check_output(path: Path, taken: list[Path]) -> None:
+    """Refuse an output path that cannot be staged, or that resolves to one
+    of the ``taken`` paths: the later rename would replace the earlier file."""
     if path.is_dir():  # the rename onto it would fail after other outputs landed
         raise IsADirectoryError(f"output path is a directory: {path}")
     if not path.parent.is_dir():
         raise FileNotFoundError(f"output directory not found for {path}")
+    if path.resolve() in [p.resolve() for p in taken]:
+        raise UsageError(f"output path named twice: {path}")
 
 
 class _Outputs:
@@ -150,12 +160,13 @@ class _Outputs:
         """Check, before any work, every output the run will write, in staging
         order (``None`` for an unset optional one), and the manifest's path."""
         paths = [Path(p) for p in paths if p is not None]
-        for path in paths + [_manifest_path(p) for p in paths[:1]]:
-            _check_output(path)
+        paths += [_manifest_path(p) for p in paths[:1]]
+        for i, path in enumerate(paths):
+            _check_output(path, paths[:i])
 
     def _stage(self, path: str | Path) -> Path:
         path = Path(path)
-        _check_output(path)
+        _check_output(path, [output for _, output in self._staged])
         tmp = path.parent / f".tmp-{path.name}-{secrets.token_hex(8)}"
         os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         self._staged.append((tmp, path))
@@ -606,7 +617,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic survey with planted truth")
     p.add_argument("--model", help="population model JSON (default: built-in demo model)")
-    p.add_argument("--households", type=int, required=True)
+    p.add_argument("--households", type=_count(1), required=True)
     p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--survey-id", default="synthetic")
     p.add_argument("--year", type=int, default=2017)
@@ -681,6 +692,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    except (UsageError, IsADirectoryError) as exc:  # a directory where a file belongs
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DictionaryMismatchError as exc:
         print(f"error: dictionary mismatch: {exc}", file=sys.stderr)
         return EXIT_DICTIONARY_MISMATCH

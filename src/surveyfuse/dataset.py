@@ -13,9 +13,9 @@ loudly instead of silently matching incompatible coordinates.  Writes are
 byte-deterministic: fixed zip timestamps, fixed member order.
 
 Members are streamed in both directions: ``save`` deflates each array
-from its own buffer in slices, after its ``.npy`` header, and ``load``
-reads each member through numpy in small blocks, so neither holds a
-whole member as one ``bytes`` object.  Household ids are coded in
+after its ``.npy`` header in slices (``_write_array``), and ``load`` reads
+each array's header, checks it, and only then allocates the array and
+reads its rows in small blocks (``_read_array``).  Household ids are coded in
 memory (distinct ids plus an int32 code per sample, see
 :class:`EncodedDataset`): ``load`` codes ``household_ids.npy`` before it
 reads ``x.npy``, and ``save`` gathers each block of the per-sample ids
@@ -23,11 +23,11 @@ from the codes, so the file holds the same ``.npy`` member as ever.
 Likewise ``load`` packs ``x.npy`` block by block as it reads it, and
 ``save`` unpacks the words block by block, so the whole uint8 matrix
 never exists in either direction.
-``load`` checks each member where it enters: present, of its expected
-dimensions and dtype before any conversion, and as long as
-``meta.json``'s ``n_samples``.  Each key that ``meta.json`` must hold is
-checked for presence and JSON type, and a damaged container is a
-``FusionError``.
+``load`` checks each member where it enters: present, with a header of
+its expected dimensions and dtype, ``meta.json``'s ``n_samples`` rows and
+the data bytes the zip directory gives it.  Each key that ``meta.json``
+must hold is checked for presence and JSON type, and a damaged container
+is a ``FusionError``.
 """
 
 from __future__ import annotations
@@ -482,11 +482,9 @@ class EncodedDataset:
                 # the ids are coded as soon as they are read, and x is packed
                 # as it is read
                 n = meta.get("n_samples")
-                households, code = _code_ids(_read_npy(zf, path, "household_ids.npy"))
-                _check_rows(path, n, "household_ids.npy", code.shape[0])
-                words = _read_words(zf, path, n, dictionary.dimension)
-                y = _read_npy(zf, path, "y.npy")
-                _check_rows(path, n, "y.npy", y.shape[0])
+                households, code = _code_ids(_read_array(zf, path, "household_ids.npy", n))
+                words = _read_array(zf, path, "x.npy", n, dictionary.dimension)
+                y = _read_array(zf, path, "y.npy", n)
         except FileNotFoundError:  # a missing path stays what it is
             raise
         except _ZIP_ERRORS as exc:
@@ -515,6 +513,9 @@ _ZIP_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, Ru
 _NPY_ERRORS = (ValueError, EOFError, zlib.error, tokenize.TokenError)
 
 _WRITE_BYTES = 1 << 20  # array bytes handed to the compressor per write
+# array bytes per read: a zip member's read(k) makes copies k long, and
+# below glibc's 128 KiB mmap threshold each block reuses the heap
+_READ_BYTES = 1 << 16
 
 # array member -> (dimensions, dtype kind, item size or None for any, as named in errors)
 _ARRAY_MEMBERS = {
@@ -567,9 +568,10 @@ def _open_member(zf: zipfile.ZipFile, path: str | Path, name: str):
 
 
 def _check_array(path: str | Path, name: str, ndim: int, dtype: np.dtype) -> None:
-    """A ``DataError`` unless an array member has its expected dimensions and dtype."""
+    """A ``DataError`` unless an array member has its expected dimensions and
+    dtype, whose items are not empty."""
     want_ndim, kind, itemsize, expected = _ARRAY_MEMBERS[name]
-    if ndim != want_ndim or dtype.kind != kind or itemsize not in (None, dtype.itemsize):
+    if ndim != want_ndim or dtype.kind != kind or dtype.itemsize != (itemsize or dtype.itemsize or 1):
         raise DataError(
             f"{path}: member {name!r} must be a {want_ndim}-D {expected} array, "
             f"got a {ndim}-D {dtype} array"
@@ -584,22 +586,11 @@ def _check_rows(path: str | Path, n, name: str, rows: int) -> None:
         )
 
 
-def _read_npy(zf: zipfile.ZipFile, path: str | Path, name: str) -> np.ndarray:
-    """One array member, read in blocks and checked before any conversion."""
-    with _open_member(zf, path, name) as fh:
-        try:
-            arr = np.lib.format.read_array(fh, allow_pickle=False)
-        except _NPY_ERRORS as exc:
-            raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
-    _check_array(path, name, arr.ndim, arr.dtype)
-    return arr
-
-
-def _read_words(zf: zipfile.ZipFile, path: str | Path, n: int, d: int) -> np.ndarray:
-    """``x.npy`` packed into words as it is read, ``_PACK_ROWS`` rows at a
-    time: its header is checked before the first block, and each block's
-    values before they are packed."""
-    name = "x.npy"
+def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | None = None):
+    """``_write_array`` undone: one array member of ``meta.json``'s ``n`` rows,
+    ``x.npy`` (d given) packed into words.  Its header is checked before
+    anything is allocated, against the member's size in the zip directory
+    too; its rows are then read ``_READ_BYTES`` at a time."""
     with _open_member(zf, path, name) as fh:
         try:
             version = np.lib.format.read_magic(fh)
@@ -608,23 +599,29 @@ def _read_words(zf: zipfile.ZipFile, path: str | Path, n: int, d: int) -> np.nda
             shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
             _check_array(path, name, len(shape), dtype)
             _check_rows(path, n, name, shape[0])
-            if shape[1] != d:
+            if d is not None and shape[1] != d:
                 raise DimensionError(f"x has shape {shape}, expected ({n}, {d})")
-            if fortran_order:
+            if fortran_order and len(shape) > 1:
                 raise DataError(f"{path}: member {name!r} must be stored in C order")
-            words = np.empty((n, (d + 63) // 64), dtype=np.uint64)
-            for s in range(0, n, _PACK_ROWS):
-                e = min(s + _PACK_ROWS, n)
-                block = fh.read((e - s) * d)
-                if len(block) != (e - s) * d:
-                    raise ValueError(f"EOF: expected {n * d} bytes of array data")
-                bits = np.frombuffer(block, dtype=np.uint8).reshape(e - s, d)
-                if bits.max(initial=0) > 1:
+            row_bytes = dtype.itemsize * math.prod(shape[1:])
+            held = zf.getinfo(name).file_size - fh.tell()
+            if n * row_bytes != held:
+                raise ValueError(f"header claims {n * row_bytes} bytes of data, member holds {held}")
+            out = np.empty(shape, dtype) if d is None else np.empty((n, (d + 63) // 64), np.uint64)
+            block = max(1, _READ_BYTES // max(1, row_bytes))
+            for s in range(0, n, block):
+                e = min(s + block, n)
+                # a short read, where the zip directory lies, does not reshape
+                rows = np.frombuffer(fh.read((e - s) * row_bytes), dtype).reshape(e - s, *shape[1:])
+                if d is None:
+                    out[s:e] = rows
+                elif rows.max(initial=0) > 1:
                     raise DataError(f"{path}: member {name!r}: x values must be 0 or 1")
-                pack_rows(bits, out=words[s:e])
+                else:
+                    pack_rows(rows, out=out[s:e])
         except _NPY_ERRORS as exc:
             raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
-    return words
+    return out
 
 
 def require_same_dictionary(*datasets: EncodedDataset) -> None:

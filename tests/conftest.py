@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,16 @@ def random_one_hot(rng, dictionary, n, missing_rate=0.1):
         rows = np.flatnonzero(present)
         x[rows, sl.start + idx[rows]] = 1
     return x
+
+
+def npy_claiming(blob: bytes, rows: int, descr: str | None = None) -> bytes:
+    """An ``.npy`` member's data under a header that claims ``rows`` rows
+    (and, given ``descr``, that dtype)."""
+    fh = io.BytesIO(blob)
+    np.lib.format.read_magic(fh)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    head = io.BytesIO()
+    fields = {"descr": descr or np.lib.format.dtype_to_descr(dtype),
+              "fortran_order": fortran_order, "shape": (rows, *shape[1:])}
+    np.lib.format.write_array_header_1_0(head, fields)
+    return head.getvalue() + blob[fh.tell():]

@@ -19,6 +19,8 @@ from surveyfuse.cli import (
     EXIT_DICTIONARY_MISMATCH,
     EXIT_MISSING_INPUT,
     EXIT_OK,
+    EXIT_USAGE,
+    UsageError,
     _load_totals_csv,
     _manifest_path,
     _Outputs,
@@ -47,6 +49,10 @@ def read_totals(path) -> dict[str, float]:
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     return {r["household_id"]: float(r["y_total"]) for r in rows}
+
+
+def not_reached(*_, **__):
+    raise AssertionError("work started before the output paths were checked")
 
 
 class TestGen:
@@ -860,10 +866,6 @@ class TestAllOrNothing:
         self, generated, tmp_path, capsys, monkeypatch, case
     ):
         full, missing = generated
-
-        def not_reached(*_, **__):
-            raise AssertionError("work started before the output paths were checked")
-
         monkeypatch.setattr(matching, "nearest_rows", not_reached)
         monkeypatch.setattr(synthesis, "nearest_rows", not_reached)
         monkeypatch.setattr(EncodedDataset, "load", not_reached)
@@ -887,6 +889,102 @@ class TestAllOrNothing:
         rc = run("gen", "--households", 20, "--seed", 1,
                  "--out-full", tmp_path / "f.enc", "--out-missing", m)
         self.assert_failed_cleanly(rc, capsys, tmp_path, [], m)
+
+
+class TestUsableOutputs:
+    """Outputs that cannot all land are a usage error (exit 2), found before
+    any input is loaded: two that resolve to one file, the manifest's path
+    among them, and one that is a directory."""
+
+    @pytest.fixture
+    def totals(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("household_id,y_total\nh1,1\nh2,2\n")
+        return path
+
+    @pytest.mark.parametrize("case", [
+        "impute", "impute-manifest", "impute-spelling",
+        "gen", "evaluate",
+    ])
+    def test_an_output_named_twice(self, generated, totals, tmp_path, capsys, monkeypatch, case):
+        full, missing = generated
+        monkeypatch.setattr(EncodedDataset, "load", not_reached)
+        monkeypatch.setattr(cli, "_load_totals_csv", not_reached)
+        impute = ["impute", "--source", missing, "--candidate", full]
+        a = tmp_path / "a.csv"
+        argv, named = {
+            "impute": (impute + ["--out", a, "--out-households", a], a),
+            "impute-manifest": (
+                impute + ["--out", a, "--out-households", tmp_path / "a.csv.manifest.json"],
+                tmp_path / "a.csv.manifest.json",
+            ),
+            "impute-spelling": (
+                impute + ["--out", a, "--out-households", tmp_path / "sub" / ".." / "a.csv"],
+                tmp_path / "sub" / ".." / "a.csv",
+            ),
+            "gen": (["gen", "--households", 5, "--seed", 1, "--out-full", tmp_path / "g.enc",
+                     "--out-missing", tmp_path / "g.enc"], tmp_path / "g.enc"),
+            "evaluate": (["evaluate", "--imputed", totals, "--truth", totals, "--seed", 1,
+                          "--out", tmp_path / "r", "--sorted-csv", tmp_path / "r"],
+                         tmp_path / "r"),
+        }[case]
+        (tmp_path / "sub").mkdir()
+        before = sorted(tmp_path.iterdir())
+        assert run(*argv) == EXIT_USAGE
+        assert sorted(tmp_path.iterdir()) == before
+        assert capsys.readouterr().err == f"error: output path named twice: {named}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["describe", "--data", "{full}", "--out", "{dir}"],
+        ["impute", "--source", "{missing}", "--candidate", "{full}", "--out", "{dir}"],
+        ["impute", "--source", "{missing}", "--candidate", "{full}", "--out", "{tmp}/i.csv",
+         "--out-households", "{dir}"],
+    ])
+    def test_an_output_that_is_a_directory(self, generated, tmp_path, capsys, monkeypatch, argv):
+        full, missing = generated
+        monkeypatch.setattr(EncodedDataset, "load", not_reached)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        before = sorted(tmp_path.iterdir())
+        argv = [a.format(full=full, missing=missing, dir=taken, tmp=tmp_path) for a in argv]
+        assert run(*argv) == EXIT_USAGE
+        assert sorted(tmp_path.iterdir()) == before
+        assert capsys.readouterr().err == f"error: output path is a directory: {taken}\n"
+
+    def test_a_totals_input_that_is_a_directory(self, totals, tmp_path, capsys):
+        rc = run("evaluate", "--imputed", tmp_path, "--truth", totals, "--seed", 1,
+                 "--out", tmp_path / "r.json")
+        assert rc == EXIT_USAGE
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_stage_refuses_a_path_it_has_staged(self, tmp_path):
+        with pytest.raises(UsageError, match="named twice"):
+            with outputs() as staged:
+                staged.json(tmp_path / "r.json", {})
+                staged.json(tmp_path / "r.json", {"again": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("households", ["0", "-3", "2.5"])
+    def test_gen_households_must_be_positive(self, tmp_path, capsys, households):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--households", households, "--seed", 1,
+                "--out-full", tmp_path / "f.enc", "--out-missing", tmp_path / "m.enc")
+        assert exc.value.code == EXIT_USAGE
+        assert "--households: expected a positive integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_households_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"households": 0}))
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--config", cfg, "--seed", 1,
+                "--out-full", tmp_path / "f.enc", "--out-missing", tmp_path / "m.enc")
+        assert exc.value.code == EXIT_USAGE
+        cfg.write_text(json.dumps({"households": 30}))
+        assert run("gen", "--config", cfg, "--seed", 1,
+                   "--out-full", tmp_path / "f.enc", "--out-missing", tmp_path / "m.enc") == EXIT_OK
+        assert EncodedDataset.load(tmp_path / "f.enc").n_households() == 30
 
 
 class TestClosedStdout:

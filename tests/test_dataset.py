@@ -25,7 +25,7 @@ from surveyfuse.cli import EXIT_DATA, main
 from surveyfuse.dataset import (
     bit_mask, first_occurrence, household_index, pack_rows, unpack_rows,
 )
-from conftest import make_dataset, random_one_hot
+from conftest import make_dataset, npy_claiming, random_one_hot
 from oracles import (
     first_occurrence_unique_oracle,
     household_sum_oracle,
@@ -423,6 +423,16 @@ class TestStreamedArtifact:
             ds.save(tmp_path / f"{size}.enc")
             assert (tmp_path / f"{size}.enc").read_bytes() == (tmp_path / "whole.enc").read_bytes()
 
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    def test_read_size_does_not_change_the_dataset(self, tmp_path, monkeypatch, size):
+        """Rows are read in blocks of ``_READ_BYTES``: any block size gives
+        back the same dataset, saved to the same bytes."""
+        ds = households_dataset(3000, seed=5)
+        ds.save(tmp_path / "a.enc")
+        monkeypatch.setattr(dataset, "_READ_BYTES", size)
+        EncodedDataset.load(tmp_path / "a.enc").save(tmp_path / "b.enc")
+        assert (tmp_path / "a.enc").read_bytes() == (tmp_path / "b.enc").read_bytes()
+
     def test_load_memory_follows_the_arrays(self, tmp_path):
         """Members are read in blocks, not as whole ``bytes`` objects, and the
         ids are coded before x and y are read: loading 200k rows peaks below
@@ -446,16 +456,16 @@ class TestStreamedArtifact:
         assert peak < kept + ids, (peak, kept, ids)
 
     def test_x_is_packed_as_it_is_read(self, tmp_path):
-        """``x.npy`` is packed block by block as it is read: beyond the words
-        it returns, reading 200k rows of d = 26 peaks below a third of the
-        5.2 MB uint8 matrix, which is never whole."""
+        """``x.npy`` is packed block by block as ``_read_array`` reads it:
+        beyond the words it returns, reading 200k rows of d = 26 peaks below
+        a third of the 5.2 MB uint8 matrix, which is never whole."""
         path = tmp_path / "big.enc"
         ds = households_dataset(200_000, seed=1)
         ds.save(path)
         with zipfile.ZipFile(path) as zf:
             tracemalloc.start()
             try:
-                words = dataset._read_words(zf, path, ds.n_samples, ds.dictionary.dimension)
+                words = dataset._read_array(zf, path, "x.npy", ds.n_samples, ds.dictionary.dimension)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -800,6 +810,11 @@ def npy(arr) -> bytes:
     return buf.getvalue()
 
 
+def read_member(path, name: str) -> bytes:
+    with zipfile.ZipFile(path) as zf:
+        return zf.read(name)
+
+
 def meta_with(path, **changes) -> bytes:
     with zipfile.ZipFile(path) as zf:
         meta = json.loads(zf.read("meta.json"))
@@ -812,6 +827,17 @@ def meta_without(path, key: str) -> bytes:
         meta = json.loads(zf.read("meta.json"))
     del meta[key]
     return json.dumps(meta).encode()
+
+
+def refused_load_peak(path) -> int:
+    """The ``tracemalloc`` peak of a load that raises ``DataError``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            EncodedDataset.load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLoadChecks:
@@ -934,6 +960,38 @@ class TestLoadChecks:
             blob = zf.read(member)
         rewrite_member(saved, member, blob.replace(b"{", b"y", 1))
         self.check(saved, repr(member), match="not a readable array")
+
+    @pytest.mark.parametrize("member", ["household_ids.npy", "y.npy"])
+    def test_header_claiming_rows_beyond_meta(self, saved, member):
+        """A header is checked before its rows are allocated: 10^13 rows
+        (255 TiB of ids) are a data error naming the member, not a
+        ``MemoryError``, and the refused load allocates under 1 MB."""
+        rewrite_member(saved, member, npy_claiming(read_member(saved, member), 10**13))
+        assert refused_load_peak(saved) < 1 << 20
+        self.check(saved, repr(member), match="has 10000000000000 rows")
+
+    def test_meta_and_every_header_claiming_the_same_rows(self, saved):
+        """When ``meta.json`` and all three headers claim 10^13 rows, the
+        first member's size in the zip directory gives the claim away."""
+        for member in ("household_ids.npy", "x.npy", "y.npy"):
+            rewrite_member(saved, member, npy_claiming(read_member(saved, member), 10**13))
+        rewrite_member(saved, "meta.json", meta_with(saved, n_samples=10**13))
+        assert refused_load_peak(saved) < 1 << 20
+        self.check(saved, "'household_ids.npy'", match="not a readable array: header claims")
+
+    @pytest.mark.parametrize("member", ["household_ids.npy", "x.npy", "y.npy"])
+    def test_bytes_after_the_data(self, saved, member):
+        """A member longer than its header's rows is refused, not read in part."""
+        rewrite_member(saved, member, read_member(saved, member) + bytes(8))
+        self.check(saved, repr(member), match="header claims .* bytes of data, member holds")
+
+    def test_empty_ids_dtype(self, saved):
+        """Ids of zero-width strings (``<U0``) are refused by their header:
+        numpy would allocate them as ``<U1``, beyond the member's size."""
+        blob = npy_claiming(npy(np.array([], dtype="<U1")), 10**13, "<U0")  # 0 data bytes
+        rewrite_member(saved, "household_ids.npy", blob)
+        rewrite_member(saved, "meta.json", meta_with(saved, n_samples=10**13))
+        self.check(saved, "'household_ids.npy'", match="1-D unicode")
 
     def test_fortran_ordered_x_member(self, saved):
         """Rows are packed as they are read, so ``x.npy`` must be in row order."""

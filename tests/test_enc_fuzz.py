@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from surveyfuse import EncodedDataset, FusionError
 from surveyfuse.cli import EXIT_DATA, EXIT_DICTIONARY_MISMATCH, EXIT_MISSING_INPUT, main
+from conftest import npy_claiming
 
 MEMBERS = ["meta.json", "household_ids.npy", "x.npy", "y.npy"]
 REFUSED = {EXIT_MISSING_INPUT, EXIT_DICTIONARY_MISMATCH, EXIT_DATA}
@@ -78,7 +79,7 @@ IDS_REWRITES = {
 def mutations(draw, valid):
     """``(description, damaged file bytes, may the damage be invisible)``."""
     blob, members, spans, _ = valid
-    kind = draw(st.sampled_from(["drop", "ids", "truncate", "flip", "meta key"]))
+    kind = draw(st.sampled_from(["drop", "ids", "truncate", "flip", "rows", "meta key"]))
     members = dict(members)
     if kind == "drop":
         name = draw(st.sampled_from(MEMBERS))
@@ -102,6 +103,17 @@ def mutations(draw, valid):
         damaged[pos] ^= 1 << bit
         # a deflate bit the decoder ignores leaves the data, and its CRC, intact
         return f"bit {bit} of byte {pos} ({name}) flipped", bytes(damaged), True
+    if kind == "rows":
+        # a header that claims another row count, and maybe meta.json with it
+        name = draw(st.sampled_from(MEMBERS[1:]))
+        meta = json.loads(members["meta.json"])
+        n = meta["n_samples"]
+        rows = draw(st.sampled_from([0, 10**13]) | st.integers(0, 2 * n).filter(lambda r: r != n))
+        members[name] = npy_claiming(members[name], rows)
+        if draw(st.booleans()):
+            meta["n_samples"] = rows
+            members["meta.json"] = json.dumps(meta).encode()
+        return f"{name} header claiming {rows} rows", _zip(members), False
     meta = json.loads(members["meta.json"])
     key = draw(st.sampled_from(sorted(meta)))
     del meta[key]
