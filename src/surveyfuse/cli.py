@@ -80,22 +80,27 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _csv_text(values: np.ndarray) -> np.ndarray:
+    """The CSV text of each value, as an object array: floats as ``repr``,
+    the rest as ``str``."""
+    text = map(repr if values.dtype.kind == "f" else str, values.tolist())
+    return np.array(list(text), dtype=object)
+
+
 def _csv_fields(column: np.ndarray) -> list[str]:
-    """The CSV text of each value: floats as ``repr``, the rest as ``str``.
+    """The CSV text of each value of a column, or of text already formatted.
 
     Output columns repeat few values, so each distinct value is formatted
     once and indexed back.  Floats are keyed on their bits, which keeps
     ``-0.0`` and ``0.0`` apart.
     """
-    if column.dtype.kind == "U":
+    if column.dtype.kind in "UO":
         return column.tolist()
     floats = column.dtype.kind == "f"
     distinct, inverse = np.unique(
         column.view(f"i{column.itemsize}") if floats else column, return_inverse=True
     )
-    values = (distinct.view(column.dtype) if floats else distinct).tolist()
-    text = np.array(list(map(repr if floats else str, values)), dtype=object)
-    return text[inverse].tolist()
+    return _csv_text(distinct.view(column.dtype) if floats else distinct)[inverse].tolist()
 
 
 def _peak_rss_mb() -> float:
@@ -183,10 +188,13 @@ class _Outputs:
     def csv(self, path: str | Path, header: list[str], columns: list) -> None:
         """Stage a CSV of equal-length columns: floats as ``repr``, the rest as
         ``str``.  A ``(values, code)`` column is written as ``values[code]``,
-        gathered one chunk at a time."""
+        gathered one chunk at a time: numeric values are formatted once per
+        file and a chunk gathers their text; strings are gathered as they are,
+        since their text is the strings themselves."""
         columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in columns]
         values, code = columns[0]
         n = len(values if code is None else code)
+        columns = [(v if c is None or v.dtype.kind == "U" else _csv_text(v), c) for v, c in columns]
         with open(self._stage(path), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for i in range(0, n, CSV_CHUNK_ROWS):
@@ -357,10 +365,17 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
     out.matches.append(a.diagnostics())
     household_ids, n = (source.households, source.household_code), source.n_samples
     del source  # its covariates and targets are not written: free them first
+    d = a.dimension
     out.csv(
         args.out,
         ["household_id", "sample_index", "matched_bucket", "distance", "y_imputed"],
-        [household_ids, np.arange(n), a.target_index, a.distance, result.sample_y],
+        [
+            household_ids,
+            np.arange(n),
+            (np.arange(a.n_target), a.target_index),
+            (np.arange(d + 1) / d, a.hamming_count),
+            result.sample_y,
+        ],
     )
     out.csv(hh_out, ["household_id", "y_total"], [result.household_ids, result.household_y])
     out.summary.append(

@@ -86,13 +86,24 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.unique`` groups the runs' keys, which is exact in any order; void
     keys have no order and always take it.
     """
-    keys = np.asarray(keys)
-    n = keys.shape[0]
-    if keys.dtype.kind in "iu" and n:
+    return first_occurrence_of_parts(np.asarray(keys))
+
+
+def first_occurrence_of_parts(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``first_occurrence`` of the concatenation of key arrays of one dtype.
+
+    Packable integer parts are cast straight into the packed sort's
+    buffer, which is then the only full-length copy of the keys; other
+    parts are concatenated first.
+    """
+    n = sum(p.shape[0] for p in parts)
+    if parts[0].dtype.kind in "iu" and n:
         bits = (n - 1).bit_length()  # of a row index
-        lowest = keys.argmin()
-        if (int(keys.max()) - int(keys[lowest])).bit_length() + bits <= 64:
-            return _packed_first_occurrence(keys, lowest, bits)
+        lowest = min((p.min() for p in parts if p.size), key=int)
+        highest = max(int(p.max()) for p in parts if p.size)
+        if (highest - int(lowest)).bit_length() + bits <= 64:
+            return _packed_first_occurrence(parts, lowest, bits)
+    keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
     run_start = np.ones(n, dtype=bool)
     run_start[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(run_start)
@@ -120,19 +131,24 @@ def _ascending(keys: np.ndarray, starts: np.ndarray) -> bool:
 
 
 def _packed_first_occurrence(
-    keys: np.ndarray, lowest: int, bits: int
+    parts: tuple[np.ndarray, ...], lowest: np.generic, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``first_occurrence`` by one sort of ``(key - keys[lowest]) << bits | row``.
+    """``first_occurrence`` by one sort of ``(key - lowest) << bits | row``.
 
     The packed values are distinct, and each key's group starts with its
     first occurrence.  Besides the two outputs, only the sorted buffer and
-    the row index (uint32 when it fits) are as long as ``keys``: the row
-    index is ORed in ``_ROW_BLOCK`` rows at a time, and each element's rank
-    is written into the sorted buffer, dead by then, before the scatter.
+    the row index (uint32 when it fits) are as long as the keys: each part
+    is cast into the buffer in place, the row index is ORed in
+    ``_ROW_BLOCK`` rows at a time, and each element's rank is written into
+    the sorted buffer, dead by then, before the scatter.
     """
-    n = keys.shape[0]
-    packed = keys.astype(np.uint64)  # two's complement: differences stay exact
-    packed -= packed[lowest]
+    n = sum(p.shape[0] for p in parts)
+    packed = np.empty(n, dtype=np.uint64)
+    s = 0
+    for p in parts:  # two's complement: differences stay exact
+        np.copyto(packed[s : s + p.shape[0]], p, casting="unsafe")
+        s += p.shape[0]
+    packed -= np.asarray(lowest).astype(np.uint64)
     packed <<= np.uint64(bits)
     for s in range(0, n, _ROW_BLOCK):
         packed[s : s + _ROW_BLOCK] |= np.arange(s, min(s + _ROW_BLOCK, n), dtype=np.uint64)
@@ -600,7 +616,9 @@ def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | No
             _check_array(path, name, len(shape), dtype)
             _check_rows(path, n, name, shape[0])
             if d is not None and shape[1] != d:
-                raise DimensionError(f"x has shape {shape}, expected ({n}, {d})")
+                raise DimensionError(
+                    f"{path}: member {name!r} has shape {shape}, expected ({n}, {d})"
+                )
             if fortran_order and len(shape) > 1:
                 raise DataError(f"{path}: member {name!r} must be stored in C order")
             row_bytes = dtype.itemsize * math.prod(shape[1:])

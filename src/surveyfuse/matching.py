@@ -48,6 +48,7 @@ from .dataset import (
     EncodedDataset,
     concat_datasets,
     first_occurrence,
+    first_occurrence_of_parts,
     household_sums,
     require_same_dictionary,
     rng_stream,
@@ -73,17 +74,18 @@ def hamming(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.count_nonzero(a != b)) / a.size
 
 
-def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-occurrence-ordered unique row indices and the inverse map.
+def _unique_rows(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-occurrence-ordered unique row indices and the inverse map of
+    the packed rows of ``parts``, one after another.
 
-    A single-word row (d <= 64) is keyed on its uint64 value; wider rows on
-    an opaque fixed-size record view.  Both keys give the same output.
+    A single-word row (d <= 64) is keyed on its uint64 value, with no copy
+    of the parts besides the dedup's own; wider rows on an opaque fixed-size
+    record view of their concatenation.  Both keys give the same output.
     """
-    packed = np.ascontiguousarray(packed)
-    if packed.shape[1] == 1:
-        key = packed[:, 0]
-    else:
-        key = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
+    if parts[0].shape[1] == 1:
+        return first_occurrence_of_parts(*(p[:, 0] for p in parts))
+    packed = np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+    key = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
     return first_occurrence(key)
 
 
@@ -130,10 +132,14 @@ def build_buckets(candidate: EncodedDataset) -> BucketSet:
 
 @dataclass
 class MatchAssignment:
-    """A total nearest-neighbor matching from query rows to target rows."""
+    """A total nearest-neighbor matching from query rows to target rows.
 
-    target_index: np.ndarray  # (n,) int64, matched target row per query row
-    distance: np.ndarray  # (n,) float64, normalized Hamming distance in [0, 1]
+    Per query row it holds 5 bytes at d <= 255: the matched target row and
+    the Hamming count to it.
+    """
+
+    target_index: np.ndarray  # (n,) int32 (intp at 2**31 targets), matched row per query row
+    hamming_count: np.ndarray  # (n,) np.min_scalar_type(dimension), differing bits to that row
     dimension: int
     n_target: int  # target rows
     n_unique_query: int  # distinct query vectors
@@ -145,6 +151,12 @@ class MatchAssignment:
     @property
     def n(self) -> int:
         return int(self.target_index.shape[0])
+
+    @property
+    def distance(self) -> np.ndarray:
+        """(n,) float64 normalized Hamming distance ``hamming_count / dimension``
+        in [0, 1]: a new array each call, not for hot paths."""
+        return self.hamming_count / self.dimension
 
     def diagnostics(self) -> dict:
         """Workload shape and distance histogram, as a run manifest records them."""
@@ -252,14 +264,12 @@ def nearest_rows(
     # One dedup over the targets followed by the queries: identical rows share
     # a rank, in order of first occurrence, so the ranks below n_ut are the
     # unique targets and a query of such a rank equals that target.
-    packed = np.concatenate([target_words, query_words])
-    first, rank = _unique_rows(packed)
+    first, rank = _unique_rows(target_words, query_words)
     t_rank, q_rank = rank[:n_t], rank[n_t:]
     n_ut = int(np.searchsorted(first, n_t))
     n_other = first.size - n_ut  # unique queries without an identical target
-    ut_packed = packed[first[:n_ut]]
-    o_packed = packed[first[n_ut:]]
-    del packed
+    ut_packed = target_words[first[:n_ut]]
+    o_packed = query_words[first[n_ut:] - n_t]
     random = tie_break == "random"
     # an exact query's answer is its own rank at count 0; the join and the scan
     # fill the other queries' entries, and their tie sets for random ties
@@ -286,7 +296,7 @@ def nearest_rows(
                 o_ties[p] = np.flatnonzero(c == b)
 
     # first ascends, so the first unique minimum is the smallest tied row.
-    target_index = first[u_idx][q_rank]
+    target_index = first[u_idx].astype(np.int32 if n_t < 2**31 else np.intp)[q_rank]
 
     if random:
         # each tied unique target stands for all its rows, in ascending order
@@ -303,7 +313,7 @@ def nearest_rows(
     n_exact = int(np.count_nonzero(q_rows[:n_ut]))
     return MatchAssignment(
         target_index=target_index,
-        distance=(u_cnt / d)[q_rank],
+        hamming_count=u_cnt.astype(np.min_scalar_type(d))[q_rank],
         dimension=d,
         n_target=n_t,
         n_unique_query=n_exact + n_other,

@@ -40,7 +40,7 @@ class TriPartiteGraph:
     buckets: BucketSet
     mu1: MatchAssignment  # source1 sample -> bucket
     mu2: MatchAssignment  # labeled source2 sample -> source1 sample
-    y_source2: np.ndarray  # targets of the labeled source2 samples
+    y_source2: np.ndarray  # targets of the labeled source2 samples (source2.y when all are)
     source2_index: np.ndarray  # their row indices in the original source2
     n_source1: int
     candidate: EncodedDataset  # the donors the buckets group
@@ -65,13 +65,15 @@ def nested_match(
     """Build the tri-partite graph source2 -> source1 -> buckets(candidate).
 
     Source2 samples with missing targets carry no usable value for the
-    averaging step and are dropped before matching.
+    averaging step and are dropped before matching.  When none is missing,
+    the graph shares source2's targets, and no copy of them or of its rows
+    is made.
     """
     require_same_dictionary(source2, source1, candidate)
     if source1.n_samples == 0 or candidate.n_samples == 0:
         raise MatchError("source1 and candidate must be non-empty")
-    keep = np.flatnonzero(~source2.missing_mask)
-    if keep.size == 0:
+    n_missing = source2.n_missing
+    if n_missing == source2.n_samples:
         raise MatchError("source2 has no labeled samples to project from")
 
     buckets = build_buckets(candidate)
@@ -79,14 +81,15 @@ def nested_match(
     mu1 = nearest_rows(source1.words, buckets.words, dimension=d, tie_break=tie_break, seed=seed)
     # query row i is the i-th labeled row, which numbers its random-tie stream;
     # with every row labeled that is row i itself, so no copy is needed
-    labeled = source2.words if keep.size == source2.n_samples else source2.words[keep]
+    keep = np.flatnonzero(~source2.missing_mask) if n_missing else None
+    labeled = source2.words if keep is None else source2.words[keep]
     mu2 = nearest_rows(labeled, source1.words, dimension=d, tie_break=tie_break, seed=seed)
     return TriPartiteGraph(
         buckets=buckets,
         mu1=mu1,
         mu2=mu2,
-        y_source2=source2.y[keep],
-        source2_index=keep,
+        y_source2=source2.y if keep is None else source2.y[keep],
+        source2_index=np.arange(source2.n_samples) if keep is None else keep,
         n_source1=source1.n_samples,
         candidate=candidate,
     )

@@ -1081,11 +1081,21 @@ class TestCsvWriter:
             np.full(n, -0.0),  # all equal
             np.full(n, 7),
         ]
-        header = [f"c{i}" for i in range(len(columns))]
+        # coded numeric columns, formatted once per file: codes that skip
+        # values, -0.0 next to 0.0, and impute's distance and bucket columns
+        coded = [
+            (EDGE_FLOATS, rng.choice([0, 1, 3, 7, 9, 12, 13], n)),
+            (np.arange(27) / 26, rng.integers(0, 27, n).astype(np.uint8)),
+            (np.arange(301) / 300, rng.integers(250, 301, n).astype(np.uint16)),
+            (np.arange(40), rng.integers(0, 40, n).astype(np.int32)),
+            (EDGE_INTS, rng.integers(1, 4, n)),
+        ]
+        header = [f"c{i}" for i in range(len(columns) + len(coded))]
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         with outputs() as staged:
-            staged.csv(tmp_path / "t.csv", header, columns)
-        assert (tmp_path / "t.csv").read_bytes() == csv_reference(header, columns)
+            staged.csv(tmp_path / "t.csv", header, columns + coded)
+        reference = csv_reference(header, columns + [v[c] for v, c in coded])
+        assert (tmp_path / "t.csv").read_bytes() == reference
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 65_536])
     def test_coded_column_is_written_as_its_values(self, tmp_path, monkeypatch, chunk_rows):

@@ -939,6 +939,12 @@ class TestLoadChecks:
         rewrite_member(saved, "meta.json", blob)
         self.check(saved, "'meta.json'")
 
+    def test_x_with_a_column_lost(self, saved, capsys):
+        """The column check names the file and the member, as every other fault does."""
+        rewrite_member(saved, "x.npy", npy(np.array([[1, 0, 0], [0, 1, 0]], dtype=np.uint8)))
+        self.check(saved, "'x.npy'", DimensionError, r"has shape \(2, 3\), expected \(2, 4\)")
+        assert capsys.readouterr().err.startswith(f"error: {saved}: member 'x.npy' has shape")
+
     def test_truncated_member(self, saved):
         with zipfile.ZipFile(saved) as zf:
             blob = zf.read("y.npy")

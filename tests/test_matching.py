@@ -602,6 +602,59 @@ class TestNearJoin:
         assert extra[1] < extra[0] + matching._SCAN_BUFFER_BYTES // 4, extra
 
 
+class TestAssignmentPerRow:
+    """Five bytes per query row at d <= 255: an int32 target row and the
+    Hamming count in the smallest unsigned type that holds d."""
+
+    @staticmethod
+    def instance(d, seed):
+        """Copies of targets, one-bit flips of them and random rows; target 3
+        is all zeros."""
+        rng = np.random.default_rng(seed)
+        tgt = rng.integers(0, 2, (15, d), dtype=np.uint8)
+        tgt[3] = 0
+        src = rng.integers(0, 2, (60, d), dtype=np.uint8)
+        src[:20] = tgt[rng.integers(0, 15, 20)]
+        src[20:40] = tgt[rng.integers(0, 15, 20)]
+        src[np.arange(20, 40), rng.integers(0, d, 20)] ^= 1
+        return src, tgt
+
+    @pytest.mark.parametrize("tie_break", ["index", "random"])
+    @pytest.mark.parametrize("d", [1, 26, 64, 65, 255, 256, 300])
+    def test_counts_match_brute_force(self, d, tie_break):
+        src, tgt = self.instance(d, d)
+        a = nearest(src, tgt, tie_break=tie_break, seed=4)
+        counts = (src[:, None, :] != tgt[None, :, :]).sum(axis=2)
+        best = counts.min(axis=1)
+        assert a.target_index.dtype == np.int32
+        assert a.hamming_count.dtype == np.min_scalar_type(d)
+        assert a.hamming_count.dtype == (np.uint8 if d <= 255 else np.uint16)
+        assert np.array_equal(a.hamming_count, best)
+        assert np.array_equal(counts[np.arange(src.shape[0]), a.target_index], best)
+        assert a.distance.tobytes() == (best / d).tobytes()  # bit-equal float64, not close
+        ones = nearest(np.ones((1, d), np.uint8), tgt[3:4], tie_break=tie_break, seed=4)
+        assert ones.hamming_count.tolist() == [d]  # 256 would wrap to 0 in uint8
+
+    def test_dedup_makes_one_copy_of_the_keys(self):
+        """200k single-word queries repeating 2k targets: the dedup's sort
+        buffer (8 bytes a row), row index (4), run starts (1) and ranks (8)
+        set the peak; a second uint64 copy of the keys would add 8 a row.
+        The assignment keeps 5 bytes a query row."""
+        rng = np.random.default_rng(9)
+        n = 200_000
+        t = rng.integers(0, 1 << 26, (2_000, 1), dtype=np.uint64)
+        q = t[rng.integers(0, t.shape[0], n)]
+        for tie_break in ("index", "random"):
+            tracemalloc.start()
+            try:
+                a = nearest_rows(q, t, dimension=26, tie_break=tie_break, seed=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * (n + t.shape[0]), (tie_break, peak)
+            assert a.target_index.nbytes + a.hamming_count.nbytes == 5 * n
+
+
 class TestNearestNeighborBuckets:
     def test_assignment_invariants(self, pair_dictionary):
         rng = np.random.default_rng(2)

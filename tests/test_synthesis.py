@@ -93,6 +93,14 @@ class TestNestedMatch:
         assert graph.source2_index.tolist() == [0, 2]
         assert graph.y_source2.tolist() == [1.0, 3.0]
 
+    def test_all_labeled_source2_is_not_copied(self, single_dictionary):
+        source2 = make_dataset(single_dictionary, [[1, 0], [0, 1], [1, 0]], [1.0, 2.0, 3.0])
+        ds = make_dataset(single_dictionary, [[1, 0]], [2.0])
+        graph = nested_match(source2, ds, ds)
+        assert np.shares_memory(graph.y_source2, source2.y)
+        assert graph.source2_index.tolist() == [0, 1, 2]
+        assert graph.mu2.n == 3
+
     def test_fully_unlabeled_source2_rejected(self, single_dictionary):
         source2 = make_dataset(single_dictionary, [[1, 0]], [np.nan])
         ds = make_dataset(single_dictionary, [[1, 0]], [2.0])
