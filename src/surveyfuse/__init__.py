@@ -45,7 +45,6 @@ _EXPORTS = {
         "MatchAssignment",
         "augment_candidate",
         "build_buckets",
-        "hamming",
         "impute",
         "nearest_rows",
     ),

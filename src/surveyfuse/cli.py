@@ -37,7 +37,7 @@ import resource
 import secrets
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -244,13 +244,40 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _totals_body(path: Path) -> str:
-    """The text after a totals CSV's checked header, line ends as ``\\n``."""
+# Text read per block of a totals CSV, as ``readlines`` counts it: a block's
+# lines and fields stay small beside the ids and totals kept.
+_TOTALS_BLOCK_CHARS = 1 << 16
+
+
+def _totals_blocks(path: Path) -> Iterator[list[str]]:
+    """Blocks of the lines after a totals CSV's checked header, each about
+    ``_TOTALS_BLOCK_CHARS`` long, line ends as ``\\n``."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["household_id", "y_total"]:
             raise DataError(f"{path}: expected columns household_id,y_total")
-        return fh.read()
+        while lines := fh.readlines(_TOTALS_BLOCK_CHARS):
+            yield lines
+
+
+def _parse_totals(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and totals of a block of lines, blank ones skipped.
+
+    A line without exactly one comma is bad either way, so it becomes
+    ``<id>,nan``; then the lines are joined and split at once into ids and
+    totals, with no tuple per line.
+    """
+    lines = list(filter(None, map(str.strip, lines)))
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+    for i in np.flatnonzero(commas != 1).tolist():
+        lines[i] = lines[i].partition(",")[0] + ",nan"
+    fields = ",".join(lines).split(",") if lines else []  # id, total, id, total, ...
+    n = len(fields) // 2
+    try:
+        values = np.fromiter(map(float, islice(fields, 1, None, 2)), np.float64, n)
+    except ValueError:
+        values = np.fromiter(map(_float_or_nan, islice(fields, 1, None, 2)), np.float64, n)
+    return np.array(fields[0::2], dtype=np.str_), values
 
 
 def _load_totals_csv(path: Path) -> Totals:
@@ -262,44 +289,30 @@ def _load_totals_csv(path: Path) -> Totals:
     holding a NUL character is refused first, at the first line with one:
     numpy strings drop trailing NULs, so ``a\x00`` would read as ``a``.
 
-    One pass: a line without exactly one comma is bad either way, so it
-    becomes ``<id>,nan``; then every line is joined and split at once into
-    ids and totals, with no tuple per line.  Only a bad file is read again,
-    to find the number and text of its first bad line.
+    One pass, a block of lines at a time (``_parse_totals``): only the
+    blocks' ids and totals are kept, and they are joined once at the end.
+    Only a bad file is read again, to find the number and text of its
+    first bad line.
     """
-    body = _totals_body(path)
-    if "\x00" in body:
-        lineno = body.count("\n", 0, body.index("\x00")) + 2
-        raise DataError(f"{path}: line {lineno}: contains a NUL character")
-    lines = body.split("\n")
-    del body
-    lines = list(filter(None, map(str.strip, lines)))
-    if not lines:
+    ids, values, lineno = [], [], 2  # lineno: the first line of the block
+    for lines in _totals_blocks(path):
+        if "\x00" in "".join(lines):
+            at = next(i for i, line in enumerate(lines) if "\x00" in line)
+            raise DataError(f"{path}: line {lineno + at}: contains a NUL character")
+        block_ids, block_values = _parse_totals(lines)
+        ids.append(block_ids)
+        values.append(block_values)
+        lineno += len(lines)
+    if not any(block.size for block in values):
         raise DataError(f"{path}: no household totals")
-    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
-    for i in np.flatnonzero(commas != 1).tolist():
-        lines[i] = lines[i].partition(",")[0] + ",nan"
-    del commas
-    text = ",".join(lines)
-    del lines
-    fields = text.split(",")  # id, total, id, total, ...
-    del text
-    n = len(fields) // 2
-    try:
-        values = np.fromiter(map(float, islice(fields, 1, None, 2)), np.float64, n)
-    except ValueError:
-        values = np.fromiter(map(_float_or_nan, islice(fields, 1, None, 2)), np.float64, n)
-    ids = np.array(fields[0::2], dtype=np.str_)
-    del fields
+    values = np.concatenate(values)
+    ids = np.concatenate(ids)
     bad = ~((values >= 0.0) & (values < math.inf))
     ids, values, repeated = sort_totals(ids, values)
     bad[repeated] = True
     if bad.any():
         row = int(bad.argmax())
-        lineno, line = [
-            (n, line) for n, line in enumerate(_totals_body(path).split("\n"), start=2)
-            if line.strip()
-        ][row]
+        lineno, line = _nonblank_line(path, row)
         hid, comma, text = line.strip().partition(",")
         if not comma:
             raise DataError(f"{path}: line {lineno}: expected household_id,y_total")
@@ -309,6 +322,13 @@ def _load_totals_csv(path: Path) -> Totals:
             f"{path}: line {lineno}: total {text!r} is not a finite non-negative number"
         )
     return ids, values
+
+
+def _nonblank_line(path: Path, row: int) -> tuple[int, str]:
+    """The number and text of a totals CSV's ``row``-th non-blank line."""
+    lines = (line for block in _totals_blocks(path) for line in block)
+    numbered = ((n, line) for n, line in enumerate(lines, start=2) if line.strip())
+    return next(islice(numbered, row, None))
 
 
 # -- subcommand handlers ---------------------------------------------------------

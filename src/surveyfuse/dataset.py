@@ -57,8 +57,9 @@ _ROW_BLOCK = 1 << 16
 # Run keys per block of ``first_occurrence``'s order test.
 _RUN_BLOCK = 1 << 13
 
-# Rows per block of the bit packing and unpacking: pack_rows' zero-padded
-# byte copy (512 KiB at d <= 64) and ``load``'s reads of ``x.npy``.
+# Rows per block of the bit packing and unpacking (pack_rows' zero-padded
+# byte copy is 512 KiB at d <= 64), of the constructor's checks and of
+# ``_code_ids``' remap.
 _PACK_ROWS = 8192
 
 
@@ -240,12 +241,52 @@ def bit_popcount(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return total
 
 
-def _code_ids(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``household_index`` of a 1-D id array, positions as int32."""
-    if household_ids.ndim != 1:
-        raise DimensionError(f"household ids must be 1-D, got shape {household_ids.shape}")
-    households, position = household_index(household_ids)
-    return households, position.astype(np.int32)
+def _code_ids(blocks, n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``household_index`` of ``n`` per-sample ids of ``dtype`` given in
+    consecutive non-empty blocks, positions as int32: the one id coder of
+    ``load`` and the constructor.
+
+    The int32 codes are allocated first, and each block's are written into
+    them in place: the running count of runs of equal adjacent ids, so no
+    n-long temporary is made.  One key per run is kept, in one buffer grown
+    and finally trimmed in place (``ndarray.resize``, a ``realloc``), not in
+    per-block arrays whose freed space would stay resident between larger
+    allocations.  Run keys that ascend are the households; otherwise
+    ``np.unique`` groups them, as in ``first_occurrence``, and the codes are
+    remapped in place.
+    """
+    code = np.empty(n, dtype=np.int32)
+    households = np.empty(min(n, _PACK_ROWS), dtype)  # the run keys; no view of it is kept
+    last = np.empty(0, dtype)  # the id before the block
+    s = runs = 0
+    ascending = True
+    for ids in blocks:
+        e = s + ids.shape[0]
+        start = np.empty(e - s, dtype=bool)
+        start[0] = s == 0 or ids[0] != last[0]
+        np.not_equal(ids[1:], ids[:-1], out=start[1:])
+        np.cumsum(start, out=code[s:e])
+        code[s:e] += runs - 1
+        run_keys = ids[start]
+        ascending = ascending and not (
+            (run_keys[1:] < run_keys[:-1]).any() or (run_keys[:1] < last).any()
+        )
+        if runs + run_keys.size > households.size:
+            households.resize(max(runs + run_keys.size, households.size * 3 // 2), refcheck=False)
+        households[runs : runs + run_keys.size] = run_keys
+        runs += run_keys.size
+        s, last = e, ids[-1:]
+    households.resize(runs, refcheck=False)
+    if not ascending:
+        _, first, inverse = np.unique(households, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(order.size)
+        households, run_rank = households[first[order]], rank[inverse]
+        for s in range(0, n, _PACK_ROWS):
+            block = code[s : s + _PACK_ROWS]
+            block[:] = run_rank[block]
+    return households, code
 
 
 def _checked_codes(
@@ -270,10 +311,21 @@ def _checked_codes(
             ids, counts = np.unique(households, return_counts=True)
             raise DataError(f"households must be distinct, but {str(ids[counts > 1][0])!r} repeats")
     if code.size:
-        # in first-appearance order iff every code is at most one above all before it
-        top = np.maximum.accumulate(code)
-        ordered = code[0] == 0 and not (top[1:] - top[:-1] > 1).any() and code.min() >= 0
-        if not ordered or top[-1] != households.size - 1:
+        # in first-appearance order iff every code is at most one above all
+        # before it: the running top code starts at 0 and rises by at most one
+        # at a time.  Checked a block at a time, from the top before the block.
+        ordered, top = code[0] == 0, code[0]
+        for s in range(0, code.size, _PACK_ROWS):
+            if not ordered:
+                break
+            block = code[s : s + _PACK_ROWS]
+            tops = np.maximum.accumulate(block)
+            np.maximum(tops, top, out=tops)
+            ordered = (
+                block.min() >= 0 and tops[0] - top <= 1 and not (tops[1:] - tops[:-1] > 1).any()
+            )
+            top = tops[-1]
+        if not ordered or top != households.size - 1:
             raise DataError(
                 "household_code must number all households 0, 1, ... in order of first appearance"
             )
@@ -318,7 +370,12 @@ class EncodedDataset:
         if given not in ((True, False, False), (False, True, True)):
             raise TypeError("pass household_ids, or households and household_code")
         if household_ids is not None:
-            households, household_code = _code_ids(np.asarray(household_ids, dtype=np.str_))
+            ids = np.asarray(household_ids, dtype=np.str_)
+            if ids.ndim != 1:
+                raise DimensionError(f"household ids must be 1-D, got shape {ids.shape}")
+            rows = max(1, _READ_BYTES // ids.itemsize)
+            blocks = (ids[s : s + rows] for s in range(0, ids.size, rows))
+            households, household_code = _code_ids(blocks, ids.size, ids.dtype)
         else:
             households, household_code = _checked_codes(households, household_code)
         if x is not None:
@@ -362,23 +419,24 @@ class EncodedDataset:
             )
         if self.y.shape != (n,):
             raise DimensionError(f"y has shape {self.y.shape}, expected ({n},)")
-        if d % 64 and (self.words[:, -1] >> np.uint64(d % 64)).any():
+        # every check runs a block of rows at a time, so its temporaries stay small
+        blocks = [slice(s, s + _PACK_ROWS) for s in range(0, n, _PACK_ROWS)]
+        if d % 64 and any((self.words[b, -1] >> np.uint64(d % 64)).any() for b in blocks):
             raise DataError(f"words must be zero past bit {d}")
         for name, sl in zip(dictionary.features, dictionary.group_slices()):
-            # a one-hot group has popcount 0 (missing) or 1; counted a block
-            # of rows at a time, so the counts stay small
+            # a one-hot group has popcount 0 (missing) or 1
             if sl.stop - sl.start < 2:
                 continue
             mask = bit_mask(sl.start, sl.stop, d)
-            for s in range(0, n, _PACK_ROWS):
-                pop = bit_popcount(self.words[s : s + _PACK_ROWS], mask)
+            for b in blocks:
+                pop = bit_popcount(self.words[b], mask)
                 if pop.max(initial=0) > 1:
-                    row = s + int(np.argmax(pop > 1))
+                    row = b.start + int(np.argmax(pop > 1))
                     raise DataError(f"x row {row}: feature {name!r} has more than one bit set")
-        present = self.y[~np.isnan(self.y)]
-        if not np.isfinite(present).all():
+        # NaN is neither infinite nor negative
+        if any(np.isinf(self.y[b]).any() for b in blocks):
             raise DataError("target values must be finite (NaN marks a missing target)")
-        if present.size and present.min() < 0:
+        if any((self.y[b] < 0).any() for b in blocks):
             raise DataError("target values must be >= 0")
 
     # -- basic views ----------------------------------------------------------
@@ -495,10 +553,9 @@ class EncodedDataset:
                     raise DictionaryMismatchError(
                         f"{path}: embedded dictionary hash does not match its layout"
                     )
-                # the ids are coded as soon as they are read, and x is packed
-                # as it is read
+                # the ids are coded and x is packed block by block as they are read
                 n = meta.get("n_samples")
-                households, code = _code_ids(_read_array(zf, path, "household_ids.npy", n))
+                households, code = _read_array(zf, path, "household_ids.npy", n)
                 words = _read_array(zf, path, "x.npy", n, dictionary.dimension)
                 y = _read_array(zf, path, "y.npy", n)
         except FileNotFoundError:  # a missing path stays what it is
@@ -527,6 +584,10 @@ _ZIP_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, Ru
 # bad magic, a header that does not parse (or, tokenized again as numpy
 # does for old headers, does not tokenize)
 _NPY_ERRORS = (ValueError, EOFError, zlib.error, tokenize.TokenError)
+
+# zip compression method -> how many bytes a member's compressed byte can
+# hold at most: deflate's longest match, 258 bytes, takes 2 bits at the least
+_MAX_RATIO = {zipfile.ZIP_STORED: 1, zipfile.ZIP_DEFLATED: 1032}
 
 _WRITE_BYTES = 1 << 20  # array bytes handed to the compressor per write
 # array bytes per read: a zip member's read(k) makes copies k long, and
@@ -604,9 +665,11 @@ def _check_rows(path: str | Path, n, name: str, rows: int) -> None:
 
 def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | None = None):
     """``_write_array`` undone: one array member of ``meta.json``'s ``n`` rows,
-    ``x.npy`` (d given) packed into words.  Its header is checked before
-    anything is allocated, against the member's size in the zip directory
-    too; its rows are then read ``_READ_BYTES`` at a time."""
+    ``x.npy`` (d given) packed into words and ``household_ids.npy`` coded
+    into ``(households, household_code)`` (``_code_ids``).  Its header is
+    checked before anything is allocated, against the member's size in the
+    zip directory too, and that size against what its compressed bytes can
+    hold; its rows are then read ``_READ_BYTES`` at a time."""
     with _open_member(zf, path, name) as fh:
         try:
             version = np.lib.format.read_magic(fh)
@@ -622,24 +685,42 @@ def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | No
             if fortran_order and len(shape) > 1:
                 raise DataError(f"{path}: member {name!r} must be stored in C order")
             row_bytes = dtype.itemsize * math.prod(shape[1:])
-            held = zf.getinfo(name).file_size - fh.tell()
+            info = zf.getinfo(name)
+            held = info.file_size - fh.tell()
             if n * row_bytes != held:
                 raise ValueError(f"header claims {n * row_bytes} bytes of data, member holds {held}")
+            ratio = _MAX_RATIO.get(info.compress_type)
+            if ratio is not None and info.file_size > ratio * info.compress_size:
+                raise ValueError(
+                    f"the zip directory claims {info.file_size} bytes, more than its "
+                    f"{info.compress_size} compressed bytes can hold"
+                )
+            blocks = _read_rows(fh, shape, dtype, max(1, _READ_BYTES // max(1, row_bytes)))
+            if dtype.kind == "U":
+                return _code_ids(blocks, n, dtype)
             out = np.empty(shape, dtype) if d is None else np.empty((n, (d + 63) // 64), np.uint64)
-            block = max(1, _READ_BYTES // max(1, row_bytes))
-            for s in range(0, n, block):
-                e = min(s + block, n)
-                # a short read, where the zip directory lies, does not reshape
-                rows = np.frombuffer(fh.read((e - s) * row_bytes), dtype).reshape(e - s, *shape[1:])
+            s = 0
+            for rows in blocks:
+                e = s + rows.shape[0]
                 if d is None:
                     out[s:e] = rows
                 elif rows.max(initial=0) > 1:
                     raise DataError(f"{path}: member {name!r}: x values must be 0 or 1")
                 else:
                     pack_rows(rows, out=out[s:e])
+                s = e
         except _NPY_ERRORS as exc:
             raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
     return out
+
+
+def _read_rows(fh, shape: tuple[int, ...], dtype: np.dtype, block: int):
+    """The rows of an ``.npy`` member's data, ``block`` at a time."""
+    row_bytes = dtype.itemsize * math.prod(shape[1:])
+    for s in range(0, shape[0], block):
+        k = min(block, shape[0] - s)
+        # a short read, where the zip directory lies, does not reshape
+        yield np.frombuffer(fh.read(k * row_bytes), dtype).reshape(k, *shape[1:])
 
 
 def require_same_dictionary(*datasets: EncodedDataset) -> None:

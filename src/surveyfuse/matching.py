@@ -63,17 +63,6 @@ _SCAN_BUFFER_BYTES = 1 << 20
 _TIE_BREAKS = ("index", "random")
 
 
-def hamming(a: np.ndarray, b: np.ndarray) -> float:
-    """Fraction of differing coordinates between two equal-length bit-vectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"expected equal-length vectors, got {a.shape} and {b.shape}")
-    if a.size == 0:
-        raise DimensionError("vectors must have at least one coordinate")
-    return float(np.count_nonzero(a != b)) / a.size
-
-
 def _unique_rows(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First-occurrence-ordered unique row indices and the inverse map of
     the packed rows of ``parts``, one after another.

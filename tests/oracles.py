@@ -20,8 +20,19 @@ from itertools import permutations
 
 import numpy as np
 
-from surveyfuse.errors import DataError
+from surveyfuse.errors import DataError, DimensionError
 from surveyfuse.schema import MISSING_LABEL, build_dictionary, encode_value
+
+
+def hamming(a: np.ndarray, b: np.ndarray) -> float:
+    """Fraction of differing coordinates between two equal-length bit-vectors."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+        raise DimensionError(f"expected equal-length vectors, got {a.shape} and {b.shape}")
+    if a.size == 0:
+        raise DimensionError("vectors must have at least one coordinate")
+    return float(np.count_nonzero(a != b)) / a.size
 
 
 def nn_scan_oracle(query_x: np.ndarray, target_x: np.ndarray):

@@ -22,7 +22,6 @@ from surveyfuse import (
     demo_model,
     generate,
     generate_future,
-    hamming,
     impute,
     nearest_rows,
     nested_match,
@@ -37,7 +36,7 @@ from surveyfuse.dataset import household_sums, pack_rows
 from surveyfuse.matching import augment_candidate
 from surveyfuse.schema import FeatureDictionary
 from conftest import make_dataset, random_one_hot
-from oracles import bucket_oracle, nn_scan_oracle, shapley_permutation_oracle
+from oracles import bucket_oracle, hamming, nn_scan_oracle, shapley_permutation_oracle
 
 
 @contextmanager
@@ -78,7 +77,7 @@ def test_criterion_1_hamming_metric_axioms():
             equal_rows = (a == b).all(axis=1)
             assert np.array_equal(ab == 0, equal_rows)  # indiscernibles
             assert (ac <= ab + bc + 1e-12).all()  # triangle inequality
-            # the vectorized distances agree with the engine's hamming()
+            # the vectorized distances agree with the per-vector hamming oracle
             for i in rng.integers(0, 10_000, size=200):
                 assert hamming(a[i], b[i]) == ab[i]
         elapsed = time.perf_counter() - t0

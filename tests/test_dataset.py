@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from surveyfuse import (
@@ -434,15 +435,14 @@ class TestStreamedArtifact:
         assert (tmp_path / "a.enc").read_bytes() == (tmp_path / "b.enc").read_bytes()
 
     def test_load_memory_follows_the_arrays(self, tmp_path):
-        """Members are read in blocks, not as whole ``bytes`` objects, and the
-        ids are coded before x and y are read: loading 200k rows peaks below
-        the arrays the dataset keeps (codes, distinct ids, packed x and y)
-        plus one copy of the per-sample ids, which are read whole and coded.
+        """Members are read in blocks, not as whole ``bytes`` objects, the ids
+        are coded block by block as they are read, and the construction
+        checks run a block at a time: loading 200k rows peaks below the
+        arrays the dataset keeps (codes, distinct ids, packed x and y) plus
+        1 MB.
 
-        The kept arrays are 6.4 MB here, with x as 1.6 MB of words instead of
-        5.2 MB of bytes, and the per-sample ``<U9`` ids 7.2 MB: a bound of
-        13.6 MB, below the 15.0 MB that 1.5x the arrays with a uint8 x once
-        allowed.  A load that kept the per-sample ids would end above it."""
+        The kept arrays are 6.4 MB here.  Reading the per-sample ``<U9`` ids
+        whole before coding them, 7.2 MB, took the peak to 12.1 MB."""
         path = tmp_path / "big.enc"
         households_dataset(200_000, seed=1).save(path)
         tracemalloc.start()
@@ -452,8 +452,7 @@ class TestStreamedArtifact:
         finally:
             tracemalloc.stop()
         kept = ds.household_code.nbytes + ds.households.nbytes + ds.words.nbytes + ds.y.nbytes
-        ids = ds.n_samples * ds.households.itemsize
-        assert peak < kept + ids, (peak, kept, ids)
+        assert peak < kept + (1 << 20), (peak, kept)
 
     def test_x_is_packed_as_it_is_read(self, tmp_path):
         """``x.npy`` is packed block by block as ``_read_array`` reads it:
@@ -791,6 +790,43 @@ class TestCodedHouseholds:
         assert describe(source)["n_households"] == source.households.size
 
 
+@st.composite
+def id_runs(draw) -> np.ndarray:
+    """Per-sample ids as runs of 1 to 6 equal ids, drawn from a few ids of
+    mixed widths, not all ASCII, so that an id can come back after others."""
+    pool = draw(st.lists(st.text("aZé✓𝄞", min_size=1, max_size=4), min_size=1, max_size=5,
+                         unique=True))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 6)), max_size=25))
+    return np.array([h for h, k in runs for _ in range(k)], dtype=np.str_)
+
+
+class TestIdCoder:
+    """``_code_ids``, fed block by block by ``load`` and the constructor,
+    against ``household_index`` on the whole id array."""
+
+    @given(ids=id_runs(), rows=st.sampled_from([1, 2, 3, 7, 64]))
+    @example(ids=np.array([], dtype=np.str_), rows=1)
+    @example(ids=np.array(["é✓"]), rows=1)
+    @example(ids=np.array(["b", "b", "a", "a", "b", "𝄞", "b"]), rows=2)  # b comes back
+    @example(ids=np.array(["a", "b", "b", "b", "c"]), rows=2)  # a run straddles blocks
+    @settings(max_examples=150, deadline=None)
+    def test_coded_blocks_match_household_index(self, ids, rows):
+        want_households, want_code = household_index(ids)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            # the constructor's slices and load's reads both take ``rows`` ids a block
+            mp.setattr(dataset, "_READ_BYTES", rows * ids.itemsize)
+            built = ids_dataset(ids, seed=ids.size)
+            built.save(Path(tmp) / "a.enc")
+            loaded = EncodedDataset.load(Path(tmp) / "a.enc")
+            loaded.save(Path(tmp) / "b.enc")
+            assert (Path(tmp) / "a.enc").read_bytes() == (Path(tmp) / "b.enc").read_bytes()
+        for ds in (built, loaded):
+            assert ds.households.dtype == want_households.dtype
+            assert ds.households.tolist() == want_households.tolist()
+            assert ds.household_code.dtype == np.int32
+            assert ds.household_code.tolist() == want_code.tolist()
+
+
 def rewrite_member(path, name: str, blob: bytes | None) -> None:
     """Replace (or, with ``None``, drop) one member of a saved ``.enc``."""
     with zipfile.ZipFile(path) as zf:
@@ -827,6 +863,26 @@ def meta_without(path, key: str) -> bytes:
         meta = json.loads(zf.read("meta.json"))
     del meta[key]
     return json.dumps(meta).encode()
+
+
+def npy_layout(blob: bytes) -> tuple[int, int]:
+    """How many bytes of an ``.npy`` member precede its data, and how many
+    bytes a row of its data takes."""
+    fh = io.BytesIO(blob)
+    np.lib.format.read_magic(fh)
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    return fh.tell(), dtype.itemsize * math.prod(shape[1:])
+
+
+def write_forged_sizes(path, members: dict[str, bytes], sizes: dict[str, int]) -> None:
+    """Write ``members`` deflated, with the zip directory claiming the
+    forged uncompressed ``sizes`` of some; a size of 4 GiB or more is
+    written as a zip64 extra field."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+        for name, size in sizes.items():
+            zf.getinfo(name).file_size = size  # the directory is written on close
 
 
 def refused_load_peak(path) -> int:
@@ -984,6 +1040,53 @@ class TestLoadChecks:
         rewrite_member(saved, "meta.json", meta_with(saved, n_samples=10**13))
         assert refused_load_peak(saved) < 1 << 20
         self.check(saved, "'household_ids.npy'", match="not a readable array: header claims")
+
+    @pytest.mark.parametrize("read_bytes", [1 << 16, 100])
+    @pytest.mark.parametrize("member", ["household_ids.npy", "x.npy", "y.npy"])
+    def test_every_size_claiming_rows_the_stream_lacks(self, tmp_path, monkeypatch, member,
+                                                       read_bytes):
+        """``meta.json``'s ``n_samples``, a member's header and its size in
+        the zip directory all claim 40 rows, where its deflate stream holds
+        25: the member's short read is a data error naming it, also after
+        earlier blocks were read and coded, and no dataset comes back."""
+        path = tmp_path / "forged.enc"
+        households_dataset(40, seed=3).save(path)
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        full = members[member]
+        members[member] = full[: len(full) - 15 * npy_layout(full)[1]]
+        write_forged_sizes(path, members, {member: len(full)})
+        monkeypatch.setattr(dataset, "_READ_BYTES", read_bytes)
+        self.check(path, repr(member), match="not a readable array: cannot reshape")
+
+    @pytest.mark.parametrize("member", ["household_ids.npy", "x.npy", "y.npy"])
+    def test_zip64_size_beyond_the_stream(self, saved, member):
+        """A zip64 directory entry, as a size of 4 GiB or more is written,
+        that claims 2^30 rows for a member whose deflate stream holds two is
+        refused before any row is allocated: no compressed byte of deflate
+        holds more than 1,032 bytes."""
+        rows = 1 << 30
+        members = {"meta.json": meta_with(saved, n_samples=rows)}
+        for name in ("household_ids.npy", "x.npy", "y.npy"):
+            members[name] = npy_claiming(read_member(saved, name), rows)
+        head, row_bytes = npy_layout(members[member])
+        forged = head + rows * row_bytes
+        assert forged >= 1 << 32
+        write_forged_sizes(saved, members, {member: forged})
+        with zipfile.ZipFile(saved) as zf:
+            assert zf.getinfo(member).file_size == forged
+            tracemalloc.start()
+            try:
+                with pytest.raises(DataError, match=f"^{saved}: member {member!r} is not a "
+                                   f"readable array: the zip directory claims {forged} bytes"):
+                    dataset._read_array(zf, saved, member, rows, 4 if member == "x.npy" else None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
+        if member == "household_ids.npy":  # the first member a load reads
+            assert refused_load_peak(saved) < 1 << 20
+            self.check(saved, repr(member), match="the zip directory claims")
 
     @pytest.mark.parametrize("member", ["household_ids.npy", "x.npy", "y.npy"])
     def test_bytes_after_the_data(self, saved, member):

@@ -14,7 +14,6 @@ from surveyfuse import (
     MatchError,
     augment_candidate,
     build_buckets,
-    hamming,
     impute,
     nearest_rows,
 )
@@ -25,6 +24,7 @@ from surveyfuse.dataset import pack_rows, unpack_rows
 from conftest import make_dataset, random_one_hot
 from oracles import (
     bucket_oracle,
+    hamming,
     household_sum_oracle,
     nn_random_tie_oracle,
     nn_scan_oracle,
