@@ -23,11 +23,11 @@ from the codes, so the file holds the same ``.npy`` member as ever.
 Likewise ``load`` packs ``x.npy`` block by block as it reads it, and
 ``save`` unpacks the words block by block, so the whole uint8 matrix
 never exists in either direction.
-``load`` checks each member where it enters: present, with a header of
-its expected dimensions and dtype, ``meta.json``'s ``n_samples`` rows and
-the data bytes the zip directory gives it.  Each key that ``meta.json``
-must hold is checked for presence and JSON type, and a damaged container
-is a ``FusionError``.
+``load`` checks each member where it enters: present, stored or deflated,
+with a header of its expected dimensions and dtype, ``meta.json``'s
+``n_samples`` rows and the data bytes the zip directory gives it.  Each key
+that ``meta.json`` must hold is checked for presence and JSON type, and a
+damaged container is a ``FusionError``.
 """
 
 from __future__ import annotations
@@ -638,10 +638,20 @@ def _write_array(
 
 
 def _open_member(zf: zipfile.ZipFile, path: str | Path, name: str):
+    """A member opened for reading, if it is stored or deflated: those
+    methods bound the size it may claim (``_MAX_RATIO``), and ``save``
+    writes no other.  Any other method is refused before a byte is read."""
     try:
-        return zf.open(name)
+        info = zf.getinfo(name)
     except KeyError:
         raise FusionError(f"{path}: member {name!r} is missing") from None
+    if info.compress_type not in _MAX_RATIO:
+        method = zipfile.compressor_names.get(info.compress_type, info.compress_type)
+        raise DataError(
+            f"{path}: member {name!r} uses compression method {method!r}; "
+            "only stored and deflated members are read"
+        )
+    return zf.open(info)
 
 
 def _check_array(path: str | Path, name: str, ndim: int, dtype: np.dtype) -> None:
@@ -689,8 +699,7 @@ def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | No
             held = info.file_size - fh.tell()
             if n * row_bytes != held:
                 raise ValueError(f"header claims {n * row_bytes} bytes of data, member holds {held}")
-            ratio = _MAX_RATIO.get(info.compress_type)
-            if ratio is not None and info.file_size > ratio * info.compress_size:
+            if info.file_size > _MAX_RATIO[info.compress_type] * info.compress_size:
                 raise ValueError(
                     f"the zip directory claims {info.file_size} bytes, more than its "
                     f"{info.compress_size} compressed bytes can hold"

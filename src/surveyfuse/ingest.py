@@ -8,12 +8,17 @@ row's delivery column(s) rescaled to deliveries/day.
 
 Ingestion is column-wise and coded.  A file is parsed ``CHUNK_ROWS``
 non-blank rows at a time, and each column is kept as its distinct raw
-strings, in order of first appearance, plus one integer code per row, so
-memory follows the number of distinct values rather than the number of
-cells.  The tables are joined on codes: household ids through one dict
-over distinct values, persons on (household row, person-id code) packed
-into one integer and matched by sorted search.  Each distinct raw value of
-a mapped column is then encoded or parsed once.
+strings, in order of first appearance, plus one code per row of the
+narrowest unsigned type that holds it, so memory follows the number of
+distinct values rather than the number of cells.  A key column is coded
+while it is read against the table it references: household ids in every
+table through one id -> household-row dict, person ids of the travel days
+through the persons' id -> code dict, so each id string is held once and
+an id that the referenced table lacks gets a code past its end.  Persons
+are joined on (household row, person-id code) packed into one integer and
+matched by sorted search.  Each distinct raw value of a mapped column is
+then encoded or parsed once, and a feature's packed one-hot words are
+ORed straight into the samples' words.
 
 Files are UTF-8; a leading byte-order mark is ignored.  Ingestion fails
 fast: a header that repeats a column, missing key or mapped columns,
@@ -28,13 +33,13 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import EncodedDataset, bit_mask, bit_popcount, pack_rows
+from .dataset import _PACK_ROWS, EncodedDataset, _code_ids, bit_mask, bit_popcount, pack_rows
 from .errors import DataError, IngestionError, MappingError
 from .schema import MISSING_LABEL, HarmonizationSpec, TargetColumn, build_dictionary, encode_value
 
@@ -45,15 +50,10 @@ class Column(NamedTuple):
     """One CSV column: its distinct raw strings in order of first appearance, a code per row."""
 
     values: list[str]
-    codes: np.ndarray  # row -> index into ``values``
+    codes: np.ndarray  # row -> index into ``values``, unsigned, as narrow as ``values`` allow
 
     def raw(self, row: int) -> str:
         return self.values[self.codes[row]]
-
-    def through(self, mapping: dict) -> np.ndarray:
-        """``mapping[value]`` of every row, -1 where absent; one lookup per distinct value."""
-        per_value = np.fromiter(map(mapping.get, self.values, repeat(-1)), np.intc, len(self.values))
-        return per_value[self.codes]
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class RawTableSet:
     households: Table
     persons: Table
     days: Table
-    household_row: np.ndarray  # travel-day row -> household-table row
+    household_row: np.ndarray  # travel-day row -> household-table row (the days' key codes)
     person_row: np.ndarray  # travel-day row -> person-table row
 
     @property
@@ -99,7 +99,15 @@ class _Coder(dict):
         return code
 
 
-def _read_csv(path: str | Path, required: list[str], label: str) -> Table:
+def _code_type(n_values: int) -> np.dtype:
+    """The narrowest unsigned type of codes 0 .. n_values - 1."""
+    return np.min_scalar_type(max(n_values - 1, 0))
+
+
+def _read_csv(path: str | Path, required: list[str], label: str,
+              shared: dict[str, _Coder]) -> Table:
+    """One CSV file as coded columns; a column named in ``shared`` is coded
+    by, and extends, the coder given for it there."""
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{label} table not found: {path}")
@@ -115,8 +123,8 @@ def _read_csv(path: str | Path, required: list[str], label: str) -> Table:
         if missing:
             raise IngestionError(f"{path}: missing key column(s) {missing}")
         width = len(header)
-        coders = [_Coder() for _ in header]
-        parts = [[np.zeros(0, dtype=np.intc)] for _ in header]  # per column: codes per chunk
+        coders = [shared[c] if c in shared else _Coder() for c in header]
+        parts = [[np.zeros(0, dtype=np.uint8)] for _ in header]  # per column: codes per chunk
         n_rows = 0
         records = filter(None, reader)  # a blank line is no record
         while chunk := list(islice(records, CHUNK_ROWS)):
@@ -126,13 +134,16 @@ def _read_csv(path: str | Path, required: list[str], label: str) -> Table:
                     f"{path}: row {n_rows + bad + 2} has {len(chunk[bad])} columns, {width} expected"
                 )
             for coder, part, cells in zip(coders, parts, zip(*chunk)):
-                part.append(np.fromiter(map(coder.__getitem__, cells), np.intc, len(chunk)))
+                codes = np.fromiter(map(coder.__getitem__, cells), np.intc, len(chunk))
+                part.append(codes.astype(_code_type(len(coder))))
             n_rows += len(chunk)
     columns = {}
     for name, coder, part in zip(header, coders, parts):
-        columns[name] = Column(list(coder), np.concatenate(part))
-        coder.clear()  # free each column's lookup and chunks as soon as it is built
-        part.clear()
+        codes = np.concatenate(part, dtype=_code_type(len(coder)), casting="unsafe")
+        columns[name] = Column(list(coder), codes)
+        part.clear()  # free each column's chunks, and its lookup unless shared, once it is built
+        if name not in shared:
+            coder.clear()
     return Table(path=path, columns=columns, n_rows=n_rows)
 
 
@@ -150,22 +161,26 @@ def load_tables(
     travel day of an unknown person.
     """
     keys = spec.table_keys(survey_id)
-    hh = _read_csv(household_path, [keys.household_id], "household")
-    persons = _read_csv(person_path, [keys.household_id, keys.person_id], "person")
-    days = _read_csv(day_path, [keys.household_id, keys.person_id, keys.day_id], "travel-day")
+    households = _Coder()  # household id -> household-table row, while no id repeats
+    person_ids = _Coder()  # person id -> its code in the persons table
+    hid, pid = keys.household_id, keys.person_id
+    shared = {pid: person_ids, hid: households}  # one column naming both keys codes households
+    hh = _read_csv(household_path, [hid], "household", {hid: households})
+    persons = _read_csv(person_path, [hid, pid], "person", shared)
+    days = _read_csv(day_path, [hid, pid, keys.day_id], "travel-day", shared)
 
-    hh_id = hh.columns[keys.household_id]
-    if len(hh_id.values) < hh.n_rows:  # codes count 0, 1, 2, ... up to the first repeat
+    hh_id = hh.columns[hid]
+    n_households = len(hh_id.values)
+    if n_households < hh.n_rows:  # codes count 0, 1, 2, ... up to the first repeat
         row = int(np.argmax(hh_id.codes != np.arange(hh.n_rows)))
         raise _row_error(hh, row, "duplicate household id", hh_id.raw(row))
-    hh_row = dict(zip(hh_id.values, range(hh.n_rows)))
-    p_hid, p_pid = persons.columns[keys.household_id], persons.columns[keys.person_id]
-    p_household = p_hid.through(hh_row)
-    if (p_household < 0).any():
-        row = int(np.argmax(p_household < 0))
+    p_hid, p_pid = persons.columns[hid], persons.columns[pid]
+    unknown = p_hid.codes >= n_households
+    if unknown.any():
+        row = int(np.argmax(unknown))
         raise _row_error(persons, row, "person references unknown household", p_hid.raw(row))
     n_pid = len(p_pid.values)
-    p_keys = _person_keys(p_household, p_pid.codes, n_pid)
+    p_keys = _person_keys(p_hid.codes, p_pid.codes, n_households, n_pid)
     order = np.argsort(p_keys, kind="stable")
     sorted_keys = p_keys[order]
     repeated = sorted_keys[1:] == sorted_keys[:-1]
@@ -173,50 +188,46 @@ def load_tables(
         row = int(order[1:][repeated].min())  # a repeat is any but the first row of its key
         raise _row_error(persons, row, "duplicate person", (p_hid.raw(row), p_pid.raw(row)))
 
-    d_hid, d_pid = days.columns[keys.household_id], days.columns[keys.person_id]
-    pid_code = dict(zip(p_pid.values, range(len(p_pid.values))))
-    d_keys = _person_keys(d_hid.through(hh_row), d_pid.through(pid_code), n_pid)
+    d_hid, d_pid = days.columns[hid], days.columns[pid]
     # A sentinel above every person's key keeps each search result a valid index.
     sorted_keys = np.append(sorted_keys, np.iinfo(np.int64).max)
-    at = np.searchsorted(sorted_keys, d_keys)
-    found = sorted_keys[at] == d_keys
-    if not found.all():
-        row = int(np.argmin(found))
-        key = (d_hid.raw(row), d_pid.raw(row))
-        raise _row_error(days, row, "travel day references unknown person", key)
-    person_row = order[at]
-    # every key value is now known to be found: hold each distinct id string once
-    _share_strings(p_hid, hh_id.values, hh_row)
-    _share_strings(d_hid, hh_id.values, hh_row)
-    _share_strings(d_pid, p_pid.values, pid_code)
-    return RawTableSet(survey_id, hh, persons, days, p_household[person_row], person_row)
-
-
-def _share_strings(column: Column, canonical: list[str], index: dict[str, int]) -> None:
-    """Replace each of ``column``'s distinct strings with its equal in ``canonical``."""
-    column.values[:] = [canonical[index[value]] for value in column.values]
+    person_row = np.empty(days.n_rows, dtype=_code_type(persons.n_rows))
+    for s in range(0, days.n_rows, _PACK_ROWS):  # a block of days at a time
+        block = slice(s, s + _PACK_ROWS)
+        d_keys = _person_keys(d_hid.codes[block], d_pid.codes[block], n_households, n_pid)
+        at = np.searchsorted(sorted_keys, d_keys)
+        found = sorted_keys[at] == d_keys
+        if not found.all():
+            row = s + int(np.argmin(found))
+            key = (d_hid.raw(row), d_pid.raw(row))
+            raise _row_error(days, row, "travel day references unknown person", key)
+        person_row[block] = order[at]
+    return RawTableSet(survey_id, hh, persons, days, d_hid.codes, person_row)
 
 
 def _row_error(table: Table, row: int, what: str, key) -> IngestionError:
     return IngestionError(f"{table.path}: row {row + 2}: {what} {key!r}")
 
 
-def _person_keys(household: np.ndarray, person: np.ndarray, n_person: int) -> np.ndarray:
-    """(household row, person-id code) packed into one int64; -1 where either is -1."""
+def _person_keys(household: np.ndarray, person: np.ndarray,
+                 n_household: int, n_person: int) -> np.ndarray:
+    """(household row, person-id code) packed into one int64; -1 where either
+    is a code past its table's end, of an id the table lacks."""
     keys = household.astype(np.int64)
     keys *= n_person
     keys += person
-    keys[(household < 0) | (person < 0)] = -1
+    keys[(household >= n_household) | (person >= n_person)] = -1
     return keys
 
 
-def _per_value(table: Table, column: Column, rows: np.ndarray,
-               convert: Callable, shape: tuple, dtype) -> np.ndarray:
-    """``convert`` of the value in each of ``rows``, called once per distinct value used.
+def _per_value(table: Table, column: Column, rows: np.ndarray | None,
+               convert: Callable, shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``convert`` of each distinct value in ``rows`` (every row if None),
+    called once per value used, and each row's index into them.
 
     A failed conversion raises with the file and the first row holding the value.
     """
-    codes = column.codes[rows]
+    codes = column.codes if rows is None else column.codes[rows]
     used = np.zeros(len(column.values), dtype=bool)
     used[codes] = True
     out = np.zeros((len(column.values), *shape), dtype=dtype)
@@ -224,9 +235,10 @@ def _per_value(table: Table, column: Column, rows: np.ndarray,
         try:
             out[k] = convert(column.values[k])
         except (MappingError, DataError) as exc:
-            row = int(rows[codes == k].min()) + 2
+            held = codes == k
+            row = int(np.argmax(held) if rows is None else rows[held].min()) + 2
             raise type(exc)(f"{table.path}: row {row}: {exc}") from None
-    return out[codes]
+    return out, codes
 
 
 def _delivery_count(raw: str, target: TargetColumn, column: str, survey_id: str) -> float:
@@ -260,27 +272,37 @@ def assemble(raw: RawTableSet, spec: HarmonizationSpec, year: int) -> EncodedDat
     tgt = spec.target.survey_target(survey_id)
     targets = [(c, raw.days.column(c, f"the target of survey {survey_id!r}")) for c in tgt.columns]
 
-    n = raw.days.n_rows
-    x = np.zeros((n, dictionary.dimension), dtype=np.uint8)
+    n, d = raw.days.n_rows, dictionary.dimension
+    words = np.zeros((n, (d + 63) // 64), dtype=np.uint64)
     for (f, table, rows, column), sl in zip(features, dictionary.group_slices()):
         encode = partial(encode_value, f, survey_id=survey_id)
-        x[:, sl] = _per_value(table, column, rows, encode, (len(f.categories),), np.uint8)
-    words = pack_rows(x)  # all the dataset keeps of x, packed before the targets are read
-    del x
-    total = np.zeros(n)
+        bits, codes = _per_value(table, column, rows, encode, (len(f.categories),), np.uint8)
+        placed = np.zeros((len(bits), d), dtype=np.uint8)
+        placed[:, sl] = bits
+        words |= pack_rows(placed)[codes]  # the feature's words of each distinct value, per row
+    y = np.zeros(n)  # the total count, then the target
     answered = np.zeros(n, dtype=bool)
     for name, column in targets:
         parse = partial(_delivery_count, target=tgt, column=name, survey_id=survey_id)
-        count = _per_value(raw.days, column, np.arange(n), parse, (), np.float64)
+        counts, codes = _per_value(raw.days, column, None, parse, (), np.float64)
+        count = counts[codes]
         given = ~np.isnan(count)
-        total[given] += count[given]  # a blank column counts as zero beside an answered one
+        np.add(y, count, out=y, where=given)  # a blank column counts as zero beside an answered one
         answered |= given
-    y = np.where(answered, total / tgt.divisor, np.nan)
-    hid = raw.days.columns[spec.table_keys(survey_id).household_id]
-    # a column's codes number its distinct values in order of first appearance
+    y /= tgt.divisor
+    y[~answered] = np.nan
+    # the days' household codes number household-table rows: renumbered in
+    # order of first appearance among the days, they are the samples' codes
+    row = raw.household_row
+    rows, household_code = _code_ids(
+        (row[s : s + _PACK_ROWS] for s in range(0, n, _PACK_ROWS)), n, row.dtype
+    )
+    ids = raw.households.columns[spec.table_keys(survey_id).household_id].values
+    # only households with days: the array is as wide as the longest of their ids
+    households = np.array([ids[r] for r in rows.tolist()], dtype=np.str_)
     return EncodedDataset(
         dictionary, survey_id, year, words=words, y=y,
-        households=np.array(hid.values, dtype=np.str_), household_code=hid.codes,
+        households=households, household_code=household_code,
     )
 
 

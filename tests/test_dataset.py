@@ -1059,6 +1059,22 @@ class TestLoadChecks:
         monkeypatch.setattr(dataset, "_READ_BYTES", read_bytes)
         self.check(path, repr(member), match="not a readable array: cannot reshape")
 
+    @pytest.mark.parametrize("method", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA], ids=["bzip2", "lzma"])
+    @pytest.mark.parametrize("member", ["meta.json", "household_ids.npy", "x.npy", "y.npy"])
+    def test_other_compression_methods_are_refused(self, saved, member, method):
+        """``save`` writes stored or deflated members only, the methods whose
+        claimed size is bounded; a bzip2 or lzma member claiming 2^30 bytes
+        is refused by name and method before any of it is decompressed."""
+        with zipfile.ZipFile(saved) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        with zipfile.ZipFile(saved, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, blob in members.items():
+                zf.writestr(name, blob, compress_type=method if name == member else None)
+            zf.getinfo(member).file_size = 1 << 30  # the directory is written on close
+        assert refused_load_peak(saved) < 1 << 20
+        name = zipfile.compressor_names[method]
+        self.check(saved, repr(member), match=f"uses compression method {name!r}")
+
     @pytest.mark.parametrize("member", ["household_ids.npy", "x.npy", "y.npy"])
     def test_zip64_size_beyond_the_stream(self, saved, member):
         """A zip64 directory entry, as a size of 4 GiB or more is written,

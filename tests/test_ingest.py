@@ -9,6 +9,7 @@ from oracles import ingest_oracle
 
 from surveyfuse import (
     DataError,
+    EncodedDataset,
     IngestionError,
     MappingError,
     assemble,
@@ -124,8 +125,9 @@ class TestLoadTables:
             load_tables(h, p, d, "mini", mini_spec())
 
     def test_key_strings_are_held_once(self, tmp_path):
-        """After the join, persons and days point at the household and person
-        tables' own id strings rather than holding equal copies."""
+        """Coded as they are read against the tables they reference, persons and
+        days point at the household and person tables' own id strings rather
+        than holding equal copies."""
         h, p, d = write_tables(  # ids of several characters, which Python does not cache
             tmp_path,
             households=["hh,income", "hh01,L", "hh02,H"],
@@ -668,12 +670,61 @@ def test_blank_runs_longer_than_a_chunk(tmp_path, chunk_rows):
         assemble(load_tables(h, p, d, "mini", mini_spec()), mini_spec(), 2017)
 
 
-def test_load_tables_memory_follows_distinct_values(tmp_path):
-    """Holding a table as distinct values and codes, not as rows of strings.
+def reordered_tables():
+    """Mini-spec tables, each household with two persons whose ids repeat across
+    households, and days whose households first appear out of table order."""
+    households = ["hh,income"] + [f"h{i},{'LH'[i % 2]}" for i in range(6)]
+    persons = ["hh,pp,age"] + [f"h{i},{j},{20 + 7 * i + j}" for i in range(6) for j in (1, 2)]
+    days = ["hh,pp,dd,pkgs,food"] + [
+        f"h{i},{j},{day},{(i + day) % 3},{'' if day % 2 else 1}"
+        for i in (3, 1, 4, 0, 2) for j in (2, 1) for day in (1, 2)  # h5 has no days
+    ]
+    days.insert(2, days.pop(5))  # a day of h1 among those of h3
+    days.append("h3,1,3,1,1")  # a household that comes back
+    return {"households": households, "persons": persons, "days": days}
 
-    The tracemalloc peak of ``load_tables`` on about 30k travel days stays
-    below half the peak of reading the day file alone into row lists.
-    """
+
+def test_output_does_not_depend_on_table_row_order(tmp_path, chunk_rows):
+    """The household and person tables reversed, a household without travel
+    days listed first: the saved ``.enc`` is byte-identical to the in-order
+    ingest's, whose samples the per-cell oracle confirms."""
+    tables = reordered_tables()
+    h, p, d = write_tables(tmp_path, **tables)
+    rc, out = run_ingest(tmp_path, h, p, d)
+    assert rc == 0
+    ds = EncodedDataset.load(out)
+    x, y, household_ids = ingest_oracle(h, p, d, "mini", mini_spec())
+    np.testing.assert_array_equal(ds.x, x)
+    np.testing.assert_array_equal(ds.y, y)
+    np.testing.assert_array_equal(ds.household_ids, household_ids)
+    assert ds.households.tolist() == ["h3", "h1", "h4", "h0", "h2"]
+    in_order = out.read_bytes()
+
+    for name in ("households", "persons"):
+        header, *rows = tables[name]
+        tables[name] = [header] + rows[::-1]
+    assert tables["households"][1].startswith("h5,")  # the household without days
+    h, p, d = write_tables(tmp_path, **tables)
+    out.unlink()
+    assert run_ingest(tmp_path, h, p, d) == (0, out)
+    assert out.read_bytes() == in_order
+
+
+def test_person_of_another_household_is_unknown(tmp_path, chunk_rows):
+    """Person ids repeat across households: a day naming an existing person id
+    under a household that lacks it is a dangling reference at its row."""
+    tables = reordered_tables()
+    tables["persons"].remove("h1,2,29")
+    k = tables["days"].index("h1,2,1,2,")
+    h, p, d = write_tables(tmp_path, **tables)
+    with pytest.raises(IngestionError) as err:
+        load_tables(h, p, d, "mini", mini_spec())
+    assert str(err.value) == f"{d}: row {k + 1}: travel day references unknown person ('h1', '2')"
+
+
+def load_tables_peaks(tmp_path) -> tuple[int, int, int]:
+    """Travel days read from about 30k rows, and the ``tracemalloc`` peaks of
+    reading the day file alone into row lists and of ``load_tables``."""
     households, persons, days = ["hh,income"], ["hh,pp,age"], ["hh,pp,dd,pkgs,food"]
     for i in range(2000):
         hid = f"17{i:06d}"
@@ -696,4 +747,23 @@ def test_load_tables_memory_follows_distinct_values(tmp_path):
     finally:
         tracemalloc.stop()
     assert raw.counts["days"] == len(days) - 1 > 29_000
+    return raw.counts["days"], rows_peak, load_peak
+
+
+def test_load_tables_memory_follows_distinct_values(tmp_path):
+    """Holding a table as distinct values and codes, not as rows of strings.
+
+    The tracemalloc peak of ``load_tables`` on about 30k travel days stays
+    below half the peak of reading the day file alone into row lists.
+    """
+    _, rows_peak, load_peak = load_tables_peaks(tmp_path)
     assert load_peak < rows_peak / 2, (load_peak, rows_peak)
+
+
+def test_load_tables_holds_each_id_once(tmp_path):
+    """Key columns coded against the tables they reference as they are read,
+    so each id string is held once, codes as narrow as their values allow,
+    and travel days joined a block at a time: the ``load_tables`` peak stays
+    below a third of the row lists'."""
+    n_days, rows_peak, load_peak = load_tables_peaks(tmp_path)
+    assert load_peak < rows_peak / 3, (load_peak / rows_peak, load_peak / n_days)
