@@ -129,6 +129,12 @@ class AttributionReport:
         }
 
 
+def sample_rows(n: int, limit: int, seed: int) -> np.ndarray:
+    """The rows of n that ``attribute_dataset`` explains: ``min(limit, n)``
+    drawn from ``rng_stream(seed)`` without replacement, ascending."""
+    return np.sort(rng_stream(seed).choice(n, size=min(limit, n), replace=False))
+
+
 def attribute_dataset(
     ds: EncodedDataset,
     predictor: Predictor,
@@ -144,8 +150,7 @@ def attribute_dataset(
     """
     if ds.n_samples == 0:
         raise FusionError("cannot attribute an empty dataset")
-    k = min(sample_limit, ds.n_samples)
-    chosen = np.sort(rng_stream(seed).choice(ds.n_samples, size=k, replace=False))
+    chosen = sample_rows(ds.n_samples, sample_limit, seed)
 
     dictionary = ds.dictionary
     m = dictionary.n_features
@@ -174,7 +179,7 @@ def attribute_dataset(
     predictor_name = getattr(predictor, "name", type(predictor).__name__)
     return AttributionReport(
         entries=entries,
-        n_evaluated=k,
+        n_evaluated=chosen.size,
         seed=seed,
         predictor=predictor_name,
         efficiency_max_error=eff_err,

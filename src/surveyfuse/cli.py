@@ -47,7 +47,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .attribution import BucketMeanPredictor, attribute_dataset
+from .attribution import BucketMeanPredictor, attribute_dataset, sample_rows
 from .dataset import EncodedDataset, require_same_dictionary
 from .datagen import PopulationModel, demo_model, generate
 from .errors import DataError, DictionaryMismatchError, FusionError
@@ -155,10 +155,14 @@ class _Outputs:
                 raise FileNotFoundError(f"input file not found: {p}")
             self._inputs.append(p)
 
-    def load(self, path: str | Path) -> EncodedDataset:
-        """Load an ``.enc`` input and record its sample and household counts."""
-        ds = EncodedDataset.load(path)
-        self.datasets[str(path)] = {"n_samples": ds.n_samples, "n_households": ds.n_households()}
+    def load(
+        self, path: str | Path, rows: Callable[[int], np.ndarray] | None = None
+    ) -> EncodedDataset:
+        """Load an ``.enc`` input, or the ``rows`` of it that ``EncodedDataset.load``
+        takes, and record the file's sample and household counts."""
+        ds = EncodedDataset.load(path, rows=rows)
+        n, k = ds.file_shape
+        self.datasets[str(path)] = {"n_samples": n, "n_households": k}
         return ds
 
     def plan(self, *paths: str | Path | None) -> None:
@@ -478,7 +482,11 @@ def _cmd_spike(args: argparse.Namespace, out: _Outputs) -> int:
 def _cmd_attribute(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.data, args.candidate)
     out.plan(args.out)
-    ds = out.load(args.data)
+    # keep only the rows attribute_dataset will draw: of k kept rows it draws
+    # min(limit, k) = k, every one, so the report is unchanged.  One row at
+    # least, so that an empty file is still refused there and --limit 0
+    # still explains none.
+    ds = out.load(args.data, rows=lambda n: sample_rows(n, max(args.limit, 1), args.seed))
     candidate = out.load(args.candidate)
     require_same_dictionary(ds, candidate)
     predictor = BucketMeanPredictor(candidate.labeled())

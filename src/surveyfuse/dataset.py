@@ -22,7 +22,8 @@ reads ``x.npy``, and ``save`` gathers each block of the per-sample ids
 from the codes, so the file holds the same ``.npy`` member as ever.
 Likewise ``load`` packs ``x.npy`` block by block as it reads it, and
 ``save`` unpacks the words block by block, so the whole uint8 matrix
-never exists in either direction.
+never exists in either direction.  ``load(path, rows=...)`` still reads
+and checks every row but keeps only the selected ones.
 ``load`` checks each member where it enters: present, stored or deflated,
 with a header of its expected dimensions and dtype, ``meta.json``'s
 ``n_samples`` rows and the data bytes the zip directory gives it.  Each key
@@ -32,12 +33,14 @@ damaged container is a ``FusionError``.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
 import tokenize
 import zipfile
 import zlib
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -241,10 +244,13 @@ def bit_popcount(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return total
 
 
-def _code_ids(blocks, n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+def _code_ids(
+    blocks, n: int, dtype: np.dtype, keep: _Selection | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``household_index`` of ``n`` per-sample ids of ``dtype`` given in
     consecutive non-empty blocks, positions as int32: the one id coder of
-    ``load`` and the constructor.
+    ``load`` and the constructor.  With ``keep``, only the kept rows'
+    positions are returned, still among the households of all ``n`` ids.
 
     The int32 codes are allocated first, and each block's are written into
     them in place: the running count of runs of equal adjacent ids, so no
@@ -255,7 +261,7 @@ def _code_ids(blocks, n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     ``np.unique`` groups them, as in ``first_occurrence``, and the codes are
     remapped in place.
     """
-    code = np.empty(n, dtype=np.int32)
+    code = np.empty(n if keep is None else keep.rows.size, dtype=np.int32)
     households = np.empty(min(n, _PACK_ROWS), dtype)  # the run keys; no view of it is kept
     last = np.empty(0, dtype)  # the id before the block
     s = runs = 0
@@ -265,8 +271,11 @@ def _code_ids(blocks, n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
         start = np.empty(e - s, dtype=bool)
         start[0] = s == 0 or ids[0] != last[0]
         np.not_equal(ids[1:], ids[:-1], out=start[1:])
-        np.cumsum(start, out=code[s:e])
-        code[s:e] += runs - 1
+        here = code[s:e] if keep is None else np.empty(e - s, dtype=np.int32)
+        np.cumsum(start, out=here)
+        here += runs - 1
+        if keep is not None:
+            keep.take(code, s, here)
         run_keys = ids[start]
         ascending = ascending and not (
             (run_keys[1:] < run_keys[:-1]).any() or (run_keys[:1] < last).any()
@@ -283,7 +292,7 @@ def _code_ids(blocks, n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
         rank = np.empty(order.size, dtype=np.int32)
         rank[order] = np.arange(order.size)
         households, run_rank = households[first[order]], rank[inverse]
-        for s in range(0, n, _PACK_ROWS):
+        for s in range(0, code.size, _PACK_ROWS):
             block = code[s : s + _PACK_ROWS]
             block[:] = run_rank[block]
     return households, code
@@ -334,6 +343,57 @@ def _checked_codes(
     return households, code.astype(np.int32, copy=False)
 
 
+def _recode(households: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The households that ``code`` uses, in order of first appearance, and
+    ``code`` renumbered among them as int32."""
+    first, rank = first_occurrence(code)
+    return households[code[first]], rank.astype(np.int32)
+
+
+class _RowChecks:
+    """The checks of each row's words and target, fed a block of rows at a
+    time in row order and raised by ``raise_first`` in one order: the first
+    row with more than one bit of a one-hot group set, of the first feature
+    that has one; then an infinite target; then a negative one.  The
+    constructor checks its arrays with it, and a row-selective ``load`` the
+    rows it streams past, so both refuse a file with the same error."""
+
+    def __init__(self, dictionary: FeatureDictionary) -> None:
+        d = dictionary.dimension
+        # a one-hot group has popcount 0 (missing) or 1, and a 1-bit group no more
+        self.groups = [
+            (name, bit_mask(sl.start, sl.stop, d))
+            for name, sl in zip(dictionary.features, dictionary.group_slices())
+            if sl.stop - sl.start > 1
+        ]
+        self.two_hot: dict[str, int] = {}  # feature -> its first row with two bits set
+        self.infinite = self.negative = False
+
+    def words(self, words: np.ndarray, start: int) -> None:
+        """Check packed rows ``start:start + len(words)``."""
+        for name, mask in self.groups:
+            if name not in self.two_hot:
+                pop = bit_popcount(words, mask)
+                if pop.max(initial=0) > 1:
+                    self.two_hot[name] = start + int(np.argmax(pop > 1))
+
+    def targets(self, y: np.ndarray) -> None:
+        # NaN is neither infinite nor negative
+        self.infinite = self.infinite or bool(np.isinf(y).any())
+        self.negative = self.negative or bool((y < 0).any())
+
+    def raise_first(self) -> None:
+        for name, _ in self.groups:
+            if name in self.two_hot:
+                raise DataError(
+                    f"x row {self.two_hot[name]}: feature {name!r} has more than one bit set"
+                )
+        if self.infinite:
+            raise DataError("target values must be finite (NaN marks a missing target)")
+        if self.negative:
+            raise DataError("target values must be >= 0")
+
+
 class EncodedDataset:
     """Ordered person-day samples sharing one feature dictionary.
 
@@ -350,6 +410,10 @@ class EncodedDataset:
     Pass either ``x``, the (n, d) 0/1 matrix, which is packed here, or
     ``words`` already packed; ``x`` unpacks them again.
     """
+
+    # (n_samples, n_households) of the file ``load`` read, of which a row
+    # selection keeps fewer; None for a dataset that was not loaded
+    file_shape: tuple[int, int] | None = None
 
     def __init__(
         self,
@@ -423,21 +487,11 @@ class EncodedDataset:
         blocks = [slice(s, s + _PACK_ROWS) for s in range(0, n, _PACK_ROWS)]
         if d % 64 and any((self.words[b, -1] >> np.uint64(d % 64)).any() for b in blocks):
             raise DataError(f"words must be zero past bit {d}")
-        for name, sl in zip(dictionary.features, dictionary.group_slices()):
-            # a one-hot group has popcount 0 (missing) or 1
-            if sl.stop - sl.start < 2:
-                continue
-            mask = bit_mask(sl.start, sl.stop, d)
-            for b in blocks:
-                pop = bit_popcount(self.words[b], mask)
-                if pop.max(initial=0) > 1:
-                    row = b.start + int(np.argmax(pop > 1))
-                    raise DataError(f"x row {row}: feature {name!r} has more than one bit set")
-        # NaN is neither infinite nor negative
-        if any(np.isinf(self.y[b]).any() for b in blocks):
-            raise DataError("target values must be finite (NaN marks a missing target)")
-        if any((self.y[b] < 0).any() for b in blocks):
-            raise DataError("target values must be >= 0")
+        checks = _RowChecks(dictionary)
+        for b in blocks:
+            checks.words(self.words[b], b.start)
+            checks.targets(self.y[b])
+        checks.raise_first()
 
     # -- basic views ----------------------------------------------------------
 
@@ -470,16 +524,10 @@ class EncodedDataset:
 
     def subset(self, indices: np.ndarray) -> "EncodedDataset":
         indices = np.asarray(indices)
-        code = self.household_code[indices]
-        first, rank = first_occurrence(code)
+        households, code = _recode(self.households, self.household_code[indices])
         return EncodedDataset._of_distinct(
-            self.dictionary,
-            self.survey_id,
-            self.year,
-            self.households[code[first]],
-            rank.astype(np.int32),
-            self.words[indices],
-            self.y[indices],
+            self.dictionary, self.survey_id, self.year,
+            households, code, self.words[indices], self.y[indices],
         )
 
     def labeled(self) -> "EncodedDataset":
@@ -524,7 +572,21 @@ class EncodedDataset:
             _write_array(zf, "y.npy", y.dtype, (n,), lambda s, e: y[s:e])
 
     @classmethod
-    def load(cls, path: str | Path) -> "EncodedDataset":
+    def load(
+        cls, path: str | Path, rows: Callable[[int], np.ndarray] | None = None
+    ) -> "EncodedDataset":
+        """The dataset of an ``.enc`` file, or only some of its rows.
+
+        ``rows``, if given, is a function of ``meta.json``'s ``n_samples``
+        that returns the ascending, distinct indices of the rows to keep
+        (a ``ValueError`` otherwise).  It is called once, when the first
+        member's header has confirmed ``n_samples``.  Every member is still
+        read to its end and every row checked, so a file is refused with
+        the same error either way; only the kept rows' ids, words and
+        targets are held, and the result equals
+        ``load(path).subset(rows(n_samples))``.  Either way ``file_shape``
+        gives the file's samples and households.
+        """
         try:
             with zipfile.ZipFile(path, "r") as zf:
                 with _open_member(zf, path, "meta.json") as fh:
@@ -555,16 +617,23 @@ class EncodedDataset:
                     )
                 # the ids are coded and x is packed block by block as they are read
                 n = meta.get("n_samples")
-                households, code = _read_array(zf, path, "household_ids.npy", n)
-                words = _read_array(zf, path, "x.npy", n, dictionary.dimension)
-                y = _read_array(zf, path, "y.npy", n)
+                keep = None if rows is None else _Selection(rows, dictionary)
+                households, code = _read_array(zf, path, "household_ids.npy", n, keep=keep)
+                words = _read_array(zf, path, "x.npy", n, dictionary.dimension, keep)
+                y = _read_array(zf, path, "y.npy", n, keep=keep)
         except FileNotFoundError:  # a missing path stays what it is
             raise
         except _ZIP_ERRORS as exc:
             raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact: {exc}") from None
-        return cls._of_distinct(
+        file_shape = (n, households.size)
+        if keep is not None:
+            keep.checks.raise_first()
+            households, code = _recode(households, code)  # the file's households are dropped
+        ds = cls._of_distinct(
             dictionary, meta["survey_id"], meta["year"], households, code, words, y
         )
+        ds.file_shape = file_shape
+        return ds
 
 
 # meta.json key -> what its value must be (a key of schema.JSON_KINDS)
@@ -673,15 +742,60 @@ def _check_rows(path: str | Path, n, name: str, rows: int) -> None:
         )
 
 
-def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | None = None):
+class _Selection:
+    """The rows a ``load`` keeps, ``of_n(n)`` of the file's n, and the
+    ``_RowChecks`` of every row it reads, kept or not."""
+
+    def __init__(self, of_n: Callable[[int], np.ndarray], dictionary: FeatureDictionary) -> None:
+        self.of_n = of_n
+        self.rows: np.ndarray | None = None
+        self.checks = _RowChecks(dictionary)
+
+    def resolve(self, n: int) -> None:
+        """The kept rows, from one call of ``of_n``; a ``ValueError`` unless
+        they are integers that ascend without repeats from 0 to below n."""
+        if self.rows is not None:
+            return
+        rows = np.asarray(self.of_n(n))
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ValueError(f"rows must be 1-D integers, got a {rows.ndim}-D {rows.dtype} array")
+        if (rows[1:] <= rows[:-1]).any():
+            raise ValueError("rows must ascend without repeats")
+        if rows.size and (rows[0] < 0 or rows[-1] >= n):
+            raise ValueError(f"rows must lie in [0, {n}), got {rows[0]} to {rows[-1]}")
+        self.rows = rows.astype(np.intp)
+
+    def take(self, out: np.ndarray, start: int, block: np.ndarray) -> None:
+        """Copy the kept rows among rows ``start:start + len(block)`` into
+        their places in ``out``."""
+        i, j = np.searchsorted(self.rows, (start, start + block.shape[0]))
+        out[i:j] = block[self.rows[i:j] - start]
+
+
+@contextlib.contextmanager
+def _readable(path: str | Path, name: str):
+    """What numpy's ``.npy`` reader raises, as the ``DataError`` of a member
+    that is not a readable array."""
+    try:
+        yield
+    except _NPY_ERRORS as exc:
+        raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
+
+
+def _read_array(
+    zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | None = None,
+    keep: _Selection | None = None,
+):
     """``_write_array`` undone: one array member of ``meta.json``'s ``n`` rows,
     ``x.npy`` (d given) packed into words and ``household_ids.npy`` coded
     into ``(households, household_code)`` (``_code_ids``).  Its header is
     checked before anything is allocated, against the member's size in the
     zip directory too, and that size against what its compressed bytes can
-    hold; its rows are then read ``_READ_BYTES`` at a time."""
+    hold; its rows are then read ``_READ_BYTES`` at a time.  With ``keep``,
+    resolved once a header has vouched for n, every row still goes through
+    the checks, ``keep.checks`` included, but only the kept rows are held."""
     with _open_member(zf, path, name) as fh:
-        try:
+        with _readable(path, name):
             version = np.lib.format.read_magic(fh)
             if version not in _NPY_HEADERS:
                 raise ValueError(f"unsupported .npy format version {version}")
@@ -705,21 +819,38 @@ def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | No
                     f"{info.compress_size} compressed bytes can hold"
                 )
             blocks = _read_rows(fh, shape, dtype, max(1, _READ_BYTES // max(1, row_bytes)))
+        if keep is not None:
+            keep.resolve(n)  # a bad selection stays a ValueError
+        with _readable(path, name):
             if dtype.kind == "U":
-                return _code_ids(blocks, n, dtype)
-            out = np.empty(shape, dtype) if d is None else np.empty((n, (d + 63) // 64), np.uint64)
-            s = 0
+                return _code_ids(blocks, n, dtype, keep)
+            kept = n if keep is None else keep.rows.size
+            if d is None:
+                out = np.empty(kept, dtype)
+            else:
+                out = np.empty((kept, (d + 63) // 64), np.uint64)
+            s = t = 0
+            staged = []  # packed rows t:s, checked and kept some _PACK_ROWS at a time
             for rows in blocks:
                 e = s + rows.shape[0]
-                if d is None:
-                    out[s:e] = rows
-                elif rows.max(initial=0) > 1:
+                if d is not None and rows.max(initial=0) > 1:
                     raise DataError(f"{path}: member {name!r}: x values must be 0 or 1")
+                if keep is None:  # the constructor checks the whole arrays
+                    if d is None:
+                        out[s:e] = rows
+                    else:
+                        pack_rows(rows, out=out[s:e])
+                elif d is None:
+                    keep.checks.targets(rows)
+                    keep.take(out, s, rows)
                 else:
-                    pack_rows(rows, out=out[s:e])
+                    staged.append(pack_rows(rows))
+                    if e - t >= _PACK_ROWS or e == n:
+                        words = np.concatenate(staged)
+                        keep.checks.words(words, t)
+                        keep.take(out, t, words)
+                        staged, t = [], e
                 s = e
-        except _NPY_ERRORS as exc:
-            raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
     return out
 
 

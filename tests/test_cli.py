@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surveyfuse import DataError, EncodedDataset, FeatureDictionary, impute, subsample_compare
-from surveyfuse import cli, matching, synthesis
+from surveyfuse import (
+    BucketMeanPredictor, DataError, EncodedDataset, FeatureDictionary, impute, subsample_compare,
+)
+from surveyfuse import attribution, cli, matching, synthesis
 from surveyfuse.dataset import bit_mask
 from surveyfuse.cli import (
     EXIT_DATA,
@@ -474,6 +476,47 @@ class TestAttribute:
         assert [d["n_households"] for d in manifest["datasets"].values()] == [200, 200]
         assert set(manifest["datasets"]) == {str(missing), str(full)}
         assert len({m["target_rows"] for m in matches}) == 1  # both against the buckets
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_only_the_drawn_rows_are_loaded(self, generated, tmp_path, monkeypatch, seed, capsys):
+        """For every limit, 0 and n + 5 included, the report is byte for byte
+        ``attribute_dataset``'s on the whole file, while the call holds only
+        the rows it draws (one at least) and its manifest gives the file's
+        counts.  An empty file is still refused, even at ``--limit 0``."""
+        full, missing = generated
+        data = EncodedDataset.load(missing)
+        candidate = EncodedDataset.load(full)
+        n = data.n_samples
+        held = []
+
+        def attribute_dataset(ds, *args, **kwargs):
+            held.append(ds.n_samples)
+            return attribution.attribute_dataset(ds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "attribute_dataset", attribute_dataset)
+        for limit in (0, 1, 8, n, n + 5):
+            out = tmp_path / f"attr-{limit}.json"
+            rc = run("attribute", "--data", missing, "--candidate", full,
+                     "--limit", limit, "--seed", seed, "--out", out)
+            assert rc == EXIT_OK
+            want = attribution.attribute_dataset(
+                data, BucketMeanPredictor(candidate.labeled()), sample_limit=limit, seed=seed
+            )
+            text = json.dumps(want.to_json_dict(), sort_keys=True, indent=2) + "\n"
+            assert out.read_bytes() == text.encode("utf-8")
+            manifest = json.loads(_manifest_path(out).read_text())
+            assert manifest["datasets"][str(missing)] == {
+                "n_samples": n, "n_households": data.n_households()
+            }
+        assert held == [1, 1, 8, n, n]
+        data.subset(np.arange(0)).save(tmp_path / "empty.enc")
+        for limit in (0, 3):
+            out = tmp_path / f"empty-{limit}.json"
+            rc = run("attribute", "--data", tmp_path / "empty.enc", "--candidate", full,
+                     "--limit", limit, "--seed", seed, "--out", out)
+            assert rc == EXIT_DATA
+            assert "cannot attribute an empty dataset" in capsys.readouterr().err
+            assert not out.exists()
 
 
     def test_predictor_flag_removed(self, generated, tmp_path, capsys):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import struct
 import tempfile
 import tracemalloc
 import zipfile
@@ -1138,6 +1139,169 @@ class TestLoadChecks:
         rewrite_member(saved, "y.npy", npy(np.array([2.0, np.nan], dtype=">f8")))
         y = EncodedDataset.load(saved).y
         assert y.dtype == np.float64 and y[0] == 2.0 and np.isnan(y[1])
+
+
+def cut_deflate_stream(path, name: str, cut: int) -> None:
+    """Rewrite a saved ``.enc`` so that member ``name``'s deflate stream
+    loses its last ``cut`` compressed bytes, while the zip directory still
+    gives the whole member's size and CRC."""
+    blob = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    with zipfile.ZipFile(path, "w") as out:
+        for info in infos:
+            name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+            start = info.header_offset + 30 + name_len + extra_len
+            raw = blob[start : start + info.compress_size - (cut if info.filename == name else 0)]
+            copy = zipfile.ZipInfo(info.filename, date_time=info.date_time)
+            out.writestr(copy, raw)  # stored as is; the directory, written on close, says deflated
+            copy.compress_type, copy.file_size, copy.CRC = (
+                info.compress_type, info.file_size, info.CRC
+            )
+
+
+def same_dataset(got: EncodedDataset, want: EncodedDataset) -> None:
+    assert got.households.dtype == want.households.dtype
+    assert got.households.tolist() == want.households.tolist()
+    assert got.household_code.dtype == np.int32
+    assert got.household_code.tolist() == want.household_code.tolist()
+    assert got.words.dtype == np.uint64 and np.array_equal(got.words, want.words)
+    assert np.array_equal(got.y, want.y, equal_nan=True)
+    assert (got.survey_id, got.year, got.dictionary.hash()) == (
+        want.survey_id, want.year, want.dictionary.hash()
+    )
+
+
+class TestRowSelection:
+    """``load(path, rows=...)`` keeps only the rows ``rows(n_samples)`` names,
+    yet reads and checks every row: it equals ``load(path).subset(rows)``
+    and refuses every file ``load(path)`` refuses, with the same error."""
+
+    @given(
+        ids=id_runs(),
+        block=st.integers(1, 64),
+        pick=st.sampled_from(["drawn", "none", "all", "first", "last", "block edges"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(ids=np.array([], dtype=np.str_), block=1, pick="none", seed=0)
+    @example(ids=np.array(["b", "b", "a", "b", "c", "a"]), block=1, pick="drawn", seed=3)
+    @example(ids=np.array(["a", "a", "a"]), block=2, pick="last", seed=0)  # a split household
+    @settings(max_examples=150, deadline=None)
+    def test_selected_rows_are_the_subset(self, ids, block, pick, seed):
+        n = ids.size
+        # each member's rows per read of ``block`` rows of x.npy (26 bytes a row)
+        per_read = {max(1, block * 26 // size) for size in (26, 8, ids.itemsize or 4)}
+        edges = {e for b in per_read for s in range(0, n + 1, b) for e in (s - 1, s)}
+        rows = {
+            "drawn": np.flatnonzero(np.random.default_rng(seed).random(n) < 0.4),
+            "none": np.arange(0),
+            "all": np.arange(n),
+            "first": np.arange(min(n, 1)),
+            "last": np.arange(max(n - 1, 0), n),
+            "block edges": np.array(sorted(e for e in edges if 0 <= e < n), dtype=np.intp),
+        }[pick]
+        asked = []
+
+        def select(count):
+            asked.append(count)
+            return rows
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            ids_dataset(ids, seed=seed).save(Path(tmp) / "a.enc")
+            mp.setattr(dataset, "_READ_BYTES", block * 26)
+            whole = EncodedDataset.load(Path(tmp) / "a.enc")
+            got = EncodedDataset.load(Path(tmp) / "a.enc", rows=select)
+        assert asked == [n]
+        same_dataset(got, whole.subset(rows))
+        assert got.file_shape == whole.file_shape == (n, whole.n_households())
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ([2, 1], "ascend"),
+            ([1, 1], "ascend"),
+            ([-1, 2], r"lie in \[0, 5\)"),
+            ([0, 5], r"lie in \[0, 5\)"),
+            ([[0, 1]], "1-D integers"),
+            ([0.0, 1.0], "1-D integers"),
+        ],
+    )
+    def test_rows_out_of_range_or_unsorted(self, tmp_path, rows, match):
+        households_dataset(5).save(tmp_path / "a.enc")
+        with pytest.raises(ValueError, match=match):
+            EncodedDataset.load(tmp_path / "a.enc", rows=lambda n: rows)
+
+    @pytest.mark.parametrize(
+        "damage", ["x value 2", "two bits in one group", "y -1", "y inf", "cut deflate stream"]
+    )
+    @pytest.mark.parametrize("read_rows", [64, 2520])
+    def test_a_damaged_unselected_row_is_refused_alike(self, tmp_path, monkeypatch, damage,
+                                                      read_rows):
+        n, bad = 3000, 2500
+        path = tmp_path / "a.enc"
+        ds = households_dataset(n, seed=2)
+        ds.save(path)
+        x, y = ds.x, ds.y.copy()
+        if damage == "x value 2":
+            x[bad, 0] = 2
+        elif damage == "two bits in one group":
+            x[bad, :5] = [0, 1, 0, 1, 0]
+        elif damage.startswith("y"):
+            y[bad] = -1.0 if damage == "y -1" else np.inf
+        if damage == "cut deflate stream":
+            cut_deflate_stream(path, "x.npy", 5)
+        elif damage.startswith("y"):
+            rewrite_member(path, "y.npy", npy(y))
+        else:
+            rewrite_member(path, "x.npy", npy(x))
+        monkeypatch.setattr(dataset, "_READ_BYTES", read_rows * 26)
+        with pytest.raises((FusionError, ValueError)) as whole:
+            EncodedDataset.load(path)
+        with pytest.raises(whole.type) as selected:
+            EncodedDataset.load(path, rows=lambda n: np.array([0, 1, 2, 1000]))
+        assert str(selected.value) == str(whole.value)
+        if damage == "two bits in one group":
+            assert str(whole.value) == f"x row {bad}: feature 'A' has more than one bit set"
+
+    def test_faults_are_reported_in_the_order_of_a_whole_load(self, tmp_path):
+        """With several bad rows the first feature's first bad row is named,
+        then infinite targets, as the constructor names them."""
+        path = tmp_path / "a.enc"
+        ds = households_dataset(3000, seed=2)
+        ds.save(path)
+        x, y = ds.x, ds.y.copy()
+        x[2900, 10:14] = [1, 1, 0, 0]  # feature C
+        x[2950, :5] = [1, 1, 0, 0, 0]  # feature A, later in the file
+        y[10] = np.inf
+        rewrite_member(path, "x.npy", npy(x))
+        rewrite_member(path, "y.npy", npy(y))
+        for rows in (None, lambda n: np.array([0, 1])):
+            with pytest.raises(DataError, match="^x row 2950: feature 'A' has"):
+                EncodedDataset.load(path, rows=rows)
+        x[2950, :5] = [1, 0, 0, 0, 0]
+        x[2900, 10:14] = [1, 0, 0, 0]
+        rewrite_member(path, "x.npy", npy(x))
+        for rows in (None, lambda n: np.array([0, 1])):
+            with pytest.raises(DataError, match="^target values must be finite"):
+                EncodedDataset.load(path, rows=rows)
+
+    def test_selected_load_holds_only_the_run_keys(self, tmp_path):
+        """Loading 500 rows of 120k holds those rows, and on the way one key
+        per run of equal ids, which counts the file's households: it peaks
+        below those keys plus 1 MB under ``tracemalloc``.  Here that is
+        1.9 MB against a 2.4 MB bound; loading every row peaks at 4.3 MB."""
+        path = tmp_path / "big.enc"
+        households_dataset(120_000, seed=1).save(path)
+        rows = np.sort(np.random.default_rng(0).choice(120_000, 500, replace=False))
+        tracemalloc.start()
+        try:
+            ds = EncodedDataset.load(path, rows=lambda n: rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_samples == 500 and ds.file_shape == (120_000, 40_000)
+        run_keys = 40_000 * np.dtype("<U9").itemsize  # "hh0000000", one a household
+        assert peak < run_keys + (1 << 20), (peak, run_keys)
 
 
 class TestConcat:

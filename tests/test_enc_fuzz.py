@@ -1,9 +1,9 @@
 """Damaged ``.enc`` inputs through the CLI.
 
-Each example mutates a valid ``.enc`` once and runs ``describe`` and
-``impute`` on it through ``cli.main``.  Every outcome must be exit 3, 4 or
-5, never an unexpected error (exit 1), and must leave no output and no
-staged ``.tmp-*`` file.
+Each example mutates a valid ``.enc`` once and runs ``describe``,
+``impute`` and ``attribute --limit 1`` on it through ``cli.main``.  Every
+outcome must be exit 3, 4 or 5, never an unexpected error (exit 1), and
+must leave no output and no staged ``.tmp-*`` file.
 """
 
 import contextlib
@@ -151,6 +151,9 @@ def test_damaged_enc_is_refused_cleanly(valid, data):
         for argv in (
             ["describe", "--data", source, "--out", d / "report.json"],
             ["impute", "--source", source, "--candidate", donors, "--out", d / "imputed.csv"],
+            # reads every row, though it keeps one
+            ["attribute", "--data", source, "--candidate", donors, "--limit", 1, "--seed", 1,
+             "--out", d / "attribution.json"],
         ):
             rc = _run(argv)
             assert rc in REFUSED, (what, argv[0], rc)
@@ -168,4 +171,6 @@ def test_each_ids_rewrite_is_a_data_error(valid, tmp_path, how):
     assert _run(["describe", "--data", source]) == EXIT_DATA
     assert _run(["impute", "--source", source, "--candidate", valid[3],
                  "--out", tmp_path / "imputed.csv"]) == EXIT_DATA
+    assert _run(["attribute", "--data", source, "--candidate", valid[3], "--limit", 1,
+                 "--seed", 1, "--out", tmp_path / "attribution.json"]) == EXIT_DATA
     assert sorted(p.name for p in tmp_path.iterdir()) == ["source.enc"]
