@@ -156,11 +156,13 @@ class _Outputs:
             self._inputs.append(p)
 
     def load(
-        self, path: str | Path, rows: Callable[[int], np.ndarray] | None = None
+        self, path: str | Path, rows: Callable[[int], np.ndarray] | None = None, *,
+        ids: bool = True,
     ) -> EncodedDataset:
         """Load an ``.enc`` input, or the ``rows`` of it that ``EncodedDataset.load``
-        takes, and record the file's sample and household counts."""
-        ds = EncodedDataset.load(path, rows=rows)
+        takes, with or without its household ``ids``, and record the file's
+        sample and household counts."""
+        ds = EncodedDataset.load(path, rows=rows, ids=ids)
         n, k = ds.file_shape
         self.datasets[str(path)] = {"n_samples": n, "n_households": k}
         return ds
@@ -415,8 +417,10 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
     out.plan(args.out, prov)
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
-    source2 = out.load(args.source2)
-    source1 = out.load(args.source1)
+    # the sources are matched on covariates alone; covered households are
+    # the candidate's
+    source2 = out.load(args.source2, ids=False)
+    source1 = out.load(args.source1, ids=False)
     candidate = out.load(args.candidate)
     synth = generate_future(
         source2,

@@ -23,7 +23,8 @@ from the codes, so the file holds the same ``.npy`` member as ever.
 Likewise ``load`` packs ``x.npy`` block by block as it reads it, and
 ``save`` unpacks the words block by block, so the whole uint8 matrix
 never exists in either direction.  ``load(path, rows=...)`` still reads
-and checks every row but keeps only the selected ones.
+and checks every row but keeps only the selected ones, and
+``load(path, ids=False)`` keeps no household id, only their count.
 ``load`` checks each member where it enters: present, stored or deflated,
 with a header of its expected dimensions and dtype, ``meta.json``'s
 ``n_samples`` rows and the data bytes the zip directory gives it.  Each key
@@ -245,12 +246,14 @@ def bit_popcount(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _code_ids(
-    blocks, n: int, dtype: np.dtype, keep: _Selection | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    blocks, n: int, dtype: np.dtype, keep: _Selection | None = None, codes: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """``household_index`` of ``n`` per-sample ids of ``dtype`` given in
     consecutive non-empty blocks, positions as int32: the one id coder of
     ``load`` and the constructor.  With ``keep``, only the kept rows'
     positions are returned, still among the households of all ``n`` ids.
+    Without ``codes`` the households are only counted: no position is made,
+    and what is returned is ``(k distinct ids, in no set order), None``.
 
     The int32 codes are allocated first, and each block's are written into
     them in place: the running count of runs of equal adjacent ids, so no
@@ -261,7 +264,7 @@ def _code_ids(
     ``np.unique`` groups them, as in ``first_occurrence``, and the codes are
     remapped in place.
     """
-    code = np.empty(n if keep is None else keep.rows.size, dtype=np.int32)
+    code = None if not codes else np.empty(n if keep is None else keep.rows.size, np.int32)
     households = np.empty(min(n, _PACK_ROWS), dtype)  # the run keys; no view of it is kept
     last = np.empty(0, dtype)  # the id before the block
     s = runs = 0
@@ -271,11 +274,12 @@ def _code_ids(
         start = np.empty(e - s, dtype=bool)
         start[0] = s == 0 or ids[0] != last[0]
         np.not_equal(ids[1:], ids[:-1], out=start[1:])
-        here = code[s:e] if keep is None else np.empty(e - s, dtype=np.int32)
-        np.cumsum(start, out=here)
-        here += runs - 1
-        if keep is not None:
-            keep.take(code, s, here)
+        if code is not None:
+            here = code[s:e] if keep is None else np.empty(e - s, dtype=np.int32)
+            np.cumsum(start, out=here)
+            here += runs - 1
+            if keep is not None:
+                keep.take(code, s, here)
         run_keys = ids[start]
         ascending = ascending and not (
             (run_keys[1:] < run_keys[:-1]).any() or (run_keys[:1] < last).any()
@@ -286,6 +290,8 @@ def _code_ids(
         runs += run_keys.size
         s, last = e, ids[-1:]
     households.resize(runs, refcheck=False)
+    if code is None:
+        return (households if ascending else np.unique(households)), None
     if not ascending:
         _, first, inverse = np.unique(households, return_index=True, return_inverse=True)
         order = np.argsort(first, kind="stable")
@@ -360,20 +366,24 @@ class _RowChecks:
 
     def __init__(self, dictionary: FeatureDictionary) -> None:
         d = dictionary.dimension
-        # a one-hot group has popcount 0 (missing) or 1, and a 1-bit group no more
-        self.groups = [
-            (name, bit_mask(sl.start, sl.stop, d))
-            for name, sl in zip(dictionary.features, dictionary.group_slices())
-            if sl.stop - sl.start > 1
-        ]
+        # a one-hot group has popcount 0 (missing) or 1, and a 1-bit group no
+        # more; each group's words and their masks are looked up once, here
+        self.groups = []
+        for name, sl in zip(dictionary.features, dictionary.group_slices()):
+            if sl.stop - sl.start > 1:
+                mask = bit_mask(sl.start, sl.stop, d)
+                self.groups.append((name, [(w, mask[w]) for w in np.flatnonzero(mask).tolist()]))
         self.two_hot: dict[str, int] = {}  # feature -> its first row with two bits set
         self.infinite = self.negative = False
 
     def words(self, words: np.ndarray, start: int) -> None:
         """Check packed rows ``start:start + len(words)``."""
-        for name, mask in self.groups:
+        for name, masks in self.groups:
             if name not in self.two_hot:
-                pop = bit_popcount(words, mask)
+                (w, mask), *rest = masks
+                pop = np.bitwise_count(words[:, w] & mask)  # uint8: at most 64
+                for w, mask in rest:  # a group across words counts in int32
+                    pop = np.add(pop, np.bitwise_count(words[:, w] & mask), dtype=np.int32)
                 if pop.max(initial=0) > 1:
                     self.two_hot[name] = start + int(np.argmax(pop > 1))
 
@@ -409,6 +419,10 @@ class EncodedDataset:
     uint64 array of ``pack_rows``, 8 bytes a sample at d <= 64 instead of d.
     Pass either ``x``, the (n, d) 0/1 matrix, which is packed here, or
     ``words`` already packed; ``x`` unpacks them again.
+
+    A dataset loaded with ``ids=False`` holds no household ids:
+    ``households`` and ``household_code`` are None, and what needs them
+    raises a ``FusionError``.
     """
 
     # (n_samples, n_households) of the file ``load`` read, of which a row
@@ -460,22 +474,25 @@ class EncodedDataset:
     ) -> "EncodedDataset":
         """The constructor for households distinct by construction (``load``,
         ``subset``, ``concat_datasets``): their codes are checked, but the
-        ids are not counted again."""
+        ids are not counted again.  ``load(path, ids=False)`` passes no ids."""
         ds = cls.__new__(cls)
-        households, household_code = _checked_codes(households, household_code, distinct=True)
+        if household_code is not None:
+            households, household_code = _checked_codes(households, household_code, distinct=True)
         ds._set(dictionary, survey_id, year, households, household_code, words, y)
         return ds
 
     def _set(self, dictionary, survey_id, year, households, household_code, words, y) -> None:
-        """Hold checked coded ids and check the words and targets against them."""
+        """Hold checked coded ids, or none, and check the words and targets
+        against them (against y's length without ids)."""
         self.dictionary = dictionary
         self.survey_id = survey_id
         self.year = year
-        self.households: np.ndarray = households  # (k,) unicode, distinct
-        self.household_code: np.ndarray = household_code  # (n,) int32 into households
+        self.households: np.ndarray | None = households  # (k,) unicode, distinct
+        self.household_code: np.ndarray | None = household_code  # (n,) int32 into households
         self.words = np.ascontiguousarray(words)  # (n, ceil(d/64)) uint64, see pack_rows
         self.y = np.asarray(y, dtype=np.float64)  # (n,) NaN = missing target
-        n, d = household_code.shape[0], dictionary.dimension
+        n = (self.y if household_code is None else household_code).shape[0]
+        d = dictionary.dimension
         if self.words.dtype != np.uint64 or self.words.shape != (n, (d + 63) // 64):
             raise DimensionError(
                 f"words are a {self.words.shape} {self.words.dtype} array, expected "
@@ -497,12 +514,19 @@ class EncodedDataset:
 
     @property
     def n_samples(self) -> int:
-        return int(self.household_code.shape[0])
+        return int(self.y.shape[0])
+
+    def _require_ids(self) -> None:
+        if self.household_code is None:
+            raise FusionError(
+                f"{self.survey_id}: the dataset was loaded without household ids (ids=False)"
+            )
 
     @property
     def household_ids(self) -> np.ndarray:
         """Each sample's household id: a new ``households[household_code]``
         array, as large as the strings; not meant for hot paths."""
+        self._require_ids()
         return self.households[self.household_code]
 
     @property
@@ -520,10 +544,14 @@ class EncodedDataset:
         return int(self.missing_mask.sum())
 
     def n_households(self) -> int:
+        self._require_ids()
         return int(self.households.size)
 
     def subset(self, indices: np.ndarray) -> "EncodedDataset":
+        self._require_ids()
         indices = np.asarray(indices)
+        if not indices.size:  # ``[]`` is float64
+            indices = indices.astype(np.intp)
         households, code = _recode(self.households, self.household_code[indices])
         return EncodedDataset._of_distinct(
             self.dictionary, self.survey_id, self.year,
@@ -539,6 +567,7 @@ class EncodedDataset:
 
         Requires a fully labeled dataset; impute first if targets are missing.
         """
+        self._require_ids()
         if self.n_missing:
             raise DataError(
                 f"{self.n_missing} samples have missing targets; "
@@ -550,6 +579,7 @@ class EncodedDataset:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        self._require_ids()
         meta = {
             "format": ENC_FORMAT,
             "version": ENC_VERSION,
@@ -573,7 +603,8 @@ class EncodedDataset:
 
     @classmethod
     def load(
-        cls, path: str | Path, rows: Callable[[int], np.ndarray] | None = None
+        cls, path: str | Path, rows: Callable[[int], np.ndarray] | None = None, *,
+        ids: bool = True,
     ) -> "EncodedDataset":
         """The dataset of an ``.enc`` file, or only some of its rows.
 
@@ -586,7 +617,14 @@ class EncodedDataset:
         targets are held, and the result equals
         ``load(path).subset(rows(n_samples))``.  Either way ``file_shape``
         gives the file's samples and households.
+
+        With ``ids=False`` no household id is kept: ``household_ids.npy`` is
+        still read to its end and checked, and its households counted for
+        ``file_shape``, but not coded per sample.  It does not combine with
+        ``rows`` (a ``ValueError``).
         """
+        if rows is not None and not ids:
+            raise ValueError("load takes rows or ids=False, not both")
         try:
             with zipfile.ZipFile(path, "r") as zf:
                 with _open_member(zf, path, "meta.json") as fh:
@@ -618,14 +656,19 @@ class EncodedDataset:
                 # the ids are coded and x is packed block by block as they are read
                 n = meta.get("n_samples")
                 keep = None if rows is None else _Selection(rows, dictionary)
-                households, code = _read_array(zf, path, "household_ids.npy", n, keep=keep)
+                households, code = _read_array(
+                    zf, path, "household_ids.npy", n, keep=keep, codes=ids
+                )
+                k = households.size
+                if not ids:
+                    households = None  # only counted
                 words = _read_array(zf, path, "x.npy", n, dictionary.dimension, keep)
                 y = _read_array(zf, path, "y.npy", n, keep=keep)
         except FileNotFoundError:  # a missing path stays what it is
             raise
         except _ZIP_ERRORS as exc:
             raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact: {exc}") from None
-        file_shape = (n, households.size)
+        file_shape = (n, k)
         if keep is not None:
             keep.checks.raise_first()
             households, code = _recode(households, code)  # the file's households are dropped
@@ -784,7 +827,7 @@ def _readable(path: str | Path, name: str):
 
 def _read_array(
     zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | None = None,
-    keep: _Selection | None = None,
+    keep: _Selection | None = None, codes: bool = True,
 ):
     """``_write_array`` undone: one array member of ``meta.json``'s ``n`` rows,
     ``x.npy`` (d given) packed into words and ``household_ids.npy`` coded
@@ -793,7 +836,8 @@ def _read_array(
     zip directory too, and that size against what its compressed bytes can
     hold; its rows are then read ``_READ_BYTES`` at a time.  With ``keep``,
     resolved once a header has vouched for n, every row still goes through
-    the checks, ``keep.checks`` included, but only the kept rows are held."""
+    the checks, ``keep.checks`` included, but only the kept rows are held.
+    Without ``codes`` the ids are only counted."""
     with _open_member(zf, path, name) as fh:
         with _readable(path, name):
             version = np.lib.format.read_magic(fh)
@@ -823,7 +867,7 @@ def _read_array(
             keep.resolve(n)  # a bad selection stays a ValueError
         with _readable(path, name):
             if dtype.kind == "U":
-                return _code_ids(blocks, n, dtype, keep)
+                return _code_ids(blocks, n, dtype, keep, codes)
             kept = n if keep is None else keep.rows.size
             if d is None:
                 out = np.empty(kept, dtype)
@@ -880,6 +924,8 @@ def concat_datasets(
     if not datasets:
         raise FusionError("cannot concatenate zero datasets")
     require_same_dictionary(*datasets)
+    for ds in datasets:
+        ds._require_ids()
     # each dataset's households are distinct and in first-appearance order,
     # so their concatenation's first occurrences are the stacked samples'
     stacked = np.concatenate([d.households for d in datasets])

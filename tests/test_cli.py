@@ -454,6 +454,42 @@ class TestSynthesize:
             assert sum(match["distance_histogram"]) == match["query_rows"]
             assert 0 < match["unique_target_rows"] <= match["target_rows"]
 
+    def test_sources_without_ids_give_the_full_load_output(self, generated, tmp_path, capsys):
+        """The CLI loads both sources without household ids; its artifacts
+        are byte for byte those of ``generate_future`` on full loads, and the
+        manifest counts each file's own samples and households.  The sources'
+        rows are shuffled, so their ids do not ascend and their runs of equal
+        ids outnumber their households."""
+        full, missing = generated
+        paths = {"candidate": full}
+        for name, src, seed in [("source2", missing, 1), ("source1", full, 2)]:
+            ds = EncodedDataset.load(src)
+            ds.subset(np.random.default_rng(seed).permutation(ds.n_samples)).save(
+                tmp_path / f"{name}.enc"
+            )
+            paths[name] = tmp_path / f"{name}.enc"
+        loaded = {k: EncodedDataset.load(p) for k, p in paths.items()}
+        for k in ("source2", "source1"):
+            ids = loaded[k].household_ids
+            assert (ids[1:] < ids[:-1]).any()
+            assert np.count_nonzero(ids[1:] != ids[:-1]) + 1 > loaded[k].n_households()
+        out = tmp_path / "synth.enc"
+        assert run("synthesize", "--source2", paths["source2"], "--source1", paths["source1"],
+                   "--candidate", paths["candidate"], "--out", out) == EXIT_OK
+        capsys.readouterr()
+        synth = synthesis.generate_future(*(loaded[k] for k in ("source2", "source1", "candidate")))
+        synth.to_encoded_dataset("synthetic", 0).save(tmp_path / "reference.enc")
+        assert out.read_bytes() == (tmp_path / "reference.enc").read_bytes()
+        assert (tmp_path / "synth.provenance.csv").read_bytes() == csv_reference(
+            ["bucket_id", "n_S", "n_G_total", "y_synth"],
+            [synth.bucket_index, synth.n_matched_samples, synth.n_matched_donors, synth.y],
+        )
+        manifest = json.loads((tmp_path / "synth.enc.manifest.json").read_text())
+        assert manifest["datasets"] == {
+            str(p): {"n_samples": loaded[k].n_samples, "n_households": loaded[k].n_households()}
+            for k, p in paths.items()
+        }
+
 
 class TestAttribute:
     def test_report(self, generated, tmp_path):

@@ -556,6 +556,17 @@ class TestPackedRows:
         with pytest.raises(error, match=match):
             EncodedDataset(pair_dictionary, "t", 2017, ["a", "b"], y=[1.0, 2.0], words=words)
 
+    @pytest.mark.parametrize("bits", [2, 255, 256, 257, 300])
+    def test_a_group_across_words_counts_past_255(self, bits):
+        """A 300-bit group spans five words; a row with 256 of its bits set
+        is two-hot, though 256 wraps to 0 in the uint8 of one word's count."""
+        dictionary = FeatureDictionary(("F",), (tuple(f"c{j}" for j in range(300)),))
+        x = np.zeros((2, 300), dtype=np.uint8)
+        x[0, 0] = 1
+        x[1, :bits] = 1
+        with pytest.raises(DataError, match="^x row 1: feature 'F' has more than one bit set$"):
+            EncodedDataset(dictionary, "t", 2017, ["a", "b"], y=[1.0, 2.0], words=pack_rows(x))
+
     @pytest.mark.parametrize("given_as", [{}, {"x": [[1, 0]], "words": [[1]]}])
     def test_x_or_words_exactly_once(self, single_dictionary, given_as):
         with pytest.raises(TypeError, match="one of x and words"):
@@ -695,6 +706,7 @@ class TestCodedHouseholds:
             "subset": rng.integers(0, ids.size, 120),  # repeats and any order
             "labeled": np.flatnonzero(~ds.missing_mask),
             "none": np.zeros(0, dtype=np.intp),
+            "empty list": [],  # float64 as an array, yet no rows
             "short ids only": np.flatnonzero(np.char.str_len(ids) == np.char.str_len(ids).min()),
         }
         for name, idx in picks.items():
@@ -908,8 +920,12 @@ class TestLoadChecks:
         return path
 
     def check(self, path, member: str, error=DataError, match: str = ""):
-        with pytest.raises(error, match=f"^{path}: .*{member}.*{match}"):
-            EncodedDataset.load(path)
+        messages = set()
+        for ids in (True, False):  # a load without ids refuses alike
+            with pytest.raises(error, match=f"^{path}: .*{member}.*{match}") as refused:
+                EncodedDataset.load(path, ids=ids)
+            messages.add(str(refused.value))
+        assert len(messages) == 1, messages
         out = path.with_name("describe.json")
         assert main(["describe", "--data", str(path), "--out", str(out)]) == EXIT_DATA
         assert not out.exists()
@@ -1260,6 +1276,9 @@ class TestRowSelection:
         with pytest.raises(whole.type) as selected:
             EncodedDataset.load(path, rows=lambda n: np.array([0, 1, 2, 1000]))
         assert str(selected.value) == str(whole.value)
+        with pytest.raises(whole.type) as id_free:
+            EncodedDataset.load(path, ids=False)
+        assert str(id_free.value) == str(whole.value)
         if damage == "two bits in one group":
             assert str(whole.value) == f"x row {bad}: feature 'A' has more than one bit set"
 
@@ -1275,15 +1294,16 @@ class TestRowSelection:
         y[10] = np.inf
         rewrite_member(path, "x.npy", npy(x))
         rewrite_member(path, "y.npy", npy(y))
-        for rows in (None, lambda n: np.array([0, 1])):
+        loads = ({}, {"rows": lambda n: np.array([0, 1])}, {"ids": False})
+        for how in loads:
             with pytest.raises(DataError, match="^x row 2950: feature 'A' has"):
-                EncodedDataset.load(path, rows=rows)
+                EncodedDataset.load(path, **how)
         x[2950, :5] = [1, 0, 0, 0, 0]
         x[2900, 10:14] = [1, 0, 0, 0]
         rewrite_member(path, "x.npy", npy(x))
-        for rows in (None, lambda n: np.array([0, 1])):
+        for how in loads:
             with pytest.raises(DataError, match="^target values must be finite"):
-                EncodedDataset.load(path, rows=rows)
+                EncodedDataset.load(path, **how)
 
     def test_selected_load_holds_only_the_run_keys(self, tmp_path):
         """Loading 500 rows of 120k holds those rows, and on the way one key
@@ -1302,6 +1322,79 @@ class TestRowSelection:
         assert ds.n_samples == 500 and ds.file_shape == (120_000, 40_000)
         run_keys = 40_000 * np.dtype("<U9").itemsize  # "hh0000000", one a household
         assert peak < run_keys + (1 << 20), (peak, run_keys)
+
+
+class TestIdFreeLoad:
+    """``load(path, ids=False)`` reads and checks every member, counts the
+    file's households, and keeps everything but the household ids."""
+
+    @given(ids=id_runs(), block=st.integers(1, 64), seed=st.integers(0, 2**16))
+    @example(ids=np.array([], dtype=np.str_), block=1, seed=0)
+    @example(ids=np.array(["b", "b", "a", "b", "c", "a"]), block=1, seed=3)  # b and a come back
+    @example(ids=np.array(["a", "b", "b", "c"]), block=2, seed=0)  # ascending across blocks
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_full_load_but_for_ids(self, ids, block, seed):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            ids_dataset(ids, seed=seed).save(Path(tmp) / "a.enc")
+            mp.setattr(dataset, "_READ_BYTES", block * ids.itemsize)  # ``block`` ids a read
+            whole = EncodedDataset.load(Path(tmp) / "a.enc")
+            got = EncodedDataset.load(Path(tmp) / "a.enc", ids=False)
+        assert got.households is None and got.household_code is None
+        assert got.n_samples == whole.n_samples
+        assert got.words.dtype == np.uint64 and np.array_equal(got.words, whole.words)
+        assert np.array_equal(got.y, whole.y, equal_nan=True)
+        assert (got.survey_id, got.year, got.dictionary.hash()) == (
+            whole.survey_id, whole.year, whole.dictionary.hash()
+        )
+        assert got.file_shape == whole.file_shape == (ids.size, np.unique(ids).size)
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda ds, tmp: ds.household_ids,
+            lambda ds, tmp: ds.n_households(),
+            lambda ds, tmp: ds.subset([0]),
+            lambda ds, tmp: ds.labeled(),
+            lambda ds, tmp: ds.household_totals(),
+            lambda ds, tmp: ds.save(tmp / "again.enc"),
+            lambda ds, tmp: concat_datasets([ds], survey_id="c", year=2017),
+            lambda ds, tmp: concat_datasets(
+                [EncodedDataset.load(tmp / "a.enc"), ds], survey_id="c", year=2017
+            ),
+        ],
+        ids=["household_ids", "n_households", "subset", "labeled", "household_totals", "save",
+             "concat", "concat with a full load"],
+    )
+    def test_what_needs_ids_is_refused(self, tmp_path, use):
+        households_dataset(6).save(tmp_path / "a.enc")
+        ds = EncodedDataset.load(tmp_path / "a.enc", ids=False)
+        with pytest.raises(FusionError, match="loaded without household ids"):
+            use(ds, tmp_path)
+        assert not (tmp_path / "again.enc").exists()
+
+    def test_rows_and_no_ids_do_not_combine(self, tmp_path):
+        households_dataset(6).save(tmp_path / "a.enc")
+        with pytest.raises(ValueError, match="not both"):
+            EncodedDataset.load(tmp_path / "a.enc", rows=lambda n: np.arange(n), ids=False)
+
+    def test_keeps_only_words_and_targets(self, tmp_path):
+        """Loading 120k rows without ids keeps their words and targets (1.92 MB)
+        and under 0.5 MB more under ``tracemalloc``; a full load also keeps
+        the int32 codes and the distinct ids."""
+        path = tmp_path / "big.enc"
+        households_dataset(120_000, seed=1).save(path)
+        kept = {}
+        for ids in (False, True):
+            tracemalloc.start()
+            try:
+                ds = EncodedDataset.load(path, ids=ids)
+                kept[ids] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert ds.file_shape == (120_000, 40_000)
+        arrays = ds.words.nbytes + ds.y.nbytes
+        assert kept[False] < arrays + (1 << 19), (kept, arrays)
+        assert kept[True] > arrays + ds.household_code.nbytes + ds.households.nbytes, kept
 
 
 class TestConcat:

@@ -1,7 +1,8 @@
 """Damaged ``.enc`` inputs through the CLI.
 
 Each example mutates a valid ``.enc`` once and runs ``describe``,
-``impute`` and ``attribute --limit 1`` on it through ``cli.main``.  Every
+``impute``, ``attribute --limit 1`` and ``synthesize`` (the file as
+``--source2``, loaded without household ids) on it through ``cli.main``.  Every
 outcome must be exit 3, 4 or 5, never an unexpected error (exit 1), and
 must leave no output and no staged ``.tmp-*`` file.
 """
@@ -154,6 +155,9 @@ def test_damaged_enc_is_refused_cleanly(valid, data):
             # reads every row, though it keeps one
             ["attribute", "--data", source, "--candidate", donors, "--limit", 1, "--seed", 1,
              "--out", d / "attribution.json"],
+            # reads every member, though it keeps no household id
+            ["synthesize", "--source2", source, "--source1", donors, "--candidate", donors,
+             "--out", d / "synthetic.enc"],
         ):
             rc = _run(argv)
             assert rc in REFUSED, (what, argv[0], rc)
@@ -173,4 +177,9 @@ def test_each_ids_rewrite_is_a_data_error(valid, tmp_path, how):
                  "--out", tmp_path / "imputed.csv"]) == EXIT_DATA
     assert _run(["attribute", "--data", source, "--candidate", valid[3], "--limit", 1,
                  "--seed", 1, "--out", tmp_path / "attribution.json"]) == EXIT_DATA
+    for role in ("--source2", "--source1"):  # both sources load without ids
+        argv = ["synthesize", "--source2", valid[3], "--source1", valid[3],
+                "--candidate", valid[3], "--out", tmp_path / "synthetic.enc"]
+        argv[argv.index(role) + 1] = source
+        assert _run(argv) == EXIT_DATA, role
     assert sorted(p.name for p in tmp_path.iterdir()) == ["source.enc"]
