@@ -29,12 +29,10 @@ error, 1 unexpected.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import resource
-import secrets
 import sys
 import time
 from collections.abc import Callable, Iterator
@@ -54,7 +52,7 @@ from .errors import DataError, DictionaryMismatchError, FusionError
 from .evaluation import DEFAULT_CUTOFFS, Totals, sort_totals, spike, subsample_compare
 from .ingest import assemble, describe, load_tables
 from .matching import augment_candidate, impute
-from .schema import HarmonizationSpec, default_spec_path, read_json
+from .schema import HarmonizationSpec, default_spec_path, read_json, sha256
 from .synthesis import generate_future
 
 EXIT_OK = 0
@@ -73,7 +71,7 @@ CSV_CHUNK_ROWS = 8_192
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
@@ -90,12 +88,16 @@ def _csv_text(values: np.ndarray) -> np.ndarray:
 def _csv_fields(column: np.ndarray) -> list[str]:
     """The CSV text of each value of a column, or of text already formatted.
 
-    Output columns repeat few values, so each distinct value is formatted
-    once and indexed back.  Floats are keyed on their bits, which keeps
-    ``-0.0`` and ``0.0`` apart.
+    Integers are formatted one by one: ``str`` of an int is cheaper than
+    sorting the chunk for its distinct values, and an index column such as
+    ``sample_index`` has no repeats.  Other columns repeat few values, so
+    each distinct value is formatted once and indexed back.  Floats are
+    keyed on their bits, which keeps ``-0.0`` and ``0.0`` apart.
     """
     if column.dtype.kind in "UO":
         return column.tolist()
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
     floats = column.dtype.kind == "f"
     distinct, inverse = np.unique(
         column.view(f"i{column.itemsize}") if floats else column, return_inverse=True
@@ -178,7 +180,7 @@ class _Outputs:
     def _stage(self, path: str | Path) -> Path:
         path = Path(path)
         _check_output(path, [output for _, output in self._staged])
-        tmp = path.parent / f".tmp-{path.name}-{secrets.token_hex(8)}"
+        tmp = path.parent / f".tmp-{path.name}-{os.urandom(8).hex()}"
         os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         self._staged.append((tmp, path))
         return tmp

@@ -55,7 +55,7 @@ ENC_VERSION = 1
 # Fixed zip metadata so identical datasets serialize to identical bytes.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
-# Rows per block of ``_packed_first_occurrence``'s row-index OR.
+# Rows per block of ``_packed_first_occurrence``'s row-index OR and rank scatter.
 _ROW_BLOCK = 1 << 16
 
 # Run keys per block of ``first_occurrence``'s order test.
@@ -138,14 +138,15 @@ def _ascending(keys: np.ndarray, starts: np.ndarray) -> bool:
 def _packed_first_occurrence(
     parts: tuple[np.ndarray, ...], lowest: np.generic, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``first_occurrence`` by one sort of ``(key - lowest) << bits | row``.
+    """``first_occurrence`` by one sort of ``(key - lowest) << bits | row``,
+    with int32 ranks below 2**31 keys.
 
     The packed values are distinct, and each key's group starts with its
-    first occurrence.  Besides the two outputs, only the sorted buffer and
-    the row index (uint32 when it fits) are as long as the keys: each part
-    is cast into the buffer in place, the row index is ORed in
-    ``_ROW_BLOCK`` rows at a time, and each element's rank is written into
-    the sorted buffer, dead by then, before the scatter.
+    first occurrence.  Besides the ranks, only the sorted buffer and a
+    group-start flag are as long as the keys: each part is cast into the
+    buffer in place, the row index is ORed in ``_ROW_BLOCK`` rows at a
+    time, and after the sort each element's row is read back from the low
+    bits of the buffer, a block at a time, to scatter its group's rank.
     """
     n = sum(p.shape[0] for p in parts)
     packed = np.empty(n, dtype=np.uint64)
@@ -158,22 +159,29 @@ def _packed_first_occurrence(
     for s in range(0, n, _ROW_BLOCK):
         packed[s : s + _ROW_BLOCK] |= np.arange(s, min(s + _ROW_BLOCK, n), dtype=np.uint64)
     packed.sort()
-    row = np.empty(n, dtype=np.uint32 if bits <= 32 else np.intp)
-    np.bitwise_and(packed, np.uint64((1 << bits) - 1), out=row, casting="unsafe")
-    packed >>= np.uint64(bits)
-    start = np.ones(n, dtype=bool)
-    np.not_equal(packed[1:], packed[:-1], out=start[1:])
-    firsts = row[np.flatnonzero(start)].astype(np.intp)  # of each key's group, in key order
+    low = np.uint64((1 << bits) - 1)  # the row bits
+    start = np.ones(n, dtype=bool)  # a key unlike its predecessor's: its group's first
+    for s in range(1, n, _ROW_BLOCK):
+        e = min(s + _ROW_BLOCK, n)
+        np.greater(packed[s:e] ^ packed[s - 1 : e - 1], low, out=start[s:e])
+    firsts = packed[np.flatnonzero(start)]
+    firsts &= low
+    firsts = firsts.view(np.intp)  # each group's first row, in key order
     order = np.argsort(firsts)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    group = packed.view(np.intp)  # each sorted element's group, then its rank
-    np.cumsum(start, out=group)
-    group -= 1
-    np.take(rank, group, out=group, mode="clip")
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[row] = group
-    return firsts[order], inverse
+    firsts = firsts[order]
+    index = np.int32 if n < 2**31 else np.intp
+    rank = np.empty(order.size, dtype=index)
+    rank[order] = np.arange(order.size, dtype=index)
+    del order
+    inverse = np.empty(n, dtype=index)
+    groups = 0  # before the block
+    for s in range(0, n, _ROW_BLOCK):
+        group = np.cumsum(start[s : s + _ROW_BLOCK], dtype=index)
+        group += groups - 1
+        groups = int(group[-1]) + 1
+        rows = packed[s : s + _ROW_BLOCK] & low
+        inverse[rows.view(np.intp)] = rank[group]
+    return firsts, inverse
 
 
 def household_index(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +204,19 @@ def household_sums(
     """
     if code is None:
         household_ids, code = household_index(household_ids)
-    return household_ids, np.bincount(code, weights=sample_y, minlength=household_ids.size)
+    return household_ids, index_sum(code, household_ids.size, sample_y)
+
+
+def index_sum(index: np.ndarray, size: int, values=1) -> np.ndarray:
+    """``np.bincount(index, values, size)`` with no intp copy of ``index``,
+    in the dtype of ``values`` but at least intp: counts by default.
+
+    ``np.add.at`` adds the values into zeros in element order, as
+    ``bincount`` does, so float sums are bit-identical to its.
+    """
+    out = np.zeros(size, dtype=np.result_type(values, np.intp))
+    np.add.at(out, index, values)
+    return out
 
 
 def pack_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -353,7 +373,7 @@ def _recode(households: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.nd
     """The households that ``code`` uses, in order of first appearance, and
     ``code`` renumbered among them as int32."""
     first, rank = first_occurrence(code)
-    return households[code[first]], rank.astype(np.int32)
+    return households[code[first]], rank.astype(np.int32, copy=False)
 
 
 class _RowChecks:
@@ -930,7 +950,7 @@ def concat_datasets(
     # so their concatenation's first occurrences are the stacked samples'
     stacked = np.concatenate([d.households for d in datasets])
     first, rank = first_occurrence(stacked)
-    rank = rank.astype(np.int32)
+    rank = rank.astype(np.int32, copy=False)
     offsets = np.cumsum([0] + [d.households.size for d in datasets])
     return EncodedDataset._of_distinct(
         datasets[0].dictionary,

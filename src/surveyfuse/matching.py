@@ -50,6 +50,7 @@ from .dataset import (
     first_occurrence,
     first_occurrence_of_parts,
     household_sums,
+    index_sum,
     require_same_dictionary,
     rng_stream,
 )
@@ -189,7 +190,7 @@ def _near_join(
     keys = t_keys[order]
     flips = np.uint64(1) << np.arange(d, dtype=np.uint64)
     rows = max(1, _SCAN_BUFFER_BYTES // (8 * d))
-    nearest = np.empty(q_keys.size, dtype=np.intp)
+    nearest = np.empty(q_keys.size, dtype=np.int32 if n_t < 2**31 else np.intp)
     tie_sets = [None] * q_keys.size if ties else []
     for s in range(0, q_keys.size, rows):
         queries = s + np.argsort(q_keys[s : s + rows])
@@ -262,16 +263,20 @@ def nearest_rows(
     random = tie_break == "random"
     # an exact query's answer is its own rank at count 0; the join and the scan
     # fill the other queries' entries, and their tie sets for random ties
-    u_idx = np.arange(first.size)
-    u_cnt = np.zeros(first.size, dtype=np.int64)
+    # indices in the dedup's rank dtype, int32 below 2**31 rows, and counts
+    # in the assignment's
+    u_idx = np.arange(first.size, dtype=rank.dtype)
+    u_cnt = np.zeros(first.size, dtype=np.min_scalar_type(d))
     o_ties = [None] * n_other if random else []
-    scan = np.arange(n_other)  # the other queries left to scan
     if ut_packed.shape[1] == 1:  # d <= 64: a flip away from a target is distance 1
         near, o_ties = _near_join(o_packed[:, 0], ut_packed[:, 0], d, random)
         u_idx[n_ut:] = near  # the scan overwrites the queries without a hit
         u_cnt[n_ut:] = near < n_ut
-        scan = np.flatnonzero(near == n_ut)
+        scan = np.flatnonzero(near == n_ut).astype(rank.dtype)  # the queries left to scan
+        del near
         o_packed = o_packed[scan]
+    else:
+        scan = np.arange(n_other, dtype=rank.dtype)
     rows = _block_rows(ut_packed)
     for s in range(0, scan.size, rows):
         e = min(s + rows, scan.size)
@@ -283,6 +288,8 @@ def nearest_rows(
         if random:
             for p, c, b in zip(scan[s:e], counts, best):
                 o_ties[p] = np.flatnonzero(c == b)
+    n_scanned = scan.size
+    del o_packed, scan
 
     # first ascends, so the first unique minimum is the smallest tied row.
     target_index = first[u_idx].astype(np.int32 if n_t < 2**31 else np.intp)[q_rank]
@@ -291,25 +298,25 @@ def nearest_rows(
         # each tied unique target stands for all its rows, in ascending order
         members = np.split(
             np.argsort(t_rank, kind="stable"),
-            np.cumsum(np.bincount(t_rank))[:-1],
+            np.cumsum(index_sum(t_rank, n_ut))[:-1],
         )
         ties = members + [np.sort(np.concatenate([members[j] for j in t])) for t in o_ties]
         n_ties = np.array([t.size for t in ties], dtype=np.int64)
         for i in np.flatnonzero(n_ties[q_rank] > 1):
             target_index[i] = int(rng_stream(seed, i).choice(ties[q_rank[i]]))
 
-    q_rows = np.bincount(q_rank, minlength=first.size)  # query rows per unique vector
+    q_rows = index_sum(q_rank, first.size)  # query rows per unique vector
     n_exact = int(np.count_nonzero(q_rows[:n_ut]))
     return MatchAssignment(
         target_index=target_index,
-        hamming_count=u_cnt.astype(np.min_scalar_type(d))[q_rank],
+        hamming_count=u_cnt[q_rank],
         dimension=d,
         n_target=n_t,
         n_unique_query=n_exact + n_other,
         n_unique_target=n_ut,
         n_exact_query=n_exact,
-        n_near_query=n_other - scan.size,
-        distance_histogram=np.bincount(u_cnt, q_rows, minlength=d + 1).astype(np.int64),
+        n_near_query=n_other - n_scanned,
+        distance_histogram=index_sum(u_cnt, d + 1, q_rows).astype(np.int64, copy=False),
     )
 
 
@@ -373,7 +380,7 @@ def impute(
     filled = buckets.y_mean[assignment.target_index]  # matched means, divided in place
     code = source.household_code
     if household_weight:  # each sample's household size
-        filled /= np.bincount(code, minlength=source.households.size)[code]
+        filled /= index_sum(code, source.households.size)[code]
     else:
         filled /= w
     if impute_all:

@@ -13,7 +13,6 @@ position i always means the same (feature, category) pair.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import reprlib
 from dataclasses import dataclass, field
@@ -22,6 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, MappingError, SchemaError
+
+# The interpreter's own SHA-256, as random.py takes its SHA-512: hashlib
+# would load OpenSSL's libcrypto, 3.6 MB of every CLI process's memory,
+# for the same digests.  hashlib only where the interpreter has none.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 SPEC_FORMAT_VERSION = 1
 
@@ -415,7 +425,7 @@ class FeatureDictionary:
     def hash(self) -> str:
         """SHA-256 of the canonical JSON layout; equal hash = coordinate compatible."""
         blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def build_dictionary(spec: HarmonizationSpec) -> FeatureDictionary:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodedDataset, require_same_dictionary
+from .dataset import EncodedDataset, index_sum, require_same_dictionary
 from .errors import DataError, MatchError
 from .matching import BucketSet, MatchAssignment, build_buckets, nearest_rows
 from .schema import FeatureDictionary
@@ -144,17 +144,15 @@ def synthesize(
     n1 = graph.n_source1
 
     # per source1 sample: how many source2 samples matched it, and their mean y
-    g_counts = np.bincount(graph.mu2.target_index, minlength=n1)
-    g_sums = np.bincount(graph.mu2.target_index, weights=graph.y_source2, minlength=n1)
+    g_counts = index_sum(graph.mu2.target_index, n1)
+    g_sums = index_sum(graph.mu2.target_index, n1, graph.y_source2)
     g_mean = np.divide(g_sums, g_counts, out=np.zeros(n1), where=g_counts > 0)
     contribution = w1 * w2 * g_mean  # zero where no source2 sample matched
 
     # per bucket: matched source1 samples and total reaching source2 samples
-    s_counts = np.bincount(graph.mu1.target_index, minlength=k)
-    bucket_sum = np.bincount(graph.mu1.target_index, weights=contribution, minlength=k)
-    donor_counts = np.bincount(
-        graph.mu1.target_index, weights=g_counts.astype(np.float64), minlength=k
-    ).astype(np.int64)
+    s_counts = index_sum(graph.mu1.target_index, k)
+    bucket_sum = index_sum(graph.mu1.target_index, k, contribution)
+    donor_counts = index_sum(graph.mu1.target_index, k, g_counts).astype(np.int64, copy=False)
 
     reachable = donor_counts > 0
     denom = float(n1) if literal_v2_norm else s_counts[reachable].astype(np.float64)

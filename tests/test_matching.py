@@ -637,9 +637,9 @@ class TestAssignmentPerRow:
 
     def test_dedup_makes_one_copy_of_the_keys(self):
         """200k single-word queries repeating 2k targets: the dedup's sort
-        buffer (8 bytes a row), row index (4), run starts (1) and ranks (8)
-        set the peak; a second uint64 copy of the keys would add 8 a row.
-        The assignment keeps 5 bytes a query row."""
+        buffer (8 bytes a row), group starts (1) and int32 ranks (4) set the
+        peak; a second uint64 copy of the keys would add 8 a row.  The
+        assignment keeps 5 bytes a query row."""
         rng = np.random.default_rng(9)
         n = 200_000
         t = rng.integers(0, 1 << 26, (2_000, 1), dtype=np.uint64)
@@ -653,6 +653,28 @@ class TestAssignmentPerRow:
                 tracemalloc.stop()
             assert peak < 24 * (n + t.shape[0]), (tie_break, peak)
             assert a.target_index.nbytes + a.hamming_count.nbytes == 5 * n
+
+    def test_non_repeating_queries_hold_narrow_indices(self):
+        """200k random d = 26 queries against 2k targets, almost none repeated
+        or one bit from a target: each unique query's target, count and scan
+        position are held as int32, uint8 and int32, so the peak stays under
+        60 bytes a query row (intp and int64 took it to 79)."""
+        rng = np.random.default_rng(54)
+        n = 200_000
+        t = rng.integers(0, 1 << 26, (2_000, 1), dtype=np.uint64)
+        q = rng.integers(0, 1 << 26, (n, 1), dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            a = nearest_rows(q, t, dimension=26)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.n_unique_query > 0.99 * n and a.n_near_query < 0.01 * n
+        assert peak < 60 * n, peak / n
+        rows = rng.integers(0, n, 500)  # against a brute-force scan
+        counts = np.bitwise_count(q[rows] ^ t[:, 0])
+        assert np.array_equal(a.target_index[rows], np.argmin(counts, axis=1))
+        assert np.array_equal(a.hamming_count[rows], counts.min(axis=1))
 
 
 class TestNearestNeighborBuckets:

@@ -225,6 +225,27 @@ class TestSpecFile:
             HarmonizationSpec(features=(bad,), target=spec.target).validate()
 
 
+class TestSha256:
+    """The package's SHA-256, the interpreter's own module, gives hashlib's
+    digests around every padding boundary of a 64-byte block, fed whole or
+    in pieces."""
+
+    @pytest.mark.parametrize("n", [0, 1, 55, 56, 63, 64, 65, (1 << 20) + 1])
+    def test_equals_hashlib(self, n):
+        import hashlib
+
+        from surveyfuse.schema import sha256
+
+        data = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes()
+        want = hashlib.sha256(data).hexdigest()
+        assert sha256(data).hexdigest() == want
+        pieces, at = sha256(), 0
+        for size in [1, 63, 7, 64, 65_536, 1000] * (n // 66_672 + 1):
+            pieces.update(data[at : at + size])
+            at += size
+        assert at >= n and pieces.hexdigest() == want
+
+
 class TestDictionaryHash:
     def test_same_layout_same_hash(self):
         assert build_dictionary(two_feature_spec()).hash() == build_dictionary(

@@ -127,7 +127,8 @@ class TestOpenblasThreads:
 
 
 # run the CLI argument lists in the JSON %r, then report their stdout,
-# whether numpy.ma and concurrent.futures were imported, and the thread count
+# whether numpy.ma and concurrent.futures were imported, which of the
+# modules that load OpenSSL were, and the thread count
 RUN_COMMANDS = """
 import contextlib, io, json, os, sys
 from surveyfuse.cli import main
@@ -139,6 +140,7 @@ for argv in json.loads(%r):
     report["stdout"].append(buf.getvalue())
 report["numpy.ma"] = "numpy.ma" in sys.modules
 report["concurrent.futures"] = "concurrent.futures" in sys.modules
+report["openssl"] = [m for m in ("_hashlib", "hmac", "secrets") if m in sys.modules]
 tasks = "/proc/self/task"
 report["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 print(json.dumps(report))
@@ -191,3 +193,104 @@ class TestNoScanThreads:
         if report["threads"] is None:
             pytest.skip("no /proc/self/task to count threads in")
         assert report["threads"] == 1
+
+
+# the interpreter's own SHA-256 module, which an interpreter may be built without
+BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+
+# the shipped crosswalk's dictionary hash, as every release so far has written it
+SHIPPED_DICTIONARY_HASH = "19fcb136a36d875809e69330cc7a6c94d158ef207f6197c4323605372999b7da"
+
+# a three-household triple in the shipped psrc2017 columns
+PSRC_TABLES = {
+    "h.csv": [
+        ["hhid", "hhincome_broad", "lifecycle"],
+        ["301", "$100,000 or more", "Household size = 2, no children under 18"],
+        ["302", "Under $25,000", "Household size = 1, no children under 18"],
+    ],
+    "p.csv": [
+        ["hhid", "personid", "age", "gender", "education", "employment"],
+        ["301", "30101", "25-34 years", "Female", "Bachelor degree", "Retired"],
+        ["302", "30201", "12-15 years", "Male", "Some college",
+         "Employed full time (35+ hours/week, paid)"],
+    ],
+    "d.csv": [
+        ["hhid", "personid", "daynum", "delivery_pkgs_freq", "delivery_food_freq",
+         "delivery_grocery_freq"],
+        ["301", "30101", "1", "1", "1", "NA"],
+        ["302", "30201", "1", "0", "3", "1"],
+    ],
+}
+
+
+class TestNoOpenssl:
+    def test_cli_hashes_inputs_without_openssl(self, tmp_path):
+        """``impute``, ``synthesize``, ``ingest`` and ``describe`` hash their
+        inputs with the interpreter's own SHA-256 and name their staged files
+        from ``os.urandom``: none of ``_hashlib``, ``hmac`` or ``secrets`` is
+        imported, and every input hash is still hashlib's SHA-256 of the file."""
+        import csv
+        import hashlib
+        import zipfile
+
+        from surveyfuse import build_dictionary, load_default_spec
+        from surveyfuse.cli import main
+
+        pytest.importorskip(BUILTIN_SHA256)
+        full, miss = tmp_path / "f.enc", tmp_path / "m.enc"
+        assert main(["gen", "--households", "50", "--seed", "1",
+                     "--out-full", str(full), "--out-missing", str(miss)]) == 0
+        for name, rows in PSRC_TABLES.items():
+            with open(tmp_path / name, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        t = {name: str(tmp_path / name) for name in ("h.csv", "p.csv", "d.csv")}
+        outs = [tmp_path / "i.csv", tmp_path / "s.enc", tmp_path / "in.enc", tmp_path / "d.json"]
+        argv = [
+            ["impute", "--source", str(miss), "--candidate", str(full), "--out", str(outs[0])],
+            ["synthesize", "--source2", str(full), "--source1", str(miss),
+             "--candidate", str(full), "--out", str(outs[1])],
+            ["ingest", "--households", t["h.csv"], "--persons", t["p.csv"], "--days", t["d.csv"],
+             "--survey-id", "psrc2017", "--year", "2017", "--out", str(outs[2])],
+            ["describe", "--data", str(miss), "--out", str(outs[3])],
+        ]
+        report = run_fresh(RUN_COMMANDS % json.dumps(argv))
+        assert report["codes"] == [0, 0, 0, 0] and report["openssl"] == []
+
+        for out, n_inputs in zip(outs, (2, 2, 4, 1)):  # synthesize names f.enc twice
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+            hashes = manifest["input_hashes"]
+            assert len(hashes) == n_inputs
+            for path, digest in hashes.items():
+                assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), path
+        with zipfile.ZipFile(outs[2]) as zf:
+            meta = json.loads(zf.read("meta.json"))
+        assert meta["dictionary_hash"] == SHIPPED_DICTIONARY_HASH
+        assert build_dictionary(load_default_spec()).hash() == SHIPPED_DICTIONARY_HASH
+
+
+# import the package's SHA-256 with the interpreter's own modules blocked
+# (as on an interpreter built without them) and report what it fell back to
+SHA256_BLOCKED = """
+import hashlib, json, sys
+sys.modules["_sha2"] = None
+sys.modules["_sha256"] = None
+from surveyfuse.schema import sha256
+data = bytes(range(256)) * 4099
+print(json.dumps({
+    "is_hashlib": sha256 is hashlib.sha256,
+    "same": sha256(data).hexdigest() == hashlib.sha256(data).hexdigest(),
+}))
+"""
+
+
+class TestSha256Fallback:
+    def test_builtin_module_by_default(self):
+        pytest.importorskip(BUILTIN_SHA256)
+        report = run_fresh(
+            "import json, sys\nfrom surveyfuse.schema import sha256\n"
+            "print(json.dumps({'module': sha256.__module__, 'openssl': '_hashlib' in sys.modules}))"
+        )
+        assert report == {"module": BUILTIN_SHA256, "openssl": False}
+
+    def test_hashlib_without_builtin_modules(self):
+        assert run_fresh(SHA256_BLOCKED) == {"is_hashlib": True, "same": True}
