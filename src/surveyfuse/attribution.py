@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import EncodedDataset, bit_mask, pack_rows, rng_stream, unpack_rows
+from .dataset import EncodedDataset, bit_mask, pack_rows, unpack_rows
 from .errors import FusionError
 from .matching import build_buckets, nearest_rows
 from .schema import MISSING_LABEL, FeatureDictionary
@@ -132,7 +132,9 @@ class AttributionReport:
 def sample_rows(n: int, limit: int, seed: int) -> np.ndarray:
     """The rows of n that ``attribute_dataset`` explains: ``min(limit, n)``
     drawn from ``rng_stream(seed)`` without replacement, ascending."""
-    return np.sort(rng_stream(seed).choice(n, size=min(limit, n), replace=False))
+    from .streams import sample
+
+    return sample(seed, n, min(limit, n))
 
 
 def attribute_dataset(

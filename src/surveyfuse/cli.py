@@ -10,7 +10,9 @@ parameters, input hashes, each input dataset's sample and household
 counts, seed, wall-clock duration, peak RSS, and per match its workload
 shape and distance histogram) is staged last next to
 the first output, and only when every one is staged are they all renamed
-into place.  A run that fails at any point leaves no outputs.  The run's
+into place, the files they replace moved aside until the last rename is
+done.  A run that fails at any point, a failed rename included, leaves the
+outputs as they were.  The run's
 summary goes to stdout only after that, so a closed stdout (``| head -1``)
 cannot cost the outputs; it ends the summary quietly.
 Artifacts are byte-deterministic for a fixed seed; the manifest is not
@@ -22,8 +24,8 @@ caller has set it: surveyfuse calls no BLAS routine, so a BLAS thread pool
 would only spin; ``--threads`` is accepted for compatibility and changes nothing.
 Exit codes: 0 success, 2 usage error (also two outputs of one run that
 name one file, or a directory where a file belongs), 3 missing input file
-or output directory, 4 feature-dictionary mismatch, 5 schema/mapping/data
-error, 1 unexpected.
+or output directory, or outputs that could not be renamed into place,
+4 feature-dictionary mismatch, 5 schema/mapping/data error, 1 unexpected.
 """
 
 from __future__ import annotations
@@ -119,6 +121,10 @@ class UsageError(Exception):
     """Arguments that parse but cannot run together (exit 2)."""
 
 
+class CommitError(Exception):
+    """Staged outputs that could not be renamed into place (exit 3)."""
+
+
 def _check_output(path: Path, taken: list[Path]) -> None:
     """Refuse an output path that cannot be staged, or that resolves to one
     of the ``taken`` paths: the later rename would replace the earlier file."""
@@ -136,8 +142,9 @@ class _Outputs:
     ``write``, ``csv`` and ``json`` each stage a file as
     ``.tmp-<name>-<16 hex>``, created exclusively next to its output.  On
     normal exit from the ``with`` block the manifest (named after the first
-    output) is staged last and every staged file is renamed onto its output;
-    on an exception nothing is renamed and every staged file is removed.
+    output) is staged last and every staged file is renamed onto its output
+    (``_commit``); on an exception nothing is renamed and every staged file
+    is removed.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
@@ -238,11 +245,42 @@ class _Outputs:
         try:
             if exc_type is None and self._staged:
                 self.json(_manifest_path(self._staged[0][1]), self._manifest())
-                for tmp, path in self._staged:
-                    os.replace(tmp, path)
+                self._commit()
         finally:
             for tmp, _ in self._staged:
                 tmp.unlink(missing_ok=True)
+
+    def _commit(self) -> None:
+        """Rename every staged file onto its output, or none of them.
+
+        The files already at the outputs are moved aside first.  If any
+        rename fails, or the run is interrupted, the new outputs are removed
+        and the old ones put back; a failed rename is a ``CommitError``.
+        Only once every output is in place are the old files removed.
+        """
+        aside: list[tuple[Path, Path]] = []  # (old file moved aside, its output)
+        placed: list[Path] = []
+        try:
+            for _, path in self._staged:
+                if os.path.lexists(path):
+                    old = path.parent / f".old-{path.name}-{os.urandom(8).hex()}"
+                    os.replace(path, old)
+                    aside.append((old, path))
+            for tmp, path in self._staged:
+                os.replace(tmp, path)
+                placed.append(path)
+        except BaseException as exc:
+            for path in placed:
+                path.unlink()
+            for old, path in aside:
+                os.replace(old, path)
+            if isinstance(exc, OSError):
+                raise CommitError(
+                    f"could not put the outputs in place, none was changed: {exc}"
+                ) from exc
+            raise
+        for old, _ in aside:
+            old.unlink()
 
 
 def _float_or_nan(text: str) -> float:
@@ -738,7 +776,7 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args, out)
         _print_summary(out.summary)
         return code
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, CommitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (UsageError, IsADirectoryError) as exc:  # a directory where a file belongs

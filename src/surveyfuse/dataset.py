@@ -71,7 +71,9 @@ def rng_stream(*key: int) -> np.random.Generator:
     """The PCG64 generator of one named stream, e.g. ``(seed, row)``.
 
     Every random draw in the package comes from such a stream, so results
-    never depend on call order or thread count.
+    never depend on call order or thread count.  Attribution's sample and
+    random ties make their draws through ``streams``, which reproduces
+    them without importing ``numpy.random``.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 

@@ -52,7 +52,6 @@ from .dataset import (
     household_sums,
     index_sum,
     require_same_dictionary,
-    rng_stream,
 )
 from .errors import DataError, DimensionError, MatchError
 
@@ -60,6 +59,15 @@ from .errors import DataError, DimensionError, MatchError
 # enough to stay in a 2 MiB per-core L2 cache; the block height follows from
 # it, so memory does not grow with the target count.
 _SCAN_BUFFER_BYTES = 1 << 20
+
+# Bytes a (d x rows) entry of a ``_near_join`` block holds: the flips
+# (uint64), their searchsorted positions (intp), the keys found there
+# (uint64), the miss mask (bool) and the target positions hit (intp).
+_JOIN_BYTES = 8 + 8 + 8 + 1 + 8
+
+# Query rows per block of the random tie draws, whose streams hold a few
+# hundred bytes a row while they draw.
+_TIE_BLOCK = 1 << 13
 
 _TIE_BREAKS = ("index", "random")
 
@@ -180,18 +188,18 @@ def _near_join(
     """Positions of the distinct target keys one bit from each query key.
 
     Each query's d one-bit flips are looked up among the sorted target
-    keys, in blocks whose (d x rows) flip matrix fits ``_SCAN_BUFFER_BYTES``.
+    keys, in blocks whose (d x rows) arrays fit ``_SCAN_BUFFER_BYTES``.
     Returns each query's smallest target position at distance 1
-    (``t_keys.size`` where there is none) and, with ``ties``, per query all
-    such positions in ascending order (``None`` where there is none).
+    (``t_keys.size`` where there is none) and, with ``ties``, per block
+    the (queries, target positions) pairs at distance 1.
     """
     n_t = t_keys.size
     order = np.argsort(t_keys)
     keys = t_keys[order]
     flips = np.uint64(1) << np.arange(d, dtype=np.uint64)
-    rows = max(1, _SCAN_BUFFER_BYTES // (8 * d))
+    rows = max(1, _SCAN_BUFFER_BYTES // (_JOIN_BYTES * d))
     nearest = np.empty(q_keys.size, dtype=np.int32 if n_t < 2**31 else np.intp)
-    tie_sets = [None] * q_keys.size if ties else []
+    pairs = []
     for s in range(0, q_keys.size, rows):
         queries = s + np.argsort(q_keys[s : s + rows])
         # a row per flip over ascending queries: searchsorted's lookups stay local
@@ -202,12 +210,55 @@ def _near_join(
         hit = order[pos]
         hit[miss] = n_t
         if ties:
-            hit.sort(axis=0)
-            for i, h, k in zip(queries, hit.T, np.count_nonzero(hit < n_t, axis=0)):
-                if k:
-                    tie_sets[i] = h[:k].copy()
-        nearest[queries] = hit[0] if ties else hit.min(axis=0)
-    return nearest, tie_sets
+            flip, q = np.nonzero(~miss)
+            pairs.append((queries[q], hit[flip, q]))
+        nearest[queries] = hit.min(axis=0)
+        del cand, pos, miss, hit  # before the next block's are allocated
+    return nearest, pairs
+
+
+def _draw_ties(
+    target_index: np.ndarray,
+    q_rank: np.ndarray,
+    t_rank: np.ndarray,
+    n_ut: int,
+    n_other: int,
+    pairs: list,
+    seed: int,
+) -> None:
+    """Redraw ``target_index`` uniformly over each query row's tie set.
+
+    The tie sets are held in CSR form: rank u's tied target rows, ascending,
+    are ``flat[offset[u] : offset[u] + size[u]]``.  The ``n_ut`` target
+    ranks' are their own rows; the ``n_other`` ranks after them take the
+    rows of every unique target that ``pairs`` (other query, unique target)
+    ties them with.  Query row i of a tie set of ``n_i > 1`` rows takes its
+    ``below(seed, i, n_i)``-th row, as ``rng_stream(seed, i).choice`` of
+    that set would.
+    """
+    from .streams import below
+
+    n_t = t_rank.size
+    members = np.argsort(t_rank, kind="stable").astype(target_index.dtype)
+    member_count = index_sum(t_rank, n_ut)
+    owner = np.concatenate([np.empty(0, dtype=np.intp), *(q for q, _ in pairs)])
+    tied = np.concatenate([np.empty(0, dtype=np.intp), *(t for _, t in pairs)])
+    # each (other query, unique target) pair contributes that target's rows:
+    # its e-th expanded row is members[end of the target's run - end of the
+    # pair's + e]
+    lens = member_count[tied]
+    at = np.repeat(np.cumsum(member_count)[tied] - np.cumsum(lens), lens) + np.arange(lens.sum())
+    key = np.repeat(owner.astype(np.int64) * n_t, lens) + members[at]
+    key.sort()  # by other query, then target row
+    flat = np.concatenate([members, key % n_t])
+    size = np.concatenate([member_count, index_sum(owner, n_other, lens)])
+    offset = np.cumsum(size) - size
+    del owner, tied, lens, at, key
+    multi = size > 1
+    for s in range(0, q_rank.size, _TIE_BLOCK):
+        draw = s + np.flatnonzero(multi[q_rank[s : s + _TIE_BLOCK]])
+        rank = q_rank[draw]
+        target_index[draw] = flat[offset[rank] + below(seed, draw, size[rank])]
 
 
 def nearest_rows(
@@ -262,14 +313,15 @@ def nearest_rows(
     o_packed = query_words[first[n_ut:] - n_t]
     random = tie_break == "random"
     # an exact query's answer is its own rank at count 0; the join and the scan
-    # fill the other queries' entries, and their tie sets for random ties
+    # fill the other queries' entries, and for random ties their (query,
+    # unique target) tie pairs
     # indices in the dedup's rank dtype, int32 below 2**31 rows, and counts
     # in the assignment's
     u_idx = np.arange(first.size, dtype=rank.dtype)
     u_cnt = np.zeros(first.size, dtype=np.min_scalar_type(d))
-    o_ties = [None] * n_other if random else []
+    pairs = []
     if ut_packed.shape[1] == 1:  # d <= 64: a flip away from a target is distance 1
-        near, o_ties = _near_join(o_packed[:, 0], ut_packed[:, 0], d, random)
+        near, pairs = _near_join(o_packed[:, 0], ut_packed[:, 0], d, random)
         u_idx[n_ut:] = near  # the scan overwrites the queries without a hit
         u_cnt[n_ut:] = near < n_ut
         scan = np.flatnonzero(near == n_ut).astype(rank.dtype)  # the queries left to scan
@@ -286,8 +338,8 @@ def nearest_rows(
         u_idx[n_ut + scan[s:e]] = idx
         u_cnt[n_ut + scan[s:e]] = best
         if random:
-            for p, c, b in zip(scan[s:e], counts, best):
-                o_ties[p] = np.flatnonzero(c == b)
+            q, t = np.nonzero(counts == best[:, None])
+            pairs.append((scan[s:e][q], t))
     n_scanned = scan.size
     del o_packed, scan
 
@@ -295,15 +347,7 @@ def nearest_rows(
     target_index = first[u_idx].astype(np.int32 if n_t < 2**31 else np.intp)[q_rank]
 
     if random:
-        # each tied unique target stands for all its rows, in ascending order
-        members = np.split(
-            np.argsort(t_rank, kind="stable"),
-            np.cumsum(index_sum(t_rank, n_ut))[:-1],
-        )
-        ties = members + [np.sort(np.concatenate([members[j] for j in t])) for t in o_ties]
-        n_ties = np.array([t.size for t in ties], dtype=np.int64)
-        for i in np.flatnonzero(n_ties[q_rank] > 1):
-            target_index[i] = int(rng_stream(seed, i).choice(ties[q_rank[i]]))
+        _draw_ties(target_index, q_rank, t_rank, n_ut, n_other, pairs, seed)
 
     q_rows = index_sum(q_rank, first.size)  # query rows per unique vector
     n_exact = int(np.count_nonzero(q_rows[:n_ut]))

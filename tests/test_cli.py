@@ -963,6 +963,52 @@ class TestAllOrNothing:
         before = sorted(tmp_path.iterdir())
         self.assert_failed_cleanly(run(*argv), capsys, tmp_path, before, named)
 
+    @pytest.mark.parametrize("case", ["gen", "impute"])
+    def test_a_failed_rename_changes_no_output(self, generated, tmp_path, capsys, monkeypatch, case):
+        """Failing the k-th ``os.replace`` of a commit, for every k, leaves the
+        directory byte for byte as it was, an earlier run's outputs
+        included, and exits 3 with one line; past the last rename the run
+        commits."""
+        full, missing = generated
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "gen": lambda seed: ["gen", "--households", 30, "--seed", seed,
+                                 "--out-full", out / "f.enc", "--out-missing", out / "m.enc"],
+            "impute": lambda seed: ["impute", "--source", missing, "--candidate", full,
+                                    "--tie-break", "random", "--seed", seed,
+                                    "--out", out / "i.csv", "--out-households", out / "h.csv"],
+        }[case]
+        assert run(*argv(1)) == EXIT_OK
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 3
+        replace = os.replace
+        for k in range(1, 8):
+            calls = 0
+
+            def failing_replace(src, dst, k=k):
+                nonlocal calls
+                calls += 1
+                if calls == k:
+                    raise OSError(28, "No space left on device")
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+            rc = run(*argv(2))
+            monkeypatch.setattr(os, "replace", replace)
+            after = {p.name: p.read_bytes() for p in out.iterdir()}
+            if calls < k:  # 3 moved aside, 3 renamed: the seventh call never comes
+                assert k == 7 and rc == EXIT_OK
+                assert after.keys() == before.keys() and after != before
+                break
+            assert rc == EXIT_MISSING_INPUT, k
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "No space left on device" in err, err
+            assert after == before, k
+        else:
+            raise AssertionError("the run never committed")
+
     def test_gen_missing_output_directory(self, tmp_path, capsys):
         m = tmp_path / "nodir" / "m.enc"
         rc = run("gen", "--households", 20, "--seed", 1,

@@ -602,6 +602,25 @@ class TestNearJoin:
         assert extra[1] < extra[0] + matching._SCAN_BUFFER_BYTES // 4, extra
 
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_a_block_fits_the_scan_buffer(self, ties):
+        """A block's flips, their positions, the keys found there, the miss
+        mask and the hits are sized together: beyond the output, the sorted
+        target keys and the tie pairs, the join's peak is under one buffer
+        (about 4.5 buffers when the block was sized from the flips alone)."""
+        rng = np.random.default_rng(31)
+        t_keys = np.unique(rng.integers(0, 1 << 26, 2_000, dtype=np.uint64))
+        q_keys = rng.integers(0, 1 << 26, 100_000, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            nearest, pairs = matching._near_join(q_keys, t_keys, 26, ties)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = nearest.nbytes + 16 * t_keys.size + sum(q.nbytes + t.nbytes for q, t in pairs)
+        assert bool(pairs) == ties
+        assert peak - held < matching._SCAN_BUFFER_BYTES, (peak - held) / matching._SCAN_BUFFER_BYTES
+
 class TestAssignmentPerRow:
     """Five bytes per query row at d <= 255: an int32 target row and the
     Hamming count in the smallest unsigned type that holds d."""

@@ -128,7 +128,8 @@ class TestOpenblasThreads:
 
 # run the CLI argument lists in the JSON %r, then report their stdout,
 # whether numpy.ma and concurrent.futures were imported, which of the
-# modules that load OpenSSL were, and the thread count
+# modules that load OpenSSL were, which random-draw modules were, and the
+# thread count
 RUN_COMMANDS = """
 import contextlib, io, json, os, sys
 from surveyfuse.cli import main
@@ -141,6 +142,7 @@ for argv in json.loads(%r):
 report["numpy.ma"] = "numpy.ma" in sys.modules
 report["concurrent.futures"] = "concurrent.futures" in sys.modules
 report["openssl"] = [m for m in ("_hashlib", "hmac", "secrets") if m in sys.modules]
+report["draws"] = [m for m in ("numpy.random", "surveyfuse.streams") if m in sys.modules]
 tasks = "/proc/self/task"
 report["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 print(json.dumps(report))
@@ -266,6 +268,32 @@ class TestNoOpenssl:
             meta = json.loads(zf.read("meta.json"))
         assert meta["dictionary_hash"] == SHIPPED_DICTIONARY_HASH
         assert build_dictionary(load_default_spec()).hash() == SHIPPED_DICTIONARY_HASH
+
+
+    def test_random_draws_load_no_openssl(self, tmp_path):
+        """``attribute`` and random ties draw from ``surveyfuse.streams``:
+        neither ``numpy.random`` nor any module that loads OpenSSL is
+        imported.  An index-tie ``impute`` does not import the stream module."""
+        from surveyfuse.cli import main
+
+        full, miss = tmp_path / "f.enc", tmp_path / "m.enc"
+        assert main(["gen", "--households", "50", "--seed", "1",
+                     "--out-full", str(full), "--out-missing", str(miss)]) == 0
+        impute = ["impute", "--source", str(miss), "--candidate", str(full)]
+        report = run_fresh(RUN_COMMANDS % json.dumps([impute + ["--out", str(tmp_path / "i.csv")]]))
+        assert report["codes"] == [0] and report["openssl"] == report["draws"] == []
+
+        random = ["--tie-break", "random", "--seed", "1"]
+        argv = [
+            ["attribute", "--data", str(miss), "--candidate", str(full), "--limit", "20",
+             "--seed", "1", "--out", str(tmp_path / "a.json")],
+            impute + random + ["--out", str(tmp_path / "r.csv")],
+            ["synthesize", "--source2", str(full), "--source1", str(miss),
+             "--candidate", str(full), *random, "--out", str(tmp_path / "s.enc")],
+        ]
+        report = run_fresh(RUN_COMMANDS % json.dumps(argv))
+        assert report["codes"] == [0, 0, 0] and report["openssl"] == []
+        assert report["draws"] == ["surveyfuse.streams"]
 
 
 # import the package's SHA-256 with the interpreter's own modules blocked
