@@ -22,9 +22,10 @@ reads ``x.npy``, and ``save`` gathers each block of the per-sample ids
 from the codes, so the file holds the same ``.npy`` member as ever.
 Likewise ``load`` packs ``x.npy`` block by block as it reads it, and
 ``save`` unpacks the words block by block, so the whole uint8 matrix
-never exists in either direction.  ``load(path, rows=...)`` still reads
-and checks every row but keeps only the selected ones, and
-``load(path, ids=False)`` keeps no household id, only their count.
+never exists in either direction.  Every ``load`` checks each row once, as
+it reads it, and then keeps it or not: ``rows=`` and ``ids=False`` are
+two settings of that one load (``_Kept``), one keeping only the selected
+rows, the other no household id, only their count.
 ``load`` checks each member where it enters: present, stored or deflated,
 with a header of its expected dimensions and dtype, ``meta.json``'s
 ``n_samples`` rows and the data bytes the zip directory gives it.  Each key
@@ -267,15 +268,55 @@ def bit_popcount(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return total
 
 
+class _Kept:
+    """What a ``load`` keeps: every row, or ``rows(n)`` of the file's n;
+    each household id coded, or with ``ids=False`` only counted; and the
+    ``checks`` (``_RowChecks``) that every row read passes through once."""
+
+    def __init__(self, rows: Callable | None = None, ids: bool = True, checks=None) -> None:
+        self.of_n, self.ids, self.checks = rows, ids, checks
+        self.rows: np.ndarray | None = None  # the kept rows; None keeps every row
+
+    def resolve(self, n: int) -> int:
+        """How many rows are kept, a selection made by one call of ``of_n``:
+        a ``ValueError`` unless its rows are integers that ascend without
+        repeats from 0 to below n."""
+        if self.of_n is None or self.rows is not None:  # every row, or resolved
+            return n if self.rows is None else self.rows.size
+        rows = np.asarray(self.of_n(n))
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ValueError(f"rows must be 1-D integers, got a {rows.ndim}-D {rows.dtype} array")
+        if (rows[1:] <= rows[:-1]).any():
+            raise ValueError("rows must ascend without repeats")
+        if rows.size and (rows[0] < 0 or rows[-1] >= n):
+            raise ValueError(f"rows must lie in [0, {n}), got {rows[0]} to {rows[-1]}")
+        self.rows = rows.astype(np.intp)
+        return self.rows.size
+
+    def into(self, out: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Where rows ``start:stop`` are made: in place if every row is kept."""
+        if self.rows is None:
+            return out[start:stop]
+        return np.empty((stop - start, *out.shape[1:]), out.dtype)
+
+    def take(self, out: np.ndarray, start: int, block: np.ndarray) -> None:
+        """Copy the kept rows of rows ``start:start + len(block)`` into their
+        places in ``out`` (numpy copies nothing onto itself, as ``into``'s)."""
+        if self.rows is None:
+            out[start : start + block.shape[0]] = block
+        else:
+            i, j = np.searchsorted(self.rows, (start, start + block.shape[0]))
+            out[i:j] = block[self.rows[i:j] - start]
+
+
 def _code_ids(
-    blocks, n: int, dtype: np.dtype, keep: _Selection | None = None, codes: bool = True
+    blocks, n: int, dtype: np.dtype, keep: _Kept = _Kept()
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``household_index`` of ``n`` per-sample ids of ``dtype`` given in
     consecutive non-empty blocks, positions as int32: the one id coder of
-    ``load`` and the constructor.  With ``keep``, only the kept rows'
-    positions are returned, still among the households of all ``n`` ids.
-    Without ``codes`` the households are only counted: no position is made,
-    and what is returned is ``(k distinct ids, in no set order), None``.
+    ``load``, ``ingest`` and the constructor.  Only ``keep``'s kept rows'
+    positions are returned, still among the households of all ``n`` ids;
+    ids it only counts return ``(k distinct ids, in no set order), None``.
 
     The int32 codes are allocated first, and each block's are written into
     them in place: the running count of runs of equal adjacent ids, so no
@@ -286,7 +327,7 @@ def _code_ids(
     ``np.unique`` groups them, as in ``first_occurrence``, and the codes are
     remapped in place.
     """
-    code = None if not codes else np.empty(n if keep is None else keep.rows.size, np.int32)
+    code = np.empty(keep.resolve(n), np.int32) if keep.ids else None
     households = np.empty(min(n, _PACK_ROWS), dtype)  # the run keys; no view of it is kept
     last = np.empty(0, dtype)  # the id before the block
     s = runs = 0
@@ -297,11 +338,10 @@ def _code_ids(
         start[0] = s == 0 or ids[0] != last[0]
         np.not_equal(ids[1:], ids[:-1], out=start[1:])
         if code is not None:
-            here = code[s:e] if keep is None else np.empty(e - s, dtype=np.int32)
+            here = keep.into(code, s, e)
             np.cumsum(start, out=here)
             here += runs - 1
-            if keep is not None:
-                keep.take(code, s, here)
+            keep.take(code, s, here)
         run_keys = ids[start]
         ascending = ascending and not (
             (run_keys[1:] < run_keys[:-1]).any() or (run_keys[:1] < last).any()
@@ -383,8 +423,8 @@ class _RowChecks:
     time in row order and raised by ``raise_first`` in one order: the first
     row with more than one bit of a one-hot group set, of the first feature
     that has one; then an infinite target; then a negative one.  The
-    constructor checks its arrays with it, and a row-selective ``load`` the
-    rows it streams past, so both refuse a file with the same error."""
+    constructor checks its arrays with it, and ``load`` each row as it
+    reads it, so both refuse a file with the same error."""
 
     def __init__(self, dictionary: FeatureDictionary) -> None:
         d = dictionary.dimension
@@ -487,12 +527,13 @@ class EncodedDataset:
             if bits.max(initial=0) > 1 or (x.dtype != np.uint8 and not np.array_equal(bits, x)):
                 raise DataError("x values must be 0 or 1")
             words = pack_rows(bits)
-        self._set(dictionary, survey_id, year, households, household_code, words, y)
+        self._set(dictionary, survey_id, year, households, household_code, words, y, None)
 
     @classmethod
     def _of_distinct(
         cls, dictionary: FeatureDictionary, survey_id: str, year: int,
         households: np.ndarray, household_code: np.ndarray, words: np.ndarray, y: np.ndarray,
+        checks: _RowChecks | None = None,
     ) -> "EncodedDataset":
         """The constructor for households distinct by construction (``load``,
         ``subset``, ``concat_datasets``): their codes are checked, but the
@@ -500,12 +541,13 @@ class EncodedDataset:
         ds = cls.__new__(cls)
         if household_code is not None:
             households, household_code = _checked_codes(households, household_code, distinct=True)
-        ds._set(dictionary, survey_id, year, households, household_code, words, y)
+        ds._set(dictionary, survey_id, year, households, household_code, words, y, checks)
         return ds
 
-    def _set(self, dictionary, survey_id, year, households, household_code, words, y) -> None:
+    def _set(self, dictionary, survey_id, year, households, household_code, words, y, checks):
         """Hold checked coded ids, or none, and check the words and targets
-        against them (against y's length without ids)."""
+        against them (against y's length without ids); ``load`` passes the
+        ``checks`` it fed every row as it read it, which are only raised."""
         self.dictionary = dictionary
         self.survey_id = survey_id
         self.year = year
@@ -522,14 +564,15 @@ class EncodedDataset:
             )
         if self.y.shape != (n,):
             raise DimensionError(f"y has shape {self.y.shape}, expected ({n},)")
-        # every check runs a block of rows at a time, so its temporaries stay small
-        blocks = [slice(s, s + _PACK_ROWS) for s in range(0, n, _PACK_ROWS)]
-        if d % 64 and any((self.words[b, -1] >> np.uint64(d % 64)).any() for b in blocks):
-            raise DataError(f"words must be zero past bit {d}")
-        checks = _RowChecks(dictionary)
-        for b in blocks:
-            checks.words(self.words[b], b.start)
-            checks.targets(self.y[b])
+        if checks is None:
+            # every check runs a block of rows at a time, so its temporaries stay small
+            blocks = [slice(s, s + _PACK_ROWS) for s in range(0, n, _PACK_ROWS)]
+            if d % 64 and any((self.words[b, -1] >> np.uint64(d % 64)).any() for b in blocks):
+                raise DataError(f"words must be zero past bit {d}")
+            checks = _RowChecks(dictionary)
+            for b in blocks:
+                checks.words(self.words[b], b.start)
+                checks.targets(self.y[b])
         checks.raise_first()
 
     # -- basic views ----------------------------------------------------------
@@ -630,20 +673,17 @@ class EncodedDataset:
     ) -> "EncodedDataset":
         """The dataset of an ``.enc`` file, or only some of its rows.
 
+        Every member is read to its end and every row checked once, as it
+        is read, so a file is refused with the same error whatever is kept,
+        and ``file_shape`` gives the file's samples and households.
         ``rows``, if given, is a function of ``meta.json``'s ``n_samples``
         that returns the ascending, distinct indices of the rows to keep
-        (a ``ValueError`` otherwise).  It is called once, when the first
-        member's header has confirmed ``n_samples``.  Every member is still
-        read to its end and every row checked, so a file is refused with
-        the same error either way; only the kept rows' ids, words and
-        targets are held, and the result equals
-        ``load(path).subset(rows(n_samples))``.  Either way ``file_shape``
-        gives the file's samples and households.
-
-        With ``ids=False`` no household id is kept: ``household_ids.npy`` is
-        still read to its end and checked, and its households counted for
-        ``file_shape``, but not coded per sample.  It does not combine with
-        ``rows`` (a ``ValueError``).
+        (a ``ValueError`` otherwise), called once, when the first member's
+        header has confirmed ``n_samples``: only the kept rows' ids, words
+        and targets are held, and the result equals
+        ``load(path).subset(rows(n_samples))``.  With ``ids=False`` the
+        household ids are only counted, not coded, and none is kept.  The
+        two do not combine (a ``ValueError``).
         """
         if rows is not None and not ids:
             raise ValueError("load takes rows or ids=False, not both")
@@ -677,25 +717,22 @@ class EncodedDataset:
                     )
                 # the ids are coded and x is packed block by block as they are read
                 n = meta.get("n_samples")
-                keep = None if rows is None else _Selection(rows, dictionary)
-                households, code = _read_array(
-                    zf, path, "household_ids.npy", n, keep=keep, codes=ids
-                )
+                keep = _Kept(rows, ids, _RowChecks(dictionary))
+                households, code = _read_array(zf, path, "household_ids.npy", n, keep)
                 k = households.size
                 if not ids:
                     households = None  # only counted
-                words = _read_array(zf, path, "x.npy", n, dictionary.dimension, keep)
-                y = _read_array(zf, path, "y.npy", n, keep=keep)
+                words = _read_array(zf, path, "x.npy", n, keep, dictionary.dimension)
+                y = _read_array(zf, path, "y.npy", n, keep)
         except FileNotFoundError:  # a missing path stays what it is
             raise
         except _ZIP_ERRORS as exc:
             raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact: {exc}") from None
         file_shape = (n, k)
-        if keep is not None:
-            keep.checks.raise_first()
+        if rows is not None:
             households, code = _recode(households, code)  # the file's households are dropped
         ds = cls._of_distinct(
-            dictionary, meta["survey_id"], meta["year"], households, code, words, y
+            dictionary, meta["survey_id"], meta["year"], households, code, words, y, keep.checks
         )
         ds.file_shape = file_shape
         return ds
@@ -807,36 +844,6 @@ def _check_rows(path: str | Path, n, name: str, rows: int) -> None:
         )
 
 
-class _Selection:
-    """The rows a ``load`` keeps, ``of_n(n)`` of the file's n, and the
-    ``_RowChecks`` of every row it reads, kept or not."""
-
-    def __init__(self, of_n: Callable[[int], np.ndarray], dictionary: FeatureDictionary) -> None:
-        self.of_n = of_n
-        self.rows: np.ndarray | None = None
-        self.checks = _RowChecks(dictionary)
-
-    def resolve(self, n: int) -> None:
-        """The kept rows, from one call of ``of_n``; a ``ValueError`` unless
-        they are integers that ascend without repeats from 0 to below n."""
-        if self.rows is not None:
-            return
-        rows = np.asarray(self.of_n(n))
-        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-            raise ValueError(f"rows must be 1-D integers, got a {rows.ndim}-D {rows.dtype} array")
-        if (rows[1:] <= rows[:-1]).any():
-            raise ValueError("rows must ascend without repeats")
-        if rows.size and (rows[0] < 0 or rows[-1] >= n):
-            raise ValueError(f"rows must lie in [0, {n}), got {rows[0]} to {rows[-1]}")
-        self.rows = rows.astype(np.intp)
-
-    def take(self, out: np.ndarray, start: int, block: np.ndarray) -> None:
-        """Copy the kept rows among rows ``start:start + len(block)`` into
-        their places in ``out``."""
-        i, j = np.searchsorted(self.rows, (start, start + block.shape[0]))
-        out[i:j] = block[self.rows[i:j] - start]
-
-
 @contextlib.contextmanager
 def _readable(path: str | Path, name: str):
     """What numpy's ``.npy`` reader raises, as the ``DataError`` of a member
@@ -848,18 +855,17 @@ def _readable(path: str | Path, name: str):
 
 
 def _read_array(
-    zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | None = None,
-    keep: _Selection | None = None, codes: bool = True,
+    zf: zipfile.ZipFile, path: str | Path, name: str, n, keep: _Kept, d: int | None = None
 ):
     """``_write_array`` undone: one array member of ``meta.json``'s ``n`` rows,
     ``x.npy`` (d given) packed into words and ``household_ids.npy`` coded
     into ``(households, household_code)`` (``_code_ids``).  Its header is
     checked before anything is allocated, against the member's size in the
     zip directory too, and that size against what its compressed bytes can
-    hold; its rows are then read ``_READ_BYTES`` at a time.  With ``keep``,
-    resolved once a header has vouched for n, every row still goes through
-    the checks, ``keep.checks`` included, but only the kept rows are held.
-    Without ``codes`` the ids are only counted."""
+    hold; ``keep`` is resolved once a header has vouched for n.  The rows
+    are then read ``_READ_BYTES`` at a time, and each block is checked for
+    0/1 values, packed (in place when every row is kept), fed to
+    ``keep.checks`` and kept (``_Kept.take``)."""
     with _open_member(zf, path, name) as fh:
         with _readable(path, name):
             version = np.lib.format.read_magic(fh)
@@ -885,37 +891,25 @@ def _read_array(
                     f"{info.compress_size} compressed bytes can hold"
                 )
             blocks = _read_rows(fh, shape, dtype, max(1, _READ_BYTES // max(1, row_bytes)))
-        if keep is not None:
-            keep.resolve(n)  # a bad selection stays a ValueError
+        kept = keep.resolve(n)  # a bad selection stays a ValueError
         with _readable(path, name):
             if dtype.kind == "U":
-                return _code_ids(blocks, n, dtype, keep, codes)
-            kept = n if keep is None else keep.rows.size
+                return _code_ids(blocks, n, dtype, keep)
             if d is None:
                 out = np.empty(kept, dtype)
             else:
                 out = np.empty((kept, (d + 63) // 64), np.uint64)
-            s = t = 0
-            staged = []  # packed rows t:s, checked and kept some _PACK_ROWS at a time
+            s = 0
             for rows in blocks:
                 e = s + rows.shape[0]
-                if d is not None and rows.max(initial=0) > 1:
-                    raise DataError(f"{path}: member {name!r}: x values must be 0 or 1")
-                if keep is None:  # the constructor checks the whole arrays
-                    if d is None:
-                        out[s:e] = rows
-                    else:
-                        pack_rows(rows, out=out[s:e])
-                elif d is None:
+                if d is None:
                     keep.checks.targets(rows)
-                    keep.take(out, s, rows)
+                elif rows.max(initial=0) > 1:
+                    raise DataError(f"{path}: member {name!r}: x values must be 0 or 1")
                 else:
-                    staged.append(pack_rows(rows))
-                    if e - t >= _PACK_ROWS or e == n:
-                        words = np.concatenate(staged)
-                        keep.checks.words(words, t)
-                        keep.take(out, t, words)
-                        staged, t = [], e
+                    rows = pack_rows(rows, out=keep.into(out, s, e))
+                    keep.checks.words(rows, s)
+                keep.take(out, s, rows)
                 s = e
     return out
 

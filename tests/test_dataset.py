@@ -473,10 +473,13 @@ class TestStreamedArtifact:
         path = tmp_path / "big.enc"
         ds = households_dataset(200_000, seed=1)
         ds.save(path)
+        keep = dataset._Kept(checks=dataset._RowChecks(ds.dictionary))
         with zipfile.ZipFile(path) as zf:
             tracemalloc.start()
             try:
-                words = dataset._read_array(zf, path, "x.npy", ds.n_samples, ds.dictionary.dimension)
+                words = dataset._read_array(
+                    zf, path, "x.npy", ds.n_samples, keep, ds.dictionary.dimension
+                )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -1123,7 +1126,9 @@ class TestLoadChecks:
             try:
                 with pytest.raises(DataError, match=f"^{saved}: member {member!r} is not a "
                                    f"readable array: the zip directory claims {forged} bytes"):
-                    dataset._read_array(zf, saved, member, rows, 4 if member == "x.npy" else None)
+                    dataset._read_array(
+                        zf, saved, member, rows, dataset._Kept(), 4 if member == "x.npy" else None
+                    )
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1406,6 +1411,35 @@ class TestIdFreeLoad:
         arrays = ds.words.nbytes + ds.y.nbytes
         assert kept[False] < arrays + (1 << 19), (kept, arrays)
         assert kept[True] > arrays + ds.household_code.nbytes + ds.households.nbytes, kept
+
+
+@pytest.mark.parametrize(
+    "how", [{}, {"rows": lambda n: np.array([0, 1, 2, 1000])}, {"ids": False}],
+    ids=["whole", "rows", "ids=False"],
+)
+def test_each_file_row_is_checked_once(tmp_path, monkeypatch, how):
+    """Every load feeds each row of the file to the one-hot and target
+    checks exactly once, as it reads it: a row selection checks its kept
+    rows no second time."""
+    n = 3000
+    households_dataset(n, seed=2).save(tmp_path / "a.enc")
+    monkeypatch.setattr(dataset, "_READ_BYTES", 64 * 26)  # 64 rows of x a read
+    words, targets = dataset._RowChecks.words, dataset._RowChecks.targets
+    fed_words, fed_targets = [], []
+
+    def count_words(self, block, start):
+        fed_words.extend(range(start, start + block.shape[0]))
+        words(self, block, start)
+
+    def count_targets(self, y):
+        fed_targets.append(y.shape[0])
+        targets(self, y)
+
+    monkeypatch.setattr(dataset._RowChecks, "words", count_words)
+    monkeypatch.setattr(dataset._RowChecks, "targets", count_targets)
+    EncodedDataset.load(tmp_path / "a.enc", **how)
+    assert sorted(fed_words) == list(range(n))
+    assert sum(fed_targets) == n
 
 
 class TestConcat:
