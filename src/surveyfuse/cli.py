@@ -391,9 +391,11 @@ def _cmd_ingest(args: argparse.Namespace, out: _Outputs) -> int:
         f"{raw.counts['days']} travel-day rows"
     )
     ds = assemble(raw, spec, args.year)
+    households = raw.day_households
+    del raw  # the raw tables are not written: free them before the save
     out.write(args.out, ds.save)
     out.summary.append(
-        f"encoded {ds.n_samples} samples ({raw.day_households} households, "
+        f"encoded {ds.n_samples} samples ({households} households, "
         f"{ds.n_missing} missing targets) -> {args.out}"
     )
     return EXIT_OK

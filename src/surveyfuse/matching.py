@@ -9,22 +9,26 @@ per-sample values.
 
 A matching runs in four steps, each exact under both tie rules:
 
-1. One dedup over the targets followed by the queries collapses identical
-   vectors to their first occurrences, which reduces realistic one-hot
-   workloads by orders of magnitude: identical rows are at the same
-   distance from every other row, so a winner maps back to its
-   smallest-index copy and a random tie draws from the same expanded tie
-   set as a scan over all rows would.
+1. The targets are deduplicated once.  The query rows are then taken a
+   block at a time, and each block is deduplicated together with the
+   distinct vectors already answered: the unique targets, then the
+   distinct queries of earlier blocks.  So every distinct vector is
+   answered once, in the block where it first appears, and the dedup's
+   buffers follow the block and the distinct vectors, not the query
+   count.  Identical rows are at the same distance from every other row,
+   so a winner maps back to its smallest-index copy and a random tie
+   draws from the same expanded tie set as a scan over all rows would,
+   numbered by the query row's index among all blocks.
 2. A query vector that shares a target vector's rank is at distance 0 from
    it and from no other unique target, so it is answered without a scan.
-3. For single-word rows (d <= 64), each other unique query looks up its d
-   one-bit flips among the sorted unique target keys.  It has no target at
-   distance 0, so the flips found are exactly its nearest unique targets,
-   at distance 1: the smallest rank answers the index rule and all of them,
-   in ascending order, are the random rule's tie set.  The join stops at
-   radius 1: radius 2 would take d (d - 1) / 2 lookups per query, 325 at
-   d = 26, which costs more than scanning a few thousand targets.
-4. The remaining unique queries are scanned against the unique targets.
+3. For single-word rows (d <= 64), each other new query vector looks up
+   its d one-bit flips among the sorted unique target keys.  It has no
+   target at distance 0, so the flips found are exactly its nearest unique
+   targets, at distance 1: the smallest rank answers the index rule and all
+   of them, in ascending order, are the random rule's tie set.  The join
+   stops at radius 1: radius 2 would take d (d - 1) / 2 lookups per query,
+   325 at d = 26, which costs more than scanning a few thousand targets.
+4. The remaining new query vectors are scanned against the unique targets.
 
 Rows arrive packed into 64-bit words, as an ``EncodedDataset`` holds them
 (``dataset.pack_rows``).  The scan kernel XOR-popcounts a block
@@ -40,6 +44,7 @@ Everything here is exact: no approximate neighbors, no sampling.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +69,11 @@ _SCAN_BUFFER_BYTES = 1 << 20
 # (uint64), their searchsorted positions (intp), the keys found there
 # (uint64), the miss mask (bool) and the target positions hit (intp).
 _JOIN_BYTES = 8 + 8 + 8 + 1 + 8
+
+# Query rows per block of a matching.  A block's dedup holds 13 bytes a row
+# of the block, the unique targets and the distinct queries answered before
+# it; 32,768 rows take a 364k-row source in 12 blocks.
+_QUERY_BLOCK = 1 << 15
 
 # Query rows per block of the random tie draws, whose streams hold a few
 # hundred bytes a row while they draw.
@@ -129,7 +139,34 @@ def build_buckets(candidate: EncodedDataset) -> BucketSet:
 
 
 @dataclass
-class MatchAssignment:
+class MatchSummary:
+    """A matching's workload shape and distance histogram, as a run
+    manifest records them."""
+
+    dimension: int
+    n_query: int  # query rows
+    n_target: int  # target rows
+    n_unique_query: int  # distinct query vectors
+    n_unique_target: int  # distinct target vectors the scan ran against
+    n_exact_query: int  # distinct query vectors answered by an identical target, unscanned
+    n_near_query: int  # distinct query vectors answered by the distance-1 join, unscanned
+    distance_histogram: np.ndarray  # (dimension + 1,) int64, query rows at distance k / d
+
+    def diagnostics(self) -> dict:
+        """Workload shape and distance histogram, as a run manifest records them."""
+        return {
+            "query_rows": self.n_query,
+            "target_rows": self.n_target,
+            "unique_query_rows": self.n_unique_query,
+            "unique_target_rows": self.n_unique_target,
+            "n_exact_query": self.n_exact_query,
+            "n_near_query": self.n_near_query,
+            "distance_histogram": self.distance_histogram.tolist(),
+        }
+
+
+@dataclass
+class MatchAssignment(MatchSummary):
     """A total nearest-neighbor matching from query rows to target rows.
 
     Per query row it holds 5 bytes at d <= 255: the matched target row and
@@ -138,35 +175,16 @@ class MatchAssignment:
 
     target_index: np.ndarray  # (n,) int32 (intp at 2**31 targets), matched row per query row
     hamming_count: np.ndarray  # (n,) np.min_scalar_type(dimension), differing bits to that row
-    dimension: int
-    n_target: int  # target rows
-    n_unique_query: int  # distinct query vectors
-    n_unique_target: int  # distinct target vectors the scan ran against
-    n_exact_query: int  # distinct query vectors answered by an identical target, unscanned
-    n_near_query: int  # distinct query vectors answered by the distance-1 join, unscanned
-    distance_histogram: np.ndarray  # (dimension + 1,) int64, query rows at distance k / d
 
     @property
     def n(self) -> int:
-        return int(self.target_index.shape[0])
+        return self.n_query
 
     @property
     def distance(self) -> np.ndarray:
         """(n,) float64 normalized Hamming distance ``hamming_count / dimension``
         in [0, 1]: a new array each call, not for hot paths."""
         return self.hamming_count / self.dimension
-
-    def diagnostics(self) -> dict:
-        """Workload shape and distance histogram, as a run manifest records them."""
-        return {
-            "query_rows": self.n,
-            "target_rows": self.n_target,
-            "unique_query_rows": self.n_unique_query,
-            "unique_target_rows": self.n_unique_target,
-            "n_exact_query": self.n_exact_query,
-            "n_near_query": self.n_near_query,
-            "distance_histogram": self.distance_histogram.tolist(),
-        }
 
 
 def _block_rows(t_packed: np.ndarray) -> int:
@@ -183,19 +201,18 @@ def _block_counts(block: np.ndarray, t_packed: np.ndarray) -> np.ndarray:
 
 
 def _near_join(
-    q_keys: np.ndarray, t_keys: np.ndarray, d: int, ties: bool
+    q_keys: np.ndarray, order: np.ndarray, keys: np.ndarray, d: int, ties: bool
 ) -> tuple[np.ndarray, list]:
     """Positions of the distinct target keys one bit from each query key.
 
-    Each query's d one-bit flips are looked up among the sorted target
-    keys, in blocks whose (d x rows) arrays fit ``_SCAN_BUFFER_BYTES``.
-    Returns each query's smallest target position at distance 1
-    (``t_keys.size`` where there is none) and, with ``ties``, per block
-    the (queries, target positions) pairs at distance 1.
+    The target keys come sorted, ``keys``, with their positions, ``order``
+    (``keys = t_keys[order]``).  Each query's d one-bit flips are looked
+    up among them, in blocks whose (d x rows) arrays fit
+    ``_SCAN_BUFFER_BYTES``.  Returns each query's smallest target position
+    at distance 1 (``keys.size`` where there is none) and, with ``ties``,
+    per block the (queries, target positions) pairs at distance 1.
     """
-    n_t = t_keys.size
-    order = np.argsort(t_keys)
-    keys = t_keys[order]
+    n_t = keys.size
     flips = np.uint64(1) << np.arange(d, dtype=np.uint64)
     rows = max(1, _SCAN_BUFFER_BYTES // (_JOIN_BYTES * d))
     nearest = np.empty(q_keys.size, dtype=np.int32 if n_t < 2**31 else np.intp)
@@ -217,48 +234,204 @@ def _near_join(
     return nearest, pairs
 
 
-def _draw_ties(
-    target_index: np.ndarray,
-    q_rank: np.ndarray,
-    t_rank: np.ndarray,
-    n_ut: int,
-    n_other: int,
-    pairs: list,
-    seed: int,
-) -> None:
-    """Redraw ``target_index`` uniformly over each query row's tie set.
+def _answer(
+    o_packed: np.ndarray, ut_packed: np.ndarray, sorted_keys: tuple | None, d: int, ties: bool
+) -> tuple[np.ndarray, np.ndarray, int, list]:
+    """Nearest unique target of each distinct query vector equal to none.
 
-    The tie sets are held in CSR form: rank u's tied target rows, ascending,
-    are ``flat[offset[u] : offset[u] + size[u]]``.  The ``n_ut`` target
-    ranks' are their own rows; the ``n_other`` ranks after them take the
-    rows of every unique target that ``pairs`` (other query, unique target)
-    ties them with.  Query row i of a tie set of ``n_i > 1`` rows takes its
-    ``below(seed, i, n_i)``-th row, as ``rng_stream(seed, i).choice`` of
-    that set would.
+    At d <= 64, where ``sorted_keys`` holds the unique targets' key order
+    and sorted keys, the distance-1 join answers the vectors one bit from
+    a target; the scan answers the rest.  Returns each vector's smallest
+    nearest unique target position and its Hamming count, how many the
+    join answered and, with ``ties``, the (vector, unique target) pairs at
+    the nearest distance.
     """
-    from .streams import below
+    n_ut = ut_packed.shape[0]
+    u_cnt = np.zeros(o_packed.shape[0], dtype=np.min_scalar_type(d))
+    pairs = []
+    if sorted_keys is not None:  # d <= 64: a flip away from a target is distance 1
+        u_idx, pairs = _near_join(o_packed[:, 0], *sorted_keys, d, ties)
+        u_cnt[:] = u_idx < n_ut  # the scan overwrites the vectors without a hit
+        scan = np.flatnonzero(u_idx == n_ut).astype(u_idx.dtype)  # the vectors left to scan
+        o_packed = o_packed[scan]
+    else:
+        u_idx = np.empty(o_packed.shape[0], dtype=np.int32 if n_ut < 2**31 else np.intp)
+        scan = np.arange(o_packed.shape[0], dtype=u_idx.dtype)
+    rows = _block_rows(ut_packed)
+    for s in range(0, scan.size, rows):
+        e = min(s + rows, scan.size)
+        counts = _block_counts(o_packed[s:e], ut_packed)
+        idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
+        best = counts[np.arange(e - s), idx]
+        u_idx[scan[s:e]] = idx
+        u_cnt[scan[s:e]] = best
+        if ties:
+            q, t = np.nonzero(counts == best[:, None])
+            pairs.append((scan[s:e][q], t))
+    return u_idx, u_cnt, u_idx.size - scan.size, pairs
 
-    n_t = t_rank.size
-    members = np.argsort(t_rank, kind="stable").astype(target_index.dtype)
-    member_count = index_sum(t_rank, n_ut)
+
+def _tie_sets(
+    pairs: list, n_o: int, members: np.ndarray, member_count: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tied target rows of ``n_o`` distinct query vectors, in CSR form.
+
+    Each (vector, unique target) pair contributes that target's rows,
+    ``members`` grouped by unique target with ``member_count`` rows each.
+    Returns every vector's rows, ascending, one vector after another, and
+    how many each has.
+    """
+    n_t = members.size
     owner = np.concatenate([np.empty(0, dtype=np.intp), *(q for q, _ in pairs)])
     tied = np.concatenate([np.empty(0, dtype=np.intp), *(t for _, t in pairs)])
-    # each (other query, unique target) pair contributes that target's rows:
-    # its e-th expanded row is members[end of the target's run - end of the
-    # pair's + e]
+    # the e-th expanded row of a pair is members[end of its target's run -
+    # end of the pair's + e]
     lens = member_count[tied]
     at = np.repeat(np.cumsum(member_count)[tied] - np.cumsum(lens), lens) + np.arange(lens.sum())
     key = np.repeat(owner.astype(np.int64) * n_t, lens) + members[at]
-    key.sort()  # by other query, then target row
-    flat = np.concatenate([members, key % n_t])
-    size = np.concatenate([member_count, index_sum(owner, n_other, lens)])
+    key.sort()  # by vector, then target row
+    return (key % n_t).astype(members.dtype), index_sum(owner, n_o, lens)
+
+
+def match_blocks(
+    query_blocks: Iterable[np.ndarray],
+    target_words: np.ndarray,
+    *,
+    dimension: int,
+    tie_break: str = "index",
+    seed: int | None = None,
+) -> tuple[MatchSummary, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Nearest target rows of query rows that arrive a block at a time.
+
+    ``query_blocks`` yields packed query rows laid out as ``target_words``.
+    The returned iterator yields, per block, the rows' matched target rows
+    and Hamming counts, as ``nearest_rows`` gives them for all blocks
+    together; query row i of the concatenation numbers its random-tie
+    stream.  The summary counts the blocks matched so far.
+    """
+    d = dimension
+    _check_words("target", target_words, d)
+    if target_words.shape[0] == 0:
+        raise MatchError("cannot match against an empty target set")
+    if tie_break not in _TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
+    if tie_break == "random" and seed is None:
+        raise ValueError("tie_break='random' requires a seed")
+    first, t_rank = _unique_rows(target_words)
+    summary = MatchSummary(
+        dimension=d,
+        n_query=0,
+        n_target=target_words.shape[0],
+        n_unique_query=0,
+        n_unique_target=first.size,
+        n_exact_query=0,
+        n_near_query=0,
+        distance_histogram=np.zeros(d + 1, dtype=np.int64),
+    )
+    seed = seed if tie_break == "random" else None
+    return summary, _blocks(query_blocks, target_words[first], first, t_rank, seed, summary)
+
+
+def _blocks(
+    query_blocks: Iterable[np.ndarray],
+    ut_packed: np.ndarray,
+    first: np.ndarray,
+    t_rank: np.ndarray,
+    seed: int | None,
+    summary: MatchSummary,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``match_blocks``' generator, with random ties where ``seed`` is
+    given: each block is deduplicated together with the unique targets and
+    the distinct queries already answered, and only its new vectors are
+    answered."""
+    d = summary.dimension
+    n_ut = first.size
+    index = np.int32 if t_rank.size < 2**31 else np.intp
+    ties = seed is not None
+    if ties:
+        # per rank, its tie set in CSR form over members followed by others:
+        # a unique target's own rows, then an answered query's tied target rows
+        members = np.argsort(t_rank, kind="stable").astype(index)
+        member_count = index_sum(t_rank, n_ut)
+        others, size = members[:0], member_count
+    del t_rank
+    # per rank of a block's dedup (the unique targets', then those of the
+    # distinct queries answered so far): its packed row, its target row
+    # under the index rule and the Hamming count to it
+    answered = ut_packed[:0]
+    row = first.astype(index)
+    count = np.zeros(n_ut, dtype=np.min_scalar_type(d))
+    hit = np.zeros(n_ut + 1, dtype=bool)  # unique targets a query row equals, then any other
+    sorted_keys = None
+    if ut_packed.shape[1] == 1:  # the distance-1 join's lookup table
+        order = np.argsort(ut_packed[:, 0])
+        sorted_keys = order, ut_packed[order, 0]
+    for block in query_blocks:
+        m = row.size
+        b_first, rank = _unique_rows(ut_packed, answered, block)
+        q_rank = rank[m:]
+        new = block[b_first[m:] - m]  # the block's vectors not answered before
+        del b_first  # one entry per distinct vector: freed before the answers
+        u_idx, u_cnt, n_near, pairs = _answer(new, ut_packed, sorted_keys, d, ties)
+        answered = np.concatenate([answered, new])
+        row = np.concatenate([row, first[u_idx].astype(index)])  # first ascends
+        count = np.concatenate([count, u_cnt])
+        target_index = row[q_rank]
+        hamming_count = count[q_rank]
+        if ties:
+            new_flat, new_size = _tie_sets(pairs, new.shape[0], members, member_count)
+            others = np.concatenate([others, new_flat])
+            size = np.concatenate([size, new_size])
+            # the summary counts the query rows before the block
+            _draw_ties(target_index, q_rank, summary.n_query, members, others, size, seed)
+        hit[np.minimum(q_rank, n_ut)] = True
+        summary.n_query += block.shape[0]
+        summary.n_exact_query = int(np.count_nonzero(hit[:n_ut]))
+        summary.n_unique_query = summary.n_exact_query + row.size - n_ut
+        summary.n_near_query += n_near
+        summary.distance_histogram += np.bincount(hamming_count, minlength=d + 1)
+        yield target_index, hamming_count
+
+
+def _draw_ties(
+    target_index: np.ndarray,
+    q_rank: np.ndarray,
+    start: int,
+    members: np.ndarray,
+    others: np.ndarray,
+    size: np.ndarray,
+    seed: int,
+) -> None:
+    """Redraw a block's ``target_index`` uniformly over each row's tie set.
+
+    Rank u's tied target rows, ascending, are positions ``offset[u]`` to
+    ``offset[u] + size[u]`` of ``members`` followed by ``others``, which
+    are kept apart so that no block copies every target row.  Query row i
+    of the matching (``start`` plus its row in the block) with a tie set
+    of ``n_i > 1`` rows takes its ``below(seed, i, n_i)``-th row, as
+    ``rng_stream(seed, i).choice`` of that set would.
+    """
+    from .streams import below
+
+    n_t = members.size
     offset = np.cumsum(size) - size
-    del owner, tied, lens, at, key
     multi = size > 1
     for s in range(0, q_rank.size, _TIE_BLOCK):
         draw = s + np.flatnonzero(multi[q_rank[s : s + _TIE_BLOCK]])
         rank = q_rank[draw]
-        target_index[draw] = flat[offset[rank] + below(seed, draw, size[rank])]
+        pos = offset[rank] + below(seed, start + draw, size[rank])
+        own = pos < n_t  # a unique target's own rows
+        target_index[draw[own]] = members[pos[own]]
+        target_index[draw[~own]] = others[pos[~own] - n_t]
+
+
+def _check_words(name: str, words: np.ndarray, d: int) -> None:
+    width = (d + 63) // 64
+    if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != width:
+        raise DimensionError(
+            f"{name} rows are a {words.shape} {words.dtype} array, expected "
+            f"{width} uint64 words a row for dimension {d}"
+        )
 
 
 def nearest_rows(
@@ -277,91 +450,31 @@ def nearest_rows(
     (stream derived from ``(seed, query row index)``).
 
     The steps follow the module docstring, each exact under both tie
-    rules: only the first occurrences of distinct query and target vectors
-    take part; a query vector identical to a target vector is answered by
-    the distance-0 join; at d <= 64, a query vector one bit from a target
-    vector is answered by the distance-1 join; the rest are scanned.  The
-    returned assignment records how many unique queries each join answered.
-
-    One scan pass over blocks of the remaining unique queries serves both
-    tie rules.
+    rules: the query rows are matched ``_QUERY_BLOCK`` at a time by
+    ``match_blocks``, and only the first occurrences of distinct query and
+    target vectors take part; a query vector identical to a target vector
+    is answered by the distance-0 join; at d <= 64, a query vector one bit
+    from a target vector is answered by the distance-1 join; the rest are
+    scanned.  The returned assignment records how many unique queries each
+    join answered.
     """
-    d = dimension
-    width = (d + 63) // 64
-    for name, words in (("query", query_words), ("target", target_words)):
-        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != width:
-            raise DimensionError(
-                f"{name} rows are a {words.shape} {words.dtype} array, expected "
-                f"{width} uint64 words a row for dimension {d}"
-            )
-    if target_words.shape[0] == 0:
-        raise MatchError("cannot match against an empty target set")
-    if tie_break not in _TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
-    if tie_break == "random" and seed is None:
-        raise ValueError("tie_break='random' requires a seed")
-
-    n_t = target_words.shape[0]
-    # One dedup over the targets followed by the queries: identical rows share
-    # a rank, in order of first occurrence, so the ranks below n_ut are the
-    # unique targets and a query of such a rank equals that target.
-    first, rank = _unique_rows(target_words, query_words)
-    t_rank, q_rank = rank[:n_t], rank[n_t:]
-    n_ut = int(np.searchsorted(first, n_t))
-    n_other = first.size - n_ut  # unique queries without an identical target
-    ut_packed = target_words[first[:n_ut]]
-    o_packed = query_words[first[n_ut:] - n_t]
-    random = tie_break == "random"
-    # an exact query's answer is its own rank at count 0; the join and the scan
-    # fill the other queries' entries, and for random ties their (query,
-    # unique target) tie pairs
-    # indices in the dedup's rank dtype, int32 below 2**31 rows, and counts
-    # in the assignment's
-    u_idx = np.arange(first.size, dtype=rank.dtype)
-    u_cnt = np.zeros(first.size, dtype=np.min_scalar_type(d))
-    pairs = []
-    if ut_packed.shape[1] == 1:  # d <= 64: a flip away from a target is distance 1
-        near, pairs = _near_join(o_packed[:, 0], ut_packed[:, 0], d, random)
-        u_idx[n_ut:] = near  # the scan overwrites the queries without a hit
-        u_cnt[n_ut:] = near < n_ut
-        scan = np.flatnonzero(near == n_ut).astype(rank.dtype)  # the queries left to scan
-        del near
-        o_packed = o_packed[scan]
-    else:
-        scan = np.arange(n_other, dtype=rank.dtype)
-    rows = _block_rows(ut_packed)
-    for s in range(0, scan.size, rows):
-        e = min(s + rows, scan.size)
-        counts = _block_counts(o_packed[s:e], ut_packed)
-        idx = np.argmin(counts, axis=1)  # first minimum = smallest target index
-        best = counts[np.arange(e - s), idx]
-        u_idx[n_ut + scan[s:e]] = idx
-        u_cnt[n_ut + scan[s:e]] = best
-        if random:
-            q, t = np.nonzero(counts == best[:, None])
-            pairs.append((scan[s:e][q], t))
-    n_scanned = scan.size
-    del o_packed, scan
-
-    # first ascends, so the first unique minimum is the smallest tied row.
-    target_index = first[u_idx].astype(np.int32 if n_t < 2**31 else np.intp)[q_rank]
-
-    if random:
-        _draw_ties(target_index, q_rank, t_rank, n_ut, n_other, pairs, seed)
-
-    q_rows = index_sum(q_rank, first.size)  # query rows per unique vector
-    n_exact = int(np.count_nonzero(q_rows[:n_ut]))
-    return MatchAssignment(
-        target_index=target_index,
-        hamming_count=u_cnt[q_rank],
-        dimension=d,
-        n_target=n_t,
-        n_unique_query=n_exact + n_other,
-        n_unique_target=n_ut,
-        n_exact_query=n_exact,
-        n_near_query=n_other - n_scanned,
-        distance_histogram=index_sum(u_cnt, d + 1, q_rows).astype(np.int64, copy=False),
+    _check_words("query", query_words, dimension)
+    n = query_words.shape[0]
+    summary, blocks = match_blocks(
+        (query_words[s : s + _QUERY_BLOCK] for s in range(0, n, _QUERY_BLOCK)),
+        target_words,
+        dimension=dimension,
+        tie_break=tie_break,
+        seed=seed,
     )
+    target_index = np.empty(n, dtype=np.int32 if target_words.shape[0] < 2**31 else np.intp)
+    hamming_count = np.empty(n, dtype=np.min_scalar_type(dimension))
+    s = 0
+    for idx, cnt in blocks:
+        target_index[s : s + idx.size] = idx
+        hamming_count[s : s + idx.size] = cnt
+        s += idx.size
+    return MatchAssignment(**vars(summary), target_index=target_index, hamming_count=hamming_count)
 
 
 def augment_candidate(source: EncodedDataset, candidate: EncodedDataset) -> EncodedDataset:

@@ -14,6 +14,12 @@ the number of source1 samples matched to the bucket.  The literal
 alternative (``literal_v2_norm=True``) divides by all of |source1|
 instead, which shrinks every bucket by the same global factor; it is kept
 selectable because the published pseudocode can be read either way.
+
+Only per-source1 sums reach the formula, so the future-year matching is
+consumed a block of source2 rows at a time (``matching.match_blocks``):
+each block's labeled rows add their counts and targets to their matched
+source1 samples, in row order, and no per-row assignment of source2 is
+kept.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import numpy as np
 
 from .dataset import EncodedDataset, index_sum, require_same_dictionary
 from .errors import DataError, MatchError
-from .matching import BucketSet, MatchAssignment, build_buckets, nearest_rows
+from . import matching
+from .matching import BucketSet, MatchAssignment, MatchSummary, build_buckets, nearest_rows
 from .schema import FeatureDictionary
 
 
@@ -34,20 +41,22 @@ class TriPartiteGraph:
 
     Every source1 node carries exactly one edge to a bucket (``mu1``) and
     every labeled source2 node exactly one edge to a source1 node
-    (``mu2``); the nested matching is their composition.
+    (``mu2``); the nested matching is their composition.  Averaging reads
+    the source2 edges only as per-source1 counts and target sums, so the
+    graph keeps those and ``mu2``'s diagnostics, not the edges.
     """
 
     buckets: BucketSet
     mu1: MatchAssignment  # source1 sample -> bucket
-    mu2: MatchAssignment  # labeled source2 sample -> source1 sample
-    y_source2: np.ndarray  # targets of the labeled source2 samples (source2.y when all are)
-    source2_index: np.ndarray  # their row indices in the original source2
+    mu2: MatchSummary  # labeled source2 sample -> source1 sample: its diagnostics alone
+    source2_counts: np.ndarray  # (n_source1,) intp, labeled source2 samples matched to each
+    source2_sums: np.ndarray  # (n_source1,) float64, their targets summed in source2 row order
     n_source1: int
     candidate: EncodedDataset  # the donors the buckets group
 
     @property
     def n_source2(self) -> int:
-        return int(self.y_source2.shape[0])
+        return self.mu2.n_query
 
     def default_weights(self) -> tuple[float, float]:
         """(w1, w2) from sample counts, source2 counted after its missing-y drop."""
@@ -65,9 +74,10 @@ def nested_match(
     """Build the tri-partite graph source2 -> source1 -> buckets(candidate).
 
     Source2 samples with missing targets carry no usable value for the
-    averaging step and are dropped before matching.  When none is missing,
-    the graph shares source2's targets, and no copy of them or of its rows
-    is made.
+    averaging step and are dropped before matching.  Source2 is matched
+    ``matching._QUERY_BLOCK`` rows at a time; each block's labeled rows
+    add their counts and targets to the source1 samples they matched, so
+    no labeled copy of source2 and no per-row assignment of it is made.
     """
     require_same_dictionary(source2, source1, candidate)
     if source1.n_samples == 0 or candidate.n_samples == 0:
@@ -79,17 +89,34 @@ def nested_match(
     buckets = build_buckets(candidate)
     d = buckets.dimension
     mu1 = nearest_rows(source1.words, buckets.words, dimension=d, tie_break=tie_break, seed=seed)
-    # query row i is the i-th labeled row, which numbers its random-tie stream;
-    # with every row labeled that is row i itself, so no copy is needed
-    keep = np.flatnonzero(~source2.missing_mask) if n_missing else None
-    labeled = source2.words if keep is None else source2.words[keep]
-    mu2 = nearest_rows(labeled, source1.words, dimension=d, tie_break=tie_break, seed=seed)
+    step = matching._QUERY_BLOCK
+    starts = range(0, source2.n_samples, step)
+
+    def labeled(array: np.ndarray, s: int) -> np.ndarray:
+        """Rows s to s + step of a source2 array, those with a target."""
+        block = array[s : s + step]
+        return block[~np.isnan(source2.y[s : s + step])] if n_missing else block
+
+    # query row i is the i-th labeled row, which numbers its random-tie stream
+    mu2, blocks = matching.match_blocks(
+        (labeled(source2.words, s) for s in starts),
+        source1.words,
+        dimension=d,
+        tie_break=tie_break,
+        seed=seed,
+    )
+    counts = np.zeros(source1.n_samples, dtype=np.intp)
+    sums = np.zeros(source1.n_samples)
+    for (target_index, _), s in zip(blocks, starts):
+        # in row order across blocks, as one np.add.at over every row adds
+        np.add.at(counts, target_index, 1)
+        np.add.at(sums, target_index, labeled(source2.y, s))
     return TriPartiteGraph(
         buckets=buckets,
         mu1=mu1,
         mu2=mu2,
-        y_source2=source2.y if keep is None else source2.y[keep],
-        source2_index=np.arange(source2.n_samples) if keep is None else keep,
+        source2_counts=counts,
+        source2_sums=sums,
         n_source1=source1.n_samples,
         candidate=candidate,
     )
@@ -144,8 +171,7 @@ def synthesize(
     n1 = graph.n_source1
 
     # per source1 sample: how many source2 samples matched it, and their mean y
-    g_counts = index_sum(graph.mu2.target_index, n1)
-    g_sums = index_sum(graph.mu2.target_index, n1, graph.y_source2)
+    g_counts, g_sums = graph.source2_counts, graph.source2_sums
     g_mean = np.divide(g_sums, g_counts, out=np.zeros(n1), where=g_counts > 0)
     contribution = w1 * w2 * g_mean  # zero where no source2 sample matched
 

@@ -82,6 +82,47 @@ def bucket_oracle(x: np.ndarray, y: np.ndarray):
     return np.array(xs), np.array(counts), np.array(means)
 
 
+def synthesis_oracle(x2, y2, x1, xc, *, literal_v2_norm=False, seed=None):
+    """Synthesized entries by per-row loops over unpacked rows, following
+    the ``synthesis`` module's formula.
+
+    Labeled source2 rows (in row order) match source1 rows, and source1
+    rows match the candidate's buckets (distinct rows, first-occurrence
+    order), by ``nn_scan_oracle``, or ``nn_random_tie_oracle`` under
+    ``seed``.  Per bucket, each matched source1 row adds ``w1 * w2 *`` the
+    mean target of its matched source2 rows (zero for none); the sum is
+    divided by the bucket's matched source1 rows, or by all of them with
+    ``literal_v2_norm``.  Returns ``(bucket, y, n_S, n_G_total)`` per
+    reachable bucket, ascending.
+    """
+    bucket_x, _, _ = bucket_oracle(xc, np.zeros(len(xc)))
+    labeled = [i for i, v in enumerate(y2) if not math.isnan(v)]
+    query = x2[labeled]
+    if seed is None:
+        mu1, mu2 = nn_scan_oracle(x1, bucket_x)[0], nn_scan_oracle(query, x1)[0]
+    else:
+        mu1 = nn_random_tie_oracle(x1, bucket_x, seed)
+        mu2 = nn_random_tie_oracle(query, x1, seed)
+    n1 = len(x1)
+    w1, w2 = n1 / len(xc), len(labeled) / n1
+    g_count, g_sum = [0] * n1, [0.0] * n1
+    for q, s in enumerate(mu2.tolist()):
+        g_count[s] += 1
+        g_sum[s] += float(y2[labeled[q]])
+    k = len(bucket_x)
+    n_s, n_g, total = [0] * k, [0] * k, [0.0] * k
+    for s, b in enumerate(mu1.tolist()):
+        mean = g_sum[s] / g_count[s] if g_count[s] else 0.0
+        n_s[b] += 1
+        n_g[b] += g_count[s]
+        total[b] += w1 * w2 * mean
+    return [
+        (b, total[b] / (n1 if literal_v2_norm else n_s[b]), n_s[b], n_g[b])
+        for b in range(k)
+        if n_g[b]
+    ]
+
+
 def shapley_permutation_oracle(x, predictor, dictionary) -> np.ndarray:
     """Average marginal contribution over all player orderings, for one sample."""
     m = dictionary.n_features

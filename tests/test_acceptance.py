@@ -169,6 +169,10 @@ def test_criterion_6_synthesis_identity_and_linearity(pair_dictionary):
         y = rng.uniform(0, 5, x.shape[0])
         ds = make_dataset(pair_dictionary, x, y)
         graph = nested_match(ds, ds, ds)
+        # each sample is its own nearest source1 row: one count, its own target
+        mu2_idx, _ = nn_scan_oracle(ds.x, ds.x)
+        assert np.array_equal(graph.source2_counts, np.bincount(mu2_idx, minlength=ds.n_samples))
+        assert np.array_equal(graph.source2_sums, np.bincount(mu2_idx, weights=y, minlength=ds.n_samples))
         out = synthesize(graph, 1.0, 1.0)
         buckets = build_buckets(ds)
         assert out.n_entries == len(buckets)

@@ -377,7 +377,7 @@ class TestDuplicateTargets:
 
 
     def test_d26_match_sorts_packed_keys(self, monkeypatch):
-        """At d = 26 the one dedup per matching is the packed sort, not ``np.unique``."""
+        """At d = 26 every dedup of a matching is the packed sort, not ``np.unique``."""
         src, tgt = self.instance(26, 11)
         oidx, odist = nn_scan_oracle(src, tgt)
         rand = nn_random_tie_oracle(src, tgt, 3)
@@ -592,7 +592,8 @@ class TestNearJoin:
             )
             tracemalloc.start()
             try:
-                nearest, _ = matching._near_join(q_keys, t_keys, 26, False)
+                order = np.argsort(t_keys)
+                nearest, _ = matching._near_join(q_keys, order, t_keys[order], 26, False)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -613,13 +614,82 @@ class TestNearJoin:
         q_keys = rng.integers(0, 1 << 26, 100_000, dtype=np.uint64)
         tracemalloc.start()
         try:
-            nearest, pairs = matching._near_join(q_keys, t_keys, 26, ties)
+            order = np.argsort(t_keys)
+            nearest, pairs = matching._near_join(q_keys, order, t_keys[order], 26, ties)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         held = nearest.nbytes + 16 * t_keys.size + sum(q.nbytes + t.nbytes for q, t in pairs)
         assert bool(pairs) == ties
         assert peak - held < matching._SCAN_BUFFER_BYTES, (peak - held) / matching._SCAN_BUFFER_BYTES
+
+class TestQueryBlocks:
+    """Query rows matched ``_QUERY_BLOCK`` at a time give the one-block
+    answers, diagnostics included, at every block size."""
+
+    @staticmethod
+    def instance(d, seed):
+        """Exact copies, one-bit neighbours and far rows of duplicated
+        targets, then 20 repeats of earlier queries, so later blocks meet
+        vectors answered in earlier ones."""
+        src, tgt = near_instance(d, "mixed", seed)
+        rng = np.random.default_rng(seed)
+        return np.vstack([src, src[rng.integers(0, len(src), 20)]]), tgt
+
+    @pytest.mark.parametrize("tie_break", ["index", "random"])
+    @pytest.mark.parametrize("d", [26, 100])
+    def test_every_block_size(self, d, tie_break, monkeypatch):
+        src, tgt = self.instance(d, 3 * d)
+        n = len(src)
+        if tie_break == "index":
+            expected = nn_scan_oracle(src, tgt)[0]
+        else:
+            expected = nn_random_tie_oracle(src, tgt, d)
+        one = nearest(src, tgt, tie_break=tie_break, seed=d)
+        assert n < matching._QUERY_BLOCK and np.array_equal(one.target_index, expected)
+        answer = matching._answer
+        answered = []
+
+        def counted(o_packed, *args):
+            answered.append(o_packed.shape[0])
+            return answer(o_packed, *args)
+
+        monkeypatch.setattr(matching, "_answer", counted)
+        for rows in range(1, n + 2):
+            monkeypatch.setattr(matching, "_QUERY_BLOCK", rows)
+            answered.clear()
+            a = nearest(src, tgt, tie_break=tie_break, seed=d)
+            assert len(answered) == -(-n // rows)
+            # every distinct vector equal to no target is answered once
+            assert sum(answered) == a.n_unique_query - a.n_exact_query
+            assert np.array_equal(a.target_index, expected), rows
+            assert np.array_equal(a.hamming_count, one.hamming_count), rows
+            assert a.diagnostics() == one.diagnostics(), rows
+
+    @pytest.mark.parametrize("tie_break", ["index", "random"])
+    def test_memory_follows_the_block(self, tie_break):
+        """200k query rows of d = 26 against 8k targets, repeating the
+        targets and 3k one-bit neighbours: beyond the 5-byte-a-row output,
+        the peak is one block's dedup (about 40 bytes a row of the block
+        and of the distinct vectors, with its temporaries) and 1 MB.  One
+        dedup over every query row held 13 bytes a query row more."""
+        rng = np.random.default_rng(12)
+        n = 200_000
+        t = rng.integers(0, 1 << 26, (8_000, 1), dtype=np.uint64)
+        flip = np.uint64(1) << rng.integers(0, 26, (3_000, 1), dtype=np.uint64)
+        pool = np.vstack([t, t[rng.integers(0, t.shape[0], 3_000)] ^ flip])
+        q = pool[rng.integers(0, pool.shape[0], n)]
+        tracemalloc.start()
+        try:
+            a = nearest_rows(q, t, dimension=26, tie_break=tie_break, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        distinct = a.n_unique_target + a.n_unique_query - a.n_exact_query
+        block = 40 * (matching._QUERY_BLOCK + distinct)
+        assert a.n_unique_query - a.n_exact_query == a.n_near_query > 2_900
+        assert peak < 5 * n + block + (1 << 20), (peak - 5 * n - block) / (1 << 20)
+
 
 class TestAssignmentPerRow:
     """Five bytes per query row at d <= 255: an int32 target row and the
@@ -655,10 +725,10 @@ class TestAssignmentPerRow:
         assert ones.hamming_count.tolist() == [d]  # 256 would wrap to 0 in uint8
 
     def test_dedup_makes_one_copy_of_the_keys(self):
-        """200k single-word queries repeating 2k targets: the dedup's sort
-        buffer (8 bytes a row), group starts (1) and int32 ranks (4) set the
-        peak; a second uint64 copy of the keys would add 8 a row.  The
-        assignment keeps 5 bytes a query row."""
+        """200k single-word queries repeating 2k targets: a block's dedup
+        holds its sort buffer (8 bytes a row), group starts (1) and int32
+        ranks (4), and no second uint64 copy of the keys.  The assignment
+        keeps 5 bytes a query row."""
         rng = np.random.default_rng(9)
         n = 200_000
         t = rng.integers(0, 1 << 26, (2_000, 1), dtype=np.uint64)

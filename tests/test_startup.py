@@ -155,6 +155,9 @@ class TestNoMaskedArrays:
         ``np.unique`` call does not import ``numpy.ma``; outputs as before."""
         from surveyfuse.cli import main
         from surveyfuse.dataset import EncodedDataset
+        import numpy as np
+
+        from surveyfuse.matching import nearest_rows
         from surveyfuse.synthesis import nested_match
 
         full, miss = tmp_path / "f.enc", tmp_path / "m.enc"
@@ -173,7 +176,9 @@ class TestNoMaskedArrays:
         described = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
         assert described["n_households"] == len(set(m.household_ids.tolist()))
         graph = nested_match(f, m, f)
-        reached = {int(graph.mu1.target_index[i]) for i in graph.mu2.target_index}
+        mu2 = nearest_rows(f.words[~np.isnan(f.y)], m.words, dimension=f.dictionary.dimension)
+        assert np.array_equal(graph.source2_counts, np.bincount(mu2.target_index, minlength=m.n_samples))
+        reached = {int(graph.mu1.target_index[i]) for i in mu2.target_index}
         covered = {h for h, b in zip(f.household_ids, graph.buckets.inverse) if b in reached}
         assert f"covering {len(covered)} donor households" in report["stdout"][0]
 

@@ -1,42 +1,66 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surveyfuse import (
     DataError,
+    FeatureDictionary,
     MatchError,
     build_buckets,
     generate_future,
+    nearest_rows,
     nested_match,
     synthesize,
 )
+from surveyfuse import matching
 from surveyfuse.dataset import unpack_rows
 from conftest import make_dataset, random_one_hot
-from oracles import nn_random_tie_oracle, nn_scan_oracle
+from oracles import nn_random_tie_oracle, nn_scan_oracle, synthesis_oracle
 
 
-def reachable_oracle(graph) -> set[int]:
+def future_match(source2, source1, **kwargs):
+    """The labeled source2 rows' nearest source1 rows, as ``nested_match``
+    matches them, from one ``nearest_rows`` call."""
+    labeled = source2.words[~np.isnan(source2.y)]
+    return nearest_rows(labeled, source1.words, dimension=source1.dictionary.dimension, **kwargs)
+
+
+def assert_source1_sums(graph, source2, rows):
+    """The graph's per-source1 counts and target sums are the bincounts of
+    the labeled source2 rows' matched source1 ``rows``, bit for bit."""
+    y = source2.y[~np.isnan(source2.y)]
+    n1 = graph.n_source1
+    assert np.array_equal(graph.source2_counts, np.bincount(rows, minlength=n1))
+    assert graph.source2_sums.tobytes() == np.bincount(rows, weights=y, minlength=n1).tobytes()
+
+
+def reachable_oracle(graph, mu2_index) -> set[int]:
     """Independent traversal: buckets reachable from any future-year sample."""
-    return {
-        int(graph.mu1.target_index[graph.mu2.target_index[g]])
-        for g in range(graph.n_source2)
-    }
+    return {int(graph.mu1.target_index[s]) for s in mu2_index}
 
 
 class TestNestedMatch:
     def test_single_chain(self, single_dictionary):
         ds = make_dataset(single_dictionary, [[1, 0]], [2.0])
         graph = nested_match(ds, ds, ds)
+        mu2 = future_match(ds, ds)
         assert graph.mu1.target_index.tolist() == [0]
-        assert graph.mu2.target_index.tolist() == [0]
+        assert mu2.target_index.tolist() == [0]
         assert graph.mu1.distance.tolist() == [0.0]
-        assert graph.mu2.distance.tolist() == [0.0]
+        assert mu2.distance.tolist() == [0.0]
+        assert graph.mu2.diagnostics() == mu2.diagnostics()
+        assert_source1_sums(graph, ds, mu2.target_index)
 
     def test_equidistant_matches_smaller_index(self, single_dictionary):
         source1 = make_dataset(single_dictionary, [[1, 0], [0, 1]], [0.0, 0.0])
         source2 = make_dataset(single_dictionary, [[0, 0]], [1.0])
         candidate = make_dataset(single_dictionary, [[1, 0]], [1.0])
         graph = nested_match(source2, source1, candidate)
-        assert graph.mu2.target_index[0] == 0  # tie between both source1 rows
+        assert future_match(source2, source1).target_index[0] == 0  # tie between both source1 rows
+        assert graph.source2_counts.tolist() == [1, 0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_equivalence(self, seed, pair_dictionary):
@@ -58,7 +82,8 @@ class TestNestedMatch:
         mu1_idx, _ = nn_scan_oracle(source1.x, unpack_rows(buckets.words, buckets.dimension))
         mu2_idx, _ = nn_scan_oracle(source2.x, source1.x)
         assert np.array_equal(graph.mu1.target_index, mu1_idx)
-        assert np.array_equal(graph.mu2.target_index, mu2_idx)
+        assert np.array_equal(future_match(source2, source1).target_index, mu2_idx)
+        assert_source1_sums(graph, source2, mu2_idx)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_ties_over_duplicate_source1_rows(self, seed, pair_dictionary):
@@ -80,26 +105,32 @@ class TestNestedMatch:
         labeled_x = source2.x[~np.isnan(y2)]
         expected = nn_random_tie_oracle(labeled_x, source1.x, seed)
         assert graph.mu2.n_unique_target < source1.n_samples
-        assert np.array_equal(graph.mu2.target_index, expected)
+        mu2 = future_match(source2, source1, tie_break="random", seed=seed)
+        assert np.array_equal(mu2.target_index, expected)
+        assert graph.mu2.diagnostics() == mu2.diagnostics()
+        assert_source1_sums(graph, source2, expected)
         assert not np.array_equal(expected, nn_scan_oracle(labeled_x, source1.x)[0])
 
     def test_unlabeled_source2_dropped(self, single_dictionary):
         source2 = make_dataset(
             single_dictionary, [[1, 0], [0, 1], [1, 0]], [1.0, np.nan, 3.0]
         )
-        ds = make_dataset(single_dictionary, [[1, 0]], [2.0])
-        graph = nested_match(source2, ds, ds)
+        # the unlabeled row would match source1 row 1
+        source1 = make_dataset(single_dictionary, [[1, 0], [0, 1]], [2.0, 2.0])
+        graph = nested_match(source2, source1, source1)
         assert graph.n_source2 == 2
-        assert graph.source2_index.tolist() == [0, 2]
-        assert graph.y_source2.tolist() == [1.0, 3.0]
+        assert graph.source2_counts.tolist() == [2, 0]  # rows 0 and 2
+        assert graph.source2_sums.tolist() == [4.0, 0.0]  # their targets 1 and 3
 
     def test_all_labeled_source2_is_not_copied(self, single_dictionary):
         source2 = make_dataset(single_dictionary, [[1, 0], [0, 1], [1, 0]], [1.0, 2.0, 3.0])
         ds = make_dataset(single_dictionary, [[1, 0]], [2.0])
         graph = nested_match(source2, ds, ds)
-        assert np.shares_memory(graph.y_source2, source2.y)
-        assert graph.source2_index.tolist() == [0, 1, 2]
-        assert graph.mu2.n == 3
+        assert graph.n_source2 == graph.mu2.n_query == 3
+        # no per-row array of source2: the graph holds source1-long sums
+        arrays = [v for v in vars(graph).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.shape == (1,) for a in arrays)
+        assert graph.source2_counts.tolist() == [3] and graph.source2_sums.tolist() == [6.0]
 
     def test_fully_unlabeled_source2_rejected(self, single_dictionary):
         source2 = make_dataset(single_dictionary, [[1, 0]], [np.nan])
@@ -113,10 +144,13 @@ class TestNestedMatch:
             pair_dictionary, random_one_hot(rng, pair_dictionary, n),
             rng.uniform(0, 2, n),
         )
-        graph = nested_match(mk(12), mk(9), mk(6))
-        assert graph.mu1.n == 9 and graph.mu2.n == 12
+        source2, source1 = mk(12), mk(9)
+        graph = nested_match(source2, source1, mk(6))
+        mu2 = future_match(source2, source1)
+        assert graph.mu1.n == 9 and mu2.n == graph.mu2.n_query == 12
         assert (graph.mu1.target_index < len(graph.buckets)).all()
-        assert (graph.mu2.target_index < 9).all()
+        assert (mu2.target_index < 9).all()
+        assert graph.source2_counts.shape == (9,) and graph.source2_counts.sum() == 12
 
 
 class TestSynthesize:
@@ -178,9 +212,11 @@ class TestSynthesize:
             pair_dictionary, random_one_hot(rng, pair_dictionary, n),
             rng.uniform(0, 2, n),
         )
-        graph = nested_match(mk(8), mk(25), mk(40))
+        source2, source1 = mk(8), mk(25)
+        graph = nested_match(source2, source1, mk(40))
         out = synthesize(graph, *graph.default_weights())
-        assert set(out.bucket_index.tolist()) == reachable_oracle(graph)
+        mu2 = future_match(source2, source1)
+        assert set(out.bucket_index.tolist()) == reachable_oracle(graph, mu2.target_index)
 
     def test_linearity_in_donor_targets(self, pair_dictionary):
         rng = np.random.default_rng(23)
@@ -277,3 +313,45 @@ class TestSynthesize:
         from surveyfuse import EncodedDataset
 
         assert EncodedDataset.load(path).n_samples == out.n_entries
+
+
+class TestWholeFormula:
+    """``generate_future`` against a per-row oracle of the whole formula,
+    with non-integer targets, so a changed summation order shows, and at
+    query blocks of 1, 3 and 64 rows."""
+
+    DICTIONARY = FeatureDictionary(
+        features=("A", "B", "C"), categories=(("a", "b", "c"), ("i", "j"), ("u", "v", "w"))
+    )
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(1, 12), st.integers(1, 30), st.integers(1, 90)),
+        tie_break=st.sampled_from(["index", "random"]),
+        literal=st.booleans(),
+    )
+    def test_matches_oracle(self, block, seed, sizes, tie_break, literal):
+        rng = np.random.default_rng(seed)
+        n_c, n_1, n_2 = sizes
+        mk = lambda n, y: make_dataset(self.DICTIONARY, random_one_hot(rng, self.DICTIONARY, n), y)
+        candidate = mk(n_c, rng.uniform(0, 5, n_c))
+        source1 = mk(n_1, rng.uniform(0, 5, n_1))
+        y2 = rng.uniform(0, 5, n_2)  # non-integer: float sums depend on their order
+        y2[rng.random(n_2) < 0.3] = np.nan
+        y2[rng.integers(0, n_2)] = rng.uniform(0, 5)  # at least one labeled
+        source2 = mk(n_2, y2)
+        tie_seed = seed % 1000 if tie_break == "random" else None
+        with mock.patch.object(matching, "_QUERY_BLOCK", block):
+            out = generate_future(
+                source2, source1, candidate,
+                literal_v2_norm=literal, tie_break=tie_break, seed=tie_seed,
+            )
+        expected = synthesis_oracle(
+            source2.x, y2, source1.x, candidate.x, literal_v2_norm=literal, seed=tie_seed
+        )
+        assert out.bucket_index.tolist() == [e[0] for e in expected]
+        assert out.y.tolist() == [e[1] for e in expected]  # bit for bit
+        assert out.n_matched_samples.tolist() == [e[2] for e in expected]
+        assert out.n_matched_donors.tolist() == [e[3] for e in expected]
