@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "attribution": ("AttributionReport", "BucketMeanPredictor", "attribute_dataset", "shapley"),
-    "dataset": ("EncodedDataset", "concat_datasets", "require_same_dictionary"),
+    "dataset": ("EncodedDataset", "EncodedStream", "concat_datasets", "require_same_dictionary"),
     "datagen": ("PopulationModel", "demo_model", "generate"),
     "errors": (
         "DataError",

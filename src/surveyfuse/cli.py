@@ -48,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .attribution import BucketMeanPredictor, attribute_dataset, sample_rows
-from .dataset import EncodedDataset, require_same_dictionary
+from .dataset import EncodedDataset, EncodedStream, require_same_dictionary
 from .datagen import PopulationModel, demo_model, generate
 from .errors import DataError, DictionaryMismatchError, FusionError
 from .evaluation import DEFAULT_CUTOFFS, Totals, sort_totals, spike, subsample_compare
@@ -171,7 +171,14 @@ class _Outputs:
         """Load an ``.enc`` input, or the ``rows`` of it that ``EncodedDataset.load``
         takes, with or without its household ``ids``, and record the file's
         sample and household counts."""
-        ds = EncodedDataset.load(path, rows=rows, ids=ids)
+        return self._shape(path, EncodedDataset.load(path, rows=rows, ids=ids))
+
+    def stream(self, path: str | Path) -> EncodedStream:
+        """Open an ``.enc`` input to be read a block at a time
+        (``EncodedDataset.stream``), and record the file's counts."""
+        return self._shape(path, EncodedDataset.stream(path))
+
+    def _shape(self, path: str | Path, ds):
         n, k = ds.file_shape
         self.datasets[str(path)] = {"n_samples": n, "n_households": k}
         return ds
@@ -460,18 +467,19 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
     # the sources are matched on covariates alone; covered households are
-    # the candidate's
-    source2 = out.load(args.source2, ids=False)
-    source1 = out.load(args.source1, ids=False)
-    candidate = out.load(args.candidate)
-    synth = generate_future(
-        source2,
-        source1,
-        candidate,
-        literal_v2_norm=args.literal_v2_norm,
-        tie_break=args.tie_break,
-        seed=args.seed,
-    )
+    # the candidate's.  Source2 is read from its file as it is matched, so
+    # its rows are checked after the other two inputs are loaded.
+    with out.stream(args.source2) as source2:
+        source1 = out.load(args.source1, ids=False)
+        candidate = out.load(args.candidate)
+        synth = generate_future(
+            source2,
+            source1,
+            candidate,
+            literal_v2_norm=args.literal_v2_norm,
+            tie_break=args.tie_break,
+            seed=args.seed,
+        )
     out.matches.extend(synth.matches)
     out.counts.update(
         reachable_buckets=synth.n_entries, covered_households=len(synth.covered_households)

@@ -13,20 +13,24 @@ loudly instead of silently matching incompatible coordinates.  Writes are
 byte-deterministic: fixed zip timestamps, fixed member order.
 
 Members are streamed in both directions: ``save`` deflates each array
-after its ``.npy`` header in slices (``_write_array``), and ``load`` reads
-each array's header, checks it, and only then allocates the array and
-reads its rows in small blocks (``_read_array``).  Household ids are coded in
-memory (distinct ids plus an int32 code per sample, see
-:class:`EncodedDataset`): ``load`` codes ``household_ids.npy`` before it
-reads ``x.npy``, and ``save`` gathers each block of the per-sample ids
-from the codes, so the file holds the same ``.npy`` member as ever.
-Likewise ``load`` packs ``x.npy`` block by block as it reads it, and
-``save`` unpacks the words block by block, so the whole uint8 matrix
-never exists in either direction.  Every ``load`` checks each row once, as
-it reads it, and then keeps it or not: ``rows=`` and ``ids=False`` are
-two settings of that one load (``_Kept``), one keeping only the selected
-rows, the other no household id, only their count.
-``load`` checks each member where it enters: present, stored or deflated,
+after its ``.npy`` header in slices (``_write_array``), and a read checks
+each array's header before it reads its rows in small blocks
+(``_read_array``).  Household ids are coded in memory (distinct ids plus
+an int32 code per sample, see :class:`EncodedDataset`): a read codes or
+counts ``household_ids.npy`` before it reads ``x.npy``, and ``save``
+gathers each block of the per-sample ids from the codes, so the file
+holds the same ``.npy`` member as ever.  Likewise a read packs ``x.npy``
+block by block, and ``save`` unpacks the words block by block, so the
+whole uint8 matrix never exists in either direction.
+
+There is one read: an :class:`EncodedStream` reads ``x.npy`` and
+``y.npy`` side by side in spans of ``_PACK_ROWS`` rows (``_spans``) and
+checks each row once, as it reads it.  ``EncodedDataset.stream`` hands
+one out, which keeps no row; ``load`` collects one's spans, and keeps
+each row or not: ``rows=`` and ``ids=False`` are two settings of what it
+keeps (``_Kept``), one only the selected rows, the other no household
+id, only their count.
+A read checks each member where it enters: present, stored or deflated,
 with a header of its expected dimensions and dtype, ``meta.json``'s
 ``n_samples`` rows and the data bytes the zip directory gives it.  Each key
 that ``meta.json`` must hold is checked for presence and JSON type, and a
@@ -36,13 +40,14 @@ damaged container is a ``FusionError``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
 import tokenize
 import zipfile
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +68,8 @@ _ROW_BLOCK = 1 << 16
 _RUN_BLOCK = 1 << 13
 
 # Rows per block of the bit packing and unpacking (pack_rows' zero-padded
-# byte copy is 512 KiB at d <= 64), of the constructor's checks and of
-# ``_code_ids``' remap.
+# byte copy is 512 KiB at d <= 64), of the row checks, whose cost is per
+# call more than per row, of an ``EncodedStream`` and of ``_code_ids``' remap.
 _PACK_ROWS = 8192
 
 
@@ -94,24 +99,13 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.unique`` groups the runs' keys, which is exact in any order; void
     keys have no order and always take it.
     """
-    return first_occurrence_of_parts(np.asarray(keys))
-
-
-def first_occurrence_of_parts(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``first_occurrence`` of the concatenation of key arrays of one dtype.
-
-    Packable integer parts are cast straight into the packed sort's
-    buffer, which is then the only full-length copy of the keys; other
-    parts are concatenated first.
-    """
-    n = sum(p.shape[0] for p in parts)
-    if parts[0].dtype.kind in "iu" and n:
+    keys = np.asarray(keys)
+    n = keys.shape[0]
+    if keys.dtype.kind in "iu" and n:
         bits = (n - 1).bit_length()  # of a row index
-        lowest = min((p.min() for p in parts if p.size), key=int)
-        highest = max(int(p.max()) for p in parts if p.size)
-        if (highest - int(lowest)).bit_length() + bits <= 64:
-            return _packed_first_occurrence(parts, lowest, bits)
-    keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        lowest = keys.min()
+        if (int(keys.max()) - int(lowest)).bit_length() + bits <= 64:
+            return _packed_first_occurrence(keys, lowest, bits)
     run_start = np.ones(n, dtype=bool)
     run_start[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(run_start)
@@ -139,24 +133,21 @@ def _ascending(keys: np.ndarray, starts: np.ndarray) -> bool:
 
 
 def _packed_first_occurrence(
-    parts: tuple[np.ndarray, ...], lowest: np.generic, bits: int
+    keys: np.ndarray, lowest: np.generic, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``first_occurrence`` by one sort of ``(key - lowest) << bits | row``,
     with int32 ranks below 2**31 keys.
 
     The packed values are distinct, and each key's group starts with its
     first occurrence.  Besides the ranks, only the sorted buffer and a
-    group-start flag are as long as the keys: each part is cast into the
+    group-start flag are as long as the keys: the keys are cast into the
     buffer in place, the row index is ORed in ``_ROW_BLOCK`` rows at a
     time, and after the sort each element's row is read back from the low
     bits of the buffer, a block at a time, to scatter its group's rank.
     """
-    n = sum(p.shape[0] for p in parts)
+    n = keys.shape[0]
     packed = np.empty(n, dtype=np.uint64)
-    s = 0
-    for p in parts:  # two's complement: differences stay exact
-        np.copyto(packed[s : s + p.shape[0]], p, casting="unsafe")
-        s += p.shape[0]
+    np.copyto(packed, keys, casting="unsafe")  # two's complement: differences stay exact
     packed -= np.asarray(lowest).astype(np.uint64)
     packed <<= np.uint64(bits)
     for s in range(0, n, _ROW_BLOCK):
@@ -269,12 +260,11 @@ def bit_popcount(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class _Kept:
-    """What a ``load`` keeps: every row, or ``rows(n)`` of the file's n;
-    each household id coded, or with ``ids=False`` only counted; and the
-    ``checks`` (``_RowChecks``) that every row read passes through once."""
+    """What a ``load`` keeps: every row, or ``rows(n)`` of the file's n; and
+    each household id coded, or with ``ids=False`` only counted."""
 
-    def __init__(self, rows: Callable | None = None, ids: bool = True, checks=None) -> None:
-        self.of_n, self.ids, self.checks = rows, ids, checks
+    def __init__(self, rows: Callable | None = None, ids: bool = True) -> None:
+        self.of_n, self.ids = rows, ids
         self.rows: np.ndarray | None = None  # the kept rows; None keeps every row
 
     def resolve(self, n: int) -> int:
@@ -673,8 +663,9 @@ class EncodedDataset:
     ) -> "EncodedDataset":
         """The dataset of an ``.enc`` file, or only some of its rows.
 
-        Every member is read to its end and every row checked once, as it
-        is read, so a file is refused with the same error whatever is kept,
+        The blocks of an ``EncodedStream`` of the file are collected, so
+        every member is read to its end and every row checked once, as it
+        is read: a file is refused with the same error whatever is kept,
         and ``file_shape`` gives the file's samples and households.
         ``rows``, if given, is a function of ``meta.json``'s ``n_samples``
         that returns the ascending, distinct indices of the rows to keep
@@ -687,55 +678,152 @@ class EncodedDataset:
         """
         if rows is not None and not ids:
             raise ValueError("load takes rows or ids=False, not both")
-        try:
-            with zipfile.ZipFile(path, "r") as zf:
-                with _open_member(zf, path, "meta.json") as fh:
-                    try:
-                        meta = json.load(fh)
-                    except ValueError as exc:
-                        raise DataError(f"{path}: member 'meta.json' is not JSON: {exc}") from None
-                if not isinstance(meta, dict):
-                    raise DataError(f"{path}: member 'meta.json' is not a JSON object")
-                if meta.get("format") != ENC_FORMAT:
-                    raise FusionError(f"{path}: not a {ENC_FORMAT} artifact")
-                if meta.get("version") != ENC_VERSION:
-                    raise FusionError(
-                        f"{path}: unsupported artifact version {meta.get('version')!r}"
-                    )
-                where = f"{path}: member 'meta.json'"
-                for key, kind in _META_FIELDS.items():
-                    json_field(meta, key, kind, where, error=DataError)
-                try:
-                    dictionary = FeatureDictionary.from_json_dict(meta["dictionary"])
-                except SchemaError as exc:
-                    raise DataError(
-                        f"{where} key 'dictionary' must be a feature dictionary: {exc}"
-                    ) from None
-                if dictionary.hash() != meta["dictionary_hash"]:
-                    raise DictionaryMismatchError(
-                        f"{path}: embedded dictionary hash does not match its layout"
-                    )
-                # the ids are coded and x is packed block by block as they are read
-                n = meta.get("n_samples")
-                keep = _Kept(rows, ids, _RowChecks(dictionary))
-                households, code = _read_array(zf, path, "household_ids.npy", n, keep)
-                k = households.size
-                if not ids:
-                    households = None  # only counted
-                words = _read_array(zf, path, "x.npy", n, keep, dictionary.dimension)
-                y = _read_array(zf, path, "y.npy", n, keep)
-        except FileNotFoundError:  # a missing path stays what it is
-            raise
-        except _ZIP_ERRORS as exc:
-            raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact: {exc}") from None
-        file_shape = (n, k)
+        stream = EncodedStream(path, rows, ids)
+        keep, d = stream.keep, stream.dictionary.dimension
+        kept = keep.resolve(stream.file_shape[0])
+        words = np.empty((kept, (d + 63) // 64), np.uint64)
+        y = np.empty(kept)
+        s = 0
+        for block_words, block_y in stream.blocks((words, y)):
+            keep.take(words, s, block_words)
+            keep.take(y, s, block_y)
+            s += block_y.shape[0]
+        households, code = stream.households, stream.household_code
         if rows is not None:
             households, code = _recode(households, code)  # the file's households are dropped
         ds = cls._of_distinct(
-            dictionary, meta["survey_id"], meta["year"], households, code, words, y, keep.checks
+            stream.dictionary, stream.survey_id, stream.year, households, code, words, y,
+            stream.checks,
         )
-        ds.file_shape = file_shape
+        ds.file_shape = stream.file_shape
         return ds
+
+    @classmethod
+    def stream(cls, path: str | Path) -> "EncodedStream":
+        """The rows of an ``.enc`` file, to be read once, a block at a time,
+        with ``load``'s checks: see ``EncodedStream``."""
+        return EncodedStream(path)
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Its words and targets ``_PACK_ROWS`` rows at a time, as views: the
+        blocks an ``EncodedStream`` of its file yields."""
+        for s in range(0, self.n_samples, _PACK_ROWS):
+            yield self.words[s : s + _PACK_ROWS], self.y[s : s + _PACK_ROWS]
+
+
+class EncodedStream:
+    """The rows of an ``.enc`` file, read once, a block at a time.
+
+    Opening it reads ``meta.json`` and the household ids, which are only
+    counted unless ``load`` passes its ``rows`` and ``ids``, so ``dictionary``,
+    ``survey_id``, ``year`` and ``file_shape`` are known before the first
+    row.  ``blocks`` then reads ``x.npy`` and ``y.npy`` side by side and
+    yields each ``_PACK_ROWS`` rows' packed words and targets as new
+    arrays.  Every row passes ``load``'s checks once, and a damaged file is
+    refused with ``load``'s error, in the order a whole load meets it: a
+    fault in ``y.npy`` is held until ``x.npy`` has been read to its end,
+    and the row checks (``_RowChecks``) are raised after the last block.
+    The file is closed once the blocks are read or fail, or by ``close``
+    (or leaving a ``with`` block).
+    """
+
+    def __init__(self, path: str | Path, rows: Callable | None = None, ids: bool = False) -> None:
+        self.path = path
+        self.keep = _Kept(rows, ids)
+        with _readable_artifact(path):
+            zf = self._zf = zipfile.ZipFile(path, "r")
+            try:
+                meta, self.dictionary = _read_meta(zf, path)
+                n = meta.get("n_samples")
+                with contextlib.closing(_read_array(zf, path, "household_ids.npy", n)) as m:
+                    dtype = next(m)  # the header has vouched for n
+                    households, self.household_code = _code_ids(m, n, dtype, self.keep)
+            except BaseException:
+                zf.close()
+                raise
+        self.survey_id, self.year = meta["survey_id"], meta["year"]
+        # (n_samples, n_households) of the file
+        self.file_shape: tuple[int, int] = (n, households.size)
+        self.households = households if ids else None  # only counted
+        self.checks = _RowChecks(self.dictionary)
+
+    def blocks(self, out: tuple | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each block's packed words and float64 targets, then the first
+        fault of the file if it has one; the file is closed at the end.
+        ``load`` passes its kept words and targets as ``out``, which the
+        blocks are made in where every row is kept (``_Kept.into``)."""
+        path, n, d, zf = self.path, self.file_shape[0], self.dictionary.dimension, self._zf
+        into = (None, None) if out is None else [functools.partial(self.keep.into, a) for a in out]
+        x = _spans(_read_array(zf, path, "x.npy", n, d), n, path, "x.npy", self.checks, d, into[0])
+        y = _spans(_read_array(zf, path, "y.npy", n), n, path, "y.npy", self.checks, None, into[1])
+        try:
+            with _readable_artifact(path):
+                held = None  # a fault in y.npy, raised once x.npy is read
+                for words in x:
+                    if held is None:
+                        try:
+                            targets = next(y)
+                        except (FusionError, *_ZIP_ERRORS) as exc:
+                            held = exc
+                        else:
+                            yield words, targets
+                if held is not None:
+                    raise held
+                for _ in y:  # its header, where x.npy has no rows, and its end
+                    pass
+                self.checks.raise_first()
+        finally:
+            x.close()
+            y.close()
+            self.close()
+
+    def close(self) -> None:
+        self._zf.close()
+
+    def __enter__(self) -> "EncodedStream":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+@contextlib.contextmanager
+def _readable_artifact(path: str | Path):
+    """What zipfile raises on a damaged container, as the ``FusionError`` of
+    a file that is not a readable artifact; a missing path stays what it is."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise
+    except _ZIP_ERRORS as exc:
+        raise FusionError(f"{path}: not a readable {ENC_FORMAT} artifact: {exc}") from None
+
+
+def _read_meta(zf: zipfile.ZipFile, path: str | Path) -> tuple[dict, FeatureDictionary]:
+    """``meta.json`` and its feature dictionary, each key checked."""
+    with _open_member(zf, path, "meta.json") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: member 'meta.json' is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: member 'meta.json' is not a JSON object")
+    if meta.get("format") != ENC_FORMAT:
+        raise FusionError(f"{path}: not a {ENC_FORMAT} artifact")
+    if meta.get("version") != ENC_VERSION:
+        raise FusionError(f"{path}: unsupported artifact version {meta.get('version')!r}")
+    where = f"{path}: member 'meta.json'"
+    for key, kind in _META_FIELDS.items():
+        json_field(meta, key, kind, where, error=DataError)
+    try:
+        dictionary = FeatureDictionary.from_json_dict(meta["dictionary"])
+    except SchemaError as exc:
+        raise DataError(f"{where} key 'dictionary' must be a feature dictionary: {exc}") from None
+    if dictionary.hash() != meta["dictionary_hash"]:
+        raise DictionaryMismatchError(
+            f"{path}: embedded dictionary hash does not match its layout"
+        )
+    return meta, dictionary
 
 
 # meta.json key -> what its value must be (a key of schema.JSON_KINDS)
@@ -854,73 +942,81 @@ def _readable(path: str | Path, name: str):
         raise DataError(f"{path}: member {name!r} is not a readable array: {exc}") from None
 
 
-def _read_array(
-    zf: zipfile.ZipFile, path: str | Path, name: str, n, keep: _Kept, d: int | None = None
+def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | None = None):
+    """``_write_array`` undone, a generator: one array member of ``meta.json``'s
+    ``n`` rows, ``d`` columns for ``x.npy``.  Its header is checked before
+    anything is allocated, against the member's size in the zip directory
+    too, and that size against what its compressed bytes can hold; then
+    its dtype is yielded, so a caller can act once a header has vouched for
+    n.  Then come its rows, ``_READ_BYTES`` at a time; what numpy's reader
+    raises on them is a ``DataError`` (``_readable``)."""
+    with _open_member(zf, path, name) as fh, _readable(path, name):
+        version = np.lib.format.read_magic(fh)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"unsupported .npy format version {version}")
+        shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+        _check_array(path, name, len(shape), dtype)
+        _check_rows(path, n, name, shape[0])
+        if d is not None and shape[1] != d:
+            raise DimensionError(f"{path}: member {name!r} has shape {shape}, expected ({n}, {d})")
+        if fortran_order and len(shape) > 1:
+            raise DataError(f"{path}: member {name!r} must be stored in C order")
+        row_bytes = dtype.itemsize * math.prod(shape[1:])
+        info = zf.getinfo(name)
+        held = info.file_size - fh.tell()
+        if n * row_bytes != held:
+            raise ValueError(f"header claims {n * row_bytes} bytes of data, member holds {held}")
+        if info.file_size > _MAX_RATIO[info.compress_type] * info.compress_size:
+            raise ValueError(
+                f"the zip directory claims {info.file_size} bytes, more than its "
+                f"{info.compress_size} compressed bytes can hold"
+            )
+        yield dtype
+        block = max(1, _READ_BYTES // max(1, row_bytes))
+        for s in range(0, n, block):
+            k = min(block, n - s)
+            # a short read, where the zip directory lies, does not reshape
+            yield np.frombuffer(fh.read(k * row_bytes), dtype).reshape(k, *shape[1:])
+
+
+def _spans(
+    member, n: int, path: str | Path, name: str, checks: _RowChecks, d: int | None = None,
+    into: Callable[[int, int], np.ndarray] | None = None,
 ):
-    """``_write_array`` undone: one array member of ``meta.json``'s ``n`` rows,
-    ``x.npy`` (d given) packed into words and ``household_ids.npy`` coded
-    into ``(households, household_code)`` (``_code_ids``).  Its header is
-    checked before anything is allocated, against the member's size in the
-    zip directory too, and that size against what its compressed bytes can
-    hold; ``keep`` is resolved once a header has vouched for n.  The rows
-    are then read ``_READ_BYTES`` at a time, and each block is checked for
-    0/1 values, packed (in place when every row is kept), fed to
-    ``keep.checks`` and kept (``_Kept.take``)."""
-    with _open_member(zf, path, name) as fh:
-        with _readable(path, name):
-            version = np.lib.format.read_magic(fh)
-            if version not in _NPY_HEADERS:
-                raise ValueError(f"unsupported .npy format version {version}")
-            shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
-            _check_array(path, name, len(shape), dtype)
-            _check_rows(path, n, name, shape[0])
-            if d is not None and shape[1] != d:
-                raise DimensionError(
-                    f"{path}: member {name!r} has shape {shape}, expected ({n}, {d})"
-                )
-            if fortran_order and len(shape) > 1:
-                raise DataError(f"{path}: member {name!r} must be stored in C order")
-            row_bytes = dtype.itemsize * math.prod(shape[1:])
-            info = zf.getinfo(name)
-            held = info.file_size - fh.tell()
-            if n * row_bytes != held:
-                raise ValueError(f"header claims {n * row_bytes} bytes of data, member holds {held}")
-            if info.file_size > _MAX_RATIO[info.compress_type] * info.compress_size:
-                raise ValueError(
-                    f"the zip directory claims {info.file_size} bytes, more than its "
-                    f"{info.compress_size} compressed bytes can hold"
-                )
-            blocks = _read_rows(fh, shape, dtype, max(1, _READ_BYTES // max(1, row_bytes)))
-        kept = keep.resolve(n)  # a bad selection stays a ValueError
-        with _readable(path, name):
-            if dtype.kind == "U":
-                return _code_ids(blocks, n, dtype, keep)
-            if d is None:
-                out = np.empty(kept, dtype)
-            else:
-                out = np.empty((kept, (d + 63) // 64), np.uint64)
-            s = 0
-            for rows in blocks:
-                e = s + rows.shape[0]
+    """The ``n`` rows ``_read_array`` reads of ``x.npy`` (d given) or
+    ``y.npy`` in spans of ``_PACK_ROWS`` (the last may be shorter), each row
+    checked once: x's read blocks for 0/1 values, then packed into words;
+    and each span fed to ``checks``, x's as words, y's as float64 targets.
+    A span of rows ``s:e`` is made as ``into(s, e)`` (``load`` makes them
+    in place) or as a new array."""
+    with contextlib.closing(member):  # a fault found here leaves no member open
+        next(member)  # the dtype, once the header is checked
+        s = e = f = 0  # the span holds rows s:e, filled up to f
+        for rows in member:
+            if d is not None and rows.max(initial=0) > 1:
+                raise DataError(f"{path}: member {name!r}: x values must be 0 or 1")
+            i = 0
+            while i < rows.shape[0]:
+                if f == e:  # a new span
+                    s, e = e, min(e + _PACK_ROWS, n)
+                    if into is not None:
+                        span = into(s, e)
+                    elif d is None:
+                        span = np.empty(e - s)
+                    else:
+                        span = np.empty((e - s, (d + 63) // 64), np.uint64)
+                k = min(e - f, rows.shape[0] - i)
                 if d is None:
-                    keep.checks.targets(rows)
-                elif rows.max(initial=0) > 1:
-                    raise DataError(f"{path}: member {name!r}: x values must be 0 or 1")
+                    span[f - s : f - s + k] = rows[i : i + k]
                 else:
-                    rows = pack_rows(rows, out=keep.into(out, s, e))
-                    keep.checks.words(rows, s)
-                keep.take(out, s, rows)
-                s = e
-    return out
-
-
-def _read_rows(fh, shape: tuple[int, ...], dtype: np.dtype, block: int):
-    """The rows of an ``.npy`` member's data, ``block`` at a time."""
-    row_bytes = dtype.itemsize * math.prod(shape[1:])
-    for s in range(0, shape[0], block):
-        k = min(block, shape[0] - s)
-        # a short read, where the zip directory lies, does not reshape
-        yield np.frombuffer(fh.read(k * row_bytes), dtype).reshape(k, *shape[1:])
+                    pack_rows(rows[i : i + k], out=span[f - s : f - s + k])
+                i, f = i + k, f + k
+                if f == e:
+                    if d is None:
+                        checks.targets(span)
+                    else:
+                        checks.words(span, s)
+                    yield span
 
 
 def require_same_dictionary(*datasets: EncodedDataset) -> None:

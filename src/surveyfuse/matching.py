@@ -10,15 +10,16 @@ per-sample values.
 A matching runs in four steps, each exact under both tie rules:
 
 1. The targets are deduplicated once.  The query rows are then taken a
-   block at a time, and each block is deduplicated together with the
-   distinct vectors already answered: the unique targets, then the
-   distinct queries of earlier blocks.  So every distinct vector is
-   answered once, in the block where it first appears, and the dedup's
-   buffers follow the block and the distinct vectors, not the query
-   count.  Identical rows are at the same distance from every other row,
-   so a winner maps back to its smallest-index copy and a random tie
-   draws from the same expanded tie set as a scan over all rows would,
-   numbered by the query row's index among all blocks.
+   block at a time; each block is deduplicated alone, and its distinct
+   vectors are looked up among the sorted keys of those already answered:
+   the unique targets, then the distinct queries of earlier blocks.  So
+   every distinct vector is answered once, in the block where it first
+   appears, and a block's work and buffers follow the block, not the
+   query count or the vectors answered before it.  Identical rows are at
+   the same distance from every other row, so a winner maps back to its
+   smallest-index copy and a random tie draws from the same expanded tie
+   set as a scan over all rows would, numbered by the query row's index
+   among all blocks.
 2. A query vector that shares a target vector's rank is at distance 0 from
    it and from no other unique target, so it is answered without a scan.
 3. For single-word rows (d <= 64), each other new query vector looks up
@@ -53,7 +54,6 @@ from .dataset import (
     EncodedDataset,
     concat_datasets,
     first_occurrence,
-    first_occurrence_of_parts,
     household_sums,
     index_sum,
     require_same_dictionary,
@@ -70,9 +70,9 @@ _SCAN_BUFFER_BYTES = 1 << 20
 # (uint64), the miss mask (bool) and the target positions hit (intp).
 _JOIN_BYTES = 8 + 8 + 8 + 1 + 8
 
-# Query rows per block of a matching.  A block's dedup holds 13 bytes a row
-# of the block, the unique targets and the distinct queries answered before
-# it; 32,768 rows take a 364k-row source in 12 blocks.
+# Query rows per block of ``nearest_rows``.  A block's dedup and lookup hold
+# a few dozen bytes a row of the block; 32,768 rows take a 364k-row source
+# in 12 blocks.
 _QUERY_BLOCK = 1 << 15
 
 # Query rows per block of the random tie draws, whose streams hold a few
@@ -82,19 +82,19 @@ _TIE_BLOCK = 1 << 13
 _TIE_BREAKS = ("index", "random")
 
 
-def _unique_rows(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-occurrence-ordered unique row indices and the inverse map of
-    the packed rows of ``parts``, one after another.
+def _keys(words: np.ndarray) -> np.ndarray:
+    """The dedup key of each packed row: its uint64 word at d <= 64, with
+    no copy; an opaque fixed-size record view of its words above."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    words = np.ascontiguousarray(words)
+    return words.view(np.dtype((np.void, words.shape[1] * words.itemsize))).ravel()
 
-    A single-word row (d <= 64) is keyed on its uint64 value, with no copy
-    of the parts besides the dedup's own; wider rows on an opaque fixed-size
-    record view of their concatenation.  Both keys give the same output.
-    """
-    if parts[0].shape[1] == 1:
-        return first_occurrence_of_parts(*(p[:, 0] for p in parts))
-    packed = np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
-    key = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
-    return first_occurrence(key)
+
+def _unique_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-occurrence-ordered unique row indices of packed rows and the
+    inverse map, keyed on ``_keys``."""
+    return first_occurrence(_keys(words))
 
 
 @dataclass
@@ -341,9 +341,10 @@ def _blocks(
     summary: MatchSummary,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``match_blocks``' generator, with random ties where ``seed`` is
-    given: each block is deduplicated together with the unique targets and
-    the distinct queries already answered, and only its new vectors are
-    answered."""
+    given: each block is deduplicated alone, its distinct keys are looked
+    up among the sorted keys of the vectors answered before it (the unique
+    targets, then the distinct queries of earlier blocks), and only its new
+    vectors are answered."""
     d = summary.dimension
     n_ut = first.size
     index = np.int32 if t_rank.size < 2**31 else np.intp
@@ -355,25 +356,24 @@ def _blocks(
         member_count = index_sum(t_rank, n_ut)
         others, size = members[:0], member_count
     del t_rank
-    # per rank of a block's dedup (the unique targets', then those of the
-    # distinct queries answered so far): its packed row, its target row
-    # under the index rule and the Hamming count to it
-    answered = ut_packed[:0]
+    # the vectors answered so far, numbered in order of first appearance
+    # (their rank): the unique targets, then the distinct queries.  Per
+    # rank, its target row under the index rule and the Hamming count to
+    # it; and their keys, sorted, with the rank of each
     row = first.astype(index)
     count = np.zeros(n_ut, dtype=np.min_scalar_type(d))
+    known = _keys(ut_packed)
+    order = np.argsort(known).astype(index)
+    known, known_rank = known[order], order
+    sorted_keys = (order, known) if ut_packed.shape[1] == 1 else None  # the distance-1 join's
     hit = np.zeros(n_ut + 1, dtype=bool)  # unique targets a query row equals, then any other
-    sorted_keys = None
-    if ut_packed.shape[1] == 1:  # the distance-1 join's lookup table
-        order = np.argsort(ut_packed[:, 0])
-        sorted_keys = order, ut_packed[order, 0]
     for block in query_blocks:
-        m = row.size
-        b_first, rank = _unique_rows(ut_packed, answered, block)
-        q_rank = rank[m:]
-        new = block[b_first[m:] - m]  # the block's vectors not answered before
-        del b_first  # one entry per distinct vector: freed before the answers
+        q_rank, u_rank, new, at, keys, ranks = _rank_block(block, known, known_rank, row.size)
+        hit[np.minimum(u_rank, n_ut)] = True
+        known = np.insert(known, at, keys)  # still sorted
+        known_rank = np.insert(known_rank, at, ranks)
+        del u_rank, at, keys, ranks
         u_idx, u_cnt, n_near, pairs = _answer(new, ut_packed, sorted_keys, d, ties)
-        answered = np.concatenate([answered, new])
         row = np.concatenate([row, first[u_idx].astype(index)])  # first ascends
         count = np.concatenate([count, u_cnt])
         target_index = row[q_rank]
@@ -384,13 +384,35 @@ def _blocks(
             size = np.concatenate([size, new_size])
             # the summary counts the query rows before the block
             _draw_ties(target_index, q_rank, summary.n_query, members, others, size, seed)
-        hit[np.minimum(q_rank, n_ut)] = True
         summary.n_query += block.shape[0]
         summary.n_exact_query = int(np.count_nonzero(hit[:n_ut]))
         summary.n_unique_query = summary.n_exact_query + row.size - n_ut
         summary.n_near_query += n_near
         summary.distance_histogram += np.bincount(hamming_count, minlength=d + 1)
         yield target_index, hamming_count
+
+
+def _rank_block(
+    block: np.ndarray, known: np.ndarray, known_rank: np.ndarray, m: int
+) -> tuple[np.ndarray, ...]:
+    """Rank each row of a block among the distinct vectors answered before
+    it, whose keys are ``known``, sorted, with the rank of each in
+    ``known_rank``; the block's other vectors take ranks m, m + 1, ... in
+    order of appearance.  Returns the rows' ranks, the block's distinct
+    vectors' ranks, its new vectors, and where their keys and ranks go
+    into ``known`` and ``known_rank``, with those keys and ranks."""
+    b_first, b_rank = _unique_rows(block)
+    keys = _keys(block)[b_first]
+    by_key = np.argsort(keys)  # sorted keys are searchsorted's fast case
+    keys = keys[by_key]
+    pos = np.searchsorted(known, keys)
+    seen = known[np.minimum(pos, known.size - 1)] == keys
+    u_rank = np.empty(b_first.size, dtype=known_rank.dtype)
+    u_rank[by_key[seen]] = known_rank[pos[seen]]
+    fresh = np.sort(by_key[~seen])  # in order of appearance
+    u_rank[fresh] = np.arange(m, m + fresh.size, dtype=u_rank.dtype)
+    new = block[b_first[fresh]]
+    return u_rank[b_rank], u_rank, new, pos[~seen], keys[~seen], u_rank[by_key[~seen]]
 
 
 def _draw_ties(

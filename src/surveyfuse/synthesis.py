@@ -15,11 +15,14 @@ alternative (``literal_v2_norm=True``) divides by all of |source1|
 instead, which shrinks every bucket by the same global factor; it is kept
 selectable because the published pseudocode can be read either way.
 
-Only per-source1 sums reach the formula, so the future-year matching is
-consumed a block of source2 rows at a time (``matching.match_blocks``):
-each block's labeled rows add their counts and targets to their matched
-source1 samples, in row order, and no per-row assignment of source2 is
-kept.
+Only per-source1 sums reach the formula, so source2 is read a block of
+rows at a time, from memory or straight from its ``.enc`` file
+(``EncodedDataset.stream``), and the future-year matching consumes the
+blocks as they come (``matching.match_blocks``): each block's labeled
+rows add their counts and targets to their matched source1 samples, in
+row order.  No full-length array of source2 and no per-row assignment of
+it is made, and a file's rows are checked as they are read, after
+source1 and the candidate are loaded.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodedDataset, index_sum, require_same_dictionary
+from .dataset import EncodedDataset, EncodedStream, index_sum, require_same_dictionary
 from .errors import DataError, MatchError
 from . import matching
 from .matching import BucketSet, MatchAssignment, MatchSummary, build_buckets, nearest_rows
@@ -64,7 +67,7 @@ class TriPartiteGraph:
 
 
 def nested_match(
-    source2: EncodedDataset,
+    source2: EncodedDataset | EncodedStream,
     source1: EncodedDataset,
     candidate: EncodedDataset,
     *,
@@ -73,44 +76,54 @@ def nested_match(
 ) -> TriPartiteGraph:
     """Build the tri-partite graph source2 -> source1 -> buckets(candidate).
 
-    Source2 samples with missing targets carry no usable value for the
-    averaging step and are dropped before matching.  Source2 is matched
-    ``matching._QUERY_BLOCK`` rows at a time; each block's labeled rows
-    add their counts and targets to the source1 samples they matched, so
-    no labeled copy of source2 and no per-row assignment of it is made.
+    Source2 is read a block at a time (``blocks()``), from memory or
+    straight from its file (``EncodedDataset.stream``).  Its samples with
+    missing targets carry no usable value for the averaging step and are
+    dropped from each block; the labeled rows are matched
+    ``matching._QUERY_BLOCK`` or more at a time, and each query block's
+    rows add their counts and targets to the source1 samples they matched.
+    So no full-length array of source2 and no per-row assignment of it is
+    made.  The "no labeled samples" error comes after the last block.
     """
     require_same_dictionary(source2, source1, candidate)
     if source1.n_samples == 0 or candidate.n_samples == 0:
         raise MatchError("source1 and candidate must be non-empty")
-    n_missing = source2.n_missing
-    if n_missing == source2.n_samples:
-        raise MatchError("source2 has no labeled samples to project from")
 
     buckets = build_buckets(candidate)
     d = buckets.dimension
     mu1 = nearest_rows(source1.words, buckets.words, dimension=d, tie_break=tie_break, seed=seed)
-    step = matching._QUERY_BLOCK
-    starts = range(0, source2.n_samples, step)
+    targets = []  # the labeled targets of the query block being matched
 
-    def labeled(array: np.ndarray, s: int) -> np.ndarray:
-        """Rows s to s + step of a source2 array, those with a target."""
-        block = array[s : s + step]
-        return block[~np.isnan(source2.y[s : s + step])] if n_missing else block
+    def labeled():
+        """Source2's labeled rows, its blocks' gathered into query blocks of
+        ``matching._QUERY_BLOCK`` rows or more: a matching costs per block
+        as well as per row."""
+        words, y = [], []
+        for block_words, block_y in source2.blocks():
+            has = ~np.isnan(block_y)
+            words.append(block_words[has])
+            y.append(block_y[has])
+            if sum(map(len, y)) >= matching._QUERY_BLOCK:
+                block, words = np.concatenate(words), []  # the parts are freed first
+                targets.append(np.concatenate(y))
+                y = []
+                yield block
+        if y:
+            targets.append(np.concatenate(y))
+            yield np.concatenate(words)
 
     # query row i is the i-th labeled row, which numbers its random-tie stream
     mu2, blocks = matching.match_blocks(
-        (labeled(source2.words, s) for s in starts),
-        source1.words,
-        dimension=d,
-        tie_break=tie_break,
-        seed=seed,
+        labeled(), source1.words, dimension=d, tie_break=tie_break, seed=seed
     )
     counts = np.zeros(source1.n_samples, dtype=np.intp)
     sums = np.zeros(source1.n_samples)
-    for (target_index, _), s in zip(blocks, starts):
+    for target_index, _ in blocks:
         # in row order across blocks, as one np.add.at over every row adds
         np.add.at(counts, target_index, 1)
-        np.add.at(sums, target_index, labeled(source2.y, s))
+        np.add.at(sums, target_index, targets.pop())
+    if mu2.n_query == 0:
+        raise MatchError("source2 has no labeled samples to project from")
     return TriPartiteGraph(
         buckets=buckets,
         mu1=mu1,
@@ -173,11 +186,11 @@ def synthesize(
     # per source1 sample: how many source2 samples matched it, and their mean y
     g_counts, g_sums = graph.source2_counts, graph.source2_sums
     g_mean = np.divide(g_sums, g_counts, out=np.zeros(n1), where=g_counts > 0)
-    contribution = w1 * w2 * g_mean  # zero where no source2 sample matched
+    g_mean *= w1 * w2  # each one's contribution, zero where no source2 sample matched
 
     # per bucket: matched source1 samples and total reaching source2 samples
     s_counts = index_sum(graph.mu1.target_index, k)
-    bucket_sum = index_sum(graph.mu1.target_index, k, contribution)
+    bucket_sum = index_sum(graph.mu1.target_index, k, g_mean)
     donor_counts = index_sum(graph.mu1.target_index, k, g_counts).astype(np.int64, copy=False)
 
     reachable = donor_counts > 0
@@ -206,7 +219,7 @@ def synthesize(
 
 
 def generate_future(
-    source2: EncodedDataset,
+    source2: EncodedDataset | EncodedStream,
     source1: EncodedDataset,
     candidate: EncodedDataset,
     *,

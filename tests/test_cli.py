@@ -1,11 +1,13 @@
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +491,45 @@ class TestSynthesize:
             str(p): {"n_samples": loaded[k].n_samples, "n_households": loaded[k].n_households()}
             for k, p in paths.items()
         }
+
+
+    @pytest.mark.parametrize("damage", ["last row two-hot", "last target negative"])
+    def test_a_damaged_source2_is_refused_as_describe_refuses_it(
+        self, generated, tmp_path, capsys, damage
+    ):
+        """Source2 is read from its file as it is matched, and each of its
+        rows is checked: a fault in its last row is exit 5 with the message
+        ``describe`` gives, and leaves nothing in the output directory."""
+        full, missing = generated
+        ds = EncodedDataset.load(missing)
+        x, y = ds.x, ds.y.copy()
+        if damage == "last row two-hot":
+            sl = ds.dictionary.group_slices()[0]
+            x[-1, sl] = 0
+            x[-1, sl.start : sl.start + 2] = 1
+        else:
+            y[-1] = -1.0
+        with zipfile.ZipFile(missing) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        for name, array in (("x.npy", x), ("y.npy", y)):
+            buf = io.BytesIO()
+            np.save(buf, array)
+            members[name] = buf.getvalue()
+        damaged = tmp_path / "damaged.enc"
+        with zipfile.ZipFile(damaged, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, blob in members.items():
+                zf.writestr(name, blob)
+        assert run("describe", "--data", damaged) == EXIT_DATA
+        described = capsys.readouterr().err
+        expected = (f"x row {ds.n_samples - 1}: feature" if damage == "last row two-hot"
+                    else "target values must be >= 0")
+        assert expected in described
+        out_dir = tmp_path / "synth-out"
+        out_dir.mkdir()
+        assert run("synthesize", "--source2", damaged, "--source1", full, "--candidate", full,
+                   "--out", out_dir / "s.enc") == EXIT_DATA
+        assert capsys.readouterr().err == described
+        assert list(out_dir.iterdir()) == []
 
 
 class TestAttribute:

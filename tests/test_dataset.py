@@ -18,6 +18,7 @@ from surveyfuse import (
     DictionaryMismatchError,
     DimensionError,
     EncodedDataset,
+    EncodedStream,
     FeatureDictionary,
     FusionError,
     concat_datasets,
@@ -468,23 +469,25 @@ class TestStreamedArtifact:
 
     def test_x_is_packed_as_it_is_read(self, tmp_path):
         """``x.npy`` is packed block by block as ``_read_array`` reads it:
-        beyond the words it returns, reading 200k rows of d = 26 peaks below
-        a third of the 5.2 MB uint8 matrix, which is never whole."""
+        beyond the words a stream's blocks are copied into, reading 200k
+        rows of d = 26 peaks below a third of the 5.2 MB uint8 matrix, which
+        is never whole."""
         path = tmp_path / "big.enc"
         ds = households_dataset(200_000, seed=1)
         ds.save(path)
-        keep = dataset._Kept(checks=dataset._RowChecks(ds.dictionary))
-        with zipfile.ZipFile(path) as zf:
+        words = np.empty_like(ds.words)
+        with EncodedDataset.stream(path) as stream:
             tracemalloc.start()
             try:
-                words = dataset._read_array(
-                    zf, path, "x.npy", ds.n_samples, keep, ds.dictionary.dimension
-                )
+                s = 0
+                for block, _ in stream.blocks():
+                    words[s : s + block.shape[0]] = block
+                    s += block.shape[0]
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert np.array_equal(words, ds.words)
-        assert peak - words.nbytes < ds.n_samples * ds.dictionary.dimension // 3, peak
+        assert s == ds.n_samples and np.array_equal(words, ds.words)
+        assert peak < ds.n_samples * ds.dictionary.dimension // 3, peak
 
 
 @st.composite
@@ -923,6 +926,14 @@ def refused_load_peak(path) -> int:
         tracemalloc.stop()
 
 
+def read_stream(path) -> tuple[EncodedStream, np.ndarray, np.ndarray]:
+    """A stream of ``path`` and its blocks' words and targets, joined."""
+    with EncodedDataset.stream(path) as stream:
+        blocks = list(stream.blocks())
+    words = np.concatenate([w for w, _ in blocks] or [np.empty((0, 1), np.uint64)])
+    return stream, words, np.concatenate([y for _, y in blocks] or [np.empty(0)])
+
+
 class TestLoadChecks:
     """A malformed member is a data error naming the file and the member (exit 5)."""
 
@@ -935,9 +946,11 @@ class TestLoadChecks:
 
     def check(self, path, member: str, error=DataError, match: str = ""):
         messages = set()
-        for ids in (True, False):  # a load without ids refuses alike
+        # a load without ids, and a stream read to its end, refuse alike
+        id_free = lambda p: EncodedDataset.load(p, ids=False)
+        for read in (EncodedDataset.load, id_free, read_stream):
             with pytest.raises(error, match=f"^{path}: .*{member}.*{match}") as refused:
-                EncodedDataset.load(path, ids=ids)
+                read(path)
             messages.add(str(refused.value))
         assert len(messages) == 1, messages
         out = path.with_name("describe.json")
@@ -1126,9 +1139,9 @@ class TestLoadChecks:
             try:
                 with pytest.raises(DataError, match=f"^{saved}: member {member!r} is not a "
                                    f"readable array: the zip directory claims {forged} bytes"):
-                    dataset._read_array(
-                        zf, saved, member, rows, dataset._Kept(), 4 if member == "x.npy" else None
-                    )
+                    next(dataset._read_array(
+                        zf, saved, member, rows, 4 if member == "x.npy" else None
+                    ))  # the header, checked before the first row is read
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1295,6 +1308,9 @@ class TestRowSelection:
         with pytest.raises(whole.type) as id_free:
             EncodedDataset.load(path, ids=False)
         assert str(id_free.value) == str(whole.value)
+        with pytest.raises(whole.type) as streamed:
+            read_stream(path)
+        assert str(streamed.value) == str(whole.value)
         if damage == "two bits in one group":
             assert str(whole.value) == f"x row {bad}: feature 'A' has more than one bit set"
 
@@ -1310,16 +1326,21 @@ class TestRowSelection:
         y[10] = np.inf
         rewrite_member(path, "x.npy", npy(x))
         rewrite_member(path, "y.npy", npy(y))
-        loads = ({}, {"rows": lambda n: np.array([0, 1])}, {"ids": False})
-        for how in loads:
+        reads = (
+            EncodedDataset.load,
+            lambda p: EncodedDataset.load(p, rows=lambda n: np.array([0, 1])),
+            lambda p: EncodedDataset.load(p, ids=False),
+            read_stream,
+        )
+        for read in reads:
             with pytest.raises(DataError, match="^x row 2950: feature 'A' has"):
-                EncodedDataset.load(path, **how)
+                read(path)
         x[2950, :5] = [1, 0, 0, 0, 0]
         x[2900, 10:14] = [1, 0, 0, 0]
         rewrite_member(path, "x.npy", npy(x))
-        for how in loads:
+        for read in reads:
             with pytest.raises(DataError, match="^target values must be finite"):
-                EncodedDataset.load(path, **how)
+                read(path)
 
     def test_selected_load_holds_only_the_run_keys(self, tmp_path):
         """Loading 500 rows of 120k holds those rows, and on the way one key
@@ -1413,22 +1434,101 @@ class TestIdFreeLoad:
         assert kept[True] > arrays + ds.household_code.nbytes + ds.households.nbytes, kept
 
 
+class TestStream:
+    """``EncodedDataset.stream(path)`` reads ``meta.json`` and counts the
+    household ids at once, then yields the file's words and targets a span
+    of rows at a time, with ``load``'s checks and errors."""
+
+    @given(
+        ids=id_runs(),
+        block=st.integers(1, 64),
+        span=st.sampled_from([1, 3, 64, 8192]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(ids=np.array([], dtype=np.str_), block=1, span=3, seed=0)
+    @example(ids=np.array(["b", "b", "a", "b", "c", "a"]), block=1, span=3, seed=3)
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_are_the_load(self, ids, block, span, seed):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "a.enc"
+            ids_dataset(ids, seed=seed).save(path)
+            whole = EncodedDataset.load(path)
+            mp.setattr(dataset, "_READ_BYTES", block * 26)  # ``block`` rows of x a read
+            mp.setattr(dataset, "_PACK_ROWS", span)
+            with EncodedDataset.stream(path) as stream:
+                # known before the first row
+                assert stream.file_shape == whole.file_shape == (ids.size, np.unique(ids).size)
+                assert (stream.survey_id, stream.year, stream.dictionary.hash()) == (
+                    whole.survey_id, whole.year, whole.dictionary.hash()
+                )
+                assert stream.households is None and stream.household_code is None
+                blocks = list(stream.blocks())
+            in_memory = list(whole.blocks())
+        sizes = [min(span, ids.size - s) for s in range(0, ids.size, span)]
+        assert [y.size for _, y in blocks] == sizes
+        assert len(blocks) == len(in_memory)
+        for (words, y), (words_m, y_m) in zip(blocks, in_memory):
+            assert words.dtype == np.uint64 and y.dtype == np.float64
+            assert np.array_equal(words, words_m) and np.array_equal(y, y_m, equal_nan=True)
+        assert stream._zf.fp is None  # closed once read
+
+    @pytest.mark.parametrize("x_fault", ["none", "two bits in one group", "x value 2"])
+    @pytest.mark.parametrize("y_fault", ["cut deflate stream", "a row short"])
+    def test_a_fault_in_y_waits_for_x(self, tmp_path, x_fault, y_fault):
+        """x.npy and y.npy are read side by side, but a fault in y.npy is
+        raised only once x.npy is read to its end, where a whole load meets
+        it: a bad x value in the file's last rows is named instead, and a
+        two-hot row, raised after every member, is not."""
+        path = tmp_path / "a.enc"
+        ds = households_dataset(3000, seed=2)
+        ds.save(path)
+        x = ds.x
+        if x_fault == "two bits in one group":
+            x[2900, :5] = [0, 1, 0, 1, 0]
+        elif x_fault == "x value 2":
+            x[2900, 0] = 2
+        rewrite_member(path, "x.npy", npy(x))
+        if y_fault == "cut deflate stream":
+            cut_deflate_stream(path, "y.npy", 5)
+        else:
+            rewrite_member(path, "y.npy", npy(ds.y[:-1]))
+        with pytest.raises(FusionError) as whole:
+            EncodedDataset.load(path)
+        assert ("x values must be 0 or 1" in str(whole.value)) == (x_fault == "x value 2")
+        stream = EncodedDataset.stream(path)
+        blocks = stream.blocks()
+        with pytest.raises(whole.type) as streamed:
+            next(blocks)  # the fault in y.npy is met here
+            list(blocks)
+        assert str(streamed.value) == str(whole.value)
+        assert stream._zf.fp is None  # closed on the fault
+
+    def test_an_unread_stream_is_closed_by_with(self, tmp_path):
+        households_dataset(10).save(tmp_path / "a.enc")
+        with EncodedDataset.stream(tmp_path / "a.enc") as stream:
+            pass
+        assert stream._zf.fp is None
+
+
 @pytest.mark.parametrize(
-    "how", [{}, {"rows": lambda n: np.array([0, 1, 2, 1000])}, {"ids": False}],
-    ids=["whole", "rows", "ids=False"],
+    "how", [{}, {"rows": lambda n: np.array([0, 1, 2, 1000])}, {"ids": False}, "stream"],
+    ids=["whole", "rows", "ids=False", "stream"],
 )
 def test_each_file_row_is_checked_once(tmp_path, monkeypatch, how):
-    """Every load feeds each row of the file to the one-hot and target
-    checks exactly once, as it reads it: a row selection checks its kept
-    rows no second time."""
+    """Every load, and a stream read to its end, feeds each row of the file
+    to the one-hot and target checks exactly once, as it reads it, in
+    spans of ``_PACK_ROWS`` rows: a row selection checks its kept rows no
+    second time."""
     n = 3000
     households_dataset(n, seed=2).save(tmp_path / "a.enc")
     monkeypatch.setattr(dataset, "_READ_BYTES", 64 * 26)  # 64 rows of x a read
+    monkeypatch.setattr(dataset, "_PACK_ROWS", 700)  # spans across the reads
     words, targets = dataset._RowChecks.words, dataset._RowChecks.targets
-    fed_words, fed_targets = [], []
+    fed_words, fed_targets, spans = [], [], []
 
     def count_words(self, block, start):
         fed_words.extend(range(start, start + block.shape[0]))
+        spans.append(block.shape[0])
         words(self, block, start)
 
     def count_targets(self, y):
@@ -1437,9 +1537,12 @@ def test_each_file_row_is_checked_once(tmp_path, monkeypatch, how):
 
     monkeypatch.setattr(dataset._RowChecks, "words", count_words)
     monkeypatch.setattr(dataset._RowChecks, "targets", count_targets)
-    EncodedDataset.load(tmp_path / "a.enc", **how)
-    assert sorted(fed_words) == list(range(n))
-    assert sum(fed_targets) == n
+    if how == "stream":
+        read_stream(tmp_path / "a.enc")
+    else:
+        EncodedDataset.load(tmp_path / "a.enc", **how)
+    assert fed_words == list(range(n))
+    assert spans == fed_targets == [700, 700, 700, 700, 200]
 
 
 class TestConcat:

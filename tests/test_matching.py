@@ -746,8 +746,11 @@ class TestAssignmentPerRow:
     def test_non_repeating_queries_hold_narrow_indices(self):
         """200k random d = 26 queries against 2k targets, almost none repeated
         or one bit from a target: each unique query's target, count and scan
-        position are held as int32, uint8 and int32, so the peak stays under
-        60 bytes a query row (intp and int64 took it to 79)."""
+        position are held as int32, uint8 and int32 (intp and int64 took the
+        peak to 79 bytes a query row), and each block is ranked alone against
+        the sorted keys answered before it, so the peak stays under 45 bytes
+        a query row (38.5 here).  Ranking each block together with every
+        vector answered before it peaked at 58."""
         rng = np.random.default_rng(54)
         n = 200_000
         t = rng.integers(0, 1 << 26, (2_000, 1), dtype=np.uint64)
@@ -759,7 +762,7 @@ class TestAssignmentPerRow:
         finally:
             tracemalloc.stop()
         assert a.n_unique_query > 0.99 * n and a.n_near_query < 0.01 * n
-        assert peak < 60 * n, peak / n
+        assert peak < 45 * n, peak / n
         rows = rng.integers(0, n, 500)  # against a brute-force scan
         counts = np.bitwise_count(q[rows] ^ t[:, 0])
         assert np.array_equal(a.target_index[rows], np.argmin(counts, axis=1))

@@ -1,3 +1,6 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from surveyfuse import (
     DataError,
+    EncodedDataset,
     FeatureDictionary,
     MatchError,
     build_buckets,
@@ -15,8 +19,8 @@ from surveyfuse import (
     nested_match,
     synthesize,
 )
-from surveyfuse import matching
-from surveyfuse.dataset import unpack_rows
+from surveyfuse import dataset, matching
+from surveyfuse.dataset import pack_rows, unpack_rows
 from conftest import make_dataset, random_one_hot
 from oracles import nn_random_tie_oracle, nn_scan_oracle, synthesis_oracle
 
@@ -318,7 +322,7 @@ class TestSynthesize:
 class TestWholeFormula:
     """``generate_future`` against a per-row oracle of the whole formula,
     with non-integer targets, so a changed summation order shows, and at
-    query blocks of 1, 3 and 64 rows."""
+    query and source2 blocks of 1, 3 and 64 rows."""
 
     DICTIONARY = FeatureDictionary(
         features=("A", "B", "C"), categories=(("a", "b", "c"), ("i", "j"), ("u", "v", "w"))
@@ -343,7 +347,9 @@ class TestWholeFormula:
         y2[rng.integers(0, n_2)] = rng.uniform(0, 5)  # at least one labeled
         source2 = mk(n_2, y2)
         tie_seed = seed % 1000 if tie_break == "random" else None
-        with mock.patch.object(matching, "_QUERY_BLOCK", block):
+        # source1 matched in query blocks of ``block`` rows, source2 read in blocks of as many
+        with mock.patch.object(matching, "_QUERY_BLOCK", block), \
+                mock.patch.object(dataset, "_PACK_ROWS", block):
             out = generate_future(
                 source2, source1, candidate,
                 literal_v2_norm=literal, tie_break=tie_break, seed=tie_seed,
@@ -355,3 +361,100 @@ class TestWholeFormula:
         assert out.y.tolist() == [e[1] for e in expected]  # bit for bit
         assert out.n_matched_samples.tolist() == [e[2] for e in expected]
         assert out.n_matched_donors.tolist() == [e[3] for e in expected]
+
+
+def synthesis_fields(out) -> tuple:
+    """Everything a synthesis gives, floats as bytes."""
+    return (
+        out.bucket_index.tolist(), out.words.tobytes(), out.y.tobytes(),
+        out.n_matched_samples.tolist(), out.n_matched_donors.tolist(), out.covered_households,
+        out.w1, out.w2, out.literal_v2_norm, out.matches,
+    )
+
+
+class TestStreamedSource2:
+    """``generate_future`` given source2 as a stream of its file
+    (``EncodedDataset.stream``) gives what it gives with source2 in memory."""
+
+    DICTIONARY = TestWholeFormula.DICTIONARY
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(1, 12), st.integers(1, 30), st.integers(0, 90)),
+        labeled=st.sampled_from(["all", "some", "none"]),
+        tie_break=st.sampled_from(["index", "random"]),
+        read_rows=st.integers(1, 64),
+        span=st.sampled_from([1, 3, 64, 8192]),
+    )
+    def test_equals_the_in_memory_result(self, seed, sizes, labeled, tie_break, read_rows, span):
+        rng = np.random.default_rng(seed)
+        n_c, n_1, n_2 = sizes
+        mk = lambda n, y: make_dataset(self.DICTIONARY, random_one_hot(rng, self.DICTIONARY, n), y)
+        candidate = mk(n_c, rng.uniform(0, 5, n_c))
+        source1 = mk(n_1, rng.uniform(0, 5, n_1))
+        y2 = rng.uniform(0, 5, n_2)  # non-integer: float sums depend on their order
+        if labeled == "none":
+            y2[:] = np.nan
+        elif labeled == "some" and n_2:
+            y2[rng.random(n_2) < 0.5] = np.nan
+            y2[rng.integers(0, n_2)] = 1.5
+        source2 = mk(n_2, y2)
+        tie_seed = seed % 1000 if tie_break == "random" else None
+        run = lambda s2: generate_future(
+            s2, source1, candidate, tie_break=tie_break, seed=tie_seed
+        )
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "source2.enc"
+            source2.save(path)
+            mp.setattr(dataset, "_READ_BYTES", read_rows * self.DICTIONARY.dimension)
+            mp.setattr(dataset, "_PACK_ROWS", span)
+            if labeled == "none" or not n_2:
+                with pytest.raises(MatchError) as in_memory:
+                    run(source2)
+                with pytest.raises(MatchError) as streamed, EncodedDataset.stream(path) as s2:
+                    run(s2)
+                assert str(streamed.value) == str(in_memory.value)
+                assert "source2 has no labeled samples" in str(streamed.value)
+                return
+            expected = run(source2)
+            with EncodedDataset.stream(path) as s2:
+                got = run(s2)
+        assert synthesis_fields(got) == synthesis_fields(expected)
+
+    def test_peak_does_not_grow_with_source2(self, tmp_path):
+        """100k or 400k source2 rows, streamed against the same source1 and
+        candidate, peak alike under ``tracemalloc``: within 0.5 MB.  Held
+        in memory, the 300k rows more would add 4.8 MB of words and
+        targets.  (Opening the stream, not measured here, counts the
+        file's households, one key each, as ``load(path, ids=False)`` does.)"""
+        rng = np.random.default_rng(21)
+        d = FeatureDictionary(  # d = 26, as in the paper
+            features=tuple("ABCDEF"),
+            categories=tuple(tuple(f"c{j}" for j in range(k)) for k in (5, 5, 4, 4, 4, 4)),
+        )
+        pool = pack_rows(random_one_hot(rng, d, 6_000))
+
+        def dataset_of(n, missing):
+            y = rng.integers(0, 5, n).astype(np.float64)
+            y[rng.random(n) < missing] = np.nan
+            k = -(-n // 4)
+            return EncodedDataset(
+                d, "s", 2021, households=np.array([f"h{i}" for i in range(k)]),
+                household_code=(np.arange(n) // 4).astype(np.int32),
+                words=pool[rng.integers(0, pool.shape[0], n)], y=y,
+            )
+
+        source1, candidate = dataset_of(20_000, 0.0), dataset_of(3_000, 0.0)
+        peaks = []
+        for n2 in (100_000, 400_000):
+            dataset_of(n2, 0.2).save(tmp_path / f"s2-{n2}.enc")
+            with EncodedDataset.stream(tmp_path / f"s2-{n2}.enc") as source2:
+                tracemalloc.start()
+                try:
+                    out = generate_future(source2, source1, candidate)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert out.matches[1]["query_rows"] > 0.75 * n2
+        assert abs(peaks[1] - peaks[0]) < 0.5e6, peaks
