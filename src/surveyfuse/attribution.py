@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import EncodedDataset, bit_mask, pack_rows, unpack_rows
+from .dataset import EncodedDataset, EncodedStream, bit_mask, pack_rows, unpack_rows
 from .errors import FusionError
 from .matching import build_buckets, nearest_rows
 from .schema import MISSING_LABEL, FeatureDictionary
@@ -138,26 +138,34 @@ def sample_rows(n: int, limit: int, seed: int) -> np.ndarray:
 
 
 def attribute_dataset(
-    ds: EncodedDataset,
+    ds: EncodedDataset | EncodedStream,
     predictor: Predictor,
     sample_limit: int = 500,
     seed: int = 0,
 ) -> AttributionReport:
     """Shapley values over a seeded sample subset, aggregated per (feature, category).
 
-    Each evaluated sample's value for feature f lands in the group of the
-    sample's own category of f (its missing group when the bit group is
-    all zero); groups report the mean signed value, summed in sample order
-    by one ``np.bincount`` per feature.
+    The drawn rows' words are picked out of ``ds.blocks()`` as they come,
+    so a stream of a file (``EncodedDataset.stream``) is read, and each of
+    its rows checked, to its end while only those rows are held; an empty
+    dataset is refused after that.  Each evaluated sample's value for
+    feature f lands in the group of the sample's own category of f (its
+    missing group when the bit group is all zero); groups report the mean
+    signed value, summed in sample order by one ``np.bincount`` per feature.
     """
-    if ds.n_samples == 0:
-        raise FusionError("cannot attribute an empty dataset")
     chosen = sample_rows(ds.n_samples, sample_limit, seed)
-
     dictionary = ds.dictionary
     m = dictionary.n_features
+    words = np.empty((chosen.size, (dictionary.dimension + 63) // 64), np.uint64)
+    s = 0
+    for block, _ in ds.blocks():
+        i, j = np.searchsorted(chosen, (s, s + block.shape[0]))
+        words[i:j] = block[chosen[i:j] - s]
+        s += block.shape[0]
+    if ds.n_samples == 0:
+        raise FusionError("cannot attribute an empty dataset")
 
-    xs = unpack_rows(ds.words[chosen], dictionary.dimension)
+    xs = unpack_rows(words, dictionary.dimension)
     phis = shapley(xs, predictor, dictionary)
     ends = predictor(xs, np.array([[True] * m, [False] * m]))  # v(full), v(empty)
     gaps = np.abs(phis.sum(axis=1) - (ends[:, 0] - ends[:, 1]))

@@ -47,7 +47,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .attribution import BucketMeanPredictor, attribute_dataset, sample_rows
+from .attribution import BucketMeanPredictor, attribute_dataset
 from .dataset import EncodedDataset, EncodedStream, require_same_dictionary
 from .datagen import PopulationModel, demo_model, generate
 from .errors import DataError, DictionaryMismatchError, FusionError
@@ -164,14 +164,9 @@ class _Outputs:
                 raise FileNotFoundError(f"input file not found: {p}")
             self._inputs.append(p)
 
-    def load(
-        self, path: str | Path, rows: Callable[[int], np.ndarray] | None = None, *,
-        ids: bool = True,
-    ) -> EncodedDataset:
-        """Load an ``.enc`` input, or the ``rows`` of it that ``EncodedDataset.load``
-        takes, with or without its household ``ids``, and record the file's
-        sample and household counts."""
-        return self._shape(path, EncodedDataset.load(path, rows=rows, ids=ids))
+    def load(self, path: str | Path) -> EncodedDataset:
+        """Load an ``.enc`` input, and record its sample and household counts."""
+        return self._shape(path, EncodedDataset.load(path))
 
     def stream(self, path: str | Path) -> EncodedStream:
         """Open an ``.enc`` input to be read a block at a time
@@ -179,8 +174,7 @@ class _Outputs:
         return self._shape(path, EncodedDataset.stream(path))
 
     def _shape(self, path: str | Path, ds):
-        n, k = ds.file_shape
-        self.datasets[str(path)] = {"n_samples": n, "n_households": k}
+        self.datasets[str(path)] = {"n_samples": ds.n_samples, "n_households": ds.n_households()}
         return ds
 
     def plan(self, *paths: str | Path | None) -> None:
@@ -467,10 +461,9 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
     # the sources are matched on covariates alone; covered households are
-    # the candidate's.  Source2 is read from its file as it is matched, so
-    # its rows are checked after the other two inputs are loaded.
-    with out.stream(args.source2) as source2:
-        source1 = out.load(args.source1, ids=False)
+    # the candidate's.  Both sources are read from their files as they are
+    # matched, so their rows are checked after the candidate is loaded.
+    with out.stream(args.source2) as source2, out.stream(args.source1) as source1:
         candidate = out.load(args.candidate)
         synth = generate_future(
             source2,
@@ -536,15 +529,13 @@ def _cmd_spike(args: argparse.Namespace, out: _Outputs) -> int:
 def _cmd_attribute(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.data, args.candidate)
     out.plan(args.out)
-    # keep only the rows attribute_dataset will draw: of k kept rows it draws
-    # min(limit, k) = k, every one, so the report is unchanged.  One row at
-    # least, so that an empty file is still refused there and --limit 0
-    # still explains none.
-    ds = out.load(args.data, rows=lambda n: sample_rows(n, max(args.limit, 1), args.seed))
-    candidate = out.load(args.candidate)
-    require_same_dictionary(ds, candidate)
-    predictor = BucketMeanPredictor(candidate.labeled())
-    report = attribute_dataset(ds, predictor, sample_limit=args.limit, seed=args.seed)
+    # --data is streamed: attribute_dataset holds only the rows it draws,
+    # and checks every row once the candidate is loaded
+    with out.stream(args.data) as ds:
+        candidate = out.load(args.candidate)
+        require_same_dictionary(ds, candidate)
+        predictor = BucketMeanPredictor(candidate.labeled())
+        report = attribute_dataset(ds, predictor, sample_limit=args.limit, seed=args.seed)
     out.matches.extend(predictor.matches)
     out.json(args.out, report.to_json_dict())
     out.summary.append(f"attributed {report.n_evaluated} samples; strongest contributions:")

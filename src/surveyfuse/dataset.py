@@ -25,11 +25,10 @@ whole uint8 matrix never exists in either direction.
 
 There is one read: an :class:`EncodedStream` reads ``x.npy`` and
 ``y.npy`` side by side in spans of ``_PACK_ROWS`` rows (``_spans``) and
-checks each row once, as it reads it.  ``EncodedDataset.stream`` hands
-one out, which keeps no row; ``load`` collects one's spans, and keeps
-each row or not: ``rows=`` and ``ids=False`` are two settings of what it
-keeps (``_Kept``), one only the selected rows, the other no household
-id, only their count.
+checks each row once, as it reads it.  It is used two ways:
+``EncodedDataset.stream`` hands one out, which only counts the household
+ids and keeps no row, and ``load`` makes one's spans in place in the
+dataset it returns, every row and the coded household ids.
 A read checks each member where it enters: present, stored or deflated,
 with a header of its expected dimensions and dtype, ``meta.json``'s
 ``n_samples`` rows and the data bytes the zip directory gives it.  Each key
@@ -40,14 +39,13 @@ damaged container is a ``FusionError``.
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import json
 import math
 import tokenize
 import zipfile
 import zlib
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +61,6 @@ _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
 # Rows per block of ``_packed_first_occurrence``'s row-index OR and rank scatter.
 _ROW_BLOCK = 1 << 16
-
-# Run keys per block of ``first_occurrence``'s order test.
-_RUN_BLOCK = 1 << 13
 
 # Rows per block of the bit packing and unpacking (pack_rows' zero-padded
 # byte copy is 512 KiB at d <= 64), of the row checks, whose cost is per
@@ -91,13 +86,8 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Integer keys whose span and row index fit together in 64 bits, such as
     packed covariate rows of d <= 44 at a million rows, take one packed
     ``(key, row)`` sort (``_packed_first_occurrence``).  Other keys (strings
-    such as household ids, void rows, integer keys too wide to pack) are
-    cut into runs of equal adjacent keys.  Integer, string and bytes keys
-    already in non-decreasing order, as a household's samples arrive, are
-    answered from the runs alone: the first occurrences are the run starts
-    and an element's rank is its run's, with no sort.  Otherwise
-    ``np.unique`` groups the runs' keys, which is exact in any order; void
-    keys have no order and always take it.
+    such as household ids, void rows, integer keys too wide to pack) take
+    ``np.unique``, whose first occurrences are ranked in order of appearance.
     """
     keys = np.asarray(keys)
     n = keys.shape[0]
@@ -106,30 +96,11 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lowest = keys.min()
         if (int(keys.max()) - int(lowest)).bit_length() + bits <= 64:
             return _packed_first_occurrence(keys, lowest, bits)
-    run_start = np.ones(n, dtype=bool)
-    run_start[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(run_start)
-    if keys.dtype.kind in "iuSU" and _ascending(keys, starts):
-        rank = np.cumsum(run_start, dtype=np.intp)
-        rank -= 1
-        return starts, rank
-    _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    lengths = np.diff(starts, append=n)
-    return starts[first[order]], np.repeat(rank[inverse], lengths)
-
-
-def _ascending(keys: np.ndarray, starts: np.ndarray) -> bool:
-    """Whether the runs' keys, at ``starts``, ascend: then so do all the
-    keys.  Compared ``_RUN_BLOCK`` runs at a time, so no copy of every run
-    key is made."""
-    for s in range(0, starts.size - 1, _RUN_BLOCK):
-        run_keys = keys[starts[s : s + _RUN_BLOCK + 1]]
-        if (run_keys[1:] < run_keys[:-1]).any():
-            return False
-    return True
+    return first[order], rank[inverse]
 
 
 def _packed_first_occurrence(
@@ -259,54 +230,13 @@ def bit_popcount(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return total
 
 
-class _Kept:
-    """What a ``load`` keeps: every row, or ``rows(n)`` of the file's n; and
-    each household id coded, or with ``ids=False`` only counted."""
-
-    def __init__(self, rows: Callable | None = None, ids: bool = True) -> None:
-        self.of_n, self.ids = rows, ids
-        self.rows: np.ndarray | None = None  # the kept rows; None keeps every row
-
-    def resolve(self, n: int) -> int:
-        """How many rows are kept, a selection made by one call of ``of_n``:
-        a ``ValueError`` unless its rows are integers that ascend without
-        repeats from 0 to below n."""
-        if self.of_n is None or self.rows is not None:  # every row, or resolved
-            return n if self.rows is None else self.rows.size
-        rows = np.asarray(self.of_n(n))
-        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-            raise ValueError(f"rows must be 1-D integers, got a {rows.ndim}-D {rows.dtype} array")
-        if (rows[1:] <= rows[:-1]).any():
-            raise ValueError("rows must ascend without repeats")
-        if rows.size and (rows[0] < 0 or rows[-1] >= n):
-            raise ValueError(f"rows must lie in [0, {n}), got {rows[0]} to {rows[-1]}")
-        self.rows = rows.astype(np.intp)
-        return self.rows.size
-
-    def into(self, out: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Where rows ``start:stop`` are made: in place if every row is kept."""
-        if self.rows is None:
-            return out[start:stop]
-        return np.empty((stop - start, *out.shape[1:]), out.dtype)
-
-    def take(self, out: np.ndarray, start: int, block: np.ndarray) -> None:
-        """Copy the kept rows of rows ``start:start + len(block)`` into their
-        places in ``out`` (numpy copies nothing onto itself, as ``into``'s)."""
-        if self.rows is None:
-            out[start : start + block.shape[0]] = block
-        else:
-            i, j = np.searchsorted(self.rows, (start, start + block.shape[0]))
-            out[i:j] = block[self.rows[i:j] - start]
-
-
 def _code_ids(
-    blocks, n: int, dtype: np.dtype, keep: _Kept = _Kept()
+    blocks, n: int, dtype: np.dtype, coded: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``household_index`` of ``n`` per-sample ids of ``dtype`` given in
     consecutive non-empty blocks, positions as int32: the one id coder of
-    ``load``, ``ingest`` and the constructor.  Only ``keep``'s kept rows'
-    positions are returned, still among the households of all ``n`` ids;
-    ids it only counts return ``(k distinct ids, in no set order), None``.
+    ``load``, ``ingest`` and the constructor.  Ids that are not ``coded``,
+    only counted, return ``(k distinct ids, in no set order), None``.
 
     The int32 codes are allocated first, and each block's are written into
     them in place: the running count of runs of equal adjacent ids, so no
@@ -317,7 +247,7 @@ def _code_ids(
     ``np.unique`` groups them, as in ``first_occurrence``, and the codes are
     remapped in place.
     """
-    code = np.empty(keep.resolve(n), np.int32) if keep.ids else None
+    code = np.empty(n, np.int32) if coded else None
     households = np.empty(min(n, _PACK_ROWS), dtype)  # the run keys; no view of it is kept
     last = np.empty(0, dtype)  # the id before the block
     s = runs = 0
@@ -328,10 +258,9 @@ def _code_ids(
         start[0] = s == 0 or ids[0] != last[0]
         np.not_equal(ids[1:], ids[:-1], out=start[1:])
         if code is not None:
-            here = keep.into(code, s, e)
+            here = code[s:e]
             np.cumsum(start, out=here)
             here += runs - 1
-            keep.take(code, s, here)
         run_keys = ids[start]
         ascending = ascending and not (
             (run_keys[1:] < run_keys[:-1]).any() or (run_keys[:1] < last).any()
@@ -401,13 +330,6 @@ def _checked_codes(
     return households, code.astype(np.int32, copy=False)
 
 
-def _recode(households: np.ndarray, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The households that ``code`` uses, in order of first appearance, and
-    ``code`` renumbered among them as int32."""
-    first, rank = first_occurrence(code)
-    return households[code[first]], rank.astype(np.int32, copy=False)
-
-
 class _RowChecks:
     """The checks of each row's words and target, fed a block of rows at a
     time in row order and raised by ``raise_first`` in one order: the first
@@ -471,15 +393,7 @@ class EncodedDataset:
     uint64 array of ``pack_rows``, 8 bytes a sample at d <= 64 instead of d.
     Pass either ``x``, the (n, d) 0/1 matrix, which is packed here, or
     ``words`` already packed; ``x`` unpacks them again.
-
-    A dataset loaded with ``ids=False`` holds no household ids:
-    ``households`` and ``household_code`` are None, and what needs them
-    raises a ``FusionError``.
     """
-
-    # (n_samples, n_households) of the file ``load`` read, of which a row
-    # selection keeps fewer; None for a dataset that was not loaded
-    file_shape: tuple[int, int] | None = None
 
     def __init__(
         self,
@@ -527,25 +441,24 @@ class EncodedDataset:
     ) -> "EncodedDataset":
         """The constructor for households distinct by construction (``load``,
         ``subset``, ``concat_datasets``): their codes are checked, but the
-        ids are not counted again.  ``load(path, ids=False)`` passes no ids."""
+        ids are not counted again."""
         ds = cls.__new__(cls)
-        if household_code is not None:
-            households, household_code = _checked_codes(households, household_code, distinct=True)
+        households, household_code = _checked_codes(households, household_code, distinct=True)
         ds._set(dictionary, survey_id, year, households, household_code, words, y, checks)
         return ds
 
     def _set(self, dictionary, survey_id, year, households, household_code, words, y, checks):
-        """Hold checked coded ids, or none, and check the words and targets
-        against them (against y's length without ids); ``load`` passes the
-        ``checks`` it fed every row as it read it, which are only raised."""
+        """Hold checked coded ids, and check the words and targets against
+        them; ``load`` passes the ``checks`` it fed every row as it read it,
+        which are only raised."""
         self.dictionary = dictionary
         self.survey_id = survey_id
         self.year = year
-        self.households: np.ndarray | None = households  # (k,) unicode, distinct
-        self.household_code: np.ndarray | None = household_code  # (n,) int32 into households
+        self.households = households  # (k,) unicode, distinct
+        self.household_code = household_code  # (n,) int32 into households
         self.words = np.ascontiguousarray(words)  # (n, ceil(d/64)) uint64, see pack_rows
         self.y = np.asarray(y, dtype=np.float64)  # (n,) NaN = missing target
-        n = (self.y if household_code is None else household_code).shape[0]
+        n = household_code.shape[0]
         d = dictionary.dimension
         if self.words.dtype != np.uint64 or self.words.shape != (n, (d + 63) // 64):
             raise DimensionError(
@@ -571,17 +484,10 @@ class EncodedDataset:
     def n_samples(self) -> int:
         return int(self.y.shape[0])
 
-    def _require_ids(self) -> None:
-        if self.household_code is None:
-            raise FusionError(
-                f"{self.survey_id}: the dataset was loaded without household ids (ids=False)"
-            )
-
     @property
     def household_ids(self) -> np.ndarray:
         """Each sample's household id: a new ``households[household_code]``
         array, as large as the strings; not meant for hot paths."""
-        self._require_ids()
         return self.households[self.household_code]
 
     @property
@@ -599,18 +505,18 @@ class EncodedDataset:
         return int(self.missing_mask.sum())
 
     def n_households(self) -> int:
-        self._require_ids()
         return int(self.households.size)
 
     def subset(self, indices: np.ndarray) -> "EncodedDataset":
-        self._require_ids()
         indices = np.asarray(indices)
         if not indices.size:  # ``[]`` is float64
             indices = indices.astype(np.intp)
-        households, code = _recode(self.households, self.household_code[indices])
+        # the households the subset uses, in order of first appearance
+        code = self.household_code[indices]
+        first, rank = first_occurrence(code)
         return EncodedDataset._of_distinct(
-            self.dictionary, self.survey_id, self.year,
-            households, code, self.words[indices], self.y[indices],
+            self.dictionary, self.survey_id, self.year, self.households[code[first]],
+            rank.astype(np.int32, copy=False), self.words[indices], self.y[indices],
         )
 
     def labeled(self) -> "EncodedDataset":
@@ -622,7 +528,6 @@ class EncodedDataset:
 
         Requires a fully labeled dataset; impute first if targets are missing.
         """
-        self._require_ids()
         if self.n_missing:
             raise DataError(
                 f"{self.n_missing} samples have missing targets; "
@@ -634,7 +539,6 @@ class EncodedDataset:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        self._require_ids()
         meta = {
             "format": ENC_FORMAT,
             "version": ENC_VERSION,
@@ -657,46 +561,21 @@ class EncodedDataset:
             _write_array(zf, "y.npy", y.dtype, (n,), lambda s, e: y[s:e])
 
     @classmethod
-    def load(
-        cls, path: str | Path, rows: Callable[[int], np.ndarray] | None = None, *,
-        ids: bool = True,
-    ) -> "EncodedDataset":
-        """The dataset of an ``.enc`` file, or only some of its rows.
-
-        The blocks of an ``EncodedStream`` of the file are collected, so
-        every member is read to its end and every row checked once, as it
-        is read: a file is refused with the same error whatever is kept,
-        and ``file_shape`` gives the file's samples and households.
-        ``rows``, if given, is a function of ``meta.json``'s ``n_samples``
-        that returns the ascending, distinct indices of the rows to keep
-        (a ``ValueError`` otherwise), called once, when the first member's
-        header has confirmed ``n_samples``: only the kept rows' ids, words
-        and targets are held, and the result equals
-        ``load(path).subset(rows(n_samples))``.  With ``ids=False`` the
-        household ids are only counted, not coded, and none is kept.  The
-        two do not combine (a ``ValueError``).
-        """
-        if rows is not None and not ids:
-            raise ValueError("load takes rows or ids=False, not both")
-        stream = EncodedStream(path, rows, ids)
-        keep, d = stream.keep, stream.dictionary.dimension
-        kept = keep.resolve(stream.file_shape[0])
-        words = np.empty((kept, (d + 63) // 64), np.uint64)
-        y = np.empty(kept)
-        s = 0
-        for block_words, block_y in stream.blocks((words, y)):
-            keep.take(words, s, block_words)
-            keep.take(y, s, block_y)
-            s += block_y.shape[0]
-        households, code = stream.households, stream.household_code
-        if rows is not None:
-            households, code = _recode(households, code)  # the file's households are dropped
-        ds = cls._of_distinct(
-            stream.dictionary, stream.survey_id, stream.year, households, code, words, y,
-            stream.checks,
+    def load(cls, path: str | Path) -> "EncodedDataset":
+        """The dataset of an ``.enc`` file: the blocks of an ``EncodedStream``
+        of it, made in place in the dataset's words and targets, so every
+        member is read to its end and every row checked once, as it is
+        read, and the household ids coded."""
+        stream = EncodedStream(path, coded=True)
+        n, d = stream.n_samples, stream.dictionary.dimension
+        words = np.empty((n, (d + 63) // 64), np.uint64)
+        y = np.empty(n)
+        for _ in stream.blocks((words, y)):
+            pass
+        return cls._of_distinct(
+            stream.dictionary, stream.survey_id, stream.year, stream.households,
+            stream.household_code, words, y, stream.checks,
         )
-        ds.file_shape = stream.file_shape
-        return ds
 
     @classmethod
     def stream(cls, path: str | Path) -> "EncodedStream":
@@ -715,21 +594,21 @@ class EncodedStream:
     """The rows of an ``.enc`` file, read once, a block at a time.
 
     Opening it reads ``meta.json`` and the household ids, which are only
-    counted unless ``load`` passes its ``rows`` and ``ids``, so ``dictionary``,
-    ``survey_id``, ``year`` and ``file_shape`` are known before the first
-    row.  ``blocks`` then reads ``x.npy`` and ``y.npy`` side by side and
-    yields each ``_PACK_ROWS`` rows' packed words and targets as new
-    arrays.  Every row passes ``load``'s checks once, and a damaged file is
-    refused with ``load``'s error, in the order a whole load meets it: a
-    fault in ``y.npy`` is held until ``x.npy`` has been read to its end,
-    and the row checks (``_RowChecks``) are raised after the last block.
-    The file is closed once the blocks are read or fail, or by ``close``
-    (or leaving a ``with`` block).
+    counted unless ``load`` has them ``coded``, so ``dictionary``,
+    ``survey_id``, ``year``, ``n_samples`` and ``n_households()`` are known
+    before the first row.  ``blocks`` then reads ``x.npy`` and ``y.npy``
+    side by side and yields each ``_PACK_ROWS`` rows' packed words and
+    targets as new arrays.  Every row passes ``load``'s checks once, and a
+    damaged file is refused with ``load``'s error, in the order a whole
+    load meets it: a fault in ``y.npy`` is held until ``x.npy`` has been
+    read to its end, and the row checks (``_RowChecks``) are raised after
+    the last block.  The file is closed once the blocks are read or fail,
+    or by ``close`` (or leaving a ``with`` block); a stream read again is a
+    ``FusionError``.
     """
 
-    def __init__(self, path: str | Path, rows: Callable | None = None, ids: bool = False) -> None:
+    def __init__(self, path: str | Path, coded: bool = False) -> None:
         self.path = path
-        self.keep = _Kept(rows, ids)
         with _readable_artifact(path):
             zf = self._zf = zipfile.ZipFile(path, "r")
             try:
@@ -737,25 +616,31 @@ class EncodedStream:
                 n = meta.get("n_samples")
                 with contextlib.closing(_read_array(zf, path, "household_ids.npy", n)) as m:
                     dtype = next(m)  # the header has vouched for n
-                    households, self.household_code = _code_ids(m, n, dtype, self.keep)
+                    households, self.household_code = _code_ids(m, n, dtype, coded)
             except BaseException:
                 zf.close()
                 raise
-        self.survey_id, self.year = meta["survey_id"], meta["year"]
-        # (n_samples, n_households) of the file
-        self.file_shape: tuple[int, int] = (n, households.size)
-        self.households = households if ids else None  # only counted
+        self.survey_id, self.year, self.n_samples = meta["survey_id"], meta["year"], n
+        self._n_households = households.size
+        self.households = households if coded else None  # only counted
         self.checks = _RowChecks(self.dictionary)
+
+    def n_households(self) -> int:
+        return self._n_households
 
     def blocks(self, out: tuple | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each block's packed words and float64 targets, then the first
         fault of the file if it has one; the file is closed at the end.
-        ``load`` passes its kept words and targets as ``out``, which the
-        blocks are made in where every row is kept (``_Kept.into``)."""
-        path, n, d, zf = self.path, self.file_shape[0], self.dictionary.dimension, self._zf
-        into = (None, None) if out is None else [functools.partial(self.keep.into, a) for a in out]
-        x = _spans(_read_array(zf, path, "x.npy", n, d), n, path, "x.npy", self.checks, d, into[0])
-        y = _spans(_read_array(zf, path, "y.npy", n), n, path, "y.npy", self.checks, None, into[1])
+        ``load`` passes its words and targets as ``out``, which the blocks
+        are made in."""
+        path, n, d, zf = self.path, self.n_samples, self.dictionary.dimension, self._zf
+        if zf.fp is None:
+            raise FusionError(
+                f"{path}: the stream was already read; open it again with EncodedDataset.stream"
+            )
+        out = (None, None) if out is None else out
+        x = _spans(_read_array(zf, path, "x.npy", n, d), n, path, "x.npy", self.checks, d, out[0])
+        y = _spans(_read_array(zf, path, "y.npy", n), n, path, "y.npy", self.checks, None, out[1])
         try:
             with _readable_artifact(path):
                 held = None  # a fault in y.npy, raised once x.npy is read
@@ -981,14 +866,14 @@ def _read_array(zf: zipfile.ZipFile, path: str | Path, name: str, n, d: int | No
 
 def _spans(
     member, n: int, path: str | Path, name: str, checks: _RowChecks, d: int | None = None,
-    into: Callable[[int, int], np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ):
     """The ``n`` rows ``_read_array`` reads of ``x.npy`` (d given) or
     ``y.npy`` in spans of ``_PACK_ROWS`` (the last may be shorter), each row
     checked once: x's read blocks for 0/1 values, then packed into words;
     and each span fed to ``checks``, x's as words, y's as float64 targets.
-    A span of rows ``s:e`` is made as ``into(s, e)`` (``load`` makes them
-    in place) or as a new array."""
+    A span of rows ``s:e`` is made as ``out[s:e]`` (``load`` makes them in
+    place) or as a new array."""
     with contextlib.closing(member):  # a fault found here leaves no member open
         next(member)  # the dtype, once the header is checked
         s = e = f = 0  # the span holds rows s:e, filled up to f
@@ -999,8 +884,8 @@ def _spans(
             while i < rows.shape[0]:
                 if f == e:  # a new span
                     s, e = e, min(e + _PACK_ROWS, n)
-                    if into is not None:
-                        span = into(s, e)
+                    if out is not None:
+                        span = out[s:e]
                     elif d is None:
                         span = np.empty(e - s)
                     else:
@@ -1036,8 +921,6 @@ def concat_datasets(
     if not datasets:
         raise FusionError("cannot concatenate zero datasets")
     require_same_dictionary(*datasets)
-    for ds in datasets:
-        ds._require_ids()
     # each dataset's households are distinct and in first-appearance order,
     # so their concatenation's first occurrences are the stacked samples'
     stacked = np.concatenate([d.households for d in datasets])

@@ -21,8 +21,10 @@ rows at a time, from memory or straight from its ``.enc`` file
 blocks as they come (``matching.match_blocks``): each block's labeled
 rows add their counts and targets to their matched source1 samples, in
 row order.  No full-length array of source2 and no per-row assignment of
-it is made, and a file's rows are checked as they are read, after
-source1 and the candidate are loaded.
+it is made.  Source1 is matched on its words alone, which are read from
+its blocks, so it too can be a stream, of which no household id and no
+target is kept.  A file's rows are checked as they are read, source1's
+first, after the candidate is loaded.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class TriPartiteGraph:
 
 def nested_match(
     source2: EncodedDataset | EncodedStream,
-    source1: EncodedDataset,
+    source1: EncodedDataset | EncodedStream,
     candidate: EncodedDataset,
     *,
     tie_break: str = "index",
@@ -76,6 +78,8 @@ def nested_match(
 ) -> TriPartiteGraph:
     """Build the tri-partite graph source2 -> source1 -> buckets(candidate).
 
+    Source1's words are read from its ``blocks()`` into one array, to the
+    end of a stream before any error of this function's own is raised.
     Source2 is read a block at a time (``blocks()``), from memory or
     straight from its file (``EncodedDataset.stream``).  Its samples with
     missing targets carry no usable value for the averaging step and are
@@ -86,12 +90,17 @@ def nested_match(
     made.  The "no labeled samples" error comes after the last block.
     """
     require_same_dictionary(source2, source1, candidate)
-    if source1.n_samples == 0 or candidate.n_samples == 0:
+    n1, d = source1.n_samples, candidate.dictionary.dimension
+    words1 = np.empty((n1, (d + 63) // 64), np.uint64)
+    s = 0
+    for block, _ in source1.blocks():
+        words1[s : s + block.shape[0]] = block
+        s += block.shape[0]
+    if n1 == 0 or candidate.n_samples == 0:
         raise MatchError("source1 and candidate must be non-empty")
 
     buckets = build_buckets(candidate)
-    d = buckets.dimension
-    mu1 = nearest_rows(source1.words, buckets.words, dimension=d, tie_break=tie_break, seed=seed)
+    mu1 = nearest_rows(words1, buckets.words, dimension=d, tie_break=tie_break, seed=seed)
     targets = []  # the labeled targets of the query block being matched
 
     def labeled():
@@ -114,10 +123,10 @@ def nested_match(
 
     # query row i is the i-th labeled row, which numbers its random-tie stream
     mu2, blocks = matching.match_blocks(
-        labeled(), source1.words, dimension=d, tie_break=tie_break, seed=seed
+        labeled(), words1, dimension=d, tie_break=tie_break, seed=seed
     )
-    counts = np.zeros(source1.n_samples, dtype=np.intp)
-    sums = np.zeros(source1.n_samples)
+    counts = np.zeros(n1, dtype=np.intp)
+    sums = np.zeros(n1)
     for target_index, _ in blocks:
         # in row order across blocks, as one np.add.at over every row adds
         np.add.at(counts, target_index, 1)
@@ -130,7 +139,7 @@ def nested_match(
         mu2=mu2,
         source2_counts=counts,
         source2_sums=sums,
-        n_source1=source1.n_samples,
+        n_source1=n1,
         candidate=candidate,
     )
 
@@ -220,7 +229,7 @@ def synthesize(
 
 def generate_future(
     source2: EncodedDataset | EncodedStream,
-    source1: EncodedDataset,
+    source1: EncodedDataset | EncodedStream,
     candidate: EncodedDataset,
     *,
     literal_v2_norm: bool = False,

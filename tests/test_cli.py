@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from surveyfuse import (
-    BucketMeanPredictor, DataError, EncodedDataset, FeatureDictionary, impute, subsample_compare,
+    BucketMeanPredictor, DataError, EncodedDataset, EncodedStream, FeatureDictionary, impute,
+    subsample_compare,
 )
 from surveyfuse import attribution, cli, matching, synthesis
 from surveyfuse.dataset import bit_mask
@@ -457,9 +458,9 @@ class TestSynthesize:
             assert 0 < match["unique_target_rows"] <= match["target_rows"]
 
     def test_sources_without_ids_give_the_full_load_output(self, generated, tmp_path, capsys):
-        """The CLI loads both sources without household ids; its artifacts
-        are byte for byte those of ``generate_future`` on full loads, and the
-        manifest counts each file's own samples and households.  The sources'
+        """The CLI reads both sources as streams, without household ids; its
+        artifacts are byte for byte those of ``generate_future`` on full
+        loads, and the manifest counts each file's own samples and households.  The sources'
         rows are shuffled, so their ids do not ascend and their runs of equal
         ids outnumber their households."""
         full, missing = generated
@@ -501,35 +502,86 @@ class TestSynthesize:
         rows is checked: a fault in its last row is exit 5 with the message
         ``describe`` gives, and leaves nothing in the output directory."""
         full, missing = generated
-        ds = EncodedDataset.load(missing)
-        x, y = ds.x, ds.y.copy()
-        if damage == "last row two-hot":
-            sl = ds.dictionary.group_slices()[0]
-            x[-1, sl] = 0
-            x[-1, sl.start : sl.start + 2] = 1
-        else:
-            y[-1] = -1.0
-        with zipfile.ZipFile(missing) as zf:
-            members = {name: zf.read(name) for name in zf.namelist()}
-        for name, array in (("x.npy", x), ("y.npy", y)):
-            buf = io.BytesIO()
-            np.save(buf, array)
-            members[name] = buf.getvalue()
-        damaged = tmp_path / "damaged.enc"
-        with zipfile.ZipFile(damaged, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name, blob in members.items():
-                zf.writestr(name, blob)
-        assert run("describe", "--data", damaged) == EXIT_DATA
-        described = capsys.readouterr().err
-        expected = (f"x row {ds.n_samples - 1}: feature" if damage == "last row two-hot"
-                    else "target values must be >= 0")
-        assert expected in described
+        damaged, described = damaged_copy(missing, tmp_path, damage, capsys)
         out_dir = tmp_path / "synth-out"
         out_dir.mkdir()
         assert run("synthesize", "--source2", damaged, "--source1", full, "--candidate", full,
                    "--out", out_dir / "s.enc") == EXIT_DATA
         assert capsys.readouterr().err == described
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("damage", ["last row two-hot", "last target negative"])
+    def test_a_damaged_source1_is_refused_as_describe_refuses_it(
+        self, generated, tmp_path, capsys, damage
+    ):
+        """Source1 is streamed too, and read to its end before anything of
+        the run's own can fail; with source2 damaged otherwise as well,
+        source1's fault, met first, is named."""
+        full, missing = generated
+        other = "last target negative" if damage == "last row two-hot" else "last row two-hot"
+        damaged_source2, _ = damaged_copy(missing, tmp_path / "s2", other, capsys)
+        damaged, described = damaged_copy(missing, tmp_path, damage, capsys)
+        out_dir = tmp_path / "synth-out"
+        out_dir.mkdir()
+        for source2 in (full, damaged_source2):
+            assert run("synthesize", "--source2", source2, "--source1", damaged,
+                       "--candidate", full, "--out", out_dir / "s.enc") == EXIT_DATA
+            assert capsys.readouterr().err == described
+            assert list(out_dir.iterdir()) == []
+
+    def test_a_source1_of_another_dictionary_is_refused_before_its_rows(
+        self, generated, tmp_path, capsys
+    ):
+        """A source1 encoded with another dictionary is exit 4 even where
+        its rows are damaged: the dictionaries are compared before they
+        are read."""
+        full, missing = generated
+        damaged, _ = damaged_copy(missing, tmp_path, "last row two-hot", capsys)
+        with zipfile.ZipFile(damaged) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        meta = json.loads(members["meta.json"])
+        meta["dictionary"]["features"][0]["name"] = "Renamed"
+        meta["dictionary_hash"] = FeatureDictionary.from_json_dict(meta["dictionary"]).hash()
+        members["meta.json"] = json.dumps(meta).encode()
+        with zipfile.ZipFile(damaged, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, blob in members.items():
+                zf.writestr(name, blob)
+        out = tmp_path / "s.enc"
+        assert run("synthesize", "--source2", full, "--source1", damaged, "--candidate", full,
+                   "--out", out) == EXIT_DICTIONARY_MISMATCH
+        assert "different feature dictionaries" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def damaged_copy(path, tmp_path, damage: str, capsys) -> tuple[Path, str]:
+    """A copy of ``path`` whose last row is two-hot or whose last target is
+    negative, and what ``describe`` prints to stderr on it (exit 5)."""
+    ds = EncodedDataset.load(path)
+    x, y = ds.x, ds.y.copy()
+    if damage == "last row two-hot":
+        sl = ds.dictionary.group_slices()[0]
+        x[-1, sl] = 0
+        x[-1, sl.start : sl.start + 2] = 1
+    else:
+        y[-1] = -1.0
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    for name, array in (("x.npy", x), ("y.npy", y)):
+        buf = io.BytesIO()
+        np.save(buf, array)
+        members[name] = buf.getvalue()
+    tmp_path.mkdir(exist_ok=True)
+    damaged = tmp_path / "damaged.enc"
+    with zipfile.ZipFile(damaged, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+    capsys.readouterr()
+    assert run("describe", "--data", damaged) == EXIT_DATA
+    described = capsys.readouterr().err
+    expected = (f"x row {ds.n_samples - 1}: feature" if damage == "last row two-hot"
+                else "target values must be >= 0")
+    assert expected in described
+    return damaged, described
 
 
 class TestAttribute:
@@ -557,20 +609,28 @@ class TestAttribute:
     @pytest.mark.parametrize("seed", [5, 11])
     def test_only_the_drawn_rows_are_loaded(self, generated, tmp_path, monkeypatch, seed, capsys):
         """For every limit, 0 and n + 5 included, the report is byte for byte
-        ``attribute_dataset``'s on the whole file, while the call holds only
-        the rows it draws (one at least) and its manifest gives the file's
-        counts.  An empty file is still refused, even at ``--limit 0``."""
+        ``attribute_dataset``'s on the whole file, while ``--data`` is not
+        loaded but handed to it as a stream, of which it holds only the rows
+        it draws, and the manifest gives the file's counts.  An empty file
+        is still refused, even at ``--limit 0``."""
         full, missing = generated
         data = EncodedDataset.load(missing)
         candidate = EncodedDataset.load(full)
         n = data.n_samples
-        held = []
+        held, loaded = [], []
 
         def attribute_dataset(ds, *args, **kwargs):
-            held.append(ds.n_samples)
+            held.append((type(ds), ds.n_samples))
             return attribution.attribute_dataset(ds, *args, **kwargs)
 
+        load = cli._Outputs.load
+
+        def load_input(self, path):
+            loaded.append(path)
+            return load(self, path)
+
         monkeypatch.setattr(cli, "attribute_dataset", attribute_dataset)
+        monkeypatch.setattr(cli._Outputs, "load", load_input)
         for limit in (0, 1, 8, n, n + 5):
             out = tmp_path / f"attr-{limit}.json"
             rc = run("attribute", "--data", missing, "--candidate", full,
@@ -585,7 +645,8 @@ class TestAttribute:
             assert manifest["datasets"][str(missing)] == {
                 "n_samples": n, "n_households": data.n_households()
             }
-        assert held == [1, 1, 8, n, n]
+        assert held == [(EncodedStream, n)] * 5
+        assert loaded == [str(full)] * 5  # the candidate alone
         data.subset(np.arange(0)).save(tmp_path / "empty.enc")
         for limit in (0, 3):
             out = tmp_path / f"empty-{limit}.json"
@@ -595,6 +656,20 @@ class TestAttribute:
             assert "cannot attribute an empty dataset" in capsys.readouterr().err
             assert not out.exists()
 
+
+    @pytest.mark.parametrize("damage", ["last row two-hot", "last target negative"])
+    def test_a_damaged_data_file_is_refused_as_describe_refuses_it(
+        self, generated, tmp_path, capsys, damage
+    ):
+        """``--data`` is streamed, and each of its rows is checked, drawn or
+        not: a fault in its last row is exit 5 with ``describe``'s message."""
+        full, missing = generated
+        damaged, described = damaged_copy(missing, tmp_path, damage, capsys)
+        out = tmp_path / "attr.json"
+        assert run("attribute", "--data", damaged, "--candidate", full, "--limit", 1,
+                   "--seed", 5, "--out", out) == EXIT_DATA
+        assert capsys.readouterr().err == described
+        assert not out.exists()
 
     def test_predictor_flag_removed(self, generated, tmp_path, capsys):
         full, missing = generated

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -23,7 +24,8 @@ from surveyfuse import (
     FusionError,
     concat_datasets,
 )
-from surveyfuse import dataset
+from surveyfuse import attribution, dataset, synthesis
+from surveyfuse.attribution import BucketMeanPredictor, attribute_dataset, sample_rows
 from surveyfuse.cli import EXIT_DATA, main
 from surveyfuse.dataset import (
     bit_mask, first_occurrence, household_index, pack_rows, unpack_rows,
@@ -35,6 +37,7 @@ from oracles import (
     one_hot_error_oracle,
     pack_rows_padded_oracle,
     save_writestr_oracle,
+    synthesis_oracle,
 )
 
 
@@ -222,7 +225,8 @@ def takes_packed_sort(keys: np.ndarray) -> bool:
 
 
 class TestFirstOccurrence:
-    """Run collapsing before ``np.unique`` against one ``np.unique`` over all keys."""
+    """The packed sort, and the ranked ``np.unique`` of keys that do not
+    pack, against one ``np.unique`` over all keys."""
 
     @staticmethod
     def check(keys: np.ndarray) -> None:
@@ -253,31 +257,12 @@ class TestFirstOccurrence:
         st.booleans(),
     )
     def test_ascending_runs_match_unique_oracle(self, lengths, kind, late_descent):
-        """Keys in non-decreasing order, as household ids arrive, answered from
-        their runs; one key that repeats an earlier run at the very end breaks
-        the order, and the general path must merge it into that run's group."""
+        """Keys in non-decreasing order, as household ids arrive; one key that
+        repeats an earlier run at the very end must join that run's group."""
         values = [key for key, length in enumerate(lengths) for _ in range(length)]
         if late_descent and len(lengths) > 1:
             values.append(len(lengths) // 2 - 1)
         self.check(as_keys(values, kind))
-
-    @given(
-        st.lists(st.integers(1, 3), min_size=1, max_size=12),
-        st.integers(2, 12),
-        st.sampled_from(["str", "bytes"]),
-        st.integers(1, 3),
-    )
-    def test_order_is_tested_across_run_blocks(self, lengths, descent, kind, block):
-        """The order test compares run keys ``_RUN_BLOCK`` runs at a time: a
-        run that repeats the key of the run two before it, below its
-        predecessor's, is found at any run, on a block boundary or not."""
-        run_keys = list(range(len(lengths)))
-        if descent < len(run_keys):
-            run_keys[descent] = run_keys[descent - 2]
-        values = [key for key, length in zip(run_keys, lengths) for _ in range(length)]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dataset, "_RUN_BLOCK", block)
-            self.check(as_keys(values, kind))
 
     @pytest.mark.parametrize("kind", ["str", "bytes", "uint64", "void"])
     @pytest.mark.parametrize(
@@ -288,44 +273,19 @@ class TestFirstOccurrence:
 
     @pytest.mark.parametrize("kind", ["str", "bytes", "void"])
     @pytest.mark.parametrize("values", [[1, 1, 2, 3, 3, 3], [1, 1, 2, 3, 3, 2]])
-    def test_only_unordered_keys_reach_unique(self, values, kind, monkeypatch):
-        """Ascending str and bytes keys need no ``np.unique``; a descending pair
-        sends them to it, and void keys, which have no order, always go."""
+    def test_unpackable_keys_take_one_unique(self, values, kind, monkeypatch):
+        """Keys that do not pack into one uint64, ascending or not, are
+        grouped by one ``np.unique`` of every key; packable keys take none."""
         keys = as_keys(values, kind)
         want_first, want_rank = first_occurrence_unique_oracle(keys)
         calls = []
         unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a[0].size) or unique(*a, **k))
         first, rank = first_occurrence(keys)
+        first_occurrence(as_keys(values, "uint64"))
         monkeypatch.undo()
-        assert bool(calls) == (kind == "void" or values != sorted(values))
+        assert calls == [len(values)]
         assert first.tolist() == want_first.tolist() and rank.tolist() == want_rank.tolist()
-
-    def test_ascending_keys_memory_stays_below_the_run_keys(self, monkeypatch):
-        """200k ascending household ids in 70k runs: no ``np.unique``, and the
-        peak beyond the two outputs stays below one copy of the run keys."""
-        rng = np.random.default_rng(70)
-        n, runs = 200_000, 70_000
-        group = np.zeros(n, dtype=np.intp)
-        group[rng.choice(np.arange(1, n), runs - 1, replace=False)] = 1
-        names = np.array([f"h{i:07d}" for i in range(runs)], dtype=np.str_)
-        keys = names[np.cumsum(group)]
-        want_first, want_rank = first_occurrence_unique_oracle(keys)
-
-        def no_unique(*_, **__):
-            raise AssertionError("np.unique called")
-
-        monkeypatch.setattr(np, "unique", no_unique)
-        tracemalloc.start()
-        try:
-            first, rank = first_occurrence(keys)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        monkeypatch.undo()
-        assert np.array_equal(first, want_first) and np.array_equal(rank, want_rank)
-        run_keys = runs * keys.itemsize
-        assert peak - first.nbytes - rank.nbytes < run_keys, (peak, run_keys)
 
 
 class TestPackedFirstOccurrence:
@@ -856,6 +816,35 @@ class TestIdCoder:
             assert ds.household_code.dtype == np.int32
             assert ds.household_code.tolist() == want_code.tolist()
 
+    def test_ascending_ids_memory_stays_below_the_run_keys(self, monkeypatch):
+        """200k ascending household ids in 70k runs, fed in blocks as the
+        constructor feeds them: no ``np.unique``, and the peak beyond the
+        distinct ids and the codes stays below one copy of the run keys."""
+        rng = np.random.default_rng(70)
+        n, runs = 200_000, 70_000
+        group = np.zeros(n, dtype=np.intp)
+        group[rng.choice(np.arange(1, n), runs - 1, replace=False)] = 1
+        names = np.array([f"h{i:07d}" for i in range(runs)], dtype=np.str_)
+        ids = names[np.cumsum(group)]
+        want_households, want_code = household_index(ids)
+
+        def no_unique(*_, **__):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        rows = dataset._READ_BYTES // ids.itemsize
+        tracemalloc.start()
+        try:
+            blocks = (ids[s : s + rows] for s in range(0, n, rows))
+            households, code = dataset._code_ids(blocks, n, ids.dtype)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert np.array_equal(households, want_households) and np.array_equal(code, want_code)
+        run_keys = runs * ids.itemsize
+        assert peak - households.nbytes - code.nbytes < run_keys, (peak, run_keys)
+
 
 def rewrite_member(path, name: str, blob: bytes | None) -> None:
     """Replace (or, with ``None``, drop) one member of a saved ``.enc``."""
@@ -934,6 +923,32 @@ def read_stream(path) -> tuple[EncodedStream, np.ndarray, np.ndarray]:
     return stream, words, np.concatenate([y for _, y in blocks] or [np.empty(0)])
 
 
+def constant_predictor(x: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """A predictor of ones: an attribution with it costs next to nothing."""
+    return np.ones((x.shape[0], active.shape[0]))
+
+
+def attributed(path, limit: int = 4):
+    """``attribute``'s read of ``--data``: ``attribute_dataset`` of a stream."""
+    with EncodedDataset.stream(path) as stream:
+        return attribute_dataset(stream, constant_predictor, sample_limit=limit)
+
+
+@functools.cache
+def small_sources() -> tuple[EncodedDataset, EncodedDataset]:
+    """A small in-memory source2 and candidate of d = 26."""
+    small = households_dataset(12, seed=4)
+    return small, small.labeled()
+
+
+def as_source1(path):
+    """``synthesize``'s read of ``--source1``: a stream of it into
+    ``generate_future``, against ``small_sources``."""
+    source2, candidate = small_sources()
+    with EncodedDataset.stream(path) as stream:
+        return synthesis.generate_future(source2, stream, candidate)
+
+
 class TestLoadChecks:
     """A malformed member is a data error naming the file and the member (exit 5)."""
 
@@ -946,9 +961,8 @@ class TestLoadChecks:
 
     def check(self, path, member: str, error=DataError, match: str = ""):
         messages = set()
-        # a load without ids, and a stream read to its end, refuse alike
-        id_free = lambda p: EncodedDataset.load(p, ids=False)
-        for read in (EncodedDataset.load, id_free, read_stream):
+        # a load, and a stream read to its end, refuse alike
+        for read in (EncodedDataset.load, read_stream):
             with pytest.raises(error, match=f"^{path}: .*{member}.*{match}") as refused:
                 read(path)
             messages.add(str(refused.value))
@@ -1217,64 +1231,80 @@ def same_dataset(got: EncodedDataset, want: EncodedDataset) -> None:
     )
 
 
+class Recorded:
+    """A predictor that records each batch of rows it is given."""
+
+    name = "recorded"
+
+    def __init__(self, predictor) -> None:
+        self.predictor, self.batches = predictor, []
+
+    def __call__(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
+        self.batches.append(x.copy())
+        return self.predictor(x, active)
+
+
+def attribution_of(ds, limit: int, seed: int, candidate: EncodedDataset) -> tuple[bytes, list]:
+    """An attribution report's JSON bytes, and the batches its predictor saw."""
+    predictor = Recorded(BucketMeanPredictor(candidate))
+    report = attribute_dataset(ds, predictor, sample_limit=limit, seed=seed)
+    return json.dumps(report.to_json_dict(), sort_keys=True).encode(), predictor.batches
+
+
 class TestRowSelection:
-    """``load(path, rows=...)`` keeps only the rows ``rows(n_samples)`` names,
-    yet reads and checks every row: it equals ``load(path).subset(rows)``
-    and refuses every file ``load(path)`` refuses, with the same error."""
+    """``attribute_dataset`` given a stream of a file picks the rows it
+    draws out of the stream's blocks, yet reads and checks every row: its
+    report is byte for byte the one of the loaded file, and it refuses
+    every file ``load`` refuses, with the same error."""
 
     @given(
         ids=id_runs(),
         block=st.integers(1, 64),
-        pick=st.sampled_from(["drawn", "none", "all", "first", "last", "block edges"]),
+        span=st.sampled_from([1, 3, 64, 8192]),
+        pick=st.sampled_from(["limit 0", "limit n + 5", "drawn", "first", "last", "block edges"]),
+        limit=st.integers(1, 40),
         seed=st.integers(0, 2**16),
     )
-    @example(ids=np.array([], dtype=np.str_), block=1, pick="none", seed=0)
-    @example(ids=np.array(["b", "b", "a", "b", "c", "a"]), block=1, pick="drawn", seed=3)
-    @example(ids=np.array(["a", "a", "a"]), block=2, pick="last", seed=0)  # a split household
-    @settings(max_examples=150, deadline=None)
-    def test_selected_rows_are_the_subset(self, ids, block, pick, seed):
+    @example(ids=np.array([], dtype=np.str_), block=1, span=3, pick="limit n + 5", limit=1, seed=0)
+    @example(ids=np.array(["b", "b", "a", "b", "c", "a"]), block=1, span=3, pick="block edges",
+             limit=1, seed=3)
+    @example(ids=np.array(["a", "a", "a"]), block=2, span=1, pick="last", limit=1, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_selected_rows_are_the_subset(self, ids, block, span, pick, limit, seed):
         n = ids.size
-        # each member's rows per read of ``block`` rows of x.npy (26 bytes a row)
-        per_read = {max(1, block * 26 // size) for size in (26, 8, ids.itemsize or 4)}
-        edges = {e for b in per_read for s in range(0, n + 1, b) for e in (s - 1, s)}
+        # the stream's blocks are spans of ``span`` rows
+        edges = {e for s in range(0, n + 1, span) for e in (s - 1, s)}
         rows = {
-            "drawn": np.flatnonzero(np.random.default_rng(seed).random(n) < 0.4),
-            "none": np.arange(0),
-            "all": np.arange(n),
             "first": np.arange(min(n, 1)),
             "last": np.arange(max(n - 1, 0), n),
             "block edges": np.array(sorted(e for e in edges if 0 <= e < n), dtype=np.intp),
-        }[pick]
-        asked = []
-
-        def select(count):
-            asked.append(count)
-            return rows
-
+        }.get(pick)
+        limit = {"limit 0": 0, "limit n + 5": n + 5}.get(pick, limit)
+        chosen = sample_rows(n, limit, seed) if rows is None else rows
+        candidate = households_dataset(30, seed=9).labeled()
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            ids_dataset(ids, seed=seed).save(Path(tmp) / "a.enc")
-            mp.setattr(dataset, "_READ_BYTES", block * 26)
-            whole = EncodedDataset.load(Path(tmp) / "a.enc")
-            got = EncodedDataset.load(Path(tmp) / "a.enc", rows=select)
-        assert asked == [n]
-        same_dataset(got, whole.subset(rows))
-        assert got.file_shape == whole.file_shape == (n, whole.n_households())
-
-    @pytest.mark.parametrize(
-        "rows, match",
-        [
-            ([2, 1], "ascend"),
-            ([1, 1], "ascend"),
-            ([-1, 2], r"lie in \[0, 5\)"),
-            ([0, 5], r"lie in \[0, 5\)"),
-            ([[0, 1]], "1-D integers"),
-            ([0.0, 1.0], "1-D integers"),
-        ],
-    )
-    def test_rows_out_of_range_or_unsorted(self, tmp_path, rows, match):
-        households_dataset(5).save(tmp_path / "a.enc")
-        with pytest.raises(ValueError, match=match):
-            EncodedDataset.load(tmp_path / "a.enc", rows=lambda n: rows)
+            path = Path(tmp) / "a.enc"
+            ids_dataset(ids, seed=seed).save(path)
+            if rows is not None:
+                mp.setattr(attribution, "sample_rows", lambda n, limit, seed: rows)
+            mp.setattr(dataset, "_READ_BYTES", block * 26)  # ``block`` rows of x a read
+            mp.setattr(dataset, "_PACK_ROWS", span)
+            whole = EncodedDataset.load(path)
+            if n == 0:
+                with pytest.raises(FusionError) as in_memory:
+                    attribution_of(whole, limit, seed, candidate)
+                with pytest.raises(FusionError) as streamed, EncodedDataset.stream(path) as s:
+                    attribution_of(s, limit, seed, candidate)
+                assert str(streamed.value) == str(in_memory.value)
+                assert "cannot attribute an empty dataset" in str(streamed.value)
+                return
+            want, want_batches = attribution_of(whole, limit, seed, candidate)
+            with EncodedDataset.stream(path) as stream:
+                got, batches = attribution_of(stream, limit, seed, candidate)
+        assert got == want
+        assert len(batches) == len(want_batches)
+        assert all(np.array_equal(a, b) for a, b in zip(batches, want_batches))
+        assert np.array_equal(batches[0], whole.x[chosen])
 
     @pytest.mark.parametrize(
         "damage", ["x value 2", "two bits in one group", "y -1", "y inf", "cut deflate stream"]
@@ -1282,6 +1312,8 @@ class TestRowSelection:
     @pytest.mark.parametrize("read_rows", [64, 2520])
     def test_a_damaged_unselected_row_is_refused_alike(self, tmp_path, monkeypatch, damage,
                                                       read_rows):
+        """A row that no read keeps, whether ``attribute`` draws others or
+        ``synthesize`` keeps none of source1 but its words, is checked."""
         n, bad = 3000, 2500
         path = tmp_path / "a.enc"
         ds = households_dataset(n, seed=2)
@@ -1302,15 +1334,11 @@ class TestRowSelection:
         monkeypatch.setattr(dataset, "_READ_BYTES", read_rows * 26)
         with pytest.raises((FusionError, ValueError)) as whole:
             EncodedDataset.load(path)
-        with pytest.raises(whole.type) as selected:
-            EncodedDataset.load(path, rows=lambda n: np.array([0, 1, 2, 1000]))
-        assert str(selected.value) == str(whole.value)
-        with pytest.raises(whole.type) as id_free:
-            EncodedDataset.load(path, ids=False)
-        assert str(id_free.value) == str(whole.value)
-        with pytest.raises(whole.type) as streamed:
-            read_stream(path)
-        assert str(streamed.value) == str(whole.value)
+        monkeypatch.setattr(attribution, "sample_rows", lambda n, k, seed: np.array([0, 1, 2, 1000]))
+        for read in (attributed, as_source1, read_stream):
+            with pytest.raises(whole.type) as streamed:
+                read(path)
+            assert str(streamed.value) == str(whole.value)
         if damage == "two bits in one group":
             assert str(whole.value) == f"x row {bad}: feature 'A' has more than one bit set"
 
@@ -1326,12 +1354,7 @@ class TestRowSelection:
         y[10] = np.inf
         rewrite_member(path, "x.npy", npy(x))
         rewrite_member(path, "y.npy", npy(y))
-        reads = (
-            EncodedDataset.load,
-            lambda p: EncodedDataset.load(p, rows=lambda n: np.array([0, 1])),
-            lambda p: EncodedDataset.load(p, ids=False),
-            read_stream,
-        )
+        reads = (EncodedDataset.load, attributed, as_source1, read_stream)
         for read in reads:
             with pytest.raises(DataError, match="^x row 2950: feature 'A' has"):
                 read(path)
@@ -1343,95 +1366,115 @@ class TestRowSelection:
                 read(path)
 
     def test_selected_load_holds_only_the_run_keys(self, tmp_path):
-        """Loading 500 rows of 120k holds those rows, and on the way one key
-        per run of equal ids, which counts the file's households: it peaks
-        below those keys plus 1 MB under ``tracemalloc``.  Here that is
-        1.9 MB against a 2.4 MB bound; loading every row peaks at 4.3 MB."""
+        """Attributing 500 rows of a 120k-row stream holds those rows, and
+        on the way, as the stream is opened, one key per run of equal ids,
+        which counts the file's households: it peaks below those keys plus
+        1 MB under ``tracemalloc``."""
         path = tmp_path / "big.enc"
         households_dataset(120_000, seed=1).save(path)
-        rows = np.sort(np.random.default_rng(0).choice(120_000, 500, replace=False))
         tracemalloc.start()
         try:
-            ds = EncodedDataset.load(path, rows=lambda n: rows)
+            with EncodedDataset.stream(path) as stream:
+                report = attribute_dataset(stream, constant_predictor, sample_limit=500)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ds.n_samples == 500 and ds.file_shape == (120_000, 40_000)
+        assert report.n_evaluated == 500
+        assert (stream.n_samples, stream.n_households()) == (120_000, 40_000)
         run_keys = 40_000 * np.dtype("<U9").itemsize  # "hh0000000", one a household
         assert peak < run_keys + (1 << 20), (peak, run_keys)
 
 
 class TestIdFreeLoad:
-    """``load(path, ids=False)`` reads and checks every member, counts the
-    file's households, and keeps everything but the household ids."""
+    """``generate_future`` given source1 as a stream of its file, which
+    only counts its household ids and keeps no target, gives bit for bit
+    what it gives with source1 loaded, and the per-row oracle's result."""
 
-    @given(ids=id_runs(), block=st.integers(1, 64), seed=st.integers(0, 2**16))
-    @example(ids=np.array([], dtype=np.str_), block=1, seed=0)
-    @example(ids=np.array(["b", "b", "a", "b", "c", "a"]), block=1, seed=3)  # b and a come back
-    @example(ids=np.array(["a", "b", "b", "c"]), block=2, seed=0)  # ascending across blocks
-    @settings(max_examples=150, deadline=None)
-    def test_equals_the_full_load_but_for_ids(self, ids, block, seed):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            ids_dataset(ids, seed=seed).save(Path(tmp) / "a.enc")
-            mp.setattr(dataset, "_READ_BYTES", block * ids.itemsize)  # ``block`` ids a read
-            whole = EncodedDataset.load(Path(tmp) / "a.enc")
-            got = EncodedDataset.load(Path(tmp) / "a.enc", ids=False)
-        assert got.households is None and got.household_code is None
-        assert got.n_samples == whole.n_samples
-        assert got.words.dtype == np.uint64 and np.array_equal(got.words, whole.words)
-        assert np.array_equal(got.y, whole.y, equal_nan=True)
-        assert (got.survey_id, got.year, got.dictionary.hash()) == (
-            whole.survey_id, whole.year, whole.dictionary.hash()
-        )
-        assert got.file_shape == whole.file_shape == (ids.size, np.unique(ids).size)
-
-    @pytest.mark.parametrize(
-        "use",
-        [
-            lambda ds, tmp: ds.household_ids,
-            lambda ds, tmp: ds.n_households(),
-            lambda ds, tmp: ds.subset([0]),
-            lambda ds, tmp: ds.labeled(),
-            lambda ds, tmp: ds.household_totals(),
-            lambda ds, tmp: ds.save(tmp / "again.enc"),
-            lambda ds, tmp: concat_datasets([ds], survey_id="c", year=2017),
-            lambda ds, tmp: concat_datasets(
-                [EncodedDataset.load(tmp / "a.enc"), ds], survey_id="c", year=2017
-            ),
-        ],
-        ids=["household_ids", "n_households", "subset", "labeled", "household_totals", "save",
-             "concat", "concat with a full load"],
+    @given(
+        ids=id_runs(),
+        block=st.integers(1, 64),
+        span=st.sampled_from([1, 3, 64, 8192]),
+        tie_break=st.sampled_from(["index", "random"]),
+        literal=st.booleans(),
+        seed=st.integers(0, 2**16),
     )
-    def test_what_needs_ids_is_refused(self, tmp_path, use):
-        households_dataset(6).save(tmp_path / "a.enc")
-        ds = EncodedDataset.load(tmp_path / "a.enc", ids=False)
-        with pytest.raises(FusionError, match="loaded without household ids"):
-            use(ds, tmp_path)
-        assert not (tmp_path / "again.enc").exists()
+    @example(ids=np.array([], dtype=np.str_), block=1, span=3, tie_break="index", literal=False,
+             seed=0)
+    @example(ids=np.array(["b", "b", "a", "b", "c", "a"]), block=1, span=3, tie_break="random",
+             literal=False, seed=3)  # b and a come back
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_full_load_but_for_ids(self, ids, block, span, tie_break, literal, seed):
+        rng = np.random.default_rng(seed)
+        dictionary = dictionary_26()
+        mk = lambda n, y: make_dataset(dictionary, random_one_hot(rng, dictionary, n), y)
+        candidate = mk(8, rng.uniform(0, 5, 8))
+        y2 = rng.uniform(0, 5, 20)  # non-integer: float sums depend on their order
+        y2[rng.random(20) < 0.3] = np.nan
+        y2[0] = 1.5  # at least one labeled
+        source2 = mk(20, y2)
+        tie_seed = seed % 1000 if tie_break == "random" else None
+        run = lambda s1: synthesis.generate_future(
+            source2, s1, candidate, literal_v2_norm=literal, tie_break=tie_break, seed=tie_seed
+        )
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "a.enc"
+            ids_dataset(ids, seed=seed).save(path)
+            mp.setattr(dataset, "_READ_BYTES", block * 26)  # ``block`` rows of x a read
+            mp.setattr(dataset, "_PACK_ROWS", span)
+            source1 = EncodedDataset.load(path)
+            if not ids.size:
+                with pytest.raises(FusionError) as in_memory:
+                    run(source1)
+                with pytest.raises(FusionError) as streamed, EncodedDataset.stream(path) as s1:
+                    run(s1)
+                assert str(streamed.value) == str(in_memory.value)
+                assert "source1 and candidate must be non-empty" in str(streamed.value)
+                return
+            want = run(source1)
+            with EncodedDataset.stream(path) as s1:
+                assert s1.households is None and s1.household_code is None
+                got = run(s1)
+        fields = lambda out: (
+            out.bucket_index.tolist(), out.words.tobytes(), out.y.tobytes(),
+            out.n_matched_samples.tolist(), out.n_matched_donors.tolist(),
+            out.covered_households, out.w1, out.w2, out.matches,
+        )
+        assert fields(got) == fields(want)
+        expected = synthesis_oracle(
+            source2.x, y2, source1.x, candidate.x, literal_v2_norm=literal, seed=tie_seed
+        )
+        assert got.bucket_index.tolist() == [e[0] for e in expected]
+        assert got.y.tolist() == [e[1] for e in expected]  # bit for bit
+        assert got.n_matched_samples.tolist() == [e[2] for e in expected]
+        assert got.n_matched_donors.tolist() == [e[3] for e in expected]
 
-    def test_rows_and_no_ids_do_not_combine(self, tmp_path):
-        households_dataset(6).save(tmp_path / "a.enc")
-        with pytest.raises(ValueError, match="not both"):
-            EncodedDataset.load(tmp_path / "a.enc", rows=lambda n: np.arange(n), ids=False)
-
-    def test_keeps_only_words_and_targets(self, tmp_path):
-        """Loading 120k rows without ids keeps their words and targets (1.92 MB)
-        and under 0.5 MB more under ``tracemalloc``; a full load also keeps
-        the int32 codes and the distinct ids."""
+    def test_keeps_only_words_and_targets(self, tmp_path, monkeypatch):
+        """Streamed into ``nested_match``, 120k source1 rows are held as their
+        words alone (0.96 MB): when the candidate's buckets are built, just
+        after source1 is read, under 0.5 MB more is held under
+        ``tracemalloc``, and the peak, opening the stream included, stays
+        below the words and targets a load would keep plus 0.5 MB."""
         path = tmp_path / "big.enc"
         households_dataset(120_000, seed=1).save(path)
-        kept = {}
-        for ids in (False, True):
-            tracemalloc.start()
-            try:
-                ds = EncodedDataset.load(path, ids=ids)
-                kept[ids] = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            assert ds.file_shape == (120_000, 40_000)
-        arrays = ds.words.nbytes + ds.y.nbytes
-        assert kept[False] < arrays + (1 << 19), (kept, arrays)
-        assert kept[True] > arrays + ds.household_code.nbytes + ds.households.nbytes, kept
+        small = households_dataset(30, seed=4)
+        seen = []
+        build = synthesis.build_buckets
+
+        def measured(candidate):
+            seen.append(tracemalloc.get_traced_memory())
+            return build(candidate)
+
+        monkeypatch.setattr(synthesis, "build_buckets", measured)
+        tracemalloc.start()
+        try:
+            with EncodedDataset.stream(path) as source1:
+                synthesis.nested_match(small, source1, small.labeled())
+        finally:
+            tracemalloc.stop()
+        (held, peak), = seen
+        words, targets = 120_000 * 8, 120_000 * 8
+        assert held < words + (1 << 19), (held, words)
+        assert peak < words + targets + (1 << 19), (peak, words + targets)
 
 
 class TestStream:
@@ -1457,7 +1500,8 @@ class TestStream:
             mp.setattr(dataset, "_PACK_ROWS", span)
             with EncodedDataset.stream(path) as stream:
                 # known before the first row
-                assert stream.file_shape == whole.file_shape == (ids.size, np.unique(ids).size)
+                assert (stream.n_samples, stream.n_households()) == (ids.size, np.unique(ids).size)
+                assert whole.n_households() == stream.n_households()
                 assert (stream.survey_id, stream.year, stream.dictionary.hash()) == (
                     whole.survey_id, whole.year, whole.dictionary.hash()
                 )
@@ -1509,17 +1553,40 @@ class TestStream:
             pass
         assert stream._zf.fp is None
 
+    @pytest.mark.parametrize("how", ["read twice", "read after close"])
+    def test_a_stream_is_read_once(self, tmp_path, how):
+        """A stream's blocks can be read once: reading them again, or after
+        ``close``, names the file and how to read it again."""
+        path = tmp_path / "a.enc"
+        households_dataset(10).save(path)
+        stream = EncodedDataset.stream(path)
+        if how == "read twice":
+            list(stream.blocks())
+        else:
+            stream.close()
+        message = f"^{re.escape(str(path))}: the stream was already read; open it again with"
+        with pytest.raises(FusionError, match=message):
+            next(stream.blocks())
+        small = households_dataset(6, seed=4)
+        with pytest.raises(FusionError, match=message):
+            attribute_dataset(stream, constant_predictor)
+        with pytest.raises(FusionError, match=message):
+            synthesis.generate_future(small, stream, small.labeled())
+
 
 @pytest.mark.parametrize(
-    "how", [{}, {"rows": lambda n: np.array([0, 1, 2, 1000])}, {"ids": False}, "stream"],
-    ids=["whole", "rows", "ids=False", "stream"],
+    "read", [EncodedDataset.load, attributed, as_source1, read_stream],
+    ids=["whole", "attribute", "synthesize source1", "stream"],
 )
-def test_each_file_row_is_checked_once(tmp_path, monkeypatch, how):
-    """Every load, and a stream read to its end, feeds each row of the file
-    to the one-hot and target checks exactly once, as it reads it, in
-    spans of ``_PACK_ROWS`` rows: a row selection checks its kept rows no
+def test_each_file_row_is_checked_once(tmp_path, monkeypatch, read):
+    """A load, and a stream read to its end, by ``attribute_dataset``,
+    ``generate_future`` or alone, feeds each row of the file to the one-hot
+    and target checks exactly once, as it reads it, in spans of
+    ``_PACK_ROWS`` rows: the rows an attribution draws are checked no
     second time."""
     n = 3000
+    small_sources()  # made before the checks are counted
+    monkeypatch.setattr(attribution, "sample_rows", lambda n, k, seed: np.array([0, 1, 2, 1000]))
     households_dataset(n, seed=2).save(tmp_path / "a.enc")
     monkeypatch.setattr(dataset, "_READ_BYTES", 64 * 26)  # 64 rows of x a read
     monkeypatch.setattr(dataset, "_PACK_ROWS", 700)  # spans across the reads
@@ -1537,10 +1604,7 @@ def test_each_file_row_is_checked_once(tmp_path, monkeypatch, how):
 
     monkeypatch.setattr(dataset._RowChecks, "words", count_words)
     monkeypatch.setattr(dataset._RowChecks, "targets", count_targets)
-    if how == "stream":
-        read_stream(tmp_path / "a.enc")
-    else:
-        EncodedDataset.load(tmp_path / "a.enc", **how)
+    read(tmp_path / "a.enc")
     assert fed_words == list(range(n))
     assert spans == fed_targets == [700, 700, 700, 700, 200]
 

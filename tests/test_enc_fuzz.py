@@ -2,7 +2,7 @@
 
 Each example mutates a valid ``.enc`` once and runs ``describe``,
 ``impute``, ``attribute --limit 1`` and ``synthesize`` (the file as
-``--source2``, loaded without household ids) on it through ``cli.main``.  Every
+``--source2``, read as a stream) on it through ``cli.main``.  Every
 outcome must be exit 3, 4 or 5, never an unexpected error (exit 1), and
 must leave no output and no staged ``.tmp-*`` file.
 """
@@ -152,10 +152,10 @@ def test_damaged_enc_is_refused_cleanly(valid, data):
         for argv in (
             ["describe", "--data", source, "--out", d / "report.json"],
             ["impute", "--source", source, "--candidate", donors, "--out", d / "imputed.csv"],
-            # reads every row, though it keeps one
+            # reads every row of its stream, though it keeps one
             ["attribute", "--data", source, "--candidate", donors, "--limit", 1, "--seed", 1,
              "--out", d / "attribution.json"],
-            # reads every member, though it keeps no household id
+            # streams every member, though it keeps no household id
             ["synthesize", "--source2", source, "--source1", donors, "--candidate", donors,
              "--out", d / "synthetic.enc"],
         ):
@@ -177,7 +177,7 @@ def test_each_ids_rewrite_is_a_data_error(valid, tmp_path, how):
                  "--out", tmp_path / "imputed.csv"]) == EXIT_DATA
     assert _run(["attribute", "--data", source, "--candidate", valid[3], "--limit", 1,
                  "--seed", 1, "--out", tmp_path / "attribution.json"]) == EXIT_DATA
-    for role in ("--source2", "--source1"):  # both sources load without ids
+    for role in ("--source2", "--source1"):  # both sources are streamed
         argv = ["synthesize", "--source2", valid[3], "--source1", valid[3],
                 "--candidate", valid[3], "--out", tmp_path / "synthetic.enc"]
         argv[argv.index(role) + 1] = source

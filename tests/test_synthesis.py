@@ -427,7 +427,7 @@ class TestStreamedSource2:
         candidate, peak alike under ``tracemalloc``: within 0.5 MB.  Held
         in memory, the 300k rows more would add 4.8 MB of words and
         targets.  (Opening the stream, not measured here, counts the
-        file's households, one key each, as ``load(path, ids=False)`` does.)"""
+        file's households, one key each, and keeps none.)"""
         rng = np.random.default_rng(21)
         d = FeatureDictionary(  # d = 26, as in the paper
             features=tuple("ABCDEF"),
