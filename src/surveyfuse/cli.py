@@ -405,7 +405,8 @@ def _cmd_ingest(args: argparse.Namespace, out: _Outputs) -> int:
 def _cmd_describe(args: argparse.Namespace, out: _Outputs) -> int:
     out.require(args.data)
     out.plan(args.out)
-    report = describe(out.load(args.data))
+    with out.stream(args.data) as ds:
+        report = describe(ds)
     out.summary.append(json.dumps(report, indent=2))
     if args.out:
         out.json(args.out, report)

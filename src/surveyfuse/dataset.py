@@ -28,7 +28,9 @@ There is one read: an :class:`EncodedStream` reads ``x.npy`` and
 checks each row once, as it reads it.  It is used two ways:
 ``EncodedDataset.stream`` hands one out, which only counts the household
 ids and keeps no row, and ``load`` makes one's spans in place in the
-dataset it returns, every row and the coded household ids.
+dataset it returns, every row and the coded household ids.  A dataset's
+``blocks()`` are views of the same spans, so ``describe``,
+``attribute_dataset`` and ``nested_match`` read either.
 A read checks each member where it enters: present, stored or deflated,
 with a header of its expected dimensions and dtype, ``meta.json``'s
 ``n_samples`` rows and the data bytes the zip directory gives it.  Each key
@@ -81,7 +83,7 @@ def rng_stream(*key: int) -> np.random.Generator:
 
 def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First-occurrence index of each distinct key, in order of appearance,
-    and each element's rank among them.
+    and each element's rank among them, int32 below 2**31 keys.
 
     Integer keys whose span and row index fit together in 64 bits, such as
     packed covariate rows of d <= 44 at a million rows, take one packed
@@ -98,16 +100,16 @@ def first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return _packed_first_occurrence(keys, lowest, bits)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
+    index = np.int32 if n < 2**31 else np.intp
+    rank = np.empty(order.size, dtype=index)
+    rank[order] = np.arange(order.size, dtype=index)
     return first[order], rank[inverse]
 
 
 def _packed_first_occurrence(
     keys: np.ndarray, lowest: np.generic, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``first_occurrence`` by one sort of ``(key - lowest) << bits | row``,
-    with int32 ranks below 2**31 keys.
+    """``first_occurrence`` by one sort of ``(key - lowest) << bits | row``.
 
     The packed values are distinct, and each key's group starts with its
     first occurrence.  Besides the ranks, only the sorted buffer and a
@@ -221,15 +223,6 @@ def bit_mask(start: int, stop: int, d: int) -> np.ndarray:
     )
 
 
-def bit_popcount(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per packed row, how many of the bits set in ``mask`` (one row's words)
-    it has set, as int32: the popcount of each word under its mask, summed."""
-    total = np.zeros(words.shape[0], dtype=np.int32)
-    for w in np.flatnonzero(mask):
-        total += np.bitwise_count(words[:, w] & mask[w])
-    return total
-
-
 def _code_ids(
     blocks, n: int, dtype: np.dtype, coded: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -244,8 +237,7 @@ def _code_ids(
     and finally trimmed in place (``ndarray.resize``, a ``realloc``), not in
     per-block arrays whose freed space would stay resident between larger
     allocations.  Run keys that ascend are the households; otherwise
-    ``np.unique`` groups them, as in ``first_occurrence``, and the codes are
-    remapped in place.
+    ``first_occurrence`` groups them, and the codes are remapped in place.
     """
     code = np.empty(n, np.int32) if coded else None
     households = np.empty(min(n, _PACK_ROWS), dtype)  # the run keys; no view of it is kept
@@ -274,11 +266,8 @@ def _code_ids(
     if code is None:
         return (households if ascending else np.unique(households)), None
     if not ascending:
-        _, first, inverse = np.unique(households, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(order.size, dtype=np.int32)
-        rank[order] = np.arange(order.size)
-        households, run_rank = households[first[order]], rank[inverse]
+        first, run_rank = first_occurrence(households)
+        households = households[first]
         for s in range(0, code.size, _PACK_ROWS):
             block = code[s : s + _PACK_ROWS]
             block[:] = run_rank[block]
@@ -631,8 +620,8 @@ class EncodedStream:
     def blocks(self, out: tuple | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each block's packed words and float64 targets, then the first
         fault of the file if it has one; the file is closed at the end.
-        ``load`` passes its words and targets as ``out``, which the blocks
-        are made in."""
+        ``load`` passes its words and targets as ``out``, and
+        ``nested_match`` its words and ``None``: the blocks are made in them."""
         path, n, d, zf = self.path, self.n_samples, self.dictionary.dimension, self._zf
         if zf.fp is None:
             raise FusionError(

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import _PACK_ROWS, EncodedDataset, _code_ids, bit_mask, bit_popcount, pack_rows
+from .dataset import _PACK_ROWS, EncodedDataset, EncodedStream, _code_ids, pack_rows, unpack_rows
 from .errors import DataError, IngestionError, MappingError
 from .schema import MISSING_LABEL, HarmonizationSpec, TargetColumn, build_dictionary, encode_value
 
@@ -306,28 +306,36 @@ def assemble(raw: RawTableSet, spec: HarmonizationSpec, year: int) -> EncodedDat
     )
 
 
-def describe(ds: EncodedDataset) -> dict:
-    """Descriptive statistics: sizes, missing-target share, per-feature counts."""
+def describe(ds: EncodedDataset | EncodedStream) -> dict:
+    """Descriptive statistics: sizes, missing-target share, per-feature counts.
+
+    The ``blocks()`` of a dataset or a stream are read once, each adding its
+    rows' bits to one count per bit and its NaN targets to the missing
+    count.  A feature's missing count is the rows less its categories'
+    counts: a row has at most one bit of a one-hot group set, as the
+    constructor checks, and a stream's row checks before its blocks end.
+    """
+    n, d = ds.n_samples, ds.dictionary.dimension
+    bits = np.zeros(d, dtype=np.int64)
+    n_missing = 0
+    for words, y in ds.blocks():
+        bits += unpack_rows(words, d).sum(axis=0, dtype=np.int64)
+        n_missing += int(np.count_nonzero(np.isnan(y)))
     report: dict = {
         "survey_id": ds.survey_id,
         "year": ds.year,
         "n_households": ds.n_households(),
-        "n_samples": ds.n_samples,
-        "n_missing_target": ds.n_missing,
-        "missing_target_fraction": (ds.n_missing / ds.n_samples) if ds.n_samples else 0.0,
+        "n_samples": n,
+        "n_missing_target": n_missing,
+        "missing_target_fraction": (n_missing / n) if n else 0.0,
     }
     features = {}
-    d = ds.dictionary.dimension
     for name, cats, sl in zip(
         ds.dictionary.features, ds.dictionary.categories, ds.dictionary.group_slices()
     ):
-        # counted on the packed rows: a bit per category, none for missing
-        counts = {
-            cat: int(np.count_nonzero(bit_popcount(ds.words, bit_mask(c, c + 1, d))))
-            for c, cat in enumerate(cats, sl.start)
-        }
-        missing = bit_popcount(ds.words, bit_mask(sl.start, sl.stop, d)) == 0
-        counts[MISSING_LABEL] = int(np.count_nonzero(missing))
+        hot = bits[sl].tolist()
+        counts = dict(zip(cats, hot))
+        counts[MISSING_LABEL] = n - sum(hot)
         features[name] = counts
     report["features"] = features
     return report

@@ -21,9 +21,9 @@ rows at a time, from memory or straight from its ``.enc`` file
 blocks as they come (``matching.match_blocks``): each block's labeled
 rows add their counts and targets to their matched source1 samples, in
 row order.  No full-length array of source2 and no per-row assignment of
-it is made.  Source1 is matched on its words alone, which are read from
-its blocks, so it too can be a stream, of which no household id and no
-target is kept.  A file's rows are checked as they are read, source1's
+it is made.  Source1 is matched on its words alone, a dataset's own or
+read from a stream's blocks, so it too can be a stream, of which no
+household id and no target is kept.  A file's rows are checked as they are read, source1's
 first, after the candidate is loaded.
 """
 
@@ -78,8 +78,8 @@ def nested_match(
 ) -> TriPartiteGraph:
     """Build the tri-partite graph source2 -> source1 -> buckets(candidate).
 
-    Source1's words are read from its ``blocks()`` into one array, to the
-    end of a stream before any error of this function's own is raised.
+    Source1's words are a dataset's own, or a stream's ``blocks()`` made
+    in one array, to its end before any error of this function's own.
     Source2 is read a block at a time (``blocks()``), from memory or
     straight from its file (``EncodedDataset.stream``).  Its samples with
     missing targets carry no usable value for the averaging step and are
@@ -91,11 +91,12 @@ def nested_match(
     """
     require_same_dictionary(source2, source1, candidate)
     n1, d = source1.n_samples, candidate.dictionary.dimension
-    words1 = np.empty((n1, (d + 63) // 64), np.uint64)
-    s = 0
-    for block, _ in source1.blocks():
-        words1[s : s + block.shape[0]] = block
-        s += block.shape[0]
+    if isinstance(source1, EncodedDataset):
+        words1 = source1.words
+    else:  # the stream's words are made in place, as load makes them
+        words1 = np.empty((n1, (d + 63) // 64), np.uint64)
+        for _ in source1.blocks((words1, None)):
+            pass
     if n1 == 0 or candidate.n_samples == 0:
         raise MatchError("source1 and candidate must be non-empty")
 

@@ -264,6 +264,29 @@ def one_hot_error_oracle(x: np.ndarray, dictionary) -> str | None:
     return None
 
 
+def describe_oracle(ds) -> dict:
+    """``describe``'s report from one column sum of the unpacked x per
+    category and, per feature, the rows with none of its bits set."""
+    x, n = ds.x, ds.n_samples
+    n_missing = int(np.isnan(ds.y).sum())
+    features = {}
+    for name, cats, sl in zip(
+        ds.dictionary.features, ds.dictionary.categories, ds.dictionary.group_slices()
+    ):
+        counts = {cat: int(x[:, c].sum()) for c, cat in enumerate(cats, sl.start)}
+        counts[MISSING_LABEL] = int((x[:, sl].sum(axis=1) == 0).sum())
+        features[name] = counts
+    return {
+        "survey_id": ds.survey_id,
+        "year": ds.year,
+        "n_households": len(set(ds.household_ids.tolist())),
+        "n_samples": n,
+        "n_missing_target": n_missing,
+        "missing_target_fraction": (n_missing / n) if n else 0.0,
+        "features": features,
+    }
+
+
 def first_occurrence_unique_oracle(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct key in order of appearance, and each
     element's rank, from one ``np.unique`` over all keys."""

@@ -500,7 +500,7 @@ class TestSynthesize:
     ):
         """Source2 is read from its file as it is matched, and each of its
         rows is checked: a fault in its last row is exit 5 with the message
-        ``describe`` gives, and leaves nothing in the output directory."""
+        a whole load gives, and leaves nothing in the output directory."""
         full, missing = generated
         damaged, described = damaged_copy(missing, tmp_path, damage, capsys)
         out_dir = tmp_path / "synth-out"
@@ -555,7 +555,8 @@ class TestSynthesize:
 
 def damaged_copy(path, tmp_path, damage: str, capsys) -> tuple[Path, str]:
     """A copy of ``path`` whose last row is two-hot or whose last target is
-    negative, and what ``describe`` prints to stderr on it (exit 5)."""
+    negative, and the stderr of a run refused for it (exit 5): a whole
+    load's error, which the streamed ``describe`` gives too."""
     ds = EncodedDataset.load(path)
     x, y = ds.x, ds.y.copy()
     if damage == "last row two-hot":
@@ -575,13 +576,16 @@ def damaged_copy(path, tmp_path, damage: str, capsys) -> tuple[Path, str]:
     with zipfile.ZipFile(damaged, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, blob in members.items():
             zf.writestr(name, blob)
-    capsys.readouterr()
-    assert run("describe", "--data", damaged) == EXIT_DATA
-    described = capsys.readouterr().err
+    with pytest.raises(DataError) as refused:
+        EncodedDataset.load(damaged)
+    loaded = f"error: {refused.value}\n"
     expected = (f"x row {ds.n_samples - 1}: feature" if damage == "last row two-hot"
                 else "target values must be >= 0")
-    assert expected in described
-    return damaged, described
+    assert expected in loaded
+    capsys.readouterr()
+    assert run("describe", "--data", damaged) == EXIT_DATA
+    assert capsys.readouterr().err == loaded
+    return damaged, loaded
 
 
 class TestAttribute:
@@ -662,7 +666,7 @@ class TestAttribute:
         self, generated, tmp_path, capsys, damage
     ):
         """``--data`` is streamed, and each of its rows is checked, drawn or
-        not: a fault in its last row is exit 5 with ``describe``'s message."""
+        not: a fault in its last row is exit 5 with a whole load's message."""
         full, missing = generated
         damaged, described = damaged_copy(missing, tmp_path, damage, capsys)
         out = tmp_path / "attr.json"

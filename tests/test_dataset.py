@@ -30,8 +30,10 @@ from surveyfuse.cli import EXIT_DATA, main
 from surveyfuse.dataset import (
     bit_mask, first_occurrence, household_index, pack_rows, unpack_rows,
 )
+from surveyfuse.ingest import describe
 from conftest import make_dataset, npy_claiming, random_one_hot
 from oracles import (
+    describe_oracle,
     first_occurrence_unique_oracle,
     household_sum_oracle,
     one_hot_error_oracle,
@@ -216,14 +218,6 @@ def as_keys(values: list[int], kind: str) -> np.ndarray:
     return np.ascontiguousarray(words).view(np.dtype((np.void, 16))).ravel()
 
 
-def takes_packed_sort(keys: np.ndarray) -> bool:
-    """Whether integer keys' span and row index fit together in 64 bits."""
-    if keys.dtype.kind not in "iu" or not keys.size:
-        return False
-    span = int(keys.max()) - int(keys.min())
-    return span.bit_length() + (keys.size - 1).bit_length() <= 64
-
-
 class TestFirstOccurrence:
     """The packed sort, and the ranked ``np.unique`` of keys that do not
     pack, against one ``np.unique`` over all keys."""
@@ -234,9 +228,8 @@ class TestFirstOccurrence:
         want_first, want_rank = first_occurrence_unique_oracle(keys)
         assert first.tolist() == want_first.tolist()
         assert rank.tolist() == want_rank.tolist()
-        # the packed sort ranks in int32, the other paths in the oracle's intp
-        want_rank_dtype = np.int32 if takes_packed_sort(keys) else want_rank.dtype
-        assert first.dtype == want_first.dtype and rank.dtype == want_rank_dtype
+        # both paths rank in int32 below 2**31 keys
+        assert first.dtype == want_first.dtype and rank.dtype == np.int32
 
     @given(
         st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=30),
@@ -336,7 +329,7 @@ class TestPackedFirstOccurrence:
         assert bool(calls) == (span_bits + (n - 1).bit_length() > 64)
         assert first.tolist() == want_first.tolist() and rank.tolist() == want_rank.tolist()
         assert first.dtype == want_first.dtype
-        assert rank.dtype == (want_rank.dtype if calls else np.int32)
+        assert rank.dtype == np.int32
 
     def test_packed_covariate_rows_take_the_packed_sort(self, monkeypatch):
         """d = 26 rows packed into one word need no ``np.unique``."""
@@ -556,8 +549,8 @@ class TestPackedRows:
 
     def test_no_hot_path_unpacks_x(self, tmp_path, monkeypatch):
         """Once loaded, impute, synthesis, describe and attribution work on the
-        words: none of them unpacks x, except that attribution unpacks the
-        rows it evaluates, once."""
+        words: none of them unpacks x, except that describe unpacks each
+        block it reads, once, and attribution the rows it evaluates, once."""
         from surveyfuse import (
             BucketMeanPredictor, attribute_dataset, augment_candidate, describe,
             generate_future, impute,
@@ -586,8 +579,18 @@ class TestPackedRows:
         impute(source, augment_candidate(source, candidate))
         generate_future(source, source, candidate)
         generate_future(source.labeled(), source, candidate, tie_break="random", seed=3)
-        describe(source)
         predictor = BucketMeanPredictor(candidate)
+
+        def blockwise(words, d):
+            unpacked.append(words.shape[0])
+            return unpack_rows(words, d)
+
+        monkeypatch.setattr(dataset, "_PACK_ROWS", 64)
+        for module in modules:
+            monkeypatch.setattr(module, "unpack_rows", blockwise)
+        describe(source)
+        assert unpacked == [64] * 14 + [4]
+        unpacked.clear()
         for module in modules:
             monkeypatch.setattr(module, "unpack_rows", chosen_only)
         attribute_dataset(source, predictor, sample_limit=7, seed=1)
@@ -1476,6 +1479,83 @@ class TestIdFreeLoad:
         assert held < words + (1 << 19), (held, words)
         assert peak < words + targets + (1 << 19), (peak, words + targets)
 
+    def test_an_in_memory_source1_is_not_copied(self):
+        """A loaded source1's words are matched as they are: a library
+        ``generate_future`` with 120k in-memory source1 rows (0.96 MB of
+        words) peaks below 3.9 MB under ``tracemalloc``."""
+        source1 = households_dataset(120_000, seed=1)
+        small = households_dataset(3000, seed=4)
+        candidate = small.labeled()
+        tracemalloc.start()
+        try:
+            synthesis.generate_future(small, source1, candidate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.9e6, peak
+
+
+class TestStreamedDescribe:
+    """``describe`` of a stream of a file, which counts each bit as it
+    reads the blocks, gives byte for byte its report of the loaded file
+    and the per-column oracle's, and holds no row of the file."""
+
+    @given(
+        ids=id_runs(),
+        ascending=st.booleans(),
+        block=st.integers(1, 64),
+        span=st.sampled_from([1, 3, 64, 8192]),
+        missing=st.sampled_from([0.0, 0.3, 1.0]),
+        empty=st.sets(st.sampled_from("ABCDEF")),
+        seed=st.integers(0, 2**16),
+    )
+    @example(ids=np.array([], dtype=np.str_), ascending=False, block=1, span=3, missing=0.3,
+             empty=set(), seed=0)
+    @example(ids=np.array(["b", "b", "a", "b", "c", "a"]), ascending=False, block=1, span=3,
+             missing=1.0, empty={"A", "F"}, seed=3)  # b and a come back
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_loaded_report_and_the_oracle(
+        self, ids, ascending, block, span, missing, empty, seed
+    ):
+        if ascending:
+            ids = np.sort(ids)
+        rng = np.random.default_rng(seed)
+        dictionary = dictionary_26()
+        x = random_one_hot(rng, dictionary, ids.size)
+        for name, sl in zip(dictionary.features, dictionary.group_slices()):
+            if name in empty:  # every row missing this feature
+                x[:, sl] = 0
+        y = rng.integers(0, 4, ids.size).astype(np.float64)
+        y[rng.random(ids.size) < missing] = np.nan
+        ds = make_dataset(dictionary, x, y, household_ids=ids)
+        report = lambda d: json.dumps(describe(d), indent=2)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "a.enc"
+            ds.save(path)
+            mp.setattr(dataset, "_READ_BYTES", block * 26)  # ``block`` rows of x a read
+            mp.setattr(dataset, "_PACK_ROWS", span)
+            loaded = report(EncodedDataset.load(path))
+            with EncodedDataset.stream(path) as stream:
+                streamed = report(stream)
+        assert streamed == loaded == json.dumps(describe_oracle(ds), indent=2)
+
+    def test_holds_only_the_run_keys(self, tmp_path):
+        """Describing a 120k-row stream holds, as the stream is opened, one
+        key per run of equal ids, and then a block at a time: it peaks
+        below those keys plus 1 MB under ``tracemalloc``."""
+        path = tmp_path / "big.enc"
+        households_dataset(120_000, seed=1).save(path)
+        tracemalloc.start()
+        try:
+            with EncodedDataset.stream(path) as stream:
+                report = describe(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report["n_samples"], report["n_households"]) == (120_000, 40_000)
+        run_keys = 40_000 * np.dtype("<U9").itemsize  # "hh0000000", one a household
+        assert peak < run_keys + (1 << 20), (peak, run_keys)
+
 
 class TestStream:
     """``EncodedDataset.stream(path)`` reads ``meta.json`` and counts the
@@ -1572,6 +1652,8 @@ class TestStream:
             attribute_dataset(stream, constant_predictor)
         with pytest.raises(FusionError, match=message):
             synthesis.generate_future(small, stream, small.labeled())
+        with pytest.raises(FusionError, match=message):
+            describe(stream)
 
 
 @pytest.mark.parametrize(
