@@ -52,7 +52,9 @@ base_bucket_y = (
     np.array([f"b{int(b):06d}" for b in synthetic.bucket_index]),
     graph.buckets.y_mean[synthetic.bucket_index],
 )
-synth_bucket_y = household_sums(synthetic_ds.household_ids, synthetic_ds.y)
+synth_bucket_y = household_sums(
+    synthetic_ds.households, synthetic_ds.y, synthetic_ds.household_code
+)
 n = base_bucket_y[0].size
 same_year = spike(base_bucket_y, base_bucket_y, n=n, seed=0)
 cross_year = spike(base_bucket_y, synth_bucket_y, n=n, seed=0)

@@ -37,7 +37,7 @@ reference, _ = generate(truth_model, 1100, "reference", 2017, seed=12)
 pool = augment_candidate(observed, reference)
 matched = impute(observed, pool)
 # household totals travel as (ids, values) pairs
-truth_totals = household_sums(reference.household_ids, reference.y)
+truth_totals = household_sums(reference.households, reference.y, reference.household_code)
 n = truth_totals[0].size
 
 report = subsample_compare(

@@ -107,6 +107,29 @@ def _csv_fields(column: np.ndarray) -> list[str]:
     return _csv_text(distinct.view(column.dtype) if floats else distinct)[inverse].tolist()
 
 
+def _check_csv_ids(path: str | Path, households: np.ndarray) -> None:
+    """A ``DataError`` naming the first household id that a CSV would not
+    give back as itself: one that holds a comma, a CR, an LF or a NUL, or
+    that begins with whitespace, which the totals reader strips.  The
+    distinct ids are scanned as one array of UTF-32 code points."""
+    width = households.dtype.itemsize // 4
+    chars = households.view(np.uint32)  # each id NUL-padded to the width
+    separators = (chars == ord(",")) | (chars == ord("\r")) | (chars == ord("\n"))
+    bad = [
+        np.flatnonzero(separators) // width,
+        np.flatnonzero(np.strings.isspace(households.astype("<U1"))),  # each id's first character
+    ]
+    length = np.strings.str_len(households)
+    if np.count_nonzero(chars) != length.sum():  # a NUL before some id's last character
+        bad.append(np.flatnonzero(np.count_nonzero(chars.reshape(-1, width), axis=1) < length))
+    rows = np.concatenate(bad)
+    if rows.size:
+        raise DataError(
+            f"{path}: household id {str(households[rows.min()])!r} cannot be written to a "
+            "CSV: an id must hold no comma, CR, LF or NUL, nor begin with whitespace"
+        )
+
+
 def _peak_rss_mb() -> float:
     """This process's peak resident set size so far, in MiB (2**20 bytes)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
@@ -420,6 +443,7 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
     source = out.load(args.source)
+    _check_csv_ids(args.source, source.households)
     candidate = out.load(args.candidate)
     if not args.no_augment:
         candidate = augment_candidate(source, candidate)

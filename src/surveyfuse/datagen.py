@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import EncodedDataset, rng_stream
+from .dataset import EncodedDataset, pack_rows, rng_stream
 from .errors import DataError, SchemaError
 from .schema import FeatureDictionary, json_field, read_json
 
@@ -199,6 +199,8 @@ def generate(
         idx = category_idx[:, j]
         present = np.flatnonzero(idx >= 0)
         x[present, sl.start + idx[present]] = 1
+    words = pack_rows(x)
+    del x
 
     rate = model.expected_rate(category_idx)
     if model.target_noise == "poisson":
@@ -212,7 +214,7 @@ def generate(
         year=year,
         households=households,
         household_code=household_code,
-        x=x,
+        words=words,
         y=y,
     )
     y_missing = y.copy()
@@ -225,7 +227,7 @@ def generate(
         year=year,
         households=households,
         household_code=household_code.copy(),
-        x=x.copy(),
+        words=words.copy(),
         y=y_missing,
     )
     return full, observed

@@ -61,12 +61,11 @@ ENC_VERSION = 1
 # Fixed zip metadata so identical datasets serialize to identical bytes.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
-# Rows per block of ``_packed_first_occurrence``'s row-index OR and rank scatter.
-_ROW_BLOCK = 1 << 16
-
-# Rows per block of the bit packing and unpacking (pack_rows' zero-padded
-# byte copy is 512 KiB at d <= 64), of the row checks, whose cost is per
-# call more than per row, of an ``EncodedStream`` and of ``_code_ids``' remap.
+# Rows per block of every bounded temporary: the bit packing and unpacking
+# (pack_rows' zero-padded byte copy is 512 KiB at d <= 64), the row checks,
+# whose cost is per call more than per row, an ``EncodedStream``, the rows
+# ``save`` hands the compressor, ``_code_ids``' remap and
+# ``_packed_first_occurrence``'s row-index OR and rank scatter.
 _PACK_ROWS = 8192
 
 
@@ -114,7 +113,7 @@ def _packed_first_occurrence(
     The packed values are distinct, and each key's group starts with its
     first occurrence.  Besides the ranks, only the sorted buffer and a
     group-start flag are as long as the keys: the keys are cast into the
-    buffer in place, the row index is ORed in ``_ROW_BLOCK`` rows at a
+    buffer in place, the row index is ORed in ``_PACK_ROWS`` rows at a
     time, and after the sort each element's row is read back from the low
     bits of the buffer, a block at a time, to scatter its group's rank.
     """
@@ -123,13 +122,13 @@ def _packed_first_occurrence(
     np.copyto(packed, keys, casting="unsafe")  # two's complement: differences stay exact
     packed -= np.asarray(lowest).astype(np.uint64)
     packed <<= np.uint64(bits)
-    for s in range(0, n, _ROW_BLOCK):
-        packed[s : s + _ROW_BLOCK] |= np.arange(s, min(s + _ROW_BLOCK, n), dtype=np.uint64)
+    for s in range(0, n, _PACK_ROWS):
+        packed[s : s + _PACK_ROWS] |= np.arange(s, min(s + _PACK_ROWS, n), dtype=np.uint64)
     packed.sort()
     low = np.uint64((1 << bits) - 1)  # the row bits
     start = np.ones(n, dtype=bool)  # a key unlike its predecessor's: its group's first
-    for s in range(1, n, _ROW_BLOCK):
-        e = min(s + _ROW_BLOCK, n)
+    for s in range(1, n, _PACK_ROWS):
+        e = min(s + _PACK_ROWS, n)
         np.greater(packed[s:e] ^ packed[s - 1 : e - 1], low, out=start[s:e])
     firsts = packed[np.flatnonzero(start)]
     firsts &= low
@@ -142,11 +141,11 @@ def _packed_first_occurrence(
     del order
     inverse = np.empty(n, dtype=index)
     groups = 0  # before the block
-    for s in range(0, n, _ROW_BLOCK):
-        group = np.cumsum(start[s : s + _ROW_BLOCK], dtype=index)
+    for s in range(0, n, _PACK_ROWS):
+        group = np.cumsum(start[s : s + _PACK_ROWS], dtype=index)
         group += groups - 1
         groups = int(group[-1]) + 1
-        rows = packed[s : s + _ROW_BLOCK] & low
+        rows = packed[s : s + _PACK_ROWS] & low
         inverse[rows.view(np.intp)] = rank[group]
     return firsts, inverse
 
@@ -159,19 +158,13 @@ def household_index(household_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def household_sums(
-    household_ids: np.ndarray,
-    sample_y: np.ndarray,
-    code: np.ndarray | None = None,
+    households: np.ndarray, sample_y: np.ndarray, code: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum per-sample values per household, first-appearance order.
-
-    With ``code``, ``household_ids`` are already the distinct ids and
-    ``code`` each sample's position among them, as an ``EncodedDataset``'s
-    ``households`` and ``household_code``.
-    """
-    if code is None:
-        household_ids, code = household_index(household_ids)
-    return household_ids, index_sum(code, household_ids.size, sample_y)
+    """The distinct ``households`` and the sum of each one's per-sample
+    values, where ``code`` is each sample's position among them, as an
+    ``EncodedDataset``'s ``households`` and ``household_code`` (or
+    ``household_index`` of per-sample ids)."""
+    return households, index_sum(code, households.size, sample_y)
 
 
 def index_sum(index: np.ndarray, size: int, values=1) -> np.ndarray:
@@ -227,9 +220,10 @@ def _code_ids(
     blocks, n: int, dtype: np.dtype, coded: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``household_index`` of ``n`` per-sample ids of ``dtype`` given in
-    consecutive non-empty blocks, positions as int32: the one id coder of
-    ``load``, ``ingest`` and the constructor.  Ids that are not ``coded``,
-    only counted, return ``(k distinct ids, in no set order), None``.
+    consecutive non-empty blocks, positions as int32: the id coder of
+    ``load`` and ``ingest``, which read the ids a block at a time.  Ids
+    that are not ``coded``, only counted, return ``(k distinct ids, in no
+    set order), None``.
 
     The int32 codes are allocated first, and each block's are written into
     them in place: the running count of runs of equal adjacent ids, so no
@@ -373,15 +367,15 @@ class EncodedDataset:
     Household ids are held coded: ``households`` are the distinct ids in
     order of first appearance and ``household_code`` is each sample's
     position among them (int32), 4 bytes a sample instead of one string.
-    Pass either ``household_ids``, one per sample, which are coded here, or
-    ``households`` and ``household_code`` already coded; the codes are
-    checked to be in first-appearance order and to use every household,
-    and ``households`` to be distinct.
-
     The one-hot covariates are held packed: ``words`` is the (n, ceil(d/64))
     uint64 array of ``pack_rows``, 8 bytes a sample at d <= 64 instead of d.
-    Pass either ``x``, the (n, d) 0/1 matrix, which is packed here, or
-    ``words`` already packed; ``x`` unpacks them again.
+
+    The constructor takes these arrays as they are held and converts
+    nothing: ``household_index`` codes per-sample ids and ``pack_rows``
+    packs a 0/1 matrix.  The codes are checked to be in first-appearance
+    order and to use every household, ``households`` to be distinct, and
+    the words and targets as ``load`` checks each row.  The
+    ``household_ids`` and ``x`` properties give the per-sample forms back.
     """
 
     def __init__(
@@ -389,37 +383,12 @@ class EncodedDataset:
         dictionary: FeatureDictionary,
         survey_id: str,
         year: int,
-        household_ids: np.ndarray | None = None,
-        x: np.ndarray | None = None,
-        y: np.ndarray | None = None,
-        *,
-        households: np.ndarray | None = None,
-        household_code: np.ndarray | None = None,
-        words: np.ndarray | None = None,
+        households: np.ndarray,
+        household_code: np.ndarray,
+        words: np.ndarray,
+        y: np.ndarray,
     ) -> None:
-        if y is None or (x is None) == (words is None):
-            raise TypeError("EncodedDataset needs y and one of x and words")
-        given = (household_ids is not None, households is not None, household_code is not None)
-        if given not in ((True, False, False), (False, True, True)):
-            raise TypeError("pass household_ids, or households and household_code")
-        if household_ids is not None:
-            ids = np.asarray(household_ids, dtype=np.str_)
-            if ids.ndim != 1:
-                raise DimensionError(f"household ids must be 1-D, got shape {ids.shape}")
-            rows = max(1, _READ_BYTES // ids.itemsize)
-            blocks = (ids[s : s + rows] for s in range(0, ids.size, rows))
-            households, household_code = _code_ids(blocks, ids.size, ids.dtype)
-        else:
-            households, household_code = _checked_codes(households, household_code)
-        if x is not None:
-            x = np.asarray(x)
-            n, d = household_code.shape[0], dictionary.dimension
-            if x.shape != (n, d):
-                raise DimensionError(f"x has shape {x.shape}, expected ({n}, {d})")
-            bits = np.ascontiguousarray(x, dtype=np.uint8)
-            if bits.max(initial=0) > 1 or (x.dtype != np.uint8 and not np.array_equal(bits, x)):
-                raise DataError("x values must be 0 or 1")
-            words = pack_rows(bits)
+        households, household_code = _checked_codes(households, household_code)
         self._set(dictionary, survey_id, year, households, household_code, words, y, None)
 
     @classmethod
@@ -722,7 +691,6 @@ _NPY_ERRORS = (ValueError, EOFError, zlib.error, tokenize.TokenError)
 # hold at most: deflate's longest match, 258 bytes, takes 2 bits at the least
 _MAX_RATIO = {zipfile.ZIP_STORED: 1, zipfile.ZIP_DEFLATED: 1032}
 
-_WRITE_BYTES = 1 << 20  # array bytes handed to the compressor per write
 # array bytes per read: a zip member's read(k) makes copies k long, and
 # below glibc's 128 KiB mmap threshold each block reuses the heap
 _READ_BYTES = 1 << 16
@@ -759,14 +727,13 @@ def _write_array(
     zf: zipfile.ZipFile, name: str, dtype: np.dtype, shape: tuple[int, ...], rows
 ) -> None:
     """Stream one ``.npy`` 1.0 member of ``dtype`` and ``shape``: its header,
-    then ``rows(s, e)``, rows ``s:e`` of the array, in blocks of about
-    ``_WRITE_BYTES``."""
+    then ``rows(s, e)``, rows ``s:e`` of the array, ``_PACK_ROWS`` rows at
+    a time."""
     buf = io.BytesIO()
     fields = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
     np.lib.format.write_array_header_1_0(buf, fields)
     n, row_bytes = shape[0], dtype.itemsize * math.prod(shape[1:])
-    block = max(1, _WRITE_BYTES // max(1, row_bytes))
-    blocks = (rows(s, min(s + block, n)) for s in range(0, n, block))
+    blocks = (rows(s, min(s + _PACK_ROWS, n)) for s in range(0, n, _PACK_ROWS))
     _write_member(zf, name, buf.getvalue(), n * row_bytes, blocks)
 
 

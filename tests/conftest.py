@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surveyfuse import EncodedDataset, FeatureDictionary
+from surveyfuse.dataset import household_index, pack_rows
 
 
 @pytest.fixture
@@ -22,12 +23,14 @@ def make_dataset(dictionary, x, y, household_ids=None, survey_id="test", year=20
     x = np.asarray(x, dtype=np.uint8)
     if household_ids is None:
         household_ids = [f"h{i}" for i in range(x.shape[0])]
+    households, household_code = household_index(np.array(household_ids, dtype=np.str_))
     return EncodedDataset(
         dictionary=dictionary,
         survey_id=survey_id,
         year=year,
-        household_ids=np.array(household_ids, dtype=np.str_),
-        x=x,
+        households=households,
+        household_code=household_code,
+        words=pack_rows(x),
         y=np.asarray(y, dtype=np.float64),
     )
 

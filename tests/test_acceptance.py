@@ -369,7 +369,7 @@ def test_criterion_10_evaluation_protocol():
         full_src, observed_src = generate(model, 600, "src", 2017, seed=10)
         donor, _ = generate(donor_model, 400, "donor", 2017, seed=110)
 
-        truth = household_sums(donor.household_ids, donor.y)
+        truth = household_sums(donor.households, donor.y, donor.household_code)
         n = truth[0].size
 
         # identical inputs -> exactly zero at every cutoff

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,13 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surveyfuse import (
     BucketMeanPredictor, DataError, EncodedDataset, EncodedStream, FeatureDictionary, impute,
     subsample_compare,
 )
 from surveyfuse import attribution, cli, matching, synthesis
-from surveyfuse.dataset import bit_mask
+from surveyfuse.dataset import bit_mask, pack_rows
 from surveyfuse.cli import (
     EXIT_DATA,
     EXIT_DICTIONARY_MISMATCH,
@@ -26,6 +29,7 @@ from surveyfuse.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    _check_csv_ids,
     _load_totals_csv,
     _manifest_path,
     _Outputs,
@@ -243,14 +247,73 @@ class TestImpute:
             dictionary=small,
             survey_id="other",
             year=2017,
-            household_ids=np.array(["h0"]),
-            x=np.array([[1, 0]], dtype=np.uint8),
+            households=np.array(["h0"]),
+            household_code=np.zeros(1, np.int32),
+            words=pack_rows(np.array([[1, 0]], dtype=np.uint8)),
             y=np.array([1.0]),
         ).save(other)
         out = tmp_path / "never.csv"
         rc = run("impute", "--source", missing, "--candidate", other, "--out", out)
         assert rc == EXIT_DICTIONARY_MISMATCH
         assert not out.exists()
+
+    @staticmethod
+    def with_household(missing, tmp_path, hid: str) -> tuple[Path, list[str]]:
+        """A copy of ``missing`` whose fourth household id is ``hid``."""
+        ds = EncodedDataset.load(missing)
+        ids = ds.households.tolist()
+        ids[3] = hid
+        path = tmp_path / "odd.enc"
+        EncodedDataset(
+            ds.dictionary, ds.survey_id, ds.year, np.array(ids), ds.household_code, ds.words, ds.y
+        ).save(path)
+        return path, ids
+
+    @pytest.mark.parametrize(
+        "hid",
+        ["a,b", "a\rb", "a\nb", "a\x00b", " h1", "\th1", "\u3000h1", ","],
+        ids=["comma", "cr", "lf", "nul", "space", "tab", "ideographic-space", "only-a-comma"],
+    )
+    def test_a_household_id_no_csv_gives_back_is_refused(
+        self, generated, tmp_path, capsys, monkeypatch, hid
+    ):
+        """The totals reader splits a line at its comma, reads CR and LF as
+        line ends and strips leading whitespace: such an id is refused
+        before any match, and nothing is written."""
+        full, missing = generated
+        source, _ = self.with_household(missing, tmp_path, hid)
+        monkeypatch.setattr(cli, "augment_candidate", not_reached)
+        monkeypatch.setattr(cli, "impute", not_reached)
+        before = sorted(tmp_path.iterdir())
+        rc = run("impute", "--source", source, "--candidate", full, "--out", tmp_path / "i.csv")
+        assert rc == EXIT_DATA
+        assert f"household id {hid!r} cannot be written to a CSV" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(st.sampled_from("ab ,\r\n\x00\t\u3000é"), max_size=5), max_size=8))
+    def test_the_id_check_names_the_first_id_the_rule_refuses(self, ids):
+        """Ids of unequal length are NUL-padded in the array: padding is no
+        NUL of an id's own."""
+        households = np.array(ids, dtype=np.str_)  # numpy drops trailing NULs
+        bad = [h for h in households.tolist() if set(h) & set(",\r\n\x00") or h[:1].isspace()]
+        if bad:
+            with pytest.raises(DataError, match=f"^s.enc: household id {re.escape(repr(bad[0]))} "):
+                _check_csv_ids("s.enc", households)
+        else:
+            _check_csv_ids("s.enc", households)
+
+    def test_inner_and_trailing_spaces_round_trip(self, generated, tmp_path):
+        full, missing = generated
+        source, ids = self.with_household(missing, tmp_path, "h 1 ")
+        out, totals = tmp_path / "i.csv", tmp_path / "i.households.csv"
+        assert run("impute", "--source", source, "--candidate", full, "--out", out) == EXIT_OK
+        assert sorted(_load_totals_csv(totals)[0].tolist()) == sorted(ids)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["household_id"] for r in rows} == set(ids)
+        assert run("evaluate", "--imputed", totals, "--truth", totals, "--seed", 1,
+                   "--out", tmp_path / "e.json") == EXIT_OK
 
     def test_random_tie_break_needs_seed(self, generated, tmp_path):
         full, missing = generated
@@ -1271,12 +1334,13 @@ class TestCsvWriter:
         x = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 0]], dtype=np.uint8)
         source = EncodedDataset(
             dictionary=dictionary, survey_id="s", year=2017,
-            household_ids=np.array(["h0", "h1", "h2", "h3", "h4"]), x=x,
-            y=np.array([0.1 + 0.2, 1e-17, 1e16, np.nan, np.nan]),
+            households=np.array(["h0", "h1", "h2", "h3", "h4"]), household_code=np.arange(5),
+            words=pack_rows(x), y=np.array([0.1 + 0.2, 1e-17, 1e16, np.nan, np.nan]),
         )
         candidate = EncodedDataset(
             dictionary=dictionary, survey_id="c", year=2017,
-            household_ids=np.array(["d0", "d1", "d2"]), x=x[:3], y=np.array([1.0, 2.0, 1 / 3]),
+            households=np.array(["d0", "d1", "d2"]), household_code=np.arange(3),
+            words=pack_rows(x[:3]), y=np.array([1.0, 2.0, 1 / 3]),
         )
         source.save(tmp_path / "s.enc")
         candidate.save(tmp_path / "c.enc")

@@ -18,7 +18,7 @@ from surveyfuse import (
     nearest_rows,
 )
 from surveyfuse import matching
-from surveyfuse.dataset import household_sums
+from surveyfuse.dataset import household_index, household_sums
 from surveyfuse import dataset
 from surveyfuse.dataset import pack_rows, unpack_rows
 from conftest import make_dataset, random_one_hot
@@ -913,6 +913,7 @@ class TestHouseholdSums:
     def test_matches_oracle(self, pairs):
         ids = np.array([f"h{p[0]}" for p in pairs])
         y = np.array([p[1] for p in pairs])
-        got_ids, got_totals = household_sums(ids, y)
+        households, code = household_index(ids)
+        got_ids, got_totals = household_sums(households, y, code)
         oracle = household_sum_oracle(ids, y)
         assert {str(i): t for i, t in zip(got_ids, got_totals)} == pytest.approx(oracle)

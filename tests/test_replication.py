@@ -54,7 +54,7 @@ def test_imputation_quality_bands():
     result = impute(source, pool)
 
     labeled = ground_truth.labeled()
-    truth_totals = household_sums(labeled.household_ids, labeled.y)
+    truth_totals = household_sums(labeled.households, labeled.y, labeled.household_code)
     n = truth_totals[0].size
     report = subsample_compare(
         (result.household_ids, result.household_y), truth_totals, n=n, seed=0
