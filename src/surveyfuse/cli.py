@@ -37,7 +37,7 @@ import os
 import resource
 import sys
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -53,7 +53,8 @@ from .datagen import PopulationModel, demo_model, generate
 from .errors import DataError, DictionaryMismatchError, FusionError
 from .evaluation import DEFAULT_CUTOFFS, Totals, sort_totals, spike, subsample_compare
 from .ingest import assemble, describe, load_tables
-from .matching import augment_candidate, impute
+# the impute subcommand runs impute_blocks; bench/tracer.py patches these two names
+from .matching import augment_candidate, impute, impute_blocks
 from .schema import HarmonizationSpec, default_spec_path, read_json, sha256
 from .synthesis import generate_future
 
@@ -191,10 +192,11 @@ class _Outputs:
         """Load an ``.enc`` input, and record its sample and household counts."""
         return self._shape(path, EncodedDataset.load(path))
 
-    def stream(self, path: str | Path) -> EncodedStream:
+    def stream(self, path: str | Path, coded: bool = False) -> EncodedStream:
         """Open an ``.enc`` input to be read a block at a time
-        (``EncodedDataset.stream``), and record the file's counts."""
-        return self._shape(path, EncodedDataset.stream(path))
+        (``EncodedStream``, its household ids ``coded`` or only counted),
+        and record the file's counts."""
+        return self._shape(path, EncodedStream(path, coded))
 
     def _shape(self, path: str | Path, ds):
         self.datasets[str(path)] = {"n_samples": ds.n_samples, "n_households": ds.n_households()}
@@ -224,22 +226,27 @@ class _Outputs:
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         self._stage(path).write_bytes(text.encode("utf-8"))
 
-    def csv(self, path: str | Path, header: list[str], columns: list) -> None:
-        """Stage a CSV of equal-length columns: floats as ``repr``, the rest as
-        ``str``.  A ``(values, code)`` column is written as ``values[code]``,
-        gathered one chunk at a time: numeric values are formatted once per
-        file and a chunk gathers their text; strings are gathered as they are,
-        since their text is the strings themselves."""
-        columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in columns]
-        values, code = columns[0]
-        n = len(values if code is None else code)
-        columns = [(v if c is None or v.dtype.kind == "U" else _csv_text(v), c) for v, c in columns]
+    def csv(self, path: str | Path, header: list[str], blocks: Iterable[list]) -> None:
+        """Stage a CSV of blocks of rows, each a list of equal-length columns:
+        floats as ``repr``, the rest as ``str``.  A ``(values, code)`` column is
+        written as ``values[code]``, gathered one chunk at a time: numeric
+        values are formatted once per block and a chunk gathers their text;
+        strings, and text already formatted (``_csv_text``), are gathered as
+        they are."""
         with open(self._stage(path), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for i in range(0, n, CSV_CHUNK_ROWS):
-                rows = slice(i, i + CSV_CHUNK_ROWS)
-                chunk = [_csv_fields(v[rows] if c is None else v[c[rows]]) for v, c in columns]
-                fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+            for columns in blocks:
+                columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in columns]
+                columns = [
+                    (v if c is None or v.dtype.kind in "UO" else _csv_text(v), c)
+                    for v, c in columns
+                ]
+                values, code = columns[0]
+                n = len(values if code is None else code)
+                for i in range(0, n, CSV_CHUNK_ROWS):
+                    rows = slice(i, i + CSV_CHUNK_ROWS)
+                    chunk = [_csv_fields(v[rows] if c is None else v[c[rows]]) for v, c in columns]
+                    fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
     def _manifest(self) -> dict:
         args = self._args
@@ -442,39 +449,38 @@ def _cmd_impute(args: argparse.Namespace, out: _Outputs) -> int:
     out.plan(args.out, hh_out)
     if args.tie_break == "random" and args.seed is None:
         raise DataError("--tie-break random requires --seed")
-    source = out.load(args.source)
-    _check_csv_ids(args.source, source.households)
-    candidate = out.load(args.candidate)
-    if not args.no_augment:
-        candidate = augment_candidate(source, candidate)
-    result = impute(
-        source,
-        candidate,
-        impute_all=args.impute_all,
-        tie_break=args.tie_break,
-        seed=args.seed,
-        household_weight=args.household_weight,
-    )
-    a = result.assignment
-    out.matches.append(a.diagnostics())
-    household_ids, n = (source.households, source.household_code), source.n_samples
-    del source  # its covariates and targets are not written: free them first
-    d = a.dimension
+    # --source is read once, after the candidate is loaded: its packed rows,
+    # coded ids and labeled rows are held, and its rows checked as they are read
+    with out.stream(args.source, coded=True) as source:
+        _check_csv_ids(args.source, source.households)
+        candidate = out.load(args.candidate)
+        run, blocks = impute_blocks(
+            source,
+            candidate,
+            augment=not args.no_augment,
+            impute_all=args.impute_all,
+            tie_break=args.tie_break,
+            seed=args.seed,
+            household_weight=args.household_weight,
+        )
+    del candidate  # the buckets hold what the matching needs of it
+    households, code, d = run.households, run.household_code, run.match.dimension
+    # the text of every bucket index and distance, formatted once for all blocks
+    buckets, distance = _csv_text(np.arange(run.match.n_target)), _csv_text(np.arange(d + 1) / d)
     out.csv(
         args.out,
         ["household_id", "sample_index", "matched_bucket", "distance", "y_imputed"],
-        [
-            household_ids,
-            np.arange(n),
-            (np.arange(a.n_target), a.target_index),
-            (np.arange(d + 1) / d, a.hamming_count),
-            result.sample_y,
-        ],
+        (
+            [(households, code[rows]), np.arange(rows.start, rows.stop), (buckets, index),
+             (distance, count), y]
+            for rows, index, count, y in blocks
+        ),
     )
-    out.csv(hh_out, ["household_id", "y_total"], [result.household_ids, result.household_y])
+    out.matches.append(run.match.diagnostics())
+    out.csv(hh_out, ["household_id", "y_total"], [[households, run.household_y]])
     out.summary.append(
-        f"imputed {int(result.imputed_mask.sum())} of {n} samples "
-        f"from {candidate.n_samples} donors (w = {result.weight:.4g}) -> {args.out}, {hh_out}"
+        f"imputed {run.n_imputed} of {code.size} samples "
+        f"from {run.n_donors} donors (w = {run.weight:.4g}) -> {args.out}, {hh_out}"
     )
     return EXIT_OK
 
@@ -506,7 +512,7 @@ def _cmd_synthesize(args: argparse.Namespace, out: _Outputs) -> int:
     out.csv(
         prov,
         ["bucket_id", "n_S", "n_G_total", "y_synth"],
-        [synth.bucket_index, synth.n_matched_samples, synth.n_matched_donors, synth.y],
+        [[synth.bucket_index, synth.n_matched_samples, synth.n_matched_donors, synth.y]],
     )
     out.summary.append(
         f"synthesized {synth.n_entries} buckets covering "
@@ -529,7 +535,7 @@ def _cmd_evaluate(args: argparse.Namespace, out: _Outputs) -> int:
         out.csv(
             args.sorted_csv,
             ["rank", "truth_sorted"] + [f"draw_{i}" for i in range(len(draws))],
-            [np.arange(n), report.truth_sorted, *draws],
+            [[np.arange(n), report.truth_sorted, *draws]],
         )
     last = report.per_cutoff[-1]
     out.summary.append(

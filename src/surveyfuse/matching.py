@@ -7,6 +7,14 @@ receives the bucket mean divided by the sample-count weight
 ``w = |source| / |candidate|``; per-household totals are the sums of the
 per-sample values.
 
+An imputation is one block path (``impute_blocks``): the source, a
+dataset or a stream read once from its ``.enc`` file, gives its packed
+rows and its observed targets; the query rows are then matched, divided
+and summed into the household totals a block at a time, and the blocks
+are handed on as they come, to a CSV writer or to ``impute``, which
+collects them.  No per-row output is made for all rows at once unless
+``impute`` collects it.
+
 A matching runs in four steps, each exact under both tie rules:
 
 1. The targets are deduplicated once.  The query rows are then taken a
@@ -52,13 +60,14 @@ import numpy as np
 
 from .dataset import (
     EncodedDataset,
+    EncodedStream,
     concat_datasets,
     first_occurrence,
-    household_sums,
+    household_sums,  # unused here since impute sums per block; bench/tracer.py patches it
     index_sum,
     require_same_dictionary,
 )
-from .errors import DataError, DimensionError, MatchError
+from .errors import DataError, DimensionError, FusionError, MatchError
 
 # Byte budget for the scan's (block x targets) XOR buffer, small
 # enough to stay in a 2 MiB per-core L2 cache; the block height follows from
@@ -121,17 +130,23 @@ def build_buckets(candidate: EncodedDataset) -> BucketSet:
     Every candidate sample must carry a target; pre-filter with
     ``candidate.labeled()`` if needed.
     """
-    if candidate.n_missing:
+    return _buckets(candidate.words, candidate.y, candidate.dictionary.dimension)
+
+
+def _buckets(words: np.ndarray, y: np.ndarray, d: int) -> BucketSet:
+    """``build_buckets`` of donor rows given as packed words and targets."""
+    n_missing = int(np.count_nonzero(np.isnan(y)))
+    if n_missing:
         raise DataError(
-            f"candidate has {candidate.n_missing} samples with missing targets; "
+            f"candidate has {n_missing} samples with missing targets; "
             "donors must be fully labeled"
         )
-    first, inverse = _unique_rows(candidate.words)
+    first, inverse = _unique_rows(words)
     counts = np.bincount(inverse, minlength=first.size)
-    sums = np.bincount(inverse, weights=candidate.y, minlength=first.size)
+    sums = np.bincount(inverse, weights=y, minlength=first.size)
     return BucketSet(
-        words=candidate.words[first],
-        dimension=candidate.dictionary.dimension,
+        words=words[first],
+        dimension=d,
         member_count=counts.astype(np.int64),
         y_mean=sums / counts,
         inverse=inverse.astype(np.int64),
@@ -528,7 +543,7 @@ class ImputationResult:
 
 
 def impute(
-    source: EncodedDataset,
+    source: EncodedDataset | EncodedStream,
     candidate: EncodedDataset,
     *,
     impute_all: bool = False,
@@ -547,34 +562,146 @@ def impute(
     of its samples' matched bucket means.  This is an interpretation of
     the weighting rationale, not the published rule; the default follows
     the published rule.
+
+    The source is a dataset or a stream with coded household ids
+    (``EncodedStream(path, coded=True)``); the blocks of ``impute_blocks``
+    are collected into per-sample arrays, as ``nearest_rows`` collects
+    ``match_blocks``.
     """
-    require_same_dictionary(source, candidate)
-    if candidate.n_samples == 0:
-        raise MatchError("candidate dataset is empty")
-    buckets = build_buckets(candidate)
-    assignment = nearest_rows(
-        source.words, buckets.words, dimension=buckets.dimension, tie_break=tie_break, seed=seed
+    run, blocks = impute_blocks(
+        source,
+        candidate,
+        impute_all=impute_all,
+        tie_break=tie_break,
+        seed=seed,
+        household_weight=household_weight,
     )
-    w = source.n_samples / candidate.n_samples
-    filled = buckets.y_mean[assignment.target_index]  # matched means, divided in place
-    code = source.household_code
-    if household_weight:  # each sample's household size
-        filled /= index_sum(code, source.households.size)[code]
-    else:
-        filled /= w
-    if impute_all:
-        sample_y = filled
-        imputed_mask = np.ones(source.n_samples, dtype=bool)
-    else:
-        imputed_mask = source.missing_mask
-        sample_y = filled  # observed targets copied over the matched means
-        np.copyto(sample_y, source.y, where=~imputed_mask)
-    ids, totals = household_sums(source.households, sample_y, code)
+    n = run.household_code.size
+    sample_y = np.empty(n)
+    target_index = np.empty(n, dtype=np.int32 if run.match.n_target < 2**31 else np.intp)
+    hamming_count = np.empty(n, dtype=np.min_scalar_type(run.match.dimension))
+    for rows, idx, cnt, y in blocks:
+        target_index[rows] = idx
+        hamming_count[rows] = cnt
+        sample_y[rows] = y
+    imputed_mask = np.ones(n, dtype=bool)
+    if not impute_all:
+        imputed_mask[run.observed] = False
     return ImputationResult(
         sample_y=sample_y,
         imputed_mask=imputed_mask,
-        household_ids=ids,
-        household_y=totals,
-        weight=w,
-        assignment=assignment,
+        household_ids=run.households,
+        household_y=run.household_y,
+        weight=run.weight,
+        assignment=MatchAssignment(
+            **vars(run.match), target_index=target_index, hamming_count=hamming_count
+        ),
     )
+
+
+@dataclass
+class Imputation:
+    """An imputation whose rows come a block at a time (``impute_blocks``).
+
+    All but the last two fields are known once the source is read;
+    ``household_y`` and ``match`` count the blocks yielded so far.
+    """
+
+    households: np.ndarray  # the source's distinct ids, in first-appearance order
+    household_code: np.ndarray  # (n,) int32, each source row's position among them
+    observed: np.ndarray  # ascending source rows with an observed target
+    weight: float  # w = |source| / |donor pool|
+    n_donors: int  # rows of the donor pool
+    n_imputed: int  # rows whose value is filled in
+    household_y: np.ndarray  # (k,) float64, each household's sum over the rows so far
+    match: MatchSummary
+
+
+def impute_blocks(
+    source: EncodedDataset | EncodedStream,
+    candidate: EncodedDataset,
+    *,
+    augment: bool = False,
+    impute_all: bool = False,
+    tie_break: str = "index",
+    seed: int | None = None,
+    household_weight: bool = False,
+) -> tuple[Imputation, Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]]:
+    """``impute`` a block of source rows at a time.
+
+    The source is read once, now: a stream's packed rows are made in one
+    array, and of its targets only the observed ones are kept, with their
+    rows.  A stream's row checks raise at the end of that read, before any
+    match.  With ``augment`` the donor pool is the candidate followed by
+    the source's labeled rows, as ``augment_candidate`` makes it, else the
+    candidate alone; the buckets group that pool.  The returned iterator
+    then matches ``_QUERY_BLOCK`` rows at a time (``match_blocks``) and
+    yields, per block, its rows, their matched buckets and Hamming counts,
+    and their values: the matched means divided by ``w`` or by each row's
+    household size, with the observed targets copied in unless
+    ``impute_all``.  Each block's values are added to ``household_y`` in
+    row order, so the totals are bit-identical to one sum over all rows.
+    """
+    require_same_dictionary(source, candidate)
+    if source.households is None:
+        raise FusionError(
+            f"{source.path}: impute needs the household ids coded: open the stream "
+            "with EncodedStream(path, coded=True)"
+        )
+    n, d = source.n_samples, source.dictionary.dimension
+    if isinstance(source, EncodedDataset):
+        words, blocks = source.words, source.blocks()
+    else:  # the stream's words are made in place, as load makes them
+        words = np.empty((n, (d + 63) // 64), np.uint64)
+        blocks = source.blocks((words, None))
+    observed, observed_y, s = [np.empty(0, np.intp)], [np.empty(0)], 0
+    for _, y in blocks:
+        has = np.flatnonzero(~np.isnan(y))
+        observed.append(s + has)
+        observed_y.append(y[has])
+        s += y.size
+    observed, observed_y = np.concatenate(observed), np.concatenate(observed_y)
+    pool_words, pool_y = candidate.words, candidate.y
+    if augment and observed.size:
+        pool_words = np.concatenate([pool_words, words[observed]])
+        pool_y = np.concatenate([pool_y, observed_y])
+    n_donors = pool_y.size
+    if n_donors == 0:
+        raise MatchError("candidate dataset is empty")
+    buckets = _buckets(pool_words, pool_y, d)
+    del pool_words, pool_y
+    summary, matched = match_blocks(
+        (words[s : s + _QUERY_BLOCK] for s in range(0, n, _QUERY_BLOCK)),
+        buckets.words,
+        dimension=d,
+        tie_break=tie_break,
+        seed=seed,
+    )
+    code, k = source.household_code, source.households.size
+    run = Imputation(
+        households=source.households,
+        household_code=code,
+        observed=observed,
+        weight=n / n_donors,
+        n_donors=n_donors,
+        n_imputed=n if impute_all else n - observed.size,
+        household_y=np.zeros(k),
+        match=summary,
+    )
+    # each household's size, gathered per block from one k-long count
+    divisor = index_sum(code, k) if household_weight else None
+
+    def values():
+        start = 0
+        for target_index, hamming_count in matched:
+            rows = slice(start, start + target_index.size)
+            filled = buckets.y_mean[target_index]  # matched means, divided in place
+            filled /= run.weight if divisor is None else divisor[code[rows]]
+            if not impute_all:  # observed targets copied over the matched means
+                a, b = np.searchsorted(observed, (rows.start, rows.stop))
+                filled[observed[a:b] - start] = observed_y[a:b]
+            np.add.at(run.household_y, code[rows], filled)
+            yield rows, target_index, hamming_count, filled
+            start = rows.stop
+
+    return run, values()

@@ -159,6 +159,55 @@ def attribution_entries_oracle(xs, phis, dictionary) -> list[tuple[str, str, flo
     return entries
 
 
+def impute_oracle(
+    x, y, household_ids, xc, yc, *, augment=False, impute_all=False, household_weight=False,
+    seed=None,
+):
+    """Imputed values and household totals by per-row loops over unpacked rows.
+
+    The donor pool is the candidate's rows ``xc``, ``yc``, followed with
+    ``augment`` by the source's labeled rows.  Its buckets are its distinct
+    rows in order of first occurrence, each with its members' targets
+    summed one by one in row order and divided by their number.  Each
+    source row takes its nearest bucket (``nn_scan_oracle``, or
+    ``nn_random_tie_oracle`` under ``seed``) and that bucket's mean divided
+    by ``w = len(x) / len(pool)`` or by the rows of its household; unless
+    ``impute_all``, an observed target stands instead.  A household's total
+    adds its rows' values one by one in row order.  Returns the values,
+    the matched buckets, their Hamming counts and ``(household, total)`` in
+    order of first appearance.
+    """
+    labeled = [i for i, v in enumerate(y) if not math.isnan(v)]
+    pool_x = list(xc) + ([x[i] for i in labeled] if augment else [])
+    pool_y = list(yc) + ([y[i] for i in labeled] if augment else [])
+    keys, sums, counts = {}, [], []
+    for row, v in zip(pool_x, pool_y):
+        b = keys.setdefault(row.tobytes(), len(keys))
+        if b == len(sums):
+            sums.append(0.0)
+            counts.append(0)
+        sums[b] += float(v)
+        counts[b] += 1
+    bucket_x = np.array([np.frombuffer(k, np.uint8) for k in keys])
+    if seed is None:
+        match = nn_scan_oracle(x, bucket_x)[0]
+    else:
+        match = nn_random_tie_oracle(x, bucket_x, seed)
+    size: dict[str, int] = {}
+    for h in household_ids:
+        size[str(h)] = size.get(str(h), 0) + 1
+    w = len(x) / len(pool_x)
+    values, totals = [], {}
+    for i, (b, h) in enumerate(zip(match.tolist(), map(str, household_ids))):
+        v = float(y[i])
+        if impute_all or math.isnan(v):
+            v = (sums[b] / counts[b]) / (size[h] if household_weight else w)
+        values.append(v)
+        totals[h] = totals.get(h, 0.0) + v
+    hamming_count = [int(np.count_nonzero(x[i] != bucket_x[b])) for i, b in enumerate(match)]
+    return values, match.tolist(), hamming_count, list(totals.items())
+
+
 def household_sum_oracle(household_ids, sample_y) -> dict[str, float]:
     totals: dict[str, float] = {}
     for h, v in zip(household_ids, sample_y):

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surveyfuse import (
-    BucketMeanPredictor, DataError, EncodedDataset, EncodedStream, FeatureDictionary, impute,
-    subsample_compare,
+    BucketMeanPredictor, DataError, EncodedDataset, EncodedStream, FeatureDictionary,
+    FusionError, impute, subsample_compare,
 )
-from surveyfuse import attribution, cli, matching, synthesis
-from surveyfuse.dataset import bit_mask, pack_rows
+from surveyfuse import attribution, cli, dataset, matching, synthesis
+from surveyfuse.dataset import bit_mask, household_index, pack_rows
+from surveyfuse.matching import impute_blocks
 from surveyfuse.cli import (
     EXIT_DATA,
     EXIT_DICTIONARY_MISMATCH,
@@ -35,7 +36,7 @@ from surveyfuse.cli import (
     _Outputs,
     main,
 )
-from oracles import totals_oracle
+from oracles import impute_oracle, totals_oracle
 
 
 def run(*args) -> int:
@@ -282,8 +283,7 @@ class TestImpute:
         before any match, and nothing is written."""
         full, missing = generated
         source, _ = self.with_household(missing, tmp_path, hid)
-        monkeypatch.setattr(cli, "augment_candidate", not_reached)
-        monkeypatch.setattr(cli, "impute", not_reached)
+        monkeypatch.setattr(cli, "impute_blocks", not_reached)
         before = sorted(tmp_path.iterdir())
         rc = run("impute", "--source", source, "--candidate", full, "--out", tmp_path / "i.csv")
         assert rc == EXIT_DATA
@@ -329,6 +329,284 @@ class TestImpute:
             run("impute", "--source", missing, "--candidate", full,
                 "--method", "scan", "--out", tmp_path / "x.csv")
         assert exc.value.code == 2
+
+
+IMPUTE_FLAGS = {
+    "index": [],
+    "random": ["--tie-break", "random", "--seed", "7"],
+    "impute-all": ["--impute-all"],
+    "household-weight": ["--household-weight", "--tie-break", "random", "--seed", "3"],
+    "no-augment": ["--no-augment"],
+}
+
+
+def library_kwargs(flags: list) -> dict:
+    """The ``impute`` keywords of a list of CLI flags."""
+    seed = flags[flags.index("--seed") + 1] if "--seed" in flags else None
+    return {
+        "impute_all": "--impute-all" in flags,
+        "household_weight": "--household-weight" in flags,
+        "tie_break": "random" if seed else "index",
+        "seed": None if seed is None else int(seed),
+    }
+
+
+@pytest.fixture
+def fractional(generated, tmp_path):
+    """``(source, candidate)`` paths: the generated files with non-integer
+    targets ``k / 7 + 0.1`` (the source's missing ones kept missing), whose
+    float sums change with their order, and a copy of the source with its
+    rows shuffled, so that its ids do not ascend.  Returns a dict of paths
+    keyed "ascending", "shuffled" and "candidate"."""
+    full, missing = generated
+    rng = np.random.default_rng(11)
+    paths = {}
+    for name, path in (("ascending", missing), ("candidate", full)):
+        ds = EncodedDataset.load(path)
+        y = rng.integers(0, 30, ds.n_samples) / 7 + 0.1
+        y[np.isnan(ds.y)] = np.nan
+        paths[name] = tmp_path / f"{name}.enc"
+        EncodedDataset(
+            ds.dictionary, ds.survey_id, ds.year, ds.households, ds.household_code, ds.words, y
+        ).save(paths[name])
+    ds = EncodedDataset.load(paths["ascending"])
+    ds.subset(rng.permutation(ds.n_samples)).save(tmp_path / "shuffled.enc")
+    paths["shuffled"] = tmp_path / "shuffled.enc"
+    return paths
+
+
+IMPUTE_HEADER = ["household_id", "sample_index", "matched_bucket", "distance", "y_imputed"]
+
+
+class TestStreamedImpute:
+    """The CLI reads ``--source`` once as a stream and writes its CSVs a match
+    block at a time; the library ``impute`` collects the same blocks."""
+
+    @staticmethod
+    def library(source_path, candidate_path, flags):
+        """``impute`` of the loaded files, the pool augmented as the CLI's."""
+        source = EncodedDataset.load(source_path)
+        candidate = EncodedDataset.load(candidate_path)
+        if "--no-augment" not in flags:
+            candidate = matching.augment_candidate(source, candidate)
+        return source, impute(source, candidate, **library_kwargs(flags))
+
+    @pytest.mark.parametrize("blocks", [(1, 1, 1), (3, 3, 3), (3, 5, 2), None],
+                             ids=["1", "3", "3-5-2", "default"])
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    @pytest.mark.parametrize("flags", list(IMPUTE_FLAGS))
+    def test_streamed_bytes_equal_the_library_on_the_loaded_file(
+        self, fractional, tmp_path, monkeypatch, flags, order, blocks
+    ):
+        """Read blocks (``_PACK_ROWS``), match blocks (``_QUERY_BLOCK``) and
+        CSV chunks (``CSV_CHUNK_ROWS``) of 1, 3 or 5 rows put block edges
+        inside households and in the middle of one another."""
+        flags = IMPUTE_FLAGS[flags]
+        source, result = self.library(fractional[order], fractional["candidate"], flags)
+        a = result.assignment
+        want = csv_reference(IMPUTE_HEADER, [
+            source.household_ids, np.arange(source.n_samples), a.target_index, a.distance,
+            result.sample_y,
+        ])
+        want_households = csv_reference(
+            ["household_id", "y_total"], [result.household_ids, result.household_y]
+        )
+        if blocks is not None:
+            for (module, name), rows in zip(
+                [(dataset, "_PACK_ROWS"), (matching, "_QUERY_BLOCK"), (cli, "CSV_CHUNK_ROWS")],
+                blocks,
+            ):
+                monkeypatch.setattr(module, name, rows)
+        out = tmp_path / "i.csv"
+        assert run("impute", "--source", fractional[order], "--candidate",
+                   fractional["candidate"], *flags, "--out", out) == EXIT_OK
+        assert out.read_bytes() == want
+        assert (tmp_path / "i.households.csv").read_bytes() == want_households
+        manifest = json.loads((tmp_path / "i.csv.manifest.json").read_text())
+        assert manifest["matches"] == [a.diagnostics()]
+        assert manifest["datasets"][str(fractional[order])] == {
+            "n_samples": source.n_samples, "n_households": source.n_households()
+        }
+
+    @pytest.mark.parametrize("flags", list(IMPUTE_FLAGS))
+    def test_cli_and_library_equal_the_oracle(self, fractional, tmp_path, monkeypatch, flags):
+        """Every imputed value, matched bucket, distance and household total,
+        from the CLI, from ``impute`` of a dataset and of a coded stream, is
+        the oracle's, compared with ``==``."""
+        flags = IMPUTE_FLAGS[flags]
+        kwargs = library_kwargs(flags)
+        source = EncodedDataset.load(fractional["shuffled"])
+        candidate = EncodedDataset.load(fractional["candidate"])
+        values, bucket, count, totals = impute_oracle(
+            source.x, source.y, source.household_ids, candidate.x, candidate.y,
+            augment="--no-augment" not in flags, impute_all=kwargs["impute_all"],
+            household_weight=kwargs["household_weight"], seed=kwargs["seed"],
+        )
+        pool = candidate if "--no-augment" in flags else matching.augment_candidate(
+            source, candidate
+        )
+        for given in (source, EncodedStream(fractional["shuffled"], coded=True)):
+            result = impute(given, pool, **kwargs)
+            assert result.sample_y.tolist() == values
+            assert result.assignment.target_index.tolist() == bucket
+            assert result.assignment.hamming_count.tolist() == count
+            assert list(zip(result.household_ids.tolist(), result.household_y.tolist())) == totals
+        monkeypatch.setattr(matching, "_QUERY_BLOCK", 3)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 2)
+        out = tmp_path / "i.csv"
+        assert run("impute", "--source", fractional["shuffled"], "--candidate",
+                   fractional["candidate"], *flags, "--out", out) == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        d = source.dictionary.dimension
+        assert [r["y_imputed"] for r in rows] == list(map(repr, values))
+        assert [int(r["matched_bucket"]) for r in rows] == bucket
+        assert [r["distance"] for r in rows] == [repr(k / d) for k in count]
+        lines = (tmp_path / "i.households.csv").read_text().splitlines()[1:]
+        assert lines == [f"{h},{t!r}" for h, t in totals]
+
+    def test_a_stream_without_coded_ids_is_refused(self, fractional):
+        candidate = EncodedDataset.load(fractional["candidate"])
+        with EncodedDataset.stream(fractional["ascending"]) as stream:
+            with pytest.raises(FusionError, match="household ids coded"):
+                impute(stream, candidate)
+
+    def test_an_empty_source_writes_the_headers(self, generated, tmp_path, capsys):
+        full, _ = generated
+        empty = empty_copy(full, tmp_path)
+        out = tmp_path / "i.csv"
+        assert run("impute", "--source", empty, "--candidate", full, "--out", out) == EXIT_OK
+        assert out.read_text() == ",".join(IMPUTE_HEADER) + "\n"
+        assert (tmp_path / "i.households.csv").read_text() == "household_id,y_total\n"
+        donors = EncodedDataset.load(full).n_samples
+        assert f"imputed 0 of 0 samples from {donors} donors" in capsys.readouterr().out
+        (match,) = json.loads((tmp_path / "i.csv.manifest.json").read_text())["matches"]
+        assert match["query_rows"] == 0 and sum(match["distance_histogram"]) == 0
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_an_empty_candidate(self, generated, tmp_path, capsys, augment):
+        """An empty candidate is exit 5 with no output, unless the source's
+        labeled rows make the pool."""
+        full, missing = generated
+        empty = empty_copy(full, tmp_path)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        flags = [] if augment else ["--no-augment"]
+        rc = run("impute", "--source", missing, "--candidate", empty, *flags,
+                 "--out", out_dir / "i.csv")
+        if augment:
+            labeled = EncodedDataset.load(missing).labeled().n_samples
+            assert rc == EXIT_OK
+            assert f"from {labeled} donors" in capsys.readouterr().out
+        else:
+            assert rc == EXIT_DATA
+            assert "candidate dataset is empty" in capsys.readouterr().err
+            assert list(out_dir.iterdir()) == []
+
+    def test_a_source_of_another_dictionary_is_refused_before_its_rows(
+        self, generated, tmp_path, capsys
+    ):
+        """Exit 4 even where the source's last row is damaged: the
+        dictionaries are compared before its rows are read."""
+        full, missing = generated
+        damaged, _ = damaged_copy(missing, tmp_path, "last row two-hot", capsys)
+        rename_a_feature(damaged)
+        out = tmp_path / "i.csv"
+        assert run("impute", "--source", damaged, "--candidate", full,
+                   "--out", out) == EXIT_DICTIONARY_MISMATCH
+        assert "different feature dictionaries" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["last row two-hot", "last target negative"])
+    def test_a_damaged_last_block_leaves_no_output(
+        self, generated, tmp_path, capsys, monkeypatch, damage
+    ):
+        """A fault in the source's last row, read after every other block, is
+        exit 5 with the message a whole load gives, and no CSV or manifest
+        is left; so is a damaged candidate, named first when both are."""
+        full, missing = generated
+        damaged, described = damaged_copy(missing, tmp_path, damage, capsys)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setattr(dataset, "_PACK_ROWS", 64)  # ten read blocks
+        assert run("impute", "--source", damaged, "--candidate", full,
+                   "--out", out_dir / "i.csv") == EXIT_DATA
+        assert capsys.readouterr().err == described
+        assert list(out_dir.iterdir()) == []
+        other = "last target negative" if damage == "last row two-hot" else "last row two-hot"
+        bad_candidate, candidate_error = damaged_copy(full, tmp_path / "c", other, capsys)
+        assert run("impute", "--source", damaged, "--candidate", bad_candidate,
+                   "--out", out_dir / "i.csv") == EXIT_DATA
+        assert capsys.readouterr().err == candidate_error
+        assert list(out_dir.iterdir()) == []
+
+
+    def test_streamed_impute_holds_no_per_row_float_column(self, tmp_path):
+        """On a 120k-row file (d = 26, three rows a household, 4% labeled), the
+        streamed path peaks at least 16 bytes a row, the targets and one
+        per-row float64 column, under the load path, under ``tracemalloc``:
+        ``impute_blocks`` of a coded stream with its blocks read against
+        ``load`` and ``impute``, and the CLI against ``load``, ``impute`` and
+        the same two CSVs written from whole columns."""
+        n = 120_000
+        rng = np.random.default_rng(5)
+        sizes = (4, 6, 5, 3, 8)
+        dictionary = FeatureDictionary(
+            tuple(f"F{i}" for i in range(5)), tuple(tuple(f"c{j}" for j in range(k)) for k in sizes)
+        )
+        paths = {}
+        for name, rows, labeled in (("s", n, 0.04), ("c", 2_000, 1.0)):
+            x = np.zeros((rows, sum(sizes)), np.uint8)
+            hot = np.cumsum((0,) + sizes[:-1]) + rng.integers(0, sizes, (rows, 5))
+            x[np.arange(rows)[:, None], hot] = 1
+            y = rng.integers(0, 30, rows) / 7 + 0.1
+            y[rng.random(rows) > labeled] = np.nan
+            ids = np.array([f"h{i // 3:06d}" for i in range(rows)])
+            paths[name] = tmp_path / f"{name}.enc"
+            EncodedDataset(dictionary, name, 2017, *household_index(ids), pack_rows(x), y).save(
+                paths[name]
+            )
+
+        def peak(fn) -> int:
+            fn()  # a first call, so that imports and caches are not counted
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def streamed():
+            with EncodedStream(paths["s"], coded=True) as source:
+                _, blocks = impute_blocks(source, EncodedDataset.load(paths["c"]), augment=True)
+                for _ in blocks:
+                    pass
+
+        def loaded():
+            source = EncodedDataset.load(paths["s"])
+            return source, impute(
+                source, matching.augment_candidate(source, EncodedDataset.load(paths["c"]))
+            )
+
+        def cli_streamed():
+            assert run("impute", "--source", paths["s"], "--candidate", paths["c"],
+                       "--out", tmp_path / "i.csv") == EXIT_OK
+
+        def cli_loaded():
+            with outputs() as staged:
+                source, result = loaded()
+                a = result.assignment
+                staged.csv(tmp_path / "j.csv", IMPUTE_HEADER, [[
+                    (source.households, source.household_code), np.arange(n),
+                    (np.arange(a.n_target), a.target_index),
+                    (np.arange(27) / 26, a.hamming_count), result.sample_y,
+                ]])
+                staged.csv(tmp_path / "j.households.csv", ["household_id", "y_total"],
+                           [[result.household_ids, result.household_y]])
+
+        assert peak(streamed) <= peak(loaded) - 16 * n
+        assert peak(cli_streamed) <= peak(cli_loaded) - 16 * n
+        assert (tmp_path / "i.csv").read_bytes() == (tmp_path / "j.csv").read_bytes()
 
 
 class TestEvaluateAndSpike:
@@ -600,20 +878,37 @@ class TestSynthesize:
         are read."""
         full, missing = generated
         damaged, _ = damaged_copy(missing, tmp_path, "last row two-hot", capsys)
-        with zipfile.ZipFile(damaged) as zf:
-            members = {name: zf.read(name) for name in zf.namelist()}
-        meta = json.loads(members["meta.json"])
-        meta["dictionary"]["features"][0]["name"] = "Renamed"
-        meta["dictionary_hash"] = FeatureDictionary.from_json_dict(meta["dictionary"]).hash()
-        members["meta.json"] = json.dumps(meta).encode()
-        with zipfile.ZipFile(damaged, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name, blob in members.items():
-                zf.writestr(name, blob)
+        rename_a_feature(damaged)
         out = tmp_path / "s.enc"
         assert run("synthesize", "--source2", full, "--source1", damaged, "--candidate", full,
                    "--out", out) == EXIT_DICTIONARY_MISMATCH
         assert "different feature dictionaries" in capsys.readouterr().err
         assert not out.exists()
+
+
+def rename_a_feature(path) -> None:
+    """Rewrite an ``.enc`` file's dictionary, and its hash, with its first
+    feature renamed: the same rows under another dictionary."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    meta = json.loads(members["meta.json"])
+    meta["dictionary"]["features"][0]["name"] = "Renamed"
+    meta["dictionary_hash"] = FeatureDictionary.from_json_dict(meta["dictionary"]).hash()
+    members["meta.json"] = json.dumps(meta).encode()
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, blob in members.items():
+            zf.writestr(name, blob)
+
+
+def empty_copy(path, tmp_path) -> Path:
+    """An ``.enc`` file of no rows under the dictionary of ``path``."""
+    ds = EncodedDataset.load(path)
+    empty = tmp_path / "empty.enc"
+    EncodedDataset(
+        ds.dictionary, "empty", 2017, np.array([], dtype=str), np.array([], np.int32),
+        ds.words[:0], ds.y[:0],
+    ).save(empty)
+    return empty
 
 
 def damaged_copy(path, tmp_path, damage: str, capsys) -> tuple[Path, str]:
@@ -1131,6 +1426,7 @@ class TestAllOrNothing:
         monkeypatch.setattr(matching, "nearest_rows", not_reached)
         monkeypatch.setattr(synthesis, "nearest_rows", not_reached)
         monkeypatch.setattr(EncodedDataset, "load", not_reached)
+        monkeypatch.setattr(_Outputs, "stream", not_reached)
         nodir = tmp_path / "nodir"
         argv, named = {
             "impute": (["impute", "--source", missing, "--candidate", full,
@@ -1217,6 +1513,7 @@ class TestUsableOutputs:
     def test_an_output_named_twice(self, generated, totals, tmp_path, capsys, monkeypatch, case):
         full, missing = generated
         monkeypatch.setattr(EncodedDataset, "load", not_reached)
+        monkeypatch.setattr(_Outputs, "stream", not_reached)
         monkeypatch.setattr(cli, "_load_totals_csv", not_reached)
         impute = ["impute", "--source", missing, "--candidate", full]
         a = tmp_path / "a.csv"
@@ -1251,6 +1548,7 @@ class TestUsableOutputs:
     def test_an_output_that_is_a_directory(self, generated, tmp_path, capsys, monkeypatch, argv):
         full, missing = generated
         monkeypatch.setattr(EncodedDataset, "load", not_reached)
+        monkeypatch.setattr(_Outputs, "stream", not_reached)
         taken = tmp_path / "taken"
         taken.mkdir()
         before = sorted(tmp_path.iterdir())
@@ -1402,7 +1700,7 @@ class TestCsvWriter:
         header = [f"c{i}" for i in range(len(columns) + len(coded))]
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         with outputs() as staged:
-            staged.csv(tmp_path / "t.csv", header, columns + coded)
+            staged.csv(tmp_path / "t.csv", header, [columns + coded])
         reference = csv_reference(header, columns + [v[c] for v, c in coded])
         assert (tmp_path / "t.csv").read_bytes() == reference
 
@@ -1414,7 +1712,7 @@ class TestCsvWriter:
         other = rng.random(40)
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
         with outputs() as staged:
-            staged.csv(tmp_path / "t.csv", ["id", "v"], [(values, code), other])
+            staged.csv(tmp_path / "t.csv", ["id", "v"], [[(values, code), other]])
         assert (tmp_path / "t.csv").read_bytes() == csv_reference(["id", "v"], [values[code], other])
 
 
